@@ -616,25 +616,21 @@ fn check_metrics(name: &str, doc: &Json, problems: &mut Vec<String>) {
     }
     // Per-lane worker-utilization imbalance: every lane's spread must be a
     // fraction of the stage window.
-    let check_imbalance = |ctx: &str, block: Option<&Json>, problems: &mut Vec<String>| -> bool {
-        let mut has_run_configs = false;
-        match block {
-            Some(Json::Obj(lanes)) => {
-                for (lane, value) in lanes {
-                    has_run_configs |= lane == "run-configs";
-                    match value.as_f64() {
-                        Some(v) if (0.0..=1.0).contains(&v) => {}
-                        _ => problems.push(format!(
-                            "{ctx}: utilization_imbalance['{lane}'] must be a number in [0, 1]"
-                        )),
-                    }
+    let mut has_run_configs = false;
+    match doc.get("utilization_imbalance") {
+        Some(Json::Obj(lanes)) => {
+            for (lane, value) in lanes {
+                has_run_configs |= lane == "run-configs";
+                match value.as_f64() {
+                    Some(v) if (0.0..=1.0).contains(&v) => {}
+                    _ => problems.push(format!(
+                        "{name}: utilization_imbalance['{lane}'] must be a number in [0, 1]"
+                    )),
                 }
             }
-            _ => problems.push(format!("{ctx}: missing or mistyped 'utilization_imbalance'")),
         }
-        has_run_configs
-    };
-    let has_run_configs = check_imbalance(name, doc.get("utilization_imbalance"), problems);
+        _ => problems.push(format!("{name}: missing or mistyped 'utilization_imbalance'")),
+    }
 
     if profile == Some("sweep") {
         for phase in REQUIRED_SWEEP_PHASES {
@@ -646,8 +642,7 @@ fn check_metrics(name: &str, doc: &Json, problems: &mut Vec<String>) {
         }
 
         // Scheduler instrumentation: claim/steal counters, per-worker
-        // queue-depth gauges, and the run-configs imbalance summary the
-        // static baseline is compared against.
+        // queue-depth gauges, and the run-configs imbalance summary.
         for key in ["sweep.claims", "sweep.steals", "sweep.tasks"] {
             let present = doc
                 .get("metrics")
@@ -686,20 +681,6 @@ fn check_metrics(name: &str, doc: &Json, problems: &mut Vec<String>) {
         if !has_run_configs {
             problems.push(format!(
                 "{name}: sweep utilization_imbalance is missing the 'run-configs' lane"
-            ));
-        }
-        // The static-chunk baseline recorded next to the work-stealing
-        // profile, for the imbalance comparison.
-        let static_block = doc
-            .get("static_baseline")
-            .and_then(|b| b.get("utilization_imbalance"));
-        if !check_imbalance(
-            &format!("{name}/static_baseline"),
-            static_block,
-            problems,
-        ) {
-            problems.push(format!(
-                "{name}: static_baseline utilization_imbalance is missing the 'run-configs' lane"
             ));
         }
     }
@@ -1469,8 +1450,8 @@ mod tests {
 
     #[test]
     fn metrics_check_requires_scheduler_instrumentation_on_sweep() {
-        // A sweep doc with empty counters/gauges and no static baseline
-        // must flag every piece of missing scheduler instrumentation.
+        // A sweep doc with empty counters/gauges must flag every piece of
+        // missing scheduler instrumentation.
         let Json::Obj(mut fields) = metrics_doc(40, 30) else {
             unreachable!()
         };
@@ -1486,7 +1467,6 @@ mod tests {
             "missing scheduler counter 'sweep.steals'",
             "missing scheduler counter 'sweep.tasks'",
             "no 'sweep.queue_depth.*' gauges",
-            "static_baseline: missing or mistyped 'utilization_imbalance'",
         ] {
             assert!(
                 problems.iter().any(|p| p.contains(needle)),
@@ -1531,10 +1511,6 @@ mod tests {
                 _ => {}
             }
         }
-        fields.push((
-            "static_baseline".to_string(),
-            Json::parse(r#"{"utilization_imbalance": {"run-configs": 0.62}}"#).unwrap(),
-        ));
         // Cover every required phase with a span and a phase total so only
         // the scheduler checks are exercised.
         let spans: Vec<String> = REQUIRED_SWEEP_PHASES

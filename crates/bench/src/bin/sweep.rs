@@ -10,8 +10,8 @@
 //! * `grid/shared-plan` — [`run_sweep_with_threads`]: configs grouped by
 //!   `(distribution, processors)`, one shared [`RoutingPlan`] per group,
 //!   cache-heavy groups priced by stack-distance replay;
-//! * `grid/per-config` — the pre-optimization baseline: every config
-//!   re-derives per-fragment ownership and re-partitions the stream from
+//! * `grid/per-config` — the no-sharing baseline: every config runs
+//!   [`Machine::run`] on its own, routing and probing the stream from
 //!   scratch (what `run_sweep` did before routing plans existed);
 //! * `grid/trace-replay` — a 10x-denser cache grid (every power-of-two
 //!   size from 512 B to 4 MB crossed with associativities 1–128, 100+
@@ -49,19 +49,14 @@
 //! per-path run-time histograms, the cost model's predicted-vs-actual
 //! error histogram, peak RSS — lands in `METRICS_sweep.json` next to the
 //! bench artefact (`bench_check` validates its span-nesting,
-//! worker-identity and scheduler-instrumentation invariants). The same
-//! combined workload then repeats on the `--static-schedule` chunked
-//! path into a second profiler, and its `run-configs`
-//! utilization-imbalance is sealed into the artefact as
-//! `static_baseline` — the number the work-stealing scheduler is judged
-//! against. The timed lanes stay on the [`NullHostSink`] path, so the
+//! worker-identity and scheduler-instrumentation invariants). The timed
+//! lanes stay on the [`NullHostSink`](sortmid::NullHostSink) path, so the
 //! regression gate keeps pinning the *unprofiled* pipeline.
 //!
-//! Pass `--no-replay` to force every lane through the direct simulator
-//! (the stack-distance escape hatch) and `--scalar` to force direct
-//! simulations onto the per-texel scalar loop instead of the batched
-//! fragment core; the reports are byte-identical either way, only the
-//! wall-clock changes (these modes skip the profile artefact — it
+//! Pass `--no-replay` to turn off the stack-distance path (its configs run
+//! on shared captures or the direct engine instead) and `--threads N` to
+//! pin the pool size; the reports are byte-identical either way, only the
+//! wall-clock changes (`--no-replay` skips the profile artefact — it
 //! documents the default pipeline).
 
 use sortmid::{
@@ -142,8 +137,8 @@ fn trace_replay_grid(geometries: &[CacheGeometry]) -> Vec<MachineConfig> {
         .build()
 }
 
-/// The pre-plan sweep: every config runs [`Machine::run`] independently,
-/// re-deriving ownership per fragment, on the same host-thread schedule.
+/// The no-sharing sweep: every config runs [`Machine::run`] independently,
+/// on a static chunk of the configs per host thread.
 fn run_grid_per_config(
     stream: &FragmentStream,
     configs: &[MachineConfig],
@@ -172,8 +167,6 @@ const NOISY_LANE_SAMPLE_SCALE: u32 = 5;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let replay = !args.iter().any(|a| a == "--no-replay");
-    let batch = !args.iter().any(|a| a == "--scalar");
-    let static_schedule = args.iter().any(|a| a == "--static-schedule");
     let threads = args
         .iter()
         .position(|a| a == "--threads")
@@ -197,17 +190,14 @@ fn main() {
         "the dense lane must price 100+ cache configs per plan, got {}",
         dense.len()
     );
-    let options = SweepOptions { threads, replay, batch, static_schedule };
+    let options = SweepOptions { threads, replay };
     eprintln!(
-        "sweep bench: {} configs (+{} dense-cache), {} fragments, {} host threads, replay {}, \
-         fragment core {}, {} schedule",
+        "sweep bench: {} configs (+{} dense-cache), {} fragments, {} host threads, replay {}",
         configs.len(),
         dense.len(),
         s.fragment_count(),
         threads,
         if replay { "on" } else { "off (--no-replay)" },
-        if batch { "batched" } else { "scalar (--scalar)" },
-        if static_schedule { "static (--static-schedule)" } else { "work-stealing" },
     );
 
     let mut suite = Suite::new("sweep");
@@ -270,13 +260,12 @@ fn main() {
     // One more (untimed) sweep to attach per-config cycle breakdowns —
     // the reference grid and the dense cache lane run as ONE combined
     // profiled sweep, so the scheduler faces a heterogeneous mix of
-    // captured and replay-path configs (the workload where static chunks
-    // carry structurally unequal work). Only the first `configs.len()`
+    // captured and replay-path configs. Only the first `configs.len()`
     // reports feed the regression gate's cycle breakdowns: the gate's
     // groups must not absorb the dense lane, and per-config reports are
     // schedule- and path-independent, so the prefix equals a
     // reference-grid-only run.
-    let reports = if replay && batch && !static_schedule {
+    let reports = if replay {
         let mut combined = configs.clone();
         combined.extend(dense.iter().cloned());
         let prof = HostProfiler::new();
@@ -286,18 +275,6 @@ fn main() {
         profile
             .verify()
             .expect("host profile structural invariants must hold");
-
-        // The same profiled workload once more on the static-chunk
-        // schedule, into its own profiler: its run-configs
-        // utilization_imbalance is the baseline the scheduler's number is
-        // compared against, sealed into the same artefact.
-        let static_prof = HostProfiler::new();
-        let static_options = SweepOptions { static_schedule: true, ..options };
-        black_box(run_sweep_profiled(&s, &combined, static_options, &static_prof));
-        let static_profile = static_prof.finish();
-        static_profile
-            .verify()
-            .expect("static-baseline profile structural invariants must hold");
 
         let dir = std::env::var_os("SORTMID_BENCH_DIR")
             .map(std::path::PathBuf::from)
@@ -310,49 +287,6 @@ fn main() {
             "provenance",
             run_provenance(Benchmark::Quake, &configs).to_json(),
         );
-        doc.set(
-            "static_baseline",
-            Json::obj([
-                (
-                    "utilization_imbalance",
-                    Json::obj(
-                        static_profile
-                            .utilization_imbalance()
-                            .into_iter()
-                            .map(|(lane, v)| (lane, Json::F64(v))),
-                    ),
-                ),
-                (
-                    // The chunked schedule's per-worker run-configs rows,
-                    // so the before/after utilization table in
-                    // EXPERIMENTS.md reproduces from the artefact alone.
-                    "workers",
-                    Json::arr(
-                        static_profile
-                            .workers
-                            .iter()
-                            .filter(|w| w.lane == "run-configs")
-                            .map(|w| {
-                                Json::obj([
-                                    ("worker", Json::U64(w.worker as u64)),
-                                    ("wall_ns", Json::U64(w.wall_ns)),
-                                    ("busy_ns", Json::U64(w.busy_ns)),
-                                    ("items", Json::U64(w.items)),
-                                ])
-                            }),
-                    ),
-                ),
-            ]),
-        );
-        for (lane, ws_v) in profile.utilization_imbalance() {
-            if lane == "run-configs" {
-                let static_v = static_profile.utilization_imbalance()[lane];
-                eprintln!(
-                    "run-configs utilization imbalance: {ws_v:.3} work-stealing vs {static_v:.3} \
-                     static-chunk"
-                );
-            }
-        }
         std::fs::write(&path, doc.render())
             .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         eprintln!("wrote {}", path.display());
@@ -363,7 +297,7 @@ fn main() {
     };
     suite.finish_with([
         (
-            // Stamped on every lane, escape hatches included: the grid and
+            // Stamped on every lane, the escape hatch included: the grid and
             // scene are identical, so self-diffs and the gate stay valid.
             "provenance".to_string(),
             run_provenance(Benchmark::Quake, &configs).to_json(),

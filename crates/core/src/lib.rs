@@ -49,6 +49,8 @@ pub mod dynamic;
 pub mod machine;
 pub mod node;
 pub mod plan;
+#[doc(hidden)]
+pub mod reference;
 pub mod replay;
 pub mod report;
 pub mod sched;
@@ -56,7 +58,6 @@ pub mod sortlast;
 pub mod sweep;
 pub mod work;
 
-pub use batch::PlanLanes;
 pub use config::{CacheKind, ConfigError, MachineConfig, MachineConfigBuilder};
 pub use distribution::Distribution;
 pub use machine::Machine;

@@ -1,20 +1,20 @@
 //! The parallel sort-middle machine simulation.
 
-use crate::batch::PlanLanes;
+use crate::batch::LaneScratch;
 use crate::config::MachineConfig;
 use crate::node::Node;
-use crate::plan::RoutingPlan;
+use crate::plan::OwnerLut;
 use crate::report::RunReport;
 use sortmid_geom::Rect;
 use sortmid_memsys::Cycle;
 use sortmid_observe::{NullSink, TraceEvent, TraceSink};
-use sortmid_raster::{Fragment, FragmentStream};
+use sortmid_raster::FragmentStream;
 
 /// The screen-space anchor a triangle's setup padding is attributed to in
 /// spatial traces: the bounding-box origin clamped to non-negative
 /// coordinates (an overlapped node pays the setup floor even when it owns
 /// no fragment of the triangle, so fragment positions cannot anchor it).
-fn setup_anchor(bbox: &Rect) -> (u16, u16) {
+pub(crate) fn setup_anchor(bbox: &Rect) -> (u16, u16) {
     (
         bbox.x0.clamp(0, u16::MAX as i32) as u16,
         bbox.y0.clamp(0, u16::MAX as i32) as u16,
@@ -34,8 +34,9 @@ fn setup_anchor(bbox: &Rect) -> (u16, u16) {
 ///    in-order producer — a full FIFO anywhere blocks everyone, which is
 ///    the paper's local load imbalance);
 /// 3. nodes whose regions the bounding box overlaps pay the 25-cycle setup
-///    floor and scan their owned fragments, probing their private cache per
-///    texel read and queuing line fills on their private bus.
+///    floor and scan their owned fragments, probing their private cache
+///    once per fragment footprint and queuing line fills on their private
+///    bus.
 ///
 /// Machine time is the cycle the slowest node completes its last fill.
 ///
@@ -74,18 +75,12 @@ impl Machine {
     /// With [`NullSink`] the whole event path monomorphizes away, which is
     /// what keeps the untraced sweep at its reference speed.
     pub fn run_traced<S: TraceSink>(&self, stream: &FragmentStream, sink: &mut S) -> RunReport {
-        let mut nodes: Vec<Node> = (0..self.config.processors)
-            .map(|_| Node::new(&self.config))
-            .collect();
+        let mut nodes = self.nodes();
         let routed = self.run_frame(stream, &mut nodes, sink);
-        let total_cycles = nodes.iter().map(Node::finish_time).max().unwrap_or(0);
-        let node_reports: Vec<_> = nodes.iter().map(Node::report).collect();
-        RunReport::new(
+        RunReport::from_nodes(
             self.config.summary(),
-            total_cycles,
-            node_reports,
-            stream.fragment_count(),
-            stream.triangle_count() as u64,
+            nodes.iter().map(Node::report).collect(),
+            stream,
             routed,
         )
     }
@@ -98,159 +93,6 @@ impl Machine {
             .collect()
     }
 
-    /// Simulates the stream by replaying a precomputed [`RoutingPlan`],
-    /// skipping all per-fragment ownership math. The report is identical
-    /// to [`run`](Self::run) — same node timing, same counters, same
-    /// summary string — the plan only precomputes *where* work goes, never
-    /// *how long* it takes.
-    ///
-    /// Internally this runs the **batched fragment core**: the plan is
-    /// pivoted into [`PlanLanes`] (struct-of-arrays line-id lanes) and
-    /// each fragment's footprint resolves through the cache's batched
-    /// probe. Use [`run_planned_with_lanes`](Self::run_planned_with_lanes)
-    /// to amortise the pivot across configs, or
-    /// [`run_planned_scalar`](Self::run_planned_scalar) to force the
-    /// scalar reference path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was built for a different distribution or
-    /// processor count than this machine's configuration.
-    pub fn run_planned(&self, stream: &FragmentStream, plan: &RoutingPlan) -> RunReport {
-        self.run_planned_traced(stream, plan, &mut NullSink)
-    }
-
-    /// [`run_planned`](Self::run_planned) with a [`TraceSink`]: the same
-    /// event stream and spatial samples as
-    /// [`run_traced`](Self::run_traced), emitted from the batched
-    /// plan-replay path. Reports and recorded observations are identical
-    /// between the paths — property tests pin this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was built for a different distribution or
-    /// processor count than this machine's configuration.
-    pub fn run_planned_traced<S: TraceSink>(
-        &self,
-        stream: &FragmentStream,
-        plan: &RoutingPlan,
-        sink: &mut S,
-    ) -> RunReport {
-        let lanes = PlanLanes::build(stream, plan);
-        self.run_planned_with_lanes_traced(stream, plan, &lanes, sink)
-    }
-
-    /// [`run_planned`](Self::run_planned) with the plan's [`PlanLanes`]
-    /// already pivoted — the sweep builds the lanes once per plan group
-    /// and replays them read-only from every config in the group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan does not fit this machine's configuration or the
-    /// lanes were built for a different plan.
-    pub fn run_planned_with_lanes(
-        &self,
-        stream: &FragmentStream,
-        plan: &RoutingPlan,
-        lanes: &PlanLanes,
-    ) -> RunReport {
-        self.run_planned_with_lanes_traced(stream, plan, lanes, &mut NullSink)
-    }
-
-    /// [`run_planned_with_lanes`](Self::run_planned_with_lanes) with a
-    /// [`TraceSink`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan does not fit this machine's configuration or the
-    /// lanes were built for a different plan.
-    pub fn run_planned_with_lanes_traced<S: TraceSink>(
-        &self,
-        stream: &FragmentStream,
-        plan: &RoutingPlan,
-        lanes: &PlanLanes,
-        sink: &mut S,
-    ) -> RunReport {
-        self.assert_plan_fits(plan);
-        assert!(
-            lanes.procs() == plan.procs() && lanes.fragment_count() == stream.fragment_count(),
-            "lanes built for a different plan ({} nodes, {} fragments)",
-            lanes.procs(),
-            lanes.fragment_count(),
-        );
-        let mut nodes: Vec<Node> = (0..self.config.processors)
-            .map(|_| Node::new(&self.config))
-            .collect();
-        let routed = self.run_frame_lanes(stream, plan, lanes, &mut nodes, sink);
-        let total_cycles = nodes.iter().map(Node::finish_time).max().unwrap_or(0);
-        let node_reports: Vec<_> = nodes.iter().map(Node::report).collect();
-        RunReport::new(
-            self.config.summary(),
-            total_cycles,
-            node_reports,
-            stream.fragment_count(),
-            stream.triangle_count() as u64,
-            routed,
-        )
-    }
-
-    /// The scalar plan-replay path: identical routing and timing, but
-    /// every texel probes the cache one line at a time through the
-    /// reference [`scan_fragments`] loop. This is the `--scalar` escape
-    /// hatch and the semantics the batched core is property-tested
-    /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was built for a different distribution or
-    /// processor count than this machine's configuration.
-    ///
-    /// [`scan_fragments`]: crate::node
-    pub fn run_planned_scalar(&self, stream: &FragmentStream, plan: &RoutingPlan) -> RunReport {
-        self.run_planned_scalar_traced(stream, plan, &mut NullSink)
-    }
-
-    /// [`run_planned_scalar`](Self::run_planned_scalar) with a
-    /// [`TraceSink`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was built for a different distribution or
-    /// processor count than this machine's configuration.
-    pub fn run_planned_scalar_traced<S: TraceSink>(
-        &self,
-        stream: &FragmentStream,
-        plan: &RoutingPlan,
-        sink: &mut S,
-    ) -> RunReport {
-        self.assert_plan_fits(plan);
-        let mut nodes: Vec<Node> = (0..self.config.processors)
-            .map(|_| Node::new(&self.config))
-            .collect();
-        let routed = self.run_frame_planned(stream, plan, &mut nodes, sink);
-        let total_cycles = nodes.iter().map(Node::finish_time).max().unwrap_or(0);
-        let node_reports: Vec<_> = nodes.iter().map(Node::report).collect();
-        RunReport::new(
-            self.config.summary(),
-            total_cycles,
-            node_reports,
-            stream.fragment_count(),
-            stream.triangle_count() as u64,
-            routed,
-        )
-    }
-
-    fn assert_plan_fits(&self, plan: &RoutingPlan) {
-        assert!(
-            plan.matches(&self.config.distribution, self.config.processors),
-            "plan built for {}x{} does not fit machine {}x{}",
-            plan.distribution(),
-            plan.procs(),
-            self.config.distribution,
-            self.config.processors,
-        );
-    }
-
     /// Simulates a *sequence* of frames on the same machine: timing and
     /// FIFOs restart each frame, but every node's **cache stays warm** —
     /// the inter-frame locality situation the paper's closing paragraph
@@ -260,9 +102,7 @@ impl Machine {
     /// Returns one report per frame; each report's cache statistics cover
     /// only that frame.
     pub fn run_sequence(&self, frames: &[&FragmentStream]) -> Vec<RunReport> {
-        let mut nodes: Vec<Node> = (0..self.config.processors)
-            .map(|_| Node::new(&self.config))
-            .collect();
+        let mut nodes = self.nodes();
         let mut reports = Vec::with_capacity(frames.len());
         for (i, stream) in frames.iter().enumerate() {
             if i > 0 {
@@ -272,25 +112,33 @@ impl Machine {
             }
             let snapshots: Vec<_> = nodes.iter().map(Node::cache_snapshot).collect();
             let routed = self.run_frame(stream, &mut nodes, &mut NullSink);
-            let total_cycles = nodes.iter().map(Node::finish_time).max().unwrap_or(0);
-            let node_reports: Vec<_> = nodes
-                .iter()
-                .zip(&snapshots)
-                .map(|(node, snap)| node.report_since(snap))
-                .collect();
-            reports.push(RunReport::new(
+            reports.push(RunReport::from_nodes(
                 format!("{} frame {}", self.config.summary(), i),
-                total_cycles,
-                node_reports,
-                stream.fragment_count(),
-                stream.triangle_count() as u64,
+                nodes
+                    .iter()
+                    .zip(&snapshots)
+                    .map(|(node, snap)| node.report_since(snap))
+                    .collect(),
+                stream,
                 routed,
             ));
         }
         reports
     }
 
+    fn nodes(&self) -> Vec<Node> {
+        (0..self.config.processors)
+            .map(|_| Node::new(&self.config))
+            .collect()
+    }
+
     /// Replays one stream over existing nodes; returns the routed count.
+    ///
+    /// Each triangle's fragments are routed through an [`OwnerLut`] into
+    /// per-node [`LaneScratch`] buffers (footprint line ids plus pixel
+    /// coordinates, stream order), and every overlapped node scans its
+    /// buffer on the batched core. The buffers are reused triangle to
+    /// triangle, so memory stays O(largest triangle).
     fn run_frame<S: TraceSink>(
         &self,
         stream: &FragmentStream,
@@ -298,7 +146,9 @@ impl Machine {
         sink: &mut S,
     ) -> u64 {
         let procs = self.config.processors;
-        let mut scratch: Vec<Vec<&Fragment>> = (0..procs).map(|_| Vec::new()).collect();
+        let dist = &self.config.distribution;
+        let lut = OwnerLut::build(dist, stream.screen(), procs);
+        let mut scratch: Vec<LaneScratch> = nodes.iter().map(|_| LaneScratch::default()).collect();
         let mut send_time: Cycle = 0;
         let mut routed: u64 = 0;
 
@@ -306,16 +156,13 @@ impl Machine {
             if tri.is_culled() {
                 continue;
             }
-            let mask = self.config.distribution.overlap_mask(&tri.bbox, procs);
+            let mask = dist.overlap_mask(&tri.bbox, procs);
             debug_assert_ne!(mask, 0, "non-culled triangle must route somewhere");
             routed += mask.count_ones() as u64;
 
             // Partition the triangle's fragments by owner.
             for frag in stream.fragments_of(tri) {
-                let owner =
-                    self.config
-                        .distribution
-                        .owner(frag.x as i32, frag.y as i32, procs);
+                let owner = lut.owner(frag.x, frag.y);
                 debug_assert!(mask & (1u128 << owner) != 0, "owner outside overlap mask");
                 scratch[owner as usize].push(frag);
             }
@@ -330,22 +177,21 @@ impl Machine {
             send_time = send;
 
             let mut m = mask;
-            for (i, node) in nodes.iter_mut().enumerate() {
+            for (i, (node, lanes)) in nodes.iter_mut().zip(&mut scratch).enumerate() {
                 if S::ENABLED {
                     // The broadcast occupies a slot in *every* FIFO.
                     sink.record(TraceEvent::FifoPush { node: i as u32, at: send });
                 }
                 if m & 1 != 0 {
-                    // Drain keeps the allocation alive for the next
-                    // triangle while handing out `&Fragment` items.
-                    node.process_triangle_traced(
+                    node.process_triangle_lanes(
                         send,
-                        scratch[i].drain(..),
+                        lanes.lanes(),
                         i as u32,
                         ti as u32,
                         setup_anchor(&tri.bbox),
                         sink,
                     );
+                    lanes.clear();
                 } else {
                     node.discard_triangle_traced(send, i as u32, ti as u32, sink);
                 }
@@ -353,143 +199,6 @@ impl Machine {
             }
         }
         routed
-    }
-
-    /// Replays one stream over existing nodes following a routing plan.
-    /// Node-for-node, cycle-for-cycle identical to
-    /// [`run_frame`](Self::run_frame): triangles arrive in stream order,
-    /// broadcast gating and discard timing are unchanged, and each owner
-    /// scans its fragments in stream order — only the ownership math is
-    /// precomputed.
-    fn run_frame_planned<S: TraceSink>(
-        &self,
-        stream: &FragmentStream,
-        plan: &RoutingPlan,
-        nodes: &mut [Node],
-        sink: &mut S,
-    ) -> u64 {
-        let fragments = stream.fragments();
-        let triangles = stream.triangles();
-        let mut send_time: Cycle = 0;
-
-        for pt in &plan.triangles {
-            let mut send = send_time + self.config.geometry_cycles_per_triangle;
-            for node in nodes.iter() {
-                send = send.max(node.earliest_send());
-            }
-            send_time = send;
-
-            // Walk the triangle's per-owner buckets in lockstep with the
-            // node loop: segments are stored in ascending owner order.
-            let tri = &triangles[pt.tri as usize];
-            let mut seg = pt.seg_start as usize;
-            let seg_end = pt.seg_end as usize;
-            let mut bucket_start = tri.frag_start as usize;
-
-            let mut m = pt.mask;
-            for (i, node) in nodes.iter_mut().enumerate() {
-                if S::ENABLED {
-                    sink.record(TraceEvent::FifoPush { node: i as u32, at: send });
-                }
-                if m & 1 != 0 {
-                    if seg < seg_end && plan.segments[seg].owner == i as u32 {
-                        let end = plan.segments[seg].end as usize;
-                        seg += 1;
-                        let bucket = &plan.frag_order[bucket_start..end];
-                        bucket_start = end;
-                        node.process_triangle_traced(
-                            send,
-                            bucket.iter().map(|&fi| &fragments[fi as usize]),
-                            i as u32,
-                            pt.tri,
-                            setup_anchor(&tri.bbox),
-                            sink,
-                        );
-                    } else {
-                        // Bounding-box overlap without owned fragments:
-                        // the setup floor still applies.
-                        node.process_triangle_traced(
-                            send,
-                            [].iter(),
-                            i as u32,
-                            pt.tri,
-                            setup_anchor(&tri.bbox),
-                            sink,
-                        );
-                    }
-                } else {
-                    node.discard_triangle_traced(send, i as u32, pt.tri, sink);
-                }
-                m >>= 1;
-            }
-        }
-        plan.routed()
-    }
-
-    /// [`run_frame_planned`](Self::run_frame_planned) on the batched core:
-    /// the same plan walk, but each owner's bucket is a contiguous
-    /// [`TriangleLanes`](crate::batch::TriangleLanes) slice of the
-    /// prebuilt [`PlanLanes`] instead of a gather through `frag_order`,
-    /// and fragments resolve through the cache's batched lane probe.
-    /// Routing, broadcast gating and timing are unchanged — reports stay
-    /// byte-identical to the scalar walk.
-    fn run_frame_lanes<S: TraceSink>(
-        &self,
-        stream: &FragmentStream,
-        plan: &RoutingPlan,
-        lanes: &PlanLanes,
-        nodes: &mut [Node],
-        sink: &mut S,
-    ) -> u64 {
-        let triangles = stream.triangles();
-        let mut send_time: Cycle = 0;
-        // Per-node read cursor into the lanes; the plan walk visits each
-        // node's fragments in exactly lane order, so consumption is a
-        // front-to-back scan.
-        let mut cursor = vec![0usize; nodes.len()];
-
-        for pt in &plan.triangles {
-            let mut send = send_time + self.config.geometry_cycles_per_triangle;
-            for node in nodes.iter() {
-                send = send.max(node.earliest_send());
-            }
-            send_time = send;
-
-            let tri = &triangles[pt.tri as usize];
-            let mut seg = pt.seg_start as usize;
-            let seg_end = pt.seg_end as usize;
-            let mut bucket_start = tri.frag_start as usize;
-
-            let mut m = pt.mask;
-            for (i, node) in nodes.iter_mut().enumerate() {
-                if S::ENABLED {
-                    sink.record(TraceEvent::FifoPush { node: i as u32, at: send });
-                }
-                if m & 1 != 0 {
-                    let mut count = 0usize;
-                    if seg < seg_end && plan.segments[seg].owner == i as u32 {
-                        let end = plan.segments[seg].end as usize;
-                        seg += 1;
-                        count = end - bucket_start;
-                        bucket_start = end;
-                    }
-                    let at = cursor[i];
-                    cursor[i] += count;
-                    node.process_triangle_lanes(
-                        send,
-                        lanes.triangle_lanes(i, at, count),
-                        i as u32,
-                        pt.tri,
-                        setup_anchor(&tri.bbox),
-                        sink,
-                    );
-                } else {
-                    node.discard_triangle_traced(send, i as u32, pt.tri, sink);
-                }
-                m >>= 1;
-            }
-        }
-        plan.routed()
     }
 }
 

@@ -5,16 +5,15 @@ use crate::config::MachineConfig;
 use crate::report::NodeReport;
 use sortmid_cache::{AnyCache, CacheStats, LineCache};
 use sortmid_memsys::{Cycle, EngineTiming, TriangleFifo};
-use sortmid_observe::{MissClassCounts, NullSink, TraceEvent, TraceSink};
-use sortmid_raster::Fragment;
+use sortmid_observe::{MissClassCounts, TraceEvent, TraceSink};
 use sortmid_texture::TEXELS_PER_FRAGMENT;
 
 /// The simulation state of one node.
 ///
 /// The cache is stored as a concrete [`AnyCache`] enum rather than a
-/// `Box<dyn LineCache>`: the texel probe loop runs 8 times per fragment, so
-/// devirtualizing `access_line` lets the common set-associative and
-/// perfect-cache probes inline into [`Node::process_triangle`].
+/// `Box<dyn LineCache>`: the probe runs once per fragment, so
+/// devirtualizing `access_lane` lets the common set-associative and
+/// perfect-cache probes inline into [`Node::process_triangle_lanes`].
 pub(crate) struct Node {
     engine: EngineTiming,
     cache: AnyCache,
@@ -49,83 +48,17 @@ impl Node {
         self.fifo.earliest_send()
     }
 
-    /// Processes one routed triangle: `arrival` is its send time, `frags`
-    /// yields the fragments this node owns, in stream order (possibly none
-    /// — the setup floor still applies). Returns the cycle the engine
-    /// dequeued it.
+    /// Processes one routed triangle: `arrival` is its send time, `lanes`
+    /// holds the fragments this node owns, in stream order (possibly none
+    /// — the setup floor still applies).
     ///
-    /// Generic over the fragment source so both the legacy partition-per-
-    /// triangle path and the [`RoutingPlan`](crate::plan::RoutingPlan)
-    /// index-range path feed the same (inlined) texel loop.
-    pub(crate) fn process_triangle<'a, I>(&mut self, arrival: Cycle, frags: I) -> Cycle
-    where
-        I: ExactSizeIterator<Item = &'a Fragment>,
-    {
-        self.process_triangle_traced(arrival, frags, 0, 0, (0, 0), &mut NullSink)
-    }
-
-    /// [`process_triangle`](Self::process_triangle) with a [`TraceSink`]:
-    /// reports the FIFO dequeue, the triangle's start (with fragment
+    /// Reports the FIFO dequeue, the triangle's start (with fragment
     /// count), every bus line fill, the retire, and the spatial hooks —
     /// one sample per fragment (with classified line misses) plus the
     /// triangle's setup-floor padding anchored at `anchor` (the bounding
     /// box origin, so overlaps that own no fragments still attribute their
-    /// setup somewhere meaningful). With [`NullSink`] all event code
-    /// monomorphizes away, leaving the untraced hot loop.
-    pub(crate) fn process_triangle_traced<'a, I, S>(
-        &mut self,
-        arrival: Cycle,
-        frags: I,
-        node_id: u32,
-        tri_id: u32,
-        anchor: (u16, u16),
-        sink: &mut S,
-    ) -> Cycle
-    where
-        I: ExactSizeIterator<Item = &'a Fragment>,
-        S: TraceSink,
-    {
-        let start = self.engine.start_triangle(arrival);
-        self.fifo.record_start(start);
-        self.triangles_routed += 1;
-        self.pixel_work += frags.len() as u64;
-        if S::ENABLED {
-            sink.record(TraceEvent::FifoPop { node: node_id, at: start });
-            sink.record(TraceEvent::TriStart {
-                node: node_id,
-                tri: tri_id,
-                at: start,
-                frags: frags.len() as u32,
-            });
-        }
-        // Dispatch on the cache variant once per *triangle*, not once per
-        // texel: each arm monomorphizes `scan_fragments`, so the 8-probe
-        // loop inlines the concrete `access_line`.
-        match &mut self.cache {
-            AnyCache::Perfect(c) => scan_fragments(c, &mut self.engine, frags, node_id, sink),
-            AnyCache::SetAssoc(c) => scan_fragments(c, &mut self.engine, frags, node_id, sink),
-            AnyCache::Classifying(c) => scan_fragments(c, &mut self.engine, frags, node_id, sink),
-            AnyCache::TwoLevel(c) => scan_fragments(c, &mut self.engine, frags, node_id, sink),
-            AnyCache::Victim(c) => scan_fragments(c, &mut self.engine, frags, node_id, sink),
-            AnyCache::Dyn(c) => scan_fragments(c.as_mut(), &mut self.engine, frags, node_id, sink),
-        }
-        let free = self.engine.finish_triangle(self.setup_cycles);
-        if S::ENABLED {
-            sink.record_setup(node_id, anchor.0, anchor.1, self.engine.last_setup_padding());
-            sink.record(TraceEvent::TriRetire { node: node_id, tri: tri_id, at: free });
-        }
-        start
-    }
-
-    /// The batched counterpart of
-    /// [`process_triangle_traced`](Self::process_triangle_traced): the
-    /// triangle's fragments arrive as struct-of-arrays lanes (contiguous
-    /// line ids and pixel coordinates from a
-    /// [`PlanLanes`](crate::batch::PlanLanes)) instead of an `&Fragment`
-    /// iterator. FIFO, counter and event framing are identical; only the
-    /// scan body differs — it resolves each fragment's footprint through
-    /// the cache's batched [`access_lane`](LineCache::access_lane), which
-    /// is contractually byte-identical to the scalar probe loop.
+    /// setup somewhere meaningful). With [`NullSink`](sortmid_observe::NullSink)
+    /// all event code monomorphizes away, leaving the untraced hot loop.
     pub(crate) fn process_triangle_lanes<S: TraceSink>(
         &mut self,
         arrival: Cycle,
@@ -134,36 +67,62 @@ impl Node {
         tri_id: u32,
         anchor: (u16, u16),
         sink: &mut S,
-    ) -> Cycle {
+    ) {
+        // Dispatch on the cache variant once per *triangle*, not once per
+        // fragment, so the concrete batched probe inlines into the loop.
+        self.process_triangle_with(
+            arrival,
+            lanes.len(),
+            node_id,
+            tri_id,
+            anchor,
+            sink,
+            |cache, engine, sink| match cache {
+                AnyCache::Perfect(c) => scan_lanes(c, engine, lanes, node_id, sink),
+                AnyCache::SetAssoc(c) => scan_lanes(c, engine, lanes, node_id, sink),
+                AnyCache::Classifying(c) => scan_lanes(c, engine, lanes, node_id, sink),
+                AnyCache::TwoLevel(c) => scan_lanes(c, engine, lanes, node_id, sink),
+                AnyCache::Victim(c) => scan_lanes(c, engine, lanes, node_id, sink),
+                AnyCache::Dyn(c) => scan_lanes(c.as_mut(), engine, lanes, node_id, sink),
+            },
+        );
+    }
+
+    /// The triangle framing around a fragment scan: engine start, FIFO
+    /// dequeue, counters, lifecycle events and the setup floor. `scan`
+    /// probes the cache and feeds the engine for the triangle's `frags`
+    /// fragments — the batched lane scan in production, the per-texel walk
+    /// in [`crate::reference`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn process_triangle_with<S: TraceSink>(
+        &mut self,
+        arrival: Cycle,
+        frags: usize,
+        node_id: u32,
+        tri_id: u32,
+        anchor: (u16, u16),
+        sink: &mut S,
+        scan: impl FnOnce(&mut AnyCache, &mut EngineTiming, &mut S),
+    ) {
         let start = self.engine.start_triangle(arrival);
         self.fifo.record_start(start);
         self.triangles_routed += 1;
-        self.pixel_work += lanes.len() as u64;
+        self.pixel_work += frags as u64;
         if S::ENABLED {
             sink.record(TraceEvent::FifoPop { node: node_id, at: start });
             sink.record(TraceEvent::TriStart {
                 node: node_id,
                 tri: tri_id,
                 at: start,
-                frags: lanes.len() as u32,
+                frags: frags as u32,
             });
         }
-        // As in the scalar path: dispatch on the cache variant once per
-        // triangle so the concrete batched probe inlines into the loop.
-        match &mut self.cache {
-            AnyCache::Perfect(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::SetAssoc(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::Classifying(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::TwoLevel(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::Victim(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::Dyn(c) => scan_lanes(c.as_mut(), &mut self.engine, lanes, node_id, sink),
-        }
+        scan(&mut self.cache, &mut self.engine, sink);
         let free = self.engine.finish_triangle(self.setup_cycles);
         if S::ENABLED {
             sink.record_setup(node_id, anchor.0, anchor.1, self.engine.last_setup_padding());
             sink.record(TraceEvent::TriRetire { node: node_id, tri: tri_id, at: free });
         }
-        start
     }
 
     /// Accepts a broadcast triangle whose bounding box misses this node's
@@ -189,11 +148,6 @@ impl Node {
     /// Short label of this node's cache model (for trace track names).
     pub(crate) fn cache_label(&self) -> &'static str {
         self.cache.label()
-    }
-
-    /// The cycle this node's last pixel fully completes.
-    pub(crate) fn finish_time(&self) -> Cycle {
-        self.engine.finish_time()
     }
 
     /// Prepares the node for the next frame of a sequence: timing, FIFO
@@ -247,64 +201,12 @@ fn cache_stats_copy(stats: &CacheStats) -> CacheStats {
     *stats
 }
 
-/// The scalar texel hot loop, generic over the concrete cache model so the
-/// probe fully inlines (`?Sized` keeps the `Box<dyn LineCache>` escape
-/// hatch usable through the same code path).
-///
-/// One body serves traced and untraced runs: probes always go through
-/// `access_line_classified` (identical hit/miss behaviour and statistics
-/// to `access_line` — classification only observes, and a class only
-/// exists on a miss), and the single `S::ENABLED` branch around the
-/// spatial sample const-folds away under [`NullSink`]. This path is the
-/// **reference semantics** the batched [`scan_lanes`] is pinned against —
-/// it deliberately probes texel by texel rather than through
-/// [`LineCache::access_lane`], so the equivalence properties compare two
-/// genuinely different implementations.
-#[inline]
-fn scan_fragments<'a, C, I, S>(
-    cache: &mut C,
-    engine: &mut EngineTiming,
-    frags: I,
-    node_id: u32,
-    sink: &mut S,
-) where
-    C: LineCache + ?Sized,
-    I: Iterator<Item = &'a Fragment>,
-    S: TraceSink,
-{
-    for frag in frags {
-        let mut miss_lines = [0u32; TEXELS_PER_FRAGMENT];
-        let mut misses = 0usize;
-        let mut classes = MissClassCounts::default();
-        for texel in &frag.texels {
-            let line = texel.line();
-            let (hit, class) = cache.access_line_classified(line);
-            if !hit {
-                miss_lines[misses] = line;
-                misses += 1;
-                if let Some(class) = class {
-                    classes.add(class);
-                }
-            }
-        }
-        debug_assert!(
-            misses <= frag.texels.len(),
-            "fragment at ({}, {}) reported {misses} misses for an {}-texel footprint",
-            frag.x,
-            frag.y,
-            frag.texels.len(),
-        );
-        engine.fragment_lines_sink(&miss_lines[..misses], node_id, sink);
-        if S::ENABLED {
-            sink.record_fragment(node_id, frag.x, frag.y, misses as u32, classes);
-        }
-    }
-}
-
 /// The batched hot loop: one [`LineCache::access_lane`] call resolves a
 /// fragment's whole footprint (branch-free compares, duplicate-run
 /// collapse — whatever the concrete model overrides), and the miss lines
-/// feed the engine exactly as in [`scan_fragments`].
+/// feed the engine's bus in access order. Generic over the concrete cache
+/// model so the probe fully inlines (`?Sized` keeps the
+/// `Box<dyn LineCache>` escape hatch usable through the same code path).
 #[inline]
 fn scan_lanes<C, S>(
     cache: &mut C,
@@ -353,8 +255,11 @@ fn scan_lanes<C, S>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::LaneScratch;
     use crate::config::CacheKind;
     use crate::distribution::Distribution;
+    use sortmid_observe::NullSink;
+    use sortmid_raster::Fragment;
     use sortmid_texture::{TextureDesc, TextureRegistry};
 
     fn config(cache: CacheKind) -> MachineConfig {
@@ -364,6 +269,15 @@ mod tests {
             .cache(cache)
             .build()
             .unwrap()
+    }
+
+    /// Feeds `frags` to `node` as one triangle arriving at cycle 0.
+    fn process(node: &mut Node, frags: &[Fragment]) {
+        let mut lanes = LaneScratch::default();
+        for frag in frags {
+            lanes.push(frag);
+        }
+        node.process_triangle_lanes(0, lanes.lanes(), 0, 0, (0, 0), &mut NullSink);
     }
 
     fn fragment(reg: &TextureRegistry, u: i32, v: i32) -> Fragment {
@@ -382,10 +296,9 @@ mod tests {
         reg.register(TextureDesc::new(64, 64).unwrap()).unwrap();
         let mut node = Node::new(&config(CacheKind::Perfect));
         let f = fragment(&reg, 0, 0);
-        let frags: Vec<&Fragment> = vec![&f; 5];
-        node.process_triangle(0, frags.iter().copied());
+        process(&mut node, &[f; 5]);
         // 5 pixels < 25-cycle floor.
-        assert_eq!(node.finish_time(), 25);
+        assert_eq!(node.report().finish, 25);
         assert_eq!(node.report().pixels, 5);
         assert_eq!(node.report().triangles, 1);
     }
@@ -403,7 +316,7 @@ mod tests {
                 Fragment { x: 0, y: 0, texels: [a; 8] }
             })
             .collect();
-        node.process_triangle(0, frags.iter());
+        process(&mut node, &frags);
         let rep = node.report();
         assert_eq!(rep.cache.misses(), 64);
         assert_eq!(rep.external_fetches, 64);
@@ -414,9 +327,9 @@ mod tests {
     #[test]
     fn empty_triangle_still_costs_setup() {
         let mut node = Node::new(&config(CacheKind::Perfect));
-        node.process_triangle(0, [].iter());
-        node.process_triangle(0, [].iter());
-        assert_eq!(node.finish_time(), 50);
+        process(&mut node, &[]);
+        process(&mut node, &[]);
+        assert_eq!(node.report().finish, 50);
         assert_eq!(node.report().pixels, 0);
         assert_eq!(node.report().triangles, 2);
     }

@@ -12,13 +12,14 @@
 //! A [`RoutingPlan`] hoists that work out of the run: one pass over the
 //! stream counting-sorts every triangle's fragments by owning node into a
 //! flat index array, guided by an [`OwnerLut`] that replaces the div/rem
-//! chain with two table lookups and an add. [`Machine::run_planned`]
-//! replays the plan; [`crate::sweep::run_sweep`] groups its config grid by
+//! chain with two table lookups and an add (the direct engine routes
+//! through the same LUT, one triangle at a time).
+//! [`crate::sweep::run_sweep`] groups its config grid by
 //! `(distribution, processors)` so each plan is built once and shared
-//! read-only across host threads. Plan-driven runs are **report-identical**
-//! to direct runs — the routing is precomputed, not approximated.
-//!
-//! [`Machine::run_planned`]: crate::machine::Machine::run_planned
+//! read-only across host threads by the configs that replay a shared
+//! cache capture or stack-distance evaluation. Those reports are
+//! **identical** to direct runs — the routing is precomputed, not
+//! approximated.
 
 use crate::distribution::Distribution;
 use sortmid_geom::Rect;
@@ -137,10 +138,8 @@ pub(crate) struct Segment {
 /// and its fragments bucketed by owning node as contiguous ranges of a
 /// single flat index array (a stable counting sort — no per-triangle
 /// allocation, no pointer chasing). Building is one pass over the stream;
-/// replaying it with [`Machine::run_planned`] skips all per-fragment
+/// the sweep's capture and replay paths then walk it with no per-fragment
 /// ownership math.
-///
-/// [`Machine::run_planned`]: crate::machine::Machine::run_planned
 ///
 /// # Examples
 ///
@@ -157,9 +156,8 @@ pub(crate) struct Segment {
 ///     .distribution(dist)
 ///     .build()
 ///     .unwrap();
-/// let planned = Machine::new(config.clone()).run_planned(&stream, &plan);
 /// let direct = Machine::new(config).run(&stream);
-/// assert_eq!(planned, direct);
+/// assert_eq!(plan.routed(), direct.triangles_routed());
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoutingPlan {
@@ -185,13 +183,13 @@ impl RoutingPlan {
     ///
     /// Panics if `procs` is outside `1..=`[`crate::MAX_PROCESSORS`].
     pub fn build(stream: &FragmentStream, dist: &Distribution, procs: u32) -> RoutingPlan {
-        Self::build_inner(stream, None, dist, procs)
+        Self::build_from_batch(stream, &FragBatch::from_stream(stream), dist, procs)
     }
 
     /// Like [`build`](Self::build) with the stream's [`FragBatch`] already
-    /// pivoted: per-fragment ownership reads the batch's dense coordinate
-    /// lanes instead of gathering 40-byte fragments. The plan is identical
-    /// either way — the batch mirrors the stream coordinate for coordinate.
+    /// pivoted (callers amortising the batch across several plans):
+    /// per-fragment ownership reads the batch's dense coordinate lanes
+    /// instead of gathering 40-byte fragments.
     pub fn build_from_batch(
         stream: &FragmentStream,
         batch: &FragBatch,
@@ -203,23 +201,13 @@ impl RoutingPlan {
             stream.fragment_count(),
             "batch does not mirror the stream"
         );
-        Self::build_inner(stream, Some(batch), dist, procs)
-    }
-
-    fn build_inner(
-        stream: &FragmentStream,
-        batch: Option<&FragBatch>,
-        dist: &Distribution,
-        procs: u32,
-    ) -> RoutingPlan {
         assert!(
             (1..=crate::MAX_PROCESSORS).contains(&procs),
             "processor count {procs} outside 1..={}",
             crate::MAX_PROCESSORS
         );
         let lut = OwnerLut::build(dist, stream.screen(), procs);
-        let fragments = stream.fragments();
-        let mut frag_order = vec![0u32; fragments.len()];
+        let mut frag_order = vec![0u32; batch.len()];
         let mut triangles = Vec::new();
         let mut segments = Vec::new();
         let mut routed = 0u64;
@@ -239,23 +227,11 @@ impl RoutingPlan {
 
             let range = tri.frag_start as usize..tri.frag_end as usize;
             owners.clear();
-            match batch {
-                Some(batch) => {
-                    for fi in range.clone() {
-                        let owner = lut.owner(batch.x(fi), batch.y(fi));
-                        debug_assert!(mask & (1u128 << owner) != 0, "owner outside overlap mask");
-                        owners.push(owner);
-                        counts[owner as usize] += 1;
-                    }
-                }
-                None => {
-                    for frag in &fragments[range.clone()] {
-                        let owner = lut.owner(frag.x, frag.y);
-                        debug_assert!(mask & (1u128 << owner) != 0, "owner outside overlap mask");
-                        owners.push(owner);
-                        counts[owner as usize] += 1;
-                    }
-                }
+            for fi in range {
+                let owner = lut.owner(batch.x(fi), batch.y(fi));
+                debug_assert!(mask & (1u128 << owner) != 0, "owner outside overlap mask");
+                owners.push(owner);
+                counts[owner as usize] += 1;
             }
 
             // Bucket boundaries (ascending owner), then the stable scatter.
@@ -317,6 +293,26 @@ impl RoutingPlan {
         self.triangles.len()
     }
 
+    /// Every owner bucket as `(owner, fragment indices)`, in machine
+    /// processing order: triangles in stream order, each triangle's
+    /// buckets in ascending owner order, each bucket in stream order.
+    pub(crate) fn buckets<'a>(
+        &'a self,
+        stream: &'a FragmentStream,
+    ) -> impl Iterator<Item = (usize, &'a [u32])> + 'a {
+        let triangles = stream.triangles();
+        self.triangles.iter().flat_map(move |pt| {
+            let mut start = triangles[pt.tri as usize].frag_start as usize;
+            self.segments[pt.seg_start as usize..pt.seg_end as usize]
+                .iter()
+                .map(move |seg| {
+                    let bucket = &self.frag_order[start..seg.end as usize];
+                    start = seg.end as usize;
+                    (seg.owner as usize, bucket)
+                })
+        })
+    }
+
     /// True when the plan can replay runs of `config`-shaped machines:
     /// same distribution and processor count.
     pub fn matches(&self, distribution: &Distribution, procs: u32) -> bool {
@@ -329,6 +325,7 @@ mod tests {
     use super::*;
     use crate::config::CacheKind;
     use crate::machine::Machine;
+    use crate::replay::{capture_direct, run_direct_captured};
     use crate::MachineConfig;
     use sortmid_devharness::prop::{check, Config};
     use sortmid_devharness::prop_assert_eq;
@@ -431,9 +428,9 @@ mod tests {
         assert!(!plan.matches(&Distribution::block(8), 8));
     }
 
-    /// Plan-driven and direct runs produce identical `RunReport`s over a
-    /// randomized grid of distributions (block / SLI / rectangular tiles)
-    /// and processor counts, including non-powers-of-two.
+    /// A plan-driven capture replay and the direct run produce identical
+    /// `RunReport`s over a randomized grid of distributions (block / SLI /
+    /// rectangular tiles) and processor counts, including non-powers-of-two.
     #[test]
     fn prop_planned_run_equals_direct_run() {
         let s = stream();
@@ -467,10 +464,10 @@ mod tests {
                     .triangle_buffer(64)
                     .build()
                     .expect("valid config");
-                let machine = Machine::new(config);
                 let plan = RoutingPlan::build(&s, &dist, procs);
-                let planned = machine.run_planned(&s, &plan);
-                let direct = machine.run(&s);
+                let capture = capture_direct(kind, &FragBatch::from_stream(&s), &s, &plan);
+                let planned = run_direct_captured(&config, &s, &plan, &capture);
+                let direct = Machine::new(config).run(&s);
                 prop_assert_eq!(&planned, &direct);
                 prop_assert_eq!(format!("{planned:?}"), format!("{direct:?}"));
                 Ok(())

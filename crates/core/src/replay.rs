@@ -2,18 +2,16 @@
 //!
 //! Which texture lines a node touches depends only on the fragment stream
 //! and the [`RoutingPlan`] — never on the cache, bus or buffer parameters.
-//! This module exploits that split: [`capture_line_trace`] frames each
-//! node's access sequence once per plan from the batched
-//! [`PlanLanes`](crate::batch::PlanLanes) pivot, the
+//! This module exploits that split: [`capture_line_trace`] records each
+//! node's access sequence once per plan, the
 //! [stack-distance evaluator](sortmid_cache::stackdist) prices every
 //! set-associative geometry of the sweep grid from that one trace, and
 //! [`run_replayed`] re-derives a [`RunReport`] for each config by driving
 //! the exact engine/FIFO timing model with the replayed per-fragment miss
 //! counts. The synthesized reports are byte-identical to
-//! [`Machine::run_planned`](crate::machine::Machine::run_planned) —
-//! property tests and the sweep's own internal grouping enforce it.
+//! [`Machine::run`](crate::machine::Machine::run) — property tests and the
+//! sweep's own internal grouping enforce it.
 
-use crate::batch::PlanLanes;
 use crate::config::{CacheKind, MachineConfig};
 use crate::plan::RoutingPlan;
 use crate::report::{NodeReport, RunReport};
@@ -29,12 +27,35 @@ use sortmid_texture::TEXELS_PER_FRAGMENT;
 /// Captures the per-node texture-line access sequence one routing plan
 /// produces: every node's fragments in processing order, 8 texel lines per
 /// fragment — the geometry-independent half of a machine run.
-///
-/// The sequence is exactly the batched core's [`PlanLanes`] pivot — callers
-/// already holding the lanes should frame them directly with
-/// [`PlanLanes::to_trace`] instead of re-pivoting here.
 pub fn capture_line_trace(stream: &FragmentStream, plan: &RoutingPlan) -> LineAccessTrace {
-    PlanLanes::build(stream, plan).into_trace()
+    line_trace(&FragBatch::from_stream(stream), stream, plan)
+}
+
+/// [`capture_line_trace`] from the stream's already-pivoted [`FragBatch`]
+/// (the sweep amortises one batch across every plan): each fragment's
+/// footprint lane is copied out of the batch through the plan's buckets.
+pub(crate) fn line_trace(
+    batch: &FragBatch,
+    stream: &FragmentStream,
+    plan: &RoutingPlan,
+) -> LineAccessTrace {
+    // Exact per-node sizing first: traces are the sweep's biggest
+    // allocation, growing them piecemeal would fragment.
+    let mut counts = vec![0usize; plan.procs() as usize];
+    for (node, bucket) in plan.buckets(stream) {
+        counts[node] += bucket.len();
+    }
+    let mut lines: Vec<Vec<u32>> = counts
+        .iter()
+        .map(|&n| Vec::with_capacity(n * TEXELS_PER_FRAGMENT))
+        .collect();
+    for (node, bucket) in plan.buckets(stream) {
+        let dst = &mut lines[node];
+        for &fi in bucket {
+            dst.extend_from_slice(batch.lane_array(fi as usize));
+        }
+    }
+    LineAccessTrace::from_nodes(lines, TEXELS_PER_FRAGMENT as u32)
 }
 
 /// The stack-distance request a config's cache maps to, when the replay
@@ -58,7 +79,7 @@ pub(crate) fn replay_request(config: &MachineConfig) -> Option<(CacheGeometry, b
 }
 
 /// Synthesizes the [`RunReport`] of `config` from a plan evaluation,
-/// byte-identical to [`Machine::run_planned`](crate::machine::Machine::run_planned):
+/// byte-identical to [`Machine::run`](crate::machine::Machine::run):
 /// the routing walk, FIFO backpressure, engine scan/stall/setup-floor
 /// timing and bus occupancy are simulated exactly as in the direct path,
 /// but every texel probe is replaced by the precomputed per-fragment miss
@@ -180,15 +201,7 @@ pub(crate) fn run_replayed(
             }
         })
         .collect();
-    let total_cycles = node_reports.iter().map(|n| n.finish).max().unwrap_or(0);
-    RunReport::new(
-        config.summary(),
-        total_cycles,
-        node_reports,
-        stream.fragment_count(),
-        stream.triangle_count() as u64,
-        plan.routed(),
-    )
+    RunReport::from_nodes(config.summary(), node_reports, stream, plan.routed())
 }
 
 /// One cache model's pass over a plan's per-node access sequences, shared
@@ -221,8 +234,7 @@ pub(crate) struct DirectCapture {
 ///
 /// The walk reads footprint lanes straight out of the shared [`FragBatch`]
 /// through the plan's fragment buckets — the per-node sequence is exactly
-/// the [`PlanLanes`] pivot order, without materialising the pivot. Plans
-/// whose configs are all captured therefore skip the lane arrays entirely.
+/// the [`capture_line_trace`] order, without materialising the trace.
 pub(crate) fn capture_direct(
     kind: CacheKind,
     batch: &FragBatch,
@@ -234,26 +246,17 @@ pub(crate) fn capture_direct(
     let mut frags: Vec<Vec<(u32, u32)>> = vec![Vec::new(); procs];
     let mut lines: Vec<Vec<u32>> = vec![Vec::new(); procs];
     let mut next = vec![0u32; procs];
-    let triangles = stream.triangles();
-    for pt in &plan.triangles {
-        let tri = &triangles[pt.tri as usize];
-        let mut bucket_start = tri.frag_start as usize;
-        for seg in &plan.segments[pt.seg_start as usize..pt.seg_end as usize] {
-            let end = seg.end as usize;
-            let bucket = &plan.frag_order[bucket_start..end];
-            bucket_start = end;
-            let node = seg.owner as usize;
-            let (frags, lines, next) = (&mut frags[node], &mut lines[node], &mut next[node]);
-            // Dispatch on the cache variant once per *bucket*, not once
-            // per fragment, so the concrete batched probe inlines.
-            match &mut caches[node] {
-                AnyCache::Perfect(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-                AnyCache::SetAssoc(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-                AnyCache::Classifying(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-                AnyCache::TwoLevel(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-                AnyCache::Victim(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-                AnyCache::Dyn(c) => capture_bucket(c.as_mut(), batch, bucket, next, frags, lines),
-            }
+    for (node, bucket) in plan.buckets(stream) {
+        let (frags, lines, next) = (&mut frags[node], &mut lines[node], &mut next[node]);
+        // Dispatch on the cache variant once per *bucket*, not once per
+        // fragment, so the concrete batched probe inlines.
+        match &mut caches[node] {
+            AnyCache::Perfect(c) => capture_bucket(c, batch, bucket, next, frags, lines),
+            AnyCache::SetAssoc(c) => capture_bucket(c, batch, bucket, next, frags, lines),
+            AnyCache::Classifying(c) => capture_bucket(c, batch, bucket, next, frags, lines),
+            AnyCache::TwoLevel(c) => capture_bucket(c, batch, bucket, next, frags, lines),
+            AnyCache::Victim(c) => capture_bucket(c, batch, bucket, next, frags, lines),
+            AnyCache::Dyn(c) => capture_bucket(c.as_mut(), batch, bucket, next, frags, lines),
         }
     }
     DirectCapture {
@@ -291,7 +294,7 @@ fn capture_bucket<C: LineCache + ?Sized>(
 
 /// Synthesizes the [`RunReport`] of `config` from a [`DirectCapture`] of
 /// its cache model on its plan, byte-identical to
-/// [`Machine::run_planned`](crate::machine::Machine::run_planned): the
+/// [`Machine::run`](crate::machine::Machine::run): the
 /// routing walk, FIFO backpressure and engine timing run exactly as in the
 /// direct path, but the texel probes are replaced by the recorded miss
 /// lines (all-hit stretches advance in bulk).
@@ -412,15 +415,7 @@ pub(crate) fn run_direct_captured(
             external_fetches: capture.external_fetches[i],
         })
         .collect();
-    let total_cycles = node_reports.iter().map(|n| n.finish).max().unwrap_or(0);
-    RunReport::new(
-        config.summary(),
-        total_cycles,
-        node_reports,
-        stream.fragment_count(),
-        stream.triangle_count() as u64,
-        plan.routed(),
-    )
+    RunReport::from_nodes(config.summary(), node_reports, stream, plan.routed())
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@ use sortmid_cache::stats::MissBreakdown;
 use sortmid_cache::CacheStats;
 use sortmid_memsys::Cycle;
 use sortmid_observe::CycleBreakdown;
+use sortmid_raster::FragmentStream;
 use sortmid_util::stats::imbalance_percent;
 use std::fmt;
 
@@ -116,6 +117,25 @@ impl RunReport {
             triangles,
             triangles_routed,
         }
+    }
+
+    /// Assembles the report of one simulated frame of `stream`: machine
+    /// time is the latest node finish.
+    pub(crate) fn from_nodes(
+        summary: String,
+        nodes: Vec<NodeReport>,
+        stream: &FragmentStream,
+        triangles_routed: u64,
+    ) -> Self {
+        let total_cycles = nodes.iter().map(|n| n.finish).max().unwrap_or(0);
+        Self::new(
+            summary,
+            total_cycles,
+            nodes,
+            stream.fragment_count(),
+            stream.triangle_count() as u64,
+            triangles_routed,
+        )
     }
 
     /// The configuration summary this report belongs to.

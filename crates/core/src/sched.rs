@@ -77,8 +77,8 @@ pub fn lpt_order(costs: &[u64]) -> Vec<u32> {
 /// Tasks are identified by their insertion index. Edges point backward
 /// (a task may only depend on earlier-added tasks), which makes the graph
 /// a DAG by construction — the price is that callers add tasks in
-/// topological order, which the sweep's pipeline shape (plans → lanes /
-/// captures → evaluations → configs) gives for free.
+/// topological order, which the sweep's pipeline shape (plans → captures
+/// → evaluations → configs) gives for free.
 #[derive(Debug, Default)]
 pub struct TaskGraph {
     costs: Vec<u64>,
@@ -310,8 +310,8 @@ pub struct CostModel {
 /// current values come from the bench-host phase totals and
 /// `host.run_ns.*` means over the 27k-fragment reference scene.
 mod rates {
-    /// Direct plan-replay simulation of one config (`grid/per-config`
-    /// lane median minus one plan build).
+    /// Direct `Machine::run` of one config (from the `grid/per-config`
+    /// lane median).
     pub const DIRECT: f64 = 33.0;
     /// Engine/FIFO replay of a shared (plan, cache-model) capture
     /// (`host.run_ns.captured` mean).
@@ -324,7 +324,8 @@ mod rates {
     /// Routing-plan build (owner LUT + counting sort; `plan-build`
     /// phase total / count).
     pub const PLAN: f64 = 7.9;
-    /// Struct-of-arrays lane pivot of one plan (`lane-pivot` span).
+    /// Line-trace pivot of one plan ahead of its evaluation (`lane-pivot`
+    /// span).
     pub const LANES: f64 = 7.8;
     /// One cache-model capture pass over a plan's buckets (`capture`
     /// phase total / count).
@@ -350,7 +351,7 @@ impl CostModel {
         self.scaled(rates::PLAN)
     }
 
-    /// Estimated cost of pivoting one plan into SoA lanes.
+    /// Estimated cost of pivoting one plan's line trace out of the batch.
     pub fn lane_pivot(&self) -> u64 {
         self.scaled(rates::LANES)
     }

@@ -10,9 +10,12 @@
 //! no clipping and no composition cost (the paper never charges for image
 //! networks either).
 
+use crate::batch::LaneScratch;
 use crate::config::MachineConfig;
+use crate::machine::setup_anchor;
 use crate::node::Node;
 use crate::report::RunReport;
+use sortmid_observe::NullSink;
 use sortmid_raster::FragmentStream;
 use std::fmt;
 
@@ -78,25 +81,33 @@ pub fn run_sort_last(
 ) -> RunReport {
     let procs = config.processors;
     let mut nodes: Vec<Node> = (0..procs).map(|_| Node::new(config)).collect();
+    let mut lanes = LaneScratch::default();
     let mut index = 0u64;
-    for tri in stream.triangles() {
+    for (ti, tri) in stream.triangles().iter().enumerate() {
         if tri.is_culled() {
             continue;
         }
-        let owner = assignment.owner(index, procs) as usize;
+        let owner = assignment.owner(index, procs);
         index += 1;
         // Sort-last nodes run independently: the geometry stage routes each
         // triangle to exactly one node, so no broadcast backpressure.
-        nodes[owner].process_triangle(0, stream.fragments_of(tri).iter());
+        for frag in stream.fragments_of(tri) {
+            lanes.push(frag);
+        }
+        nodes[owner as usize].process_triangle_lanes(
+            0,
+            lanes.lanes(),
+            owner,
+            ti as u32,
+            setup_anchor(&tri.bbox),
+            &mut NullSink,
+        );
+        lanes.clear();
     }
-    let total_cycles = nodes.iter().map(Node::finish_time).max().unwrap_or(0);
-    let node_reports: Vec<_> = nodes.iter().map(Node::report).collect();
-    RunReport::new(
+    RunReport::from_nodes(
         format!("sort-last/{}p/{assignment}/{}", procs, config.cache),
-        total_cycles,
-        node_reports,
-        stream.fragment_count(),
-        stream.triangle_count() as u64,
+        nodes.iter().map(Node::report).collect(),
+        stream,
         index,
     )
 }
@@ -107,6 +118,8 @@ mod tests {
     use crate::config::CacheKind;
     use crate::distribution::Distribution;
     use crate::machine::Machine;
+    use sortmid_cache::CacheGeometry;
+    use sortmid_memsys::{BusConfig, DramConfig};
     use sortmid_scene::{Benchmark, SceneBuilder};
 
     fn stream() -> FragmentStream {
@@ -150,12 +163,30 @@ mod tests {
     #[test]
     fn one_processor_matches_sort_middle() {
         // With a single node both architectures degenerate to the same
-        // serial engine.
+        // serial engine, whatever cache the node mounts.
         let s = stream();
-        let sl = run_sort_last(&s, &config(1, CacheKind::PaperL1), TriangleAssignment::RoundRobin);
-        let sm = Machine::new(config(1, CacheKind::PaperL1)).run(&s);
-        assert_eq!(sl.total_cycles(), sm.total_cycles());
-        assert_eq!(sl.cache_totals().misses(), sm.cache_totals().misses());
+        let g = CacheGeometry::paper_l1();
+        let l2 = CacheGeometry::new(65536, 8, 64).unwrap();
+        let mut configs: Vec<MachineConfig> = [
+            CacheKind::Perfect,
+            CacheKind::PaperL1,
+            CacheKind::SetAssoc(CacheGeometry::new(4096, 2, 64).unwrap()),
+            CacheKind::Classifying(g),
+            CacheKind::TwoLevel(g, l2),
+            CacheKind::Victim(g, 8),
+        ]
+        .into_iter()
+        .map(|cache| config(1, cache))
+        .collect();
+        let mut dram = config(1, CacheKind::PaperL1);
+        dram.dram = Some(DramConfig::sdram_like(BusConfig::ratio(1.0)));
+        configs.push(dram);
+        for cfg in configs {
+            let sl = run_sort_last(&s, &cfg, TriangleAssignment::RoundRobin);
+            let sm = Machine::new(cfg.clone()).run(&s);
+            assert_eq!(sl.total_cycles(), sm.total_cycles(), "{}", cfg.summary());
+            assert_eq!(sl.cache_totals(), sm.cache_totals(), "{}", cfg.summary());
+        }
     }
 
     #[test]

@@ -8,28 +8,28 @@
 //! Routing — which nodes a triangle overlaps, which node owns each
 //! fragment — depends only on the `(distribution, processors)` axes, never
 //! on cache, bus or buffer parameters. The sweep therefore groups its
-//! config grid by those two axes, builds one [`RoutingPlan`] per group, and
-//! replays it read-only from every config in the group: a grid that varies
-//! caches and buffers over a handful of distributions pays the per-fragment
-//! ownership math once per distribution instead of once per cell.
+//! config grid by those two axes and shares one [`RoutingPlan`] per group
+//! between the configs that can reuse work:
 //!
-//! On top of plan sharing, groups with several set-associative cache
-//! configs go through **stack-distance replay**: one
-//! [`LineAccessTrace`](sortmid_cache::LineAccessTrace) capture per plan,
-//! one [Mattson evaluation](sortmid_cache::stackdist) pricing every
-//! geometry in the group, and per-config reports synthesized from the
-//! replayed miss counts ([`crate::replay`]). The synthesized reports are
-//! byte-identical to the direct path — [`SweepOptions::replay`] is the
-//! escape hatch that forces every config down the direct simulator.
+//! * configs mounting the same cache model on the same plan replay one
+//!   shared cache **capture** and re-run only their engine/FIFO timing;
+//! * groups with several set-associative cache configs go through
+//!   **stack-distance replay**: one
+//!   [`LineAccessTrace`](sortmid_cache::LineAccessTrace) per plan, one
+//!   [Mattson evaluation](sortmid_cache::stackdist) pricing every geometry
+//!   in the group, and per-config reports synthesized from the replayed
+//!   miss counts ([`crate::replay`]);
+//! * every other config runs [`Machine::run`] directly.
+//!
+//! All three paths emit byte-identical reports — [`SweepOptions::replay`]
+//! is the escape hatch that turns the stack-distance path off.
 
-use crate::batch::PlanLanes;
 use crate::config::{CacheKind, MachineConfig};
 use crate::distribution::Distribution;
 use crate::machine::Machine;
 use crate::plan::RoutingPlan;
 use crate::replay::{
-    capture_direct, capture_line_trace, replay_request, run_direct_captured, run_replayed,
-    DirectCapture,
+    capture_direct, line_trace, replay_request, run_direct_captured, run_replayed, DirectCapture,
 };
 use crate::report::RunReport;
 use crate::sched::{run_graph, CostModel, TaskGraph};
@@ -155,8 +155,9 @@ impl Default for SweepGrid {
 /// Runs every configuration against `stream`, in parallel across host
 /// threads, preserving input order in the output.
 ///
-/// Configs sharing a `(distribution, processors)` pair share one
-/// precomputed [`RoutingPlan`] (built once, read-only afterwards).
+/// Configs sharing a `(distribution, processors)` pair and a cache capture
+/// or stack-distance evaluation share one precomputed [`RoutingPlan`]
+/// (built once, read-only afterwards).
 ///
 /// # Determinism
 ///
@@ -233,25 +234,14 @@ pub fn run_sweep_with_threads(
 /// Knobs of [`run_sweep_with_options`].
 #[derive(Debug, Clone, Copy)]
 pub struct SweepOptions {
-    /// Host threads to spread the per-config runs over.
+    /// Host threads to spread the pipeline's tasks over.
     pub threads: usize,
     /// Evaluate groups of cache-only-varying configs from one
     /// stack-distance replay of the shared plan's line trace (`true`, the
-    /// default). `false` is the escape hatch forcing every config through
-    /// the direct simulator — reports are byte-identical either way.
+    /// default). `false` is the escape hatch sending those configs down the
+    /// capture and direct paths instead — reports are byte-identical
+    /// either way.
     pub replay: bool,
-    /// Run direct simulations on the batched fragment core: one
-    /// [`PlanLanes`] pivot per plan group, shared read-only by every config
-    /// in the group (`true`, the default). `false` is the escape hatch
-    /// forcing the scalar per-texel reference loop — reports are
-    /// byte-identical either way.
-    pub batch: bool,
-    /// Schedule the pipeline with the legacy static phase barriers and
-    /// chunked per-config partition instead of the work-stealing pool
-    /// (`false`, the default, is the pool). Escape hatch — reports are
-    /// byte-identical either way; only wall time and the worker
-    /// utilization records differ.
-    pub static_schedule: bool,
 }
 
 impl Default for SweepOptions {
@@ -261,8 +251,6 @@ impl Default for SweepOptions {
                 .map(|n| n.get())
                 .unwrap_or(4),
             replay: true,
-            batch: true,
-            static_schedule: false,
         }
     }
 }
@@ -276,10 +264,10 @@ impl Default for SweepOptions {
 /// two or three replay-eligible configs are cheaper simulated directly.
 const REPLAY_MIN_GROUP: usize = 4;
 
-/// How one sweep config gets its report: direct plan-replay simulation,
-/// engine replay of a shared `(plan, cache model)` capture, or synthesis
-/// from the plan's stack-distance evaluation (geometry index + whether the
-/// report carries the three-C breakdown).
+/// How one sweep config gets its report: a direct [`Machine::run`], engine
+/// replay of a shared `(plan, cache model)` capture, or synthesis from the
+/// plan's stack-distance evaluation (geometry index + whether the report
+/// carries the three-C breakdown).
 #[derive(Debug, Clone, Copy)]
 enum ConfigPath {
     Direct,
@@ -301,34 +289,30 @@ pub fn run_sweep_with_options(
 }
 
 /// One unit of pipeline work on the shared scheduler pool: build a plan
-/// group's routing plan, pivot it into lanes, capture a `(plan, cache
-/// model)` pass, evaluate a plan's trace, or run one config.
+/// group's routing plan, capture a `(plan, cache model)` pass, evaluate a
+/// plan's trace, or run one config.
 #[derive(Debug, Clone, Copy)]
 enum SweepTask {
     Plan(usize),
-    Lanes(usize),
     Capture { key: usize, slot: usize },
     Eval(usize),
     Run(usize),
 }
 
 /// [`run_sweep_with_options`] with host profiling: every pipeline stage
-/// (batch pivot, plan build, path selection, lane pivots, captures,
-/// stack-distance evaluation, per-config timing synthesis) runs under a
-/// named [`HostSink`] span, per-config run times land in
+/// (batch pivot, plan build, path selection, captures, lane pivots,
+/// stack-distance evaluation, per-config runs) runs under a named
+/// [`HostSink`] span, per-config run times land in
 /// `host.run_ns.{direct,captured,replay}` histograms, and every worker
 /// thread reports `busy`/`wall` utilization for the `run-configs` stage.
 ///
-/// The pipeline itself runs on the work-stealing pool in
-/// [`crate::sched`]: plan builds, lane pivots, captures, trace
-/// evaluations and per-config runs become one dependency-ordered task
-/// batch, costed by [`CostModel`] and dispatched longest-first, so the
-/// capture of plan A overlaps the evaluation of plan B and no phase
-/// barrier serializes the tail. [`SweepOptions::static_schedule`] is the
-/// escape hatch back to the legacy phase-barrier pipeline with a chunked
-/// `run-configs` partition. Every task writes one preassigned
-/// [`OnceLock`] slot, so the reports are byte-identical across
-/// schedulers, thread counts and steal interleavings.
+/// The pipeline runs on the work-stealing pool in [`crate::sched`]: plan
+/// builds, captures, trace evaluations and per-config runs become one
+/// dependency-ordered task batch, costed by [`CostModel`] and dispatched
+/// longest-first, so the capture of plan A overlaps the evaluation of plan
+/// B and no phase barrier serializes the tail. Every task writes one
+/// preassigned [`OnceLock`] slot, so the reports are byte-identical across
+/// thread counts and steal interleavings.
 ///
 /// With [`NullHostSink`] (how [`run_sweep`] and friends call it) the
 /// instrumentation monomorphizes to nothing — the sweep bench's
@@ -352,15 +336,6 @@ pub fn run_sweep_profiled<S: HostSink>(
     if S::ENABLED {
         sink.count("sweep.configs", configs.len() as u64);
     }
-
-    // The stream's footprint batch (the 8 line-id expansion plus dense
-    // coordinate lanes, one pivot per sweep) feeds the plan builds, the
-    // lane pivots and the capture passes below.
-    let batch = options.batch.then(|| {
-        let _s = sink.span("batch-pivot");
-        FragBatch::from_stream(stream)
-    });
-    let batch = batch.as_ref();
 
     // Front-end analysis: group the grid, pick each config's path and
     // reserve every shared artefact's slot — all from the configs alone,
@@ -440,16 +415,14 @@ pub fn run_sweep_profiled<S: HostSink>(
     // for a stack-distance evaluation to pay off.
     let mut capture_keys: Vec<(usize, CacheKind)> = Vec::new();
     let mut capture_uses: Vec<usize> = Vec::new();
-    if options.batch {
-        for (ci, config) in configs.iter().enumerate() {
-            if matches!(path_of[ci], ConfigPath::Direct) {
-                let key = (plan_of[ci], config.cache);
-                match capture_keys.iter().position(|k| *k == key) {
-                    Some(k) => capture_uses[k] += 1,
-                    None => {
-                        capture_keys.push(key);
-                        capture_uses.push(1);
-                    }
+    for (ci, config) in configs.iter().enumerate() {
+        if matches!(path_of[ci], ConfigPath::Direct) {
+            let key = (plan_of[ci], config.cache);
+            match capture_keys.iter().position(|k| *k == key) {
+                Some(k) => capture_uses[k] += 1,
+                None => {
+                    capture_keys.push(key);
+                    capture_uses.push(1);
                 }
             }
         }
@@ -479,15 +452,12 @@ pub fn run_sweep_profiled<S: HostSink>(
         }
     }
 
-    // Which plans still need struct-of-arrays lanes: one pivot serves
-    // every remaining direct config in its group and doubles as the
-    // stack-distance replay's line trace. Plans whose configs all went
-    // down the captured path skip the pivot — the capture walk reads the
-    // batch through the plan directly.
-    let mut needs_lanes = vec![false; n_plans];
-    for (ci, &path) in path_of.iter().enumerate() {
-        if matches!(path, ConfigPath::Direct | ConfigPath::Replay { .. }) {
-            needs_lanes[plan_of[ci]] = true;
+    // Only groups with a config on a shared path need their plan: direct
+    // configs route on the fly inside `Machine::run`.
+    let mut needs_plan = vec![false; n_plans];
+    for (ci, path) in path_of.iter().enumerate() {
+        if !matches!(path, ConfigPath::Direct) {
+            needs_plan[plan_of[ci]] = true;
         }
     }
     drop(path_span);
@@ -505,49 +475,95 @@ pub fn run_sweep_profiled<S: HostSink>(
         }
     }
 
-    // Every shared artefact gets a preassigned write-once slot. Tasks (or
-    // the static pipeline's phases) fill them exactly once; the scheduler's
-    // dependency edges sequence every fill before its reads, whatever
-    // worker runs what — which is what keeps the reports byte-identical
-    // across schedules.
+    // The stream's footprint batch (the 8 line-id expansion plus dense
+    // coordinate lanes, one pivot per sweep) feeds the plan builds, the
+    // capture passes and the replay lane pivots.
+    let frag_batch = needs_plan.contains(&true).then(|| {
+        let _s = sink.span("batch-pivot");
+        FragBatch::from_stream(stream)
+    });
+    let batch = || frag_batch.as_ref().expect("shared-path tasks run on a pivoted batch");
+
+    // Every shared artefact gets a preassigned write-once slot. Tasks fill
+    // them exactly once; the scheduler's dependency edges sequence every
+    // fill before its reads, whatever worker runs what — which is what
+    // keeps the reports byte-identical across schedules.
     let plans: Vec<OnceLock<RoutingPlan>> = (0..n_plans).map(|_| OnceLock::new()).collect();
-    let lanes: Vec<OnceLock<PlanLanes>> = (0..n_plans).map(|_| OnceLock::new()).collect();
     let captures: Vec<OnceLock<DirectCapture>> = (0..slots).map(|_| OnceLock::new()).collect();
     let evals: Vec<OnceLock<TraceEvaluation>> = (0..n_plans).map(|_| OnceLock::new()).collect();
     let out: Vec<OnceLock<RunReport>> = (0..configs.len()).map(|_| OnceLock::new()).collect();
+    let plan = |pi: usize| plans[pi].get().expect("a plan is built before its readers run");
 
-    let build_plan = |pi: usize| {
-        let rep = &configs[plan_rep[pi]];
-        let plan = match batch {
-            Some(b) => RoutingPlan::build_from_batch(stream, b, &rep.distribution, rep.processors),
-            None => RoutingPlan::build(stream, &rep.distribution, rep.processors),
+    // Tasks enter in pipeline order (plans, captures, evals, runs) so every
+    // dependency edge points backward — the DAG the scheduler requires
+    // holds by construction.
+    let model = CostModel::for_stream(stream.fragments().len() as u64);
+    let mut graph = TaskGraph::with_capacity(2 * n_plans + slots + configs.len());
+    let mut kinds: Vec<SweepTask> = Vec::with_capacity(2 * n_plans + slots + configs.len());
+    let mut plan_task = vec![usize::MAX; n_plans];
+    for (pi, &needed) in needs_plan.iter().enumerate() {
+        if needed {
+            kinds.push(SweepTask::Plan(pi));
+            plan_task[pi] = graph.add(model.plan_build());
+        }
+    }
+    let mut capture_task = vec![usize::MAX; slots];
+    for (key, &(pi, _)) in capture_keys.iter().enumerate() {
+        let slot = capture_slot[key];
+        if slot == usize::MAX {
+            continue;
+        }
+        kinds.push(SweepTask::Capture { key, slot });
+        let t = graph.add(model.capture());
+        graph.depend(t, plan_task[pi]);
+        capture_task[slot] = t;
+    }
+    let mut eval_task = vec![usize::MAX; n_plans];
+    for (pi, reqs) in requests.iter().enumerate() {
+        if reqs.is_empty() {
+            continue;
+        }
+        kinds.push(SweepTask::Eval(pi));
+        // The evaluation first pivots its plan's line trace out of the
+        // batch.
+        let t = graph.add(model.lane_pivot().saturating_add(model.trace_eval(reqs.len())));
+        graph.depend(t, plan_task[pi]);
+        eval_task[pi] = t;
+    }
+    let mut run_cost = vec![0u64; configs.len()];
+    for (ci, &path) in path_of.iter().enumerate() {
+        let (cost, dep) = match path {
+            ConfigPath::Direct => (model.run_direct(), None),
+            ConfigPath::Captured { slot } => (model.run_captured(), Some(capture_task[slot])),
+            ConfigPath::Replay { .. } => (model.run_replay(), Some(eval_task[plan_of[ci]])),
         };
-        assert!(plans[pi].set(plan).is_ok(), "one build per plan group");
-    };
+        run_cost[ci] = cost;
+        kinds.push(SweepTask::Run(ci));
+        let t = graph.add(cost);
+        if let Some(dep) = dep {
+            graph.depend(t, dep);
+        }
+    }
 
-    // Timing synthesis / direct simulation, one report per config — the
-    // single execution body both schedulers call. The profiled run times
-    // each config into a per-path histogram: the replay-speedup evidence
-    // in METRICS_sweep.json.
-    let run_one = |config: &MachineConfig, pi: usize, path: ConfigPath| {
+    // One report per config. The profiled run times each config into a
+    // per-path histogram: the replay-speedup evidence in
+    // METRICS_sweep.json.
+    let run_one = |ci: usize| {
+        let config = &configs[ci];
         let t0 = S::ENABLED.then(Instant::now);
-        let plan = plans[pi].get().expect("a config's plan is built before it runs");
-        let report = match path {
-            ConfigPath::Direct => match lanes[pi].get() {
-                Some(l) => Machine::new(config.clone()).run_planned_with_lanes(stream, plan, l),
-                None => Machine::new(config.clone()).run_planned_scalar(stream, plan),
-            },
+        let report = match path_of[ci] {
+            ConfigPath::Direct => Machine::new(config.clone()).run(stream),
             ConfigPath::Captured { slot } => {
                 let capture = captures[slot].get().expect("captured path has a capture");
-                run_direct_captured(config, stream, plan, capture)
+                run_direct_captured(config, stream, plan(plan_of[ci]), capture)
             }
             ConfigPath::Replay { geom, classify } => {
-                let eval = evals[pi].get().expect("replay path has an evaluation");
-                run_replayed(config, stream, plan, eval, geom, classify)
+                let eval = evals[plan_of[ci]].get().expect("replay path has an evaluation");
+                run_replayed(config, stream, plan(plan_of[ci]), eval, geom, classify)
             }
         };
         if let Some(t0) = t0 {
-            let metric = match path {
+            let metric = match path_of[ci] {
                 ConfigPath::Direct => "host.run_ns.direct",
                 ConfigPath::Captured { .. } => "host.run_ns.captured",
                 ConfigPath::Replay { .. } => "host.run_ns.replay",
@@ -557,117 +573,10 @@ pub fn run_sweep_profiled<S: HostSink>(
         report
     };
 
-    let threads = options.threads.min(configs.len());
-    if options.static_schedule {
-        run_static(
-            stream, configs, sink, batch, &plan_rep, &plan_of, &path_of, &requests, &capture_keys,
-            &capture_slot, &needs_lanes, &plans, &lanes, &captures, &evals, &out, &build_plan,
-            &run_one, threads,
-        );
-    } else {
-        run_pooled(
-            stream, configs, sink, batch, &plan_rep, &plan_of, &path_of, &requests,
-            &capture_keys, &capture_slot, &needs_lanes, &plans, &lanes, &captures, &evals, &out,
-            &build_plan, &run_one, threads,
-        );
-    }
-    out.into_iter()
-        .map(|slot| slot.into_inner().expect("every config ran"))
-        .collect()
-}
-
-/// The work-stealing pipeline: every plan build, lane pivot, capture,
-/// trace evaluation and config run is one task on the
-/// [`crate::sched::run_graph`] pool, ordered by dependency edges and
-/// dispatched longest-estimated-first.
-#[allow(clippy::too_many_arguments)]
-fn run_pooled<S: HostSink>(
-    stream: &FragmentStream,
-    configs: &[MachineConfig],
-    sink: &S,
-    batch: Option<&FragBatch>,
-    plan_rep: &[usize],
-    plan_of: &[usize],
-    path_of: &[ConfigPath],
-    requests: &[Vec<GeometryRequest>],
-    capture_keys: &[(usize, CacheKind)],
-    capture_slot: &[usize],
-    needs_lanes: &[bool],
-    plans: &[OnceLock<RoutingPlan>],
-    lanes: &[OnceLock<PlanLanes>],
-    captures: &[OnceLock<DirectCapture>],
-    evals: &[OnceLock<TraceEvaluation>],
-    out: &[OnceLock<RunReport>],
-    build_plan: &(impl Fn(usize) + Sync),
-    run_one: &(impl Fn(&MachineConfig, usize, ConfigPath) -> RunReport + Sync),
-    workers: usize,
-) {
-    let n_plans = plan_rep.len();
-    let model = CostModel::for_stream(stream.fragments().len() as u64);
-    let mut graph = TaskGraph::with_capacity(3 * n_plans + captures.len() + configs.len());
-    let mut kinds: Vec<SweepTask> = Vec::with_capacity(3 * n_plans + captures.len() + configs.len());
-
-    // Tasks enter in pipeline order (plans, lanes, captures, evals, runs)
-    // so every dependency edge points backward — the DAG the scheduler
-    // requires holds by construction.
-    let plan_task: Vec<usize> = (0..n_plans)
-        .map(|pi| {
-            kinds.push(SweepTask::Plan(pi));
-            graph.add(model.plan_build())
-        })
-        .collect();
-    let mut lane_task: Vec<Option<usize>> = vec![None; n_plans];
-    if batch.is_some() {
-        for (pi, &needed) in needs_lanes.iter().enumerate() {
-            if needed {
-                kinds.push(SweepTask::Lanes(pi));
-                let t = graph.add(model.lane_pivot());
-                graph.depend(t, plan_task[pi]);
-                lane_task[pi] = Some(t);
-            }
-        }
-    }
-    let mut capture_task: Vec<usize> = vec![usize::MAX; captures.len()];
-    for (key, &(pi, _)) in capture_keys.iter().enumerate() {
-        if capture_slot[key] == usize::MAX {
-            continue;
-        }
-        kinds.push(SweepTask::Capture { key, slot: capture_slot[key] });
-        let t = graph.add(model.capture());
-        graph.depend(t, plan_task[pi]);
-        capture_task[capture_slot[key]] = t;
-    }
-    let mut eval_task: Vec<Option<usize>> = vec![None; n_plans];
-    for (pi, reqs) in requests.iter().enumerate() {
-        if reqs.is_empty() {
-            continue;
-        }
-        kinds.push(SweepTask::Eval(pi));
-        let t = graph.add(model.trace_eval(reqs.len()));
-        graph.depend(t, lane_task[pi].unwrap_or(plan_task[pi]));
-        eval_task[pi] = Some(t);
-    }
-    let mut run_cost = vec![0u64; configs.len()];
-    for (ci, &path) in path_of.iter().enumerate() {
-        let pi = plan_of[ci];
-        let (cost, dep) = match path {
-            ConfigPath::Direct => (model.run_direct(), lane_task[pi].unwrap_or(plan_task[pi])),
-            ConfigPath::Captured { slot } => (model.run_captured(), capture_task[slot]),
-            ConfigPath::Replay { .. } => (
-                model.run_replay(),
-                eval_task[pi].expect("replay path has an evaluation task"),
-            ),
-        };
-        run_cost[ci] = cost;
-        kinds.push(SweepTask::Run(ci));
-        let t = graph.add(cost);
-        graph.depend(t, dep);
-    }
-
     // Per-worker accounting for the run-configs stage, over a *shared*
-    // window (first config started → last config finished), so the lane's
-    // utilization_imbalance compares schedulers fairly: a static chunk
-    // that finishes early reads as idle here, not as a shorter wall.
+    // window (first config started → last config finished), so a worker
+    // that runs out of configs early reads as idle, not as a shorter wall.
+    let workers = options.threads.min(configs.len());
     let t_origin = Instant::now();
     let rc_busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let rc_items: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
@@ -678,36 +587,24 @@ fn run_pooled<S: HostSink>(
     let exec = |t: usize, widx: usize| match kinds[t] {
         SweepTask::Plan(pi) => {
             let _s = sink.span("plan-build");
-            build_plan(pi);
-        }
-        SweepTask::Lanes(pi) => {
-            let _s = sink.span("lane-pivot");
-            let batch = batch.expect("lane tasks only exist on batched sweeps");
-            let plan = plans[pi].get().expect("a plan precedes its lanes");
-            assert!(
-                lanes[pi].set(PlanLanes::from_batch(batch, stream, plan)).is_ok(),
-                "one pivot per plan"
-            );
+            let rep = &configs[plan_rep[pi]];
+            let built =
+                RoutingPlan::build_from_batch(stream, batch(), &rep.distribution, rep.processors);
+            assert!(plans[pi].set(built).is_ok(), "one build per plan group");
         }
         SweepTask::Capture { key, slot } => {
             let _s = sink.span("capture");
             let (pi, kind) = capture_keys[key];
-            let batch = batch.expect("captures only exist on batched sweeps");
-            let plan = plans[pi].get().expect("a plan precedes its captures");
             assert!(
-                captures[slot].set(capture_direct(kind, batch, stream, plan)).is_ok(),
+                captures[slot].set(capture_direct(kind, batch(), stream, plan(pi))).is_ok(),
                 "one capture per slot"
             );
         }
         SweepTask::Eval(pi) => {
             let _s = sink.span("trace-eval");
-            let plan = plans[pi].get().expect("a plan precedes its evaluation");
             let trace = {
-                let _t = sink.span("trace-capture");
-                match lanes[pi].get() {
-                    Some(l) => l.to_trace(),
-                    None => capture_line_trace(stream, plan),
-                }
+                let _p = sink.span("lane-pivot");
+                line_trace(batch(), stream, plan(pi))
             };
             assert!(
                 evals[pi]
@@ -719,8 +616,7 @@ fn run_pooled<S: HostSink>(
         SweepTask::Run(ci) => {
             let _s = sink.span("run-configs");
             let start = S::ENABLED.then(|| elapsed_ns(&t_origin));
-            let report = run_one(&configs[ci], plan_of[ci], path_of[ci]);
-            assert!(out[ci].set(report).is_ok(), "each config runs once");
+            assert!(out[ci].set(run_one(ci)).is_ok(), "each config runs once");
             if let Some(start) = start {
                 let end = elapsed_ns(&t_origin);
                 window_start.fetch_min(start, Ordering::Relaxed);
@@ -752,147 +648,9 @@ fn run_pooled<S: HostSink>(
             );
         }
     }
-}
-
-/// The legacy static pipeline behind [`SweepOptions::static_schedule`]:
-/// phase barriers between stages, ad-hoc `thread::scope` fan-out inside
-/// each, and a chunked per-config partition for the run stage — kept
-/// byte-identical to the pool as the scheduler's escape hatch and as the
-/// baseline its utilization metrics are compared against.
-#[allow(clippy::too_many_arguments)]
-fn run_static<S: HostSink>(
-    stream: &FragmentStream,
-    configs: &[MachineConfig],
-    sink: &S,
-    batch: Option<&FragBatch>,
-    plan_rep: &[usize],
-    plan_of: &[usize],
-    path_of: &[ConfigPath],
-    requests: &[Vec<GeometryRequest>],
-    capture_keys: &[(usize, CacheKind)],
-    capture_slot: &[usize],
-    needs_lanes: &[bool],
-    plans: &[OnceLock<RoutingPlan>],
-    lanes: &[OnceLock<PlanLanes>],
-    captures: &[OnceLock<DirectCapture>],
-    evals: &[OnceLock<TraceEvaluation>],
-    out: &[OnceLock<RunReport>],
-    build_plan: &(impl Fn(usize) + Sync),
-    run_one: &(impl Fn(&MachineConfig, usize, ConfigPath) -> RunReport + Sync),
-    threads: usize,
-) {
-    {
-        let _s = sink.span("plan-build");
-        for pi in 0..plan_rep.len() {
-            build_plan(pi);
-        }
-    }
-
-    if let Some(batch) = batch {
-        let _s = sink.span("lane-pivot");
-        std::thread::scope(|scope| {
-            for (pi, &needed) in needs_lanes.iter().enumerate() {
-                if !needed {
-                    continue;
-                }
-                let plan = plans[pi].get().expect("plans are built");
-                let slot = &lanes[pi];
-                scope.spawn(move || {
-                    let _p = sink.span("pivot-plan");
-                    assert!(
-                        slot.set(PlanLanes::from_batch(batch, stream, plan)).is_ok(),
-                        "one pivot per plan"
-                    );
-                });
-            }
-        });
-    }
-
-    if !captures.is_empty() {
-        let _s = sink.span("capture");
-        std::thread::scope(|scope| {
-            for (k, &(pi, kind)) in capture_keys.iter().enumerate() {
-                if capture_slot[k] == usize::MAX {
-                    continue;
-                }
-                let slot = &captures[capture_slot[k]];
-                let batch = batch.expect("captures only exist on batched sweeps");
-                let plan = plans[pi].get().expect("plans are built");
-                scope.spawn(move || {
-                    let _c = sink.span("capture-model");
-                    assert!(
-                        slot.set(capture_direct(kind, batch, stream, plan)).is_ok(),
-                        "one capture per slot"
-                    );
-                });
-            }
-        });
-    }
-
-    // Evaluate each plan's geometry grid from one captured trace, plans in
-    // parallel (each evaluation is independent).
-    if requests.iter().any(|r| !r.is_empty()) {
-        let _s = sink.span("trace-eval");
-        std::thread::scope(|scope| {
-            for (pi, reqs) in requests.iter().enumerate() {
-                if reqs.is_empty() {
-                    continue;
-                }
-                let plan = plans[pi].get().expect("plans are built");
-                let (lane, slot) = (&lanes[pi], &evals[pi]);
-                scope.spawn(move || {
-                    let _e = sink.span("eval-plan");
-                    let trace = {
-                        let _t = sink.span("trace-capture");
-                        match lane.get() {
-                            Some(l) => l.to_trace(),
-                            None => capture_line_trace(stream, plan),
-                        }
-                    };
-                    assert!(
-                        slot.set(evaluate_trace_auto_profiled(&trace, reqs, sink)).is_ok(),
-                        "one evaluation per plan"
-                    );
-                });
-            }
-        });
-    }
-
-    // Static chunked schedule: each worker owns a precomputed disjoint
-    // range of the output. One body serves the sequential and the spawned
-    // case — the calling thread is simply worker 0 of a one-chunk
-    // partition.
-    let _rc = sink.span("run-configs");
-    let worker_body = |widx: usize, range: std::ops::Range<usize>| {
-        let _w = sink.span("worker-run");
-        let t_start = S::ENABLED.then(Instant::now);
-        let mut busy = 0u64;
-        let items = range.len() as u64;
-        for ci in range {
-            let t0 = S::ENABLED.then(Instant::now);
-            let report = run_one(&configs[ci], plan_of[ci], path_of[ci]);
-            assert!(out[ci].set(report).is_ok(), "each config runs once");
-            if let Some(t0) = t0 {
-                busy += t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            }
-        }
-        if let Some(t_start) = t_start {
-            let wall = t_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            sink.worker("run-configs", widx as u32, wall, busy, items);
-        }
-    };
-    if threads <= 1 {
-        worker_body(0, 0..configs.len());
-    } else {
-        let chunk = configs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let body = &worker_body;
-            for (widx, start) in (0..configs.len()).step_by(chunk).enumerate() {
-                let range = start..(start + chunk).min(configs.len());
-                scope.spawn(move || body(widx, range));
-            }
-        });
-    }
+    out.into_iter()
+        .map(|slot| slot.into_inner().expect("every config ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -930,7 +688,7 @@ mod tests {
     #[test]
     fn grouped_plans_match_direct_runs_on_a_mixed_grid() {
         // A grid varying every axis: plan grouping must not change a
-        // single report relative to the direct (unplanned) path.
+        // single report relative to a direct run.
         let stream = SceneBuilder::benchmark(Benchmark::Quake)
             .scale(0.1)
             .build()
@@ -975,21 +733,14 @@ mod tests {
         let replayed = run_sweep_with_options(
             &stream,
             &configs,
-            SweepOptions { threads: 3, replay: true, batch: true, static_schedule: false },
+            SweepOptions { threads: 3, replay: true },
         );
         let direct = run_sweep_with_options(
             &stream,
             &configs,
-            SweepOptions { threads: 3, replay: false, batch: true, static_schedule: false },
+            SweepOptions { threads: 3, replay: false },
         );
         assert_eq!(replayed, direct);
-        // The --scalar escape hatch must be an observational no-op too.
-        let scalar = run_sweep_with_options(
-            &stream,
-            &configs,
-            SweepOptions { threads: 3, replay: false, batch: false, static_schedule: false },
-        );
-        assert_eq!(direct, scalar);
     }
 
     #[test]
@@ -998,7 +749,7 @@ mod tests {
         // stack-distance machinery cannot express: perfect, two-level,
         // victim, and DRAM-backed machines. Pairs of configs differing only
         // in buffer depth share one capture; every synthesized report must
-        // equal the unbatched simulator's.
+        // equal the direct engine's.
         let stream = SceneBuilder::benchmark(Benchmark::Quake)
             .scale(0.1)
             .build()

@@ -44,8 +44,7 @@ echo "==> sweep bench + trace/heatmap smoke + artefact schema check + regression
 bench_dir=$(mktemp -d)
 threads_dir=$(mktemp -d)
 noreplay_dir=$(mktemp -d)
-scalar_dir=$(mktemp -d)
-trap 'rm -rf "$bench_dir" "$threads_dir" "$noreplay_dir" "$scalar_dir"' EXIT
+trap 'rm -rf "$bench_dir" "$threads_dir" "$noreplay_dir"' EXIT
 SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$bench_dir" \
     cargo run -q --release --offline -p sortmid-bench --bin sweep
 test -f "$bench_dir/METRICS_sweep.json" || {
@@ -83,24 +82,24 @@ cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
 
 # The --no-replay escape hatch must produce byte-identical simulated
 # cycles: the same baseline gate has to pass on its artefact too. (The
-# escape-hatch lanes skip the host profile on purpose — their pipelines
-# don't run every phase METRICS_sweep.json is required to cover.)
+# escape-hatch lane skips the host profile on purpose — its pipeline
+# doesn't run every phase METRICS_sweep.json is required to cover.)
 SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$noreplay_dir" \
     cargo run -q --release --offline -p sortmid-bench --bin sweep -- --no-replay
 cargo run -q --release --offline -p sortmid-bench --bin bench_check -- \
     "$noreplay_dir" --against "$repo/BENCH_baseline.json"
 
-# Same for the --scalar escape hatch: the batched fragment core and the
-# per-texel scalar loop must simulate identical cycles.
-SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$scalar_dir" \
-    cargo run -q --release --offline -p sortmid-bench --bin sweep -- --scalar --no-replay
-cargo run -q --release --offline -p sortmid-bench --bin bench_check -- \
-    "$scalar_dir" --against "$repo/BENCH_baseline.json"
-
-# The batched == scalar property lane, in release (the debug run above
-# already covered it functionally; release exercises the SWAR probe the
-# sweep actually ships).
-echo "==> batched-vs-scalar property lane (release)"
+# The engine == reference-oracle property lane, in release (the debug run
+# above already covered it functionally; release exercises the SWAR probe
+# the engine actually ships).
+echo "==> engine-vs-reference property lane (release)"
 cargo test -q --release --offline --test batched
+
+# Benchmark smoke runs of the two workloads on the direct engine: a run
+# whose identity, pixel-conservation or digest-stability checks fail
+# exits nonzero.
+echo "==> benchmark smoke: single-config, paper-figures"
+bash benchmark/run.sh --workload single-config --smoke
+bash benchmark/run.sh --workload paper-figures --smoke
 
 echo "tier1: OK"

@@ -1,18 +1,22 @@
-//! Property tests pinning the batched fragment core to the scalar
-//! reference, on the in-repo `sortmid-devharness` runner.
+//! Property tests pinning the production engine's batched fragment core
+//! to the per-texel reference oracle, on the in-repo `sortmid-devharness`
+//! runner.
 //!
-//! The tentpole claim of the struct-of-arrays pipeline is *exact*
-//! equivalence, not approximation: for every cache model the machine can
-//! mount — set-associative, classifying, the paper L1, perfect, two-level,
-//! victim-buffered, and DRAM-backed variants — the batched plan replay
-//! ([`Machine::run_planned`]) must emit a [`RunReport`] byte-identical to
-//! the scalar per-texel loop ([`Machine::run_planned_scalar`]) and to the
-//! unplanned reference walk ([`Machine::run`]). The same holds under
-//! observation (spatial three-C attribution, full event traces) and for
-//! the trace-capture path the stack-distance replay feeds on.
+//! The batched core's claim is *exact* equivalence, not approximation: for
+//! every cache model the machine can mount — set-associative, classifying,
+//! the paper L1, perfect, two-level, victim-buffered, and DRAM-backed
+//! variants — [`Machine::run`] (owner LUT, per-triangle lane scratch, one
+//! batched probe per fragment footprint) must emit a [`RunReport`]
+//! byte-identical to [`run_reference`] (the distribution's div/rem owner
+//! chain and one cache probe per texel). The same holds under observation
+//! (spatial three-C attribution, full event traces) and for the
+//! trace-capture path the stack-distance replay feeds on.
+//!
+//! [`RunReport`]: sortmid::RunReport
 
+use sortmid::reference::run_reference;
 use sortmid::{
-    capture_line_trace, CacheKind, Distribution, Machine, MachineConfig, PlanLanes, RoutingPlan,
+    capture_line_trace, CacheKind, Distribution, Machine, MachineConfig, NullSink, RoutingPlan,
     SpatialCollector, TraceRecorder,
 };
 use sortmid_cache::CacheGeometry;
@@ -84,9 +88,9 @@ fn arb_config(g: &mut Gen) -> MachineConfig {
     b.build().expect("valid config")
 }
 
-/// The tentpole equivalence: batched plan replay == scalar plan replay ==
-/// unplanned reference, full-report, for every cache model (including
-/// DRAM-backed machines, which need exact per-miss line addresses).
+/// The core equivalence: the production engine equals the reference
+/// oracle, full-report, for every cache model (including DRAM-backed
+/// machines, which need exact per-miss line addresses).
 #[test]
 fn prop_batched_core_equals_scalar_for_every_cache_model() {
     check(
@@ -95,30 +99,12 @@ fn prop_batched_core_equals_scalar_for_every_cache_model() {
         arb_config,
         |config| {
             let s = stream();
-            let machine = Machine::new(config.clone());
-            let plan = RoutingPlan::build(s, &config.distribution, config.processors);
-            let batched = machine.run_planned(s, &plan);
-            let scalar = machine.run_planned_scalar(s, &plan);
-            prop_assert_eq!(
-                &batched,
-                &scalar,
-                "batched vs scalar plan replay diverge for {}",
-                config.summary()
-            );
-            let reference = machine.run(s);
+            let batched = Machine::new(config.clone()).run(s);
+            let reference = run_reference(config, s, &mut NullSink);
             prop_assert_eq!(
                 &batched,
                 &reference,
-                "batched plan replay diverges from the unplanned walk for {}",
-                config.summary()
-            );
-            // The shared-lanes entry point must agree with the per-call
-            // pivot (it is what the sweep actually runs).
-            let lanes = PlanLanes::build(s, &plan);
-            prop_assert_eq!(
-                &machine.run_planned_with_lanes(s, &plan, &lanes),
-                &batched,
-                "prebuilt lanes diverge for {}",
+                "engine diverges from the reference oracle for {}",
                 config.summary()
             );
             Ok(())
@@ -126,8 +112,8 @@ fn prop_batched_core_equals_scalar_for_every_cache_model() {
     );
 }
 
-/// Observed equivalence: under a classifying cache, the batched and scalar
-/// paths must agree on everything the spatial collector sees — per-tile
+/// Observed equivalence: under a classifying cache, the engine and the
+/// oracle must agree on everything the spatial collector sees — per-tile
 /// fragment counts, per-node fragment/line totals, and the per-node
 /// three-C miss decomposition — and on the report itself.
 #[test]
@@ -146,13 +132,12 @@ fn prop_batched_three_c_attribution_matches_scalar() {
                 .bus_ratio(1.0)
                 .build()
                 .expect("valid config");
-            let machine = Machine::new(config);
-            let plan = RoutingPlan::build(s, dist, *procs);
-            let collect = || SpatialCollector::new(screen.width().max(1), screen.height().max(1), 16, *procs);
+            let collect =
+                || SpatialCollector::new(screen.width().max(1), screen.height().max(1), 16, *procs);
             let mut batched_col = collect();
-            let batched = machine.run_planned_traced(s, &plan, &mut batched_col);
+            let batched = Machine::new(config.clone()).run_traced(s, &mut batched_col);
             let mut scalar_col = collect();
-            let scalar = machine.run_planned_scalar_traced(s, &plan, &mut scalar_col);
+            let scalar = run_reference(&config, s, &mut scalar_col);
             prop_assert_eq!(&batched, &scalar, "traced reports diverge");
             prop_assert_eq!(
                 batched_col.grid(),
@@ -177,31 +162,22 @@ fn prop_batched_three_c_attribution_matches_scalar() {
     );
 }
 
-/// Event-stream equivalence: the batched path must emit the identical
-/// trace event sequence (FIFO pushes/pops, triangle lifecycle, every bus
-/// fill with its slot and cost) as the scalar path.
+/// Event-stream equivalence: the engine must emit the identical trace
+/// event sequence (FIFO pushes/pops, triangle lifecycle, every bus fill
+/// with its slot and cost) as the oracle, for every cache model and with
+/// or without a DRAM row model.
 #[test]
 fn prop_batched_event_stream_matches_scalar() {
     check(
         "prop_batched_event_stream_matches_scalar",
         &Config::with_cases(8),
-        |g| (arb_distribution(g), g.u32_in(1..16), arb_cache(g)),
-        |(dist, procs, cache)| {
+        arb_config,
+        |config| {
             let s = stream();
-            let config = MachineConfig::builder()
-                .processors(*procs)
-                .distribution(dist.clone())
-                .cache(*cache)
-                .bus_ratio(1.0)
-                .triangle_buffer(100)
-                .build()
-                .expect("valid config");
-            let machine = Machine::new(config);
-            let plan = RoutingPlan::build(s, dist, *procs);
             let mut batched_rec = TraceRecorder::new();
-            let batched = machine.run_planned_traced(s, &plan, &mut batched_rec);
+            let batched = Machine::new(config.clone()).run_traced(s, &mut batched_rec);
             let mut scalar_rec = TraceRecorder::new();
-            let scalar = machine.run_planned_scalar_traced(s, &plan, &mut scalar_rec);
+            let scalar = run_reference(config, s, &mut scalar_rec);
             prop_assert_eq!(&batched, &scalar, "traced reports diverge");
             prop_assert_eq!(
                 batched_rec.events(),
@@ -214,9 +190,9 @@ fn prop_batched_event_stream_matches_scalar() {
     );
 }
 
-/// Trace capture through the lanes pivot equals a hand-walked reference:
-/// the exact per-node line sequence the scalar simulator would probe, in
-/// plan walk order.
+/// Trace capture through a routing plan equals a hand-walked reference:
+/// the exact per-node line sequence the reference oracle would probe, in
+/// processing order.
 #[test]
 fn prop_lane_trace_capture_matches_manual_walk() {
     check(
@@ -247,14 +223,6 @@ fn prop_lane_trace_capture_matches_manual_walk() {
                     &lines[..],
                     "node {node} line sequence diverges"
                 );
-            }
-
-            // And the lanes' own framing agrees with the capture.
-            let lanes = PlanLanes::build(s, &plan);
-            let framed = lanes.to_trace();
-            for node in 0..*procs as usize {
-                prop_assert_eq!(framed.node_lines(node), trace.node_lines(node));
-                prop_assert_eq!(framed.fragment_count(node), trace.fragment_count(node));
             }
             Ok(())
         },

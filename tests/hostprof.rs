@@ -43,8 +43,6 @@ fn profiled_run() -> HostProfile {
     let options = SweepOptions {
         threads: 3,
         replay: true,
-        batch: true,
-        static_schedule: false,
     };
     let prof = HostProfiler::new();
     let profiled = run_sweep_profiled(&s, &configs, options, &prof);
@@ -177,8 +175,6 @@ fn sequential_sweep_still_reports_a_worker() {
     let options = SweepOptions {
         threads: 1,
         replay: true,
-        batch: true,
-        static_schedule: false,
     };
     let prof = HostProfiler::new();
     let profiled = run_sweep_profiled(&s, &configs, options, &prof);

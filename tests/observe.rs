@@ -2,8 +2,9 @@
 //! simulation without perturbing it, and the exported artefacts must be
 //! internally consistent with the run report.
 
+use sortmid::reference::run_reference;
 use sortmid::{
-    CacheKind, Distribution, Machine, MachineConfig, RoutingPlan, SpatialCollector, TraceRecorder,
+    CacheKind, Distribution, Machine, MachineConfig, NullSink, SpatialCollector, TraceRecorder,
     TraceSink,
 };
 use sortmid_observe::{chrome_trace, TimeSeries};
@@ -29,7 +30,7 @@ fn config(procs: u32, buffer: usize) -> MachineConfig {
 }
 
 /// Tracing is a pure observer: the traced report equals the untraced one,
-/// for both the direct and the plan-replay paths.
+/// and both equal the reference oracle's.
 #[test]
 fn tracing_does_not_perturb_the_run() {
     let s = stream();
@@ -40,8 +41,7 @@ fn tracing_does_not_perturb_the_run() {
     assert_eq!(untraced, traced);
     assert!(!rec.is_empty());
 
-    let plan = RoutingPlan::build(&s, &machine.config().distribution, 8);
-    assert_eq!(untraced, machine.run_planned(&s, &plan));
+    assert_eq!(untraced, run_reference(machine.config(), &s, &mut NullSink));
 }
 
 /// Event counts cross-check the report's counters: one start per routed
@@ -164,11 +164,11 @@ fn custom_sinks_plug_in() {
     assert!(counter.0 > 0);
 }
 
-/// The spatial collector is a pure observer too, and the plan-replay path
-/// produces exactly the same spatial attribution as the direct path:
-/// identical tile stats, per-node fragment/setup totals and miss classes.
+/// The spatial collector is a pure observer too, and the reference oracle
+/// produces exactly the same spatial attribution as the engine: identical
+/// tile stats, per-node fragment/setup totals and miss classes.
 #[test]
-fn spatial_collection_agrees_between_direct_and_plan_replay() {
+fn spatial_collection_agrees_between_engine_and_reference() {
     let s = stream();
     let machine = Machine::new(config(8, 100));
     let untraced = machine.run(&s);
@@ -179,9 +179,8 @@ fn spatial_collection_agrees_between_direct_and_plan_replay() {
     let mut direct = collector();
     assert_eq!(untraced, machine.run_traced(&s, &mut direct));
 
-    let plan = RoutingPlan::build(&s, &machine.config().distribution, 8);
     let mut replay = collector();
-    assert_eq!(untraced, machine.run_planned_traced(&s, &plan, &mut replay));
+    assert_eq!(untraced, run_reference(machine.config(), &s, &mut replay));
 
     assert_eq!(direct.grid().cells(), replay.grid().cells());
     assert_eq!(direct.node_fragments(), replay.node_fragments());

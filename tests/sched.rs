@@ -1,7 +1,7 @@
 //! Scheduler determinism: the work-stealing sweep pipeline must emit
 //! reports byte-identical to the sequential reference for every thread
-//! count, across repeated runs (steal interleavings must not leak into
-//! results), and against the static-schedule escape hatch.
+//! count and across repeated runs (steal interleavings must not leak into
+//! results), with and without the stack-distance replay path.
 
 use sortmid::{run_sweep_with_options, CacheKind, Distribution, SweepGrid, SweepOptions};
 use sortmid_cache::CacheGeometry;
@@ -32,17 +32,17 @@ fn mixed_grid() -> Vec<sortmid::MachineConfig> {
         .build()
 }
 
-fn options(threads: usize, static_schedule: bool) -> SweepOptions {
-    SweepOptions { threads, replay: true, batch: true, static_schedule }
+fn options(threads: usize) -> SweepOptions {
+    SweepOptions { threads, replay: true }
 }
 
 #[test]
 fn work_stealing_reports_are_identical_across_thread_counts() {
     let s = stream();
     let configs = mixed_grid();
-    let reference = run_sweep_with_options(&s, &configs, options(1, false));
+    let reference = run_sweep_with_options(&s, &configs, options(1));
     for threads in [2usize, 3, 8] {
-        let swept = run_sweep_with_options(&s, &configs, options(threads, false));
+        let swept = run_sweep_with_options(&s, &configs, options(threads));
         assert_eq!(swept, reference, "work-stealing schedule at {threads} threads");
     }
 }
@@ -52,36 +52,25 @@ fn work_stealing_reports_are_identical_across_repeated_runs() {
     // Steal interleavings differ run to run; the reports must not.
     let s = stream();
     let configs = mixed_grid();
-    let reference = run_sweep_with_options(&s, &configs, options(3, false));
+    let reference = run_sweep_with_options(&s, &configs, options(3));
     for round in 0..3 {
-        let swept = run_sweep_with_options(&s, &configs, options(3, false));
+        let swept = run_sweep_with_options(&s, &configs, options(3));
         assert_eq!(swept, reference, "repeated work-stealing run {round}");
     }
 }
 
 #[test]
-fn static_schedule_escape_hatch_matches_the_pool() {
-    let s = stream();
-    let configs = mixed_grid();
-    let pooled = run_sweep_with_options(&s, &configs, options(3, false));
-    for threads in [1usize, 3, 8] {
-        let chunked = run_sweep_with_options(&s, &configs, options(threads, true));
-        assert_eq!(chunked, pooled, "static schedule at {threads} threads");
-    }
-}
-
-#[test]
 fn scheduler_determinism_holds_on_the_escape_hatch_pipelines() {
-    // The pool also schedules the --no-replay and --scalar pipelines;
-    // their reports must stay schedule-independent too.
+    // The pool also schedules the --no-replay pipeline (captures and
+    // direct runs only); its reports must stay schedule-independent and
+    // equal the default pipeline's.
     let s = stream();
     let configs = mixed_grid();
-    for (replay, batch) in [(false, true), (false, false)] {
-        let opts = |threads, static_schedule| SweepOptions { threads, replay, batch, static_schedule };
-        let reference = run_sweep_with_options(&s, &configs, opts(1, false));
-        let pooled = run_sweep_with_options(&s, &configs, opts(3, false));
-        let chunked = run_sweep_with_options(&s, &configs, opts(3, true));
-        assert_eq!(pooled, reference, "pool, replay {replay} batch {batch}");
-        assert_eq!(chunked, reference, "static, replay {replay} batch {batch}");
+    let no_replay = |threads| SweepOptions { threads, replay: false };
+    let reference = run_sweep_with_options(&s, &configs, no_replay(1));
+    for threads in [2usize, 3, 8] {
+        let swept = run_sweep_with_options(&s, &configs, no_replay(threads));
+        assert_eq!(swept, reference, "--no-replay at {threads} threads");
     }
+    assert_eq!(reference, run_sweep_with_options(&s, &configs, options(3)));
 }

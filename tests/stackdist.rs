@@ -152,8 +152,6 @@ fn prop_stackdist_replay_equals_direct() {
                 SweepOptions {
                     threads: 1,
                     replay: true,
-                    batch: true,
-                    static_schedule: false,
                 },
             );
             let direct = run_sweep_with_options(
@@ -162,8 +160,6 @@ fn prop_stackdist_replay_equals_direct() {
                 SweepOptions {
                     threads: 1,
                     replay: false,
-                    batch: false,
-                    static_schedule: false,
                 },
             );
             prop_assert_eq!(replayed.len(), direct.len());
@@ -279,15 +275,11 @@ fn prop_mixed_grid_sweep_is_path_independent() {
                 configs.push(config_for(dist, *procs, CacheKind::SetAssoc(g), *buffer));
                 configs.push(config_for(dist, *procs, CacheKind::Classifying(g), *buffer));
             }
-            let run = |replay: bool, batch: bool| -> Vec<RunReport> {
-                run_sweep_with_options(
-                    s,
-                    &configs,
-                    SweepOptions { threads: 2, replay, batch, static_schedule: false },
-                )
+            let run = |replay: bool| -> Vec<RunReport> {
+                run_sweep_with_options(s, &configs, SweepOptions { threads: 2, replay })
             };
-            let replayed = run(true, true);
-            let direct = run(false, false);
+            let replayed = run(true);
+            let direct = run(false);
             for (r, d) in replayed.iter().zip(&direct) {
                 prop_assert_eq!(r, d, "paths diverge for {}", r.summary());
             }
