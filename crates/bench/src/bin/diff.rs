@@ -3,22 +3,21 @@
 //! Where the regression gate answers *did it get slower*, this tool
 //! answers *what changed and why*: given two artefacts of the same kind
 //! it computes exact signed deltas at every level the instrumentation
-//! records and prints a ranked explanation. The three artefact families
-//! are autodetected from their structure:
+//! records and prints a ranked explanation. The kind comes from the file
+//! name ([`ArtifactKind::of`]), and each side is decoded by its owner:
 //!
-//! * `BENCH_sweep.json` — per-config cycle deltas split by the five-way
-//!   breakdown identity (setup / busy / bus-stall / starved / idle);
-//! * `HEATMAP_<preset>.json` — tile-level delta grids per metric plane,
-//!   owner flips, and per-node three-C miss-class movement; with
-//!   `--ppm-dir` each changed plane renders as a diverging-palette PPM
-//!   (blue improved, white unchanged, red regressed);
-//! * `METRICS_<name>.json` — host phase wall-time movement, counter
-//!   drift and log2-histogram distribution shifts.
+//! * `BENCH_*.json` ([`SweepBreakdowns`]) — per-config cycle deltas split
+//!   by the five-way breakdown identity;
+//! * `HEATMAP_<preset>.json` ([`HeatmapDoc`]) — tile-level delta grids
+//!   per metric plane, owner flips, and per-node three-C miss-class
+//!   movement; with `--ppm-dir` each plane renders as a diverging-palette
+//!   PPM (blue improved, white unchanged, red regressed);
+//! * `METRICS_<name>.json` ([`MetricsDoc`]) — host phase wall-time
+//!   movement, counter drift and histogram distribution shifts.
 //!
 //! Both documents must carry comparable `provenance` blocks (same
-//! schema, scene seed and config grid) — the tool refuses to attribute
-//! deltas across incomparable runs. `--json <out>` writes the diff as a
-//! `DIFF_*.json` document (`bench_check` validates the schema);
+//! schema, scene seed and config grid). `--json <out>` writes the diff as
+//! a `DIFF_*.json` document (`bench_check` validates the schema);
 //! `--expect-zero` exits non-zero unless the diff is exactly zero at
 //! every level, which is how tier-1 pins the self-diff identity on real
 //! artefacts.
@@ -27,7 +26,10 @@
 //! [--ppm-dir <dir>] [--expect-zero] [--top N]`
 
 use sortmid_devharness::json::Json;
-use sortmid_observe::{diff::detect_kind, HeatmapDiff, MetricsDiff, SweepDiff};
+use sortmid_observe::{
+    ArtifactKind, HeatmapDiff, HeatmapDoc, MetricsDiff, MetricsDoc, Schema, SweepBreakdowns,
+    SweepDiff,
+};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -37,30 +39,35 @@ const PX_PER_TILE: u32 = 8;
 const USAGE: &str = "usage: sortmid-diff <baseline.json> <current.json> \
                      [--json <out>] [--ppm-dir <dir>] [--expect-zero] [--top N]";
 
-fn load(path: &Path) -> Result<Json, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+/// Reads, parses and decodes one artefact with its owner type.
+fn load<A: Schema>(path: &Path) -> Result<A, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
+    let doc = text.and_then(|t| Json::parse(&t).map_err(|e| e.to_string()));
+    doc.and_then(|doc| A::from_json(&doc)).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Diffs the pair, printing the explanation; returns `(diff document,
 /// is_zero)`.
 fn run_diff(
-    base: &Json,
-    cur: &Json,
+    base: &Path,
+    cur: &Path,
     top: usize,
     ppm_dir: Option<&Path>,
 ) -> Result<(Json, bool), String> {
-    let base_kind = detect_kind(base).ok_or("baseline: not a sweep/heatmap/metrics artefact")?;
-    let cur_kind = detect_kind(cur).ok_or("current: not a sweep/heatmap/metrics artefact")?;
+    let kind = |p: &Path| {
+        ArtifactKind::of(p).ok_or_else(|| {
+            format!("{}: not a BENCH_/HEATMAP_/METRICS_ *.json artefact", p.display())
+        })
+    };
+    let (base_kind, cur_kind) = (kind(base)?, kind(cur)?);
     if base_kind != cur_kind {
         return Err(format!(
-            "artefact kinds differ: {base_kind} baseline vs {cur_kind} current"
+            "artefact kinds differ: {base_kind:?} baseline vs {cur_kind:?} current"
         ));
     }
     match base_kind {
-        "sweep" => {
-            let d = SweepDiff::between(base, cur)?;
+        ArtifactKind::Bench => {
+            let d = SweepDiff::between(&load::<SweepBreakdowns>(base)?, &load(cur)?)?;
             println!(
                 "sweep diff: {} shared configs, {} changed",
                 d.configs.len(),
@@ -71,8 +78,8 @@ fn run_diff(
             }
             Ok((d.to_json(), d.is_zero()))
         }
-        "heatmap" => {
-            let d = HeatmapDiff::between(base, cur)?;
+        ArtifactKind::Heatmap => {
+            let d = HeatmapDiff::between(&load::<HeatmapDoc>(base)?, &load(cur)?)?;
             println!("heatmap diff: preset '{}', config {}", d.preset, d.config);
             for line in d.explanation() {
                 println!("  {line}");
@@ -91,8 +98,8 @@ fn run_diff(
             }
             Ok((d.to_json(), d.is_zero()))
         }
-        "metrics" => {
-            let d = MetricsDiff::between(base, cur)?;
+        ArtifactKind::Metrics => {
+            let d = MetricsDiff::between(&load::<MetricsDoc>(base)?, &load(cur)?)?;
             println!(
                 "metrics diff: {} shared phases, {} histograms",
                 d.phases.len(),
@@ -103,7 +110,7 @@ fn run_diff(
             }
             Ok((d.to_json(), d.is_zero()))
         }
-        other => Err(format!("no differ for artefact kind '{other}'")),
+        other => Err(format!("no differ for {other:?} artefacts")),
     }
 }
 
@@ -116,20 +123,13 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => match args.next() {
-                Some(p) => json_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("sortmid-diff: --json needs an output path\n{USAGE}");
+            "--json" | "--ppm-dir" => {
+                let Some(path) = args.next().map(PathBuf::from) else {
+                    eprintln!("sortmid-diff: {arg} needs a path\n{USAGE}");
                     return ExitCode::FAILURE;
-                }
-            },
-            "--ppm-dir" => match args.next() {
-                Some(p) => ppm_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("sortmid-diff: --ppm-dir needs a directory\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
+                };
+                *(if arg == "--json" { &mut json_out } else { &mut ppm_dir }) = Some(path);
+            }
             "--expect-zero" => expect_zero = true,
             "--top" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => top = n,
@@ -150,10 +150,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    let result = load(base_path)
-        .and_then(|base| load(cur_path).map(|cur| (base, cur)))
-        .and_then(|(base, cur)| run_diff(&base, &cur, top, ppm_dir.as_deref()));
-    let (doc, zero) = match result {
+    let (doc, zero) = match run_diff(base_path, cur_path, top, ppm_dir.as_deref()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sortmid-diff: {e}");

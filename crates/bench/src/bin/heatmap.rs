@@ -13,7 +13,8 @@
 //!    `HEAT_<preset>_t2f.ppm` (texel-to-fragment ratio) and
 //!    `HEAT_<preset>_missclass.ppm` (RGB = conflict/capacity/compulsory);
 //! 3. writes `HEATMAP_<preset>.json` — the full per-tile and per-node
-//!    attribution document that `bench_check` validates;
+//!    attribution document ([`sortmid_observe::HeatmapDoc`]) that
+//!    `bench_check` validates;
 //! 4. prints per-metric tile summaries (max/min tile, imbalance ratio)
 //!    and the Gini coefficient of the per-node fragment load.
 //!
@@ -27,7 +28,7 @@ use sortmid::{
 };
 use sortmid_bench::run_provenance;
 use sortmid_cache::CacheGeometry;
-use sortmid_observe::{owner_color, sqrt_channel, ScreenGrid};
+use sortmid_observe::{owner_color, sqrt_channel, Schema, ScreenGrid};
 use sortmid_scene::{Benchmark, SceneBuilder};
 use sortmid_util::ppm::Image;
 use std::path::{Path, PathBuf};
@@ -129,12 +130,9 @@ fn write_maps(
         written.push(path);
     }
     let json = dir.join(format!("HEATMAP_{name}.json"));
-    let mut doc = col.to_json(name, report.summary());
-    doc.set(
-        "provenance",
-        run_provenance(Benchmark::Quake, std::slice::from_ref(config)).to_json(),
-    );
-    std::fs::write(&json, doc.render().as_bytes())
+    let provenance = run_provenance(Benchmark::Quake, std::slice::from_ref(config));
+    let doc = col.document(name, report.summary(), provenance);
+    std::fs::write(&json, doc.to_json().render().as_bytes())
         .map_err(|e| format!("write {}: {e}", json.display()))?;
     written.push(json);
     Ok(written)

@@ -31,8 +31,8 @@
 //!   gate refuse to compare artefacts whose schema/seed/grid disagree;
 //! * `cycle_breakdowns` — for every reference-grid config, each node's
 //!   cycles attributed to `[setup, busy, bus_stall, starved, idle]`
-//!   (summing exactly to that node's finish cycle — `bench_check` enforces
-//!   the identity);
+//!   (summing exactly to that node's finish cycle — emitted, decoded and
+//!   verified by [`SweepBreakdowns`]);
 //! * `reference` — the `grid/shared-plan` median against the pre-tracing
 //!   recorded median, guarding that the `NullSink` event plumbing stays
 //!   monomorphized away;
@@ -61,11 +61,13 @@
 
 use sortmid::{
     run_sweep_profiled, run_sweep_with_options, CacheKind, Distribution, HostProfiler, Machine,
-    MachineConfig, RunReport, SweepGrid, SweepOptions,
+    MachineConfig, SweepGrid, SweepOptions,
 };
 use sortmid_bench::{run_provenance, stream};
 use sortmid_cache::CacheGeometry;
 use sortmid_devharness::{Json, Suite};
+use sortmid_observe::breakdown::ConfigBreakdown;
+use sortmid_observe::{Artifact, Schema, SweepBreakdowns};
 use sortmid_raster::FragmentStream;
 use sortmid_scene::Benchmark;
 use std::hint::black_box;
@@ -282,12 +284,8 @@ fn main() {
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("create bench dir {}: {e}", dir.display()));
         let path = dir.join("METRICS_sweep.json");
-        let mut doc = profile.to_json("sweep");
-        doc.set(
-            "provenance",
-            run_provenance(Benchmark::Quake, &configs).to_json(),
-        );
-        std::fs::write(&path, doc.render())
+        let doc = profile.document("sweep", run_provenance(Benchmark::Quake, &configs));
+        std::fs::write(&path, doc.to_json().render())
             .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         eprintln!("wrote {}", path.display());
         eprint!("{}", profile.summary());
@@ -295,17 +293,32 @@ fn main() {
     } else {
         run_sweep_with_options(&s, &configs, options)
     };
-    suite.finish_with([
-        (
-            // Stamped on every lane, the escape hatch included: the grid and
-            // scene are identical, so self-diffs and the gate stay valid.
-            "provenance".to_string(),
-            run_provenance(Benchmark::Quake, &configs).to_json(),
-        ),
-        (
-            "cycle_breakdowns".to_string(),
-            Json::arr(reports.iter().map(config_breakdown)),
-        ),
+    // Stamped on every lane, the escape hatch included: the grid and scene
+    // are identical, so self-diffs and the gate stay valid.
+    let breakdowns = SweepBreakdowns {
+        provenance: run_provenance(Benchmark::Quake, &configs),
+        cycle_breakdowns: reports
+            .iter()
+            .map(|r| ConfigBreakdown {
+                config: r.summary().to_string(),
+                total_cycles: r.total_cycles(),
+                nodes: r
+                    .nodes()
+                    .iter()
+                    .map(|n| {
+                        let [setup, busy, stall, starved, idle] = n.cycle_breakdown().as_array();
+                        [setup, busy, stall, starved, idle, n.finish]
+                    })
+                    .collect(),
+            })
+            .collect(),
+    };
+    let problems = breakdowns.verify();
+    assert!(problems.is_empty(), "cycle identities must hold: {problems:?}");
+    let Json::Obj(fields) = breakdowns.to_json() else {
+        unreachable!("a record emits an object")
+    };
+    suite.finish_with(fields.into_iter().chain([
         (
             "reference".to_string(),
             Json::obj([
@@ -319,26 +332,5 @@ fn main() {
             ]),
         ),
         ("trace_replay".to_string(), trace_replay),
-    ]);
-}
-
-/// One config's entry in `cycle_breakdowns`: the config summary, the
-/// machine time, and per node the compact
-/// `[setup, busy, bus_stall, starved, idle, finish]` array (the first five
-/// sum to the sixth).
-fn config_breakdown(report: &RunReport) -> Json {
-    Json::obj([
-        ("config", Json::str(report.summary())),
-        ("total_cycles", Json::U64(report.total_cycles())),
-        (
-            "nodes",
-            Json::arr(report.nodes().iter().map(|n| {
-                let b = n.cycle_breakdown();
-                b.verify(n.finish).expect("cycle identity must hold");
-                let mut row: Vec<Json> = b.as_array().iter().map(|&c| Json::U64(c)).collect();
-                row.push(Json::U64(n.finish));
-                Json::Arr(row)
-            })),
-        ),
-    ])
+    ]));
 }

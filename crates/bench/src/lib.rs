@@ -1,9 +1,9 @@
-//! Shared setup for the `sortmid` Criterion benches.
+//! Shared setup for the `sortmid` bench binaries.
 //!
 //! Each bench target regenerates (a representative configuration of) one
 //! table or figure of the paper; the full sweeps live in
-//! `sortmid-experiments`. Benches run scenes at a small scale so
-//! `cargo bench` finishes in minutes on one core — the *relative* numbers
+//! `sortmid-experiments`. Benches run scenes at a small scale so each
+//! bench binary finishes in minutes on one core — the *relative* numbers
 //! (which distribution wins, how much a small buffer costs) are the same
 //! shapes the paper reports.
 

@@ -15,7 +15,8 @@
 //! | [`ablations`] | prefetch-window, cache-geometry, dynamic-SLI and L2 studies |
 //!
 //! The binary (`sortmid-experiments`) exposes each as a subcommand; the
-//! Criterion benches in `sortmid-bench` wrap the same entry points.
+//! bench binaries in `sortmid-bench` time representative configurations
+//! of the same figures.
 //!
 //! Scenes are generated at a reduced `--scale` (default 0.25–0.35 per
 //! experiment) because the machine is simulated on one host core;

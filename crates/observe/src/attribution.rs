@@ -14,10 +14,12 @@
 //! lives here (the substrate crate) so the cache crate can report classes
 //! through the sink without a dependency cycle.
 
+use crate::artifact::{checked_sum, Artifact};
 use crate::heatmap::ScreenGrid;
+use crate::provenance::Provenance;
+use crate::record;
 use crate::sink::TraceSink;
 use crate::{Cycle, TraceEvent};
-use sortmid_devharness::json::Json;
 use std::fmt;
 
 /// The classification of one cache miss, per the standard three-C model.
@@ -189,55 +191,171 @@ impl SpatialCollector {
         sortmid_util::stats::gini(&loads)
     }
 
-    /// The `HEATMAP_<preset>.json` document: grid geometry, per-tile rows
-    /// for each metric, and per-node totals with the three-C identity
-    /// `compulsory + capacity + conflict == misses` that `bench_check`
-    /// enforces.
-    pub fn to_json(&self, preset: &str, config: &str) -> Json {
+    /// The `HEATMAP_<preset>.json` document of this run: grid geometry,
+    /// per-tile metric planes and per-node totals.
+    pub fn document(&self, preset: &str, config: &str, provenance: Provenance) -> HeatmapDoc {
         let g = &self.grid;
-        Json::obj([
-            ("preset", Json::str(preset)),
-            ("config", Json::str(config)),
-            (
-                "screen",
-                Json::obj([
-                    ("width", Json::U64(g.width() as u64)),
-                    ("height", Json::U64(g.height() as u64)),
-                ]),
-            ),
-            ("tile", Json::U64(g.tile() as u64)),
-            ("cols", Json::U64(g.cols() as u64)),
-            ("rows", Json::U64(g.rows() as u64)),
-            ("fragments", Json::U64(self.fragment_total())),
-            ("fragment_gini", Json::F64(self.fragment_gini())),
-            (
-                "tiles",
-                Json::obj([
-                    ("fragments", g.rows_json(|t| Json::U64(t.fragments))),
-                    ("setup_cycles", g.rows_json(|t| Json::U64(t.setup_cycles))),
-                    ("lines_fetched", g.rows_json(|t| Json::U64(t.lines_fetched))),
-                    ("miss_compulsory", g.rows_json(|t| Json::U64(t.misses.compulsory))),
-                    ("miss_capacity", g.rows_json(|t| Json::U64(t.misses.capacity))),
-                    ("miss_conflict", g.rows_json(|t| Json::U64(t.misses.conflict))),
-                    ("owner", g.rows_json(|t| Json::U64(t.owner as u64))),
-                ]),
-            ),
-            (
-                "nodes",
-                Json::arr((0..self.node_fragments.len()).map(|i| {
-                    let m = &self.node_misses[i];
-                    Json::obj([
-                        ("node", Json::U64(i as u64)),
-                        ("fragments", Json::U64(self.node_fragments[i])),
-                        ("setup_cycles", Json::U64(self.node_setup[i])),
-                        ("misses", Json::U64(m.total())),
-                        ("compulsory", Json::U64(m.compulsory)),
-                        ("capacity", Json::U64(m.capacity)),
-                        ("conflict", Json::U64(m.conflict)),
-                    ])
-                })),
-            ),
-        ])
+        let plane = |value: fn(&TileStats) -> u64| -> TilePlane {
+            g.cells()
+                .chunks(g.cols() as usize)
+                .map(|row| row.iter().map(value).collect())
+                .collect()
+        };
+        HeatmapDoc {
+            preset: preset.to_string(),
+            config: config.to_string(),
+            screen: Screen { width: g.width().into(), height: g.height().into() },
+            tile: g.tile().into(),
+            cols: g.cols().into(),
+            rows: g.rows().into(),
+            fragments: self.fragment_total(),
+            fragment_gini: self.fragment_gini(),
+            tiles: Tiles {
+                fragments: plane(|t| t.fragments),
+                setup_cycles: plane(|t| t.setup_cycles),
+                lines_fetched: plane(|t| t.lines_fetched),
+                miss_compulsory: plane(|t| t.misses.compulsory),
+                miss_capacity: plane(|t| t.misses.capacity),
+                miss_conflict: plane(|t| t.misses.conflict),
+                owner: plane(|t| t.owner.into()),
+            },
+            nodes: (0..self.node_fragments.len())
+                .map(|i| {
+                    let m = self.node_misses[i];
+                    NodeTotals {
+                        node: i as u64,
+                        fragments: self.node_fragments[i],
+                        setup_cycles: self.node_setup[i],
+                        misses: m.total(),
+                        compulsory: m.compulsory,
+                        capacity: m.capacity,
+                        conflict: m.conflict,
+                    }
+                })
+                .collect(),
+            provenance,
+        }
+    }
+}
+
+/// One per-tile metric plane: `rows` rows of `cols` values.
+pub type TilePlane = Vec<Vec<u64>>;
+
+record! {
+    /// Screen size in pixels.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Screen {
+        pub width: u64,
+        pub height: u64,
+    }
+}
+
+record! {
+    /// The per-tile metric planes of a heatmap, one per [`TileStats`]
+    /// field (`miss_*` split out by class).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Tiles {
+        pub fragments: TilePlane,
+        pub setup_cycles: TilePlane,
+        pub lines_fetched: TilePlane,
+        pub miss_compulsory: TilePlane,
+        pub miss_capacity: TilePlane,
+        pub miss_conflict: TilePlane,
+        pub owner: TilePlane,
+    }
+}
+
+impl Tiles {
+    /// Every plane with its name, the categorical `owner` plane last.
+    pub fn planes(&self) -> [(&'static str, &TilePlane); 7] {
+        [
+            ("fragments", &self.fragments),
+            ("setup_cycles", &self.setup_cycles),
+            ("lines_fetched", &self.lines_fetched),
+            ("miss_compulsory", &self.miss_compulsory),
+            ("miss_capacity", &self.miss_capacity),
+            ("miss_conflict", &self.miss_conflict),
+            ("owner", &self.owner),
+        ]
+    }
+}
+
+record! {
+    /// One node's totals in a heatmap document (the collector's per-node
+    /// accumulators); the three-C split sums to `misses`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct NodeTotals {
+        pub node: u64,
+        pub fragments: u64,
+        pub setup_cycles: u64,
+        pub misses: u64,
+        pub compulsory: u64,
+        pub capacity: u64,
+        pub conflict: u64,
+    }
+}
+
+record! {
+    /// A `HEATMAP_<preset>.json` document: one run's spatial attribution,
+    /// emitted from a [`SpatialCollector`] — the preset and machine config
+    /// it ran, the screen and its tile grid (`tile` pixels square, `cols`
+    /// × `rows`), the fragment total and the Gini coefficient of the
+    /// per-node load, the per-tile planes, and per-node totals.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HeatmapDoc {
+        pub preset: String,
+        pub config: String,
+        pub screen: Screen,
+        pub tile: u64,
+        pub cols: u64,
+        pub rows: u64,
+        pub fragments: u64,
+        pub fragment_gini: f64,
+        pub tiles: Tiles,
+        pub nodes: Vec<NodeTotals>,
+        pub provenance: Provenance,
+    }
+}
+
+impl Artifact for HeatmapDoc {
+    /// Every plane is `rows`×`cols`, tile and node fragments both sum to
+    /// the document total, and each node's three-C split sums to its
+    /// misses.
+    fn verify(&self) -> Vec<String> {
+        let mut problems = Vec::new();
+        if self.tile == 0 || self.cols == 0 || self.rows == 0 {
+            problems.push("'tile'/'cols'/'rows' must be positive integers".to_string());
+        }
+        for (metric, plane) in self.tiles.planes() {
+            let cols_ok = plane.iter().all(|r| r.len() as u64 == self.cols);
+            if plane.len() as u64 != self.rows || !cols_ok {
+                problems.push(format!("'tiles.{metric}' is not a rows x cols integer grid"));
+            }
+        }
+        let total = self.fragments;
+        let tile_sum = checked_sum(self.tiles.fragments.iter().flatten().copied());
+        let node_sum = checked_sum(self.nodes.iter().map(|n| n.fragments));
+        for (what, sum) in [("tile", tile_sum), ("node", node_sum)] {
+            match sum {
+                Some(sum) if sum == total => {}
+                Some(sum) => problems.push(format!(
+                    "{what} fragments sum to {sum}, document total is {total}"
+                )),
+                None => problems.push(format!("{what} fragments overflow u64")),
+            }
+        }
+        if self.nodes.is_empty() {
+            problems.push("'nodes' is empty".to_string());
+        }
+        for (i, n) in self.nodes.iter().enumerate() {
+            if checked_sum([n.compulsory, n.capacity, n.conflict]) != Some(n.misses) {
+                problems.push(format!(
+                    "node{i}: three-C identity broken: {}+{}+{} != {} misses",
+                    n.compulsory, n.capacity, n.conflict, n.misses
+                ));
+            }
+        }
+        problems
     }
 }
 
@@ -271,6 +389,8 @@ impl TraceSink for SpatialCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::Schema;
+    use sortmid_devharness::json::Json;
 
     fn classes(c: u64, k: u64, f: u64) -> MissClassCounts {
         MissClassCounts {
@@ -310,7 +430,7 @@ mod tests {
     fn json_carries_grid_geometry_and_node_identity() {
         let mut col = SpatialCollector::new(32, 16, 16, 2);
         col.record_fragment(1, 16, 0, 2, classes(1, 1, 0));
-        let doc = col.to_json("demo", "2p/block-16");
+        let doc = col.document("demo", "2p/block-16", Provenance::collect(1, 2)).to_json();
         assert_eq!(doc.get("preset").and_then(Json::as_str), Some("demo"));
         assert_eq!(doc.get("cols").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.get("rows").and_then(Json::as_u64), Some(1));
@@ -325,6 +445,19 @@ mod tests {
                 + n1.get("conflict").and_then(Json::as_u64).unwrap(),
             2
         );
+    }
+
+    #[test]
+    fn heatmap_verify_flags_overflowing_fragment_totals() {
+        let mut col = SpatialCollector::new(32, 16, 16, 2);
+        col.record_fragment(0, 0, 0, 0, classes(0, 0, 0));
+        let mut doc = col.document("demo", "2p/block-16", Provenance::collect(1, 2));
+        assert!(doc.verify().is_empty(), "{:?}", doc.verify());
+        doc.tiles.fragments[0] = vec![u64::MAX, 2];
+        doc.nodes[1].fragments = u64::MAX;
+        let problems = doc.verify();
+        assert!(problems.iter().any(|p| p == "tile fragments overflow u64"), "{problems:?}");
+        assert!(problems.iter().any(|p| p == "node fragments overflow u64"), "{problems:?}");
     }
 
     #[test]

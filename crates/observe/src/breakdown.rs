@@ -16,8 +16,13 @@
 //! The identity `setup + busy + bus_stall + starved + idle == finish`
 //! holds exactly — the engine attributes each cycle as it advances — and
 //! is enforced by [`CycleBreakdown::verify`], a cross-crate property test,
-//! and the `bench_check` artefact validator.
+//! and [`SweepBreakdowns`] — the owner of the sweep artefact's
+//! `cycle_breakdowns` section, which `bench_check`, the regression gate
+//! and `sortmid-diff` all decode.
 
+use crate::artifact::{checked_sum, Artifact};
+use crate::provenance::Provenance;
+use crate::record;
 use crate::Cycle;
 use sortmid_util::table::Table;
 use std::fmt;
@@ -90,57 +95,62 @@ impl CycleBreakdown {
         }
         self.as_array().map(|c| c as f64 * 100.0 / finish as f64)
     }
+}
 
-    /// The signed per-category change from `baseline` to `self` — the
-    /// five-way attribution of a cycle delta. The deltas obey the same
-    /// accounting identity as the breakdowns themselves:
-    /// `delta.total() == self.total() - baseline.total()` exactly, and
-    /// `baseline.delta(baseline)` is all-zero.
-    pub fn delta(&self, baseline: &CycleBreakdown) -> BreakdownDelta {
-        let d = |cur: u64, base: u64| {
-            i64::try_from(cur as i128 - base as i128)
-                .expect("cycle counts fit well inside i64")
-        };
-        BreakdownDelta {
-            setup: d(self.setup, baseline.setup),
-            busy: d(self.busy, baseline.busy),
-            bus_stall: d(self.bus_stall, baseline.bus_stall),
-            starved: d(self.starved, baseline.starved),
-            idle: d(self.idle, baseline.idle),
-        }
+record! {
+    /// The signed change between two sets of [`CycleBreakdown`]s, category
+    /// by category (see [`BreakdownDelta::between`]).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sortmid_observe::BreakdownDelta;
+    ///
+    /// // [setup, busy, bus_stall, starved, idle, finish] per node.
+    /// let base = [[25, 50, 10, 10, 5, 100]];
+    /// let cur = [[25, 50, 40, 5, 5, 125]];
+    /// let d = BreakdownDelta::between(&cur, &base).unwrap();
+    /// assert_eq!(d.total(), 25);
+    /// assert_eq!(d.dominant(), Some(("bus_stall", 30)));
+    /// assert!(BreakdownDelta::between(&base, &base).unwrap().is_zero());
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct BreakdownDelta {
+        /// Change in setup-floor padding cycles.
+        pub setup: i64,
+        /// Change in busy (fragment-scanning) cycles.
+        pub busy: i64,
+        /// Change in bus-stall cycles.
+        pub bus_stall: i64,
+        /// Change in FIFO-starved cycles.
+        pub starved: i64,
+        /// Change in fill-tail idle cycles.
+        pub idle: i64,
     }
 }
 
-/// The signed change between two [`CycleBreakdown`]s, category by
-/// category (see [`CycleBreakdown::delta`]).
-///
-/// # Examples
-///
-/// ```
-/// use sortmid_observe::CycleBreakdown;
-///
-/// let base = CycleBreakdown { setup: 25, busy: 50, bus_stall: 10, starved: 10, idle: 5 };
-/// let cur = CycleBreakdown { setup: 25, busy: 50, bus_stall: 40, starved: 5, idle: 5 };
-/// let d = cur.delta(&base);
-/// assert_eq!(d.total(), 25);
-/// assert_eq!(d.dominant(), Some(("bus_stall", 30)));
-/// assert!(base.delta(&base).is_zero());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BreakdownDelta {
-    /// Change in setup-floor padding cycles.
-    pub setup: i64,
-    /// Change in busy (fragment-scanning) cycles.
-    pub busy: i64,
-    /// Change in bus-stall cycles.
-    pub bus_stall: i64,
-    /// Change in FIFO-starved cycles.
-    pub starved: i64,
-    /// Change in fill-tail idle cycles.
-    pub idle: i64,
-}
-
 impl BreakdownDelta {
+    /// The exact five-way change from the `base` to the `cur` node rows
+    /// (`[setup, busy, bus_stall, starved, idle, finish]`, paired in
+    /// order), summed over the nodes; `None` when a category's change does
+    /// not fit an `i64`.
+    pub fn between(cur: &[[u64; 6]], base: &[[u64; 6]]) -> Option<BreakdownDelta> {
+        let mut sums = [0i128; 5];
+        for (c, b) in cur.iter().zip(base) {
+            for (k, sum) in sums.iter_mut().enumerate() {
+                *sum += c[k] as i128 - b[k] as i128;
+            }
+        }
+        let [setup, busy, bus_stall, starved, idle] = sums.map(|d| i64::try_from(d).ok());
+        Some(BreakdownDelta {
+            setup: setup?,
+            busy: busy?,
+            bus_stall: bus_stall?,
+            starved: starved?,
+            idle: idle?,
+        })
+    }
+
     /// Sum over all categories — the net cycle change.
     pub fn total(&self) -> i64 {
         self.setup + self.busy + self.bus_stall + self.starved + self.idle
@@ -169,26 +179,6 @@ impl BreakdownDelta {
             .rev()
             .max_by_key(|(_, d)| d.unsigned_abs())?;
         (delta != 0).then_some((CATEGORY_NAMES[idx], delta))
-    }
-}
-
-impl Add for BreakdownDelta {
-    type Output = BreakdownDelta;
-
-    fn add(self, rhs: BreakdownDelta) -> BreakdownDelta {
-        BreakdownDelta {
-            setup: self.setup + rhs.setup,
-            busy: self.busy + rhs.busy,
-            bus_stall: self.bus_stall + rhs.bus_stall,
-            starved: self.starved + rhs.starved,
-            idle: self.idle + rhs.idle,
-        }
-    }
-}
-
-impl AddAssign for BreakdownDelta {
-    fn add_assign(&mut self, rhs: BreakdownDelta) {
-        *self = *self + rhs;
     }
 }
 
@@ -255,6 +245,63 @@ impl fmt::Display for CycleIdentityError {
 
 impl std::error::Error for CycleIdentityError {}
 
+record! {
+    /// One config's entry in a sweep artefact's `cycle_breakdowns`: its
+    /// summary (`<procs>p/<distribution>/<cache>/<buffer>...`), its
+    /// machine time (the slowest node's finish), and per node
+    /// `[setup, busy, bus_stall, starved, idle, finish]` — the five-way
+    /// breakdown followed by the finish cycle it sums to.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ConfigBreakdown {
+        pub config: String,
+        pub total_cycles: u64,
+        pub nodes: Vec<[u64; 6]>,
+    }
+}
+
+record! {
+    /// The validated-and-diffed part of `BENCH_sweep.json`: the run's
+    /// provenance and per-config cycle breakdowns, in sweep order (the
+    /// wall-time lanes around them are bench policy). The sweep bench
+    /// appends these fields after the suite's own.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SweepBreakdowns {
+        pub provenance: Provenance,
+        pub cycle_breakdowns: Vec<ConfigBreakdown>,
+    }
+}
+
+impl Artifact for SweepBreakdowns {
+    /// Each node's five categories sum exactly to its finish, and each
+    /// config's `total_cycles` is its slowest node's finish.
+    fn verify(&self) -> Vec<String> {
+        let mut problems = Vec::new();
+        if self.cycle_breakdowns.is_empty() {
+            problems.push("'cycle_breakdowns' is empty".to_string());
+        }
+        for c in &self.cycle_breakdowns {
+            for (n, row) in c.nodes.iter().enumerate() {
+                let sum = checked_sum(row[..5].iter().copied());
+                if sum != Some(row[5]) {
+                    let sum = sum.map_or("more than u64::MAX".to_string(), |s| s.to_string());
+                    problems.push(format!(
+                        "{}/node{n}: breakdown sums to {sum}, finish is {}",
+                        c.config, row[5]
+                    ));
+                }
+            }
+            let finishes = c.nodes.iter().map(|row| row[5]);
+            if let Some(max) = finishes.max().filter(|&max| max != c.total_cycles) {
+                problems.push(format!(
+                    "{}: total_cycles {} != max node finish {max}",
+                    c.config, c.total_cycles
+                ));
+            }
+        }
+        problems
+    }
+}
+
 /// Renders labelled breakdowns as a table: absolute cycles plus the
 /// percentage of each node's finish time, one row per entry.
 ///
@@ -313,10 +360,16 @@ mod tests {
         assert_eq!(b.percentages(0), [0.0; 5]);
     }
 
+    /// One node's `[setup, busy, bus_stall, starved, idle, finish]` row.
+    fn row(b: CycleBreakdown) -> [u64; 6] {
+        let [setup, busy, bus_stall, starved, idle] = b.as_array();
+        [setup, busy, bus_stall, starved, idle, b.total()]
+    }
+
     #[test]
     fn delta_of_a_breakdown_with_itself_is_zero() {
-        let b = CycleBreakdown { setup: 7, busy: 11, bus_stall: 13, starved: 17, idle: 19 };
-        let d = b.delta(&b);
+        let b = row(CycleBreakdown { setup: 7, busy: 11, bus_stall: 13, starved: 17, idle: 19 });
+        let d = BreakdownDelta::between(&[b], &[b]).unwrap();
         assert!(d.is_zero());
         assert_eq!(d.total(), 0);
         assert_eq!(d.dominant(), None);
@@ -326,33 +379,35 @@ mod tests {
     fn delta_total_matches_breakdown_total_difference() {
         let base = CycleBreakdown { setup: 10, busy: 100, bus_stall: 5, starved: 0, idle: 1 };
         let cur = CycleBreakdown { setup: 12, busy: 90, bus_stall: 45, starved: 3, idle: 0 };
-        let d = cur.delta(&base);
+        let d = BreakdownDelta::between(&[row(cur)], &[row(base)]).unwrap();
         assert_eq!(d.total(), cur.total() as i64 - base.total() as i64);
         assert_eq!(d.as_array(), [2, -10, 40, 3, -1]);
         assert_eq!(d.dominant(), Some(("bus_stall", 40)));
         // Antisymmetry: reversing the diff negates every category.
-        let r = base.delta(&cur);
+        let r = BreakdownDelta::between(&[row(base)], &[row(cur)]).unwrap();
         assert_eq!(r.as_array().map(|v| -v), d.as_array());
     }
 
     #[test]
     fn delta_addition_composes_fieldwise() {
-        let a = CycleBreakdown { setup: 1, busy: 2, bus_stall: 3, starved: 4, idle: 5 };
-        let b = CycleBreakdown { setup: 5, busy: 4, bus_stall: 3, starved: 2, idle: 1 };
-        let c = CycleBreakdown { setup: 9, busy: 9, bus_stall: 9, starved: 9, idle: 9 };
-        // (c - b) + (b - a) == c - a, node-aggregation's associativity.
-        let mut d = c.delta(&b);
-        d += b.delta(&a);
-        assert_eq!(d, c.delta(&a));
+        let a = row(CycleBreakdown { setup: 1, busy: 2, bus_stall: 3, starved: 4, idle: 5 });
+        let b = row(CycleBreakdown { setup: 5, busy: 4, bus_stall: 3, starved: 2, idle: 1 });
+        let c = row(CycleBreakdown { setup: 9, busy: 9, bus_stall: 9, starved: 9, idle: 9 });
+        // Summing over nodes composes: (c - b) + (b - a) == c - a.
+        let d = BreakdownDelta::between(&[c, b], &[b, a]).unwrap();
+        assert_eq!(d, BreakdownDelta::between(&[c], &[a]).unwrap());
         assert!(d.to_string().contains("+8"));
     }
 
     #[test]
     fn delta_handles_extreme_magnitudes_without_overflow() {
-        let zero = CycleBreakdown::default();
-        let huge = CycleBreakdown { setup: 0, busy: 1 << 62, bus_stall: 0, starved: 0, idle: 0 };
-        assert_eq!(huge.delta(&zero).busy, 1 << 62);
-        assert_eq!(zero.delta(&huge).busy, -(1i64 << 62));
+        let zero = [0; 6];
+        let huge = [0, 1 << 62, 0, 0, 0, 1 << 62];
+        assert_eq!(BreakdownDelta::between(&[huge], &[zero]).unwrap().busy, 1 << 62);
+        assert_eq!(BreakdownDelta::between(&[zero], &[huge]).unwrap().busy, -(1i64 << 62));
+        // A change past i64 is refused, not wrapped or panicked on.
+        let max = [0, u64::MAX, 0, 0, 0, u64::MAX];
+        assert_eq!(BreakdownDelta::between(&[max], &[zero]), None);
     }
 
     #[test]

@@ -4,43 +4,38 @@
 //! The paper's argument is comparative (which distribution wins, what a
 //! small buffer costs), and so is the day-to-day question a regression
 //! gate answers: *what changed between this run and the baseline, and
-//! why?* This module compares **artefacts, not runs** — structured
-//! comparison of the JSON documents the bins already emit is
-//! deterministic and free, where re-measurement is neither. Three
-//! differs cover every level the instrumentation records:
+//! why?* This module compares **artefacts, not runs** — deterministic
+//! and free, where re-measurement is neither. Three differs cover every
+//! level the instrumentation records:
 //!
-//! * [`SweepDiff`] — two `BENCH_sweep.json` documents: per-config
-//!   simulated-cycle deltas, each split by the five-way
-//!   [`CycleBreakdown`] identity (setup / busy / bus-stall / starved /
-//!   idle, summed over nodes);
-//! * [`HeatmapDiff`] — two `HEATMAP_<preset>.json` documents: tile-level
-//!   delta grids for every numeric metric plane (rendered as
-//!   diverging-palette PPMs via [`crate::palette::diverging_color`]),
-//!   owner-flip counts, and per-node three-C miss-class deltas;
-//! * [`MetricsDiff`] — two `METRICS_<name>.json` host profiles:
-//!   per-phase wall-time deltas from the span tree, counter deltas, and
-//!   [`Log2Histogram`](crate::metrics::Log2Histogram) distribution
-//!   shifts (count/sum/percentile movement plus sparse per-bucket
-//!   deltas).
+//! * [`SweepDiff`] — per-config simulated-cycle deltas, each split by the
+//!   five-way [`CycleBreakdown`](crate::CycleBreakdown) identity summed
+//!   over nodes;
+//! * [`HeatmapDiff`] — tile-level delta grids for every numeric metric
+//!   plane (rendered as diverging-palette PPMs), owner-flip counts, and
+//!   per-node three-C miss-class deltas;
+//! * [`MetricsDiff`] — per-phase wall-time deltas, counter deltas, and
+//!   histogram distribution shifts.
 //!
-//! Every differ starts by reading both documents' [`Provenance`] blocks
-//! and refuses incomparable pairs (different schema, scene seed or
-//! config grid) with a clear error. Diffing a document against itself is
-//! **exactly zero at every level** — a devharness property pins this —
-//! so any nonzero delta is a real difference between the runs, never
-//! comparison noise.
+//! Each differ compares two documents decoded by their owner type
+//! ([`crate::artifact`]), refuses incomparable [`Provenance`] (different
+//! schema, scene seed or config grid), and names the field — never
+//! panics — when a delta does not fit an `i64`. Diffing a document
+//! against itself is **exactly zero at every level** (a devharness
+//! property pins this), so any nonzero delta is a real difference.
 
-use crate::breakdown::{BreakdownDelta, CycleBreakdown};
+use crate::artifact::{delta, Schema};
+use crate::attribution::{HeatmapDoc, MissClass, TilePlane};
+use crate::breakdown::{BreakdownDelta, SweepBreakdowns};
+use crate::heatmap::ScreenGrid;
+use crate::host::MetricsDoc;
+use crate::metrics::HistogramSnapshot;
 use crate::palette::diverging_color;
 use crate::provenance::Provenance;
+use crate::record;
 use sortmid_devharness::json::Json;
 use sortmid_util::ppm::Image;
-use std::collections::BTreeMap;
-
-/// Exact signed difference of two `u64` counters.
-fn delta64(cur: u64, base: u64) -> i64 {
-    i64::try_from(cur as i128 - base as i128).expect("artefact counters fit well inside i64")
-}
+use std::collections::{BTreeMap, BTreeSet};
 
 /// `cur` vs `base` as a signed percentage string, or `(was 0)` when the
 /// base cannot anchor a ratio.
@@ -80,43 +75,60 @@ fn compact_ranges(indices: &[usize]) -> String {
     out
 }
 
-/// Reads and cross-checks both documents' provenance blocks.
-///
-/// # Errors
-///
-/// Returns the missing-block / field error of the offending side, or the
-/// comparability error naming the mismatched field.
-fn comparable_provenance(base: &Json, cur: &Json) -> Result<(Provenance, Provenance), String> {
-    let b = Provenance::from_doc(base).map_err(|e| format!("baseline: {e}"))?;
-    let c = Provenance::from_doc(cur).map_err(|e| format!("current: {e}"))?;
-    b.comparable(&c)?;
-    Ok((b, c))
+/// Pairs two named lists: the items both sides have, as `(base, cur)` in
+/// the current side's order, then the names only the baseline has and
+/// the names only the current side has.
+#[allow(clippy::type_complexity)]
+fn pair_by_name<'a, T>(
+    base: &'a [T],
+    cur: &'a [T],
+    name: impl Fn(&T) -> &str,
+) -> (Vec<(&'a T, &'a T)>, Vec<String>, Vec<String>) {
+    let base_by_name: BTreeMap<&str, &T> = base.iter().map(|b| (name(b), b)).collect();
+    let cur_names: BTreeSet<&str> = cur.iter().map(&name).collect();
+    let pairs = cur.iter().filter_map(|c| Some((*base_by_name.get(name(c))?, c))).collect();
+    let only = |side: &'a [T], other: &dyn Fn(&str) -> bool| -> Vec<String> {
+        side.iter().map(&name).filter(|n| !other(n)).map(str::to_string).collect()
+    };
+    let only_base = only(base, &|n| cur_names.contains(n));
+    let only_cur = only(cur, &|n| base_by_name.contains_key(n));
+    (pairs, only_base, only_cur)
+}
+
+/// Names only one side has, tagged with that side.
+fn one_sided(only_base: Vec<String>, only_cur: Vec<String>) -> Vec<(String, &'static str)> {
+    let base = only_base.into_iter().map(|n| (n, "baseline"));
+    base.chain(only_cur.into_iter().map(|n| (n, "current"))).collect()
 }
 
 // ---------------------------------------------------------------------------
 // Sweep diff
 // ---------------------------------------------------------------------------
 
-/// One config's change between two sweep artefacts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigDelta {
-    /// The config summary (`<procs>p/<distribution>/<cache>/<buffer>...`).
-    pub config: String,
-    /// Baseline machine time (max node finish).
-    pub base_cycles: u64,
-    /// Current machine time.
-    pub cur_cycles: u64,
-    /// Five-way attribution of the change, summed over all nodes. Its
-    /// [`BreakdownDelta::total`] equals the change in *node-cycle sum*
-    /// (machine time is the max finish, so the two differ whenever load
-    /// shifts between nodes — both views are reported).
-    pub breakdown: BreakdownDelta,
+record! {
+    /// One config's change between two sweep artefacts.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ConfigDelta {
+        /// The config summary (`<procs>p/<distribution>/<cache>/<buffer>...`).
+        pub config: String,
+        /// Baseline machine time (max node finish).
+        pub base_cycles: u64,
+        /// Current machine time.
+        pub cur_cycles: u64,
+        /// Signed machine-time change in cycles.
+        pub delta: i64,
+        /// Five-way attribution of the change, summed over all nodes. Its
+        /// [`BreakdownDelta::total`] equals the change in *node-cycle sum*
+        /// (machine time is the max finish, so the two differ whenever load
+        /// shifts between nodes — both views are reported).
+        pub breakdown: BreakdownDelta,
+    }
 }
 
 impl ConfigDelta {
     /// Signed machine-time change in cycles.
     pub fn delta(&self) -> i64 {
-        delta64(self.cur_cycles, self.base_cycles)
+        self.delta
     }
 
     /// True when neither the machine time nor any per-node category
@@ -154,108 +166,45 @@ pub struct SweepDiff {
     pub only_current: Vec<String>,
 }
 
-/// Parses a sweep document's `cycle_breakdowns` into
-/// `config -> (total, per-node breakdowns)`, preserving order.
-fn parse_breakdowns(
-    label: &str,
-    doc: &Json,
-) -> Result<Vec<(String, u64, Vec<CycleBreakdown>)>, String> {
-    let configs = doc
-        .get("cycle_breakdowns")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{label}: missing or mistyped 'cycle_breakdowns'"))?;
-    let mut out = Vec::with_capacity(configs.len());
-    for (i, entry) in configs.iter().enumerate() {
-        let config = entry
-            .get("config")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{label}: breakdown #{i} has no 'config'"))?;
-        let total = entry
-            .get("total_cycles")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{label}/{config}: missing 'total_cycles'"))?;
-        let rows = entry
-            .get("nodes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{label}/{config}: missing 'nodes'"))?;
-        let mut nodes = Vec::with_capacity(rows.len());
-        for (n, row) in rows.iter().enumerate() {
-            let cells: Option<Vec<u64>> = row
-                .as_arr()
-                .map(|r| r.iter().filter_map(Json::as_u64).collect());
-            match cells.as_deref() {
-                Some(&[setup, busy, bus_stall, starved, idle, _finish]) => {
-                    nodes.push(CycleBreakdown { setup, busy, bus_stall, starved, idle });
-                }
-                _ => {
-                    return Err(format!(
-                        "{label}/{config}/node{n}: expected 6 integers \
-                         [setup, busy, bus_stall, starved, idle, finish]"
-                    ))
-                }
-            }
-        }
-        out.push((config.to_string(), total, nodes));
-    }
-    Ok(out)
-}
-
 impl SweepDiff {
-    /// Diffs two sweep documents (baseline first).
+    /// Diffs two decoded sweep artefacts (baseline first).
     ///
     /// # Errors
     ///
-    /// Returns an error for missing/incomparable provenance, a malformed
-    /// `cycle_breakdowns` section, or a node-count mismatch on a shared
-    /// config (the grids hash equal, so that means a corrupt document).
-    pub fn between(base_doc: &Json, cur_doc: &Json) -> Result<SweepDiff, String> {
-        let (base_prov, cur_prov) = comparable_provenance(base_doc, cur_doc)?;
-        let base = parse_breakdowns("baseline", base_doc)?;
-        let cur = parse_breakdowns("current", cur_doc)?;
-        let base_by_name: BTreeMap<&str, (&u64, &Vec<CycleBreakdown>)> = base
-            .iter()
-            .map(|(c, t, n)| (c.as_str(), (t, n)))
-            .collect();
-        let cur_names: BTreeMap<&str, ()> = cur.iter().map(|(c, _, _)| (c.as_str(), ())).collect();
-
+    /// Returns an error for incomparable provenance, a node-count
+    /// mismatch on a shared config (the grids hash equal, so that means a
+    /// corrupt document), or a delta that does not fit an `i64`.
+    pub fn between(base: &SweepBreakdowns, cur: &SweepBreakdowns) -> Result<SweepDiff, String> {
+        base.provenance.comparable(&cur.provenance)?;
+        let (pairs, only_base, only_current) =
+            pair_by_name(&base.cycle_breakdowns, &cur.cycle_breakdowns, |c| &c.config);
         let mut configs = Vec::new();
-        for (config, cur_total, cur_nodes) in &cur {
-            let Some((base_total, base_nodes)) = base_by_name.get(config.as_str()) else {
-                continue;
-            };
-            if base_nodes.len() != cur_nodes.len() {
+        for (b, c) in pairs {
+            if b.nodes.len() != c.nodes.len() {
                 return Err(format!(
-                    "config '{config}': node count {} vs {} — corrupt artefact \
+                    "config '{}': node count {} vs {} — corrupt artefact \
                      (the grids hash equal)",
-                    base_nodes.len(),
-                    cur_nodes.len()
+                    c.config,
+                    b.nodes.len(),
+                    c.nodes.len()
                 ));
             }
-            let mut breakdown = BreakdownDelta::default();
-            for (c, b) in cur_nodes.iter().zip(base_nodes.iter()) {
-                breakdown += c.delta(b);
-            }
+            let breakdown = BreakdownDelta::between(&c.nodes, &b.nodes)
+                .ok_or_else(|| format!("{}: breakdown delta does not fit i64", c.config))?;
             configs.push(ConfigDelta {
-                config: config.clone(),
-                base_cycles: **base_total,
-                cur_cycles: *cur_total,
+                config: c.config.clone(),
+                base_cycles: b.total_cycles,
+                cur_cycles: c.total_cycles,
+                delta: delta(c.total_cycles, b.total_cycles, &c.config)?,
                 breakdown,
             });
         }
         Ok(SweepDiff {
-            base: base_prov,
-            current: cur_prov,
+            base: base.provenance.clone(),
+            current: cur.provenance.clone(),
             configs,
-            only_base: base
-                .iter()
-                .filter(|(c, _, _)| !cur_names.contains_key(c.as_str()))
-                .map(|(c, _, _)| c.clone())
-                .collect(),
-            only_current: cur
-                .iter()
-                .filter(|(c, _, _)| !base_by_name.contains_key(c.as_str()))
-                .map(|(c, _, _)| c.clone())
-                .collect(),
+            only_base,
+            only_current,
         })
     }
 
@@ -311,26 +260,7 @@ impl SweepDiff {
             ("zero", Json::Bool(self.is_zero())),
             ("base_provenance", self.base.to_json()),
             ("current_provenance", self.current.to_json()),
-            (
-                "configs",
-                Json::arr(self.configs.iter().map(|c| {
-                    Json::obj([
-                        ("config", Json::str(&c.config)),
-                        ("base_cycles", Json::U64(c.base_cycles)),
-                        ("cur_cycles", Json::U64(c.cur_cycles)),
-                        ("delta", Json::I64(c.delta())),
-                        (
-                            "breakdown",
-                            Json::obj(
-                                crate::breakdown::CATEGORY_NAMES
-                                    .iter()
-                                    .zip(c.breakdown.as_array())
-                                    .map(|(&k, d)| (k, Json::I64(d))),
-                            ),
-                        ),
-                    ])
-                })),
-            ),
+            ("configs", self.configs.to_json()),
             (
                 "only_base",
                 Json::arr(self.only_base.iter().map(Json::str)),
@@ -377,29 +307,30 @@ fn explain_config(c: &ConfigDelta) -> String {
 // Heatmap diff
 // ---------------------------------------------------------------------------
 
-/// One node's three-C miss-class movement between two heatmap artefacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeMissDelta {
-    /// Node index.
-    pub node: usize,
-    /// Fragment-count change.
-    pub fragments: i64,
-    /// Compulsory-miss change.
-    pub compulsory: i64,
-    /// Capacity-miss change.
-    pub capacity: i64,
-    /// Conflict-miss change.
-    pub conflict: i64,
-    /// Total-miss change (equals the three-C sum by the identity both
-    /// documents already satisfy).
-    pub misses: i64,
+record! {
+    /// One node's three-C miss-class movement between two heatmap artefacts.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct NodeMissDelta {
+        /// Node index.
+        pub node: usize,
+        /// Fragment-count change.
+        pub fragments: i64,
+        /// Compulsory-miss change.
+        pub compulsory: i64,
+        /// Capacity-miss change.
+        pub capacity: i64,
+        /// Conflict-miss change.
+        pub conflict: i64,
+        /// Total-miss change (equals the three-C sum by the identity both
+        /// documents already satisfy).
+        pub misses: i64,
+    }
 }
 
 impl NodeMissDelta {
     /// True when nothing moved on this node.
     pub fn is_zero(&self) -> bool {
-        self.fragments == 0 && self.misses == 0 && self.compulsory == 0
-            && self.capacity == 0 && self.conflict == 0
+        [self.fragments, self.compulsory, self.capacity, self.conflict, self.misses] == [0; 5]
     }
 }
 
@@ -447,28 +378,14 @@ impl TileDeltaPlane {
     ///
     /// # Panics
     ///
-    /// Panics if `px_per_tile` is zero.
+    /// Panics if the plane is empty or `px_per_tile` is zero.
     pub fn render(&self, px_per_tile: u32) -> Image {
-        assert!(px_per_tile > 0, "px_per_tile must be positive");
         let scale = self.max_abs().max(1) as f64;
-        let mut img = Image::new(
-            self.cols as u32 * px_per_tile,
-            self.rows as u32 * px_per_tile,
-        );
+        let mut grid: ScreenGrid<i64> = ScreenGrid::new(self.cols as u32, self.rows as u32, 1);
         for (i, &d) in self.deltas.iter().enumerate() {
-            let rgb = diverging_color(d as f64 / scale);
-            let (col, row) = (i % self.cols, i / self.cols);
-            for dy in 0..px_per_tile {
-                for dx in 0..px_per_tile {
-                    img.put(
-                        col as u32 * px_per_tile + dx,
-                        row as u32 * px_per_tile + dy,
-                        rgb,
-                    );
-                }
-            }
+            *grid.at((i % self.cols) as u32, (i / self.cols) as u32) = d;
         }
-        img
+        grid.render_rgb(px_per_tile, |&d| diverging_color(d as f64 / scale))
     }
 }
 
@@ -492,163 +409,88 @@ pub struct HeatmapDiff {
     pub nodes: Vec<NodeMissDelta>,
 }
 
-/// The numeric tile planes a heatmap diff compares (the `owner` plane is
-/// categorical and handled as flip counts instead).
-pub const NUMERIC_TILE_METRICS: [&str; 6] = [
-    "fragments",
-    "setup_cycles",
-    "lines_fetched",
-    "miss_compulsory",
-    "miss_capacity",
-    "miss_conflict",
-];
-
-/// Reads one `rows x cols` integer plane out of a heatmap document.
-fn parse_plane(label: &str, doc: &Json, metric: &str) -> Result<Vec<u64>, String> {
-    let rows = doc
-        .get("tiles")
-        .and_then(|t| t.get(metric))
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{label}: missing or mistyped 'tiles.{metric}'"))?;
-    let mut out = Vec::new();
-    for row in rows {
-        let cells = row
-            .as_arr()
-            .ok_or_else(|| format!("{label}: 'tiles.{metric}' row is not an array"))?;
-        for cell in cells {
-            out.push(
-                cell.as_u64()
-                    .ok_or_else(|| format!("{label}: non-integer cell in 'tiles.{metric}'"))?,
-            );
-        }
-    }
-    Ok(out)
-}
-
 impl HeatmapDiff {
-    /// Diffs two heatmap documents (baseline first).
+    /// Diffs two decoded heatmap artefacts (baseline first).
     ///
     /// # Errors
     ///
-    /// Returns an error for missing/incomparable provenance, mismatched
-    /// preset/config/grid geometry, or malformed planes and node tables.
-    pub fn between(base_doc: &Json, cur_doc: &Json) -> Result<HeatmapDiff, String> {
-        let (base_prov, cur_prov) = comparable_provenance(base_doc, cur_doc)?;
-        let field = |doc: &Json, side: &str, key: &str| -> Result<String, String> {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{side}: missing or mistyped '{key}'"))
-        };
-        let preset = field(base_doc, "baseline", "preset")?;
-        let cur_preset = field(cur_doc, "current", "preset")?;
-        if preset != cur_preset {
-            return Err(format!(
-                "incomparable heatmaps: preset '{preset}' vs '{cur_preset}'"
+    /// Returns an error for incomparable provenance, mismatched
+    /// preset/config/grid geometry, a plane that does not match the grid
+    /// on both sides, or a delta that does not fit an `i64`.
+    pub fn between(base: &HeatmapDoc, cur: &HeatmapDoc) -> Result<HeatmapDiff, String> {
+        base.provenance.comparable(&cur.provenance)?;
+        let incomparable = |what: String| Err(format!("incomparable heatmaps: {what}"));
+        if base.preset != cur.preset {
+            return incomparable(format!("preset '{}' vs '{}'", base.preset, cur.preset));
+        }
+        if base.config != cur.config {
+            return incomparable(format!("config '{}' vs '{}'", base.config, cur.config));
+        }
+        if (base.tile, base.cols, base.rows) != (cur.tile, cur.cols, cur.rows) {
+            return incomparable(format!(
+                "grid {}x{} @{}px vs {}x{} @{}px",
+                base.cols, base.rows, base.tile, cur.cols, cur.rows, cur.tile
             ));
         }
-        let config = field(base_doc, "baseline", "config")?;
-        let cur_config = field(cur_doc, "current", "config")?;
-        if config != cur_config {
-            return Err(format!(
-                "incomparable heatmaps: config '{config}' vs '{cur_config}'"
-            ));
+        if base.nodes.len() != cur.nodes.len() {
+            return incomparable(format!("{} nodes vs {}", base.nodes.len(), cur.nodes.len()));
         }
-        let geom = |doc: &Json, side: &str| -> Result<(u64, u64, u64), String> {
-            let g = |key: &str| {
-                doc.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{side}: missing or mistyped '{key}'"))
-            };
-            Ok((g("tile")?, g("cols")?, g("rows")?))
-        };
-        let (tile, cols, rows) = geom(base_doc, "baseline")?;
-        let cur_geom = geom(cur_doc, "current")?;
-        if (tile, cols, rows) != cur_geom {
-            return Err(format!(
-                "incomparable heatmaps: grid {cols}x{rows} @{tile}px vs {}x{} @{}px",
-                cur_geom.1, cur_geom.2, cur_geom.0
-            ));
+        let (cols, rows) = (base.cols as usize, base.rows as usize);
+        if cols * rows == 0 {
+            return Err(format!("empty tile grid {cols}x{rows}"));
         }
-        let (cols, rows) = (cols as usize, rows as usize);
 
+        let flat = |d: &HeatmapDoc| {
+            let cells = |p: &TilePlane| p.iter().flatten().copied().collect::<Vec<_>>();
+            d.tiles.planes().map(|(metric, p)| (metric, cells(p)))
+        };
+        let (base_planes, cur_planes) = (flat(base), flat(cur));
         let mut planes = Vec::new();
-        for metric in NUMERIC_TILE_METRICS {
-            let base = parse_plane("baseline", base_doc, metric)?;
-            let cur = parse_plane("current", cur_doc, metric)?;
-            if base.len() != cols * rows || cur.len() != cols * rows {
-                return Err(format!(
-                    "'tiles.{metric}' is not {cols}x{rows} on both sides"
-                ));
+        let mut owner_flips = 0;
+        for (i, ((metric, b), (_, c))) in base_planes.iter().zip(&cur_planes).enumerate() {
+            if b.len() != cols * rows || c.len() != cols * rows {
+                return Err(format!("plane '{metric}' is not {cols}x{rows} on both sides"));
             }
+            // The owner map (last) is categorical: it counts flips
+            // instead of a signed delta grid.
+            if i + 1 == base_planes.len() {
+                owner_flips = c.iter().zip(b).filter(|(c, b)| c != b).count();
+                continue;
+            }
+            let what = format!("plane '{metric}'");
             planes.push(TileDeltaPlane {
                 metric: metric.to_string(),
                 cols,
                 rows,
-                deltas: cur
-                    .iter()
-                    .zip(&base)
-                    .map(|(&c, &b)| delta64(c, b))
-                    .collect(),
+                deltas: c
+                    .iter().zip(b)
+                    .map(|(&c, &b)| delta(c, b, &what))
+                    .collect::<Result<_, _>>()?,
             });
         }
-        let base_owner = parse_plane("baseline", base_doc, "owner")?;
-        let cur_owner = parse_plane("current", cur_doc, "owner")?;
-        let owner_flips = cur_owner
+        let nodes = cur
+            .nodes
             .iter()
-            .zip(&base_owner)
-            .filter(|(c, b)| c != b)
-            .count();
-
-        let parse_nodes = |doc: &Json, side: &str| -> Result<Vec<[u64; 5]>, String> {
-            let rows = doc
-                .get("nodes")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("{side}: missing or mistyped 'nodes'"))?;
-            rows.iter()
-                .enumerate()
-                .map(|(i, node)| {
-                    let mut out = [0u64; 5];
-                    for (slot, key) in out
-                        .iter_mut()
-                        .zip(["fragments", "compulsory", "capacity", "conflict", "misses"])
-                    {
-                        *slot = node.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                            format!("{side}/node{i}: missing or mistyped '{key}'")
-                        })?;
-                    }
-                    Ok(out)
-                })
-                .collect()
-        };
-        let base_nodes = parse_nodes(base_doc, "baseline")?;
-        let cur_nodes = parse_nodes(cur_doc, "current")?;
-        if base_nodes.len() != cur_nodes.len() {
-            return Err(format!(
-                "incomparable heatmaps: {} nodes vs {}",
-                base_nodes.len(),
-                cur_nodes.len()
-            ));
-        }
-        let nodes = cur_nodes
-            .iter()
-            .zip(&base_nodes)
+            .zip(&base.nodes)
             .enumerate()
-            .map(|(node, (c, b))| NodeMissDelta {
-                node,
-                fragments: delta64(c[0], b[0]),
-                compulsory: delta64(c[1], b[1]),
-                capacity: delta64(c[2], b[2]),
-                conflict: delta64(c[3], b[3]),
-                misses: delta64(c[4], b[4]),
+            .map(|(node, (c, b))| {
+                let d = |cur: u64, base: u64| delta(cur, base, format_args!("node{node}"));
+                Ok(NodeMissDelta {
+                    node,
+                    fragments: d(c.fragments, b.fragments)?,
+                    compulsory: d(c.compulsory, b.compulsory)?,
+                    capacity: d(c.capacity, b.capacity)?,
+                    conflict: d(c.conflict, b.conflict)?,
+                    misses: d(c.misses, b.misses)?,
+                })
             })
-            .collect();
+            .collect::<Result<_, String>>()?;
 
         Ok(HeatmapDiff {
-            preset,
-            config,
-            base: base_prov,
-            current: cur_prov,
+            preset: base.preset.clone(),
+            config: base.config.clone(),
+            base: base.provenance.clone(),
+            current: cur.provenance.clone(),
             planes,
             owner_flips,
             nodes,
@@ -663,35 +505,23 @@ impl HeatmapDiff {
             && self.nodes.iter().all(NodeMissDelta::is_zero)
     }
 
-    /// Total change of one miss class over all nodes, with the baseline
-    /// total for a percentage, and the changed node indices.
-    fn miss_class_movement(&self, pick: impl Fn(&NodeMissDelta) -> i64) -> (i64, Vec<usize>) {
-        let mut total = 0;
-        let mut changed = Vec::new();
-        for n in &self.nodes {
-            let d = pick(n);
-            total += d;
-            if d != 0 {
-                changed.push(n.node);
-            }
-        }
-        (total, changed)
-    }
-
     /// Ranked, human-readable explanation lines: miss-class movement
     /// with the nodes carrying it, then the hottest tile per changed
     /// plane.
     pub fn explanation(&self) -> Vec<String> {
         let mut lines = Vec::new();
         for (class, pick) in [
-            ("compulsory", (|n: &NodeMissDelta| n.compulsory) as fn(&NodeMissDelta) -> i64),
-            ("capacity", |n| n.capacity),
-            ("conflict", |n| n.conflict),
+            (MissClass::Compulsory, (|n| n.compulsory) as fn(&NodeMissDelta) -> i64),
+            (MissClass::Capacity, |n| n.capacity),
+            (MissClass::Conflict, |n| n.conflict),
         ] {
-            let (total, nodes) = self.miss_class_movement(pick);
+            let total: i64 = self.nodes.iter().map(pick).sum();
+            let moved = self.nodes.iter().filter(|n| pick(n) != 0);
+            let nodes: Vec<usize> = moved.map(|n| n.node).collect();
             if total != 0 {
                 lines.push(format!(
-                    "{class} misses {total:+} on nodes {}",
+                    "{} misses {total:+} on nodes {}",
+                    format!("{class:?}").to_lowercase(),
                     compact_ranges(&nodes)
                 ));
             }
@@ -733,30 +563,12 @@ impl HeatmapDiff {
                         ("max_abs", Json::I64(p.max_abs())),
                         (
                             "deltas",
-                            Json::arr((0..p.rows).map(|row| {
-                                Json::arr(
-                                    p.deltas[row * p.cols..(row + 1) * p.cols]
-                                        .iter()
-                                        .map(|&d| Json::I64(d)),
-                                )
-                            })),
+                            Json::arr(p.deltas.chunks(p.cols.max(1)).map(|r| r.to_vec().to_json())),
                         ),
                     ])
                 })),
             ),
-            (
-                "nodes",
-                Json::arr(self.nodes.iter().map(|n| {
-                    Json::obj([
-                        ("node", Json::U64(n.node as u64)),
-                        ("fragments", Json::I64(n.fragments)),
-                        ("compulsory", Json::I64(n.compulsory)),
-                        ("capacity", Json::I64(n.capacity)),
-                        ("conflict", Json::I64(n.conflict)),
-                        ("misses", Json::I64(n.misses)),
-                    ])
-                })),
-            ),
+            ("nodes", self.nodes.to_json()),
         ])
     }
 }
@@ -765,40 +577,46 @@ impl HeatmapDiff {
 // Metrics (host profile) diff
 // ---------------------------------------------------------------------------
 
-/// One pipeline phase's wall-time movement between two host profiles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseDelta {
-    /// Phase (span) name.
-    pub name: String,
-    /// Change in occurrence count.
-    pub count: i64,
-    /// Change in inclusive wall time.
-    pub total_ns: i64,
-    /// Change in self (exclusive) wall time.
-    pub self_ns: i64,
-    /// Baseline self time, anchoring percentages.
-    pub base_self_ns: u64,
+record! {
+    /// One pipeline phase's wall-time movement between two host profiles.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PhaseDelta {
+        /// Phase (span) name.
+        pub name: String,
+        /// Change in occurrence count.
+        pub count: i64,
+        /// Change in inclusive wall time.
+        pub total_ns: i64,
+        /// Change in self (exclusive) wall time.
+        pub self_ns: i64,
+    }
 }
 
-/// One histogram's distribution shift between two host profiles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramShift {
-    /// Histogram name.
-    pub name: String,
-    /// Change in sample count.
-    pub count: i64,
-    /// Change in sample sum.
-    pub sum: i64,
-    /// Bucket-resolution percentile movement `[p50, p90, p99]`.
-    pub percentiles: [i64; 3],
-    /// Sparse per-bucket count deltas `(bucket index, delta)`, ascending.
-    pub buckets: Vec<(usize, i64)>,
+record! {
+    /// One histogram's distribution shift between two host profiles.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct HistogramShift {
+        /// Histogram name.
+        pub name: String,
+        /// Change in sample count.
+        pub count: i64,
+        /// Change in sample sum.
+        pub sum: i64,
+        /// Bucket-resolution median movement.
+        pub p50: i64,
+        /// Bucket-resolution 90th-percentile movement.
+        pub p90: i64,
+        /// Bucket-resolution 99th-percentile movement.
+        pub p99: i64,
+        /// Sparse per-bucket count deltas `(bucket index, delta)`, ascending.
+        pub buckets: Vec<(usize, i64)>,
+    }
 }
 
 impl HistogramShift {
     /// True when the distribution did not move at all.
     pub fn is_zero(&self) -> bool {
-        self.count == 0 && self.sum == 0 && self.percentiles == [0; 3] && self.buckets.is_empty()
+        [self.count, self.sum, self.p50, self.p90, self.p99] == [0; 5] && self.buckets.is_empty()
     }
 }
 
@@ -811,8 +629,10 @@ pub struct MetricsDiff {
     pub base: Provenance,
     /// Provenance of the current document.
     pub current: Provenance,
-    /// Per-phase deltas for phases present on both sides, baseline order.
+    /// Per-phase deltas for phases present on both sides, current order.
     pub phases: Vec<PhaseDelta>,
+    /// Baseline self time of each shared phase, anchoring percentages.
+    pub base_self_ns: BTreeMap<String, u64>,
     /// Phases only one side has (name, which side).
     pub one_sided_phases: Vec<(String, &'static str)>,
     /// Counter deltas (all counters on either side, by name).
@@ -825,202 +645,80 @@ pub struct MetricsDiff {
     pub peak_rss_delta: i64,
 }
 
-/// Reads the `phases` table as `name -> (count, total_ns, self_ns)`.
-fn parse_phases(label: &str, doc: &Json) -> Result<Vec<(String, [u64; 3])>, String> {
-    let rows = doc
-        .get("phases")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{label}: missing or mistyped 'phases'"))?;
-    rows.iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let name = row
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{label}/phase#{i}: missing 'name'"))?;
-            let mut vals = [0u64; 3];
-            for (slot, key) in vals.iter_mut().zip(["count", "total_ns", "self_ns"]) {
-                *slot = row
-                    .get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{label}/{name}: missing or mistyped '{key}'"))?;
-            }
-            Ok((name.to_string(), vals))
-        })
-        .collect()
-}
-
-/// Reads `metrics.counters` as `name -> value`.
-fn parse_counters(label: &str, doc: &Json) -> Result<BTreeMap<String, u64>, String> {
-    let Some(Json::Obj(pairs)) = doc.get("metrics").and_then(|m| m.get("counters")) else {
-        return Err(format!("{label}: missing or mistyped 'metrics.counters'"));
-    };
-    pairs
-        .iter()
-        .map(|(k, v)| {
-            v.as_u64()
-                .map(|v| (k.clone(), v))
-                .ok_or_else(|| format!("{label}: counter '{k}' is not an integer"))
-        })
-        .collect()
-}
-
-/// One histogram snapshot: `(count, sum, [p50, p90, p99], buckets)`.
-type HistogramSnapshot = (u64, u64, [u64; 3], BTreeMap<usize, u64>);
-
-/// Reads `metrics.histograms` keyed by name.
-fn parse_histograms(
-    label: &str,
-    doc: &Json,
-) -> Result<BTreeMap<String, HistogramSnapshot>, String> {
-    let Some(Json::Obj(pairs)) = doc.get("metrics").and_then(|m| m.get("histograms")) else {
-        return Err(format!("{label}: missing or mistyped 'metrics.histograms'"));
-    };
-    let mut out = BTreeMap::new();
-    for (name, h) in pairs {
-        let field = |key: &str| {
-            h.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{label}/{name}: missing or mistyped '{key}'"))
-        };
-        let mut buckets = BTreeMap::new();
-        for pair in h
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{label}/{name}: missing or mistyped 'buckets'"))?
-        {
-            match pair.as_arr() {
-                Some([k, n]) => {
-                    let (Some(k), Some(n)) = (k.as_u64(), n.as_u64()) else {
-                        return Err(format!("{label}/{name}: non-integer bucket entry"));
-                    };
-                    buckets.insert(k as usize, n);
-                }
-                _ => return Err(format!("{label}/{name}: bucket entry is not a pair")),
-            }
-        }
-        out.insert(
-            name.clone(),
-            (
-                field("count")?,
-                field("sum")?,
-                [field("p50")?, field("p90")?, field("p99")?],
-                buckets,
-            ),
-        );
-    }
-    Ok(out)
-}
-
 impl MetricsDiff {
-    /// Diffs two host-profile documents (baseline first).
+    /// Diffs two decoded host profiles (baseline first).
     ///
     /// # Errors
     ///
-    /// Returns an error for missing/incomparable provenance or malformed
-    /// phase/metric tables.
-    pub fn between(base_doc: &Json, cur_doc: &Json) -> Result<MetricsDiff, String> {
-        let (base_prov, cur_prov) = comparable_provenance(base_doc, cur_doc)?;
-        let base_phases = parse_phases("baseline", base_doc)?;
-        let cur_phases = parse_phases("current", cur_doc)?;
-        let cur_by_name: BTreeMap<&str, &[u64; 3]> =
-            cur_phases.iter().map(|(n, v)| (n.as_str(), v)).collect();
-        let base_names: BTreeMap<&str, ()> =
-            base_phases.iter().map(|(n, _)| (n.as_str(), ())).collect();
-
+    /// Returns an error for incomparable provenance, or one naming the
+    /// phase, counter, histogram or peak RSS whose delta does not fit an
+    /// `i64`.
+    pub fn between<'a>(base: &'a MetricsDoc, cur: &'a MetricsDoc) -> Result<MetricsDiff, String> {
+        base.provenance.comparable(&cur.provenance)?;
+        let (pairs, only_base, only_cur) = pair_by_name(&base.phases, &cur.phases, |p| &p.name);
+        let one_sided_phases = one_sided(only_base, only_cur);
         let mut phases = Vec::new();
-        let mut one_sided_phases = Vec::new();
-        for (name, b) in &base_phases {
-            match cur_by_name.get(name.as_str()) {
-                Some(c) => phases.push(PhaseDelta {
-                    name: name.clone(),
-                    count: delta64(c[0], b[0]),
-                    total_ns: delta64(c[1], b[1]),
-                    self_ns: delta64(c[2], b[2]),
-                    base_self_ns: b[2],
-                }),
-                None => one_sided_phases.push((name.clone(), "baseline")),
-            }
+        for (b, c) in &pairs {
+            let d = |cur: u64, base: u64| delta(cur, base, format_args!("phase '{}'", b.name));
+            phases.push(PhaseDelta {
+                name: b.name.clone(),
+                count: d(c.count, b.count)?,
+                total_ns: d(c.total_ns, b.total_ns)?,
+                self_ns: d(c.self_ns, b.self_ns)?,
+            });
         }
-        for (name, _) in &cur_phases {
-            if !base_names.contains_key(name.as_str()) {
-                one_sided_phases.push((name.clone(), "current"));
-            }
-        }
+        let base_self_ns = pairs.iter().map(|(b, _)| (b.name.clone(), b.self_ns)).collect();
 
-        let base_counters = parse_counters("baseline", base_doc)?;
-        let cur_counters = parse_counters("current", cur_doc)?;
-        let mut counter_names: Vec<&String> = base_counters.keys().collect();
-        for name in cur_counters.keys() {
-            if !base_counters.contains_key(name) {
-                counter_names.push(name);
-            }
-        }
-        let counters = counter_names
-            .into_iter()
+        let (base_counters, cur_counters) = (&base.metrics.counters, &cur.metrics.counters);
+        let counters = base_counters
+            .keys()
+            .chain(cur_counters.keys().filter(|k| !base_counters.contains_key(*k)))
             .map(|name| {
-                let b = base_counters.get(name).copied().unwrap_or(0);
-                let c = cur_counters.get(name).copied().unwrap_or(0);
-                (name.clone(), delta64(c, b))
+                let value = |m: &BTreeMap<String, u64>| m.get(name).copied().unwrap_or(0);
+                let what = format!("counter '{name}'");
+                Ok((name.clone(), delta(value(cur_counters), value(base_counters), what)?))
             })
-            .collect();
+            .collect::<Result<_, String>>()?;
 
-        let base_hists = parse_histograms("baseline", base_doc)?;
-        let cur_hists = parse_histograms("current", cur_doc)?;
+        let named = |doc: &'a MetricsDoc| doc.metrics.histograms.iter().collect::<Vec<_>>();
+        let (base_hists, cur_hists) = (named(base), named(cur));
+        let (pairs, only_base, only_cur) = pair_by_name(&base_hists, &cur_hists, |h| h.0);
+        let one_sided_histograms = one_sided(only_base, only_cur);
         let mut histograms = Vec::new();
-        let mut one_sided_histograms = Vec::new();
-        for (name, (b_count, b_sum, b_pct, b_buckets)) in &base_hists {
-            let Some((c_count, c_sum, c_pct, c_buckets)) = cur_hists.get(name) else {
-                one_sided_histograms.push((name.clone(), "baseline"));
-                continue;
+        for ((name, b), (_, c)) in pairs {
+            let d = |cur: u64, base: u64| delta(cur, base, format_args!("histogram '{name}'"));
+            let count = |h: &HistogramSnapshot, k: u64| {
+                h.buckets.iter().find(|&&(bucket, _)| bucket == k).map_or(0, |&(_, n)| n)
             };
-            let mut keys: Vec<usize> = b_buckets.keys().chain(c_buckets.keys()).copied().collect();
-            keys.sort_unstable();
-            keys.dedup();
-            let buckets = keys
-                .into_iter()
-                .filter_map(|k| {
-                    let d = delta64(
-                        c_buckets.get(&k).copied().unwrap_or(0),
-                        b_buckets.get(&k).copied().unwrap_or(0),
-                    );
-                    (d != 0).then_some((k, d))
-                })
-                .collect();
+            let keys: BTreeSet<u64> = b.buckets.iter().chain(&c.buckets).map(|&(k, _)| k).collect();
+            let mut buckets = Vec::new();
+            for k in keys {
+                let moved = d(count(c, k), count(b, k))?;
+                if moved != 0 {
+                    buckets.push((k as usize, moved));
+                }
+            }
             histograms.push(HistogramShift {
-                name: name.clone(),
-                count: delta64(*c_count, *b_count),
-                sum: delta64(*c_sum, *b_sum),
-                percentiles: [
-                    delta64(c_pct[0], b_pct[0]),
-                    delta64(c_pct[1], b_pct[1]),
-                    delta64(c_pct[2], b_pct[2]),
-                ],
+                name: name.to_string(),
+                count: d(c.count, b.count)?,
+                sum: d(c.sum, b.sum)?,
+                p50: d(c.p50, b.p50)?,
+                p90: d(c.p90, b.p90)?,
+                p99: d(c.p99, b.p99)?,
                 buckets,
             });
         }
-        for name in cur_hists.keys() {
-            if !base_hists.contains_key(name) {
-                one_sided_histograms.push((name.clone(), "current"));
-            }
-        }
-
-        let rss = |doc: &Json, side: &str| {
-            doc.get("peak_rss_bytes")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{side}: missing or mistyped 'peak_rss_bytes'"))
-        };
-        let peak_rss_delta = delta64(rss(cur_doc, "current")?, rss(base_doc, "baseline")?);
 
         Ok(MetricsDiff {
-            base: base_prov,
-            current: cur_prov,
+            base: base.provenance.clone(),
+            current: cur.provenance.clone(),
             phases,
+            base_self_ns,
             one_sided_phases,
             counters,
             histograms,
             one_sided_histograms,
-            peak_rss_delta,
+            peak_rss_delta: delta(cur.peak_rss_bytes, base.peak_rss_bytes, "peak RSS")?,
         })
     }
 
@@ -1031,10 +729,7 @@ impl MetricsDiff {
         self.one_sided_phases.is_empty()
             && self.one_sided_histograms.is_empty()
             && self.peak_rss_delta == 0
-            && self
-                .phases
-                .iter()
-                .all(|p| p.count == 0 && p.total_ns == 0 && p.self_ns == 0)
+            && self.phases.iter().all(|p| [p.count, p.total_ns, p.self_ns] == [0; 3])
             && self.counters.iter().all(|(_, d)| *d == 0)
             && self.histograms.iter().all(HistogramShift::is_zero)
     }
@@ -1065,10 +760,8 @@ impl MetricsDiff {
             ));
         }
         for p in self.ranked_phases().into_iter().take(top) {
-            let pct = fmt_pct(
-                (p.base_self_ns as i128 + p.self_ns as i128).max(0) as u64,
-                p.base_self_ns,
-            );
+            let base = self.base_self_ns.get(&p.name).copied().unwrap_or(0);
+            let pct = fmt_pct((base as i128 + p.self_ns as i128).max(0) as u64, base);
             lines.push(format!(
                 "phase '{}': self {:+.3} ms ({pct}), inclusive {:+.3} ms",
                 p.name,
@@ -1084,8 +777,8 @@ impl MetricsDiff {
                 "histogram '{}': count {:+}, p50 {:+} ns, p99 {:+} ns, {} buckets moved",
                 h.name,
                 h.count,
-                h.percentiles[0],
-                h.percentiles[2],
+                h.p50,
+                h.p99,
                 h.buckets.len(),
             ));
         }
@@ -1103,40 +796,12 @@ impl MetricsDiff {
             ("base_provenance", self.base.to_json()),
             ("current_provenance", self.current.to_json()),
             ("peak_rss_delta", Json::I64(self.peak_rss_delta)),
-            (
-                "phases",
-                Json::arr(self.phases.iter().map(|p| {
-                    Json::obj([
-                        ("name", Json::str(&p.name)),
-                        ("count", Json::I64(p.count)),
-                        ("total_ns", Json::I64(p.total_ns)),
-                        ("self_ns", Json::I64(p.self_ns)),
-                    ])
-                })),
-            ),
+            ("phases", self.phases.to_json()),
             (
                 "counters",
                 Json::obj(self.counters.iter().map(|(k, d)| (k.clone(), Json::I64(*d)))),
             ),
-            (
-                "histograms",
-                Json::arr(self.histograms.iter().map(|h| {
-                    Json::obj([
-                        ("name", Json::str(&h.name)),
-                        ("count", Json::I64(h.count)),
-                        ("sum", Json::I64(h.sum)),
-                        ("p50", Json::I64(h.percentiles[0])),
-                        ("p90", Json::I64(h.percentiles[1])),
-                        ("p99", Json::I64(h.percentiles[2])),
-                        (
-                            "buckets",
-                            Json::arr(h.buckets.iter().map(|&(k, d)| {
-                                Json::arr([Json::U64(k as u64), Json::I64(d)])
-                            })),
-                        ),
-                    ])
-                })),
-            ),
+            ("histograms", self.histograms.to_json()),
             (
                 "one_sided",
                 Json::arr(
@@ -1152,23 +817,14 @@ impl MetricsDiff {
     }
 }
 
-/// Which differ a parsed artefact belongs to, from its structure:
-/// `sweep`, `heatmap` or `metrics` (`None` for anything else).
-pub fn detect_kind(doc: &Json) -> Option<&'static str> {
-    if doc.get("cycle_breakdowns").is_some() {
-        Some("sweep")
-    } else if doc.get("tiles").is_some() {
-        Some("heatmap")
-    } else if doc.get("spans").is_some() {
-        Some("metrics")
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::Schema;
+
+    fn decode<A: Schema>(doc: &Json) -> A {
+        A::from_json(doc).unwrap()
+    }
 
     fn prov() -> Json {
         Provenance::collect(7, 0xabc).to_json()
@@ -1207,7 +863,7 @@ mod tests {
     #[test]
     fn sweep_self_diff_is_exactly_zero() {
         let doc = sweep_doc(0);
-        let d = SweepDiff::between(&doc, &doc).unwrap();
+        let d = SweepDiff::between(&decode::<SweepBreakdowns>(&doc), &decode(&doc)).unwrap();
         assert!(d.is_zero());
         assert_eq!(d.ranked().len(), 0);
         assert!(d.explanation(5)[0].contains("no differences"));
@@ -1218,7 +874,7 @@ mod tests {
     fn sweep_diff_attributes_an_injected_bus_stall_regression() {
         let base = sweep_doc(0);
         let cur = sweep_doc(40);
-        let d = SweepDiff::between(&base, &cur).unwrap();
+        let d = SweepDiff::between(&decode::<SweepBreakdowns>(&base), &decode(&cur)).unwrap();
         assert!(!d.is_zero());
         let ranked = d.ranked();
         assert_eq!(ranked.len(), 1);
@@ -1229,7 +885,7 @@ mod tests {
         let line = &d.explanation(5)[0];
         assert!(line.contains("regressed") && line.contains("bus_stall +40"), "{line}");
         // The reverse diff reads as an improvement of the same size.
-        let r = SweepDiff::between(&cur, &base).unwrap();
+        let r = SweepDiff::between(&decode::<SweepBreakdowns>(&cur), &decode(&base)).unwrap();
         assert_eq!(r.ranked()[0].delta(), -40);
         assert!(r.explanation(5)[0].contains("improved"));
     }
@@ -1242,15 +898,15 @@ mod tests {
             "provenance",
             Provenance::collect(7, 0xdef).to_json(),
         );
-        let e = SweepDiff::between(&base, &cur).unwrap_err();
+        let e = SweepDiff::between(&decode::<SweepBreakdowns>(&base), &decode(&cur)).unwrap_err();
         assert!(e.contains("grid_hash"), "{e}");
         let mut cur = sweep_doc(0);
         cur.set("provenance", Provenance::collect(8, 0xabc).to_json());
-        let e = SweepDiff::between(&base, &cur).unwrap_err();
+        let e = SweepDiff::between(&decode::<SweepBreakdowns>(&base), &decode(&cur)).unwrap_err();
         assert!(e.contains("seed"), "{e}");
         let Json::Obj(pairs) = sweep_doc(0) else { unreachable!() };
         let stripped = Json::Obj(pairs.into_iter().filter(|(k, _)| k != "provenance").collect());
-        let e = SweepDiff::between(&stripped, &base).unwrap_err();
+        let e = SweepBreakdowns::from_json(&stripped).unwrap_err();
         assert!(e.contains("missing provenance"), "{e}");
     }
 
@@ -1265,7 +921,7 @@ mod tests {
             }
         }
         let cur = Json::Obj(pairs);
-        let d = SweepDiff::between(&base, &cur).unwrap();
+        let d = SweepDiff::between(&decode::<SweepBreakdowns>(&base), &decode(&cur)).unwrap();
         assert!(!d.is_zero());
         assert_eq!(d.only_base, vec!["64p/sli-4/16KB/buf100".to_string()]);
         assert!(d
@@ -1279,9 +935,12 @@ mod tests {
             ("provenance", prov()),
             ("preset", Json::str("demo")),
             ("config", Json::str("4p/block-16/16KB/buf100")),
+            ("screen", Json::obj([("width", Json::U64(32)), ("height", Json::U64(16))])),
             ("tile", Json::U64(16)),
             ("cols", Json::U64(2)),
             ("rows", Json::U64(1)),
+            ("fragments", Json::U64(8)),
+            ("fragment_gini", Json::F64(0.25)),
             (
                 "tiles",
                 Json::obj([
@@ -1303,6 +962,7 @@ mod tests {
                     Json::obj([
                         ("node", Json::U64(0)),
                         ("fragments", Json::U64(5)),
+                        ("setup_cycles", Json::U64(25)),
                         ("compulsory", Json::U64(1)),
                         ("capacity", Json::U64(0)),
                         ("conflict", Json::U64(conflict)),
@@ -1311,6 +971,7 @@ mod tests {
                     Json::obj([
                         ("node", Json::U64(1)),
                         ("fragments", Json::U64(3)),
+                        ("setup_cycles", Json::U64(25)),
                         ("compulsory", Json::U64(1)),
                         ("capacity", Json::U64(0)),
                         ("conflict", Json::U64(0)),
@@ -1324,7 +985,7 @@ mod tests {
     #[test]
     fn heatmap_self_diff_is_exactly_zero() {
         let doc = heatmap_doc(0, 1);
-        let d = HeatmapDiff::between(&doc, &doc).unwrap();
+        let d = HeatmapDiff::between(&decode::<HeatmapDoc>(&doc), &decode(&doc)).unwrap();
         assert!(d.is_zero());
         assert_eq!(d.owner_flips, 0);
         // An all-zero plane renders solid neutral white.
@@ -1336,7 +997,7 @@ mod tests {
     fn heatmap_diff_attributes_conflict_misses_and_tiles() {
         let base = heatmap_doc(0, 1);
         let cur = heatmap_doc(4, 0);
-        let d = HeatmapDiff::between(&base, &cur).unwrap();
+        let d = HeatmapDiff::between(&decode::<HeatmapDoc>(&base), &decode(&cur)).unwrap();
         assert!(!d.is_zero());
         assert_eq!(d.owner_flips, 1);
         assert_eq!(d.nodes[0].conflict, 4);
@@ -1366,11 +1027,11 @@ mod tests {
         let base = heatmap_doc(0, 1);
         let mut cur = heatmap_doc(0, 1);
         cur.set("cols", Json::U64(3));
-        let e = HeatmapDiff::between(&base, &cur).unwrap_err();
+        let e = HeatmapDiff::between(&decode::<HeatmapDoc>(&base), &decode(&cur)).unwrap_err();
         assert!(e.contains("grid"), "{e}");
         let mut cur = heatmap_doc(0, 1);
         cur.set("preset", Json::str("other"));
-        let e = HeatmapDiff::between(&base, &cur).unwrap_err();
+        let e = HeatmapDiff::between(&decode::<HeatmapDoc>(&base), &decode(&cur)).unwrap_err();
         assert!(e.contains("preset"), "{e}");
     }
 
@@ -1380,6 +1041,8 @@ mod tests {
             ("profile", Json::str("sweep")),
             ("peak_rss_bytes", Json::U64(1 << 20)),
             ("spans", Json::arr([])),
+            ("workers", Json::arr([])),
+            ("utilization_imbalance", Json::obj::<&str>([])),
             (
                 "phases",
                 Json::arr([
@@ -1432,7 +1095,7 @@ mod tests {
     #[test]
     fn metrics_self_diff_is_exactly_zero() {
         let doc = metrics_doc(200_000, 60);
-        let d = MetricsDiff::between(&doc, &doc).unwrap();
+        let d = MetricsDiff::between(&decode::<MetricsDoc>(&doc), &decode(&doc)).unwrap();
         assert!(d.is_zero());
         assert!(d.explanation(5)[0].contains("no differences"));
     }
@@ -1441,7 +1104,7 @@ mod tests {
     fn metrics_diff_ranks_the_moved_phase_and_histogram() {
         let base = metrics_doc(200_000, 60);
         let cur = metrics_doc(500_000, 75);
-        let d = MetricsDiff::between(&base, &cur).unwrap();
+        let d = MetricsDiff::between(&decode::<MetricsDoc>(&base), &decode(&cur)).unwrap();
         assert!(!d.is_zero());
         let ranked = d.ranked_phases();
         assert_eq!(ranked[0].name, "capture");
@@ -1457,11 +1120,21 @@ mod tests {
     }
 
     #[test]
-    fn detect_kind_distinguishes_the_artefact_families() {
-        assert_eq!(detect_kind(&sweep_doc(0)), Some("sweep"));
-        assert_eq!(detect_kind(&heatmap_doc(0, 0)), Some("heatmap"));
-        assert_eq!(detect_kind(&metrics_doc(1, 1)), Some("metrics"));
-        assert_eq!(detect_kind(&Json::obj::<&str>([])), None);
+    fn metrics_diff_names_a_counter_whose_delta_does_not_fit_i64() {
+        let base = metrics_doc(200_000, 60);
+        let mut cur = decode::<MetricsDoc>(&metrics_doc(200_000, 60));
+        cur.metrics.counters.insert("sweep.configs".to_string(), u64::MAX);
+        let e = MetricsDiff::between(&decode(&base), &cur).unwrap_err();
+        assert!(e.contains("counter 'sweep.configs'") && e.contains("does not fit i64"), "{e}");
+        // The histogram, phase and peak-RSS deltas are range-checked too.
+        let mut cur = decode::<MetricsDoc>(&base);
+        cur.peak_rss_bytes = u64::MAX;
+        let e = MetricsDiff::between(&decode(&base), &cur).unwrap_err();
+        assert!(e.contains("peak RSS"), "{e}");
+        let mut cur = decode::<MetricsDoc>(&base);
+        cur.phases[1].self_ns = u64::MAX;
+        let e = MetricsDiff::between(&decode(&base), &cur).unwrap_err();
+        assert!(e.contains("phase 'capture'"), "{e}");
     }
 
     #[test]

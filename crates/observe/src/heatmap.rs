@@ -7,9 +7,9 @@
 //! accumulator behind the spatial-metrics layer: per-pixel samples are
 //! binned into square tiles of configurable granularity, and the filled
 //! grid exports three ways — a false-color PPM heatmap (via
-//! `sortmid_util::ppm`), JSON rows for the `HEATMAP_<preset>.json`
-//! artefact, and a terminal [`GridSummary`] (max/min tile, imbalance
-//! ratio).
+//! `sortmid_util::ppm`), the planes of the `HEATMAP_<preset>.json`
+//! artefact ([`crate::attribution::HeatmapDoc`]), and a terminal
+//! [`GridSummary`] (max/min tile, imbalance ratio).
 //!
 //! # Examples
 //!
@@ -26,7 +26,6 @@
 //! ```
 
 use crate::palette::heat_color;
-use sortmid_devharness::json::Json;
 use sortmid_util::ppm::Image;
 use std::fmt;
 
@@ -194,14 +193,6 @@ impl<T> ScreenGrid<T> {
         }
         img
     }
-
-    /// The grid as a JSON array of row arrays (row-major, `rows` rows of
-    /// `cols` entries) — the cell payload of `HEATMAP_<preset>.json`.
-    pub fn rows_json(&self, value: impl Fn(&T) -> Json) -> Json {
-        Json::arr((0..self.rows).map(|row| {
-            Json::arr((0..self.cols).map(|col| value(self.cell(col, row))))
-        }))
-    }
 }
 
 /// Terminal summary of one metric over a [`ScreenGrid`].
@@ -299,18 +290,6 @@ mod tests {
         let g: ScreenGrid<u64> = ScreenGrid::new(16, 16, 8);
         let img = g.render(1, |&v| v as f64);
         assert_eq!(img.get(0, 0), [0, 0, 0]);
-    }
-
-    #[test]
-    fn rows_json_is_row_major() {
-        let mut g: ScreenGrid<u64> = ScreenGrid::new(32, 32, 16);
-        *g.at(16, 0) = 7;
-        let json = g.rows_json(|&v| Json::U64(v));
-        let rows = json.as_arr().unwrap();
-        assert_eq!(rows.len(), 2);
-        let row0 = rows[0].as_arr().unwrap();
-        assert_eq!(row0[1].as_u64(), Some(7));
-        assert_eq!(row0[0].as_u64(), Some(0));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   `busy + idle == wall` *exactly* (idle is derived, the invariant is
 //!   enforced by construction and re-checked by `bench_check`), mirroring
 //!   PR 3's five-way cycle identity;
-//! * the **artefact contract** — [`HostProfile::to_json`] is the schema
-//!   behind `METRICS_sweep.json`, and
+//! * the **artefact contract** — [`HostProfile::document`] emits the
+//!   [`MetricsDoc`] behind `METRICS_sweep.json`, and
 //!   [`chrome_trace_with_host`](crate::perfetto::chrome_trace_with_host)
 //!   renders the same spans as wall-time tracks next to the simulated
 //!   cycle tracks in one Perfetto document.
@@ -42,12 +42,15 @@
 //! assert_eq!(profile.workers[0].idle_ns(), 400);
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
 
-use crate::metrics::MetricsRegistry;
+use crate::artifact::{Artifact, Schema};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::provenance::Provenance;
+use crate::record;
 use sortmid_devharness::json::Json;
 
 /// A consumer of host-profiling events. Instrumented pipelines are generic
@@ -362,17 +365,6 @@ impl HostSink for HostProfiler {
     }
 }
 
-/// Aggregate of one phase name across a profile.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTotal {
-    /// Spans carrying the name.
-    pub count: u64,
-    /// Total inclusive duration.
-    pub total_ns: u64,
-    /// Total duration minus direct children (self time).
-    pub self_ns: u64,
-}
-
 /// A sealed host profile: spans, worker utilization, metrics snapshot and
 /// peak resident memory — what `METRICS_sweep.json` serializes.
 #[derive(Debug, Clone)]
@@ -389,26 +381,30 @@ pub struct HostProfile {
 
 impl HostProfile {
     /// Inclusive/self durations aggregated by phase name, name-sorted.
-    pub fn phase_totals(&self) -> BTreeMap<&'static str, PhaseTotal> {
-        let mut totals: BTreeMap<&'static str, PhaseTotal> = BTreeMap::new();
+    pub fn phase_totals(&self) -> Vec<PhaseRow> {
         let mut child_ns: Vec<u64> = vec![0; self.spans.len()];
         for span in &self.spans {
             if let Some(parent) = span.parent {
                 child_ns[parent as usize] += span.dur_ns();
             }
         }
+        let mut totals: BTreeMap<&'static str, PhaseRow> = BTreeMap::new();
         for (i, span) in self.spans.iter().enumerate() {
-            let t = totals.entry(span.name).or_default();
+            let t = totals.entry(span.name).or_insert_with(|| PhaseRow {
+                name: span.name.to_string(),
+                ..PhaseRow::default()
+            });
             t.count += 1;
             t.total_ns += span.dur_ns();
             t.self_ns += span.dur_ns().saturating_sub(child_ns[i]);
         }
-        totals
+        totals.into_values().collect()
     }
 
     /// The distinct phase names, name-sorted.
     pub fn phase_names(&self) -> Vec<&'static str> {
-        self.phase_totals().into_keys().collect()
+        let names: BTreeSet<&'static str> = self.spans.iter().map(|s| s.name).collect();
+        names.into_iter().collect()
     }
 
     /// Per-lane worker-utilization imbalance: `(max − min busy) / max
@@ -420,7 +416,7 @@ impl HostProfile {
     /// fast chunks idle while the slow chunk sets the wall), which is
     /// exactly what the sweep's work-stealing scheduler is measured
     /// against in `METRICS_sweep.json`.
-    pub fn utilization_imbalance(&self) -> BTreeMap<&'static str, f64> {
+    pub fn utilization_imbalance(&self) -> BTreeMap<String, f64> {
         let mut lanes: BTreeMap<&'static str, BTreeMap<u32, (u64, u64)>> = BTreeMap::new();
         for w in &self.workers {
             let (busy, wall) = lanes.entry(w.lane).or_default().entry(w.worker).or_default();
@@ -438,7 +434,7 @@ impl HostProfile {
                 } else {
                     (max_busy - min_busy) as f64 / max_wall as f64
                 };
-                (lane, imbalance)
+                (lane.to_string(), imbalance)
             })
             .collect()
     }
@@ -449,6 +445,10 @@ impl HostProfile {
     /// * children open and close inside their parent, on its thread;
     /// * siblings (same thread, same parent) never overlap;
     /// * every worker satisfies `busy <= wall` (so `busy + idle == wall`).
+    ///
+    /// # Errors
+    ///
+    /// Returns every violated invariant, `; `-joined.
     pub fn verify(&self) -> Result<(), String> {
         for (i, span) in self.spans.iter().enumerate() {
             if span.end_ns == u64::MAX {
@@ -457,137 +457,71 @@ impl HostProfile {
             if span.end_ns < span.start_ns {
                 return Err(format!("span #{i} '{}' ends before it starts", span.name));
             }
-            if let Some(p) = span.parent {
-                let Some(parent) = self.spans.get(p as usize) else {
-                    return Err(format!("span #{i} '{}' has a dangling parent", span.name));
-                };
-                if parent.thread != span.thread {
-                    return Err(format!(
-                        "span #{i} '{}' crosses threads (parent '{}')",
-                        span.name, parent.name
-                    ));
-                }
-                if span.start_ns < parent.start_ns || span.end_ns > parent.end_ns {
-                    return Err(format!(
-                        "span #{i} '{}' [{}, {}] escapes parent '{}' [{}, {}]",
-                        span.name,
-                        span.start_ns,
-                        span.end_ns,
-                        parent.name,
-                        parent.start_ns,
-                        parent.end_ns
-                    ));
-                }
-            }
         }
-        // Sibling overlap: group by (thread, parent), check sorted spans.
-        type Siblings = Vec<(u64, u64, &'static str)>;
-        let mut groups: BTreeMap<(u32, Option<u32>), Siblings> = BTreeMap::new();
-        for span in &self.spans {
-            groups
-                .entry((span.thread, span.parent))
-                .or_default()
-                .push((span.start_ns, span.end_ns, span.name));
+        let (spans, workers) = self.rows();
+        let problems = check_rows(&spans, &workers);
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(problems.join("; "))
         }
-        for ((thread, _), mut siblings) in groups {
-            siblings.sort_unstable();
-            for pair in siblings.windows(2) {
-                if pair[1].0 < pair[0].1 {
-                    return Err(format!(
-                        "spans '{}' and '{}' overlap on thread {thread}",
-                        pair[0].2, pair[1].2
-                    ));
-                }
-            }
-        }
-        for (i, w) in self.workers.iter().enumerate() {
-            if w.busy_ns > w.wall_ns {
-                return Err(format!(
-                    "worker record #{i} ({}/{}) busy {} exceeds wall {}",
-                    w.lane, w.worker, w.busy_ns, w.wall_ns
-                ));
-            }
-        }
-        Ok(())
     }
 
-    /// Serializes the profile under a document `name` (the schema behind
-    /// `METRICS_<name>.json`):
+    /// The spans and workers as METRICS document rows.
+    fn rows(&self) -> (Vec<SpanRow>, Vec<WorkerRow>) {
+        let spans = self.spans.iter().map(|s| SpanRow {
+            name: s.name.to_string(),
+            thread: s.thread.into(),
+            depth: s.depth.into(),
+            parent: s.parent.map(u64::from),
+            start_ns: s.start_ns,
+            dur_ns: s.dur_ns(),
+        });
+        let workers = self.workers.iter().map(|w| WorkerRow {
+            lane: w.lane.to_string(),
+            worker: w.worker.into(),
+            wall_ns: w.wall_ns,
+            busy_ns: w.busy_ns,
+            // Saturating, so a record with busy > wall fails the identity
+            // check instead of panicking here.
+            idle_ns: w.wall_ns.saturating_sub(w.busy_ns),
+            items: w.items,
+        });
+        (spans.collect(), workers.collect())
+    }
+
+    /// The profile as the `METRICS_<name>.json` document `name`.
     ///
-    /// ```json
-    /// { "profile": "sweep", "peak_rss_bytes": N,
-    ///   "spans": [{"name", "thread", "depth", "parent", "start_ns", "dur_ns"}],
-    ///   "workers": [{"lane", "worker", "wall_ns", "busy_ns", "idle_ns", "items"}],
-    ///   "utilization_imbalance": {"<lane>": F},
-    ///   "phases": [{"name", "count", "total_ns", "self_ns"}],
-    ///   "metrics": {"counters": {}, "gauges": {}, "histograms": {}} }
-    /// ```
-    pub fn to_json(&self, name: &str) -> Json {
-        Json::obj([
-            ("profile", Json::str(name)),
-            ("peak_rss_bytes", Json::U64(self.peak_rss_bytes)),
-            (
-                "spans",
-                Json::arr(self.spans.iter().map(|s| {
-                    Json::obj([
-                        ("name", Json::str(s.name)),
-                        ("thread", Json::U64(s.thread as u64)),
-                        ("depth", Json::U64(s.depth as u64)),
-                        (
-                            "parent",
-                            s.parent.map_or(Json::Null, |p| Json::U64(p as u64)),
-                        ),
-                        ("start_ns", Json::U64(s.start_ns)),
-                        ("dur_ns", Json::U64(s.dur_ns())),
-                    ])
-                })),
-            ),
-            (
-                "workers",
-                Json::arr(self.workers.iter().map(|w| {
-                    Json::obj([
-                        ("lane", Json::str(w.lane)),
-                        ("worker", Json::U64(w.worker as u64)),
-                        ("wall_ns", Json::U64(w.wall_ns)),
-                        ("busy_ns", Json::U64(w.busy_ns)),
-                        ("idle_ns", Json::U64(w.idle_ns())),
-                        ("items", Json::U64(w.items)),
-                    ])
-                })),
-            ),
-            (
-                "utilization_imbalance",
-                Json::obj(
-                    self.utilization_imbalance()
-                        .into_iter()
-                        .map(|(lane, v)| (lane, Json::F64(v))),
-                ),
-            ),
-            (
-                "phases",
-                Json::arr(self.phase_totals().into_iter().map(|(name, t)| {
-                    Json::obj([
-                        ("name", Json::str(name)),
-                        ("count", Json::U64(t.count)),
-                        ("total_ns", Json::U64(t.total_ns)),
-                        ("self_ns", Json::U64(t.self_ns)),
-                    ])
-                })),
-            ),
-            ("metrics", self.metrics.clone()),
-        ])
+    /// # Panics
+    ///
+    /// Panics if [`metrics`](Self::metrics) is not a
+    /// [`MetricsRegistry`] snapshot.
+    pub fn document(&self, name: &str, provenance: Provenance) -> MetricsDoc {
+        let (spans, workers) = self.rows();
+        MetricsDoc {
+            profile: name.to_string(),
+            peak_rss_bytes: self.peak_rss_bytes,
+            spans,
+            workers,
+            utilization_imbalance: self.utilization_imbalance(),
+            phases: self.phase_totals(),
+            metrics: MetricsSnapshot::from_json(&self.metrics)
+                .expect("a host profile's metrics are a registry snapshot"),
+            provenance,
+        }
     }
 
     /// A compact terminal summary: top phases by self time, worker
     /// utilization, peak RSS.
     pub fn summary(&self) -> String {
         let mut out = String::new();
-        let mut phases: Vec<_> = self.phase_totals().into_iter().collect();
-        phases.sort_by_key(|(_, t)| std::cmp::Reverse(t.self_ns));
+        let mut phases = self.phase_totals();
+        phases.sort_by_key(|t| std::cmp::Reverse(t.self_ns));
         out.push_str("host phases (by self time):\n");
-        for (name, t) in phases.iter().take(12) {
+        for t in phases.iter().take(12) {
             out.push_str(&format!(
-                "  {name:16} x{:<4} total {:>10.3} ms, self {:>10.3} ms\n",
+                "  {:16} x{:<4} total {:>10.3} ms, self {:>10.3} ms\n",
+                t.name,
                 t.count,
                 t.total_ns as f64 / 1e6,
                 t.self_ns as f64 / 1e6,
@@ -611,6 +545,160 @@ impl HostProfile {
             ));
         }
         out
+    }
+}
+
+/// The span-tree and worker invariants shared by [`HostProfile::verify`]
+/// and [`MetricsDoc`]'s `verify`: spans nest inside their parent on its
+/// thread, siblings never overlap, and every worker satisfies
+/// `busy + idle == wall` exactly.
+fn check_rows(spans: &[SpanRow], workers: &[WorkerRow]) -> Vec<String> {
+    let mut problems = Vec::new();
+    // The decoder rejects spans whose end overflows.
+    let end = |s: &SpanRow| s.start_ns.saturating_add(s.dur_ns);
+    for (i, span) in spans.iter().enumerate() {
+        let Some(p) = span.parent else { continue };
+        let name = &span.name;
+        let Some(parent) = spans.get(p as usize) else {
+            problems.push(format!("spans[{i}] '{name}': parent index {p} out of range"));
+            continue;
+        };
+        if parent.thread != span.thread {
+            let parent = &parent.name;
+            problems.push(format!("spans[{i}] '{name}': crosses threads (parent '{parent}')"));
+        }
+        if span.start_ns < parent.start_ns || end(span) > end(parent) {
+            problems.push(format!(
+                "spans[{i}] '{name}': [{}, {}] escapes parent '{}' [{}, {}]",
+                span.start_ns,
+                end(span),
+                parent.name,
+                parent.start_ns,
+                end(parent)
+            ));
+        }
+    }
+    // Siblings (same thread, same parent) must not overlap.
+    type Siblings<'a> = Vec<(u64, u64, &'a str)>;
+    let mut groups: BTreeMap<(u64, Option<u64>), Siblings> = BTreeMap::new();
+    for span in spans {
+        groups
+            .entry((span.thread, span.parent))
+            .or_default()
+            .push((span.start_ns, end(span), &span.name));
+    }
+    for ((thread, _), mut siblings) in groups {
+        siblings.sort_unstable();
+        for pair in siblings.windows(2) {
+            if pair[1].0 < pair[0].1 {
+                problems.push(format!(
+                    "spans '{}' and '{}' overlap on thread {thread}",
+                    pair[0].2, pair[1].2
+                ));
+            }
+        }
+    }
+    for (i, w) in workers.iter().enumerate() {
+        if w.busy_ns.checked_add(w.idle_ns) != Some(w.wall_ns) {
+            problems.push(format!(
+                "workers[{i}] ({}/{}): utilization identity broken: \
+                 busy {} + idle {} != wall {}",
+                w.lane, w.worker, w.busy_ns, w.idle_ns, w.wall_ns
+            ));
+        }
+    }
+    problems
+}
+
+record! {
+    /// One span row of a METRICS document: a [`SpanRecord`] with its
+    /// duration in place of its end.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SpanRow {
+        pub name: String,
+        pub thread: u64,
+        pub depth: u64,
+        pub parent: Option<u64>,
+        pub start_ns: u64,
+        pub dur_ns: u64,
+    }
+    check |s: &SpanRow| match s.start_ns.checked_add(s.dur_ns) {
+        Some(_) => Ok(()),
+        None => Err(format!("start_ns {} + dur_ns {} overflows u64", s.start_ns, s.dur_ns)),
+    };
+}
+
+record! {
+    /// One worker row of a METRICS document: a [`WorkerStats`] with its
+    /// recorded `idle_ns`, so `busy + idle == wall` can be checked.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WorkerRow {
+        pub lane: String,
+        pub worker: u64,
+        pub wall_ns: u64,
+        pub busy_ns: u64,
+        pub idle_ns: u64,
+        pub items: u64,
+    }
+}
+
+record! {
+    /// One phase aggregated across a profile: the spans carrying its
+    /// name, their total inclusive duration, and that total minus their
+    /// direct children (self time).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct PhaseRow {
+        pub name: String,
+        pub count: u64,
+        pub total_ns: u64,
+        pub self_ns: u64,
+    }
+}
+
+record! {
+    /// A `METRICS_<name>.json` document: one host profile, emitted from a
+    /// [`HostProfile`] — its name (`sweep` for the sweep bench's), peak
+    /// resident set in bytes, spans in open order, worker rows in report
+    /// order, per-lane utilization imbalance in `[0, 1]`, name-sorted
+    /// phase totals, and the metrics snapshot.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MetricsDoc {
+        pub profile: String,
+        pub peak_rss_bytes: u64,
+        pub spans: Vec<SpanRow>,
+        pub workers: Vec<WorkerRow>,
+        pub utilization_imbalance: BTreeMap<String, f64>,
+        pub phases: Vec<PhaseRow>,
+        pub metrics: MetricsSnapshot,
+        pub provenance: Provenance,
+    }
+}
+
+impl Artifact for MetricsDoc {
+    /// The span and worker invariants of [`HostProfile::verify`], plus:
+    /// spans and workers are non-empty, every phase is backed by a span,
+    /// and every lane's imbalance lies in `[0, 1]`.
+    fn verify(&self) -> Vec<String> {
+        let mut problems = Vec::new();
+        if self.spans.is_empty() {
+            problems.push("'spans' is empty".to_string());
+        }
+        if self.workers.is_empty() {
+            problems.push("'workers' is empty".to_string());
+        }
+        problems.extend(check_rows(&self.spans, &self.workers));
+        for phase in &self.phases {
+            if !self.spans.iter().any(|s| s.name == phase.name) {
+                problems.push(format!("phase '{}' has no backing span", phase.name));
+            }
+        }
+        for (lane, v) in &self.utilization_imbalance {
+            if !(0.0..=1.0).contains(v) {
+                let what = format!("utilization_imbalance['{lane}']");
+                problems.push(format!("{what} must be a number in [0, 1]"));
+            }
+        }
+        problems
     }
 }
 
@@ -662,9 +750,10 @@ mod tests {
         // The two "inner" siblings must not overlap.
         assert!(profile.spans[2].start_ns >= profile.spans[1].end_ns);
         let totals = profile.phase_totals();
-        assert_eq!(totals["inner"].count, 2);
-        assert_eq!(totals["outer"].count, 1);
-        assert!(totals["outer"].self_ns <= totals["outer"].total_ns);
+        let phase = |name: &str| totals.iter().find(|t| t.name == name).unwrap();
+        assert_eq!(phase("inner").count, 2);
+        assert_eq!(phase("outer").count, 1);
+        assert!(phase("outer").self_ns <= phase("outer").total_ns);
     }
 
     #[test]
@@ -764,7 +853,7 @@ mod tests {
         prof.observe("host.run_ns.direct", 1234);
         prof.worker("run-configs", 0, 10, 5, 1);
         let profile = prof.finish();
-        let doc = profile.to_json("unit");
+        let doc = profile.document("unit", Provenance::collect(0, 0)).to_json();
         let text = doc.render();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back.render(), text);

@@ -19,7 +19,8 @@
 //!   {triangle-setup, shading-busy, bus-stall, fifo-starved,
 //!   idle-after-finish}, with the identity `setup + busy + bus_stall +
 //!   starved + idle == finish` enforced by construction and checked by
-//!   property tests and `bench_check`.
+//!   property tests and `bench_check`. [`breakdown::SweepBreakdowns`]
+//!   owns the sweep artefact's `cycle_breakdowns` section.
 //! * [`series::TimeSeries`] — cadence-bucketed sampling of FIFO occupancy
 //!   and bus utilization, rendered as terminal charts/tables through
 //!   `sortmid-util`.
@@ -29,7 +30,8 @@
 //!   *spatial* metrics layer: per-tile depth complexity, owner-node
 //!   fragment load, setup cycles and three-C-classified cache misses,
 //!   exported as false-color PPM heatmaps, `HEATMAP_<preset>.json`
-//!   artefacts, and terminal summaries.
+//!   artefacts (owned by [`attribution::HeatmapDoc`]), and terminal
+//!   summaries.
 //! * [`host::HostSink`] + [`metrics::MetricsRegistry`] — the *host*
 //!   profiling layer: hierarchical RAII phase spans over the sweep
 //!   pipeline (plan build, batch pivot, capture, stack-distance replay,
@@ -37,17 +39,21 @@
 //!   per-worker utilization with the exact identity
 //!   `busy + idle == wall`. [`host::NullHostSink`] monomorphizes it all
 //!   away, exactly like [`sink::NullSink`] does for cycle tracing; a
-//!   sealed [`host::HostProfile`] exports as `METRICS_<name>.json` and
-//!   as wall-time tracks in the Perfetto document
+//!   sealed [`host::HostProfile`] exports as `METRICS_<name>.json` (owned
+//!   by [`host::MetricsDoc`]) and as wall-time tracks in the Perfetto document
 //!   ([`perfetto::chrome_trace_with_host`]).
 //! * [`provenance::Provenance`] — the run-identity block every artefact
 //!   emitter stamps (schema version, scene seed, FNV hash of the config
 //!   grid, build profile, host fingerprint). Schema/seed/grid must match
 //!   for two artefacts to be comparable; build/host differences are
 //!   reported as informational drift.
+//! * [`artifact`] — the artefact contract: each validated-and-diffed
+//!   document kind has one owner type (one field table behind its
+//!   emitter and decoder, plus a `verify` returning every broken
+//!   identity); [`artifact::ArtifactKind::of`] names a file's kind.
 //! * [`diff`] — the *differential* layer: [`diff::SweepDiff`],
 //!   [`diff::HeatmapDiff`] and [`diff::MetricsDiff`] compute exact signed
-//!   deltas between two comparable artefacts at every level the
+//!   deltas between two comparable decoded artefacts at every level the
 //!   instrumentation records (per-config cycles split by the five-way
 //!   breakdown, tile-plane delta grids with owner flips and three-C
 //!   miss-class movement, host phase/counter/histogram shifts) and rank
@@ -72,6 +78,7 @@
 //! assert_eq!(rec.fifo_steps(0), vec![(10, 1), (35, -1)]);
 //! ```
 
+pub mod artifact;
 pub mod attribution;
 pub mod breakdown;
 pub mod diff;
@@ -85,15 +92,18 @@ pub mod provenance;
 pub mod series;
 pub mod sink;
 
-pub use attribution::{MissClass, MissClassCounts, SpatialCollector, TileStats};
-pub use breakdown::{breakdown_table, BreakdownDelta, CycleBreakdown, CycleIdentityError};
+pub use artifact::{Artifact, ArtifactKind, Schema};
+pub use attribution::{HeatmapDoc, MissClass, MissClassCounts, SpatialCollector, TileStats};
+pub use breakdown::{
+    breakdown_table, BreakdownDelta, CycleBreakdown, CycleIdentityError, SweepBreakdowns,
+};
 pub use diff::{HeatmapDiff, MetricsDiff, SweepDiff};
 pub use event::TraceEvent;
 pub use heatmap::{GridSummary, ScreenGrid};
 pub use palette::{diverging_color, heat_color, owner_color, sqrt_channel};
 pub use provenance::{Provenance, SCHEMA_VERSION};
 pub use host::{
-    peak_rss_bytes, HostProfile, HostProfiler, HostSink, HostSpan, NullHostSink, PhaseTotal,
+    peak_rss_bytes, HostProfile, HostProfiler, HostSink, HostSpan, MetricsDoc, NullHostSink,
     SpanRecord, WorkerStats,
 };
 pub use metrics::{log2_bucket, Counter, Gauge, Log2Histogram, MetricsRegistry, LOG2_BUCKETS};

@@ -37,6 +37,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::artifact::Schema;
+use crate::record;
 use sortmid_devharness::json::Json;
 
 /// A monotonically increasing event counter.
@@ -227,24 +229,53 @@ impl Log2Histogram {
             .collect()
     }
 
-    /// JSON snapshot: exact stats, bucket-resolution p50/p90/p99, and the
+    /// Snapshot: exact stats, bucket-resolution p50/p90/p99, and the
     /// sparse bucket list.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", Json::U64(self.count())),
-            ("sum", Json::U64(self.sum())),
-            ("min", Json::U64(self.min().unwrap_or(0))),
-            ("max", Json::U64(self.max().unwrap_or(0))),
-            ("p50", Json::U64(self.percentile(50.0).unwrap_or(0))),
-            ("p90", Json::U64(self.percentile(90.0).unwrap_or(0))),
-            ("p99", Json::U64(self.percentile(99.0).unwrap_or(0))),
-            (
-                "buckets",
-                Json::arr(self.nonzero_buckets().into_iter().map(|(k, n)| {
-                    Json::arr([Json::U64(k as u64), Json::U64(n)])
-                })),
-            ),
-        ])
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let [p50, p90, p99] = [50.0, 90.0, 99.0].map(|p| self.percentile(p).unwrap_or(0));
+        HistogramSnapshot {
+            count: self.count(),
+            sum: self.sum(),
+            min: self.min().unwrap_or(0),
+            max: self.max().unwrap_or(0),
+            p50,
+            p90,
+            p99,
+            buckets: self
+                .nonzero_buckets()
+                .into_iter()
+                .map(|(k, n)| (k as u64, n))
+                .collect(),
+        }
+    }
+}
+
+record! {
+    /// One histogram as a METRICS document records it: the exact stats,
+    /// bucket-resolution percentiles and non-empty `[bucket, count]`
+    /// pairs of a [`Log2Histogram`] (all zeros when empty).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct HistogramSnapshot {
+        pub count: u64,
+        pub sum: u64,
+        pub min: u64,
+        pub max: u64,
+        pub p50: u64,
+        pub p90: u64,
+        pub p99: u64,
+        pub buckets: Vec<(u64, u64)>,
+    }
+}
+
+record! {
+    /// A [`MetricsRegistry`] snapshot — counter values, gauge values and
+    /// histogram snapshots, each name-sorted: the `metrics` object of a
+    /// METRICS document.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct MetricsSnapshot {
+        pub counters: BTreeMap<String, u64>,
+        pub gauges: BTreeMap<String, u64>,
+        pub histograms: BTreeMap<String, HistogramSnapshot>,
     }
 }
 
@@ -336,25 +367,24 @@ impl MetricsRegistry {
         self.gauge(name).set_max(value);
     }
 
-    /// JSON snapshot: `counters`, `gauges` and `histograms` objects, each
-    /// name-sorted (the registry map is ordered).
-    pub fn to_json(&self) -> Json {
+    /// Snapshot of every registered metric.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let map = self.inner.lock().expect("metrics registry poisoned");
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
+        let mut snap = MetricsSnapshot::default();
         for (name, metric) in map.iter() {
+            let name = name.clone();
             match metric {
-                Metric::Counter(c) => counters.push((name.clone(), Json::U64(c.get()))),
-                Metric::Gauge(g) => gauges.push((name.clone(), Json::U64(g.get()))),
-                Metric::Histogram(h) => histograms.push((name.clone(), h.to_json())),
+                Metric::Counter(c) => _ = snap.counters.insert(name, c.get()),
+                Metric::Gauge(g) => _ = snap.gauges.insert(name, g.get()),
+                Metric::Histogram(h) => _ = snap.histograms.insert(name, h.snapshot()),
             }
         }
-        Json::obj([
-            ("counters", Json::Obj(counters)),
-            ("gauges", Json::Obj(gauges)),
-            ("histograms", Json::Obj(histograms)),
-        ])
+        snap
+    }
+
+    /// [`snapshot`](Self::snapshot) as JSON.
+    pub fn to_json(&self) -> Json {
+        Schema::to_json(&self.snapshot())
     }
 }
 

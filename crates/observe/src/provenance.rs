@@ -30,6 +30,7 @@
 //! assert!(a.comparable(&b).unwrap_err().contains("grid_hash"));
 //! ```
 
+use crate::artifact::{member, Schema};
 use sortmid_devharness::json::Json;
 
 /// Version of the artefact schemas this workspace emits. Bump when a
@@ -96,32 +97,7 @@ impl Provenance {
     /// without any block reports `missing provenance block` (the pre-PR-9
     /// artefact generation — regenerate it).
     pub fn from_doc(doc: &Json) -> Result<Provenance, String> {
-        let block = doc
-            .get("provenance")
-            .ok_or_else(|| "missing provenance block (artefact predates provenance stamping; regenerate it)".to_string())?;
-        let field_u64 = |key: &str| {
-            block
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("provenance: missing or mistyped '{key}'"))
-        };
-        let field_str = |key: &str| {
-            block
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("provenance: missing or mistyped '{key}'"))
-        };
-        let grid_hex = field_str("grid_hash")?;
-        let grid_hash = u64::from_str_radix(&grid_hex, 16)
-            .map_err(|_| format!("provenance: 'grid_hash' is not a hex hash: '{grid_hex}'"))?;
-        Ok(Provenance {
-            schema: field_u64("schema")?,
-            seed: field_u64("seed")?,
-            grid_hash,
-            build: field_str("build")?,
-            host: field_str("host")?,
-        })
+        member(doc, "provenance")
     }
 
     /// Whether a diff between artefacts carrying `self` and `other` is
@@ -165,6 +141,30 @@ impl Provenance {
             notes.push(format!("host {} vs {}", self.host, other.host));
         }
         (!notes.is_empty()).then(|| notes.join(", "))
+    }
+}
+
+/// The block artefacts embed under `"provenance"`.
+impl Schema for Provenance {
+    fn to_json(&self) -> Json {
+        Provenance::to_json(self)
+    }
+
+    fn from_json(block: &Json) -> Result<Provenance, String> {
+        let grid_hex: String = member(block, "grid_hash")?;
+        let grid_hash = u64::from_str_radix(&grid_hex, 16)
+            .map_err(|_| format!("'grid_hash' is not a hex hash: '{grid_hex}'"))?;
+        Ok(Provenance {
+            schema: member(block, "schema")?,
+            seed: member(block, "seed")?,
+            grid_hash,
+            build: member(block, "build")?,
+            host: member(block, "host")?,
+        })
+    }
+
+    fn missing(key: &str) -> String {
+        format!("missing {key} block (artefact predates provenance stamping; regenerate it)")
     }
 }
 

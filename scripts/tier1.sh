@@ -33,8 +33,7 @@ fi
 # preset, small scene) into a scratch dir, then validate that the emitted
 # BENCH_*.json, TRACE_*.json, HEATMAP_*.json and METRICS_*.json artefacts
 # parse with the expected schemas — and gate the sweep's simulated cycle
-# totals against the committed baseline at the default 15% tolerance
-# (spelled out via --tolerance here so the flag stays exercised).
+# totals against the committed baseline at the fixed 15% tolerance.
 #
 # The default sweep run also profiles the pipeline on the host and writes
 # METRICS_sweep.json; bench_check fails the gate if a required pipeline
@@ -66,8 +65,17 @@ cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
     "$bench_dir/BENCH_sweep.json" "$bench_dir/BENCH_sweep.json" \
     --expect-zero --json "$bench_dir/DIFF_selfdiff.json"
 cargo run -q --release --offline -p sortmid-bench --bin bench_check -- \
-    "$bench_dir" --against "$repo/BENCH_baseline.json" --tolerance 15 \
+    "$bench_dir" --against "$repo/BENCH_baseline.json" \
     --explain --json "$bench_dir/DIFF_gate.json"
+
+# The committed root artefacts (BENCH_baseline.json, METRICS_sweep.json)
+# must decode, verify and self-diff to exactly zero, so a decoder that
+# rejects what is committed fails here rather than in the gate.
+cargo run -q --release --offline -p sortmid-bench --bin bench_check
+for artefact in BENCH_baseline.json METRICS_sweep.json; do
+    cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
+        "$repo/$artefact" "$repo/$artefact" --expect-zero
+done
 
 # Scheduler determinism: the work-stealing pool must simulate identical
 # cycles at any thread count. Re-run the sweep pinned to 3 workers and

@@ -15,7 +15,10 @@ use sortmid_cache::CacheGeometry;
 use sortmid_devharness::json::Json;
 use sortmid_devharness::prop::{check, Config, Gen};
 use sortmid_observe::breakdown::CATEGORY_NAMES;
-use sortmid_observe::{HeatmapDiff, MetricsDiff, Provenance, SweepDiff};
+use sortmid_observe::{
+    Artifact, HeatmapDiff, HeatmapDoc, MetricsDiff, MetricsDoc, Provenance, Schema,
+    SweepBreakdowns, SweepDiff,
+};
 use sortmid_raster::FragmentStream;
 use sortmid_scene::{Benchmark, SceneBuilder};
 
@@ -74,6 +77,11 @@ fn sweep_doc(reports: &[RunReport], prov: &Provenance) -> Json {
     doc
 }
 
+/// Decodes an artefact document with its owner type.
+fn decode<A: Artifact>(doc: &Json) -> A {
+    A::from_json(doc).expect("artefact decodes")
+}
+
 /// Mutable access to an object member (panics if absent — these tests
 /// mutate documents they just built).
 fn field<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
@@ -117,7 +125,8 @@ fn self_diff_of_a_real_sweep_is_exactly_zero() {
     let reports = run_sweep(&stream(), &configs);
     let doc = sweep_doc(&reports, &provenance(&configs));
 
-    let d = SweepDiff::between(&doc, &doc).expect("same run must be comparable");
+    let d = SweepDiff::between(&decode::<SweepBreakdowns>(&doc), &decode(&doc))
+        .expect("same run must be comparable");
     assert!(d.is_zero(), "diff(run, run) must be zero");
     assert_eq!(d.configs.len(), configs.len());
     assert!(d.only_base.is_empty() && d.only_current.is_empty());
@@ -153,7 +162,8 @@ fn injected_regression_is_attributed_to_config_and_category() {
             let name = inject_sweep(&mut cur, idx, cat, extra);
             let nodes = reports[idx].nodes().len() as i64;
 
-            let d = SweepDiff::between(&base, &cur).map_err(|e| e.to_string())?;
+            let d = SweepDiff::between(&decode::<SweepBreakdowns>(&base), &decode(&cur))
+                .map_err(|e| e.to_string())?;
             if d.is_zero() {
                 return Err("injection must produce a nonzero diff".into());
             }
@@ -190,7 +200,8 @@ fn diffs_refuse_incomparable_runs() {
     // grid must not be attributed against this one.
     let other = Provenance::collect(prov.seed, prov.grid_hash ^ 1);
     let cur = sweep_doc(&reports, &other);
-    let err = SweepDiff::between(&base, &cur).expect_err("must refuse");
+    let err = SweepDiff::between(&decode::<SweepBreakdowns>(&base), &decode(&cur))
+        .expect_err("must refuse");
     assert!(err.contains("grid"), "error should name the grid: {err}");
 }
 
@@ -213,18 +224,15 @@ fn heatmap_doc() -> Json {
         config.processors,
     );
     let report = machine.run_traced(&s, &mut col);
-    let mut doc = col.to_json("tiny", report.summary());
-    doc.set(
-        "provenance",
-        provenance(std::slice::from_ref(&config)).to_json(),
-    );
-    doc
+    col.document("tiny", report.summary(), provenance(std::slice::from_ref(&config)))
+        .to_json()
 }
 
 #[test]
 fn heatmap_self_diff_is_zero_on_every_plane_tile_and_node() {
     let doc = heatmap_doc();
-    let d = HeatmapDiff::between(&doc, &doc).expect("same run must be comparable");
+    let d = HeatmapDiff::between(&decode::<HeatmapDoc>(&doc), &decode(&doc))
+        .expect("same run must be comparable");
     assert!(d.is_zero());
     assert_eq!(d.owner_flips, 0, "owner plane must not flip against itself");
     for plane in &d.planes {
@@ -257,7 +265,8 @@ fn injected_conflict_misses_are_attributed_to_tile_and_node() {
         bump(field(node0, "misses"), 7);
     }
 
-    let d = HeatmapDiff::between(&base, &cur).expect("comparable");
+    let d =
+        HeatmapDiff::between(&decode::<HeatmapDoc>(&base), &decode(&cur)).expect("comparable");
     assert!(!d.is_zero());
     let plane = d
         .planes
@@ -286,15 +295,15 @@ fn metrics_doc() -> (Json, HostProfile) {
     run_sweep_profiled(&stream(), &configs, options, &prof);
     let profile = prof.finish();
     profile.verify().expect("profile invariants must hold");
-    let mut doc = profile.to_json("sweep");
-    doc.set("provenance", provenance(&configs).to_json());
+    let doc = profile.document("sweep", provenance(&configs)).to_json();
     (doc, profile)
 }
 
 #[test]
 fn metrics_self_diff_is_zero_across_phases_counters_and_histograms() {
     let (doc, profile) = metrics_doc();
-    let d = MetricsDiff::between(&doc, &doc).expect("same run must be comparable");
+    let d = MetricsDiff::between(&decode::<MetricsDoc>(&doc), &decode(&doc))
+        .expect("same run must be comparable");
     assert!(d.is_zero());
     assert!(!d.phases.is_empty(), "a profiled sweep has phases");
     for p in &d.phases {
@@ -323,7 +332,8 @@ fn injected_phase_slowdown_is_ranked_first() {
         name.clone()
     };
 
-    let d = MetricsDiff::between(&base, &cur).expect("comparable");
+    let d =
+        MetricsDiff::between(&decode::<MetricsDoc>(&base), &decode(&cur)).expect("comparable");
     assert!(!d.is_zero());
     let ranked = d.ranked_phases();
     let top = ranked.first().expect("a ranked phase");

@@ -10,6 +10,7 @@ use sortmid::{
 };
 use sortmid_cache::CacheGeometry;
 use sortmid_devharness::json::Json;
+use sortmid_observe::{Provenance, Schema};
 use sortmid_raster::FragmentStream;
 use sortmid_scene::{Benchmark, SceneBuilder};
 
@@ -110,7 +111,7 @@ fn profiled_sweep_is_identical_and_profile_verifies() {
 #[test]
 fn profile_json_round_trips_with_the_artefact_schema() {
     let profile = profiled_run();
-    let doc = profile.to_json("sweep");
+    let doc = profile.document("sweep", Provenance::collect(0, 0)).to_json();
     let text = doc.render();
     let back = Json::parse(&text).expect("profile renders valid JSON");
     assert_eq!(back.render(), text, "render/parse round trip is stable");

@@ -212,7 +212,9 @@ fn heatmap_json_roundtrips_through_the_devharness_parser() {
     let mut col = SpatialCollector::new(screen.width(), screen.height(), 32, 8);
     let report = machine.run_traced(&s, &mut col);
 
-    let text = col.to_json("roundtrip", report.summary()).render();
+    use sortmid_observe::{Provenance, Schema};
+    let provenance = Provenance::collect(0, 0);
+    let text = col.document("roundtrip", report.summary(), provenance).to_json().render();
     let doc = Json::parse(&text).expect("rendered JSON must parse back");
 
     assert_eq!(
