@@ -120,7 +120,7 @@ impl std::error::Error for ConfigError {}
 /// assert_eq!(c.processors, 16);
 /// # Ok::<(), sortmid::ConfigError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Number of texture-mapping nodes.
     pub processors: u32,

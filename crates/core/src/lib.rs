@@ -73,7 +73,7 @@ pub use replay::capture_line_trace;
 pub use sched::{lpt_order, run_graph, CostModel, TaskGraph};
 pub use sweep::{
     grid_hash, run_sweep, run_sweep_profiled, run_sweep_with_options, run_sweep_with_threads,
-    SweepGrid, SweepOptions,
+    run_sweeps, SweepGrid, SweepOptions,
 };
 
 /// Maximum processor count the machine supports (the paper evaluates up to

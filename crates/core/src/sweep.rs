@@ -1,9 +1,11 @@
-//! Parallel parameter sweeps over one fragment stream.
+//! Parallel parameter sweeps over fragment streams.
 //!
 //! The experiment harness evaluates dozens of machine configurations per
-//! scene. Each run only *reads* the stream, so sweeps parallelise trivially
+//! scene. Each run only *reads* its stream, so sweeps parallelise trivially
 //! across host threads (the simulated machines stay deterministic — host
-//! parallelism only reorders independent runs).
+//! parallelism only reorders independent runs). [`run_sweeps`] schedules
+//! the sweeps of several scenes as one task graph; [`run_sweep`] and its
+//! variants are its one-scene case.
 //!
 //! Routing — which nodes a triangle overlaps, which node owns each
 //! fragment — depends only on the `(distribution, processors)` axes, never
@@ -288,36 +290,8 @@ pub fn run_sweep_with_options(
     run_sweep_profiled(stream, configs, options, &NullHostSink)
 }
 
-/// One unit of pipeline work on the shared scheduler pool: build a plan
-/// group's routing plan, capture a `(plan, cache model)` pass, evaluate a
-/// plan's trace, or run one config.
-#[derive(Debug, Clone, Copy)]
-enum SweepTask {
-    Plan(usize),
-    Capture { key: usize, slot: usize },
-    Eval(usize),
-    Run(usize),
-}
-
-/// [`run_sweep_with_options`] with host profiling: every pipeline stage
-/// (batch pivot, plan build, path selection, captures, lane pivots,
-/// stack-distance evaluation, per-config runs) runs under a named
-/// [`HostSink`] span, per-config run times land in
-/// `host.run_ns.{direct,captured,replay}` histograms, and every worker
-/// thread reports `busy`/`wall` utilization for the `run-configs` stage.
-///
-/// The pipeline runs on the work-stealing pool in [`crate::sched`]: plan
-/// builds, captures, trace evaluations and per-config runs become one
-/// dependency-ordered task batch, costed by [`CostModel`] and dispatched
-/// longest-first, so the capture of plan A overlaps the evaluation of plan
-/// B and no phase barrier serializes the tail. Every task writes one
-/// preassigned [`OnceLock`] slot, so the reports are byte-identical across
-/// thread counts and steal interleavings.
-///
-/// With [`NullHostSink`] (how [`run_sweep`] and friends call it) the
-/// instrumentation monomorphizes to nothing — the sweep bench's
-/// regression gate pins the unprofiled pipeline against
-/// `BENCH_baseline.json`.
+/// [`run_sweep_with_options`] with host profiling: the one-job case of
+/// [`run_sweeps`], whose docs describe the pipeline and its spans.
 ///
 /// # Panics
 ///
@@ -328,255 +302,375 @@ pub fn run_sweep_profiled<S: HostSink>(
     options: SweepOptions,
     sink: &S,
 ) -> Vec<RunReport> {
-    assert!(options.threads > 0, "need at least one host thread");
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let _root = sink.span("run-sweep");
-    if S::ENABLED {
-        sink.count("sweep.configs", configs.len() as u64);
+    run_sweeps(&[(stream, configs)], options, sink)
+        .pop()
+        .expect("one job in, one report list out")
+}
+
+/// One unit of pipeline work on the shared scheduler pool, within one
+/// job: build a plan group's routing plan, capture a `(plan, cache
+/// model)` pass, evaluate a plan's trace, or run one config.
+#[derive(Debug, Clone, Copy)]
+enum SweepTask {
+    Plan(usize),
+    Capture(usize),
+    Eval(usize),
+    Run(usize),
+}
+
+/// One `(stream, configs)` job of [`run_sweeps`]: its plan groups, each
+/// config's path and its shared-artefact slots — all decided from the
+/// configs alone, before any plan is built — plus the write-once slots
+/// its tasks fill.
+struct Job<'a> {
+    stream: &'a FragmentStream,
+    configs: &'a [MachineConfig],
+    /// A representative config of each plan group.
+    plan_rep: Vec<usize>,
+    /// Each config's plan group.
+    plan_of: Vec<usize>,
+    path_of: Vec<ConfigPath>,
+    /// Each plan's stack-distance geometry requests (empty: no evaluation).
+    requests: Vec<Vec<GeometryRequest>>,
+    /// The `(plan, cache model)` each capture slot records.
+    captured: Vec<(usize, CacheKind)>,
+    /// Whether a plan group has a config on a shared path.
+    needs_plan: Vec<bool>,
+    /// The stream's footprint batch, pivoted when some plan is needed.
+    batch: Option<FragBatch>,
+    plans: Vec<OnceLock<RoutingPlan>>,
+    captures: Vec<OnceLock<DirectCapture>>,
+    evals: Vec<OnceLock<TraceEvaluation>>,
+    out: Vec<OnceLock<RunReport>>,
+    /// Each config's estimated run cost (for the cost-model feedback).
+    run_cost: Vec<u64>,
+}
+
+impl<'a> Job<'a> {
+    /// Groups `configs` into plans, picks every config's path and
+    /// reserves every shared artefact's slot.
+    fn analyse(stream: &'a FragmentStream, configs: &'a [MachineConfig], replay: bool) -> Self {
+        // Group the grid by (distribution, processors): one routing plan
+        // per group serves every cache/bus/buffer variation. Grids are
+        // small, so a linear key scan beats hashing Distribution (which
+        // holds an Arc axis).
+        let mut plan_rep: Vec<usize> = Vec::new();
+        let mut plan_of: Vec<usize> = Vec::with_capacity(configs.len());
+        for (ci, config) in configs.iter().enumerate() {
+            let idx = plan_rep
+                .iter()
+                .position(|&rep| {
+                    configs[rep].processors == config.processors
+                        && configs[rep].distribution == config.distribution
+                })
+                .unwrap_or_else(|| {
+                    plan_rep.push(ci);
+                    plan_rep.len() - 1
+                });
+            plan_of.push(idx);
+        }
+        let n_plans = plan_rep.len();
+
+        // Decide each config's path. Replay-eligible configs of one plan
+        // share a geometry request grid (deduplicated by geometry,
+        // classification merged by OR so a Classifying and a plain
+        // SetAssoc config of the same geometry share one evaluation slot).
+        let mut requests: Vec<Vec<GeometryRequest>> = vec![Vec::new(); n_plans];
+        let mut path_of: Vec<ConfigPath> = vec![ConfigPath::Direct; configs.len()];
+        if replay {
+            let mut eligible = vec![0usize; n_plans];
+            for (ci, config) in configs.iter().enumerate() {
+                if let Some((geometry, classify)) = replay_request(config) {
+                    let reqs = &mut requests[plan_of[ci]];
+                    let geom = match reqs.iter().position(|r| r.geometry == geometry) {
+                        Some(gi) => {
+                            reqs[gi].classify |= classify;
+                            gi
+                        }
+                        None => {
+                            reqs.push(GeometryRequest { geometry, classify });
+                            reqs.len() - 1
+                        }
+                    };
+                    path_of[ci] = ConfigPath::Replay { geom, classify };
+                    eligible[plan_of[ci]] += 1;
+                }
+            }
+            // Too-small groups fall back: capturing and replaying a trace
+            // only pays off when it serves several configs.
+            for (pi, count) in eligible.iter().enumerate() {
+                if *count < REPLAY_MIN_GROUP {
+                    requests[pi].clear();
+                }
+            }
+            for (ci, path) in path_of.iter_mut().enumerate() {
+                if requests[plan_of[ci]].is_empty() {
+                    *path = ConfigPath::Direct;
+                }
+            }
+        }
+
+        // Group the remaining direct configs by (plan, cache model): which
+        // texel probes hit or miss depends only on the node access
+        // sequences, so one pass of the model over the plan's fragment
+        // buckets serves every bus/buffer/DRAM variant in the grid — each
+        // such config then replays only its engine/FIFO timing against the
+        // recorded misses. This covers the cache models the Mattson
+        // machinery cannot express (perfect, two-level, victim,
+        // DRAM-backed) and the groups too small for a stack-distance
+        // evaluation to pay off.
+        let mut keys: Vec<(usize, CacheKind)> = Vec::new();
+        let mut uses: Vec<usize> = Vec::new();
+        let mut key_of = vec![usize::MAX; configs.len()];
+        for (ci, config) in configs.iter().enumerate() {
+            if matches!(path_of[ci], ConfigPath::Direct) {
+                let key = (plan_of[ci], config.cache);
+                key_of[ci] = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    uses.push(0);
+                    keys.len() - 1
+                });
+                uses[key_of[ci]] += 1;
+            }
+        }
+        // A capture costs about one direct cache pass, so it only pays off
+        // when at least two configs replay it.
+        let mut slot_of_key = vec![usize::MAX; keys.len()];
+        let mut captured: Vec<(usize, CacheKind)> = Vec::new();
+        for (k, &n) in uses.iter().enumerate() {
+            if n >= 2 {
+                slot_of_key[k] = captured.len();
+                captured.push(keys[k]);
+            }
+        }
+        for (ci, path) in path_of.iter_mut().enumerate() {
+            if key_of[ci] != usize::MAX && slot_of_key[key_of[ci]] != usize::MAX {
+                *path = ConfigPath::Captured { slot: slot_of_key[key_of[ci]] };
+            }
+        }
+
+        // Only groups with a config on a shared path need their plan:
+        // direct configs route on the fly inside `Machine::run`.
+        let mut needs_plan = vec![false; n_plans];
+        for (ci, path) in path_of.iter().enumerate() {
+            if !matches!(path, ConfigPath::Direct) {
+                needs_plan[plan_of[ci]] = true;
+            }
+        }
+
+        // Every shared artefact gets a preassigned write-once slot. Tasks
+        // fill them exactly once; the scheduler's dependency edges
+        // sequence every fill before its reads, whatever worker runs what
+        // — which is what keeps the reports byte-identical across
+        // schedules.
+        let slots = captured.len();
+        Job {
+            stream,
+            configs,
+            plan_rep,
+            plan_of,
+            path_of,
+            requests,
+            captured,
+            needs_plan,
+            batch: None,
+            plans: (0..n_plans).map(|_| OnceLock::new()).collect(),
+            captures: (0..slots).map(|_| OnceLock::new()).collect(),
+            evals: (0..n_plans).map(|_| OnceLock::new()).collect(),
+            out: (0..configs.len()).map(|_| OnceLock::new()).collect(),
+            run_cost: vec![0; configs.len()],
+        }
     }
 
-    // Front-end analysis: group the grid, pick each config's path and
+    /// Adds this job's tasks to `graph` in pipeline order (plans,
+    /// captures, evals, runs), so every dependency edge points backward —
+    /// the DAG the scheduler requires holds by construction. Tasks are
+    /// costed by a model scaled to this job's stream.
+    fn add_tasks(
+        &mut self,
+        job: usize,
+        graph: &mut TaskGraph,
+        tasks: &mut Vec<(usize, SweepTask)>,
+    ) {
+        let model = CostModel::for_stream(self.stream.fragments().len() as u64);
+        let mut plan_task = vec![usize::MAX; self.plans.len()];
+        for (pi, &needed) in self.needs_plan.iter().enumerate() {
+            if needed {
+                tasks.push((job, SweepTask::Plan(pi)));
+                plan_task[pi] = graph.add(model.plan_build());
+            }
+        }
+        let mut capture_task = vec![usize::MAX; self.captured.len()];
+        for (slot, &(pi, _)) in self.captured.iter().enumerate() {
+            tasks.push((job, SweepTask::Capture(slot)));
+            capture_task[slot] = graph.add(model.capture());
+            graph.depend(capture_task[slot], plan_task[pi]);
+        }
+        let mut eval_task = vec![usize::MAX; self.plans.len()];
+        for (pi, reqs) in self.requests.iter().enumerate() {
+            if reqs.is_empty() {
+                continue;
+            }
+            tasks.push((job, SweepTask::Eval(pi)));
+            // The evaluation first pivots its plan's line trace out of the
+            // batch.
+            let cost = model.lane_pivot().saturating_add(model.trace_eval(reqs.len()));
+            eval_task[pi] = graph.add(cost);
+            graph.depend(eval_task[pi], plan_task[pi]);
+        }
+        for (ci, &path) in self.path_of.iter().enumerate() {
+            let (cost, dep) = match path {
+                ConfigPath::Direct => (model.run_direct(), None),
+                ConfigPath::Captured { slot } => (model.run_captured(), Some(capture_task[slot])),
+                ConfigPath::Replay { .. } => {
+                    (model.run_replay(), Some(eval_task[self.plan_of[ci]]))
+                }
+            };
+            self.run_cost[ci] = cost;
+            tasks.push((job, SweepTask::Run(ci)));
+            let t = graph.add(cost);
+            if let Some(dep) = dep {
+                graph.depend(t, dep);
+            }
+        }
+    }
+
+    fn batch(&self) -> &FragBatch {
+        self.batch.as_ref().expect("shared-path tasks run on a pivoted batch")
+    }
+
+    fn plan(&self, pi: usize) -> &RoutingPlan {
+        self.plans[pi].get().expect("a plan is built before its readers run")
+    }
+
+    /// Config `ci`'s report, down its path.
+    fn run(&self, ci: usize) -> RunReport {
+        let (config, plan) = (&self.configs[ci], self.plan_of[ci]);
+        match self.path_of[ci] {
+            ConfigPath::Direct => Machine::new(config.clone()).run(self.stream),
+            ConfigPath::Captured { slot } => {
+                let capture = self.captures[slot].get().expect("captured path has a capture");
+                run_direct_captured(config, self.stream, self.plan(plan), capture)
+            }
+            ConfigPath::Replay { geom, classify } => {
+                let eval = self.evals[plan].get().expect("replay path has an evaluation");
+                run_replayed(config, self.stream, self.plan(plan), eval, geom, classify)
+            }
+        }
+    }
+}
+
+/// Runs several sweeps — one `(stream, configs)` job each, typically one
+/// per scene — as **one** task graph on the work-stealing pool, and
+/// returns each job's reports in its config order.
+///
+/// Each job is analysed on its own, exactly as a single sweep: its grid
+/// is grouped into routing plans by `(distribution, processors)`, each
+/// config's path (direct, captured or stack-distance replay) is picked,
+/// and its captures and trace evaluations get their slots. Each job's
+/// tasks are costed by a [`CostModel`] scaled to *its* stream, so
+/// longest-first dispatch ranks work across scenes of different sizes and
+/// a small scene's configs fill the tail a big scene leaves idle.
+///
+/// Every pipeline stage (batch pivot, plan build, path selection,
+/// captures, lane pivots, stack-distance evaluation, per-config runs)
+/// runs under a named [`HostSink`] span, per-config run times land in
+/// `host.run_ns.{direct,captured,replay}` histograms, and every worker
+/// thread reports `busy`/`wall` utilization for the `run-configs` stage.
+///
+/// The pipeline runs on the work-stealing pool in [`crate::sched`]: plan
+/// builds, captures, trace evaluations and per-config runs of every job
+/// become one dependency-ordered task batch, dispatched longest-first, so
+/// the capture of plan A overlaps the evaluation of plan B and no phase
+/// barrier serializes the tail. Every task writes one preassigned
+/// [`OnceLock`] slot, so the reports are byte-identical to one
+/// [`run_sweep`] per job, across thread counts and steal interleavings.
+///
+/// With [`NullHostSink`] (how [`run_sweep`] and friends call it) the
+/// instrumentation monomorphizes to nothing — the sweep bench's
+/// regression gate pins the unprofiled pipeline against
+/// `BENCH_baseline.json`.
+///
+/// # Examples
+///
+/// ```
+/// use sortmid::{run_sweeps, NullHostSink, SweepGrid, SweepOptions};
+/// use sortmid_scene::{Benchmark, SceneBuilder};
+///
+/// let quake = SceneBuilder::benchmark(Benchmark::Quake).scale(0.1).build().rasterize();
+/// let room = SceneBuilder::benchmark(Benchmark::Room3).scale(0.1).build().rasterize();
+/// let grid = SweepGrid::new().processors([1, 4]).build();
+/// let reports = run_sweeps(
+///     &[(&quake, &grid), (&room, &grid[..1])],
+///     SweepOptions::default(),
+///     &NullHostSink,
+/// );
+/// assert_eq!(reports.iter().map(Vec::len).collect::<Vec<_>>(), [2, 1]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `options.threads` is zero.
+pub fn run_sweeps<S: HostSink>(
+    jobs: &[(&FragmentStream, &[MachineConfig])],
+    options: SweepOptions,
+    sink: &S,
+) -> Vec<Vec<RunReport>> {
+    assert!(options.threads > 0, "need at least one host thread");
+    let n_configs: usize = jobs.iter().map(|(_, configs)| configs.len()).sum();
+    if n_configs == 0 {
+        return jobs.iter().map(|_| Vec::new()).collect();
+    }
+    let _root = sink.span("run-sweep");
+
+    // Front-end analysis: group every grid, pick each config's path and
     // reserve every shared artefact's slot — all from the configs alone,
     // before any plan is built, so the whole pipeline can be scheduled as
     // one task batch.
     let path_span = sink.span("path-select");
-
-    // Group the grid by (distribution, processors): one routing plan per
-    // group serves every cache/bus/buffer variation. Grids are small, so a
-    // linear key scan beats hashing Distribution (which holds an Arc axis).
-    let mut plan_rep: Vec<usize> = Vec::new();
-    let mut plan_of: Vec<usize> = Vec::with_capacity(configs.len());
-    for (ci, config) in configs.iter().enumerate() {
-        let idx = plan_rep
-            .iter()
-            .position(|&rep| {
-                configs[rep].processors == config.processors
-                    && configs[rep].distribution == config.distribution
-            })
-            .unwrap_or_else(|| {
-                plan_rep.push(ci);
-                plan_rep.len() - 1
-            });
-        plan_of.push(idx);
-    }
-    let n_plans = plan_rep.len();
-    if S::ENABLED {
-        sink.count("sweep.plans", n_plans as u64);
-    }
-
-    // Decide each config's path. Replay-eligible configs of one plan share
-    // a geometry request grid (deduplicated by geometry, classification
-    // merged by OR so a Classifying and a plain SetAssoc config of the
-    // same geometry share one evaluation slot).
-    let mut requests: Vec<Vec<GeometryRequest>> = vec![Vec::new(); n_plans];
-    let mut path_of: Vec<ConfigPath> = vec![ConfigPath::Direct; configs.len()];
-    if options.replay {
-        let mut eligible = vec![0usize; n_plans];
-        for (ci, config) in configs.iter().enumerate() {
-            if let Some((geometry, classify)) = replay_request(config) {
-                let reqs = &mut requests[plan_of[ci]];
-                let geom = match reqs.iter().position(|r| r.geometry == geometry) {
-                    Some(gi) => {
-                        reqs[gi].classify |= classify;
-                        gi
-                    }
-                    None => {
-                        reqs.push(GeometryRequest { geometry, classify });
-                        reqs.len() - 1
-                    }
-                };
-                path_of[ci] = ConfigPath::Replay { geom, classify };
-                eligible[plan_of[ci]] += 1;
-            }
-        }
-        // Too-small groups fall back: capturing and replaying a trace only
-        // pays off when it serves several configs.
-        for (pi, count) in eligible.iter().enumerate() {
-            if *count < REPLAY_MIN_GROUP {
-                requests[pi].clear();
-            }
-        }
-        for (ci, path) in path_of.iter_mut().enumerate() {
-            if requests[plan_of[ci]].is_empty() {
-                *path = ConfigPath::Direct;
-            }
-        }
-    }
-
-    // Group the remaining direct configs by (plan, cache model): which
-    // texel probes hit or miss depends only on the node access sequences,
-    // so one pass of the model over the plan's fragment buckets serves
-    // every bus/buffer/DRAM variant in the grid — each such config then
-    // replays only its engine/FIFO timing against the recorded misses.
-    // This covers the cache models the Mattson machinery cannot express
-    // (perfect, two-level, victim, DRAM-backed) and the groups too small
-    // for a stack-distance evaluation to pay off.
-    let mut capture_keys: Vec<(usize, CacheKind)> = Vec::new();
-    let mut capture_uses: Vec<usize> = Vec::new();
-    for (ci, config) in configs.iter().enumerate() {
-        if matches!(path_of[ci], ConfigPath::Direct) {
-            let key = (plan_of[ci], config.cache);
-            match capture_keys.iter().position(|k| *k == key) {
-                Some(k) => capture_uses[k] += 1,
-                None => {
-                    capture_keys.push(key);
-                    capture_uses.push(1);
-                }
-            }
-        }
-    }
-    // A capture costs about one direct cache pass, so it only pays off
-    // when at least two configs replay it.
-    let mut capture_slot = vec![usize::MAX; capture_keys.len()];
-    let mut slots = 0usize;
-    for (k, &uses) in capture_uses.iter().enumerate() {
-        if uses >= 2 {
-            capture_slot[k] = slots;
-            slots += 1;
-        }
-    }
-    if slots > 0 {
-        for (ci, config) in configs.iter().enumerate() {
-            if matches!(path_of[ci], ConfigPath::Direct) {
-                let key = (plan_of[ci], config.cache);
-                let k = capture_keys
-                    .iter()
-                    .position(|kk| *kk == key)
-                    .expect("key was registered in the first pass");
-                if capture_slot[k] != usize::MAX {
-                    path_of[ci] = ConfigPath::Captured { slot: capture_slot[k] };
-                }
-            }
-        }
-    }
-
-    // Only groups with a config on a shared path need their plan: direct
-    // configs route on the fly inside `Machine::run`.
-    let mut needs_plan = vec![false; n_plans];
-    for (ci, path) in path_of.iter().enumerate() {
-        if !matches!(path, ConfigPath::Direct) {
-            needs_plan[plan_of[ci]] = true;
-        }
-    }
+    let mut jobs: Vec<Job> = jobs
+        .iter()
+        .map(|&(stream, configs)| Job::analyse(stream, configs, options.replay))
+        .collect();
     drop(path_span);
     if S::ENABLED {
-        sink.count("sweep.captures", slots as u64);
-        for path in &path_of {
-            sink.count(
-                match path {
-                    ConfigPath::Direct => "sweep.path.direct",
-                    ConfigPath::Captured { .. } => "sweep.path.captured",
-                    ConfigPath::Replay { .. } => "sweep.path.replay",
-                },
-                1,
-            );
-        }
-    }
-
-    // The stream's footprint batch (the 8 line-id expansion plus dense
-    // coordinate lanes, one pivot per sweep) feeds the plan builds, the
-    // capture passes and the replay lane pivots.
-    let frag_batch = needs_plan.contains(&true).then(|| {
-        let _s = sink.span("batch-pivot");
-        FragBatch::from_stream(stream)
-    });
-    let batch = || frag_batch.as_ref().expect("shared-path tasks run on a pivoted batch");
-
-    // Every shared artefact gets a preassigned write-once slot. Tasks fill
-    // them exactly once; the scheduler's dependency edges sequence every
-    // fill before its reads, whatever worker runs what — which is what
-    // keeps the reports byte-identical across schedules.
-    let plans: Vec<OnceLock<RoutingPlan>> = (0..n_plans).map(|_| OnceLock::new()).collect();
-    let captures: Vec<OnceLock<DirectCapture>> = (0..slots).map(|_| OnceLock::new()).collect();
-    let evals: Vec<OnceLock<TraceEvaluation>> = (0..n_plans).map(|_| OnceLock::new()).collect();
-    let out: Vec<OnceLock<RunReport>> = (0..configs.len()).map(|_| OnceLock::new()).collect();
-    let plan = |pi: usize| plans[pi].get().expect("a plan is built before its readers run");
-
-    // Tasks enter in pipeline order (plans, captures, evals, runs) so every
-    // dependency edge points backward — the DAG the scheduler requires
-    // holds by construction.
-    let model = CostModel::for_stream(stream.fragments().len() as u64);
-    let mut graph = TaskGraph::with_capacity(2 * n_plans + slots + configs.len());
-    let mut kinds: Vec<SweepTask> = Vec::with_capacity(2 * n_plans + slots + configs.len());
-    let mut plan_task = vec![usize::MAX; n_plans];
-    for (pi, &needed) in needs_plan.iter().enumerate() {
-        if needed {
-            kinds.push(SweepTask::Plan(pi));
-            plan_task[pi] = graph.add(model.plan_build());
-        }
-    }
-    let mut capture_task = vec![usize::MAX; slots];
-    for (key, &(pi, _)) in capture_keys.iter().enumerate() {
-        let slot = capture_slot[key];
-        if slot == usize::MAX {
-            continue;
-        }
-        kinds.push(SweepTask::Capture { key, slot });
-        let t = graph.add(model.capture());
-        graph.depend(t, plan_task[pi]);
-        capture_task[slot] = t;
-    }
-    let mut eval_task = vec![usize::MAX; n_plans];
-    for (pi, reqs) in requests.iter().enumerate() {
-        if reqs.is_empty() {
-            continue;
-        }
-        kinds.push(SweepTask::Eval(pi));
-        // The evaluation first pivots its plan's line trace out of the
-        // batch.
-        let t = graph.add(model.lane_pivot().saturating_add(model.trace_eval(reqs.len())));
-        graph.depend(t, plan_task[pi]);
-        eval_task[pi] = t;
-    }
-    let mut run_cost = vec![0u64; configs.len()];
-    for (ci, &path) in path_of.iter().enumerate() {
-        let (cost, dep) = match path {
-            ConfigPath::Direct => (model.run_direct(), None),
-            ConfigPath::Captured { slot } => (model.run_captured(), Some(capture_task[slot])),
-            ConfigPath::Replay { .. } => (model.run_replay(), Some(eval_task[plan_of[ci]])),
-        };
-        run_cost[ci] = cost;
-        kinds.push(SweepTask::Run(ci));
-        let t = graph.add(cost);
-        if let Some(dep) = dep {
-            graph.depend(t, dep);
-        }
-    }
-
-    // One report per config. The profiled run times each config into a
-    // per-path histogram: the replay-speedup evidence in
-    // METRICS_sweep.json.
-    let run_one = |ci: usize| {
-        let config = &configs[ci];
-        let t0 = S::ENABLED.then(Instant::now);
-        let report = match path_of[ci] {
-            ConfigPath::Direct => Machine::new(config.clone()).run(stream),
-            ConfigPath::Captured { slot } => {
-                let capture = captures[slot].get().expect("captured path has a capture");
-                run_direct_captured(config, stream, plan(plan_of[ci]), capture)
+        sink.count("sweep.configs", n_configs as u64);
+        for job in &jobs {
+            sink.count("sweep.plans", job.plans.len() as u64);
+            sink.count("sweep.captures", job.captured.len() as u64);
+            for path in &job.path_of {
+                sink.count(
+                    match path {
+                        ConfigPath::Direct => "sweep.path.direct",
+                        ConfigPath::Captured { .. } => "sweep.path.captured",
+                        ConfigPath::Replay { .. } => "sweep.path.replay",
+                    },
+                    1,
+                );
             }
-            ConfigPath::Replay { geom, classify } => {
-                let eval = evals[plan_of[ci]].get().expect("replay path has an evaluation");
-                run_replayed(config, stream, plan(plan_of[ci]), eval, geom, classify)
-            }
-        };
-        if let Some(t0) = t0 {
-            let metric = match path_of[ci] {
-                ConfigPath::Direct => "host.run_ns.direct",
-                ConfigPath::Captured { .. } => "host.run_ns.captured",
-                ConfigPath::Replay { .. } => "host.run_ns.replay",
-            };
-            sink.observe(metric, t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
-        report
-    };
+    }
+
+    // A job's footprint batch (the 8 line-id expansion plus dense
+    // coordinate lanes, one pivot per stream) feeds its plan builds,
+    // capture passes and replay lane pivots.
+    for job in &mut jobs {
+        if job.needs_plan.contains(&true) {
+            let _s = sink.span("batch-pivot");
+            job.batch = Some(FragBatch::from_stream(job.stream));
+        }
+    }
+
+    let mut graph = TaskGraph::new();
+    let mut tasks: Vec<(usize, SweepTask)> = Vec::new();
+    for (j, job) in jobs.iter_mut().enumerate() {
+        job.add_tasks(j, &mut graph, &mut tasks);
+    }
 
     // Per-worker accounting for the run-configs stage, over a *shared*
     // window (first config started → last config finished), so a worker
     // that runs out of configs early reads as idle, not as a shorter wall.
-    let workers = options.threads.min(configs.len());
+    let workers = options.threads.min(n_configs);
     let t_origin = Instant::now();
     let rc_busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let rc_items: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
@@ -584,51 +678,65 @@ pub fn run_sweep_profiled<S: HostSink>(
     let window_end = AtomicU64::new(0);
 
     let elapsed_ns = |origin: &Instant| origin.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    let exec = |t: usize, widx: usize| match kinds[t] {
-        SweepTask::Plan(pi) => {
-            let _s = sink.span("plan-build");
-            let rep = &configs[plan_rep[pi]];
-            let built =
-                RoutingPlan::build_from_batch(stream, batch(), &rep.distribution, rep.processors);
-            assert!(plans[pi].set(built).is_ok(), "one build per plan group");
-        }
-        SweepTask::Capture { key, slot } => {
-            let _s = sink.span("capture");
-            let (pi, kind) = capture_keys[key];
-            assert!(
-                captures[slot].set(capture_direct(kind, batch(), stream, plan(pi))).is_ok(),
-                "one capture per slot"
-            );
-        }
-        SweepTask::Eval(pi) => {
-            let _s = sink.span("trace-eval");
-            let trace = {
-                let _p = sink.span("lane-pivot");
-                line_trace(batch(), stream, plan(pi))
-            };
-            assert!(
-                evals[pi]
-                    .set(evaluate_trace_auto_profiled(&trace, &requests[pi], sink))
-                    .is_ok(),
-                "one evaluation per plan"
-            );
-        }
-        SweepTask::Run(ci) => {
-            let _s = sink.span("run-configs");
-            let start = S::ENABLED.then(|| elapsed_ns(&t_origin));
-            assert!(out[ci].set(run_one(ci)).is_ok(), "each config runs once");
-            if let Some(start) = start {
-                let end = elapsed_ns(&t_origin);
-                window_start.fetch_min(start, Ordering::Relaxed);
-                window_end.fetch_max(end, Ordering::Relaxed);
-                rc_busy[widx].fetch_add(end.saturating_sub(start), Ordering::Relaxed);
-                rc_items[widx].fetch_add(1, Ordering::Relaxed);
-                // Cost-model feedback: per-config |predicted − actual| as a
-                // percentage of predicted, kept as a log2 histogram so the
-                // LPT estimates stay honest as the simulator evolves.
-                let predicted = run_cost[ci].max(1);
-                let err_pct = end.saturating_sub(start).abs_diff(predicted) * 100 / predicted;
-                sink.observe("sweep.cost_err_pct", err_pct);
+    let exec = |t: usize, widx: usize| {
+        let (j, task) = tasks[t];
+        let job = &jobs[j];
+        match task {
+            SweepTask::Plan(pi) => {
+                let _s = sink.span("plan-build");
+                let rep = &job.configs[job.plan_rep[pi]];
+                let built = RoutingPlan::build_from_batch(
+                    job.stream,
+                    job.batch(),
+                    &rep.distribution,
+                    rep.processors,
+                );
+                assert!(job.plans[pi].set(built).is_ok(), "one build per plan group");
+            }
+            SweepTask::Capture(slot) => {
+                let _s = sink.span("capture");
+                let (pi, kind) = job.captured[slot];
+                let capture = capture_direct(kind, job.batch(), job.stream, job.plan(pi));
+                assert!(job.captures[slot].set(capture).is_ok(), "one capture per slot");
+            }
+            SweepTask::Eval(pi) => {
+                let _s = sink.span("trace-eval");
+                let trace = {
+                    let _p = sink.span("lane-pivot");
+                    line_trace(job.batch(), job.stream, job.plan(pi))
+                };
+                let eval = evaluate_trace_auto_profiled(&trace, &job.requests[pi], sink);
+                assert!(job.evals[pi].set(eval).is_ok(), "one evaluation per plan");
+            }
+            SweepTask::Run(ci) => {
+                let _s = sink.span("run-configs");
+                let start = S::ENABLED.then(|| elapsed_ns(&t_origin));
+                assert!(job.out[ci].set(job.run(ci)).is_ok(), "each config runs once");
+                if let Some(start) = start {
+                    let end = elapsed_ns(&t_origin);
+                    let took = end.saturating_sub(start);
+                    // One report per config, timed into a per-path
+                    // histogram: the replay-speedup evidence in
+                    // METRICS_sweep.json.
+                    sink.observe(
+                        match job.path_of[ci] {
+                            ConfigPath::Direct => "host.run_ns.direct",
+                            ConfigPath::Captured { .. } => "host.run_ns.captured",
+                            ConfigPath::Replay { .. } => "host.run_ns.replay",
+                        },
+                        took,
+                    );
+                    window_start.fetch_min(start, Ordering::Relaxed);
+                    window_end.fetch_max(end, Ordering::Relaxed);
+                    rc_busy[widx].fetch_add(took, Ordering::Relaxed);
+                    rc_items[widx].fetch_add(1, Ordering::Relaxed);
+                    // Cost-model feedback: per-config |predicted − actual|
+                    // as a percentage of predicted, kept as a log2
+                    // histogram so the LPT estimates stay honest as the
+                    // simulator evolves.
+                    let predicted = job.run_cost[ci].max(1);
+                    sink.observe("sweep.cost_err_pct", took.abs_diff(predicted) * 100 / predicted);
+                }
             }
         }
     };
@@ -648,8 +756,13 @@ pub fn run_sweep_profiled<S: HostSink>(
             );
         }
     }
-    out.into_iter()
-        .map(|slot| slot.into_inner().expect("every config ran"))
+    jobs.into_iter()
+        .map(|job| {
+            job.out
+                .into_iter()
+                .map(|slot| slot.into_inner().expect("every config ran"))
+                .collect()
+        })
         .collect()
 }
 

@@ -2,9 +2,11 @@
 //!
 //! With a perfect cache the work a node performs is just the pixels it owns
 //! (plus setup floors), so global load balance can be measured without a
-//! timing simulation: one pass over the fragment stream counting owners.
+//! timing simulation: one pass over the fragment stream counting owners,
+//! each looked up in the engine's [`OwnerLut`].
 
 use crate::distribution::Distribution;
+use crate::plan::OwnerLut;
 use sortmid_raster::FragmentStream;
 use sortmid_util::stats::imbalance_percent;
 
@@ -21,10 +23,10 @@ use sortmid_util::stats::imbalance_percent;
 /// assert_eq!(w.iter().sum::<u64>(), stream.fragment_count());
 /// ```
 pub fn pixel_work(stream: &FragmentStream, dist: &Distribution, procs: u32) -> Vec<u64> {
+    let lut = OwnerLut::build(dist, stream.screen(), procs);
     let mut work = vec![0u64; procs as usize];
     for frag in stream.fragments() {
-        let owner = dist.owner(frag.x as i32, frag.y as i32, procs);
-        work[owner as usize] += 1;
+        work[lut.owner(frag.x, frag.y) as usize] += 1;
     }
     work
 }
@@ -43,13 +45,12 @@ pub fn pixel_imbalance(stream: &FragmentStream, dist: &Distribution, procs: u32)
 /// node's total fragment count.
 pub fn work_map(stream: &FragmentStream, dist: &Distribution, procs: u32) -> Vec<u64> {
     let work = pixel_work(stream, dist, procs);
+    let lut = OwnerLut::build(dist, stream.screen(), procs);
     let w = stream.screen().width();
     let h = stream.screen().height();
-    let mut map = vec![0u64; (w * h) as usize];
-    for y in 0..h as i32 {
-        for x in 0..w as i32 {
-            map[(y as u32 * w + x as u32) as usize] = work[dist.owner(x, y, procs) as usize];
-        }
+    let mut map = Vec::with_capacity((w * h) as usize);
+    for y in 0..h as u16 {
+        map.extend((0..w as u16).map(|x| work[lut.owner(x, y) as usize]));
     }
     map
 }
@@ -62,6 +63,7 @@ pub fn engine_work(
     procs: u32,
     setup_cycles: u64,
 ) -> Vec<u64> {
+    let lut = OwnerLut::build(dist, stream.screen(), procs);
     let mut work = vec![0u64; procs as usize];
     let mut per_tri = vec![0u64; procs as usize];
     for tri in stream.triangles() {
@@ -70,8 +72,7 @@ pub fn engine_work(
         }
         let mask = dist.overlap_mask(&tri.bbox, procs);
         for frag in stream.fragments_of(tri) {
-            let owner = dist.owner(frag.x as i32, frag.y as i32, procs);
-            per_tri[owner as usize] += 1;
+            per_tri[lut.owner(frag.x, frag.y) as usize] += 1;
         }
         let mut m = mask;
         while m != 0 {
@@ -104,6 +105,30 @@ mod tests {
                 let w = pixel_work(&s, &d, procs);
                 assert_eq!(w.len(), procs as usize);
                 assert_eq!(w.iter().sum::<u64>(), s.fragment_count(), "{d} {procs}p");
+            }
+        }
+    }
+
+    #[test]
+    fn pixel_work_matches_a_per_fragment_owner_count() {
+        // The LUT-routed count must equal counting `Distribution::owner`
+        // fragment by fragment, for every distribution variant.
+        let s = stream();
+        let screen = s.screen();
+        let dists = [
+            Distribution::block(16),
+            Distribution::sli(4),
+            Distribution::dynamic_sli(vec![37, 90, screen.height()]),
+            Distribution::tile(32, 8),
+            Distribution::block_raster(16, screen.width()),
+        ];
+        for dist in &dists {
+            for procs in [1u32, 3, 64] {
+                let mut expected = vec![0u64; procs as usize];
+                for frag in s.fragments() {
+                    expected[dist.owner(frag.x as i32, frag.y as i32, procs) as usize] += 1;
+                }
+                assert_eq!(pixel_work(&s, dist, procs), expected, "{dist} {procs}p");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Shared scaffolding for the experiment modules.
 
-use sortmid::{CacheKind, Distribution, MachineConfig};
+use sortmid::{CacheKind, Distribution, MachineConfig, RunReport};
 use sortmid_raster::FragmentStream;
 use sortmid_scene::{Benchmark, Scene, SceneBuilder};
 
@@ -100,6 +100,75 @@ pub fn machine(
     b.build().expect("sweep configs are valid")
 }
 
+/// The distribution a figure column stands for: an SLI group size when
+/// `sli`, else a block width.
+pub fn distribution(param: u32, sli: bool) -> Distribution {
+    if sli {
+        Distribution::sli(param)
+    } else {
+        Distribution::block(param)
+    }
+}
+
+/// The single-processor reference machine a figure's speedups are
+/// measured against: block-16, the figure's cache and bus, the ideal
+/// triangle buffer.
+pub fn baseline_config(cache: CacheKind, bus_ratio: Option<f64>) -> MachineConfig {
+    machine(1, Distribution::block(16), cache, bus_ratio, 10_000)
+}
+
+/// A speedup grid as one sweep job: the grid's configs plus the baseline
+/// they are measured against.
+///
+/// When the grid already holds a config equal to the baseline, that cell
+/// doubles as the baseline rather than being simulated twice (a duplicate
+/// would also pull its plan group onto the sweep's captured path);
+/// otherwise the baseline runs as the job's first config.
+#[derive(Debug, Clone)]
+pub struct SpeedupJob {
+    configs: Vec<MachineConfig>,
+    baseline: usize,
+    grid_start: usize,
+}
+
+impl SpeedupJob {
+    /// The job measuring every config of `grid` against `baseline`.
+    pub fn new(baseline: MachineConfig, grid: Vec<MachineConfig>) -> Self {
+        match grid.iter().position(|c| *c == baseline) {
+            Some(index) => SpeedupJob {
+                configs: grid,
+                baseline: index,
+                grid_start: 0,
+            },
+            None => {
+                let mut configs = Vec::with_capacity(grid.len() + 1);
+                configs.push(baseline);
+                configs.extend(grid);
+                SpeedupJob {
+                    configs,
+                    baseline: 0,
+                    grid_start: 1,
+                }
+            }
+        }
+    }
+
+    /// The configs to sweep.
+    pub fn configs(&self) -> &[MachineConfig] {
+        &self.configs
+    }
+
+    /// Every grid config's speedup over the baseline, in grid order, given
+    /// the sweep's reports for [`SpeedupJob::configs`].
+    pub fn speedups(&self, reports: &[RunReport]) -> Vec<f64> {
+        let baseline = &reports[self.baseline];
+        reports[self.grid_start..]
+            .iter()
+            .map(|r| r.speedup_vs(baseline))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,5 +194,22 @@ mod tests {
         assert_eq!(c.triangle_buffer, 100);
         let c2 = machine(4, Distribution::block(16), CacheKind::Perfect, Some(2.0), 10);
         assert_eq!(c2.bus.line_cost(), 8);
+    }
+
+    #[test]
+    fn speedup_job_reuses_an_identical_grid_cell_as_baseline() {
+        let base = baseline_config(CacheKind::Perfect, Some(1.0));
+        let grid: Vec<MachineConfig> = [1u32, 4]
+            .iter()
+            .map(|&p| machine(p, Distribution::block(16), CacheKind::Perfect, Some(1.0), 10_000))
+            .collect();
+        let job = SpeedupJob::new(base.clone(), grid.clone());
+        assert_eq!(job.configs(), &grid[..], "no duplicate baseline run");
+
+        let other = vec![machine(4, Distribution::sli(2), CacheKind::Perfect, Some(1.0), 10_000)];
+        let job = SpeedupJob::new(base.clone(), other.clone());
+        assert_eq!(job.configs().len(), 2);
+        assert_eq!(job.configs()[0], base, "the baseline runs first");
+        assert_eq!(job.configs()[1], other[0]);
     }
 }

@@ -8,8 +8,11 @@
 //! * **speedup curves**: perfect-cache speedup vs processor count for
 //!   `32massive11255`, one series per parameter.
 
-use crate::common::{machine, short_name, PreparedScene, BLOCK_WIDTHS_FULL, PROC_CURVE, SLI_LINES};
-use sortmid::{work, CacheKind, Distribution, Machine, SpatialCollector};
+use crate::common::{
+    baseline_config, distribution, machine, short_name, PreparedScene, SpeedupJob,
+    BLOCK_WIDTHS_FULL, PROC_CURVE, SLI_LINES,
+};
+use sortmid::{run_sweep, work, CacheKind, Distribution, Machine, SpatialCollector, SweepGrid};
 use sortmid_observe::owner_color;
 use sortmid_scene::Benchmark;
 use sortmid_util::table::{fmt_f, Table};
@@ -25,12 +28,7 @@ pub fn imbalance_table(scenes: &[PreparedScene], procs: u32, sli: bool) -> Table
     for s in scenes {
         let mut row = vec![short_name(s.benchmark).to_string()];
         for &p in params {
-            let dist = if sli {
-                Distribution::sli(p)
-            } else {
-                Distribution::block(p)
-            };
-            row.push(fmt_f(work::pixel_imbalance(&s.stream, &dist, procs), 1));
+            row.push(fmt_f(work::pixel_imbalance(&s.stream, &distribution(p, sli), procs), 1));
         }
         t.row_owned(row);
     }
@@ -39,6 +37,9 @@ pub fn imbalance_table(scenes: &[PreparedScene], procs: u32, sli: bool) -> Table
 
 /// Perfect-cache speedup of `scene` vs processor count, one column per
 /// parameter (the bottom graphs of Figure 5).
+///
+/// The processors × parameters grid runs as one sweep. For block widths
+/// the grid's (1 processor, block-16) cell is the baseline itself.
 pub fn speedup_curves(scene: &PreparedScene, sli: bool) -> Table {
     let params: &[u32] = if sli { &SLI_LINES } else { &BLOCK_WIDTHS_FULL };
     let mut header = vec!["procs".to_string()];
@@ -46,27 +47,18 @@ pub fn speedup_curves(scene: &PreparedScene, sli: bool) -> Table {
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut t = Table::new(&header_refs);
 
-    let baseline = Machine::new(machine(
-        1,
-        Distribution::block(16),
-        CacheKind::Perfect,
-        Some(1.0),
-        10_000,
-    ))
-    .run(&scene.stream);
+    let grid = SweepGrid::new()
+        .processors(PROC_CURVE)
+        .distributions(params.iter().map(|&p| distribution(p, sli)))
+        .caches([CacheKind::Perfect])
+        .build();
+    let job = SpeedupJob::new(baseline_config(CacheKind::Perfect, Some(1.0)), grid);
+    let speedups = job.speedups(&run_sweep(&scene.stream, job.configs()));
 
-    for &procs in &PROC_CURVE {
+    // Row-major grid order: processors outermost.
+    for (procs, row_speedups) in PROC_CURVE.iter().zip(speedups.chunks(params.len())) {
         let mut row = vec![procs.to_string()];
-        for &p in params {
-            let dist = if sli {
-                Distribution::sli(p)
-            } else {
-                Distribution::block(p)
-            };
-            let report = Machine::new(machine(procs, dist, CacheKind::Perfect, Some(1.0), 10_000))
-                .run(&scene.stream);
-            row.push(fmt_f(report.speedup_vs(&baseline), 2));
-        }
+        row.extend(row_speedups.iter().map(|&s| fmt_f(s, 2)));
         t.row_owned(row);
     }
     t

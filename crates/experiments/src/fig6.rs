@@ -9,33 +9,34 @@
 //! The paper plots `32massive11255` and `teapot.full` and notes the other
 //! scenes behave like one of the two; we emit every scene.
 
-use crate::common::{machine, PreparedScene, BLOCK_WIDTHS, PROC_CURVE, SLI_LINES};
-use sortmid::{CacheKind, Distribution, Machine, MissClassCounts, SpatialCollector};
+use crate::common::{distribution, machine, PreparedScene, BLOCK_WIDTHS, PROC_CURVE, SLI_LINES};
+use sortmid::{
+    run_sweep, CacheKind, Distribution, Machine, MissClassCounts, SpatialCollector, SweepGrid,
+};
 use sortmid_cache::CacheGeometry;
 use sortmid_scene::Benchmark;
 use sortmid_util::table::{fmt_f, Table};
 use std::path::Path;
 
 /// Texel-to-fragment ratio of one scene vs processor count; one column per
-/// parameter value.
+/// parameter value. The processors × parameters grid runs as one sweep.
 pub fn locality_table(scene: &PreparedScene, sli: bool) -> Table {
     let params: &[u32] = if sli { &SLI_LINES } else { &BLOCK_WIDTHS };
     let mut header = vec!["procs".to_string()];
     header.extend(params.iter().map(|p| p.to_string()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut t = Table::new(&header_refs);
-    for &procs in &PROC_CURVE {
+    let grid = SweepGrid::new()
+        .processors(PROC_CURVE)
+        .distributions(params.iter().map(|&p| distribution(p, sli)))
+        .caches([CacheKind::PaperL1])
+        .bus_ratios([None])
+        .build();
+    let reports = run_sweep(&scene.stream, &grid);
+    // Row-major grid order: processors outermost.
+    for (procs, row_reports) in PROC_CURVE.iter().zip(reports.chunks(params.len())) {
         let mut row = vec![procs.to_string()];
-        for &p in params {
-            let dist = if sli {
-                Distribution::sli(p)
-            } else {
-                Distribution::block(p)
-            };
-            let report =
-                Machine::new(machine(procs, dist, CacheKind::PaperL1, None, 10_000)).run(&scene.stream);
-            row.push(fmt_f(report.texel_to_fragment(), 3));
-        }
+        row.extend(row_reports.iter().map(|r| fmt_f(r.texel_to_fragment(), 3)));
         t.row_owned(row);
     }
     t

@@ -6,51 +6,40 @@
 //! \[15\]) and the near-ideal 10 000-entry triangle buffer. Speedup is against
 //! the single-processor machine with the same cache and bus.
 
-use crate::common::{machine, short_name, PreparedScene, BLOCK_WIDTHS, PROC_PANELS, SLI_LINES};
-use sortmid::{CacheKind, Distribution, Machine, RunReport};
+use crate::common::{
+    baseline_config, distribution, short_name, PreparedScene, SpeedupJob, BLOCK_WIDTHS,
+    PROC_PANELS, SLI_LINES,
+};
+use sortmid::{run_sweeps, CacheKind, NullHostSink, SweepGrid, SweepOptions};
 use sortmid_util::table::{fmt_f, Table};
 
 /// One panel: speedups of every benchmark (rows) × parameter (columns).
+///
+/// Every scene's row and its single-processor baseline form one job of a
+/// single [`run_sweeps`] call, so the panel's configs share the sweep pool
+/// across scenes.
 pub fn speedup_panel(scenes: &[PreparedScene], procs: u32, sli: bool, bus_ratio: f64) -> Table {
     let params: &[u32] = if sli { &SLI_LINES } else { &BLOCK_WIDTHS };
     let mut header = vec!["benchmark".to_string()];
     header.extend(params.iter().map(|p| p.to_string()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut t = Table::new(&header_refs);
-    for s in scenes {
-        let baseline = baseline(s, bus_ratio);
+
+    let grid = SweepGrid::new()
+        .processors([procs])
+        .distributions(params.iter().map(|&p| distribution(p, sli)))
+        .caches([CacheKind::PaperL1])
+        .bus_ratios([Some(bus_ratio)])
+        .build();
+    let job = SpeedupJob::new(baseline_config(CacheKind::PaperL1, Some(bus_ratio)), grid);
+    let jobs: Vec<_> = scenes.iter().map(|s| (&s.stream, job.configs())).collect();
+    let reports = run_sweeps(&jobs, SweepOptions::default(), &NullHostSink);
+    for (s, scene_reports) in scenes.iter().zip(&reports) {
         let mut row = vec![short_name(s.benchmark).to_string()];
-        for &p in params {
-            let dist = if sli {
-                Distribution::sli(p)
-            } else {
-                Distribution::block(p)
-            };
-            let report = Machine::new(machine(
-                procs,
-                dist,
-                CacheKind::PaperL1,
-                Some(bus_ratio),
-                10_000,
-            ))
-            .run(&s.stream);
-            row.push(fmt_f(report.speedup_vs(&baseline), 2));
-        }
+        row.extend(job.speedups(scene_reports).into_iter().map(|v| fmt_f(v, 2)));
         t.row_owned(row);
     }
     t
-}
-
-/// The single-processor reference run for a scene at a bus ratio.
-pub fn baseline(scene: &PreparedScene, bus_ratio: f64) -> RunReport {
-    Machine::new(machine(
-        1,
-        Distribution::block(16),
-        CacheKind::PaperL1,
-        Some(bus_ratio),
-        10_000,
-    ))
-    .run(&scene.stream)
 }
 
 /// Runs all six panels at `scale` with the given bus ratio; returns

@@ -7,49 +7,47 @@
 //! the peak speedup and the best width, and the buffer matters *more* with
 //! a real cache.
 
-use crate::common::{machine, PreparedScene, BLOCK_WIDTHS_FULL, BUFFER_SIZES};
-use sortmid::{run_sweep, CacheKind, Distribution, Machine, SweepGrid};
+use crate::common::{baseline_config, PreparedScene, SpeedupJob, BLOCK_WIDTHS_FULL, BUFFER_SIZES};
+use sortmid::{run_sweep, CacheKind, Distribution, MachineConfig, SweepGrid};
 use sortmid_scene::Benchmark;
 use sortmid_util::table::{fmt_f, Table};
 
 /// One panel: speedup for every block width (rows) × buffer size (columns).
 ///
-/// Every row fixes `(procs, width)` and only varies the buffer, so the grid
-/// is swept with [`run_sweep`]: each width's routing plan is built once and
-/// shared across all buffer sizes.
+/// The widths × buffers grid and its single-processor baseline run as one
+/// [`run_sweep`]: each row fixes `(procs, width)` and only varies the
+/// buffer, so each width's routing plan is built once and shared across
+/// all buffer sizes.
 pub fn buffer_panel(scene: &PreparedScene, procs: u32, cache: CacheKind, bus_ratio: f64) -> Table {
     let mut header = vec!["width".to_string()];
     header.extend(BUFFER_SIZES.iter().map(|b| b.to_string()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut t = Table::new(&header_refs);
 
-    let baseline = Machine::new(machine(
-        1,
-        Distribution::block(16),
-        cache,
-        Some(bus_ratio),
-        10_000,
-    ))
-    .run(&scene.stream);
+    let job = SpeedupJob::new(
+        baseline_config(cache, Some(bus_ratio)),
+        width_buffer_grid(procs, cache, bus_ratio),
+    );
+    let speedups = job.speedups(&run_sweep(&scene.stream, job.configs()));
 
-    let configs = SweepGrid::new()
+    // Row-major grid order: distributions outermost, buffers innermost.
+    for (width, row_speedups) in BLOCK_WIDTHS_FULL.iter().zip(speedups.chunks(BUFFER_SIZES.len())) {
+        let mut row = vec![width.to_string()];
+        row.extend(row_speedups.iter().map(|&s| fmt_f(s, 2)));
+        t.row_owned(row);
+    }
+    t
+}
+
+/// Figure 8's grid: every block width × buffer size on `procs` nodes.
+fn width_buffer_grid(procs: u32, cache: CacheKind, bus_ratio: f64) -> Vec<MachineConfig> {
+    SweepGrid::new()
         .processors([procs])
         .distributions(BLOCK_WIDTHS_FULL.iter().map(|&w| Distribution::block(w)))
         .caches([cache])
         .bus_ratios([Some(bus_ratio)])
         .buffers(BUFFER_SIZES)
-        .build();
-    let reports = run_sweep(&scene.stream, &configs);
-
-    // Row-major grid order: distributions outermost, buffers innermost.
-    for (width, row_reports) in BLOCK_WIDTHS_FULL.iter().zip(reports.chunks(BUFFER_SIZES.len())) {
-        let mut row = vec![width.to_string()];
-        for report in row_reports {
-            row.push(fmt_f(report.speedup_vs(&baseline), 2));
-        }
-        t.row_owned(row);
-    }
-    t
+        .build()
 }
 
 /// Runs both Figure 8 panels at `scale`: `(perfect-cache, 16KB + 2x bus)`.
@@ -78,14 +76,7 @@ pub fn starvation_panel(
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut t = Table::new(&header_refs);
 
-    let configs = SweepGrid::new()
-        .processors([procs])
-        .distributions(BLOCK_WIDTHS_FULL.iter().map(|&w| Distribution::block(w)))
-        .caches([cache])
-        .bus_ratios([Some(bus_ratio)])
-        .buffers(BUFFER_SIZES)
-        .build();
-    let reports = run_sweep(&scene.stream, &configs);
+    let reports = run_sweep(&scene.stream, &width_buffer_grid(procs, cache, bus_ratio));
 
     for (width, row_reports) in BLOCK_WIDTHS_FULL.iter().zip(reports.chunks(BUFFER_SIZES.len())) {
         let mut row = vec![width.to_string()];

@@ -5,8 +5,8 @@
 //! vs SLI) across several generator seeds of the same preset and reports
 //! mean ± standard deviation plus how often each width wins.
 
-use crate::common::{machine, BLOCK_WIDTHS, SLI_LINES};
-use sortmid::{CacheKind, Distribution, Machine};
+use crate::common::{baseline_config, SpeedupJob, BLOCK_WIDTHS, SLI_LINES};
+use sortmid::{run_sweep, CacheKind, Distribution, SweepGrid};
 use sortmid_scene::{Benchmark, SceneBuilder};
 use sortmid_util::stats::Summary;
 use sortmid_util::table::{fmt_f, Table};
@@ -28,40 +28,43 @@ pub struct SeedStudy {
 }
 
 /// Runs the study on `benchmark` at `scale` over `seeds` generator seeds.
+///
+/// Each seed's 64-processor width and group scans run as one sweep
+/// against its single-processor baseline (block-16 is read off the width
+/// scan), and each seed's stream is dropped before the next is generated.
 pub fn run(benchmark: Benchmark, scale: f64, seeds: u32) -> SeedStudy {
     let mut block16 = Summary::new();
     let mut best_sli_summary = Summary::new();
     let mut votes: BTreeMap<u32, u32> = BTreeMap::new();
     let mut block_wins = 0;
+    let grid = SweepGrid::new()
+        .processors([64])
+        .distributions(
+            BLOCK_WIDTHS
+                .iter()
+                .map(|&w| Distribution::block(w))
+                .chain(SLI_LINES.iter().map(|&l| Distribution::sli(l))),
+        )
+        .caches([CacheKind::PaperL1])
+        .build();
+    let job = SpeedupJob::new(baseline_config(CacheKind::PaperL1, Some(1.0)), grid);
+    let w16 = BLOCK_WIDTHS.iter().position(|&w| w == 16).expect("block-16 is scanned");
     for seed in 0..seeds as u64 {
         let stream = SceneBuilder::benchmark(benchmark)
             .scale(scale)
             .seed(0xBEEF + seed * 7919)
             .build()
             .rasterize();
-        let baseline = Machine::new(machine(
-            1,
-            Distribution::block(16),
-            CacheKind::PaperL1,
-            Some(1.0),
-            10_000,
-        ))
-        .run(&stream);
-        let speedup = |dist: Distribution| {
-            Machine::new(machine(64, dist, CacheKind::PaperL1, Some(1.0), 10_000))
-                .run(&stream)
-                .speedup_vs(&baseline)
-        };
+        let speedups = job.speedups(&run_sweep(&stream, job.configs()));
+        let (block, sli) = speedups.split_at(BLOCK_WIDTHS.len());
         let (best_w, best_block_speedup) = BLOCK_WIDTHS
             .iter()
-            .map(|&w| (w, speedup(Distribution::block(w))))
+            .copied()
+            .zip(block.iter().copied())
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
             .expect("non-empty");
-        let best_sli = SLI_LINES
-            .iter()
-            .map(|&l| speedup(Distribution::sli(l)))
-            .fold(f64::NEG_INFINITY, f64::max);
-        block16.push(speedup(Distribution::block(16)));
+        let best_sli = sli.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        block16.push(block[w16]);
         best_sli_summary.push(best_sli);
         *votes.entry(best_w).or_insert(0) += 1;
         if best_block_speedup >= best_sli {

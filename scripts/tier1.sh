@@ -103,11 +103,14 @@ cargo run -q --release --offline -p sortmid-bench --bin bench_check -- \
 echo "==> engine-vs-reference property lane (release)"
 cargo test -q --release --offline --test batched
 
-# Benchmark smoke runs of the two workloads on the direct engine: a run
-# whose identity, pixel-conservation or digest-stability checks fail
-# exits nonzero.
-echo "==> benchmark smoke: single-config, paper-figures"
+# Benchmark smoke runs of every workload: a run whose identity,
+# pixel-conservation or digest-stability checks fail exits nonzero. The
+# two sweep workloads also check a 1-in-64 sample of their reports
+# against direct Machine::run results.
+echo "==> benchmark smoke: single-config, paper-figures, design-sweep, cache-geometry"
 bash benchmark/run.sh --workload single-config --smoke
 bash benchmark/run.sh --workload paper-figures --smoke
+bash benchmark/run.sh --workload design-sweep --smoke
+bash benchmark/run.sh --workload cache-geometry --smoke
 
 echo "tier1: OK"
