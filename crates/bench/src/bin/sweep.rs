@@ -17,9 +17,11 @@
 //!   size from 512 B to 4 MB crossed with associativities 1–128, 100+
 //!   configs) on one routing plan, all priced from a single
 //!   `LineAccessTrace` replay;
-//! * `grid/trace-replay-base` — a small subset of the dense grid on the
-//!   same plan, so the difference of the two medians isolates the
-//!   *marginal* cost of each extra cache config.
+//! * `grid/trace-replay-base` — [`STACKDIST_MIN_REQUESTS`] geometries of
+//!   the dense grid on the same plan, the fewest the sweep still prices
+//!   with one Mattson walk (a smaller grid would run each single-use
+//!   geometry directly), so the difference of the two medians isolates
+//!   the *marginal* cost of each extra cache config.
 //!
 //! The shared-plan/per-config ratio is the plan-reuse speedup; the
 //! dense/base difference prices extra cache configs.
@@ -53,8 +55,8 @@
 //! lanes stay on the [`NullHostSink`](sortmid::NullHostSink) path, so the
 //! regression gate keeps pinning the *unprofiled* pipeline.
 //!
-//! Pass `--no-replay` to turn off the stack-distance path (its configs run
-//! on shared captures or the direct engine instead) and `--threads N` to
+//! Pass `--no-replay` to turn off the Mattson walk (its configs run on
+//! shared captures or the direct engine instead) and `--threads N` to
 //! pin the pool size; the reports are byte-identical either way, only the
 //! wall-clock changes (`--no-replay` skips the profile artefact — it
 //! documents the default pipeline).
@@ -64,7 +66,7 @@ use sortmid::{
     MachineConfig, SweepGrid, SweepOptions,
 };
 use sortmid_bench::{run_provenance, stream};
-use sortmid_cache::CacheGeometry;
+use sortmid_cache::{CacheGeometry, STACKDIST_MIN_REQUESTS};
 use sortmid_devharness::{Json, Suite};
 use sortmid_observe::breakdown::ConfigBreakdown;
 use sortmid_observe::{Artifact, Schema, SweepBreakdowns};
@@ -113,17 +115,15 @@ fn dense_geometries() -> Vec<CacheGeometry> {
     out
 }
 
-/// A small subset of [`dense_geometries`] — same plan, same pipeline, a
-/// fraction of the configs — so `dense − base` isolates the marginal cost
-/// per extra cache config.
+/// Every third geometry of [`dense_geometries`], [`STACKDIST_MIN_REQUESTS`]
+/// in all — same plan, same pipeline (one pivot, one walk), a third of
+/// the configs — so `dense − base` isolates the marginal cost per extra
+/// cache config.
 fn base_geometries() -> Vec<CacheGeometry> {
-    [2048u32, 16_384, 131_072, 1_048_576]
-        .iter()
-        .flat_map(|&size| {
-            [1u32, 4, 16]
-                .iter()
-                .map(move |&ways| CacheGeometry::new(size, ways, 64).expect("valid"))
-        })
+    dense_geometries()
+        .into_iter()
+        .step_by(3)
+        .take(STACKDIST_MIN_REQUESTS)
         .collect()
 }
 

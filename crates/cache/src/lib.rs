@@ -24,7 +24,8 @@
 //!   geometry-independent access sequence once per routing plan.
 //! * [`stackdist::evaluate_trace`] — Mattson stack-distance replay that
 //!   prices every (size × associativity) geometry of a sweep grid from one
-//!   captured trace.
+//!   captured trace; the sweep walks a plan's trace once it requests
+//!   [`STACKDIST_MIN_REQUESTS`] or more geometries.
 //!
 //! All models operate on **line addresses** (global texel index / 16); the
 //! rasterizer hands the machine 8 texel addresses per fragment and the node
@@ -60,8 +61,7 @@ pub use hierarchy::TwoLevelCache;
 pub use perfect::PerfectCache;
 pub use set_assoc::SetAssocCache;
 pub use stackdist::{
-    evaluate_trace, evaluate_trace_auto, evaluate_trace_auto_profiled, evaluate_trace_direct,
-    evaluation_cost_weight, GeometryRequest, MattsonProfile, TraceEvaluation,
+    evaluate_trace, evaluation_cost_weight, GeometryRequest, MattsonProfile, TraceEvaluation,
     STACKDIST_MIN_REQUESTS,
 };
 pub use stats::{CacheStats, MissBreakdown, MissIdentityError};

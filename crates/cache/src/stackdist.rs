@@ -19,12 +19,9 @@
 //! counts, an eviction estimate and the three-C decomposition matching
 //! [`ClassifyingCache`](crate::ClassifyingCache).
 
-use crate::classify::ClassifyingCache;
 use crate::geometry::CacheGeometry;
-use crate::set_assoc::SetAssocCache;
 use crate::stats::{CacheStats, MissBreakdown};
 use crate::trace::LineAccessTrace;
-use crate::LineCache;
 use std::collections::HashMap;
 
 /// Sentinel for "no slot" in the intrusive recency list.
@@ -229,205 +226,28 @@ pub fn evaluate_trace(trace: &LineAccessTrace, requests: &[GeometryRequest]) -> 
     }
 }
 
-/// Request-count threshold at which [`evaluate_trace_auto`] switches from
-/// the direct per-geometry replay to the shared stack-distance walk.
+/// Request-count threshold for the stack-distance walk: the sweep prices
+/// a plan's set-associative configs with [`evaluate_trace`] iff they
+/// request at least this many distinct geometries, and shares one cache
+/// capture per `(plan, cache model)` otherwise.
 ///
 /// The walk amortizes across geometries but pays a per-access scan bounded
 /// by the deepest saturation cap (roughly `sets x ways` of the largest
-/// geometry); a direct [`SetAssocCache`] probe touches one set. Measured
-/// on the sweep bench's trace-replay lanes, the walk's near-fixed cost
-/// equals roughly thirty direct per-geometry replays, so dozen-geometry
-/// grids stay direct and 100-config dense grids take the walk.
+/// geometry); a direct [`SetAssocCache`](crate::SetAssocCache) probe
+/// touches one set. Measured on the sweep bench's trace-replay lanes, the
+/// walk's near-fixed cost equals roughly thirty per-geometry cache passes,
+/// so dozen-geometry grids stay on captures and 100-config dense grids
+/// take the walk.
 pub const STACKDIST_MIN_REQUESTS: usize = 32;
 
-/// Relative host cost of pricing `requests` geometries from one line
-/// trace, in units of one direct trace pass — the same cost shape
-/// [`evaluate_trace_auto`] switches its backend on, exported so the sweep
-/// scheduler's cost model can dispatch trace evaluations
-/// longest-estimated-first.
-///
-/// Below [`STACKDIST_MIN_REQUESTS`] the direct backend walks the trace
-/// once per geometry; at or above it the Mattson walk pays roughly the
-/// break-even number of passes once, then synthesizes each geometry from
-/// the distance histograms for a small per-geometry increment.
+/// Relative host cost of one [`evaluate_trace`] pricing `requests`
+/// geometries, in units of one cache pass over the trace, exported so the
+/// sweep scheduler's cost model can dispatch evaluations
+/// longest-estimated-first: the walk pays roughly
+/// [`STACKDIST_MIN_REQUESTS`] passes once, then a small increment per
+/// geometry synthesized from the distance histograms.
 pub fn evaluation_cost_weight(requests: usize) -> u64 {
-    let requests = requests as u64;
-    if requests >= STACKDIST_MIN_REQUESTS as u64 {
-        STACKDIST_MIN_REQUESTS as u64 + requests / 8
-    } else {
-        requests.max(1)
-    }
-}
-
-/// Replays `trace` with whichever backend is cheaper for the grid size:
-/// the shared stack-distance walk ([`evaluate_trace`]) for
-/// [`STACKDIST_MIN_REQUESTS`] or more geometries, the direct per-geometry
-/// replay ([`evaluate_trace_direct`]) below that. Both produce identical
-/// counters; only [`TraceEvaluation::profile`] differs (the direct
-/// backend's profile tracks no distance histograms).
-///
-/// # Panics
-///
-/// Panics if two requests carry the same geometry.
-pub fn evaluate_trace_auto(
-    trace: &LineAccessTrace,
-    requests: &[GeometryRequest],
-) -> TraceEvaluation {
-    evaluate_trace_auto_profiled(trace, requests, &sortmid_observe::NullHostSink)
-}
-
-/// [`evaluate_trace_auto`] with host profiling: the chosen backend runs
-/// under a `mattson-walk` or `direct-replay` span, and the selection is
-/// counted (`cache.backend.mattson` / `cache.backend.direct`) along with
-/// the deciding grid size (`cache.eval_requests` histogram). With
-/// [`NullHostSink`](sortmid_observe::NullHostSink) this monomorphizes to
-/// exactly [`evaluate_trace_auto`].
-///
-/// # Panics
-///
-/// Panics if two requests carry the same geometry.
-pub fn evaluate_trace_auto_profiled<S: sortmid_observe::HostSink>(
-    trace: &LineAccessTrace,
-    requests: &[GeometryRequest],
-    sink: &S,
-) -> TraceEvaluation {
-    if S::ENABLED {
-        sink.observe("cache.eval_requests", requests.len() as u64);
-    }
-    if requests.len() >= STACKDIST_MIN_REQUESTS {
-        if S::ENABLED {
-            sink.count("cache.backend.mattson", 1);
-        }
-        let _span = sink.span("mattson-walk");
-        evaluate_trace(trace, requests)
-    } else {
-        if S::ENABLED {
-            sink.count("cache.backend.direct", 1);
-        }
-        let _span = sink.span("direct-replay");
-        evaluate_trace_direct(trace, requests)
-    }
-}
-
-/// Replays `trace` by running each requested geometry through a direct
-/// [`SetAssocCache`] / [`ClassifyingCache`] simulation — the baseline
-/// backend the stack-distance walk must match, and the faster choice when
-/// a plan group prices only a handful of geometries.
-///
-/// The returned evaluation answers every per-geometry query
-/// ([`TraceEvaluation::stats`], [`breakdown`](TraceEvaluation::breakdown),
-/// [`fragment_misses`](TraceEvaluation::fragment_misses),
-/// [`evictions`](TraceEvaluation::evictions), ...) identically to
-/// [`evaluate_trace`]; only the node [`MattsonProfile`]s differ — this
-/// backend records accesses and compulsory counts but no distance
-/// histograms, so [`MattsonProfile::supports`] answers `false` for every
-/// point.
-///
-/// # Panics
-///
-/// Panics if two requests carry the same geometry.
-pub fn evaluate_trace_direct(
-    trace: &LineAccessTrace,
-    requests: &[GeometryRequest],
-) -> TraceEvaluation {
-    for (i, r) in requests.iter().enumerate() {
-        assert!(
-            !requests[..i].iter().any(|p| p.geometry == r.geometry),
-            "duplicate geometry {} in request grid",
-            r.geometry
-        );
-    }
-    let nodes = (0..trace.node_count())
-        .map(|n| evaluate_node_direct(trace.node_lines(n), trace.accesses_per_fragment(), requests))
-        .collect();
-    TraceEvaluation {
-        requests: requests.to_vec(),
-        nodes,
-    }
-}
-
-fn evaluate_node_direct(
-    lines: &[u32],
-    accesses_per_fragment: u32,
-    requests: &[GeometryRequest],
-) -> NodeEvaluation {
-    // The cold census (first-touch order) feeds `compulsory` and
-    // `resident_lines`, independent of any geometry.
-    let cold_lines = cold_census(lines);
-    let per_geom = requests
-        .iter()
-        .map(|r| {
-            if r.classify {
-                replay_geometry(lines, accesses_per_fragment, ClassifyingCache::new(r.geometry))
-            } else {
-                replay_geometry(lines, accesses_per_fragment, SetAssocCache::new(r.geometry))
-            }
-        })
-        .collect();
-    NodeEvaluation {
-        profile: MattsonProfile {
-            accesses: lines.len() as u64,
-            cold: cold_lines.len() as u64,
-            hist: Vec::new(),
-        },
-        cold_lines,
-        per_geom,
-    }
-}
-
-/// Distinct lines of a sequence in first-touch order, via a bitmap over
-/// the line range (texture line indices are dense and small, so this beats
-/// hashing each access).
-fn cold_census(lines: &[u32]) -> Vec<u32> {
-    let max = match lines.iter().max() {
-        Some(&m) => m as usize,
-        None => return Vec::new(),
-    };
-    if max >= 1 << 26 {
-        // Pathologically sparse line values: hash instead of allocating a
-        // multi-megabyte bitmap.
-        let mut seen: HashMap<u32, ()> = HashMap::new();
-        return lines
-            .iter()
-            .filter(|&&l| seen.insert(l, ()).is_none())
-            .copied()
-            .collect();
-    }
-    let mut seen = vec![0u64; max / 64 + 1];
-    let mut cold_lines = Vec::new();
-    for &line in lines {
-        let (word, bit) = (line as usize / 64, line % 64);
-        if seen[word] & (1 << bit) == 0 {
-            seen[word] |= 1 << bit;
-            cold_lines.push(line);
-        }
-    }
-    cold_lines
-}
-
-/// Runs one concrete cache model over a node's sequence, collecting the
-/// per-geometry counters (monomorphized per model — the probe loop is the
-/// hot path of the direct backend).
-fn replay_geometry<C: LineCache>(
-    lines: &[u32],
-    accesses_per_fragment: u32,
-    mut cache: C,
-) -> GeomCounts {
-    let mut frag_misses = Vec::with_capacity(lines.len() / accesses_per_fragment.max(1) as usize);
-    for chunk in lines.chunks_exact(accesses_per_fragment as usize) {
-        let mut m = 0u8;
-        for &line in chunk {
-            if !cache.access_line(line) {
-                m += 1;
-            }
-        }
-        frag_misses.push(m);
-    }
-    GeomCounts {
-        misses: cache.stats().misses(),
-        breakdown: cache.breakdown(),
-        frag_misses,
-    }
+    STACKDIST_MIN_REQUESTS as u64 + requests as u64 / 8
 }
 
 /// The request grid preprocessed for the per-access loop.
@@ -670,6 +490,7 @@ fn evaluate_node(lines: &[u32], accesses_per_fragment: u32, grid: &RequestGrid) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::ClassifyingCache;
     use crate::set_assoc::SetAssocCache;
     use crate::LineCache;
 
@@ -780,65 +601,60 @@ mod tests {
         evaluate_trace(&trace_of(vec![1]), &[request(512, 2), request(512, 2)]);
     }
 
+    /// Per-fragment oracle: a fresh `SetAssocCache` (and, for a
+    /// classifying request, a `ClassifyingCache`) fed the sequence one
+    /// fragment of `per_fragment` lines at a time. Returns each fragment's
+    /// miss count, the final stats, the three-C breakdown and the
+    /// evictions.
+    fn oracle(
+        req: &GeometryRequest,
+        lines: &[u32],
+        per_fragment: usize,
+    ) -> (Vec<u8>, CacheStats, Option<MissBreakdown>, u64) {
+        let mut cache = SetAssocCache::new(req.geometry);
+        let mut classed = ClassifyingCache::new(req.geometry);
+        let frag_misses = lines
+            .chunks_exact(per_fragment)
+            .map(|frag| {
+                if req.classify {
+                    for &l in frag {
+                        classed.access_line(l);
+                    }
+                }
+                frag.iter().filter(|&&l| !cache.access_line(l)).count() as u8
+            })
+            .collect();
+        let evictions = cache.stats().misses() - cache.resident_lines() as u64;
+        let breakdown = req.classify.then(|| classed.breakdown());
+        (frag_misses, *cache.stats(), breakdown, evictions)
+    }
+
     #[test]
-    fn direct_backend_matches_stackdist_backend() {
+    fn walk_matches_a_per_fragment_oracle() {
         let lines = lcg_lines(4096, 180, 29);
-        let trace = LineAccessTrace::from_nodes(vec![lines], 8);
+        let trace = LineAccessTrace::from_nodes(vec![lines.clone()], 8);
         let mut grid: Vec<GeometryRequest> = [(512, 1), (1024, 4), (4096, 2), (16384, 8)]
             .iter()
             .map(|&(s, w)| request(s, w))
             .collect();
         grid[1].classify = true;
         let walk = evaluate_trace(&trace, &grid);
-        let direct = evaluate_trace_direct(&trace, &grid);
-        assert_eq!(walk.compulsory(0), direct.compulsory(0));
         for (gi, req) in grid.iter().enumerate() {
-            assert_eq!(walk.stats(0, gi), direct.stats(0, gi), "{}", req.geometry);
-            assert_eq!(walk.breakdown(0, gi), direct.breakdown(0, gi));
-            assert_eq!(walk.fragment_misses(0, gi), direct.fragment_misses(0, gi));
-            assert_eq!(walk.evictions(0, gi), direct.evictions(0, gi));
+            let (frag_misses, stats, breakdown, evictions) = oracle(req, &lines, 8);
+            assert_eq!(walk.fragment_misses(0, gi), frag_misses, "{}", req.geometry);
+            assert_eq!(walk.stats(0, gi), stats, "{}", req.geometry);
+            assert_eq!(walk.breakdown(0, gi), breakdown, "{}", req.geometry);
+            assert_eq!(walk.evictions(0, gi), evictions, "{}", req.geometry);
         }
-        assert!(walk.profile(0).supports(8, 1));
-        assert!(
-            !direct.profile(0).supports(8, 1),
-            "the direct backend tracks no distance histograms"
-        );
     }
 
     #[test]
-    fn auto_backend_picks_by_request_count() {
-        let trace = trace_of(lcg_lines(256, 40, 5));
-        let few = [request(512, 1), request(1024, 2)];
-        assert!(
-            !evaluate_trace_auto(&trace, &few).profile(0).supports(8, 1),
-            "small grids take the direct backend"
-        );
-        let many: Vec<GeometryRequest> = (0..STACKDIST_MIN_REQUESTS as u32)
-            .map(|i| request(512 << (i % 8), 1 << (i / 8)))
-            .collect();
-        assert!(
-            evaluate_trace_auto(&trace, &many).profile(0).supports(8, 1),
-            "dense grids take the stack-distance walk"
-        );
-    }
-
-    #[test]
-    fn evaluation_cost_weight_tracks_the_backend_switch() {
-        assert_eq!(evaluation_cost_weight(0), 1, "a no-op eval still costs a task");
-        // The direct backend scales linearly with the request count...
-        for n in 1..STACKDIST_MIN_REQUESTS {
-            assert_eq!(evaluation_cost_weight(n), n as u64);
-        }
-        // ...and the walk amortizes: doubling a dense grid far less than
-        // doubles the weight, while the weight stays monotone throughout.
-        let dense = evaluation_cost_weight(STACKDIST_MIN_REQUESTS * 4);
-        let denser = evaluation_cost_weight(STACKDIST_MIN_REQUESTS * 8);
-        assert!(denser > dense && denser < dense * 2, "{dense} -> {denser}");
-        let mut prev = 0;
-        for n in 0..512 {
-            let w = evaluation_cost_weight(n);
-            assert!(w >= prev, "weight must be monotone at {n}");
-            prev = w;
+    fn evaluation_cost_weight_amortizes_the_walk() {
+        for n in [0, 1, STACKDIST_MIN_REQUESTS, 102, 4096] {
+            assert_eq!(
+                evaluation_cost_weight(n),
+                STACKDIST_MIN_REQUESTS as u64 + n as u64 / 8
+            );
         }
     }
 }

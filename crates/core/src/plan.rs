@@ -325,7 +325,7 @@ mod tests {
     use super::*;
     use crate::config::CacheKind;
     use crate::machine::Machine;
-    use crate::replay::{capture_direct, run_direct_captured};
+    use crate::replay::{capture_direct, replay_timing};
     use crate::MachineConfig;
     use sortmid_devharness::prop::{check, Config};
     use sortmid_devharness::prop_assert_eq;
@@ -466,7 +466,7 @@ mod tests {
                     .expect("valid config");
                 let plan = RoutingPlan::build(&s, &dist, procs);
                 let capture = capture_direct(kind, &FragBatch::from_stream(&s), &s, &plan);
-                let planned = run_direct_captured(&config, &s, &plan, &capture);
+                let planned = replay_timing(&config, &s, &plan, capture.nodes());
                 let direct = Machine::new(config).run(&s);
                 prop_assert_eq!(&planned, &direct);
                 prop_assert_eq!(format!("{planned:?}"), format!("{direct:?}"));

@@ -6,11 +6,14 @@
 //! node's access sequence once per plan, the
 //! [stack-distance evaluator](sortmid_cache::stackdist) prices every
 //! set-associative geometry of the sweep grid from that one trace, and
-//! [`run_replayed`] re-derives a [`RunReport`] for each config by driving
+//! `replay_timing` re-derives a [`RunReport`] for each config by driving
 //! the exact engine/FIFO timing model with the replayed per-fragment miss
-//! counts. The synthesized reports are byte-identical to
-//! [`Machine::run`](crate::machine::Machine::run) — property tests and the
-//! sweep's own internal grouping enforce it.
+//! counts. Configs sharing a `(plan, cache model)` below the walk's
+//! threshold replay a `capture_direct` instead — one pass of the model
+//! over the plan's buckets — and the same `replay_timing` drives the
+//! engines from its sparse miss record. The synthesized reports are
+//! byte-identical to [`Machine::run`](crate::machine::Machine::run) —
+//! property tests and the sweep's own internal grouping enforce it.
 
 use crate::config::{CacheKind, MachineConfig};
 use crate::plan::RoutingPlan;
@@ -78,24 +81,83 @@ pub(crate) fn replay_request(config: &MachineConfig) -> Option<(CacheGeometry, b
     }
 }
 
-/// Synthesizes the [`RunReport`] of `config` from a plan evaluation,
-/// byte-identical to [`Machine::run`](crate::machine::Machine::run):
-/// the routing walk, FIFO backpressure, engine scan/stall/setup-floor
-/// timing and bus occupancy are simulated exactly as in the direct path,
-/// but every texel probe is replaced by the precomputed per-fragment miss
-/// count of the config's geometry.
-///
-/// `geom` indexes the config's geometry in `eval`'s request grid;
-/// `classify` selects whether the report carries the three-C breakdown
-/// (a [`CacheKind::Classifying`] config does, a plain set-associative one
+/// One node's cache outcome as the timing replay consumes it: the miss
+/// count or miss lines of each fragment in processing order, plus the
+/// node's final cache counters. Implemented over a stack-distance
+/// evaluation's dense per-fragment counts ([`walk_misses`]) and over a
+/// capture's sparse miss list ([`DirectCapture::nodes`]).
+pub(crate) trait NodeMisses {
+    /// Drives `engine` through the node's next `count` fragments.
+    fn advance(&mut self, engine: &mut EngineTiming, count: usize);
+
+    /// The node's cache statistics, three-C breakdown and external
+    /// fetches.
+    fn cache(&self) -> (CacheStats, Option<MissBreakdown>, u64);
+}
+
+/// A stack-distance evaluation's per-fragment miss counts for one node
+/// and geometry.
+pub(crate) struct WalkMisses<'a> {
+    misses: &'a [u8],
+    next: usize,
+    stats: CacheStats,
+    breakdown: Option<MissBreakdown>,
+}
+
+/// Each node's [`WalkMisses`] of geometry `geom` in `eval`; `classify`
+/// selects whether the reports carry the three-C breakdown (a
+/// [`CacheKind::Classifying`] config does, a plain set-associative one
 /// does not, even when both share a geometry slot).
-pub(crate) fn run_replayed(
-    config: &MachineConfig,
-    stream: &FragmentStream,
-    plan: &RoutingPlan,
+pub(crate) fn walk_misses(
     eval: &TraceEvaluation,
     geom: usize,
     classify: bool,
+) -> Vec<WalkMisses<'_>> {
+    (0..eval.node_count())
+        .map(|i| WalkMisses {
+            misses: eval.fragment_misses(i, geom),
+            next: 0,
+            stats: eval.stats(i, geom),
+            breakdown: if classify { eval.breakdown(i, geom) } else { None },
+        })
+        .collect()
+}
+
+impl NodeMisses for WalkMisses<'_> {
+    fn advance(&mut self, engine: &mut EngineTiming, count: usize) {
+        // Run-length walk: all-hit stretches advance the engine in bulk.
+        let end = self.next + count;
+        let mut j = self.next;
+        while j < end {
+            if self.misses[j] == 0 {
+                let run = j;
+                while j < end && self.misses[j] == 0 {
+                    j += 1;
+                }
+                engine.fragments_clean((j - run) as u64);
+            } else {
+                engine.fragment(self.misses[j] as u32);
+                j += 1;
+            }
+        }
+        self.next = end;
+    }
+
+    fn cache(&self) -> (CacheStats, Option<MissBreakdown>, u64) {
+        (self.stats, self.breakdown, self.stats.misses())
+    }
+}
+
+/// Synthesizes the [`RunReport`] of `config` from each node's recorded
+/// misses, byte-identical to [`Machine::run`](crate::machine::Machine::run):
+/// the routing walk, FIFO backpressure, engine scan/stall/setup-floor
+/// timing and bus occupancy are simulated exactly as in the direct path,
+/// but every texel probe is replaced by the node's [`NodeMisses`].
+pub(crate) fn replay_timing<M: NodeMisses>(
+    config: &MachineConfig,
+    stream: &FragmentStream,
+    plan: &RoutingPlan,
+    mut nodes: Vec<M>,
 ) -> RunReport {
     assert!(
         plan.matches(&config.distribution, config.processors),
@@ -105,11 +167,19 @@ pub(crate) fn run_replayed(
         config.distribution,
         config.processors,
     );
+    assert_eq!(
+        nodes.len(),
+        config.processors as usize,
+        "recorded misses and machine disagree on node count"
+    );
     let procs = config.processors as usize;
     let triangles = stream.triangles();
 
     let mut engines: Vec<EngineTiming> = (0..procs)
-        .map(|_| EngineTiming::new(config.bus, config.prefetch_window))
+        .map(|_| match config.dram {
+            Some(dram) => EngineTiming::with_dram(config.bus, config.prefetch_window, dram),
+            None => EngineTiming::new(config.bus, config.prefetch_window),
+        })
         .collect();
     let mut fifos: Vec<TriangleFifo> = (0..procs)
         .map(|_| TriangleFifo::new(config.triangle_buffer))
@@ -117,9 +187,6 @@ pub(crate) fn run_replayed(
     let mut pixels = vec![0u64; procs];
     let mut routed_tris = vec![0u64; procs];
     let mut discarded = vec![0u64; procs];
-    // Per-node cursor into the replayed per-fragment miss counts; the walk
-    // below visits fragments in exactly the order the trace recorded them.
-    let mut cursor = vec![0usize; procs];
     let mut send_time: Cycle = 0;
 
     for pt in &plan.triangles {
@@ -152,25 +219,7 @@ pub(crate) fn run_replayed(
                 fifos[i].record_start(start);
                 routed_tris[i] += 1;
                 pixels[i] += count as u64;
-                // Run-length walk over the replayed miss counts: all-hit
-                // stretches advance the engine in bulk.
-                let frag_misses = eval.fragment_misses(i, geom);
-                let end = cursor[i] + count;
-                let mut j = cursor[i];
-                while j < end {
-                    let misses = frag_misses[j];
-                    if misses == 0 {
-                        let run = j;
-                        while j < end && frag_misses[j] == 0 {
-                            j += 1;
-                        }
-                        engines[i].fragments_clean((j - run) as u64);
-                    } else {
-                        engines[i].fragment(misses as u32);
-                        j += 1;
-                    }
-                }
-                cursor[i] = end;
+                nodes[i].advance(&mut engines[i], count);
                 engines[i].finish_triangle(config.setup_cycles);
             } else {
                 let start = engines[i].engine_free().max(send);
@@ -183,7 +232,7 @@ pub(crate) fn run_replayed(
 
     let node_reports: Vec<NodeReport> = (0..procs)
         .map(|i| {
-            let stats = eval.stats(i, geom);
+            let (cache, miss_breakdown, external_fetches) = nodes[i].cache();
             NodeReport {
                 pixels: pixels[i],
                 triangles: routed_tris[i],
@@ -195,9 +244,9 @@ pub(crate) fn run_replayed(
                 starved_cycles: engines[i].starved_cycles(),
                 idle_cycles: engines[i].fill_tail_cycles(),
                 bus_busy_cycles: engines[i].bus_busy_cycles(),
-                cache: stats,
-                miss_breakdown: if classify { eval.breakdown(i, geom) } else { None },
-                external_fetches: stats.misses(),
+                cache,
+                miss_breakdown,
+                external_fetches,
             }
         })
         .collect();
@@ -212,25 +261,79 @@ pub(crate) fn run_replayed(
 /// parameters. [`capture_direct`] therefore runs the model once per
 /// `(plan, cache)` pair, recording each node's sparse missing fragments
 /// (index, miss count, exact miss line addresses) plus the model's final
-/// statistics; [`run_direct_captured`] then re-derives a full
-/// [`RunReport`] per config by driving only the engine/FIFO timing model
-/// against the recording — clean fragment runs advance in bulk via
-/// [`EngineTiming::fragments_clean`].
+/// statistics; [`replay_timing`] then re-derives a full [`RunReport`] per
+/// config by driving only the engine/FIFO timing model against the
+/// recording.
 #[derive(Debug, Clone)]
 pub(crate) struct DirectCapture {
-    /// Per node: `(fragment index in lane order, miss count)` for every
-    /// fragment with at least one miss, ascending by index.
-    miss_frags: Vec<Vec<(u32, u32)>>,
-    /// Per node: the miss line addresses, concatenated in access order
+    nodes: Vec<NodeCapture>,
+}
+
+/// One node's recording in a [`DirectCapture`].
+#[derive(Debug, Clone)]
+struct NodeCapture {
+    /// `(fragment index in lane order, miss count)` for every fragment
+    /// with at least one miss, ascending by index.
+    miss_frags: Vec<(u32, u32)>,
+    /// The miss line addresses, concatenated in access order
     /// (DRAM-backed machines price fills by address, not count).
-    miss_lines: Vec<Vec<u32>>,
-    stats: Vec<CacheStats>,
-    breakdown: Vec<Option<MissBreakdown>>,
-    external_fetches: Vec<u64>,
+    miss_lines: Vec<u32>,
+    stats: CacheStats,
+    breakdown: Option<MissBreakdown>,
+    external_fetches: u64,
+}
+
+impl DirectCapture {
+    /// Each node's recording as a [`NodeMisses`] source for
+    /// [`replay_timing`].
+    pub(crate) fn nodes(&self) -> Vec<CapturedMisses<'_>> {
+        self.nodes
+            .iter()
+            .map(|node| CapturedMisses { node, next: 0, frag: 0, line: 0 })
+            .collect()
+    }
+}
+
+/// A cursor over one node's [`DirectCapture`] recording: the next
+/// fragment index in lane order, the next sparse miss-fragment entry and
+/// the next miss line.
+pub(crate) struct CapturedMisses<'a> {
+    node: &'a NodeCapture,
+    next: usize,
+    frag: usize,
+    line: usize,
+}
+
+impl NodeMisses for CapturedMisses<'_> {
+    fn advance(&mut self, engine: &mut EngineTiming, count: usize) {
+        let end = self.next + count;
+        let NodeCapture { miss_frags, miss_lines, .. } = self.node;
+        while let Some(&(fi, misses)) = miss_frags.get(self.frag) {
+            let (fi, misses) = (fi as usize, misses as usize);
+            if fi >= end {
+                break;
+            }
+            if fi > self.next {
+                engine.fragments_clean((fi - self.next) as u64);
+            }
+            engine.fragment_lines(&miss_lines[self.line..self.line + misses]);
+            self.line += misses;
+            self.frag += 1;
+            self.next = fi + 1;
+        }
+        if end > self.next {
+            engine.fragments_clean((end - self.next) as u64);
+        }
+        self.next = end;
+    }
+
+    fn cache(&self) -> (CacheStats, Option<MissBreakdown>, u64) {
+        (self.node.stats, self.node.breakdown, self.node.external_fetches)
+    }
 }
 
 /// Runs `kind`'s cache model over `plan`'s per-node access sequences once,
-/// recording the sparse miss structure [`run_direct_captured`] replays.
+/// recording the sparse miss structure [`replay_timing`] replays.
 ///
 /// The walk reads footprint lanes straight out of the shared [`FragBatch`]
 /// through the plan's fragment buckets — the per-node sequence is exactly
@@ -259,13 +362,18 @@ pub(crate) fn capture_direct(
             AnyCache::Dyn(c) => capture_bucket(c.as_mut(), batch, bucket, next, frags, lines),
         }
     }
-    DirectCapture {
-        miss_frags: frags,
-        miss_lines: lines,
-        stats: caches.iter().map(|c| *c.stats()).collect(),
-        breakdown: caches.iter().map(|c| c.breakdown()).collect(),
-        external_fetches: caches.iter().map(|c| c.external_fetches()).collect(),
-    }
+    let nodes = caches
+        .iter()
+        .zip(frags.into_iter().zip(lines))
+        .map(|(cache, (miss_frags, miss_lines))| NodeCapture {
+            miss_frags,
+            miss_lines,
+            stats: *cache.stats(),
+            breakdown: cache.breakdown(),
+            external_fetches: cache.external_fetches(),
+        })
+        .collect();
+    DirectCapture { nodes }
 }
 
 /// One owner bucket of [`capture_direct`]'s walk: probes each fragment's
@@ -290,132 +398,6 @@ fn capture_bucket<C: LineCache + ?Sized>(
         }
         *next += 1;
     }
-}
-
-/// Synthesizes the [`RunReport`] of `config` from a [`DirectCapture`] of
-/// its cache model on its plan, byte-identical to
-/// [`Machine::run`](crate::machine::Machine::run): the
-/// routing walk, FIFO backpressure and engine timing run exactly as in the
-/// direct path, but the texel probes are replaced by the recorded miss
-/// lines (all-hit stretches advance in bulk).
-pub(crate) fn run_direct_captured(
-    config: &MachineConfig,
-    stream: &FragmentStream,
-    plan: &RoutingPlan,
-    capture: &DirectCapture,
-) -> RunReport {
-    assert!(
-        plan.matches(&config.distribution, config.processors),
-        "plan built for {}x{} does not fit machine {}x{}",
-        plan.distribution(),
-        plan.procs(),
-        config.distribution,
-        config.processors,
-    );
-    assert_eq!(
-        capture.stats.len(),
-        config.processors as usize,
-        "capture and machine disagree on node count"
-    );
-    let procs = config.processors as usize;
-    let triangles = stream.triangles();
-
-    let mut engines: Vec<EngineTiming> = (0..procs)
-        .map(|_| match config.dram {
-            Some(dram) => EngineTiming::with_dram(config.bus, config.prefetch_window, dram),
-            None => EngineTiming::new(config.bus, config.prefetch_window),
-        })
-        .collect();
-    let mut fifos: Vec<TriangleFifo> = (0..procs)
-        .map(|_| TriangleFifo::new(config.triangle_buffer))
-        .collect();
-    let mut pixels = vec![0u64; procs];
-    let mut routed_tris = vec![0u64; procs];
-    let mut discarded = vec![0u64; procs];
-    // Per-node cursors: the next fragment index in lane order, the next
-    // entry of the sparse miss-fragment list, and the next miss line.
-    let mut cursor = vec![0usize; procs];
-    let mut frag_cursor = vec![0usize; procs];
-    let mut line_cursor = vec![0usize; procs];
-    let mut send_time: Cycle = 0;
-
-    for pt in &plan.triangles {
-        let mut send = send_time + config.geometry_cycles_per_triangle;
-        for fifo in &fifos {
-            send = send.max(fifo.earliest_send());
-        }
-        send_time = send;
-
-        let tri = &triangles[pt.tri as usize];
-        let mut seg = pt.seg_start as usize;
-        let seg_end = pt.seg_end as usize;
-        let mut bucket_start = tri.frag_start as usize;
-
-        let mut m = pt.mask;
-        for i in 0..procs {
-            if m & 1 != 0 {
-                let count = if seg < seg_end && plan.segments[seg].owner == i as u32 {
-                    let end = plan.segments[seg].end as usize;
-                    seg += 1;
-                    let count = end - bucket_start;
-                    bucket_start = end;
-                    count
-                } else {
-                    0
-                };
-                let start = engines[i].start_triangle(send);
-                fifos[i].record_start(start);
-                routed_tris[i] += 1;
-                pixels[i] += count as u64;
-                let end = cursor[i] + count;
-                let miss_frags = &capture.miss_frags[i];
-                let miss_lines = &capture.miss_lines[i];
-                let mut prev = cursor[i];
-                while frag_cursor[i] < miss_frags.len()
-                    && (miss_frags[frag_cursor[i]].0 as usize) < end
-                {
-                    let (fi, misses) = miss_frags[frag_cursor[i]];
-                    let (fi, misses) = (fi as usize, misses as usize);
-                    if fi > prev {
-                        engines[i].fragments_clean((fi - prev) as u64);
-                    }
-                    engines[i].fragment_lines(&miss_lines[line_cursor[i]..line_cursor[i] + misses]);
-                    line_cursor[i] += misses;
-                    frag_cursor[i] += 1;
-                    prev = fi + 1;
-                }
-                if end > prev {
-                    engines[i].fragments_clean((end - prev) as u64);
-                }
-                cursor[i] = end;
-                engines[i].finish_triangle(config.setup_cycles);
-            } else {
-                let start = engines[i].engine_free().max(send);
-                fifos[i].record_start(start);
-                discarded[i] += 1;
-            }
-            m >>= 1;
-        }
-    }
-
-    let node_reports: Vec<NodeReport> = (0..procs)
-        .map(|i| NodeReport {
-            pixels: pixels[i],
-            triangles: routed_tris[i],
-            discarded: discarded[i],
-            finish: engines[i].finish_time(),
-            busy_cycles: engines[i].busy_cycles(),
-            stall_cycles: engines[i].stall_cycles(),
-            setup_floor_cycles: engines[i].setup_floor_cycles(),
-            starved_cycles: engines[i].starved_cycles(),
-            idle_cycles: engines[i].fill_tail_cycles(),
-            bus_busy_cycles: engines[i].bus_busy_cycles(),
-            cache: capture.stats[i],
-            miss_breakdown: capture.breakdown[i],
-            external_fetches: capture.external_fetches[i],
-        })
-        .collect();
-    RunReport::from_nodes(config.summary(), node_reports, stream, plan.routed())
 }
 
 #[cfg(test)]
@@ -464,7 +446,7 @@ mod tests {
             let plan = RoutingPlan::build(&s, &cfg.distribution, cfg.processors);
             let trace = capture_line_trace(&s, &plan);
             let eval = evaluate_trace(&trace, &[GeometryRequest { geometry, classify }]);
-            let replayed = run_replayed(&cfg, &s, &plan, &eval, 0, classify);
+            let replayed = replay_timing(&cfg, &s, &plan, walk_misses(&eval, 0, classify));
             let direct = Machine::new(cfg).run(&s);
             assert_eq!(replayed, direct);
         }

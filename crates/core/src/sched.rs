@@ -324,15 +324,15 @@ mod rates {
     /// Routing-plan build (owner LUT + counting sort; `plan-build`
     /// phase total / count).
     pub const PLAN: f64 = 7.9;
-    /// Line-trace pivot of one plan ahead of its evaluation (`lane-pivot`
-    /// span).
+    /// Line-trace pivot of one plan ahead of its Mattson walk
+    /// (`lane-pivot` span).
     pub const LANES: f64 = 7.8;
     /// One cache-model capture pass over a plan's buckets (`capture`
     /// phase total / count).
     pub const CAPTURE: f64 = 17.7;
-    /// One trace pass of the stack-distance machinery — multiplied by
-    /// [`sortmid_cache::evaluation_cost_weight`]'s pass count
-    /// (`trace-eval` span / weight(requests)).
+    /// One cache pass over a plan's line trace, multiplied by
+    /// [`sortmid_cache::evaluation_cost_weight`]'s pass count for the
+    /// Mattson walk (`mattson-walk` span / weight(requests)).
     pub const TRACE_PASS: f64 = 23.0;
 }
 
@@ -361,9 +361,8 @@ impl CostModel {
         self.scaled(rates::CAPTURE)
     }
 
-    /// Estimated cost of evaluating `requests` geometries from one plan's
-    /// line trace (Mattson walk or direct backend, whichever
-    /// [`sortmid_cache::evaluate_trace_auto`] would pick).
+    /// Estimated cost of one Mattson walk pricing `requests` geometries
+    /// from a plan's line trace.
     pub fn trace_eval(&self, requests: usize) -> u64 {
         self.scaled(rates::TRACE_PASS)
             .saturating_mul(sortmid_cache::evaluation_cost_weight(requests))

@@ -13,29 +13,30 @@
 //! config grid by those two axes and shares one [`RoutingPlan`] per group
 //! between the configs that can reuse work:
 //!
-//! * configs mounting the same cache model on the same plan replay one
-//!   shared cache **capture** and re-run only their engine/FIFO timing;
-//! * groups with several set-associative cache configs go through
-//!   **stack-distance replay**: one
+//! * a plan's set-associative configs take the **Mattson walk** iff they
+//!   request at least [`STACKDIST_MIN_REQUESTS`] distinct geometries: one
 //!   [`LineAccessTrace`](sortmid_cache::LineAccessTrace) per plan, one
-//!   [Mattson evaluation](sortmid_cache::stackdist) pricing every geometry
-//!   in the group, and per-config reports synthesized from the replayed
-//!   miss counts ([`crate::replay`]);
-//! * every other config runs [`Machine::run`] directly.
+//!   [stack-distance evaluation](sortmid_cache::stackdist) pricing every
+//!   geometry, and per-config reports synthesized from the replayed miss
+//!   counts ([`crate::replay`]);
+//! * every other config joins its `(plan, cache model)` group: groups of
+//!   two or more replay one shared cache **capture** and re-run only their
+//!   engine/FIFO timing, and a lone config runs [`Machine::run`]
+//!   directly.
 //!
 //! All three paths emit byte-identical reports — [`SweepOptions::replay`]
-//! is the escape hatch that turns the stack-distance path off.
+//! is the escape hatch that turns the Mattson walk off.
 
 use crate::config::{CacheKind, MachineConfig};
 use crate::distribution::Distribution;
 use crate::machine::Machine;
 use crate::plan::RoutingPlan;
 use crate::replay::{
-    capture_direct, line_trace, replay_request, run_direct_captured, run_replayed, DirectCapture,
+    capture_direct, line_trace, replay_request, replay_timing, walk_misses, DirectCapture,
 };
 use crate::report::RunReport;
 use crate::sched::{run_graph, CostModel, TaskGraph};
-use sortmid_cache::{evaluate_trace_auto_profiled, GeometryRequest, TraceEvaluation};
+use sortmid_cache::{evaluate_trace, GeometryRequest, TraceEvaluation, STACKDIST_MIN_REQUESTS};
 use sortmid_observe::{HostSink, NullHostSink};
 use sortmid_raster::{FragBatch, FragmentStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -238,11 +239,11 @@ pub fn run_sweep_with_threads(
 pub struct SweepOptions {
     /// Host threads to spread the pipeline's tasks over.
     pub threads: usize,
-    /// Evaluate groups of cache-only-varying configs from one
-    /// stack-distance replay of the shared plan's line trace (`true`, the
-    /// default). `false` is the escape hatch sending those configs down the
-    /// capture and direct paths instead — reports are byte-identical
-    /// either way.
+    /// Price plans requesting [`STACKDIST_MIN_REQUESTS`] or more
+    /// set-associative geometries with one Mattson walk of the plan's line
+    /// trace (`true`, the default). `false` is the escape hatch sending
+    /// those configs down the capture and direct paths instead — reports
+    /// are byte-identical either way.
     pub replay: bool,
 }
 
@@ -256,15 +257,6 @@ impl Default for SweepOptions {
         }
     }
 }
-
-/// A plan group's replay-eligible configs, down two pipelines: capturing a
-/// trace pays off once at least this many configs replay from it.
-///
-/// Measured on the sweep bench: synthesizing a report from a replayed
-/// trace costs ~1/4 of a direct simulation, but the capture plus a
-/// one-geometry evaluation costs ~3 synthesized configs — so groups of
-/// two or three replay-eligible configs are cheaper simulated directly.
-const REPLAY_MIN_GROUP: usize = 4;
 
 /// How one sweep config gets its report: a direct [`Machine::run`], engine
 /// replay of a shared `(plan, cache model)` capture, or synthesis from the
@@ -371,14 +363,13 @@ impl<'a> Job<'a> {
         }
         let n_plans = plan_rep.len();
 
-        // Decide each config's path. Replay-eligible configs of one plan
+        // Decide each config's path. Set-associative configs of one plan
         // share a geometry request grid (deduplicated by geometry,
         // classification merged by OR so a Classifying and a plain
         // SetAssoc config of the same geometry share one evaluation slot).
         let mut requests: Vec<Vec<GeometryRequest>> = vec![Vec::new(); n_plans];
         let mut path_of: Vec<ConfigPath> = vec![ConfigPath::Direct; configs.len()];
         if replay {
-            let mut eligible = vec![0usize; n_plans];
             for (ci, config) in configs.iter().enumerate() {
                 if let Some((geometry, classify)) = replay_request(config) {
                     let reqs = &mut requests[plan_of[ci]];
@@ -393,14 +384,13 @@ impl<'a> Job<'a> {
                         }
                     };
                     path_of[ci] = ConfigPath::Replay { geom, classify };
-                    eligible[plan_of[ci]] += 1;
                 }
             }
-            // Too-small groups fall back: capturing and replaying a trace
-            // only pays off when it serves several configs.
-            for (pi, count) in eligible.iter().enumerate() {
-                if *count < REPLAY_MIN_GROUP {
-                    requests[pi].clear();
+            // The walk pays off only on dense geometry grids; every other
+            // plan's configs share captures below.
+            for reqs in &mut requests {
+                if reqs.len() < STACKDIST_MIN_REQUESTS {
+                    reqs.clear();
                 }
             }
             for (ci, path) in path_of.iter_mut().enumerate() {
@@ -417,8 +407,7 @@ impl<'a> Job<'a> {
         // such config then replays only its engine/FIFO timing against the
         // recorded misses. This covers the cache models the Mattson
         // machinery cannot express (perfect, two-level, victim,
-        // DRAM-backed) and the groups too small for a stack-distance
-        // evaluation to pay off.
+        // DRAM-backed) and every plan below the walk's threshold.
         let mut keys: Vec<(usize, CacheKind)> = Vec::new();
         let mut uses: Vec<usize> = Vec::new();
         let mut key_of = vec![usize::MAX; configs.len()];
@@ -550,11 +539,12 @@ impl<'a> Job<'a> {
             ConfigPath::Direct => Machine::new(config.clone()).run(self.stream),
             ConfigPath::Captured { slot } => {
                 let capture = self.captures[slot].get().expect("captured path has a capture");
-                run_direct_captured(config, self.stream, self.plan(plan), capture)
+                replay_timing(config, self.stream, self.plan(plan), capture.nodes())
             }
             ConfigPath::Replay { geom, classify } => {
                 let eval = self.evals[plan].get().expect("replay path has an evaluation");
-                run_replayed(config, self.stream, self.plan(plan), eval, geom, classify)
+                let nodes = walk_misses(eval, geom, classify);
+                replay_timing(config, self.stream, self.plan(plan), nodes)
             }
         }
     }
@@ -705,7 +695,12 @@ pub fn run_sweeps<S: HostSink>(
                     let _p = sink.span("lane-pivot");
                     line_trace(job.batch(), job.stream, job.plan(pi))
                 };
-                let eval = evaluate_trace_auto_profiled(&trace, &job.requests[pi], sink);
+                let requests = &job.requests[pi];
+                sink.observe("cache.eval_requests", requests.len() as u64);
+                let eval = {
+                    let _m = sink.span("mattson-walk");
+                    evaluate_trace(&trace, requests)
+                };
                 assert!(job.evals[pi].set(eval).is_ok(), "one evaluation per plan");
             }
             SweepTask::Run(ci) => {
@@ -823,20 +818,22 @@ mod tests {
     #[test]
     fn replay_and_direct_paths_emit_identical_reports() {
         // The --no-replay escape hatch must be an observational no-op: a
-        // grid dense in cache geometries gets byte-identical reports from
-        // the stack-distance replay and the direct simulator.
+        // grid dense in cache geometries (every size 512 B–64 KB × ways
+        // 1–8, enough for the Mattson walk) gets byte-identical reports
+        // from the stack-distance replay and the capture/direct paths.
         let stream = SceneBuilder::benchmark(Benchmark::Quake)
             .scale(0.1)
             .build()
             .rasterize();
-        let geometries = [
-            sortmid_cache::CacheGeometry::new(4096, 2, 64).unwrap(),
-            sortmid_cache::CacheGeometry::new(16384, 4, 64).unwrap(),
-            sortmid_cache::CacheGeometry::new(65536, 8, 64).unwrap(),
-        ];
+        let geometries: Vec<sortmid_cache::CacheGeometry> = (9..=16)
+            .flat_map(|log| {
+                [1, 2, 4, 8].map(|ways| sortmid_cache::CacheGeometry::new(1 << log, ways, 64).unwrap())
+            })
+            .collect();
+        assert_eq!(geometries.len(), STACKDIST_MIN_REQUESTS);
         let mut caches = vec![CacheKind::Perfect, CacheKind::PaperL1];
         caches.extend(geometries.iter().map(|&g| CacheKind::SetAssoc(g)));
-        caches.extend(geometries.iter().map(|&g| CacheKind::Classifying(g)));
+        caches.extend(geometries[..3].iter().map(|&g| CacheKind::Classifying(g)));
         let configs = SweepGrid::new()
             .processors([4])
             .distributions([Distribution::block(16), Distribution::sli(2)])

@@ -28,8 +28,8 @@ else
 fi
 
 # Smoke-run the sweep bench (1 sample, tiny scene — includes the
-# grid/trace-replay lanes pricing 100+ cache configs from one stack-
-# distance replay), the trace bin (tiny preset) and the heatmap bin (tiny
+# grid/trace-replay lanes pricing 102 and 32 cache configs, each from one
+# Mattson walk), the trace bin (tiny preset) and the heatmap bin (tiny
 # preset, small scene) into a scratch dir, then validate that the emitted
 # BENCH_*.json, TRACE_*.json, HEATMAP_*.json and METRICS_*.json artefacts
 # parse with the expected schemas — and gate the sweep's simulated cycle

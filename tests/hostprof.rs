@@ -6,9 +6,9 @@
 
 use sortmid::{
     run_sweep_profiled, run_sweep_with_options, CacheKind, Distribution, HostProfile,
-    HostProfiler, SweepGrid, SweepOptions,
+    HostProfiler, Machine, SweepGrid, SweepOptions,
 };
-use sortmid_cache::CacheGeometry;
+use sortmid_cache::{CacheGeometry, STACKDIST_MIN_REQUESTS};
 use sortmid_devharness::json::Json;
 use sortmid_observe::{Provenance, Schema};
 use sortmid_raster::FragmentStream;
@@ -21,15 +21,22 @@ fn stream() -> FragmentStream {
         .rasterize()
 }
 
-/// A grid that walks every config path: six set-associative geometries on
-/// one plan (stack-distance replay), plus perfect/paper-L1 pairs sharing
-/// captures, across two plan groups.
+/// Every size 512 B–64 KB × ways 1–8: exactly `STACKDIST_MIN_REQUESTS`
+/// geometries, the smallest grid a plan prices with the Mattson walk.
+fn walk_geometries() -> Vec<CacheGeometry> {
+    let geometries: Vec<CacheGeometry> = (9..=16)
+        .flat_map(|log| [1, 2, 4, 8].map(|ways| CacheGeometry::new(1 << log, ways, 64).unwrap()))
+        .collect();
+    assert_eq!(geometries.len(), STACKDIST_MIN_REQUESTS);
+    geometries
+}
+
+/// A grid that walks every config path: the walk's geometries on each of
+/// two plans (stack-distance replay, paper-L1 included), plus
+/// perfect-cache pairs sharing captures.
 fn mixed_grid() -> Vec<sortmid::MachineConfig> {
     let mut caches = vec![CacheKind::Perfect, CacheKind::PaperL1];
-    for log_size in 12..18 {
-        let g = CacheGeometry::new(1 << log_size, 4, 64).unwrap();
-        caches.push(CacheKind::SetAssoc(g));
-    }
+    caches.extend(walk_geometries().into_iter().map(CacheKind::SetAssoc));
     SweepGrid::new()
         .processors([4])
         .distributions([Distribution::block(16), Distribution::sli(2)])
@@ -93,9 +100,9 @@ fn profiled_sweep_is_identical_and_profile_verifies() {
     }
     assert_eq!(items as usize, mixed_grid().len(), "every config ran on some worker");
 
-    // The metrics registry saw the path split: 12 replay-eligible configs
-    // (6 geometries x 2 buffers per plan group... per plan), the rest via
-    // capture or direct.
+    // The metrics registry saw the path split: every set-associative
+    // config replays (33 geometries x 2 buffers per plan), the perfect
+    // pairs share captures.
     let counters = profile.metrics.get("counters").expect("counters object");
     let count = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
     assert_eq!(count("sweep.configs"), mixed_grid().len() as u64);
@@ -106,6 +113,52 @@ fn profiled_sweep_is_identical_and_profile_verifies() {
         "every config took exactly one path"
     );
     assert!(count("sweep.path.replay") >= 12, "dense geometries replay");
+}
+
+/// The one shared-cache rule: below `STACKDIST_MIN_REQUESTS` geometries
+/// a plan takes no Mattson walk, however many configs it holds. A
+/// design-sweep-shaped group (paper L1 × 2 buses × 3 buffers) and a
+/// six-geometry set-associative group (× 2 buffers) share captures, no
+/// line trace is pivoted or walked, and every report equals a direct run.
+#[test]
+fn groups_below_the_walk_threshold_share_captures() {
+    let s = stream();
+    let mut configs = SweepGrid::new()
+        .processors([16])
+        .distributions([Distribution::block(16)])
+        .caches([CacheKind::PaperL1])
+        .bus_ratios([Some(1.0), Some(2.0)])
+        .buffers([100, 500, 10_000])
+        .build();
+    configs.extend(
+        SweepGrid::new()
+            .processors([4])
+            .distributions([Distribution::sli(2)])
+            .caches(walk_geometries()[..6].iter().map(|&g| CacheKind::SetAssoc(g)))
+            .buffers([8, 10_000])
+            .build(),
+    );
+    let prof = HostProfiler::new();
+    let options = SweepOptions {
+        threads: 2,
+        replay: true,
+    };
+    let reports = run_sweep_profiled(&s, &configs, options, &prof);
+    let profile = prof.finish();
+    profile.verify().expect("structural invariants must hold");
+
+    let counters = profile.metrics.get("counters").expect("counters object");
+    let count = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
+    assert_eq!(count("sweep.path.captured"), configs.len() as u64);
+    assert_eq!(count("sweep.path.replay") + count("sweep.path.direct"), 0);
+    let phases = profile.phase_names();
+    for phase in ["trace-eval", "lane-pivot", "mattson-walk"] {
+        assert!(!phases.contains(&phase), "unexpected phase {phase}: {phases:?}");
+    }
+    for (config, report) in configs.iter().zip(&reports) {
+        let direct = Machine::new(config.clone()).run(&s);
+        assert_eq!(report, &direct, "{}", config.summary());
+    }
 }
 
 #[test]

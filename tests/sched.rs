@@ -9,7 +9,7 @@ use sortmid::{
     run_sweep_with_options, run_sweep_with_threads, run_sweeps, CacheKind, Distribution,
     HostProfiler, MachineConfig, NullHostSink, SweepGrid, SweepOptions,
 };
-use sortmid_cache::CacheGeometry;
+use sortmid_cache::{CacheGeometry, STACKDIST_MIN_REQUESTS};
 use sortmid_devharness::json::Json;
 use sortmid_raster::FragmentStream;
 use sortmid_scene::{Benchmark, SceneBuilder};
@@ -21,21 +21,30 @@ fn stream() -> FragmentStream {
         .rasterize()
 }
 
-/// A grid that exercises every scheduler task kind: two plan groups, a
-/// replay-eligible set-associative span, captured perfect/paper-L1 pairs,
-/// and a direct remainder.
+/// A grid that exercises every scheduler task kind: two plan groups, one
+/// of them dense enough in set-associative geometries (every size
+/// 512 B–64 KB × ways 1–8) for the Mattson walk, plus captured
+/// perfect/paper-L1 pairs.
 fn mixed_grid() -> Vec<sortmid::MachineConfig> {
-    let mut caches = vec![CacheKind::Perfect, CacheKind::PaperL1];
-    for log_size in 12..16 {
-        let g = CacheGeometry::new(1 << log_size, 4, 64).unwrap();
-        caches.push(CacheKind::SetAssoc(g));
-    }
-    SweepGrid::new()
+    let geometries: Vec<CacheGeometry> = (9..=16)
+        .flat_map(|log| [1, 2, 4, 8].map(|ways| CacheGeometry::new(1 << log, ways, 64).unwrap()))
+        .collect();
+    assert_eq!(geometries.len(), STACKDIST_MIN_REQUESTS);
+    let mut grid = SweepGrid::new()
         .processors([4])
-        .distributions([Distribution::block(16), Distribution::sli(2)])
-        .caches(caches)
+        .distributions([Distribution::block(16)])
+        .caches(geometries.into_iter().map(CacheKind::SetAssoc))
         .buffers([8, 10_000])
-        .build()
+        .build();
+    grid.extend(
+        SweepGrid::new()
+            .processors([4])
+            .distributions([Distribution::block(16), Distribution::sli(2)])
+            .caches([CacheKind::Perfect, CacheKind::PaperL1])
+            .buffers([8, 10_000])
+            .build(),
+    );
+    grid
 }
 
 fn options(threads: usize) -> SweepOptions {

@@ -16,8 +16,8 @@ use sortmid::{
     RoutingPlan, RunReport, SweepOptions,
 };
 use sortmid_cache::{
-    evaluate_trace, evaluate_trace_direct, CacheGeometry, ClassifyingCache, GeometryRequest,
-    LineCache, SetAssocCache,
+    evaluate_trace, CacheGeometry, CacheStats, ClassifyingCache, GeometryRequest, LineCache,
+    MissBreakdown, SetAssocCache, STACKDIST_MIN_REQUESTS,
 };
 use sortmid_devharness::prop::{check, Config, Gen};
 use sortmid_devharness::{prop_assert, prop_assert_eq};
@@ -45,9 +45,7 @@ fn arb_distribution(g: &mut Gen) -> Distribution {
 }
 
 /// A random grid of 4..=7 distinct cache geometries (random power-of-two
-/// sizes and associativities, 64-byte lines) with random classify flags —
-/// at least four so the sweep's replay path stays engaged
-/// (`REPLAY_MIN_GROUP`).
+/// sizes and associativities, 64-byte lines) with random classify flags.
 fn arb_cache_grid(g: &mut Gen) -> Vec<GeometryRequest> {
     let count = g.usize_in(4..8);
     let mut grid: Vec<GeometryRequest> = Vec::new();
@@ -64,6 +62,53 @@ fn arb_cache_grid(g: &mut Gen) -> Vec<GeometryRequest> {
         }
     }
     grid
+}
+
+/// What one geometry of a node's sequence looks like to a direct
+/// simulation: each fragment's miss count, the final stats, the three-C
+/// breakdown (classifying requests only) and the evictions.
+struct Oracle {
+    fragment_misses: Vec<u8>,
+    stats: CacheStats,
+    breakdown: Option<MissBreakdown>,
+    evictions: u64,
+}
+
+/// Feeds a fresh `SetAssocCache` (plus a `ClassifyingCache` when `req`
+/// classifies) the node's sequence one fragment of `per_fragment` lines at
+/// a time — the per-fragment oracle the stack-distance walk must equal.
+fn oracle(req: &GeometryRequest, lines: &[u32], per_fragment: usize) -> Oracle {
+    let mut cache = SetAssocCache::new(req.geometry);
+    let mut classed = ClassifyingCache::new(req.geometry);
+    let mut fragment_misses = Vec::with_capacity(lines.len() / per_fragment);
+    for fragment in lines.chunks_exact(per_fragment) {
+        let mut misses = 0u8;
+        for &line in fragment {
+            if req.classify {
+                classed.access_line(line);
+            }
+            if !cache.access_line(line) {
+                misses += 1;
+            }
+        }
+        fragment_misses.push(misses);
+    }
+    Oracle {
+        fragment_misses,
+        stats: *cache.stats(),
+        breakdown: req.classify.then(|| classed.breakdown()),
+        evictions: cache.stats().misses() - cache.resident_lines() as u64,
+    }
+}
+
+/// Every size 512 B–64 KB × ways 1–8: exactly `STACKDIST_MIN_REQUESTS`
+/// geometries, the smallest grid a plan prices with the Mattson walk.
+fn walk_geometries() -> Vec<CacheGeometry> {
+    let geometries: Vec<CacheGeometry> = (9..=16)
+        .flat_map(|log| [1, 2, 4, 8].map(|ways| CacheGeometry::new(1 << log, ways, 64).unwrap()))
+        .collect();
+    assert_eq!(geometries.len(), STACKDIST_MIN_REQUESTS);
+    geometries
 }
 
 fn config_for(dist: &Distribution, procs: u32, cache: CacheKind, buffer: usize) -> MachineConfig {
@@ -92,50 +137,45 @@ fn prop_stackdist_replay_equals_direct() {
             let s = stream();
 
             // Counter equivalence: evaluate the captured trace once and
-            // check every geometry against a fresh direct cache fed the
+            // check every geometry against the per-fragment oracle fed the
             // same per-node sequence.
             let plan = RoutingPlan::build(s, dist, *procs);
             let trace = capture_line_trace(s, &plan);
             let eval = evaluate_trace(&trace, grid);
+            let per_fragment = trace.accesses_per_fragment() as usize;
             for node in 0..trace.node_count() {
                 let lines = trace.node_lines(node);
                 for (gi, req) in grid.iter().enumerate() {
-                    let mut direct = SetAssocCache::new(req.geometry);
-                    for &line in lines {
-                        direct.access_line(line);
-                    }
-                    let stats = eval.stats(node, gi);
+                    let direct = oracle(req, lines, per_fragment);
+                    let g = req.geometry;
                     prop_assert_eq!(
-                        &stats,
-                        direct.stats(),
-                        "node {node} {}: replayed stats diverge",
-                        req.geometry
+                        eval.fragment_misses(node, gi),
+                        &direct.fragment_misses[..],
+                        "node {node} {g}: per-fragment misses diverge"
                     );
-                    let resident = direct.resident_lines() as u64;
+                    prop_assert_eq!(
+                        eval.stats(node, gi),
+                        direct.stats,
+                        "node {node} {g}: replayed stats diverge"
+                    );
                     prop_assert_eq!(
                         eval.evictions(node, gi),
-                        direct.stats().misses() - resident,
-                        "node {node} {}: replayed evictions diverge",
-                        req.geometry
+                        direct.evictions,
+                        "node {node} {g}: replayed evictions diverge"
                     );
-                    if req.classify {
-                        let mut classed = ClassifyingCache::new(req.geometry);
-                        for &line in lines {
-                            classed.access_line(line);
-                        }
-                        prop_assert_eq!(
-                            eval.breakdown(node, gi).expect("classified request"),
-                            classed.breakdown(),
-                            "node {node} {}: three-C decomposition diverges",
-                            req.geometry
-                        );
-                    }
+                    prop_assert_eq!(
+                        eval.breakdown(node, gi),
+                        direct.breakdown,
+                        "node {node} {g}: three-C decomposition diverges"
+                    );
                 }
             }
 
-            // Report equivalence: the same grid as sweep configs, replay
-            // path against the direct path, byte-identical reports.
-            let configs: Vec<MachineConfig> = grid
+            // Report equivalence: the same grid as sweep configs, topped up
+            // with the walk's geometry ladder so the plan takes the
+            // Mattson walk, replay path against the direct path,
+            // byte-identical reports.
+            let mut configs: Vec<MachineConfig> = grid
                 .iter()
                 .map(|r| {
                     let kind = if r.classify {
@@ -146,6 +186,11 @@ fn prop_stackdist_replay_equals_direct() {
                     config_for(dist, *procs, kind, 100)
                 })
                 .collect();
+            for g in walk_geometries() {
+                if grid.iter().all(|r| r.geometry != g) {
+                    configs.push(config_for(dist, *procs, CacheKind::SetAssoc(g), 100));
+                }
+            }
             let replayed = run_sweep_with_options(
                 s,
                 &configs,
@@ -173,8 +218,8 @@ fn prop_stackdist_replay_equals_direct() {
 
 /// Mattson inclusion and compulsory-miss equivalence: at fixed
 /// associativity, growing the cache (more sets) never loses hits — and the
-/// profile's compulsory count equals the direct classifying simulator's
-/// per-node compulsory counter (both backends agree on it).
+/// profile's compulsory count equals the per-fragment oracle's classifying
+/// compulsory counter.
 #[test]
 fn prop_mattson_profile_monotone_and_compulsory_exact() {
     const WAYS: [u32; 3] = [1, 2, 4];
@@ -198,7 +243,6 @@ fn prop_mattson_profile_monotone_and_compulsory_exact() {
             let plan = RoutingPlan::build(s, dist, *procs);
             let trace = capture_line_trace(s, &plan);
             let eval = evaluate_trace(&trace, &grid);
-            let fallback = evaluate_trace_direct(&trace, &grid);
             for node in 0..trace.node_count() {
                 let profile = eval.profile(node);
                 for &ways in &WAYS {
@@ -225,21 +269,18 @@ fn prop_mattson_profile_monotone_and_compulsory_exact() {
                 }
 
                 // Compulsory misses are geometry-independent first
-                // touches: the profile, the direct replay backend and a
-                // direct classifying simulation must all agree.
-                let mut direct = ClassifyingCache::new(CacheGeometry::paper_l1());
-                for &line in trace.node_lines(node) {
-                    direct.access_line(line);
-                }
+                // touches: the profile and the per-fragment oracle's
+                // classifying simulation must agree.
+                let paper = GeometryRequest {
+                    geometry: CacheGeometry::paper_l1(),
+                    classify: true,
+                };
+                let per_fragment = trace.accesses_per_fragment() as usize;
+                let direct = oracle(&paper, trace.node_lines(node), per_fragment);
                 prop_assert_eq!(
                     eval.compulsory(node),
-                    direct.breakdown().compulsory,
+                    direct.breakdown.expect("classifying oracle").compulsory,
                     "node {node}: walk compulsory diverges from direct simulation"
-                );
-                prop_assert_eq!(
-                    fallback.compulsory(node),
-                    eval.compulsory(node),
-                    "node {node}: the two replay backends disagree on compulsory"
                 );
             }
             Ok(())
@@ -248,8 +289,9 @@ fn prop_mattson_profile_monotone_and_compulsory_exact() {
 }
 
 /// The sweep's `--no-replay` escape hatch and its default path agree on a
-/// mixed grid that includes replay-ineligible configs (perfect caches),
-/// so path selection can never change results.
+/// mixed grid that includes replay-ineligible configs (perfect caches)
+/// and enough geometries for the Mattson walk, so path selection can
+/// never change results.
 #[test]
 fn prop_mixed_grid_sweep_is_path_independent() {
     check(
@@ -274,6 +316,12 @@ fn prop_mixed_grid_sweep_is_path_independent() {
             for g in geometries {
                 configs.push(config_for(dist, *procs, CacheKind::SetAssoc(g), *buffer));
                 configs.push(config_for(dist, *procs, CacheKind::Classifying(g), *buffer));
+            }
+            // The walk's geometry ladder puts the default path on the
+            // Mattson walk; `--no-replay` runs the same configs on
+            // captures and direct runs.
+            for g in walk_geometries() {
+                configs.push(config_for(dist, *procs, CacheKind::SetAssoc(g), *buffer));
             }
             let run = |replay: bool| -> Vec<RunReport> {
                 run_sweep_with_options(s, &configs, SweepOptions { threads: 2, replay })
