@@ -356,6 +356,36 @@ mod tests {
     }
 
     #[test]
+    fn run_sequence_reports_are_pinned() {
+        // FNV-1a digests of the Debug text of a three-frame warm-cache
+        // sequence (frame, panned frame, frame again) for each cache
+        // family and a DRAM-backed machine, recorded on the per-triangle
+        // engine before frames were streamed in windows.
+        use sortmid_cache::CacheGeometry;
+        use sortmid_memsys::{BusConfig, DramConfig};
+        use sortmid_scene::animate::{camera_path, CameraStep};
+        let scene = SceneBuilder::benchmark(Benchmark::Quake).scale(0.1).build();
+        let s = scene.rasterize();
+        let s2 = camera_path(&scene, 2, CameraStep::pan(6.0, 2.0))[1].rasterize();
+        let (l1, l2) = (CacheGeometry::paper_l1(), CacheGeometry::paper_l2());
+        let mut dram = config(8, Distribution::block(16), CacheKind::PaperL1);
+        dram.dram = Some(DramConfig::sdram_like(BusConfig::ratio(1.0)));
+        dram.triangle_buffer = 16;
+        let machines = [
+            (config(8, Distribution::block(16), CacheKind::Perfect), 0x59ca205e6161831b),
+            (config(8, Distribution::block(16), CacheKind::PaperL1), 0xe7dd28b3c799fa23),
+            (config(6, Distribution::sli(4), CacheKind::Classifying(l1)), 0x2d2fd5ec56f10cd2),
+            (config(4, Distribution::block(8), CacheKind::TwoLevel(l1, l2)), 0xf57813dad8df2744),
+            (dram, 0x36780b90b53152d0),
+        ];
+        for (cfg, want) in machines {
+            let reports = Machine::new(cfg.clone()).run_sequence(&[&s, &s2, &s]);
+            let digest = sortmid_observe::provenance::fnv1a_64(format!("{reports:?}").into_bytes());
+            assert_eq!(digest, want, "{}: {digest:#018x}", cfg.summary());
+        }
+    }
+
+    #[test]
     fn routed_triangles_grow_with_processors() {
         let s = stream();
         let few = Machine::new(config(2, Distribution::sli(1), CacheKind::Perfect)).run(&s);

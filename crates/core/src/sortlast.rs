@@ -190,6 +190,30 @@ mod tests {
     }
 
     #[test]
+    fn sort_last_reports_are_pinned() {
+        // FNV-1a digests of the Debug text of sort-last reports, recorded
+        // on the per-triangle node loop before sort-last became a capture
+        // over a one-owner-per-triangle plan.
+        use TriangleAssignment::{Chunked, RoundRobin};
+        let s = stream();
+        let g = CacheGeometry::paper_l1();
+        let mut dram = config(8, CacheKind::PaperL1);
+        dram.dram = Some(DramConfig::sdram_like(BusConfig::ratio(1.0)));
+        let runs = [
+            (config(8, CacheKind::Perfect), RoundRobin, 0x5ec904d17265005e),
+            (config(8, CacheKind::PaperL1), Chunked { chunk: 32 }, 0x38cecbc278b77eca),
+            (config(5, CacheKind::Classifying(g)), RoundRobin, 0xe37d1c9574d0b076),
+            (config(4, CacheKind::Victim(g, 8)), Chunked { chunk: 7 }, 0x609301094dd7275e),
+            (dram, RoundRobin, 0x5dd02b2bebedf0f0),
+        ];
+        for (cfg, assignment, want) in runs {
+            let report = run_sort_last(&s, &cfg, assignment);
+            let digest = sortmid_observe::provenance::fnv1a_64(format!("{report:?}").into_bytes());
+            assert_eq!(digest, want, "{} {assignment}: {digest:#018x}", cfg.summary());
+        }
+    }
+
+    #[test]
     fn round_robin_balances_triangles_perfectly() {
         let s = stream();
         let r = run_sort_last(&s, &config(8, CacheKind::Perfect), TriangleAssignment::RoundRobin);
