@@ -42,8 +42,8 @@
 //!   nanoseconds each additional cache config costs on top of the shared
 //!   trace capture.
 //!
-//! When the default pipeline runs (no escape hatch), the untimed
-//! breakdown sweep additionally runs **host-profiled**: the reference grid
+//! The untimed breakdown sweep additionally runs **host-profiled**: the
+//! reference grid
 //! and the dense replay lane execute as one combined sweep under a
 //! [`HostProfiler`], and the merged [`sortmid::HostProfile`] —
 //! hierarchical phase spans, per-worker `busy + idle == wall`
@@ -55,11 +55,8 @@
 //! lanes stay on the [`NullHostSink`](sortmid::NullHostSink) path, so the
 //! regression gate keeps pinning the *unprofiled* pipeline.
 //!
-//! Pass `--no-replay` to turn off the Mattson walk (its configs run on
-//! shared captures or the direct engine instead) and `--threads N` to
-//! pin the pool size; the reports are byte-identical either way, only the
-//! wall-clock changes (`--no-replay` skips the profile artefact — it
-//! documents the default pipeline).
+//! Pass `--threads N` to pin the pool size; the reports are
+//! byte-identical at any thread count, only the wall-clock changes.
 
 use sortmid::{
     run_sweep_profiled, run_sweep_with_options, CacheKind, Distribution, HostProfiler, Machine,
@@ -168,7 +165,6 @@ const NOISY_LANE_SAMPLE_SCALE: u32 = 5;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let replay = !args.iter().any(|a| a == "--no-replay");
     let threads = args
         .iter()
         .position(|a| a == "--threads")
@@ -192,14 +188,13 @@ fn main() {
         "the dense lane must price 100+ cache configs per plan, got {}",
         dense.len()
     );
-    let options = SweepOptions { threads, replay };
+    let options = SweepOptions { threads };
     eprintln!(
-        "sweep bench: {} configs (+{} dense-cache), {} fragments, {} host threads, replay {}",
+        "sweep bench: {} configs (+{} dense-cache), {} fragments, {} host threads",
         configs.len(),
         dense.len(),
         s.fragment_count(),
         threads,
-        if replay { "on" } else { "off (--no-replay)" },
     );
 
     let mut suite = Suite::new("sweep");
@@ -250,7 +245,6 @@ fn main() {
         );
         trace_replay = Json::obj([
             ("id", Json::str("grid/trace-replay")),
-            ("replay", Json::Bool(replay)),
             ("configs", Json::U64(dense.len() as u64)),
             ("base_configs", Json::U64(base.len() as u64)),
             ("median_ns", Json::U64(dense_r.median_ns)),
@@ -267,34 +261,28 @@ fn main() {
     // groups must not absorb the dense lane, and per-config reports are
     // schedule- and path-independent, so the prefix equals a
     // reference-grid-only run.
-    let reports = if replay {
-        let mut combined = configs.clone();
-        combined.extend(dense.iter().cloned());
-        let prof = HostProfiler::new();
-        let mut reports = run_sweep_profiled(&s, &combined, options, &prof);
-        reports.truncate(configs.len());
-        let profile = prof.finish();
-        profile
-            .verify()
-            .expect("host profile structural invariants must hold");
+    let mut combined = configs.clone();
+    combined.extend(dense.iter().cloned());
+    let prof = HostProfiler::new();
+    let mut reports = run_sweep_profiled(&s, &combined, options, &prof);
+    reports.truncate(configs.len());
+    let profile = prof.finish();
+    profile
+        .verify()
+        .expect("host profile structural invariants must hold");
 
-        let dir = std::env::var_os("SORTMID_BENCH_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("."));
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("create bench dir {}: {e}", dir.display()));
-        let path = dir.join("METRICS_sweep.json");
-        let doc = profile.document("sweep", run_provenance(Benchmark::Quake, &configs));
-        std::fs::write(&path, doc.to_json().render())
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
-        eprint!("{}", profile.summary());
-        reports
-    } else {
-        run_sweep_with_options(&s, &configs, options)
-    };
-    // Stamped on every lane, the escape hatch included: the grid and scene
-    // are identical, so self-diffs and the gate stay valid.
+    let dir = std::env::var_os("SORTMID_BENCH_DIR")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| std::path::PathBuf::from("."));
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("create bench dir {}: {e}", dir.display()));
+    let path = dir.join("METRICS_sweep.json");
+    let doc = profile.document("sweep", run_provenance(Benchmark::Quake, &configs));
+    std::fs::write(&path, doc.to_json().render())
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
+    eprint!("{}", profile.summary());
+
     let breakdowns = SweepBreakdowns {
         provenance: run_provenance(Benchmark::Quake, &configs),
         cycle_breakdowns: reports

@@ -5,10 +5,6 @@
 //! a virtual call the compiler cannot inline; [`AnyCache`] replaces that
 //! with a `match` on a concrete enum, so the dominant [`SetAssocCache`] and
 //! [`PerfectCache`] probes inline straight into the texel loop.
-//!
-//! Exotic or user-provided models still fit: the [`AnyCache::Dyn`] variant
-//! carries any boxed [`LineCache`], paying the old virtual call only for
-//! caches the enum does not know.
 
 use crate::classify::ClassifyingCache;
 use crate::hierarchy::TwoLevelCache;
@@ -45,20 +41,23 @@ pub enum AnyCache {
     TwoLevel(TwoLevelCache),
     /// Set-associative L1 plus victim buffer.
     Victim(VictimCache),
-    /// Escape hatch: any other [`LineCache`], dispatched virtually.
-    Dyn(Box<dyn LineCache + Send>),
+}
+
+macro_rules! dispatch {
+    ($self:expr, $c:ident => $body:expr) => {
+        match $self {
+            AnyCache::Perfect($c) => $body,
+            AnyCache::SetAssoc($c) => $body,
+            AnyCache::Classifying($c) => $body,
+            AnyCache::TwoLevel($c) => $body,
+            AnyCache::Victim($c) => $body,
+        }
+    };
 }
 
 impl std::fmt::Debug for AnyCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnyCache::Perfect(c) => c.fmt(f),
-            AnyCache::SetAssoc(c) => c.fmt(f),
-            AnyCache::Classifying(c) => c.fmt(f),
-            AnyCache::TwoLevel(c) => c.fmt(f),
-            AnyCache::Victim(c) => c.fmt(f),
-            AnyCache::Dyn(_) => f.write_str("AnyCache::Dyn(..)"),
-        }
+        dispatch!(self, c => c.fmt(f))
     }
 }
 
@@ -72,7 +71,6 @@ impl AnyCache {
             AnyCache::Classifying(_) => "classifying",
             AnyCache::TwoLevel(_) => "two-level",
             AnyCache::Victim(_) => "victim",
-            AnyCache::Dyn(_) => "custom",
         }
     }
 }
@@ -107,48 +105,15 @@ impl From<VictimCache> for AnyCache {
     }
 }
 
-impl From<Box<dyn LineCache + Send>> for AnyCache {
-    fn from(c: Box<dyn LineCache + Send>) -> Self {
-        AnyCache::Dyn(c)
-    }
-}
-
-macro_rules! dispatch {
-    ($self:expr, $c:ident => $body:expr) => {
-        match $self {
-            AnyCache::Perfect($c) => $body,
-            AnyCache::SetAssoc($c) => $body,
-            AnyCache::Classifying($c) => $body,
-            AnyCache::TwoLevel($c) => $body,
-            AnyCache::Victim($c) => $body,
-            AnyCache::Dyn($c) => $body,
-        }
-    };
-}
-
 impl LineCache for AnyCache {
     #[inline]
     fn access_line(&mut self, line: u32) -> bool {
-        match self {
-            AnyCache::Perfect(c) => c.access_line(line),
-            AnyCache::SetAssoc(c) => c.access_line(line),
-            AnyCache::Classifying(c) => c.access_line(line),
-            AnyCache::TwoLevel(c) => c.access_line(line),
-            AnyCache::Victim(c) => c.access_line(line),
-            AnyCache::Dyn(c) => c.access_line(line),
-        }
+        dispatch!(self, c => c.access_line(line))
     }
 
     #[inline]
     fn access_line_classified(&mut self, line: u32) -> (bool, Option<MissClass>) {
-        match self {
-            AnyCache::Perfect(c) => c.access_line_classified(line),
-            AnyCache::SetAssoc(c) => c.access_line_classified(line),
-            AnyCache::Classifying(c) => c.access_line_classified(line),
-            AnyCache::TwoLevel(c) => c.access_line_classified(line),
-            AnyCache::Victim(c) => c.access_line_classified(line),
-            AnyCache::Dyn(c) => c.access_line_classified(line),
-        }
+        dispatch!(self, c => c.access_line_classified(line))
     }
 
     #[inline]
@@ -158,17 +123,7 @@ impl LineCache for AnyCache {
         miss_out: &mut [u32],
         classes: &mut MissClassCounts,
     ) -> usize {
-        // Explicit arms (not `dispatch!`) so each model's batched probe —
-        // SWAR compares for SetAssoc, counter bumps for Perfect — inlines
-        // into the per-fragment loop.
-        match self {
-            AnyCache::Perfect(c) => c.access_lane(lane, miss_out, classes),
-            AnyCache::SetAssoc(c) => c.access_lane(lane, miss_out, classes),
-            AnyCache::Classifying(c) => c.access_lane(lane, miss_out, classes),
-            AnyCache::TwoLevel(c) => c.access_lane(lane, miss_out, classes),
-            AnyCache::Victim(c) => c.access_lane(lane, miss_out, classes),
-            AnyCache::Dyn(c) => c.access_lane(lane, miss_out, classes),
-        }
+        dispatch!(self, c => c.access_lane(lane, miss_out, classes))
     }
 
     #[inline]
@@ -184,14 +139,7 @@ impl LineCache for AnyCache {
     fn breakdown(&self) -> Option<MissBreakdown> {
         // UFCS: `ClassifyingCache` also has an *inherent* `breakdown`
         // returning the bare struct, which would shadow the trait method.
-        match self {
-            AnyCache::Perfect(c) => LineCache::breakdown(c),
-            AnyCache::SetAssoc(c) => LineCache::breakdown(c),
-            AnyCache::Classifying(c) => LineCache::breakdown(c),
-            AnyCache::TwoLevel(c) => LineCache::breakdown(c),
-            AnyCache::Victim(c) => LineCache::breakdown(c),
-            AnyCache::Dyn(c) => c.as_ref().breakdown(),
-        }
+        dispatch!(self, c => LineCache::breakdown(c))
     }
 
     fn reset(&mut self) {
@@ -214,7 +162,6 @@ mod tests {
                 CacheGeometry::paper_l2(),
             )),
             AnyCache::from(VictimCache::new(CacheGeometry::paper_l1(), 4)),
-            AnyCache::from(Box::new(PerfectCache::new()) as Box<dyn LineCache + Send>),
         ]
     }
 
@@ -250,7 +197,7 @@ mod tests {
         let labels: Vec<&str> = all_kinds().iter().map(AnyCache::label).collect();
         assert_eq!(
             labels,
-            ["perfect", "set-assoc", "classifying", "two-level", "victim", "custom"]
+            ["perfect", "set-assoc", "classifying", "two-level", "victim"]
         );
     }
 

@@ -20,8 +20,8 @@
 //!   texture memory (the paper's future-work question).
 //! * [`stats::CacheStats`] — hit/miss accounting and the texel-to-fragment
 //!   arithmetic.
-//! * [`trace::TracingCache`] / [`trace::LineAccessTrace`] — capture the
-//!   geometry-independent access sequence once per routing plan.
+//! * [`trace::LineAccessTrace`] — the geometry-independent access
+//!   sequence of one routing plan.
 //! * [`stackdist::evaluate_trace`] — Mattson stack-distance replay that
 //!   prices every (size × associativity) geometry of a sweep grid from one
 //!   captured trace; the sweep walks a plan's trace once it requests
@@ -65,7 +65,7 @@ pub use stackdist::{
     STACKDIST_MIN_REQUESTS,
 };
 pub use stats::{CacheStats, MissBreakdown, MissIdentityError};
-pub use trace::{LineAccessTrace, TracingCache};
+pub use trace::LineAccessTrace;
 pub use victim::VictimCache;
 
 use sortmid_observe::{MissClass, MissClassCounts};
@@ -75,8 +75,8 @@ use sortmid_observe::{MissClass, MissClassCounts};
 /// `access_line` returns `true` on a hit. Misses are assumed to allocate
 /// (fetch the full line); eviction policy is up to the implementation.
 ///
-/// This trait is object-safe: the machine stores per-node caches as
-/// `Box<dyn LineCache>`.
+/// The machine stores per-node caches as the concrete [`AnyCache`] enum,
+/// so every probe dispatches by `match` and inlines.
 pub trait LineCache {
     /// Simulates one access to `line`; returns `true` on a hit.
     fn access_line(&mut self, line: u32) -> bool;

@@ -145,11 +145,6 @@ impl TraceEvaluation {
         self.nodes.len()
     }
 
-    /// Index of a geometry in the request grid.
-    pub fn index_of(&self, geometry: &CacheGeometry) -> Option<usize> {
-        self.requests.iter().position(|r| r.geometry == *geometry)
-    }
-
     /// One node's Mattson profile.
     pub fn profile(&self, node: usize) -> &MattsonProfile {
         &self.nodes[node].profile
@@ -207,7 +202,7 @@ impl TraceEvaluation {
 /// # Panics
 ///
 /// Panics if two requests carry the same geometry (the grid must be
-/// deduplicated so [`TraceEvaluation::index_of`] is unambiguous).
+/// deduplicated so each geometry has one slot).
 pub fn evaluate_trace(trace: &LineAccessTrace, requests: &[GeometryRequest]) -> TraceEvaluation {
     for (i, r) in requests.iter().enumerate() {
         assert!(

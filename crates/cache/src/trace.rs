@@ -3,72 +3,10 @@
 //! Which cache lines a node touches — and in what order — depends only on
 //! the fragment stream and the routing, never on the cache geometry: the
 //! node probes its cache once per texel read whatever the cache answers.
-//! A [`TracingCache`] plugged into the probe loop therefore records the
-//! exact access sequence any set-associative geometry would see, and a
-//! [`LineAccessTrace`] bundles those per-node sequences so the
+//! A [`LineAccessTrace`] therefore bundles the exact per-node access
+//! sequences any set-associative geometry would see, so the
 //! [stack-distance evaluator](crate::stackdist) can price every geometry
 //! of a sweep grid from one capture.
-
-use crate::stats::CacheStats;
-use crate::LineCache;
-
-/// A pseudo-cache that records the line address of every access.
-///
-/// Plugs into the same probe loop as the real models (it implements
-/// [`LineCache`]) but holds no contents: every access "misses" and is
-/// appended to the captured sequence. Only the recorded addresses are
-/// meaningful — the hit/miss answer exists to satisfy the trait.
-///
-/// # Examples
-///
-/// ```
-/// use sortmid_cache::{LineCache, TracingCache};
-///
-/// let mut t = TracingCache::new();
-/// t.access_line(7);
-/// t.access_line(7);
-/// t.access_line(9);
-/// assert_eq!(t.lines(), &[7, 7, 9]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TracingCache {
-    lines: Vec<u32>,
-    stats: CacheStats,
-}
-
-impl TracingCache {
-    /// Creates an empty capture.
-    pub fn new() -> Self {
-        TracingCache::default()
-    }
-
-    /// The captured access sequence so far.
-    pub fn lines(&self) -> &[u32] {
-        &self.lines
-    }
-
-    /// Consumes the capture, returning the access sequence.
-    pub fn into_lines(self) -> Vec<u32> {
-        self.lines
-    }
-}
-
-impl LineCache for TracingCache {
-    fn access_line(&mut self, line: u32) -> bool {
-        self.lines.push(line);
-        self.stats.record(false);
-        false
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn reset(&mut self) {
-        self.lines.clear();
-        self.stats.reset();
-    }
-}
 
 /// The deterministic sequence of (node, texture-line) accesses one routing
 /// plan produces, grouped per node in processing order.
@@ -134,19 +72,6 @@ impl LineAccessTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tracing_cache_records_in_order() {
-        let mut t = TracingCache::new();
-        for line in [3, 1, 4, 1, 5] {
-            assert!(!t.access_line(line), "capture always reports a miss");
-        }
-        assert_eq!(t.lines(), &[3, 1, 4, 1, 5]);
-        assert_eq!(t.stats().accesses(), 5);
-        t.reset();
-        assert!(t.lines().is_empty());
-        assert_eq!(t.stats().accesses(), 0);
-    }
 
     #[test]
     fn trace_counts_fragments() {

@@ -3,8 +3,8 @@
 use crate::distribution::Distribution;
 use crate::MAX_PROCESSORS;
 use sortmid_cache::{
-    AnyCache, CacheGeometry, ClassifyingCache, LineCache, PerfectCache, SetAssocCache,
-    TwoLevelCache, VictimCache,
+    AnyCache, CacheGeometry, ClassifyingCache, PerfectCache, SetAssocCache, TwoLevelCache,
+    VictimCache,
 };
 use sortmid_memsys::{BusConfig, DramConfig, SETUP_CYCLES};
 use std::fmt;
@@ -30,22 +30,6 @@ pub enum CacheKind {
 }
 
 impl CacheKind {
-    /// Instantiates one node's cache behind a vtable.
-    ///
-    /// The machine's hot path uses [`CacheKind::build_model`] instead;
-    /// this form remains for callers that need type erasure (custom cache
-    /// experiments, trait-object plumbing in tests).
-    pub fn build(&self) -> Box<dyn LineCache + Send> {
-        match self {
-            CacheKind::Perfect => Box::new(PerfectCache::new()),
-            CacheKind::PaperL1 => Box::new(SetAssocCache::new(CacheGeometry::paper_l1())),
-            CacheKind::SetAssoc(g) => Box::new(SetAssocCache::new(*g)),
-            CacheKind::Classifying(g) => Box::new(ClassifyingCache::new(*g)),
-            CacheKind::TwoLevel(l1, l2) => Box::new(TwoLevelCache::new(*l1, *l2)),
-            CacheKind::Victim(g, slots) => Box::new(VictimCache::new(*g, *slots as usize)),
-        }
-    }
-
     /// Instantiates one node's cache with concrete enum dispatch, letting
     /// the 8-texel probe loop inline `access_line` instead of paying a
     /// virtual call per texel.
@@ -307,6 +291,7 @@ impl MachineConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sortmid_cache::LineCache;
 
     #[test]
     fn defaults_match_paper() {
@@ -345,60 +330,10 @@ mod tests {
             CacheKind::TwoLevel(CacheGeometry::paper_l1(), CacheGeometry::paper_l2()),
             CacheKind::Victim(CacheGeometry::paper_l1(), 8),
         ] {
-            let mut cache = kind.build();
+            let mut cache = kind.build_model();
             cache.access_line(1);
             assert_eq!(cache.stats().accesses(), 1, "{kind}");
         }
-    }
-
-    #[test]
-    fn dyn_and_enum_builds_agree() {
-        // The trait-object path must stay a working equivalent of the
-        // devirtualized one for every kind (custom caches in tests and
-        // experiments still go through `build()`).
-        for kind in [
-            CacheKind::Perfect,
-            CacheKind::PaperL1,
-            CacheKind::SetAssoc(CacheGeometry::new(512, 2, 64).unwrap()),
-            CacheKind::Classifying(CacheGeometry::paper_l1()),
-            CacheKind::TwoLevel(CacheGeometry::paper_l1(), CacheGeometry::paper_l2()),
-            CacheKind::Victim(CacheGeometry::new(512, 1, 64).unwrap(), 4),
-        ] {
-            let mut boxed = kind.build();
-            let mut model = kind.build_model();
-            let mut x = 9u32;
-            for _ in 0..5_000 {
-                x = x.wrapping_mul(1103515245).wrapping_add(12345);
-                let line = (x >> 16) % 80;
-                assert_eq!(boxed.access_line(line), model.access_line(line), "{kind}");
-            }
-            assert_eq!(boxed.stats().misses(), model.stats().misses(), "{kind}");
-            assert_eq!(boxed.external_fetches(), model.external_fetches(), "{kind}");
-        }
-    }
-
-    #[test]
-    fn custom_dyn_caches_still_plug_in() {
-        // A cache model the enum does not know rides the Dyn variant.
-        struct CountingCache(sortmid_cache::CacheStats);
-        impl LineCache for CountingCache {
-            fn access_line(&mut self, _line: u32) -> bool {
-                self.0.record(false);
-                false
-            }
-            fn stats(&self) -> &sortmid_cache::CacheStats {
-                &self.0
-            }
-            fn reset(&mut self) {
-                self.0.reset();
-            }
-        }
-        let boxed: Box<dyn LineCache + Send> =
-            Box::new(CountingCache(sortmid_cache::CacheStats::new()));
-        let mut any = AnyCache::from(boxed);
-        any.access_line(1);
-        any.access_line(2);
-        assert_eq!(any.stats().misses(), 2);
     }
 
     #[test]

@@ -42,12 +42,10 @@
 //! ```
 
 pub mod analysis;
-pub mod batch;
 pub mod config;
 pub mod distribution;
 pub mod dynamic;
 pub mod machine;
-pub mod node;
 pub mod plan;
 #[doc(hidden)]
 pub mod reference;

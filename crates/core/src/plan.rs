@@ -1,29 +1,24 @@
-//! Precomputed routing: owner lookup tables and per-triangle fragment
-//! buckets shared across machine configurations.
+//! Routing: owner lookup tables and per-triangle fragment buckets.
 //!
 //! Where a triangle goes — which nodes its bounding box overlaps, which
 //! node owns each of its fragments — depends only on the stream, the
-//! [`Distribution`] and the processor count. Cache geometry, bus ratio and
-//! FIFO depth do not move a single fragment. A figure sweep evaluates
-//! dozens of configs that differ only in those latter axes, so deriving
-//! per-fragment ownership (two euclidean div/rems per fragment) and
-//! re-partitioning the stream for *every* config is pure redundancy.
+//! [`Distribution`] and the processor count; cache geometry, bus ratio and
+//! FIFO depth do not move a single fragment. A [`RoutingPlan`] records
+//! that routing once: one pass counting-sorts every triangle's fragments
+//! by owning node into a flat index array, guided by an [`OwnerLut`] that
+//! replaces the div/rem chain with two table lookups and an add.
 //!
-//! A [`RoutingPlan`] hoists that work out of the run: one pass over the
-//! stream counting-sorts every triangle's fragments by owning node into a
-//! flat index array, guided by an [`OwnerLut`] that replaces the div/rem
-//! chain with two table lookups and an add (the direct engine routes
-//! through the same LUT, one triangle at a time).
-//! [`crate::sweep::run_sweep`] groups its config grid by
-//! `(distribution, processors)` so each plan is built once and shared
+//! [`Machine::run`](crate::Machine::run) routes its frame into one reused
+//! plan a window at a time; [`crate::sweep::run_sweep`] builds one
+//! whole-frame plan per `(distribution, processors)` group and shares it
 //! read-only across host threads by the configs that replay a shared
-//! cache capture or stack-distance evaluation. Those reports are
-//! **identical** to direct runs — the routing is precomputed, not
-//! approximated.
+//! cache capture or stack-distance evaluation.
 
 use crate::distribution::Distribution;
 use sortmid_geom::Rect;
-use sortmid_raster::{FragBatch, FragmentStream};
+use sortmid_raster::{FragBatch, FragmentStream, TriangleRecord};
+use sortmid_texture::{footprint_lines, TEXELS_PER_FRAGMENT};
+use std::ops::Range;
 
 /// Per-pixel owner lookup replacing [`Distribution::owner`]'s div/rem
 /// chain with two table reads and one conditional subtract.
@@ -90,11 +85,6 @@ impl OwnerLut {
         lut
     }
 
-    /// The processor count the tables were built for.
-    pub fn procs(&self) -> u32 {
-        self.procs
-    }
-
     /// The owner of pixel `(x, y)`; coordinates must lie on the screen the
     /// LUT was built for.
     #[inline]
@@ -105,6 +95,45 @@ impl OwnerLut {
         } else {
             sum
         }
+    }
+}
+
+/// Reads fragment `fi` of a stream by index: its pixel coordinate and the
+/// cache-line ids of its footprint, in probe order. The routing builder
+/// and the cache pass read fragments only through this accessor, so the
+/// same code serves the stream itself (line ids computed on the fly, no
+/// copy) and a pre-pivoted [`FragBatch`] (the sweep amortises one batch
+/// across every plan).
+pub(crate) trait LaneSource {
+    /// Fragment `fi`'s pixel coordinate.
+    fn xy(&self, fi: usize) -> (u16, u16);
+
+    /// Fragment `fi`'s footprint line ids.
+    fn lane(&self, fi: usize) -> [u32; TEXELS_PER_FRAGMENT];
+}
+
+impl LaneSource for FragmentStream {
+    #[inline]
+    fn xy(&self, fi: usize) -> (u16, u16) {
+        let frag = &self.fragments()[fi];
+        (frag.x, frag.y)
+    }
+
+    #[inline]
+    fn lane(&self, fi: usize) -> [u32; TEXELS_PER_FRAGMENT] {
+        footprint_lines(&self.fragments()[fi].texels)
+    }
+}
+
+impl LaneSource for FragBatch {
+    #[inline]
+    fn xy(&self, fi: usize) -> (u16, u16) {
+        (self.x(fi), self.y(fi))
+    }
+
+    #[inline]
+    fn lane(&self, fi: usize) -> [u32; TEXELS_PER_FRAGMENT] {
+        *self.lane_array(fi)
     }
 }
 
@@ -128,17 +157,19 @@ pub(crate) struct Segment {
     pub(crate) owner: u32,
     /// Exclusive end of the bucket in [`RoutingPlan::frag_order`]; the
     /// bucket starts where the previous segment of the same triangle ends
-    /// (or at the triangle's `frag_start`).
+    /// (or at the triangle's first fragment).
     pub(crate) end: u32,
 }
 
-/// The precomputed routing of one `(stream, distribution, procs)` triple.
+/// The precomputed routing of a range of triangles under one
+/// `(distribution, procs)` pair — the whole frame for the sweep, one
+/// window at a time for [`Machine::run`](crate::Machine::run).
 ///
 /// Holds, for every non-culled triangle in stream order, its overlap mask
 /// and its fragments bucketed by owning node as contiguous ranges of a
 /// single flat index array (a stable counting sort — no per-triangle
-/// allocation, no pointer chasing). Building is one pass over the stream;
-/// the sweep's capture and replay paths then walk it with no per-fragment
+/// allocation, no pointer chasing). Routing is one pass over the range;
+/// the capture and timing passes then walk it with no per-fragment
 /// ownership math.
 ///
 /// # Examples
@@ -163,113 +194,195 @@ pub(crate) struct Segment {
 pub struct RoutingPlan {
     distribution: Distribution,
     procs: u32,
-    /// Non-culled triangles in stream order.
+    lut: OwnerLut,
+    /// Non-culled triangles of the routed range, in stream order.
     pub(crate) triangles: Vec<PlanTriangle>,
+    /// The stream index of the routed range's first fragment:
+    /// `frag_order` position `p` belongs to fragment range slot
+    /// `base + p`.
+    pub(crate) base: u32,
     /// Fragment indices into [`FragmentStream::fragments`]: each
     /// triangle's `frag_start..frag_end` range, reordered so that one
     /// owner's fragments are contiguous (stream order within an owner).
     pub(crate) frag_order: Vec<u32>,
     /// Per-owner bucket boundaries, CSR-indexed by [`PlanTriangle`].
     pub(crate) segments: Vec<Segment>,
-    /// Total routed triangle deliveries (sum of mask popcounts).
+    /// Triangle deliveries of the routed range (sum of mask popcounts).
     routed: u64,
+    /// Counting-sort scratch, reused triangle to triangle: the owner of
+    /// each fragment, and per-owner counts that turn into write cursors.
+    owners: Vec<u32>,
+    counts: Vec<u32>,
 }
 
 impl RoutingPlan {
-    /// Precomputes the routing of `stream` under `dist` with `procs`
-    /// nodes, in one pass over the fragments.
+    /// Precomputes the routing of every triangle of `stream` under `dist`
+    /// with `procs` nodes, in one pass over the fragments.
     ///
     /// # Panics
     ///
     /// Panics if `procs` is outside `1..=`[`crate::MAX_PROCESSORS`].
     pub fn build(stream: &FragmentStream, dist: &Distribution, procs: u32) -> RoutingPlan {
-        Self::build_from_batch(stream, &FragBatch::from_stream(stream), dist, procs)
+        Self::build_with(stream, stream, dist, procs)
     }
 
-    /// Like [`build`](Self::build) with the stream's [`FragBatch`] already
-    /// pivoted (callers amortising the batch across several plans):
-    /// per-fragment ownership reads the batch's dense coordinate lanes
-    /// instead of gathering 40-byte fragments.
-    pub fn build_from_batch(
+    /// [`build`](Self::build) reading fragments from `lanes` (the sweep
+    /// passes the stream's pivoted [`FragBatch`], shared by every plan).
+    pub(crate) fn build_with<L: LaneSource>(
         stream: &FragmentStream,
-        batch: &FragBatch,
+        lanes: &L,
         dist: &Distribution,
         procs: u32,
     ) -> RoutingPlan {
-        assert_eq!(
-            batch.len() as u64,
-            stream.fragment_count(),
-            "batch does not mirror the stream"
-        );
+        let mut plan = Self::new(stream, dist, procs);
+        plan.route(stream, lanes, 0..stream.triangle_count());
+        plan
+    }
+
+    /// An empty plan for `stream`'s screen, ready to [`route`](Self::route)
+    /// triangle ranges into.
+    pub(crate) fn new(stream: &FragmentStream, dist: &Distribution, procs: u32) -> RoutingPlan {
         assert!(
             (1..=crate::MAX_PROCESSORS).contains(&procs),
             "processor count {procs} outside 1..={}",
             crate::MAX_PROCESSORS
         );
-        let lut = OwnerLut::build(dist, stream.screen(), procs);
-        let mut frag_order = vec![0u32; batch.len()];
-        let mut triangles = Vec::new();
-        let mut segments = Vec::new();
-        let mut routed = 0u64;
-        // Reused per-triangle scratch: owner of each fragment, per-owner
-        // counts, and per-owner write cursors for the stable scatter.
-        let mut owners: Vec<u32> = Vec::new();
-        let mut counts = vec![0u32; procs as usize];
-        let mut cursors = vec![0u32; procs as usize];
-
-        for (tri_index, tri) in stream.triangles().iter().enumerate() {
-            if tri.is_culled() {
-                continue;
-            }
-            let mask = dist.overlap_mask(&tri.bbox, procs);
-            debug_assert_ne!(mask, 0, "non-culled triangle must route somewhere");
-            routed += mask.count_ones() as u64;
-
-            let range = tri.frag_start as usize..tri.frag_end as usize;
-            owners.clear();
-            for fi in range {
-                let owner = lut.owner(batch.x(fi), batch.y(fi));
-                debug_assert!(mask & (1u128 << owner) != 0, "owner outside overlap mask");
-                owners.push(owner);
-                counts[owner as usize] += 1;
-            }
-
-            // Bucket boundaries (ascending owner), then the stable scatter.
-            let seg_start = segments.len() as u32;
-            let mut cursor = tri.frag_start;
-            for owner in 0..procs {
-                let count = counts[owner as usize];
-                if count > 0 {
-                    cursors[owner as usize] = cursor;
-                    cursor += count;
-                    segments.push(Segment { owner, end: cursor });
-                }
-            }
-            for (offset, &owner) in owners.iter().enumerate() {
-                let slot = &mut cursors[owner as usize];
-                frag_order[*slot as usize] = tri.frag_start + offset as u32;
-                *slot += 1;
-            }
-            for &owner in &owners {
-                counts[owner as usize] = 0;
-            }
-
-            triangles.push(PlanTriangle {
-                tri: tri_index as u32,
-                mask,
-                seg_start,
-                seg_end: segments.len() as u32,
-            });
-        }
-
         RoutingPlan {
             distribution: dist.clone(),
             procs,
-            triangles,
-            frag_order,
-            segments,
-            routed,
+            lut: OwnerLut::build(dist, stream.screen(), procs),
+            triangles: Vec::new(),
+            base: 0,
+            frag_order: Vec::new(),
+            segments: Vec::new(),
+            routed: 0,
+            owners: Vec::new(),
+            counts: vec![0; procs as usize],
         }
+    }
+
+    /// Replaces the plan's contents with the routing of triangles `tris`
+    /// of `stream`, reading fragment coordinates from `lanes`. The buffers
+    /// are reused, so routing a frame window by window costs O(window)
+    /// memory.
+    pub(crate) fn route<L: LaneSource>(
+        &mut self,
+        stream: &FragmentStream,
+        lanes: &L,
+        tris: Range<usize>,
+    ) {
+        self.reset(stream, tris.clone());
+        for tri in tris {
+            let record = &stream.triangles()[tri];
+            if record.is_culled() {
+                continue;
+            }
+            let mask = self.distribution.overlap_mask(&record.bbox, self.procs);
+            debug_assert_ne!(mask, 0, "non-culled triangle must route somewhere");
+            if mask.is_power_of_two() {
+                // One overlapped node owns every fragment.
+                self.counts[mask.trailing_zeros() as usize] = record.fragment_count();
+            } else {
+                let (lut, counts) = (&self.lut, &mut self.counts);
+                self.owners.clear();
+                self.owners.extend((record.frag_start as usize..record.frag_end as usize).map(|fi| {
+                    let (x, y) = lanes.xy(fi);
+                    let owner = lut.owner(x, y);
+                    debug_assert!(mask & (1u128 << owner) != 0, "owner outside overlap mask");
+                    counts[owner as usize] += 1;
+                    owner
+                }));
+            }
+            self.push_triangle(tri, record, mask);
+        }
+    }
+
+    /// The routing of a sort-last machine: triangles are dealt whole, the
+    /// `k`-th non-culled one to node `owner(k)`, and reach no other node.
+    pub(crate) fn single_owner(
+        stream: &FragmentStream,
+        dist: &Distribution,
+        procs: u32,
+        mut owner: impl FnMut(u64) -> u32,
+    ) -> RoutingPlan {
+        let mut plan = Self::new(stream, dist, procs);
+        let tris = 0..stream.triangle_count();
+        plan.reset(stream, tris.clone());
+        let mut live = 0u64;
+        for tri in tris {
+            let record = &stream.triangles()[tri];
+            if record.is_culled() {
+                continue;
+            }
+            let node = owner(live);
+            live += 1;
+            plan.counts[node as usize] = record.fragment_count();
+            plan.push_triangle(tri, record, 1u128 << node);
+        }
+        plan
+    }
+
+    /// Appends triangle `tri` with overlap `mask`, given its per-owner
+    /// fragment counts in `self.counts` and, when several nodes own
+    /// fragments, each fragment's owner in `self.owners`: a stable counting
+    /// sort into per-owner segments, so each bucket keeps stream order.
+    fn push_triangle(&mut self, tri: usize, record: &TriangleRecord, mask: u128) {
+        self.routed += mask.count_ones() as u64;
+        // Bucket boundaries (ascending owner; every owner lies in the
+        // mask), leaving each owner's write cursor in `counts`.
+        let seg_start = self.segments.len() as u32;
+        let first = record.frag_start - self.base;
+        let mut cursor = first;
+        let mut m = mask;
+        while m != 0 {
+            let owner = m.trailing_zeros();
+            m &= m - 1;
+            let count = std::mem::replace(&mut self.counts[owner as usize], cursor);
+            if count > 0 {
+                cursor += count;
+                self.segments.push(Segment { owner, end: cursor });
+            }
+        }
+        if self.segments.len() as u32 - seg_start <= 1 {
+            // At most one owner: the bucket is the triangle's range as it
+            // stands.
+            let order = &mut self.frag_order[first as usize..cursor as usize];
+            for (slot, fi) in order.iter_mut().zip(record.frag_start..) {
+                *slot = fi;
+            }
+        } else {
+            for (fi, &owner) in (record.frag_start..).zip(&self.owners) {
+                let slot = &mut self.counts[owner as usize];
+                self.frag_order[*slot as usize] = fi;
+                *slot += 1;
+            }
+        }
+        let mut m = mask;
+        while m != 0 {
+            self.counts[m.trailing_zeros() as usize] = 0;
+            m &= m - 1;
+        }
+        self.triangles.push(PlanTriangle {
+            tri: tri as u32,
+            mask,
+            seg_start,
+            seg_end: self.segments.len() as u32,
+        });
+    }
+
+    /// Empties the plan for routing triangles `tris` of `stream`.
+    fn reset(&mut self, stream: &FragmentStream, tris: Range<usize>) {
+        let records = &stream.triangles()[tris];
+        let (start, end) = match (records.first(), records.last()) {
+            (Some(first), Some(last)) => (first.frag_start, last.frag_end),
+            _ => (0, 0),
+        };
+        self.base = start;
+        self.frag_order.clear();
+        self.frag_order.resize((end - start) as usize, 0);
+        self.triangles.clear();
+        self.segments.clear();
+        self.routed = 0;
     }
 
     /// The distribution the plan was built for.
@@ -293,6 +406,23 @@ impl RoutingPlan {
         self.triangles.len()
     }
 
+    /// One triangle's owner buckets as `(owner, fragment indices)`, in
+    /// ascending owner order, each bucket in stream order.
+    pub(crate) fn triangle_buckets<'a>(
+        &'a self,
+        pt: &PlanTriangle,
+        stream: &FragmentStream,
+    ) -> impl Iterator<Item = (usize, &'a [u32])> + 'a {
+        let mut start = (stream.triangles()[pt.tri as usize].frag_start - self.base) as usize;
+        self.segments[pt.seg_start as usize..pt.seg_end as usize]
+            .iter()
+            .map(move |seg| {
+                let bucket = &self.frag_order[start..seg.end as usize];
+                start = seg.end as usize;
+                (seg.owner as usize, bucket)
+            })
+    }
+
     /// Every owner bucket as `(owner, fragment indices)`, in machine
     /// processing order: triangles in stream order, each triangle's
     /// buckets in ascending owner order, each bucket in stream order.
@@ -300,17 +430,7 @@ impl RoutingPlan {
         &'a self,
         stream: &'a FragmentStream,
     ) -> impl Iterator<Item = (usize, &'a [u32])> + 'a {
-        let triangles = stream.triangles();
-        self.triangles.iter().flat_map(move |pt| {
-            let mut start = triangles[pt.tri as usize].frag_start as usize;
-            self.segments[pt.seg_start as usize..pt.seg_end as usize]
-                .iter()
-                .map(move |seg| {
-                    let bucket = &self.frag_order[start..seg.end as usize];
-                    start = seg.end as usize;
-                    (seg.owner as usize, bucket)
-                })
-        })
+        self.triangles.iter().flat_map(move |pt| self.triangle_buckets(pt, stream))
     }
 
     /// True when the plan can replay runs of `config`-shaped machines:
@@ -325,7 +445,7 @@ mod tests {
     use super::*;
     use crate::config::CacheKind;
     use crate::machine::Machine;
-    use crate::replay::{capture_direct, replay_timing};
+    use crate::replay::capture_direct;
     use crate::MachineConfig;
     use sortmid_devharness::prop::{check, Config};
     use sortmid_devharness::prop_assert_eq;
@@ -466,7 +586,7 @@ mod tests {
                     .expect("valid config");
                 let plan = RoutingPlan::build(&s, &dist, procs);
                 let capture = capture_direct(kind, &FragBatch::from_stream(&s), &s, &plan);
-                let planned = replay_timing(&config, &s, &plan, capture.nodes());
+                let planned = capture.replay(&config, &s, &plan);
                 let direct = Machine::new(config).run(&s);
                 prop_assert_eq!(&planned, &direct);
                 prop_assert_eq!(format!("{planned:?}"), format!("{direct:?}"));

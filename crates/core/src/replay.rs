@@ -1,29 +1,29 @@
-//! Trace capture and report synthesis for one-pass multi-config sweeps.
+//! The frame pipeline's cache and timing stages, shared by every way a
+//! report is made.
 //!
-//! Which texture lines a node touches depends only on the fragment stream
-//! and the [`RoutingPlan`] — never on the cache, bus or buffer parameters.
-//! This module exploits that split: [`capture_line_trace`] records each
-//! node's access sequence once per plan, the
-//! [stack-distance evaluator](sortmid_cache::stackdist) prices every
-//! set-associative geometry of the sweep grid from that one trace, and
-//! `replay_timing` re-derives a [`RunReport`] for each config by driving
-//! the exact engine/FIFO timing model with the replayed per-fragment miss
-//! counts. Configs sharing a `(plan, cache model)` below the walk's
-//! threshold replay a `capture_direct` instead — one pass of the model
-//! over the plan's buckets — and the same `replay_timing` drives the
-//! engines from its sparse miss record. The synthesized reports are
-//! byte-identical to [`Machine::run`](crate::machine::Machine::run) —
-//! property tests and the sweep's own internal grouping enforce it.
+//! Each node owns a private cache, so which lines it misses depends only
+//! on the fragments it owns (never on bus, buffer or DRAM parameters), and
+//! the FIFO and engine timing depends only on those misses. A report is
+//! made in three stages over a [`RoutingPlan`]: route the triangles
+//! ([`crate::plan`]); run each node's cache over its buckets — [`capture`]
+//! records every fragment's miss lines, or one [`capture_line_trace`] feeds
+//! the [stack-distance evaluator](sortmid_cache::stackdist) that prices
+//! many set-associative geometries at once; then walk the broadcast, FIFO
+//! and engine timing over the misses ([`Timing`]).
+//!
+//! [`Machine::run`](crate::machine::Machine::run) streams a frame through
+//! the stages window by window with persistent caches and a resumable
+//! [`Timing`]; the sweep runs them over whole plans and replays one
+//! capture or evaluation per config ([`replay_timing`]). Property tests
+//! pin every path to the per-texel [`crate::reference`] oracle.
 
 use crate::config::{CacheKind, MachineConfig};
-use crate::plan::RoutingPlan;
-use crate::report::{NodeReport, RunReport};
-use sortmid_cache::{
-    AnyCache, CacheGeometry, CacheStats, LineAccessTrace, LineCache, MissBreakdown,
-    TraceEvaluation,
-};
+use crate::plan::{LaneSource, RoutingPlan};
+use crate::report::{CacheCounters, NodeReport, RunReport};
+use sortmid_cache::{AnyCache, CacheGeometry, LineAccessTrace, LineCache, TraceEvaluation};
+use sortmid_geom::Rect;
 use sortmid_memsys::{Cycle, EngineTiming, TriangleFifo};
-use sortmid_observe::MissClassCounts;
+use sortmid_observe::{MissClassCounts, NullSink, TraceEvent, TraceSink};
 use sortmid_raster::{FragBatch, FragmentStream};
 use sortmid_texture::TEXELS_PER_FRAGMENT;
 
@@ -81,18 +81,22 @@ pub(crate) fn replay_request(config: &MachineConfig) -> Option<(CacheGeometry, b
     }
 }
 
-/// One node's cache outcome as the timing replay consumes it: the miss
-/// count or miss lines of each fragment in processing order, plus the
-/// node's final cache counters. Implemented over a stack-distance
-/// evaluation's dense per-fragment counts ([`walk_misses`]) and over a
-/// capture's sparse miss list ([`DirectCapture::nodes`]).
+/// One node's cache outcome as the timing walk consumes it: the misses of
+/// each fragment in processing order. Implemented over a capture's sparse
+/// miss list ([`NodeCapture::cursor`]) and over a stack-distance
+/// evaluation's dense per-fragment counts ([`walk_misses`]).
 pub(crate) trait NodeMisses {
-    /// Drives `engine` through the node's next `count` fragments.
-    fn advance(&mut self, engine: &mut EngineTiming, count: usize);
-
-    /// The node's cache statistics, three-C breakdown and external
-    /// fetches.
-    fn cache(&self) -> (CacheStats, Option<MissBreakdown>, u64);
+    /// Drives `engine` through the fragments of one triangle that `node`
+    /// owns; `bucket` holds their stream indices in processing order. An
+    /// enabled `sink` also receives every fragment's spatial sample.
+    fn advance<S: TraceSink>(
+        &mut self,
+        engine: &mut EngineTiming,
+        bucket: &[u32],
+        node: u32,
+        stream: &FragmentStream,
+        sink: &mut S,
+    );
 }
 
 /// A stack-distance evaluation's per-fragment miss counts for one node
@@ -100,33 +104,42 @@ pub(crate) trait NodeMisses {
 pub(crate) struct WalkMisses<'a> {
     misses: &'a [u8],
     next: usize,
-    stats: CacheStats,
-    breakdown: Option<MissBreakdown>,
 }
 
-/// Each node's [`WalkMisses`] of geometry `geom` in `eval`; `classify`
-/// selects whether the reports carry the three-C breakdown (a
-/// [`CacheKind::Classifying`] config does, a plain set-associative one
-/// does not, even when both share a geometry slot).
+/// Each node's [`WalkMisses`] of geometry `geom` in `eval`, with its cache
+/// counters; `classify` selects whether the reports carry the three-C
+/// breakdown (a [`CacheKind::Classifying`] config does, a plain
+/// set-associative one does not, even when both share a geometry slot).
 pub(crate) fn walk_misses(
     eval: &TraceEvaluation,
     geom: usize,
     classify: bool,
-) -> Vec<WalkMisses<'_>> {
+) -> (Vec<WalkMisses<'_>>, Vec<CacheCounters>) {
     (0..eval.node_count())
-        .map(|i| WalkMisses {
-            misses: eval.fragment_misses(i, geom),
-            next: 0,
-            stats: eval.stats(i, geom),
-            breakdown: if classify { eval.breakdown(i, geom) } else { None },
+        .map(|i| {
+            let stats = eval.stats(i, geom);
+            let counters = CacheCounters {
+                stats,
+                breakdown: if classify { eval.breakdown(i, geom) } else { None },
+                external_fetches: stats.misses(),
+            };
+            (WalkMisses { misses: eval.fragment_misses(i, geom), next: 0 }, counters)
         })
-        .collect()
+        .unzip()
 }
 
 impl NodeMisses for WalkMisses<'_> {
-    fn advance(&mut self, engine: &mut EngineTiming, count: usize) {
+    fn advance<S: TraceSink>(
+        &mut self,
+        engine: &mut EngineTiming,
+        bucket: &[u32],
+        _node: u32,
+        _stream: &FragmentStream,
+        _sink: &mut S,
+    ) {
+        assert!(!S::ENABLED, "a stack-distance walk keeps miss counts, not the lines a trace reports");
         // Run-length walk: all-hit stretches advance the engine in bulk.
-        let end = self.next + count;
+        let end = self.next + bucket.len();
         let mut j = self.next;
         while j < end {
             if self.misses[j] == 0 {
@@ -142,22 +155,196 @@ impl NodeMisses for WalkMisses<'_> {
         }
         self.next = end;
     }
+}
 
-    fn cache(&self) -> (CacheStats, Option<MissBreakdown>, u64) {
-        (self.stats, self.breakdown, self.stats.misses())
+/// One node's cache outcome over the fragments of a plan: which fragments
+/// missed, on which lines, in processing order.
+///
+/// Which texel probes hit or miss depends only on the cache model and the
+/// node's access sequence, never on the bus, buffer or DRAM parameters, so
+/// one recording serves every timing walk over the same cache and plan.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeCapture {
+    /// Fragments recorded (the next fragment's index in lane order).
+    frags: u32,
+    /// `(fragment index in lane order, miss count)` for every fragment
+    /// with at least one miss, ascending by index.
+    miss_frags: Vec<(u32, u32)>,
+    /// The miss line addresses, concatenated in access order
+    /// (DRAM-backed machines price fills by address, not count).
+    miss_lines: Vec<u32>,
+    /// Each missing fragment's three-C counts, parallel to `miss_frags`;
+    /// recorded only for traced runs, which report them per fragment.
+    classes: Vec<MissClassCounts>,
+}
+
+impl NodeCapture {
+    /// A cursor replaying the recording from its first fragment.
+    pub(crate) fn cursor(&self) -> CapturedMisses<'_> {
+        CapturedMisses { node: self, next: 0, frag: 0, line: 0 }
+    }
+}
+
+/// Runs every node's cache over its buckets of `plan`, replacing each
+/// node's recording with the outcome. Footprints come from `lanes` (the
+/// stream itself or its pivoted batch); with an enabled `S` the recording
+/// also keeps each missing fragment's three-C counts for the traced timing
+/// walk, so untraced recordings do not grow.
+pub(crate) fn capture<S: TraceSink, L: LaneSource>(
+    caches: &mut [AnyCache],
+    lanes: &L,
+    stream: &FragmentStream,
+    plan: &RoutingPlan,
+    nodes: &mut [NodeCapture],
+) {
+    for node in nodes.iter_mut() {
+        node.frags = 0;
+        node.miss_frags.clear();
+        node.miss_lines.clear();
+        node.classes.clear();
+    }
+    for (node, bucket) in plan.buckets(stream) {
+        let rec = &mut nodes[node];
+        // Dispatch on the cache variant once per *bucket*, not once per
+        // fragment, so the concrete batched probe inlines.
+        match &mut caches[node] {
+            AnyCache::Perfect(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
+            AnyCache::SetAssoc(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
+            AnyCache::Classifying(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
+            AnyCache::TwoLevel(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
+            AnyCache::Victim(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
+        }
+    }
+}
+
+/// One owner bucket of [`capture`]: one batched
+/// [`LineCache::access_lane`] probe per fragment footprint, recording the
+/// sparse misses.
+#[inline]
+fn capture_bucket<S: TraceSink, C: LineCache, L: LaneSource>(
+    cache: &mut C,
+    lanes: &L,
+    bucket: &[u32],
+    rec: &mut NodeCapture,
+) {
+    let mut miss_buf = [0u32; TEXELS_PER_FRAGMENT];
+    let mut classes = MissClassCounts::default();
+    for &fi in bucket {
+        if S::ENABLED {
+            classes = MissClassCounts::default();
+        }
+        let misses = cache.access_lane(&lanes.lane(fi as usize), &mut miss_buf, &mut classes);
+        if misses > 0 {
+            rec.miss_frags.push((rec.frags, misses as u32));
+            rec.miss_lines.extend_from_slice(&miss_buf[..misses]);
+            if S::ENABLED {
+                rec.classes.push(classes);
+            }
+        }
+        rec.frags += 1;
+    }
+}
+
+/// One cache model's whole-plan recording, shared by every sweep config
+/// that mounts that model on that plan: each config replays it through
+/// its own timing walk.
+#[derive(Debug, Clone)]
+pub(crate) struct DirectCapture {
+    nodes: Vec<NodeCapture>,
+    counters: Vec<CacheCounters>,
+}
+
+impl DirectCapture {
+    /// `config`'s report, replayed from the recording.
+    pub(crate) fn replay(
+        &self,
+        config: &MachineConfig,
+        stream: &FragmentStream,
+        plan: &RoutingPlan,
+    ) -> RunReport {
+        let cursors = self.nodes.iter().map(NodeCapture::cursor).collect();
+        replay_timing(config, stream, plan, cursors, self.counters.clone())
+    }
+}
+
+/// Runs `kind`'s cache model over `plan`'s per-node access sequences once,
+/// reading footprints out of the shared [`FragBatch`] — the per-node
+/// sequence is exactly the [`capture_line_trace`] order, without
+/// materialising the trace.
+pub(crate) fn capture_direct(
+    kind: CacheKind,
+    batch: &FragBatch,
+    stream: &FragmentStream,
+    plan: &RoutingPlan,
+) -> DirectCapture {
+    let procs = plan.procs() as usize;
+    let mut caches: Vec<AnyCache> = (0..procs).map(|_| kind.build_model()).collect();
+    let mut nodes = vec![NodeCapture::default(); procs];
+    capture::<NullSink, _>(&mut caches, batch, stream, plan, &mut nodes);
+    let counters = caches.iter().map(CacheCounters::of).collect();
+    DirectCapture { nodes, counters }
+}
+
+/// A cursor over one node's [`NodeCapture`]: the next fragment index in
+/// lane order, the next sparse miss-fragment entry and the next miss line.
+pub(crate) struct CapturedMisses<'a> {
+    node: &'a NodeCapture,
+    next: usize,
+    frag: usize,
+    line: usize,
+}
+
+impl NodeMisses for CapturedMisses<'_> {
+    fn advance<S: TraceSink>(
+        &mut self,
+        engine: &mut EngineTiming,
+        bucket: &[u32],
+        node: u32,
+        stream: &FragmentStream,
+        sink: &mut S,
+    ) {
+        let (start, end) = (self.next, self.next + bucket.len());
+        let NodeCapture { miss_frags, miss_lines, classes, .. } = self.node;
+        let sample = |sink: &mut S, index: usize, misses: usize, class| {
+            let frag = &stream.fragments()[bucket[index - start] as usize];
+            sink.record_fragment(node, frag.x, frag.y, misses as u32, class);
+        };
+        loop {
+            let miss = miss_frags.get(self.frag).filter(|&&(fi, _)| (fi as usize) < end);
+            let clean_end = miss.map_or(end, |&(fi, _)| fi as usize);
+            // Every fragment owes a traced sink a spatial sample; untraced
+            // runs advance all-hit stretches in bulk.
+            if S::ENABLED {
+                for index in self.next..clean_end {
+                    engine.fragment_lines_sink(&[], node, sink);
+                    sample(sink, index, 0, MissClassCounts::default());
+                }
+            } else if clean_end > self.next {
+                engine.fragments_clean((clean_end - self.next) as u64);
+            }
+            let Some(&(fi, misses)) = miss else { break };
+            let lines = &miss_lines[self.line..self.line + misses as usize];
+            engine.fragment_lines_sink(lines, node, sink);
+            if S::ENABLED {
+                sample(sink, fi as usize, lines.len(), classes[self.frag]);
+            }
+            self.line += lines.len();
+            self.frag += 1;
+            self.next = fi as usize + 1;
+        }
+        self.next = end;
     }
 }
 
 /// Synthesizes the [`RunReport`] of `config` from each node's recorded
-/// misses, byte-identical to [`Machine::run`](crate::machine::Machine::run):
-/// the routing walk, FIFO backpressure, engine scan/stall/setup-floor
-/// timing and bus occupancy are simulated exactly as in the direct path,
-/// but every texel probe is replaced by the node's [`NodeMisses`].
+/// misses and cache counters over the whole of `plan`: the sweep's timing
+/// walk for a shared capture or stack-distance evaluation.
 pub(crate) fn replay_timing<M: NodeMisses>(
     config: &MachineConfig,
     stream: &FragmentStream,
     plan: &RoutingPlan,
     mut nodes: Vec<M>,
+    counters: Vec<CacheCounters>,
 ) -> RunReport {
     assert!(
         plan.matches(&config.distribution, config.processors),
@@ -167,236 +354,169 @@ pub(crate) fn replay_timing<M: NodeMisses>(
         config.distribution,
         config.processors,
     );
-    assert_eq!(
-        nodes.len(),
-        config.processors as usize,
-        "recorded misses and machine disagree on node count"
-    );
-    let procs = config.processors as usize;
-    let triangles = stream.triangles();
+    let mut timing = Timing::new(config);
+    timing.advance(stream, plan, &mut nodes, &mut NullSink);
+    timing.report(config.summary(), stream, counters)
+}
 
-    let mut engines: Vec<EngineTiming> = (0..procs)
-        .map(|_| match config.dram {
-            Some(dram) => EngineTiming::with_dram(config.bus, config.prefetch_window, dram),
-            None => EngineTiming::new(config.bus, config.prefetch_window),
-        })
-        .collect();
-    let mut fifos: Vec<TriangleFifo> = (0..procs)
-        .map(|_| TriangleFifo::new(config.triangle_buffer))
-        .collect();
-    let mut pixels = vec![0u64; procs];
-    let mut routed_tris = vec![0u64; procs];
-    let mut discarded = vec![0u64; procs];
-    let mut send_time: Cycle = 0;
+/// The screen-space anchor a triangle's setup padding is attributed to in
+/// spatial traces: the bounding-box origin clamped to non-negative
+/// coordinates (an overlapped node pays the setup floor even when it owns
+/// no fragment of the triangle, so fragment positions cannot anchor it).
+pub(crate) fn setup_anchor(bbox: &Rect) -> (u16, u16) {
+    (
+        bbox.x0.clamp(0, u16::MAX as i32) as u16,
+        bbox.y0.clamp(0, u16::MAX as i32) as u16,
+    )
+}
 
-    for pt in &plan.triangles {
-        let mut send = send_time + config.geometry_cycles_per_triangle;
-        for fifo in &fifos {
-            send = send.max(fifo.earliest_send());
+/// The machine's timing over one frame, resumable window by window: the
+/// in-order geometry stage broadcasting every triangle, each node's FIFO
+/// backpressure, and each engine's scan, bus-stall and setup-floor timing.
+pub(crate) struct Timing {
+    geometry_cycles: Cycle,
+    nodes: Vec<NodeTiming>,
+    send_time: Cycle,
+    routed: u64,
+}
+
+impl Timing {
+    /// The timing state of `config`'s machine before its first triangle.
+    pub(crate) fn new(config: &MachineConfig) -> Self {
+        Timing {
+            geometry_cycles: config.geometry_cycles_per_triangle,
+            nodes: (0..config.processors).map(|_| NodeTiming::new(config)).collect(),
+            send_time: 0,
+            routed: 0,
         }
-        send_time = send;
+    }
 
-        let tri = &triangles[pt.tri as usize];
-        let mut seg = pt.seg_start as usize;
-        let seg_end = pt.seg_end as usize;
-        let mut bucket_start = tri.frag_start as usize;
+    /// Walks the triangles routed into `plan` as
+    /// [`Machine`](crate::Machine) describes — broadcast, FIFO
+    /// backpressure, setup floor — driving each node's engine through its
+    /// recorded `misses`. `sink` receives the events in simulation order.
+    pub(crate) fn advance<M: NodeMisses, S: TraceSink>(
+        &mut self,
+        stream: &FragmentStream,
+        plan: &RoutingPlan,
+        misses: &mut [M],
+        sink: &mut S,
+    ) {
+        assert_eq!(misses.len(), self.nodes.len(), "recorded misses and machine disagree on node count");
+        self.routed += plan.routed();
+        for pt in &plan.triangles {
+            // In-order producer: sending is gated by the geometry bus rate
+            // and by the fullest FIFO anywhere, and never goes back in time.
+            let mut send = self.send_time + self.geometry_cycles;
+            for node in &self.nodes {
+                send = send.max(node.fifo.earliest_send());
+            }
+            self.send_time = send;
 
-        let mut m = pt.mask;
-        for i in 0..procs {
-            if m & 1 != 0 {
-                let count = if seg < seg_end && plan.segments[seg].owner == i as u32 {
-                    let end = plan.segments[seg].end as usize;
-                    seg += 1;
-                    let count = end - bucket_start;
-                    bucket_start = end;
-                    count
+            let mut buckets = plan.triangle_buckets(pt, stream).peekable();
+            for (i, (node, misses)) in self.nodes.iter_mut().zip(misses.iter_mut()).enumerate() {
+                let id = i as u32;
+                if S::ENABLED {
+                    sink.record(TraceEvent::FifoPush { node: id, at: send });
+                }
+                if (pt.mask >> i) & 1 != 0 {
+                    // An overlap without owned fragments still pays the
+                    // setup floor.
+                    let bucket = buckets.next_if(|&(owner, _)| owner == i).map_or(&[][..], |(_, b)| b);
+                    node.draw(send, id, pt.tri, bucket, misses, stream, sink);
                 } else {
-                    // Bounding-box overlap without owned fragments: the
-                    // setup floor still applies.
-                    0
-                };
-                let start = engines[i].start_triangle(send);
-                fifos[i].record_start(start);
-                routed_tris[i] += 1;
-                pixels[i] += count as u64;
-                nodes[i].advance(&mut engines[i], count);
-                engines[i].finish_triangle(config.setup_cycles);
-            } else {
-                let start = engines[i].engine_free().max(send);
-                fifos[i].record_start(start);
-                discarded[i] += 1;
+                    node.discard(send, id, pt.tri, sink);
+                }
             }
-            m >>= 1;
         }
     }
 
-    let node_reports: Vec<NodeReport> = (0..procs)
-        .map(|i| {
-            let (cache, miss_breakdown, external_fetches) = nodes[i].cache();
-            NodeReport {
-                pixels: pixels[i],
-                triangles: routed_tris[i],
-                discarded: discarded[i],
-                finish: engines[i].finish_time(),
-                busy_cycles: engines[i].busy_cycles(),
-                stall_cycles: engines[i].stall_cycles(),
-                setup_floor_cycles: engines[i].setup_floor_cycles(),
-                starved_cycles: engines[i].starved_cycles(),
-                idle_cycles: engines[i].fill_tail_cycles(),
-                bus_busy_cycles: engines[i].bus_busy_cycles(),
-                cache,
-                miss_breakdown,
-                external_fetches,
-            }
-        })
-        .collect();
-    RunReport::from_nodes(config.summary(), node_reports, stream, plan.routed())
-}
-
-/// One cache model's pass over a plan's per-node access sequences, shared
-/// by every machine config that mounts that model on that plan.
-///
-/// Which texel probes hit or miss depends only on the cache model and the
-/// per-node access sequence — never on the bus, buffer, or DRAM
-/// parameters. [`capture_direct`] therefore runs the model once per
-/// `(plan, cache)` pair, recording each node's sparse missing fragments
-/// (index, miss count, exact miss line addresses) plus the model's final
-/// statistics; [`replay_timing`] then re-derives a full [`RunReport`] per
-/// config by driving only the engine/FIFO timing model against the
-/// recording.
-#[derive(Debug, Clone)]
-pub(crate) struct DirectCapture {
-    nodes: Vec<NodeCapture>,
-}
-
-/// One node's recording in a [`DirectCapture`].
-#[derive(Debug, Clone)]
-struct NodeCapture {
-    /// `(fragment index in lane order, miss count)` for every fragment
-    /// with at least one miss, ascending by index.
-    miss_frags: Vec<(u32, u32)>,
-    /// The miss line addresses, concatenated in access order
-    /// (DRAM-backed machines price fills by address, not count).
-    miss_lines: Vec<u32>,
-    stats: CacheStats,
-    breakdown: Option<MissBreakdown>,
-    external_fetches: u64,
-}
-
-impl DirectCapture {
-    /// Each node's recording as a [`NodeMisses`] source for
-    /// [`replay_timing`].
-    pub(crate) fn nodes(&self) -> Vec<CapturedMisses<'_>> {
-        self.nodes
-            .iter()
-            .map(|node| CapturedMisses { node, next: 0, frag: 0, line: 0 })
-            .collect()
+    /// The frame's report, with each node's cache columns from `counters`.
+    pub(crate) fn report(
+        self,
+        summary: String,
+        stream: &FragmentStream,
+        counters: impl IntoIterator<Item = CacheCounters>,
+    ) -> RunReport {
+        let nodes = self.nodes.iter().zip(counters).map(|(node, c)| node.report(c)).collect();
+        RunReport::from_nodes(summary, nodes, stream, self.routed)
     }
 }
 
-/// A cursor over one node's [`DirectCapture`] recording: the next
-/// fragment index in lane order, the next sparse miss-fragment entry and
-/// the next miss line.
-pub(crate) struct CapturedMisses<'a> {
-    node: &'a NodeCapture,
-    next: usize,
-    frag: usize,
-    line: usize,
+/// One node's engine, triangle FIFO and work counters.
+pub(crate) struct NodeTiming {
+    engine: EngineTiming,
+    fifo: TriangleFifo,
+    setup_cycles: Cycle,
+    pixels: u64,
+    triangles: u64,
+    discarded: u64,
 }
 
-impl NodeMisses for CapturedMisses<'_> {
-    fn advance(&mut self, engine: &mut EngineTiming, count: usize) {
-        let end = self.next + count;
-        let NodeCapture { miss_frags, miss_lines, .. } = self.node;
-        while let Some(&(fi, misses)) = miss_frags.get(self.frag) {
-            let (fi, misses) = (fi as usize, misses as usize);
-            if fi >= end {
-                break;
-            }
-            if fi > self.next {
-                engine.fragments_clean((fi - self.next) as u64);
-            }
-            engine.fragment_lines(&miss_lines[self.line..self.line + misses]);
-            self.line += misses;
-            self.frag += 1;
-            self.next = fi + 1;
-        }
-        if end > self.next {
-            engine.fragments_clean((end - self.next) as u64);
-        }
-        self.next = end;
-    }
-
-    fn cache(&self) -> (CacheStats, Option<MissBreakdown>, u64) {
-        (self.node.stats, self.node.breakdown, self.node.external_fetches)
-    }
-}
-
-/// Runs `kind`'s cache model over `plan`'s per-node access sequences once,
-/// recording the sparse miss structure [`replay_timing`] replays.
-///
-/// The walk reads footprint lanes straight out of the shared [`FragBatch`]
-/// through the plan's fragment buckets — the per-node sequence is exactly
-/// the [`capture_line_trace`] order, without materialising the trace.
-pub(crate) fn capture_direct(
-    kind: CacheKind,
-    batch: &FragBatch,
-    stream: &FragmentStream,
-    plan: &RoutingPlan,
-) -> DirectCapture {
-    let procs = plan.procs() as usize;
-    let mut caches: Vec<AnyCache> = (0..procs).map(|_| kind.build_model()).collect();
-    let mut frags: Vec<Vec<(u32, u32)>> = vec![Vec::new(); procs];
-    let mut lines: Vec<Vec<u32>> = vec![Vec::new(); procs];
-    let mut next = vec![0u32; procs];
-    for (node, bucket) in plan.buckets(stream) {
-        let (frags, lines, next) = (&mut frags[node], &mut lines[node], &mut next[node]);
-        // Dispatch on the cache variant once per *bucket*, not once per
-        // fragment, so the concrete batched probe inlines.
-        match &mut caches[node] {
-            AnyCache::Perfect(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-            AnyCache::SetAssoc(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-            AnyCache::Classifying(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-            AnyCache::TwoLevel(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-            AnyCache::Victim(c) => capture_bucket(c, batch, bucket, next, frags, lines),
-            AnyCache::Dyn(c) => capture_bucket(c.as_mut(), batch, bucket, next, frags, lines),
+impl NodeTiming {
+    /// A node of `config`'s machine before its first triangle.
+    pub(crate) fn new(config: &MachineConfig) -> Self {
+        NodeTiming {
+            engine: match config.dram {
+                Some(dram) => EngineTiming::with_dram(config.bus, config.prefetch_window, dram),
+                None => EngineTiming::new(config.bus, config.prefetch_window),
+            },
+            fifo: TriangleFifo::new(config.triangle_buffer),
+            setup_cycles: config.setup_cycles,
+            pixels: 0,
+            triangles: 0,
+            discarded: 0,
         }
     }
-    let nodes = caches
-        .iter()
-        .zip(frags.into_iter().zip(lines))
-        .map(|(cache, (miss_frags, miss_lines))| NodeCapture {
-            miss_frags,
-            miss_lines,
-            stats: *cache.stats(),
-            breakdown: cache.breakdown(),
-            external_fetches: cache.external_fetches(),
-        })
-        .collect();
-    DirectCapture { nodes }
-}
 
-/// One owner bucket of [`capture_direct`]'s walk: probes each fragment's
-/// footprint lane through the concrete cache model and records the sparse
-/// misses.
-#[inline]
-fn capture_bucket<C: LineCache + ?Sized>(
-    cache: &mut C,
-    batch: &FragBatch,
-    bucket: &[u32],
-    next: &mut u32,
-    frags: &mut Vec<(u32, u32)>,
-    lines: &mut Vec<u32>,
-) {
-    let mut miss_buf = [0u32; TEXELS_PER_FRAGMENT];
-    let mut classes = MissClassCounts::default();
-    for &fi in bucket {
-        let misses = cache.access_lane(batch.lane_array(fi as usize), &mut miss_buf, &mut classes);
-        if misses > 0 {
-            frags.push((*next, misses as u32));
-            lines.extend_from_slice(&miss_buf[..misses]);
+    /// Processes triangle `tri`, sent at `arrival`, whose fragments owned
+    /// by this node (`node`) are `bucket` — possibly none, as the setup
+    /// floor applies regardless.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn draw<M: NodeMisses, S: TraceSink>(
+        &mut self,
+        arrival: Cycle,
+        node: u32,
+        tri: u32,
+        bucket: &[u32],
+        misses: &mut M,
+        stream: &FragmentStream,
+        sink: &mut S,
+    ) {
+        let start = self.engine.start_triangle(arrival);
+        self.fifo.record_start(start);
+        self.triangles += 1;
+        self.pixels += bucket.len() as u64;
+        if S::ENABLED {
+            sink.record(TraceEvent::FifoPop { node, at: start });
+            sink.record(TraceEvent::TriStart { node, tri, at: start, frags: bucket.len() as u32 });
         }
-        *next += 1;
+        misses.advance(&mut self.engine, bucket, node, stream, sink);
+        let free = self.engine.finish_triangle(self.setup_cycles);
+        if S::ENABLED {
+            let (x, y) = setup_anchor(&stream.triangles()[tri as usize].bbox);
+            sink.record_setup(node, x, y, self.engine.last_setup_padding());
+            sink.record(TraceEvent::TriRetire { node, tri, at: free });
+        }
+    }
+
+    /// Accepts a broadcast triangle whose bounding box misses this node's
+    /// region: the clipping hardware discards it for free, but it occupied
+    /// a FIFO slot until the engine reached it — that occupancy is the
+    /// whole point of Section 8's buffering study.
+    fn discard<S: TraceSink>(&mut self, arrival: Cycle, node: u32, tri: u32, sink: &mut S) {
+        let start = self.engine.engine_free().max(arrival);
+        self.fifo.record_start(start);
+        self.discarded += 1;
+        if S::ENABLED {
+            sink.record(TraceEvent::FifoPop { node, at: start });
+            sink.record(TraceEvent::TriDiscard { node, tri, at: start });
+        }
+    }
+
+    /// This node's report row, with the cache columns from `cache`.
+    pub(crate) fn report(&self, cache: CacheCounters) -> NodeReport {
+        NodeReport::new(&self.engine, self.pixels, self.triangles, self.discarded, cache)
     }
 }
 
@@ -446,7 +566,8 @@ mod tests {
             let plan = RoutingPlan::build(&s, &cfg.distribution, cfg.processors);
             let trace = capture_line_trace(&s, &plan);
             let eval = evaluate_trace(&trace, &[GeometryRequest { geometry, classify }]);
-            let replayed = replay_timing(&cfg, &s, &plan, walk_misses(&eval, 0, classify));
+            let (nodes, counters) = walk_misses(&eval, 0, classify);
+            let replayed = replay_timing(&cfg, &s, &plan, nodes, counters);
             let direct = Machine::new(cfg).run(&s);
             assert_eq!(replayed, direct);
         }

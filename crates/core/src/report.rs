@@ -1,8 +1,8 @@
 //! Run results: machine time, per-node counters and derived metrics.
 
 use sortmid_cache::stats::MissBreakdown;
-use sortmid_cache::CacheStats;
-use sortmid_memsys::Cycle;
+use sortmid_cache::{AnyCache, CacheStats, LineCache};
+use sortmid_memsys::{Cycle, EngineTiming};
 use sortmid_observe::CycleBreakdown;
 use sortmid_raster::FragmentStream;
 use sortmid_util::stats::imbalance_percent;
@@ -44,7 +44,62 @@ pub struct NodeReport {
     pub external_fetches: u64,
 }
 
+/// A node cache's counters as a report carries them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CacheCounters {
+    pub(crate) stats: CacheStats,
+    pub(crate) breakdown: Option<MissBreakdown>,
+    pub(crate) external_fetches: u64,
+}
+
+impl CacheCounters {
+    /// `cache`'s counters now.
+    pub(crate) fn of(cache: &AnyCache) -> Self {
+        CacheCounters {
+            stats: *cache.stats(),
+            breakdown: cache.breakdown(),
+            external_fetches: cache.external_fetches(),
+        }
+    }
+
+    /// The per-frame view of a warm cache: statistics and external
+    /// fetches since `earlier`; the three-C breakdown stays cumulative.
+    pub(crate) fn since(self, earlier: &CacheCounters) -> Self {
+        CacheCounters {
+            stats: self.stats.delta_since(&earlier.stats),
+            external_fetches: self.external_fetches - earlier.external_fetches,
+            ..self
+        }
+    }
+}
+
 impl NodeReport {
+    /// Assembles a node's row from its engine, its work counters and its
+    /// cache's counters.
+    pub(crate) fn new(
+        engine: &EngineTiming,
+        pixels: u64,
+        triangles: u64,
+        discarded: u64,
+        cache: CacheCounters,
+    ) -> Self {
+        NodeReport {
+            pixels,
+            triangles,
+            discarded,
+            finish: engine.finish_time(),
+            busy_cycles: engine.busy_cycles(),
+            stall_cycles: engine.stall_cycles(),
+            setup_floor_cycles: engine.setup_floor_cycles(),
+            starved_cycles: engine.starved_cycles(),
+            idle_cycles: engine.fill_tail_cycles(),
+            bus_busy_cycles: engine.bus_busy_cycles(),
+            cache: cache.stats,
+            miss_breakdown: cache.breakdown,
+            external_fetches: cache.external_fetches,
+        }
+    }
+
     /// Attributes every cycle up to [`finish`](Self::finish) to one of the
     /// five categories. The identity `breakdown.total() == finish` holds
     /// exactly (see [`CycleBreakdown::verify`]); `busy` here excludes the

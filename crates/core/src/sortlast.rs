@@ -10,11 +10,11 @@
 //! no clipping and no composition cost (the paper never charges for image
 //! networks either).
 
-use crate::batch::LaneScratch;
 use crate::config::MachineConfig;
-use crate::machine::setup_anchor;
-use crate::node::Node;
-use crate::report::RunReport;
+use crate::plan::RoutingPlan;
+use crate::replay::{capture, NodeCapture, NodeTiming};
+use crate::report::{CacheCounters, RunReport};
+use sortmid_cache::AnyCache;
 use sortmid_observe::NullSink;
 use sortmid_raster::FragmentStream;
 use std::fmt;
@@ -61,6 +61,12 @@ impl fmt::Display for TriangleAssignment {
 /// buffers, setup floor) come from `config`; its `distribution` is ignored
 /// — triangles are dealt whole according to `assignment`.
 ///
+/// The run shares the sort-middle pipeline's stages ([`crate::replay`]):
+/// a plan that routes each triangle to its one owner, one cache pass per
+/// node, then each node's engine timing. Sort-last nodes run
+/// independently, so every triangle arrives at cycle 0: no broadcast, no
+/// FIFO backpressure.
+///
 /// # Examples
 ///
 /// ```
@@ -80,35 +86,29 @@ pub fn run_sort_last(
     assignment: TriangleAssignment,
 ) -> RunReport {
     let procs = config.processors;
-    let mut nodes: Vec<Node> = (0..procs).map(|_| Node::new(config)).collect();
-    let mut lanes = LaneScratch::default();
-    let mut index = 0u64;
-    for (ti, tri) in stream.triangles().iter().enumerate() {
-        if tri.is_culled() {
-            continue;
-        }
-        let owner = assignment.owner(index, procs);
-        index += 1;
-        // Sort-last nodes run independently: the geometry stage routes each
-        // triangle to exactly one node, so no broadcast backpressure.
-        for frag in stream.fragments_of(tri) {
-            lanes.push(frag);
-        }
-        nodes[owner as usize].process_triangle_lanes(
-            0,
-            lanes.lanes(),
-            owner,
-            ti as u32,
-            setup_anchor(&tri.bbox),
-            &mut NullSink,
-        );
-        lanes.clear();
+    let plan = RoutingPlan::single_owner(stream, &config.distribution, procs, |k| {
+        assignment.owner(k, procs)
+    });
+    let mut caches: Vec<AnyCache> = (0..procs).map(|_| config.cache.build_model()).collect();
+    let mut recordings = vec![NodeCapture::default(); procs as usize];
+    capture::<NullSink, _>(&mut caches, stream, stream, &plan, &mut recordings);
+    let mut misses: Vec<_> = recordings.iter().map(NodeCapture::cursor).collect();
+    let mut nodes: Vec<NodeTiming> = (0..procs).map(|_| NodeTiming::new(config)).collect();
+    for pt in &plan.triangles {
+        let owner = pt.mask.trailing_zeros() as usize;
+        let bucket = plan.triangle_buckets(pt, stream).next().map_or(&[][..], |(_, b)| b);
+        let (node, misses) = (&mut nodes[owner], &mut misses[owner]);
+        node.draw(0, owner as u32, pt.tri, bucket, misses, stream, &mut NullSink);
     }
     RunReport::from_nodes(
         format!("sort-last/{}p/{assignment}/{}", procs, config.cache),
-        nodes.iter().map(Node::report).collect(),
+        nodes
+            .iter()
+            .zip(&caches)
+            .map(|(node, cache)| node.report(CacheCounters::of(cache)))
+            .collect(),
         stream,
-        index,
+        plan.routed(),
     )
 }
 

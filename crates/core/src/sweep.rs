@@ -24,8 +24,13 @@
 //!   engine/FIFO timing, and a lone config runs [`Machine::run`]
 //!   directly.
 //!
-//! All three paths emit byte-identical reports — [`SweepOptions::replay`]
-//! is the escape hatch that turns the Mattson walk off.
+//! All three paths emit reports byte-identical to [`Machine::run`], and
+//! all three share its stages ([`crate::replay`]): one plan builder, one
+//! cache capture routine and one timing walk. The shared paths run those
+//! stages once per whole plan; the direct path is [`Machine::run`] itself,
+//! which streams the frame in windows and needs no plan or footprint batch
+//! of its own — a lone config stays direct because a one-member capture
+//! group would pivot a whole-stream batch and plan for nothing.
 
 use crate::config::{CacheKind, MachineConfig};
 use crate::distribution::Distribution;
@@ -224,14 +229,7 @@ pub fn run_sweep_with_threads(
     configs: &[MachineConfig],
     threads: usize,
 ) -> Vec<RunReport> {
-    run_sweep_with_options(
-        stream,
-        configs,
-        SweepOptions {
-            threads,
-            ..SweepOptions::default()
-        },
-    )
+    run_sweep_with_options(stream, configs, SweepOptions { threads })
 }
 
 /// Knobs of [`run_sweep_with_options`].
@@ -239,12 +237,6 @@ pub fn run_sweep_with_threads(
 pub struct SweepOptions {
     /// Host threads to spread the pipeline's tasks over.
     pub threads: usize,
-    /// Price plans requesting [`STACKDIST_MIN_REQUESTS`] or more
-    /// set-associative geometries with one Mattson walk of the plan's line
-    /// trace (`true`, the default). `false` is the escape hatch sending
-    /// those configs down the capture and direct paths instead — reports
-    /// are byte-identical either way.
-    pub replay: bool,
 }
 
 impl Default for SweepOptions {
@@ -253,7 +245,6 @@ impl Default for SweepOptions {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            replay: true,
         }
     }
 }
@@ -341,7 +332,7 @@ struct Job<'a> {
 impl<'a> Job<'a> {
     /// Groups `configs` into plans, picks every config's path and
     /// reserves every shared artefact's slot.
-    fn analyse(stream: &'a FragmentStream, configs: &'a [MachineConfig], replay: bool) -> Self {
+    fn analyse(stream: &'a FragmentStream, configs: &'a [MachineConfig]) -> Self {
         // Group the grid by (distribution, processors): one routing plan
         // per group serves every cache/bus/buffer variation. Grids are
         // small, so a linear key scan beats hashing Distribution (which
@@ -369,34 +360,32 @@ impl<'a> Job<'a> {
         // SetAssoc config of the same geometry share one evaluation slot).
         let mut requests: Vec<Vec<GeometryRequest>> = vec![Vec::new(); n_plans];
         let mut path_of: Vec<ConfigPath> = vec![ConfigPath::Direct; configs.len()];
-        if replay {
-            for (ci, config) in configs.iter().enumerate() {
-                if let Some((geometry, classify)) = replay_request(config) {
-                    let reqs = &mut requests[plan_of[ci]];
-                    let geom = match reqs.iter().position(|r| r.geometry == geometry) {
-                        Some(gi) => {
-                            reqs[gi].classify |= classify;
-                            gi
-                        }
-                        None => {
-                            reqs.push(GeometryRequest { geometry, classify });
-                            reqs.len() - 1
-                        }
-                    };
-                    path_of[ci] = ConfigPath::Replay { geom, classify };
-                }
+        for (ci, config) in configs.iter().enumerate() {
+            if let Some((geometry, classify)) = replay_request(config) {
+                let reqs = &mut requests[plan_of[ci]];
+                let geom = match reqs.iter().position(|r| r.geometry == geometry) {
+                    Some(gi) => {
+                        reqs[gi].classify |= classify;
+                        gi
+                    }
+                    None => {
+                        reqs.push(GeometryRequest { geometry, classify });
+                        reqs.len() - 1
+                    }
+                };
+                path_of[ci] = ConfigPath::Replay { geom, classify };
             }
-            // The walk pays off only on dense geometry grids; every other
-            // plan's configs share captures below.
-            for reqs in &mut requests {
-                if reqs.len() < STACKDIST_MIN_REQUESTS {
-                    reqs.clear();
-                }
+        }
+        // The walk pays off only on dense geometry grids; every other
+        // plan's configs share captures below.
+        for reqs in &mut requests {
+            if reqs.len() < STACKDIST_MIN_REQUESTS {
+                reqs.clear();
             }
-            for (ci, path) in path_of.iter_mut().enumerate() {
-                if requests[plan_of[ci]].is_empty() {
-                    *path = ConfigPath::Direct;
-                }
+        }
+        for (ci, path) in path_of.iter_mut().enumerate() {
+            if requests[plan_of[ci]].is_empty() {
+                *path = ConfigPath::Direct;
             }
         }
 
@@ -539,12 +528,12 @@ impl<'a> Job<'a> {
             ConfigPath::Direct => Machine::new(config.clone()).run(self.stream),
             ConfigPath::Captured { slot } => {
                 let capture = self.captures[slot].get().expect("captured path has a capture");
-                replay_timing(config, self.stream, self.plan(plan), capture.nodes())
+                capture.replay(config, self.stream, self.plan(plan))
             }
             ConfigPath::Replay { geom, classify } => {
                 let eval = self.evals[plan].get().expect("replay path has an evaluation");
-                let nodes = walk_misses(eval, geom, classify);
-                replay_timing(config, self.stream, self.plan(plan), nodes)
+                let (nodes, counters) = walk_misses(eval, geom, classify);
+                replay_timing(config, self.stream, self.plan(plan), nodes, counters)
             }
         }
     }
@@ -620,7 +609,7 @@ pub fn run_sweeps<S: HostSink>(
     let path_span = sink.span("path-select");
     let mut jobs: Vec<Job> = jobs
         .iter()
-        .map(|&(stream, configs)| Job::analyse(stream, configs, options.replay))
+        .map(|&(stream, configs)| Job::analyse(stream, configs))
         .collect();
     drop(path_span);
     if S::ENABLED {
@@ -675,7 +664,7 @@ pub fn run_sweeps<S: HostSink>(
             SweepTask::Plan(pi) => {
                 let _s = sink.span("plan-build");
                 let rep = &job.configs[job.plan_rep[pi]];
-                let built = RoutingPlan::build_from_batch(
+                let built = RoutingPlan::build_with(
                     job.stream,
                     job.batch(),
                     &rep.distribution,
@@ -816,11 +805,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_and_direct_paths_emit_identical_reports() {
-        // The --no-replay escape hatch must be an observational no-op: a
-        // grid dense in cache geometries (every size 512 B–64 KB × ways
-        // 1–8, enough for the Mattson walk) gets byte-identical reports
-        // from the stack-distance replay and the capture/direct paths.
+    fn replay_path_matches_direct_runs() {
+        // A grid dense in cache geometries (every size 512 B–64 KB × ways
+        // 1–8, enough for the Mattson walk) next to captured and lone
+        // configs: every report, whichever path made it, must equal the
+        // config's own `Machine::run`.
         let stream = SceneBuilder::benchmark(Benchmark::Quake)
             .scale(0.1)
             .build()
@@ -840,17 +829,11 @@ mod tests {
             .caches(caches)
             .buffers([8, 10_000])
             .build();
-        let replayed = run_sweep_with_options(
-            &stream,
-            &configs,
-            SweepOptions { threads: 3, replay: true },
-        );
-        let direct = run_sweep_with_options(
-            &stream,
-            &configs,
-            SweepOptions { threads: 3, replay: false },
-        );
-        assert_eq!(replayed, direct);
+        let swept = run_sweep_with_threads(&stream, &configs, 3);
+        for (config, report) in configs.iter().zip(&swept) {
+            let direct = Machine::new(config.clone()).run(&stream);
+            assert_eq!(report, &direct, "{}", config.summary());
+        }
     }
 
     #[test]

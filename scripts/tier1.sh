@@ -42,8 +42,7 @@ fi
 echo "==> sweep bench + trace/heatmap smoke + artefact schema check + regression gate"
 bench_dir=$(mktemp -d)
 threads_dir=$(mktemp -d)
-noreplay_dir=$(mktemp -d)
-trap 'rm -rf "$bench_dir" "$threads_dir" "$noreplay_dir"' EXIT
+trap 'rm -rf "$bench_dir" "$threads_dir"' EXIT
 SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$bench_dir" \
     cargo run -q --release --offline -p sortmid-bench --bin sweep
 test -f "$bench_dir/METRICS_sweep.json" || {
@@ -87,15 +86,6 @@ SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$threads_dir" 
 cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
     "$bench_dir/BENCH_sweep.json" "$threads_dir/BENCH_sweep.json" \
     --expect-zero --json "$threads_dir/DIFF_threads.json"
-
-# The --no-replay escape hatch must produce byte-identical simulated
-# cycles: the same baseline gate has to pass on its artefact too. (The
-# escape-hatch lane skips the host profile on purpose — its pipeline
-# doesn't run every phase METRICS_sweep.json is required to cover.)
-SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$noreplay_dir" \
-    cargo run -q --release --offline -p sortmid-bench --bin sweep -- --no-replay
-cargo run -q --release --offline -p sortmid-bench --bin bench_check -- \
-    "$noreplay_dir" --against "$repo/BENCH_baseline.json"
 
 # The engine == reference-oracle property lane, in release (the debug run
 # above already covered it functionally; release exercises the SWAR probe

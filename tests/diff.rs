@@ -291,7 +291,7 @@ fn injected_conflict_misses_are_attributed_to_tile_and_node() {
 fn metrics_doc() -> (Json, HostProfile) {
     let configs = small_grid();
     let prof = sortmid::HostProfiler::new();
-    let options = SweepOptions { threads: 2, replay: true };
+    let options = SweepOptions { threads: 2 };
     run_sweep_profiled(&stream(), &configs, options, &prof);
     let profile = prof.finish();
     profile.verify().expect("profile invariants must hold");

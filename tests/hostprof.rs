@@ -48,10 +48,7 @@ fn mixed_grid() -> Vec<sortmid::MachineConfig> {
 fn profiled_run() -> HostProfile {
     let s = stream();
     let configs = mixed_grid();
-    let options = SweepOptions {
-        threads: 3,
-        replay: true,
-    };
+    let options = SweepOptions { threads: 3 };
     let prof = HostProfiler::new();
     let profiled = run_sweep_profiled(&s, &configs, options, &prof);
     let plain = run_sweep_with_options(&s, &configs, options);
@@ -139,10 +136,7 @@ fn groups_below_the_walk_threshold_share_captures() {
             .build(),
     );
     let prof = HostProfiler::new();
-    let options = SweepOptions {
-        threads: 2,
-        replay: true,
-    };
+    let options = SweepOptions { threads: 2 };
     let reports = run_sweep_profiled(&s, &configs, options, &prof);
     let profile = prof.finish();
     profile.verify().expect("structural invariants must hold");
@@ -226,10 +220,7 @@ fn sequential_sweep_still_reports_a_worker() {
         .distributions([Distribution::block(16)])
         .caches([CacheKind::Perfect, CacheKind::PaperL1])
         .build();
-    let options = SweepOptions {
-        threads: 1,
-        replay: true,
-    };
+    let options = SweepOptions { threads: 1 };
     let prof = HostProfiler::new();
     let profiled = run_sweep_profiled(&s, &configs, options, &prof);
     assert_eq!(profiled, run_sweep_with_options(&s, &configs, options));

@@ -1,13 +1,13 @@
 //! Scheduler determinism: the work-stealing sweep pipeline must emit
 //! reports byte-identical to the sequential reference for every thread
 //! count and across repeated runs (steal interleavings must not leak into
-//! results), with and without the stack-distance replay path — and one
-//! cross-scene task graph must emit exactly the reports of one sweep per
-//! scene.
+//! results), equal to each config's own `Machine::run` on every path — and
+//! one cross-scene task graph must emit exactly the reports of one sweep
+//! per scene.
 
 use sortmid::{
     run_sweep_with_options, run_sweep_with_threads, run_sweeps, CacheKind, Distribution,
-    HostProfiler, MachineConfig, NullHostSink, SweepGrid, SweepOptions,
+    HostProfiler, Machine, MachineConfig, NullHostSink, SweepGrid, SweepOptions,
 };
 use sortmid_cache::{CacheGeometry, STACKDIST_MIN_REQUESTS};
 use sortmid_devharness::json::Json;
@@ -48,7 +48,7 @@ fn mixed_grid() -> Vec<sortmid::MachineConfig> {
 }
 
 fn options(threads: usize) -> SweepOptions {
-    SweepOptions { threads, replay: true }
+    SweepOptions { threads }
 }
 
 #[test]
@@ -75,19 +75,19 @@ fn work_stealing_reports_are_identical_across_repeated_runs() {
 }
 
 #[test]
-fn scheduler_determinism_holds_on_the_escape_hatch_pipelines() {
-    // The pool also schedules the --no-replay pipeline (captures and
-    // direct runs only); its reports must stay schedule-independent and
-    // equal the default pipeline's.
+fn scheduler_reports_match_direct_runs_at_every_thread_count() {
+    // Every path the pool schedules (Mattson walk, captures, direct runs)
+    // must emit exactly each config's own `Machine::run` report, whatever
+    // the thread count.
     let s = stream();
     let configs = mixed_grid();
-    let no_replay = |threads| SweepOptions { threads, replay: false };
-    let reference = run_sweep_with_options(&s, &configs, no_replay(1));
-    for threads in [2usize, 3, 8] {
-        let swept = run_sweep_with_options(&s, &configs, no_replay(threads));
-        assert_eq!(swept, reference, "--no-replay at {threads} threads");
+    let direct: Vec<_> = configs.iter().map(|c| Machine::new(c.clone()).run(&s)).collect();
+    for threads in [1usize, 2, 3, 8] {
+        let swept = run_sweep_with_options(&s, &configs, options(threads));
+        for ((config, report), direct) in configs.iter().zip(&swept).zip(&direct) {
+            assert_eq!(report, direct, "{} at {threads} threads", config.summary());
+        }
     }
-    assert_eq!(reference, run_sweep_with_options(&s, &configs, options(3)));
 }
 
 /// Three scenes with grids that together take every config path: the

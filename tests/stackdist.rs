@@ -12,7 +12,7 @@
 //! grid so the equivalence is exercised far beyond the reference sweep.
 
 use sortmid::{
-    capture_line_trace, run_sweep_with_options, CacheKind, Distribution, MachineConfig,
+    capture_line_trace, run_sweep_with_options, CacheKind, Distribution, Machine, MachineConfig,
     RoutingPlan, RunReport, SweepOptions,
 };
 use sortmid_cache::{
@@ -173,8 +173,8 @@ fn prop_stackdist_replay_equals_direct() {
 
             // Report equivalence: the same grid as sweep configs, topped up
             // with the walk's geometry ladder so the plan takes the
-            // Mattson walk, replay path against the direct path,
-            // byte-identical reports.
+            // Mattson walk, replay path against each config's own
+            // `Machine::run`, byte-identical reports.
             let mut configs: Vec<MachineConfig> = grid
                 .iter()
                 .map(|r| {
@@ -194,19 +194,10 @@ fn prop_stackdist_replay_equals_direct() {
             let replayed = run_sweep_with_options(
                 s,
                 &configs,
-                SweepOptions {
-                    threads: 1,
-                    replay: true,
-                },
+                SweepOptions { threads: 1 },
             );
-            let direct = run_sweep_with_options(
-                s,
-                &configs,
-                SweepOptions {
-                    threads: 1,
-                    replay: false,
-                },
-            );
+            let direct: Vec<RunReport> =
+                configs.iter().map(|c| Machine::new(c.clone()).run(s)).collect();
             prop_assert_eq!(replayed.len(), direct.len());
             for (r, d) in replayed.iter().zip(&direct) {
                 prop_assert_eq!(r, d, "replayed report diverges for {}", r.summary());
@@ -288,10 +279,10 @@ fn prop_mattson_profile_monotone_and_compulsory_exact() {
     );
 }
 
-/// The sweep's `--no-replay` escape hatch and its default path agree on a
-/// mixed grid that includes replay-ineligible configs (perfect caches)
-/// and enough geometries for the Mattson walk, so path selection can
-/// never change results.
+/// The sweep agrees with each config's own `Machine::run` on a mixed grid
+/// that includes replay-ineligible configs (perfect caches) and enough
+/// geometries for the Mattson walk, so path selection can never change
+/// results.
 #[test]
 fn prop_mixed_grid_sweep_is_path_independent() {
     check(
@@ -317,17 +308,14 @@ fn prop_mixed_grid_sweep_is_path_independent() {
                 configs.push(config_for(dist, *procs, CacheKind::SetAssoc(g), *buffer));
                 configs.push(config_for(dist, *procs, CacheKind::Classifying(g), *buffer));
             }
-            // The walk's geometry ladder puts the default path on the
-            // Mattson walk; `--no-replay` runs the same configs on
-            // captures and direct runs.
+            // The walk's geometry ladder puts the sweep on the Mattson
+            // walk; every config's `Machine::run` is the reference.
             for g in walk_geometries() {
                 configs.push(config_for(dist, *procs, CacheKind::SetAssoc(g), *buffer));
             }
-            let run = |replay: bool| -> Vec<RunReport> {
-                run_sweep_with_options(s, &configs, SweepOptions { threads: 2, replay })
-            };
-            let replayed = run(true);
-            let direct = run(false);
+            let replayed = run_sweep_with_options(s, &configs, SweepOptions { threads: 2 });
+            let direct: Vec<RunReport> =
+                configs.iter().map(|c| Machine::new(c.clone()).run(s)).collect();
             for (r, d) in replayed.iter().zip(&direct) {
                 prop_assert_eq!(r, d, "paths diverge for {}", r.summary());
             }
