@@ -30,9 +30,7 @@ pub enum CacheKind {
 }
 
 impl CacheKind {
-    /// Instantiates one node's cache with concrete enum dispatch, letting
-    /// the 8-texel probe loop inline `access_line` instead of paying a
-    /// virtual call per texel.
+    /// Instantiates one node's cache.
     pub fn build_model(&self) -> AnyCache {
         match self {
             CacheKind::Perfect => AnyCache::from(PerfectCache::new()),

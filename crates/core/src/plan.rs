@@ -236,6 +236,10 @@ impl RoutingPlan {
     ) -> RoutingPlan {
         let mut plan = Self::new(stream, dist, procs);
         plan.route(stream, lanes, 0..stream.triangle_count());
+        // A whole-frame plan outlives its build (the sweep keeps every
+        // plan of a job): release the sort scratch, which grew to the
+        // largest triangle.
+        plan.owners = Vec::new();
         plan
     }
 
@@ -357,11 +361,7 @@ impl RoutingPlan {
                 *slot += 1;
             }
         }
-        let mut m = mask;
-        while m != 0 {
-            self.counts[m.trailing_zeros() as usize] = 0;
-            m &= m - 1;
-        }
+        self.counts.fill(0);
         self.triangles.push(PlanTriangle {
             tri: tri as u32,
             mask,
@@ -373,10 +373,8 @@ impl RoutingPlan {
     /// Empties the plan for routing triangles `tris` of `stream`.
     fn reset(&mut self, stream: &FragmentStream, tris: Range<usize>) {
         let records = &stream.triangles()[tris];
-        let (start, end) = match (records.first(), records.last()) {
-            (Some(first), Some(last)) => (first.frag_start, last.frag_end),
-            _ => (0, 0),
-        };
+        let start = records.first().map_or(0, |t| t.frag_start);
+        let end = records.last().map_or(start, |t| t.frag_end);
         self.base = start;
         self.frag_order.clear();
         self.frag_order.resize((end - start) as usize, 0);
@@ -399,11 +397,6 @@ impl RoutingPlan {
     /// overlapped node) — the sweep's routed count.
     pub fn routed(&self) -> u64 {
         self.routed
-    }
-
-    /// Non-culled triangles in the plan.
-    pub fn triangle_count(&self) -> usize {
-        self.triangles.len()
     }
 
     /// One triangle's owner buckets as `(owner, fragment indices)`, in

@@ -31,14 +31,13 @@ use sortmid_texture::TEXELS_PER_FRAGMENT;
 /// produces: every node's fragments in processing order, 8 texel lines per
 /// fragment — the geometry-independent half of a machine run.
 pub fn capture_line_trace(stream: &FragmentStream, plan: &RoutingPlan) -> LineAccessTrace {
-    line_trace(&FragBatch::from_stream(stream), stream, plan)
+    line_trace(stream, stream, plan)
 }
 
-/// [`capture_line_trace`] from the stream's already-pivoted [`FragBatch`]
-/// (the sweep amortises one batch across every plan): each fragment's
-/// footprint lane is copied out of the batch through the plan's buckets.
-pub(crate) fn line_trace(
-    batch: &FragBatch,
+/// [`capture_line_trace`] reading footprints from `lanes` (the sweep
+/// passes the stream's pivoted [`FragBatch`], shared by every plan).
+pub(crate) fn line_trace<L: LaneSource>(
+    lanes: &L,
     stream: &FragmentStream,
     plan: &RoutingPlan,
 ) -> LineAccessTrace {
@@ -55,7 +54,7 @@ pub(crate) fn line_trace(
     for (node, bucket) in plan.buckets(stream) {
         let dst = &mut lines[node];
         for &fi in bucket {
-            dst.extend_from_slice(batch.lane_array(fi as usize));
+            dst.extend_from_slice(&lanes.lane(fi as usize));
         }
     }
     LineAccessTrace::from_nodes(lines, TEXELS_PER_FRAGMENT as u32)
@@ -137,7 +136,7 @@ impl NodeMisses for WalkMisses<'_> {
         _stream: &FragmentStream,
         _sink: &mut S,
     ) {
-        assert!(!S::ENABLED, "a stack-distance walk keeps miss counts, not the lines a trace reports");
+        assert!(!S::ENABLED, "a stack-distance walk keeps miss counts, not lines to trace");
         // Run-length walk: all-hit stretches advance the engine in bulk.
         let end = self.next + bucket.len();
         let mut j = self.next;
@@ -375,9 +374,9 @@ pub(crate) fn setup_anchor(bbox: &Rect) -> (u16, u16) {
 /// backpressure, and each engine's scan, bus-stall and setup-floor timing.
 pub(crate) struct Timing {
     geometry_cycles: Cycle,
-    nodes: Vec<NodeTiming>,
+    pub(crate) nodes: Vec<NodeTiming>,
     send_time: Cycle,
-    routed: u64,
+    pub(crate) routed: u64,
 }
 
 impl Timing {
@@ -402,7 +401,7 @@ impl Timing {
         misses: &mut [M],
         sink: &mut S,
     ) {
-        assert_eq!(misses.len(), self.nodes.len(), "recorded misses and machine disagree on node count");
+        assert_eq!(misses.len(), self.nodes.len(), "one miss source per node");
         self.routed += plan.routed();
         for pt in &plan.triangles {
             // In-order producer: sending is gated by the geometry bus rate
@@ -422,7 +421,8 @@ impl Timing {
                 if (pt.mask >> i) & 1 != 0 {
                     // An overlap without owned fragments still pays the
                     // setup floor.
-                    let bucket = buckets.next_if(|&(owner, _)| owner == i).map_or(&[][..], |(_, b)| b);
+                    let owned = buckets.next_if(|&(owner, _)| owner == i);
+                    let bucket = owned.map_or(&[][..], |(_, b)| b);
                     node.draw(send, id, pt.tri, bucket, misses, stream, sink);
                 } else {
                     node.discard(send, id, pt.tri, sink);
@@ -455,7 +455,7 @@ pub(crate) struct NodeTiming {
 
 impl NodeTiming {
     /// A node of `config`'s machine before its first triangle.
-    pub(crate) fn new(config: &MachineConfig) -> Self {
+    fn new(config: &MachineConfig) -> Self {
         NodeTiming {
             engine: match config.dram {
                 Some(dram) => EngineTiming::with_dram(config.bus, config.prefetch_window, dram),
@@ -515,7 +515,7 @@ impl NodeTiming {
     }
 
     /// This node's report row, with the cache columns from `cache`.
-    pub(crate) fn report(&self, cache: CacheCounters) -> NodeReport {
+    fn report(&self, cache: CacheCounters) -> NodeReport {
         NodeReport::new(&self.engine, self.pixels, self.triangles, self.discarded, cache)
     }
 }

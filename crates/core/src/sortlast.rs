@@ -8,11 +8,12 @@
 //! so this module provides the comparison point: same node model (cache,
 //! bus, setup floor, 1 pixel/cycle engine), triangle-granular distribution,
 //! no clipping and no composition cost (the paper never charges for image
-//! networks either).
+//! networks either). It runs on the sort-middle pipeline's cache pass and
+//! engine timing, over a plan that routes each triangle to one node.
 
 use crate::config::MachineConfig;
 use crate::plan::RoutingPlan;
-use crate::replay::{capture, NodeCapture, NodeTiming};
+use crate::replay::{capture, NodeCapture, Timing};
 use crate::report::{CacheCounters, RunReport};
 use sortmid_cache::AnyCache;
 use sortmid_observe::NullSink;
@@ -93,23 +94,16 @@ pub fn run_sort_last(
     let mut recordings = vec![NodeCapture::default(); procs as usize];
     capture::<NullSink, _>(&mut caches, stream, stream, &plan, &mut recordings);
     let mut misses: Vec<_> = recordings.iter().map(NodeCapture::cursor).collect();
-    let mut nodes: Vec<NodeTiming> = (0..procs).map(|_| NodeTiming::new(config)).collect();
+    let mut timing = Timing::new(config);
+    timing.routed = plan.routed();
     for pt in &plan.triangles {
         let owner = pt.mask.trailing_zeros() as usize;
         let bucket = plan.triangle_buckets(pt, stream).next().map_or(&[][..], |(_, b)| b);
-        let (node, misses) = (&mut nodes[owner], &mut misses[owner]);
+        let (node, misses) = (&mut timing.nodes[owner], &mut misses[owner]);
         node.draw(0, owner as u32, pt.tri, bucket, misses, stream, &mut NullSink);
     }
-    RunReport::from_nodes(
-        format!("sort-last/{}p/{assignment}/{}", procs, config.cache),
-        nodes
-            .iter()
-            .zip(&caches)
-            .map(|(node, cache)| node.report(CacheCounters::of(cache)))
-            .collect(),
-        stream,
-        plan.routed(),
-    )
+    let summary = format!("sort-last/{}p/{assignment}/{}", procs, config.cache);
+    timing.report(summary, stream, caches.iter().map(CacheCounters::of))
 }
 
 #[cfg(test)]

@@ -439,32 +439,6 @@ impl EngineTiming {
         self.dram.as_ref().map(|(_, s)| (s.row_hits(), s.row_misses()))
     }
 
-    /// Resets all timing state and counters (the DRAM row also closes).
-    pub fn reset(&mut self) {
-        let line_cost = self.line_cost;
-        let window_cap = self.window.as_ref().map(|r| r.slots.len());
-        let dram = self.dram.as_ref().map(|(c, _)| (*c, DramState::new()));
-        *self = EngineTiming {
-            line_cost,
-            dram,
-            engine_t: 0,
-            bus_free: 0,
-            window: None,
-            tri_start: 0,
-            last_completion: 0,
-            busy_cycles: 0,
-            stall_cycles: 0,
-            setup_floor_cycles: 0,
-            last_setup_padding: 0,
-            starved_cycles: 0,
-            bus_busy: 0,
-            fragments: 0,
-            triangles: 0,
-            lines_fetched: 0,
-        };
-        self.window = window_cap.map(CompletionRing::new);
-    }
-
     #[cfg(test)]
     fn window_len(&self) -> usize {
         self.window.as_ref().map_or(0, |r| r.len)
@@ -603,18 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_fresh_state() {
-        let mut n = node(1.0, Some(4));
-        n.start_triangle(10);
-        n.fragment(3);
-        n.finish_triangle(25);
-        n.reset();
-        assert_eq!(n.finish_time(), 0);
-        assert_eq!(n.fragments(), 0);
-        assert_eq!(n.start_triangle(0), 0);
-    }
-
-    #[test]
     fn burstiness_hurts_even_at_equal_average_bandwidth() {
         // Section 6: "as the cache misses often happen in bursts, even if
         // the average bandwidth is smaller than the bus, it may often
@@ -699,8 +661,6 @@ mod tests {
         }
         n.finish_triangle(25);
         assert_eq!(n.last_setup_padding(), 0, "big triangle covers the floor");
-        n.reset();
-        assert_eq!(n.last_setup_padding(), 0);
     }
 
     #[test]

@@ -106,13 +106,6 @@ impl TriangleFifo {
     pub fn total_sent(&self) -> u64 {
         self.total_sent
     }
-
-    /// Clears the gate.
-    pub fn reset(&mut self) {
-        self.head = 0;
-        self.len = 0;
-        self.total_sent = 0;
-    }
 }
 
 #[cfg(test)]
@@ -160,16 +153,6 @@ mod tests {
             f.record_start(t);
             assert_eq!(f.earliest_send(), 0);
         }
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut f = TriangleFifo::new(2);
-        f.record_start(1);
-        f.record_start(2);
-        f.reset();
-        assert_eq!(f.earliest_send(), 0);
-        assert_eq!(f.total_sent(), 0);
     }
 
     #[test]
