@@ -43,8 +43,7 @@
 //!   trace capture.
 //!
 //! The untimed breakdown sweep additionally runs **host-profiled**: the
-//! reference grid
-//! and the dense replay lane execute as one combined sweep under a
+//! reference grid and the dense replay lane execute as one combined sweep under a
 //! [`HostProfiler`], and the merged [`sortmid::HostProfile`] —
 //! hierarchical phase spans, per-worker `busy + idle == wall`
 //! utilization, scheduler claim/steal counters and queue-depth gauges,

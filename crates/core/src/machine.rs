@@ -15,8 +15,8 @@ use std::ops::Range;
 /// frame one window of whole triangles at a time, so its plan and miss
 /// recordings stay O(window) whatever the stream. Measured on the
 /// benchmark's `single-config` workload on a 2-vCPU Xeon: at 16 Ki
-/// fragments peak RSS is 74.1 MiB and query p50 12.0 ms, against 74.3 MiB
-/// and 12.1 ms for the per-triangle loop this pipeline replaced (medians
+/// fragments peak RSS is 74.1 MiB and query p50 12.1 ms, against 74.3 MiB
+/// and 11.6 ms for the per-triangle loop this pipeline replaced (medians
 /// of 10 alternating pairs, seed 1); one whole-frame window peaks at
 /// 80.5–80.7 MiB (seed 0). Windows of 1 Ki to 64 Ki fragments ran within
 /// noise of each other.
