@@ -61,8 +61,8 @@ pub use hierarchy::TwoLevelCache;
 pub use perfect::PerfectCache;
 pub use set_assoc::SetAssocCache;
 pub use stackdist::{
-    evaluate_trace, evaluation_cost_weight, GeometryRequest, MattsonProfile, TraceEvaluation,
-    STACKDIST_MIN_REQUESTS,
+    evaluate_trace, evaluation_cost_weight, FragmentMisses, GeometryRequest, MattsonProfile,
+    TraceEvaluation, STACKDIST_MIN_REQUESTS,
 };
 pub use stats::{CacheStats, MissBreakdown, MissIdentityError};
 pub use trace::LineAccessTrace;

@@ -18,6 +18,25 @@
 //! count) plus, for each requested geometry, exact per-fragment miss
 //! counts, an eviction estimate and the three-C decomposition matching
 //! [`ClassifyingCache`](crate::ClassifyingCache).
+//!
+//! # Cost
+//!
+//! Each access costs its walk plus its misses, never a pass over the
+//! grid. The requests are grouped by set count, ascending by ways, so a
+//! warm access at distance `d` at `2^k` sets misses exactly a prefix of
+//! its group (`ways <= d`). Distances never grow with `k`, so an access's
+//! work ends at the first set count where its distance is 0; head hits
+//! (about half of all accesses on texture traces) and those zero tails
+//! are counted once and added to the histograms at the end of the node.
+//! A first touch misses everywhere and is recorded once per node.
+//!
+//! Per-fragment misses are sparse: each node keeps the
+//! `(fragment, first touches)` of its fragments with a first touch once,
+//! and each geometry the `(fragment, warm misses)` of its fragments with a
+//! warm miss, written at the end of the fragment from a list of the
+//! geometries that missed in it. [`TraceEvaluation::fragment_misses`]
+//! merges the two ([`FragmentMisses`]), so the timing replay advances
+//! all-hit stretches in bulk.
 
 use crate::geometry::CacheGeometry;
 use crate::stats::{CacheStats, MissBreakdown};
@@ -106,11 +125,16 @@ impl MattsonProfile {
 /// One geometry's replay-derived counters for one node.
 #[derive(Debug, Clone)]
 struct GeomCounts {
-    misses: u64,
-    breakdown: Option<MissBreakdown>,
-    /// Misses of each fragment, in processing order (at most the trace's
-    /// accesses-per-fragment, so `u8` is ample).
-    frag_misses: Vec<u8>,
+    /// Warm (non-first-touch) misses; the cold ones are the node's
+    /// [`MattsonProfile::compulsory`], shared by every geometry.
+    warm_misses: u64,
+    /// Warm misses a fully-associative LRU of the same total size also
+    /// takes; counted only for classifying requests.
+    capacity: u64,
+    classify: bool,
+    /// `(fragment index, warm misses)` of every fragment with at least one
+    /// warm miss, ascending by index.
+    warm_frags: Vec<(u32, u32)>,
 }
 
 /// One node's evaluation: profile, distinct-line census and per-geometry
@@ -120,7 +144,52 @@ struct NodeEvaluation {
     profile: MattsonProfile,
     /// Distinct lines in first-touch order (the cold-miss census).
     cold_lines: Vec<u32>,
+    /// `(fragment index, first touches)` of every fragment with a first
+    /// touch, ascending by index: misses in every geometry, kept once.
+    cold_frags: Vec<(u32, u32)>,
     per_geom: Vec<GeomCounts>,
+}
+
+/// One node's per-fragment misses in one geometry, sparse: the
+/// `(fragment index, misses)` of every fragment that misses, ascending by
+/// index, merged from two such lists whose counts add. A stack-distance
+/// evaluation keeps a node's first-touch fragments once for every
+/// geometry and each geometry's warm misses apart; a single recorded list
+/// pairs with an empty one.
+#[derive(Debug, Clone, Copy)]
+pub struct FragmentMisses<'a> {
+    lists: [&'a [(u32, u32)]; 2],
+}
+
+impl<'a> FragmentMisses<'a> {
+    /// The merge of two ascending `(fragment index, misses)` lists.
+    pub fn new(first: &'a [(u32, u32)], second: &'a [(u32, u32)]) -> Self {
+        FragmentMisses { lists: [first, second] }
+    }
+}
+
+impl Iterator for FragmentMisses<'_> {
+    type Item = (u32, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, u32)> {
+        fn take(list: &mut &[(u32, u32)]) -> Option<(u32, u32)> {
+            let (&first, rest) = list.split_first()?;
+            *list = rest;
+            Some(first)
+        }
+        let [a, b] = &mut self.lists;
+        match (a.first().copied(), b.first().copied()) {
+            (Some(x), Some(y)) if x.0 == y.0 => {
+                take(a);
+                take(b);
+                Some((x.0, x.1 + y.1))
+            }
+            (Some(x), Some(y)) if y.0 < x.0 => take(b),
+            (Some(_), _) => take(a),
+            (None, _) => take(b),
+        }
+    }
 }
 
 /// The result of replaying a [`LineAccessTrace`] against a grid of
@@ -155,20 +224,35 @@ impl TraceEvaluation {
     /// node's sequence.
     pub fn stats(&self, node: usize, geom: usize) -> CacheStats {
         let n = &self.nodes[node];
-        CacheStats::from_counts(n.profile.accesses, n.per_geom[geom].misses)
+        CacheStats::from_counts(n.profile.accesses, self.misses(node, geom))
+    }
+
+    fn misses(&self, node: usize, geom: usize) -> u64 {
+        let n = &self.nodes[node];
+        n.profile.cold + n.per_geom[geom].warm_misses
     }
 
     /// The three-C decomposition (only when the request asked to
     /// classify), identical to a direct
     /// [`ClassifyingCache`](crate::ClassifyingCache) simulation.
     pub fn breakdown(&self, node: usize, geom: usize) -> Option<MissBreakdown> {
-        self.nodes[node].per_geom[geom].breakdown
+        let n = &self.nodes[node];
+        let g = &n.per_geom[geom];
+        g.classify.then(|| MissBreakdown {
+            compulsory: n.profile.cold,
+            capacity: g.capacity,
+            conflict: g.warm_misses - g.capacity,
+        })
     }
 
-    /// Per-fragment miss counts of geometry `geom` on `node`, in
-    /// processing order — what the timing replay feeds the engine model.
-    pub fn fragment_misses(&self, node: usize, geom: usize) -> &[u8] {
-        &self.nodes[node].per_geom[geom].frag_misses
+    /// The fragments of `node` that miss in geometry `geom`, as
+    /// `(fragment index, misses)` pairs ascending by index; every other
+    /// fragment hits on all its accesses. Fragment indices count the
+    /// node's fragments in processing order — what the timing replay
+    /// feeds the engine model.
+    pub fn fragment_misses(&self, node: usize, geom: usize) -> FragmentMisses<'_> {
+        let n = &self.nodes[node];
+        FragmentMisses::new(&n.cold_frags, &n.per_geom[geom].warm_frags)
     }
 
     /// First-touch (compulsory) miss count of `node` — the same for every
@@ -192,7 +276,7 @@ impl TraceEvaluation {
     /// Evictions of geometry `geom` on `node`: every miss allocates, so
     /// fills minus still-resident lines.
     pub fn evictions(&self, node: usize, geom: usize) -> u64 {
-        self.nodes[node].per_geom[geom].misses - self.resident_lines(node, geom)
+        self.misses(node, geom) - self.resident_lines(node, geom)
     }
 }
 
@@ -226,37 +310,51 @@ pub fn evaluate_trace(trace: &LineAccessTrace, requests: &[GeometryRequest]) -> 
 /// request at least this many distinct geometries, and shares one cache
 /// capture per `(plan, cache model)` otherwise.
 ///
-/// The walk amortizes across geometries but pays a per-access scan bounded
-/// by the deepest saturation cap (roughly `sets x ways` of the largest
-/// geometry); a direct [`SetAssocCache`](crate::SetAssocCache) probe
-/// touches one set. Measured on the sweep bench's trace-replay lanes, the
-/// walk's near-fixed cost equals roughly thirty per-geometry cache passes,
-/// so dozen-geometry grids stay on captures and 100-config dense grids
-/// take the walk.
+/// The walk's cost is set by the recency walk, which depends on the set
+/// counts the grid spans rather than on how many geometries it prices
+/// (see [`evaluation_cost_weight`]). Measured single-threaded on a 2-vCPU
+/// Xeon over block-16, 16-node plans of `quake` (scale 0.12 and 0.2),
+/// `32massive11255` and `truc640` (scale 0.2), against one
+/// [`SetAssocCache`](crate::SetAssocCache) pass over the same trace: a
+/// walk pricing 4 geometries costs 4.4–7.0 passes, 8 geometries 4.4–8.2,
+/// 16 geometries 6.2–14 and 32 geometries 7.8–16. The walk therefore
+/// breaks even with one capture per geometry at about 8–12 geometries.
+/// The threshold is kept at 32 all the same: lowering it moves configs
+/// from captures to the walk, which is a change of its own.
 pub const STACKDIST_MIN_REQUESTS: usize = 32;
 
 /// Relative host cost of one [`evaluate_trace`] pricing `requests`
 /// geometries, in units of one cache pass over the trace, exported so the
 /// sweep scheduler's cost model can dispatch evaluations
-/// longest-estimated-first: the walk pays roughly
-/// [`STACKDIST_MIN_REQUESTS`] passes once, then a small increment per
-/// geometry synthesized from the distance histograms.
+/// longest-estimated-first.
+///
+/// Fitted to the same measurements as [`STACKDIST_MIN_REQUESTS`]: the
+/// walk over the sweep bench's plan costs 14.3 passes at 32 geometries
+/// and 15.2 at the 102-geometry dense grid, so a fixed 12 passes plus one
+/// per 64 geometries (misses, not requests, drive the rest).
 pub fn evaluation_cost_weight(requests: usize) -> u64 {
-    STACKDIST_MIN_REQUESTS as u64 + requests as u64 / 8
+    12 + requests as u64 / 64
 }
 
 /// The request grid preprocessed for the per-access loop.
 struct RequestGrid {
-    /// Per request: (k = log2 sets, ways, capacity threshold for the
-    /// three-C oracle — 0 when the request does not classify).
-    points: Vec<(usize, u32, u32)>,
-    /// Per tracked k: distances are exact up to `cap[k]` and clamped
-    /// there; 0 = untracked.
+    /// Per set-count exponent `k`: distances are exact up to `cap[k]` and
+    /// clamped there; 0 = untracked.
     cap: Vec<u32>,
-    /// The tracked set-count exponents (those with `cap[k] > 0`),
-    /// ascending — the walk iterates these, so small-`k` caps saturate
-    /// first.
-    tracked: Vec<usize>,
+    /// The tracked set counts, ascending by `k` — the walk fills these, so
+    /// small-`k` caps saturate first.
+    groups: Vec<SetGroup>,
+    requests: usize,
+}
+
+/// The requests sharing one set count `2^k`, ascending by associativity:
+/// an access at distance `d` misses exactly the prefix with `ways <= d`.
+struct SetGroup {
+    k: usize,
+    cap: u32,
+    /// Per request, ascending by ways: (ways, request index, capacity
+    /// threshold for the three-C oracle — 0 when it does not classify).
+    points: Vec<(u32, u32, u32)>,
 }
 
 impl RequestGrid {
@@ -267,47 +365,56 @@ impl RequestGrid {
             .max()
             .unwrap_or(0);
         let mut cap = vec![0u32; k_max + 1];
-        let mut points = Vec::with_capacity(requests.len());
-        for r in requests {
+        let mut points: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); k_max + 1];
+        for (gi, r) in requests.iter().enumerate() {
             let k = r.geometry.sets().trailing_zeros() as usize;
             let ways = r.geometry.ways();
             cap[k] = cap[k].max(ways);
             let classify_threshold = if r.classify { r.geometry.total_lines() } else { 0 };
             // The capacity oracle compares the full-associativity distance
-            // (k = 0) against the geometry's total line count.
+            // (k = 0) against the geometry's total line count, so any
+            // classifying request makes k = 0 the first group.
             if r.classify {
                 cap[0] = cap[0].max(classify_threshold);
             }
-            points.push((k, ways, classify_threshold));
+            points[k].push((ways, gi as u32, classify_threshold));
         }
-        let tracked = (0..cap.len()).filter(|&k| cap[k] > 0).collect();
-        RequestGrid { points, cap, tracked }
+        let groups = points
+            .into_iter()
+            .enumerate()
+            .filter(|&(k, _)| cap[k] > 0)
+            .map(|(k, mut points)| {
+                points.sort_unstable();
+                SetGroup { k, cap: cap[k], points }
+            })
+            .collect();
+        RequestGrid { cap, groups, requests: requests.len() }
     }
 }
 
 /// Intrusive move-to-front recency list over distinct lines: O(1) cold
 /// insertion and unlink, walk-from-head for distance counting.
 ///
-/// The line → slot map is a plain vector indexed by line value (texture
-/// line indices are dense), so the per-access lookup is one load instead
-/// of a hash.
+/// Each slot keeps its line next to its links, so a walk step is one
+/// load; the line → slot map is a plain vector indexed by line value
+/// (texture line indices are dense), so the per-access lookup is one load
+/// instead of a hash.
 struct RecencyStack {
     head: u32,
-    next: Vec<u32>,
-    prev: Vec<u32>,
-    line_of: Vec<u32>,
+    slots: Vec<Slot>,
     slot_of: Vec<u32>,
+}
+
+#[derive(Clone, Copy)]
+struct Slot {
+    line: u32,
+    next: u32,
+    prev: u32,
 }
 
 impl RecencyStack {
     fn new() -> Self {
-        RecencyStack {
-            head: NIL,
-            next: Vec::new(),
-            prev: Vec::new(),
-            line_of: Vec::new(),
-            slot_of: Vec::new(),
-        }
+        RecencyStack { head: NIL, slots: Vec::new(), slot_of: Vec::new() }
     }
 
     /// The slot holding `line`, or [`NIL`] if the line is cold.
@@ -316,31 +423,31 @@ impl RecencyStack {
     }
 
     fn push_front(&mut self, slot: u32) {
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
+        let head = self.head;
+        let s = &mut self.slots[slot as usize];
+        s.prev = NIL;
+        s.next = head;
+        if head != NIL {
+            self.slots[head as usize].prev = slot;
         }
         self.head = slot;
     }
 
     fn unlink(&mut self, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p != NIL {
-            self.next[p as usize] = n;
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        if prev != NIL {
+            self.slots[prev as usize].next = next;
         } else {
-            self.head = n;
+            self.head = next;
         }
-        if n != NIL {
-            self.prev[n as usize] = p;
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
         }
     }
 
     fn insert_cold(&mut self, line: u32) {
-        let slot = self.line_of.len() as u32;
-        self.line_of.push(line);
-        self.prev.push(NIL);
-        self.next.push(NIL);
+        let slot = self.slots.len() as u32;
+        self.slots.push(Slot { line, next: NIL, prev: NIL });
         if line as usize >= self.slot_of.len() {
             self.slot_of.resize(line as usize + 1, NIL);
         }
@@ -350,8 +457,7 @@ impl RecencyStack {
 }
 
 fn evaluate_node(lines: &[u32], accesses_per_fragment: u32, grid: &RequestGrid) -> NodeEvaluation {
-    let k_top = grid.cap.len() - 1;
-    let n_req = grid.points.len();
+    let groups = &grid.groups;
     let mut stack = RecencyStack::new();
     let mut cold_lines = Vec::new();
     let mut hist: Vec<Vec<u64>> = grid
@@ -359,125 +465,136 @@ fn evaluate_node(lines: &[u32], accesses_per_fragment: u32, grid: &RequestGrid) 
         .iter()
         .map(|&c| vec![0u64; if c > 0 { c as usize + 1 } else { 0 }])
         .collect();
-    let mut cold = 0u64;
-    let mut per_geom: Vec<GeomCounts> = grid
-        .points
-        .iter()
-        .map(|&(_, _, threshold)| GeomCounts {
-            misses: 0,
-            breakdown: (threshold > 0).then(MissBreakdown::default),
-            frag_misses: Vec::with_capacity(lines.len() / accesses_per_fragment as usize),
-        })
-        .collect();
+    let mut cold_frags = Vec::new();
+    let mut per_geom: Vec<GeomCounts> = vec![
+        GeomCounts { warm_misses: 0, capacity: 0, classify: false, warm_frags: Vec::new() };
+        grid.requests
+    ];
+    for &(_, gi, threshold) in groups.iter().flat_map(|g| &g.points) {
+        per_geom[gi as usize].classify = threshold > 0;
+    }
+    // Distance-0 accesses, added to every `hist[k][0]` once at the end:
+    // head hits are 0 at every set count, and `zero_from[i]` counts warm
+    // accesses whose distance first reaches 0 at group `i` (it never
+    // grows with `k`, so it stays 0 for every later group).
+    let mut head_hits = 0u64;
+    let mut zero_from = vec![0u64; groups.len()];
 
-    // Scratch reused across accesses: per tracked set count, the distinct
-    // same-set lines seen above the target so far, clamped at `cap[k]`.
-    let mut counts = vec![0u32; k_top + 1];
-    let mut frag_misses = vec![0u8; n_req];
-    let mut in_fragment = 0u32;
+    // Scratch reused across accesses: per group, the distinct same-set
+    // lines seen above the target so far, clamped at its cap; and the
+    // current fragment's cold accesses and per-request warm misses, with
+    // the requests that took any.
+    let mut counts = vec![0u32; groups.len()];
+    let mut frag_cold = 0u32;
+    let mut frag_misses = vec![0u32; grid.requests];
+    let mut dirty: Vec<u32> = Vec::with_capacity(grid.requests);
 
-    for &line in lines {
-        match stack.slot_of(line) {
-            NIL => {
-                // First touch: misses in every geometry, no walk needed.
-                cold += 1;
-                cold_lines.push(line);
-                stack.insert_cold(line);
-                for m in frag_misses.iter_mut() {
-                    *m += 1;
+    for (frag, accesses) in lines.chunks_exact(accesses_per_fragment as usize).enumerate() {
+        for &line in accesses {
+            match stack.slot_of(line) {
+                NIL => {
+                    // First touch: misses in every geometry, no walk needed.
+                    frag_cold += 1;
+                    cold_lines.push(line);
+                    stack.insert_cold(line);
                 }
-                for g in per_geom.iter_mut() {
-                    g.misses += 1;
-                    if let Some(b) = &mut g.breakdown {
-                        b.compulsory += 1;
-                    }
-                }
-            }
-            slot if stack.head == slot => {
                 // Most-recent line again (the dominant texture-locality
                 // case): distance 0 at every set count — hits everywhere.
-                for &k in &grid.tracked {
-                    hist[k][0] += 1;
-                }
-            }
-            slot => {
-                // Walk the recency stack towards the target, counting per
-                // tracked set count the distinct same-set lines passed (an
-                // entry counts at `2^k` sets exactly when it agrees with
-                // the target in the low `k` bits, i.e. when the xor's
-                // trailing-zero count reaches `k`). Each counter clamps at
-                // its cap — exact values beyond it answer no query — and
-                // the walk stops the moment every counter has saturated:
-                // the remaining entries cannot change any answer, and the
-                // unlink below needs no position.
-                for &k in &grid.tracked {
-                    counts[k] = 0;
-                }
-                let mut unsaturated = grid.tracked.len();
-                let mut cur = stack.head;
-                'walk: while cur != slot {
-                    let t = (stack.line_of[cur as usize] ^ line).trailing_zeros() as usize;
-                    for &k in &grid.tracked {
-                        if k > t {
-                            break;
-                        }
-                        if counts[k] < grid.cap[k] {
-                            counts[k] += 1;
-                            if counts[k] == grid.cap[k] {
-                                unsaturated -= 1;
-                                if unsaturated == 0 {
-                                    break 'walk;
+                slot if stack.head == slot => head_hits += 1,
+                slot => {
+                    // Walk the recency stack towards the target, counting
+                    // per group the distinct same-set lines passed (an
+                    // entry counts at `2^k` sets exactly when it agrees
+                    // with the target in the low `k` bits, i.e. when the
+                    // xor's trailing-zero count reaches `k`). Each counter
+                    // clamps at its cap — exact values beyond it answer no
+                    // query — and the walk stops the moment every counter
+                    // has saturated: the remaining entries cannot change
+                    // any answer, and the unlink below needs no position.
+                    counts.fill(0);
+                    let mut unsaturated = groups.len();
+                    let mut cur = stack.head;
+                    'walk: while cur != slot {
+                        let entry = stack.slots[cur as usize];
+                        let t = (entry.line ^ line).trailing_zeros() as usize;
+                        for (count, g) in counts.iter_mut().zip(groups) {
+                            if g.k > t {
+                                break;
+                            }
+                            if *count < g.cap {
+                                *count += 1;
+                                if *count == g.cap {
+                                    unsaturated -= 1;
+                                    if unsaturated == 0 {
+                                        break 'walk;
+                                    }
                                 }
                             }
                         }
+                        cur = entry.next;
                     }
-                    cur = stack.next[cur as usize];
-                }
-                for &k in &grid.tracked {
-                    let h = &mut hist[k];
-                    let bucket = (counts[k] as usize).min(h.len() - 1);
-                    h[bucket] += 1;
-                }
-                for (gi, &(k, ways, threshold)) in grid.points.iter().enumerate() {
-                    if counts[k] >= ways {
-                        frag_misses[gi] += 1;
-                        let g = &mut per_geom[gi];
-                        g.misses += 1;
-                        if let Some(b) = &mut g.breakdown {
+                    let full = counts.first().copied().unwrap_or(0);
+                    for ((&d, g), zero) in counts.iter().zip(groups).zip(&mut zero_from) {
+                        if d == 0 {
+                            *zero += 1;
+                            break;
+                        }
+                        hist[g.k][d as usize] += 1;
+                        for &(ways, gi, threshold) in &g.points {
+                            if ways > d {
+                                break;
+                            }
+                            let gc = &mut per_geom[gi as usize];
+                            gc.warm_misses += 1;
                             // Same oracle as ClassifyingCache: a warm miss
                             // is a capacity miss iff a fully-associative
-                            // LRU of the same total size would also miss.
-                            if counts[0] >= threshold {
-                                b.capacity += 1;
-                            } else {
-                                b.conflict += 1;
+                            // LRU of the same total size would also miss
+                            // (`full` is the k = 0 distance whenever a
+                            // request classifies).
+                            if threshold > 0 && full >= threshold {
+                                gc.capacity += 1;
                             }
+                            let m = &mut frag_misses[gi as usize];
+                            if *m == 0 {
+                                dirty.push(gi);
+                            }
+                            *m += 1;
                         }
                     }
+                    stack.unlink(slot);
+                    stack.push_front(slot);
                 }
-                stack.unlink(slot);
-                stack.push_front(slot);
             }
         }
 
-        in_fragment += 1;
-        if in_fragment == accesses_per_fragment {
-            in_fragment = 0;
-            for (gi, m) in frag_misses.iter_mut().enumerate() {
-                per_geom[gi].frag_misses.push(*m);
-                *m = 0;
-            }
+        // Close the fragment: its first touches once for every geometry,
+        // its warm misses for the dirty requests only.
+        let frag = frag as u32;
+        if frag_cold > 0 {
+            cold_frags.push((frag, frag_cold));
+            frag_cold = 0;
         }
+        for &gi in &dirty {
+            let m = &mut frag_misses[gi as usize];
+            per_geom[gi as usize].warm_frags.push((frag, *m));
+            *m = 0;
+        }
+        dirty.clear();
     }
-    debug_assert_eq!(in_fragment, 0, "trace holds whole fragments");
 
+    let mut zeros = head_hits;
+    for (g, zero) in groups.iter().zip(&zero_from) {
+        zeros += zero;
+        hist[g.k][0] += zeros;
+    }
     NodeEvaluation {
         profile: MattsonProfile {
             accesses: lines.len() as u64,
-            cold,
+            cold: cold_lines.len() as u64,
             hist,
         },
         cold_lines,
+        cold_frags,
         per_geom,
     }
 }
@@ -567,9 +684,9 @@ mod tests {
         let grid = [request(512, 2), request(2048, 4)];
         let eval = evaluate_trace(&trace, &grid);
         for gi in 0..grid.len() {
-            let per_frag: u64 = eval.fragment_misses(0, gi).iter().map(|&m| m as u64).sum();
+            let per_frag: u64 = eval.fragment_misses(0, gi).map(|(_, m)| m as u64).sum();
             assert_eq!(per_frag, eval.stats(0, gi).misses());
-            assert_eq!(eval.fragment_misses(0, gi).len(), 512);
+            assert_eq!(dense(eval.fragment_misses(0, gi), 512).len(), 512);
         }
     }
 
@@ -591,9 +708,34 @@ mod tests {
     }
 
     #[test]
+    fn fragment_misses_merge_and_add_ties() {
+        let cold = [(0, 2), (3, 1), (7, 4)];
+        let warm = [(1, 1), (3, 2), (9, 1)];
+        let merged: Vec<_> = FragmentMisses::new(&cold, &warm).collect();
+        assert_eq!(merged, [(0, 2), (1, 1), (3, 3), (7, 4), (9, 1)]);
+        assert!(FragmentMisses::new(&warm, &cold).eq(merged.iter().copied()));
+        assert!(FragmentMisses::new(&cold, &[]).eq(cold.iter().copied()));
+        assert_eq!(FragmentMisses::new(&[], &[]).next(), None);
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate geometry")]
     fn duplicate_requests_panic() {
         evaluate_trace(&trace_of(vec![1]), &[request(512, 2), request(512, 2)]);
+    }
+
+    /// Expands a sparse `(fragment, misses)` list to one count per
+    /// fragment, checking that it is strictly ascending and lists only
+    /// missing fragments.
+    fn dense(sparse: FragmentMisses<'_>, fragments: usize) -> Vec<u8> {
+        let sparse: Vec<(u32, u32)> = sparse.collect();
+        assert!(sparse.windows(2).all(|w| w[0].0 < w[1].0), "ascending fragments");
+        let mut out = vec![0u8; fragments];
+        for (fi, misses) in sparse {
+            assert!(misses > 0, "fragment {fi} listed without a miss");
+            out[fi as usize] = u8::try_from(misses).unwrap();
+        }
+        out
     }
 
     /// Per-fragment oracle: a fresh `SetAssocCache` (and, for a
@@ -636,7 +778,8 @@ mod tests {
         let walk = evaluate_trace(&trace, &grid);
         for (gi, req) in grid.iter().enumerate() {
             let (frag_misses, stats, breakdown, evictions) = oracle(req, &lines, 8);
-            assert_eq!(walk.fragment_misses(0, gi), frag_misses, "{}", req.geometry);
+            let walked = dense(walk.fragment_misses(0, gi), frag_misses.len());
+            assert_eq!(walked, frag_misses, "{}", req.geometry);
             assert_eq!(walk.stats(0, gi), stats, "{}", req.geometry);
             assert_eq!(walk.breakdown(0, gi), breakdown, "{}", req.geometry);
             assert_eq!(walk.evictions(0, gi), evictions, "{}", req.geometry);
@@ -646,10 +789,9 @@ mod tests {
     #[test]
     fn evaluation_cost_weight_amortizes_the_walk() {
         for n in [0, 1, STACKDIST_MIN_REQUESTS, 102, 4096] {
-            assert_eq!(
-                evaluation_cost_weight(n),
-                STACKDIST_MIN_REQUESTS as u64 + n as u64 / 8
-            );
+            assert_eq!(evaluation_cost_weight(n), 12 + n as u64 / 64);
         }
+        // At the threshold the walk is cheaper than one pass per geometry.
+        assert!(evaluation_cost_weight(STACKDIST_MIN_REQUESTS) < STACKDIST_MIN_REQUESTS as u64);
     }
 }

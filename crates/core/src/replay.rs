@@ -20,12 +20,15 @@
 use crate::config::{CacheKind, MachineConfig};
 use crate::plan::{LaneSource, RoutingPlan};
 use crate::report::{CacheCounters, NodeReport, RunReport};
-use sortmid_cache::{AnyCache, CacheGeometry, LineAccessTrace, LineCache, TraceEvaluation};
+use sortmid_cache::{
+    AnyCache, CacheGeometry, FragmentMisses, LineAccessTrace, LineCache, TraceEvaluation,
+};
 use sortmid_geom::Rect;
 use sortmid_memsys::{Cycle, EngineTiming, TriangleFifo};
 use sortmid_observe::{MissClassCounts, NullSink, TraceEvent, TraceSink};
 use sortmid_raster::{FragBatch, FragmentStream};
 use sortmid_texture::TEXELS_PER_FRAGMENT;
+use std::iter::Peekable;
 
 /// Captures the per-node texture-line access sequence one routing plan
 /// produces: every node's fragments in processing order, 8 texel lines per
@@ -80,32 +83,7 @@ pub(crate) fn replay_request(config: &MachineConfig) -> Option<(CacheGeometry, b
     }
 }
 
-/// One node's cache outcome as the timing walk consumes it: the misses of
-/// each fragment in processing order. Implemented over a capture's sparse
-/// miss list ([`NodeCapture::cursor`]) and over a stack-distance
-/// evaluation's dense per-fragment counts ([`walk_misses`]).
-pub(crate) trait NodeMisses {
-    /// Drives `engine` through the fragments of one triangle that `node`
-    /// owns; `bucket` holds their stream indices in processing order. An
-    /// enabled `sink` also receives every fragment's spatial sample.
-    fn advance<S: TraceSink>(
-        &mut self,
-        engine: &mut EngineTiming,
-        bucket: &[u32],
-        node: u32,
-        stream: &FragmentStream,
-        sink: &mut S,
-    );
-}
-
-/// A stack-distance evaluation's per-fragment miss counts for one node
-/// and geometry.
-pub(crate) struct WalkMisses<'a> {
-    misses: &'a [u8],
-    next: usize,
-}
-
-/// Each node's [`WalkMisses`] of geometry `geom` in `eval`, with its cache
+/// Each node's miss cursor over geometry `geom` in `eval`, with its cache
 /// counters; `classify` selects whether the reports carry the three-C
 /// breakdown (a [`CacheKind::Classifying`] config does, a plain
 /// set-associative one does not, even when both share a geometry slot).
@@ -113,7 +91,7 @@ pub(crate) fn walk_misses(
     eval: &TraceEvaluation,
     geom: usize,
     classify: bool,
-) -> (Vec<WalkMisses<'_>>, Vec<CacheCounters>) {
+) -> (Vec<MissCursor<'_>>, Vec<CacheCounters>) {
     (0..eval.node_count())
         .map(|i| {
             let stats = eval.stats(i, geom);
@@ -122,38 +100,9 @@ pub(crate) fn walk_misses(
                 breakdown: if classify { eval.breakdown(i, geom) } else { None },
                 external_fetches: stats.misses(),
             };
-            (WalkMisses { misses: eval.fragment_misses(i, geom), next: 0 }, counters)
+            (MissCursor::new(eval.fragment_misses(i, geom), None, &[]), counters)
         })
         .unzip()
-}
-
-impl NodeMisses for WalkMisses<'_> {
-    fn advance<S: TraceSink>(
-        &mut self,
-        engine: &mut EngineTiming,
-        bucket: &[u32],
-        _node: u32,
-        _stream: &FragmentStream,
-        _sink: &mut S,
-    ) {
-        assert!(!S::ENABLED, "a stack-distance walk keeps miss counts, not lines to trace");
-        // Run-length walk: all-hit stretches advance the engine in bulk.
-        let end = self.next + bucket.len();
-        let mut j = self.next;
-        while j < end {
-            if self.misses[j] == 0 {
-                let run = j;
-                while j < end && self.misses[j] == 0 {
-                    j += 1;
-                }
-                engine.fragments_clean((j - run) as u64);
-            } else {
-                engine.fragment(self.misses[j] as u32);
-                j += 1;
-            }
-        }
-        self.next = end;
-    }
 }
 
 /// One node's cache outcome over the fragments of a plan: which fragments
@@ -179,8 +128,9 @@ pub(crate) struct NodeCapture {
 
 impl NodeCapture {
     /// A cursor replaying the recording from its first fragment.
-    pub(crate) fn cursor(&self) -> CapturedMisses<'_> {
-        CapturedMisses { node: self, next: 0, frag: 0, line: 0 }
+    pub(crate) fn cursor(&self) -> MissCursor<'_> {
+        let misses = FragmentMisses::new(&self.miss_frags, &[]);
+        MissCursor::new(misses, Some(&self.miss_lines), &self.classes)
     }
 }
 
@@ -284,16 +234,41 @@ pub(crate) fn capture_direct(
     DirectCapture { nodes, counters }
 }
 
-/// A cursor over one node's [`NodeCapture`]: the next fragment index in
-/// lane order, the next sparse miss-fragment entry and the next miss line.
-pub(crate) struct CapturedMisses<'a> {
-    node: &'a NodeCapture,
+/// One node's cache outcome as the timing walk consumes it: a cursor over
+/// the fragments that missed, in processing order, from a capture
+/// ([`NodeCapture::cursor`]) or a stack-distance evaluation
+/// ([`walk_misses`]). All-hit stretches between them advance the engine
+/// in bulk.
+pub(crate) struct MissCursor<'a> {
+    /// `(fragment index in lane order, miss count)` of every fragment with
+    /// at least one miss, ascending by index.
+    misses: Peekable<FragmentMisses<'a>>,
+    /// The miss line addresses in access order, when recorded; an
+    /// evaluation keeps counts only, which prices the same on a machine
+    /// without a DRAM row model.
+    miss_lines: Option<&'a [u32]>,
+    /// Each missing fragment's three-C counts, parallel to `misses`
+    /// (traced captures only).
+    classes: &'a [MissClassCounts],
+    /// The next fragment index in lane order, missing fragment and miss
+    /// line.
     next: usize,
     frag: usize,
     line: usize,
 }
 
-impl NodeMisses for CapturedMisses<'_> {
+impl<'a> MissCursor<'a> {
+    fn new(
+        misses: FragmentMisses<'a>,
+        miss_lines: Option<&'a [u32]>,
+        classes: &'a [MissClassCounts],
+    ) -> Self {
+        MissCursor { misses: misses.peekable(), miss_lines, classes, next: 0, frag: 0, line: 0 }
+    }
+
+    /// Drives `engine` through the fragments of one triangle that `node`
+    /// owns; `bucket` holds their stream indices in processing order. An
+    /// enabled `sink` also receives every fragment's spatial sample.
     fn advance<S: TraceSink>(
         &mut self,
         engine: &mut EngineTiming,
@@ -302,15 +277,18 @@ impl NodeMisses for CapturedMisses<'_> {
         stream: &FragmentStream,
         sink: &mut S,
     ) {
+        assert!(
+            self.miss_lines.is_some() || !S::ENABLED,
+            "a stack-distance walk keeps miss counts, not lines to trace"
+        );
         let (start, end) = (self.next, self.next + bucket.len());
-        let NodeCapture { miss_frags, miss_lines, classes, .. } = self.node;
         let sample = |sink: &mut S, index: usize, misses: usize, class| {
             let frag = &stream.fragments()[bucket[index - start] as usize];
             sink.record_fragment(node, frag.x, frag.y, misses as u32, class);
         };
         loop {
-            let miss = miss_frags.get(self.frag).filter(|&&(fi, _)| (fi as usize) < end);
-            let clean_end = miss.map_or(end, |&(fi, _)| fi as usize);
+            let miss = self.misses.next_if(|&(fi, _)| (fi as usize) < end);
+            let clean_end = miss.map_or(end, |(fi, _)| fi as usize);
             // Every fragment owes a traced sink a spatial sample; untraced
             // runs advance all-hit stretches in bulk.
             if S::ENABLED {
@@ -321,13 +299,18 @@ impl NodeMisses for CapturedMisses<'_> {
             } else if clean_end > self.next {
                 engine.fragments_clean((clean_end - self.next) as u64);
             }
-            let Some(&(fi, misses)) = miss else { break };
-            let lines = &miss_lines[self.line..self.line + misses as usize];
-            engine.fragment_lines_sink(lines, node, sink);
-            if S::ENABLED {
-                sample(sink, fi as usize, lines.len(), classes[self.frag]);
+            let Some((fi, misses)) = miss else { break };
+            match self.miss_lines {
+                Some(miss_lines) => {
+                    let lines = &miss_lines[self.line..self.line + misses as usize];
+                    engine.fragment_lines_sink(lines, node, sink);
+                    if S::ENABLED {
+                        sample(sink, fi as usize, lines.len(), self.classes[self.frag]);
+                    }
+                    self.line += lines.len();
+                }
+                None => engine.fragment(misses),
             }
-            self.line += lines.len();
             self.frag += 1;
             self.next = fi as usize + 1;
         }
@@ -338,11 +321,11 @@ impl NodeMisses for CapturedMisses<'_> {
 /// Synthesizes the [`RunReport`] of `config` from each node's recorded
 /// misses and cache counters over the whole of `plan`: the sweep's timing
 /// walk for a shared capture or stack-distance evaluation.
-pub(crate) fn replay_timing<M: NodeMisses>(
+pub(crate) fn replay_timing(
     config: &MachineConfig,
     stream: &FragmentStream,
     plan: &RoutingPlan,
-    mut nodes: Vec<M>,
+    mut nodes: Vec<MissCursor<'_>>,
     counters: Vec<CacheCounters>,
 ) -> RunReport {
     assert!(
@@ -394,11 +377,11 @@ impl Timing {
     /// [`Machine`](crate::Machine) describes — broadcast, FIFO
     /// backpressure, setup floor — driving each node's engine through its
     /// recorded `misses`. `sink` receives the events in simulation order.
-    pub(crate) fn advance<M: NodeMisses, S: TraceSink>(
+    pub(crate) fn advance<S: TraceSink>(
         &mut self,
         stream: &FragmentStream,
         plan: &RoutingPlan,
-        misses: &mut [M],
+        misses: &mut [MissCursor<'_>],
         sink: &mut S,
     ) {
         assert_eq!(misses.len(), self.nodes.len(), "one miss source per node");
@@ -473,13 +456,13 @@ impl NodeTiming {
     /// by this node (`node`) are `bucket` — possibly none, as the setup
     /// floor applies regardless.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn draw<M: NodeMisses, S: TraceSink>(
+    pub(crate) fn draw<S: TraceSink>(
         &mut self,
         arrival: Cycle,
         node: u32,
         tri: u32,
         bucket: &[u32],
-        misses: &mut M,
+        misses: &mut MissCursor<'_>,
         stream: &FragmentStream,
         sink: &mut S,
     ) {

@@ -62,13 +62,18 @@ impl CacheCounters {
         }
     }
 
-    /// The per-frame view of a warm cache: statistics and external
-    /// fetches since `earlier`; the three-C breakdown stays cumulative.
+    /// The per-frame view of a warm cache: statistics, three-C breakdown
+    /// and external fetches since `earlier`, so the breakdown still sums
+    /// to the frame's misses.
     pub(crate) fn since(self, earlier: &CacheCounters) -> Self {
         CacheCounters {
             stats: self.stats.delta_since(&earlier.stats),
+            breakdown: self.breakdown.zip(earlier.breakdown).map(|(now, then)| MissBreakdown {
+                compulsory: now.compulsory - then.compulsory,
+                capacity: now.capacity - then.capacity,
+                conflict: now.conflict - then.conflict,
+            }),
             external_fetches: self.external_fetches - earlier.external_fetches,
-            ..self
         }
     }
 }

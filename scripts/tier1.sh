@@ -93,6 +93,11 @@ cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
 echo "==> engine-vs-reference property lane (release)"
 cargo test -q --release --offline --test batched
 
+# The stack-distance equivalence lane, in release: the optimised walk
+# kernel must still price every geometry exactly as direct simulation.
+echo "==> stack-distance-vs-direct property lane (release)"
+cargo test -q --release --offline --test stackdist
+
 # Benchmark smoke runs of every workload: a run whose identity,
 # pixel-conservation or digest-stability checks fail exits nonzero. The
 # two sweep workloads also check a 1-in-64 sample of their reports

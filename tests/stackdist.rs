@@ -16,8 +16,8 @@ use sortmid::{
     RoutingPlan, RunReport, SweepOptions,
 };
 use sortmid_cache::{
-    evaluate_trace, CacheGeometry, CacheStats, ClassifyingCache, GeometryRequest, LineCache,
-    MissBreakdown, SetAssocCache, STACKDIST_MIN_REQUESTS,
+    evaluate_trace, CacheGeometry, CacheStats, ClassifyingCache, FragmentMisses, GeometryRequest,
+    LineAccessTrace, LineCache, MissBreakdown, SetAssocCache, TraceEvaluation, STACKDIST_MIN_REQUESTS,
 };
 use sortmid_devharness::prop::{check, Config, Gen};
 use sortmid_devharness::{prop_assert, prop_assert_eq};
@@ -101,6 +101,20 @@ fn oracle(req: &GeometryRequest, lines: &[u32], per_fragment: usize) -> Oracle {
     }
 }
 
+/// Expands an evaluation's sparse `(fragment, misses)` list to one count
+/// per fragment, checking that it is strictly ascending and lists only
+/// fragments that missed.
+fn dense(sparse: FragmentMisses<'_>, fragments: usize) -> Vec<u8> {
+    let sparse: Vec<(u32, u32)> = sparse.collect();
+    assert!(sparse.windows(2).all(|w| w[0].0 < w[1].0), "fragments must ascend");
+    let mut out = vec![0u8; fragments];
+    for (fi, misses) in sparse {
+        assert!(misses > 0, "fragment {fi} listed without a miss");
+        out[fi as usize] = u8::try_from(misses).expect("at most one miss per access");
+    }
+    out
+}
+
 /// Every size 512 B–64 KB × ways 1–8: exactly `STACKDIST_MIN_REQUESTS`
 /// geometries, the smallest grid a plan prices with the Mattson walk.
 fn walk_geometries() -> Vec<CacheGeometry> {
@@ -149,8 +163,8 @@ fn prop_stackdist_replay_equals_direct() {
                     let direct = oracle(req, lines, per_fragment);
                     let g = req.geometry;
                     prop_assert_eq!(
-                        eval.fragment_misses(node, gi),
-                        &direct.fragment_misses[..],
+                        dense(eval.fragment_misses(node, gi), trace.fragment_count(node)),
+                        direct.fragment_misses,
                         "node {node} {g}: per-fragment misses diverge"
                     );
                     prop_assert_eq!(
@@ -322,4 +336,127 @@ fn prop_mixed_grid_sweep_is_path_independent() {
             Ok(())
         },
     );
+}
+
+/// The sweep bench's and the `cache-geometry` benchmark's dense grid:
+/// every power-of-two size from 512 B (one set at 8 ways) to 4 MB
+/// (direct-mapped) crossed with associativities 1–128, ways capped so
+/// each size holds at least one full set — 102 geometries. Every third
+/// one classifies, so the three-C oracle deepens the k = 0 walk.
+fn dense_grid() -> Vec<GeometryRequest> {
+    let mut grid = Vec::new();
+    for log_size in 9..=22 {
+        for log_ways in 0..=7 {
+            let (size, ways) = (1u32 << log_size, 1u32 << log_ways);
+            if ways * 64 <= size {
+                let geometry = CacheGeometry::new(size, ways, 64).expect("grid geometry");
+                grid.push(GeometryRequest { geometry, classify: grid.len() % 3 == 0 });
+            }
+        }
+    }
+    assert_eq!(grid.len(), 102);
+    grid
+}
+
+/// Checks every node and geometry of `eval` — and the node's Mattson
+/// profile at that geometry's point — against the per-fragment oracle fed
+/// the same per-node sequence.
+fn assert_matches_oracle(
+    trace: &LineAccessTrace,
+    grid: &[GeometryRequest],
+    eval: &TraceEvaluation,
+) {
+    let per_fragment = trace.accesses_per_fragment() as usize;
+    for node in 0..trace.node_count() {
+        let lines = trace.node_lines(node);
+        for (gi, req) in grid.iter().enumerate() {
+            let direct = oracle(req, lines, per_fragment);
+            let g = req.geometry;
+            assert_eq!(
+                eval.profile(node).misses(g.sets(), g.ways()),
+                direct.stats.misses(),
+                "node {node} {g}: profile"
+            );
+            assert_eq!(
+                dense(eval.fragment_misses(node, gi), trace.fragment_count(node)),
+                direct.fragment_misses,
+                "node {node} {g}: per-fragment misses diverge"
+            );
+            assert_eq!(eval.stats(node, gi), direct.stats, "node {node} {g}: stats");
+            assert_eq!(eval.evictions(node, gi), direct.evictions, "node {node} {g}: evictions");
+            assert_eq!(eval.breakdown(node, gi), direct.breakdown, "node {node} {g}: three-C");
+        }
+    }
+}
+
+/// The full 102-geometry grid on one real plan's line trace: the walk
+/// must price every geometry exactly as its own per-fragment simulation.
+/// `teapot.full` at this scale touches thousands of lines per node and
+/// takes capacity and conflict misses up to 16 KB (the shared `quake`
+/// stream touches a dozen lines, too few to exercise the walk).
+#[test]
+fn dense_grid_on_a_real_plan_matches_the_oracle() {
+    let s = SceneBuilder::benchmark(Benchmark::TeapotFull)
+        .scale(0.2)
+        .build()
+        .rasterize();
+    let plan = RoutingPlan::build(&s, &Distribution::sli(4), 3);
+    let trace = capture_line_trace(&s, &plan);
+    let grid = dense_grid();
+    let eval = evaluate_trace(&trace, &grid);
+    let paper = grid.iter().position(|r| r.geometry == CacheGeometry::paper_l1()).unwrap();
+    for node in 0..trace.node_count() {
+        assert!(eval.compulsory(node) > 1000, "node {node}: too few lines to exercise the walk");
+        assert!(
+            eval.stats(node, paper).misses() > eval.compulsory(node),
+            "node {node}: no warm miss at 16 KB"
+        );
+    }
+    assert_matches_oracle(&trace, &grid, &eval);
+}
+
+/// A synthetic trace on the full grid whose fragments each mix first
+/// touches with warm reuses (head repeats, near and far ones), and whose
+/// far reuses pass more same-set lines than any geometry holds, so every
+/// set count's distance cap saturates — including k = 0, deepened to the
+/// 4 MB classifying geometries' 65,536 lines.
+#[test]
+fn mixed_fragments_saturating_every_cap_match_the_oracle() {
+    const LINES: u32 = 70_000;
+    let mut lines = Vec::new();
+    // A sweep of LINES first touches, four per fragment, each fragment
+    // also re-touching its own and the previous fragment's lines.
+    for f in 0..LINES / 4 {
+        let c = 4 * f;
+        let near = if f > 0 { c - 3 } else { c };
+        lines.extend([c, c + 1, c + 1, near, c + 2, c + 3, c, c + 2]);
+    }
+    // Fragments mixing new lines with far reuses of the sweep's first
+    // lines (tens of thousands of lines back) and nearer ones.
+    for f in 0..1_000 {
+        let cold = LINES + 2 * f;
+        lines.extend([cold, 3 * f, 3 * f, cold + 1, 3 * f + 1, cold, 40_000 + f, 3 * f]);
+    }
+    let trace = LineAccessTrace::from_nodes(vec![lines], 8);
+    let grid = dense_grid();
+    let eval = evaluate_trace(&trace, &grid);
+
+    let profile = eval.profile(0);
+    for k in 0..=16u32 {
+        let sets = 1u32 << k;
+        let mut cap = grid
+            .iter()
+            .filter(|r| r.geometry.sets() == sets)
+            .map(|r| r.geometry.ways())
+            .max()
+            .expect("the grid covers every set count up to 2^16");
+        if k == 0 {
+            let deepest = grid.iter().filter(|r| r.classify).map(|r| r.geometry.total_lines());
+            cap = cap.max(deepest.max().unwrap());
+        }
+        assert!(profile.supports(sets, cap) && !profile.supports(sets, cap + 1), "2^{k} sets");
+        let beyond = profile.accesses() - profile.compulsory() - profile.hits(sets, cap);
+        assert!(beyond > 0, "2^{k} sets: no access saturates the cap of {cap}");
+    }
+    assert_matches_oracle(&trace, &grid, &eval);
 }
