@@ -61,9 +61,8 @@ const USAGE: &str = "usage: bench_check [dir] [--against <baseline BENCH json>] 
 /// Pipeline phases a sweep host profile must cover: if any is absent the
 /// instrumentation regressed (the sweep bench profiles both the reference
 /// grid and the dense replay lane, so every stage below runs).
-const REQUIRED_SWEEP_PHASES: [&str; 9] = [
+const REQUIRED_SWEEP_PHASES: [&str; 8] = [
     "run-sweep",
-    "batch-pivot",
     "plan-build",
     "path-select",
     "lane-pivot",

@@ -8,8 +8,8 @@
 //! Four series are emitted into `BENCH_sweep.json`:
 //!
 //! * `grid/shared-plan` — [`run_sweep_with_threads`]: configs grouped by
-//!   `(distribution, processors)`, one shared [`RoutingPlan`] per group,
-//!   cache-heavy groups priced by stack-distance replay;
+//!   `(distribution, processors)`, each group sharing one routing per
+//!   frame window, cache-heavy groups priced by stack-distance replay;
 //! * `grid/per-config` — the no-sharing baseline: every config runs
 //!   [`Machine::run`] on its own, routing and probing the stream from
 //!   scratch (what `run_sweep` did before routing plans existed);
@@ -19,8 +19,8 @@
 //!   `LineAccessTrace` replay;
 //! * `grid/trace-replay-base` — [`STACKDIST_MIN_REQUESTS`] geometries of
 //!   the dense grid on the same plan, the fewest the sweep still prices
-//!   with one Mattson walk (a smaller grid would run each single-use
-//!   geometry directly), so the difference of the two medians isolates
+//!   with one Mattson walk (a smaller grid would run its geometries in
+//!   the plan's frame group), so the difference of the two medians isolates
 //!   the *marginal* cost of each extra cache config.
 //!
 //! The shared-plan/per-config ratio is the plan-reuse speedup; the
@@ -58,7 +58,7 @@
 //! byte-identical at any thread count, only the wall-clock changes.
 
 use sortmid::{
-    run_sweep_profiled, run_sweep_with_options, CacheKind, Distribution, HostProfiler, Machine,
+    run_sweep_profiled, run_sweep_with_threads, CacheKind, Distribution, HostProfiler, Machine,
     MachineConfig, SweepGrid, SweepOptions,
 };
 use sortmid_bench::{run_provenance, stream};
@@ -199,7 +199,7 @@ fn main() {
     let mut suite = Suite::new("sweep");
     let grid_work = s.fragment_count() * configs.len() as u64;
     suite.bench_with_elements_scaled("grid/shared-plan", grid_work, NOISY_LANE_SAMPLE_SCALE, || {
-        black_box(run_sweep_with_options(&s, &configs, options))
+        black_box(run_sweep_with_threads(&s, &configs, threads))
     });
     suite.bench_with_elements_scaled("grid/per-config", grid_work, NOISY_LANE_SAMPLE_SCALE, || {
         black_box(run_grid_per_config(&s, &configs, threads))
@@ -208,13 +208,13 @@ fn main() {
         "grid/trace-replay",
         s.fragment_count() * dense.len() as u64,
         NOISY_LANE_SAMPLE_SCALE,
-        || black_box(run_sweep_with_options(&s, &dense, options)),
+        || black_box(run_sweep_with_threads(&s, &dense, threads)),
     );
     suite.bench_with_elements_scaled(
         "grid/trace-replay-base",
         s.fragment_count() * base.len() as u64,
         NOISY_LANE_SAMPLE_SCALE,
-        || black_box(run_sweep_with_options(&s, &base, options)),
+        || black_box(run_sweep_with_threads(&s, &base, threads)),
     );
 
     let results = suite.results();
@@ -255,7 +255,7 @@ fn main() {
     // One more (untimed) sweep to attach per-config cycle breakdowns —
     // the reference grid and the dense cache lane run as ONE combined
     // profiled sweep, so the scheduler faces a heterogeneous mix of
-    // captured and replay-path configs. Only the first `configs.len()`
+    // frame groups and replay-path configs. Only the first `configs.len()`
     // reports feed the regression gate's cycle breakdowns: the gate's
     // groups must not absorb the dense lane, and per-config reports are
     // schedule- and path-independent, so the prefix equals a

@@ -186,7 +186,7 @@ impl LineCache for SetAssocCache {
     /// Batched footprint probe: collapses consecutive duplicate lines
     /// (guaranteed MRU hits — common inside a 4×4-block trilinear
     /// footprint) and resolves the rest through the branch-free
-    /// [`probe_insert`](Self::probe_insert) core. Statistics are recorded
+    /// `probe_insert` core. Statistics are recorded
     /// in bulk; the result is byte-identical to the scalar loop.
     #[inline]
     fn access_lane(

@@ -70,8 +70,8 @@ pub use sortmid_observe::{
 pub use replay::capture_line_trace;
 pub use sched::{lpt_order, run_graph, CostModel, TaskGraph};
 pub use sweep::{
-    grid_hash, run_sweep, run_sweep_profiled, run_sweep_with_options, run_sweep_with_threads,
-    run_sweeps, SweepGrid, SweepOptions,
+    grid_hash, run_sweep, run_sweep_profiled, run_sweep_with_threads, run_sweeps, SweepGrid,
+    SweepOptions,
 };
 
 /// Maximum processor count the machine supports (the paper evaluates up to

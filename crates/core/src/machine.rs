@@ -1,17 +1,23 @@
-//! The parallel sort-middle machine simulation: [`Machine`] streams a
-//! frame through the shared pipeline of [`crate::replay`] — route, cache
-//! pass, timing walk — one window of whole triangles at a time.
+//! The parallel sort-middle machine simulation and its one frame loop.
+//!
+//! A frame group — configs sharing one distribution and processor count —
+//! streams a frame through the shared pipeline of [`crate::replay`] one
+//! window of whole triangles at a time: route the window once, run each
+//! distinct cache model's node caches over it once, then advance every
+//! config's timing walk. [`Machine::run`], [`Machine::run_traced`] and
+//! [`Machine::run_sequence`] are the one-config group; the sweep runs
+//! each plan group's non-walk configs as one (`crate::sweep`).
 
-use crate::config::MachineConfig;
+use crate::config::{CacheKind, MachineConfig};
 use crate::plan::RoutingPlan;
 use crate::replay::{capture, NodeCapture, Timing};
 use crate::report::{CacheCounters, RunReport};
 use sortmid_cache::AnyCache;
-use sortmid_observe::{NullSink, TraceSink};
+use sortmid_observe::{HostSink, NullHostSink, NullSink, TraceSink};
 use sortmid_raster::FragmentStream;
 use std::ops::Range;
 
-/// Fragments per frame window. [`Machine::run`] routes, probes and times a
+/// Fragments per frame window. A [`FrameGroup`] routes, probes and times a
 /// frame one window of whole triangles at a time, so its plan and miss
 /// recordings stay O(window) whatever the stream. Measured on the
 /// benchmark's `single-config` workload on a 2-vCPU Xeon: at 16 Ki
@@ -21,6 +27,92 @@ use std::ops::Range;
 /// 80.5–80.7 MiB (seed 0). Windows of 1 Ki to 64 Ki fragments ran within
 /// noise of each other.
 const WINDOW_FRAGMENTS: usize = 16 * 1024;
+
+/// Configs sharing one distribution and processor count, run over a frame
+/// together: each window is routed once, each distinct cache model's node
+/// caches probe it once, and every config advances its own timing walk
+/// over its model's misses. Caches persist across
+/// [`run_frame`](Self::run_frame) calls, so a sequence of frames runs warm.
+pub(crate) struct FrameGroup<'a> {
+    configs: Vec<&'a MachineConfig>,
+    /// Each config's cache model, as an index into `caches`.
+    model_of: Vec<usize>,
+    /// One cache per node for each distinct cache model.
+    caches: Vec<Vec<AnyCache>>,
+}
+
+impl<'a> FrameGroup<'a> {
+    /// Groups `configs` by cache model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty or its members differ in distribution
+    /// or processor count.
+    pub(crate) fn new(configs: Vec<&'a MachineConfig>) -> Self {
+        let first = configs[0];
+        let mut models: Vec<CacheKind> = Vec::new();
+        let model_of = configs
+            .iter()
+            .map(|config| {
+                assert!(
+                    config.processors == first.processors
+                        && config.distribution == first.distribution,
+                    "a frame group shares one routing"
+                );
+                models.iter().position(|&m| m == config.cache).unwrap_or_else(|| {
+                    models.push(config.cache);
+                    models.len() - 1
+                })
+            })
+            .collect();
+        let caches = models
+            .iter()
+            .map(|kind| (0..first.processors).map(|_| kind.build_model()).collect())
+            .collect();
+        FrameGroup { configs, model_of, caches }
+    }
+
+    /// Config `k`'s per-node cache counters so far.
+    pub(crate) fn counters(&self, k: usize) -> impl Iterator<Item = CacheCounters> + '_ {
+        self.caches[self.model_of[k]].iter().map(CacheCounters::of)
+    }
+
+    /// Runs one frame and returns each config's timing, window by window:
+    /// route the window under a `plan-build` span of `host`, run every
+    /// cache model over its buckets under a `capture` span, then advance
+    /// each config's timing over its model's misses. `sink` receives the
+    /// timing events of every config (a traced run holds one).
+    pub(crate) fn run_frame<S: TraceSink, H: HostSink>(
+        &mut self,
+        stream: &FragmentStream,
+        sink: &mut S,
+        host: &H,
+    ) -> Vec<Timing> {
+        let first = self.configs[0];
+        let procs = first.processors as usize;
+        let mut plan = RoutingPlan::new(stream, &first.distribution, first.processors);
+        let mut recordings = vec![vec![NodeCapture::default(); procs]; self.caches.len()];
+        let mut timings: Vec<Timing> = self.configs.iter().map(|c| Timing::new(c)).collect();
+        for window in windows(stream) {
+            {
+                let _s = host.span("plan-build");
+                plan.route(stream, window);
+            }
+            {
+                let _s = host.span("capture");
+                for (caches, nodes) in self.caches.iter_mut().zip(&mut recordings) {
+                    capture::<S>(caches, stream, &plan, nodes);
+                }
+            }
+            for (timing, &model) in timings.iter_mut().zip(&self.model_of) {
+                let mut misses: Vec<_> =
+                    recordings[model].iter().map(NodeCapture::cursor).collect();
+                timing.advance(stream, &plan, &mut misses, sink);
+            }
+        }
+        timings
+    }
+}
 
 /// Splits `stream`'s triangles into consecutive windows of at most
 /// [`WINDOW_FRAGMENTS`] fragments; a triangle larger than that is a window
@@ -71,7 +163,8 @@ pub(crate) fn windows(stream: &FragmentStream) -> impl Iterator<Item = Range<usi
 /// triangles through three stages ([`crate::replay`]): route the window
 /// into a [`RoutingPlan`], run each node's persistent cache over its
 /// buckets, then advance the engine and FIFO timing over the recorded
-/// misses.
+/// misses. This is the frame loop the sweep runs its frame groups on,
+/// with one config.
 ///
 /// # Examples
 ///
@@ -108,9 +201,9 @@ impl Machine {
     /// With [`NullSink`] the whole event path monomorphizes away, which is
     /// what keeps the untraced sweep at its reference speed.
     pub fn run_traced<S: TraceSink>(&self, stream: &FragmentStream, sink: &mut S) -> RunReport {
-        let mut caches = self.caches();
-        let timing = self.run_frame(stream, &mut caches, sink);
-        timing.report(self.config.summary(), stream, caches.iter().map(CacheCounters::of))
+        let mut group = FrameGroup::new(vec![&self.config]);
+        let timing = group.run_frame(stream, sink, &NullHostSink).remove(0);
+        timing.report(self.config.summary(), stream, group.counters(0))
     }
 
     /// Per-node track labels for trace exports: `node <i> (<cache model>)`.
@@ -130,15 +223,15 @@ impl Machine {
     /// Returns one report per frame; each report's cache statistics cover
     /// only that frame.
     pub fn run_sequence(&self, frames: &[&FragmentStream]) -> Vec<RunReport> {
-        let mut caches = self.caches();
+        let mut group = FrameGroup::new(vec![&self.config]);
         let mut reports = Vec::with_capacity(frames.len());
         for (i, stream) in frames.iter().enumerate() {
-            let before: Vec<CacheCounters> = caches.iter().map(CacheCounters::of).collect();
-            let timing = self.run_frame(stream, &mut caches, &mut NullSink);
-            let counters = caches
-                .iter()
+            let before: Vec<CacheCounters> = group.counters(0).collect();
+            let timing = group.run_frame(stream, &mut NullSink, &NullHostSink).remove(0);
+            let counters = group
+                .counters(0)
                 .zip(&before)
-                .map(|(cache, before)| CacheCounters::of(cache).since(before));
+                .map(|(counters, before)| counters.since(before));
             reports.push(timing.report(
                 format!("{} frame {}", self.config.summary(), i),
                 stream,
@@ -146,34 +239,6 @@ impl Machine {
             ));
         }
         reports
-    }
-
-    fn caches(&self) -> Vec<AnyCache> {
-        (0..self.config.processors)
-            .map(|_| self.config.cache.build_model())
-            .collect()
-    }
-
-    /// Runs one frame over the nodes' `caches`, window by window: route
-    /// the window, run every node's cache over its buckets, then advance
-    /// the timing walk over the recorded misses.
-    fn run_frame<S: TraceSink>(
-        &self,
-        stream: &FragmentStream,
-        caches: &mut [AnyCache],
-        sink: &mut S,
-    ) -> Timing {
-        let (dist, procs) = (&self.config.distribution, self.config.processors);
-        let mut plan = RoutingPlan::new(stream, dist, procs);
-        let mut recordings = vec![NodeCapture::default(); procs as usize];
-        let mut timing = Timing::new(&self.config);
-        for window in windows(stream) {
-            plan.route(stream, stream, window);
-            capture::<S, _>(caches, stream, stream, &plan, &mut recordings);
-            let mut misses: Vec<_> = recordings.iter().map(NodeCapture::cursor).collect();
-            timing.advance(stream, &plan, &mut misses, sink);
-        }
-        timing
     }
 }
 
@@ -480,6 +545,57 @@ mod tests {
             assert_eq!(samples.node_misses(), oracle_samples.node_misses());
             assert_eq!(samples.node_setup(), oracle_samples.node_setup());
         }
+    }
+
+    #[test]
+    fn frame_group_reports_equal_the_reference() {
+        // One plan's mixed frame group through the sweep: every cache
+        // family, bus ∞/1/2, buffers 1/8/10 000 and a DRAM machine, over a
+        // stream of several windows. The group routes and probes each
+        // window once, and every config's report equals the oracle's.
+        use crate::reference::run_reference;
+        use crate::sweep::{run_sweep_profiled, SweepGrid, SweepOptions};
+        use sortmid_cache::CacheGeometry;
+        use sortmid_devharness::Json;
+        use sortmid_memsys::{BusConfig, DramConfig};
+        use sortmid_observe::HostProfiler;
+        let s = windowed_stream();
+        let n_windows = windows(&s).count();
+        assert!(n_windows >= 3, "{n_windows} windows");
+
+        let (g, l2) = (CacheGeometry::new(4096, 2, 64).unwrap(), CacheGeometry::paper_l2());
+        let dist = Distribution::block(8);
+        let mut configs = SweepGrid::new()
+            .processors([6])
+            .distributions([dist.clone()])
+            .caches([
+                CacheKind::Perfect,
+                CacheKind::PaperL1,
+                CacheKind::Classifying(g),
+                CacheKind::TwoLevel(g, l2),
+                CacheKind::Victim(g, 4),
+            ])
+            .bus_ratios([None, Some(1.0), Some(2.0)])
+            .buffers([1, 8, 10_000])
+            .build();
+        let mut dram = config(6, dist, CacheKind::PaperL1);
+        dram.dram = Some(DramConfig::sdram_like(BusConfig::ratio(1.0)));
+        configs.push(dram);
+        assert_eq!(configs.len(), 46);
+
+        let profiler = HostProfiler::new();
+        let swept = run_sweep_profiled(&s, &configs, SweepOptions { threads: 2 }, &profiler);
+        for (cfg, report) in configs.iter().zip(&swept) {
+            assert_eq!(report, &run_reference(cfg, &s, &mut NullSink), "{}", cfg.summary());
+        }
+        let profile = profiler.finish();
+        let spans = |name: &str| profile.spans.iter().filter(|span| span.name == name).count();
+        assert_eq!(spans("plan-build"), n_windows, "one route per window for the group");
+        assert_eq!(spans("capture"), n_windows, "one cache pass per window for the group");
+        let counters = profile.metrics.get("counters").expect("counters object");
+        let count = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
+        assert_eq!(count("sweep.path.replay"), 0);
+        assert_eq!(count("sweep.path.captured"), configs.len() as u64);
     }
 
     #[test]

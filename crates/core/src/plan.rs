@@ -8,16 +8,14 @@
 //! by owning node into a flat index array, guided by an [`OwnerLut`] that
 //! replaces the div/rem chain with two table lookups and an add.
 //!
-//! [`Machine::run`](crate::Machine::run) routes its frame into one reused
-//! plan a window at a time; [`crate::sweep::run_sweep`] builds one
-//! whole-frame plan per `(distribution, processors)` group and shares it
-//! read-only across host threads by the configs that replay a shared
-//! cache capture or stack-distance evaluation.
+//! [`Machine::run`](crate::Machine::run) and every sweep frame group route
+//! their frame into one reused plan a window at a time. A whole-frame
+//! [`RoutingPlan::build`] serves only the stack-distance evaluation's line
+//! trace ([`crate::replay::capture_line_trace`]) and sort-last routing.
 
 use crate::distribution::Distribution;
 use sortmid_geom::Rect;
-use sortmid_raster::{FragBatch, FragmentStream, TriangleRecord};
-use sortmid_texture::{footprint_lines, TEXELS_PER_FRAGMENT};
+use sortmid_raster::{FragmentStream, TriangleRecord};
 use std::ops::Range;
 
 /// Per-pixel owner lookup replacing [`Distribution::owner`]'s div/rem
@@ -98,45 +96,6 @@ impl OwnerLut {
     }
 }
 
-/// Reads fragment `fi` of a stream by index: its pixel coordinate and the
-/// cache-line ids of its footprint, in probe order. The routing builder
-/// and the cache pass read fragments only through this accessor, so the
-/// same code serves the stream itself (line ids computed on the fly, no
-/// copy) and a pre-pivoted [`FragBatch`] (the sweep amortises one batch
-/// across every plan).
-pub(crate) trait LaneSource {
-    /// Fragment `fi`'s pixel coordinate.
-    fn xy(&self, fi: usize) -> (u16, u16);
-
-    /// Fragment `fi`'s footprint line ids.
-    fn lane(&self, fi: usize) -> [u32; TEXELS_PER_FRAGMENT];
-}
-
-impl LaneSource for FragmentStream {
-    #[inline]
-    fn xy(&self, fi: usize) -> (u16, u16) {
-        let frag = &self.fragments()[fi];
-        (frag.x, frag.y)
-    }
-
-    #[inline]
-    fn lane(&self, fi: usize) -> [u32; TEXELS_PER_FRAGMENT] {
-        footprint_lines(&self.fragments()[fi].texels)
-    }
-}
-
-impl LaneSource for FragBatch {
-    #[inline]
-    fn xy(&self, fi: usize) -> (u16, u16) {
-        (self.x(fi), self.y(fi))
-    }
-
-    #[inline]
-    fn lane(&self, fi: usize) -> [u32; TEXELS_PER_FRAGMENT] {
-        *self.lane_array(fi)
-    }
-}
-
 /// One non-culled triangle's routing decisions.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlanTriangle {
@@ -162,8 +121,9 @@ pub(crate) struct Segment {
 }
 
 /// The precomputed routing of a range of triangles under one
-/// `(distribution, procs)` pair — the whole frame for the sweep, one
-/// window at a time for [`Machine::run`](crate::Machine::run).
+/// `(distribution, procs)` pair — one window at a time for
+/// [`Machine::run`](crate::Machine::run) and the sweep's frame groups, the
+/// whole frame for a stack-distance evaluation's line trace.
 ///
 /// Holds, for every non-culled triangle in stream order, its overlap mask
 /// and its fragments bucketed by owning node as contiguous ranges of a
@@ -223,22 +183,11 @@ impl RoutingPlan {
     ///
     /// Panics if `procs` is outside `1..=`[`crate::MAX_PROCESSORS`].
     pub fn build(stream: &FragmentStream, dist: &Distribution, procs: u32) -> RoutingPlan {
-        Self::build_with(stream, stream, dist, procs)
-    }
-
-    /// [`build`](Self::build) reading fragments from `lanes` (the sweep
-    /// passes the stream's pivoted [`FragBatch`], shared by every plan).
-    pub(crate) fn build_with<L: LaneSource>(
-        stream: &FragmentStream,
-        lanes: &L,
-        dist: &Distribution,
-        procs: u32,
-    ) -> RoutingPlan {
         let mut plan = Self::new(stream, dist, procs);
-        plan.route(stream, lanes, 0..stream.triangle_count());
-        // A whole-frame plan outlives its build (the sweep keeps every
-        // plan of a job): release the sort scratch, which grew to the
-        // largest triangle.
+        plan.route(stream, 0..stream.triangle_count());
+        // A whole-frame plan outlives its build (the sweep keeps it until
+        // its evaluation has run): release the sort scratch, which grew to
+        // the largest triangle.
         plan.owners = Vec::new();
         plan
     }
@@ -266,15 +215,9 @@ impl RoutingPlan {
     }
 
     /// Replaces the plan's contents with the routing of triangles `tris`
-    /// of `stream`, reading fragment coordinates from `lanes`. The buffers
-    /// are reused, so routing a frame window by window costs O(window)
-    /// memory.
-    pub(crate) fn route<L: LaneSource>(
-        &mut self,
-        stream: &FragmentStream,
-        lanes: &L,
-        tris: Range<usize>,
-    ) {
+    /// of `stream`. The buffers are reused, so routing a frame window by
+    /// window costs O(window) memory.
+    pub(crate) fn route(&mut self, stream: &FragmentStream, tris: Range<usize>) {
         self.reset(stream, tris.clone());
         for tri in tris {
             let record = &stream.triangles()[tri];
@@ -289,9 +232,8 @@ impl RoutingPlan {
             } else {
                 let (lut, counts) = (&self.lut, &mut self.counts);
                 self.owners.clear();
-                self.owners.extend((record.frag_start as usize..record.frag_end as usize).map(|fi| {
-                    let (x, y) = lanes.xy(fi);
-                    let owner = lut.owner(x, y);
+                self.owners.extend(stream.fragments_of(record).iter().map(|frag| {
+                    let owner = lut.owner(frag.x, frag.y);
                     debug_assert!(mask & (1u128 << owner) != 0, "owner outside overlap mask");
                     counts[owner as usize] += 1;
                     owner
@@ -438,10 +380,11 @@ mod tests {
     use super::*;
     use crate::config::CacheKind;
     use crate::machine::Machine;
-    use crate::replay::capture_direct;
+    use crate::reference::run_reference;
     use crate::MachineConfig;
     use sortmid_devharness::prop::{check, Config};
     use sortmid_devharness::prop_assert_eq;
+    use sortmid_observe::NullSink;
     use sortmid_scene::{Benchmark, SceneBuilder};
 
     fn stream() -> FragmentStream {
@@ -541,14 +484,15 @@ mod tests {
         assert!(!plan.matches(&Distribution::block(8), 8));
     }
 
-    /// A plan-driven capture replay and the direct run produce identical
-    /// `RunReport`s over a randomized grid of distributions (block / SLI /
-    /// rectangular tiles) and processor counts, including non-powers-of-two.
+    /// The windowed, plan-routed `Machine::run` and the per-texel reference
+    /// oracle produce identical `RunReport`s over a randomized grid of
+    /// distributions (block / SLI / rectangular tiles) and processor
+    /// counts, including non-powers-of-two.
     #[test]
-    fn prop_planned_run_equals_direct_run() {
+    fn prop_planned_run_equals_reference_run() {
         let s = stream();
         check(
-            "planned_run_equals_direct_run",
+            "planned_run_equals_reference_run",
             &Config::with_cases(24),
             |g| {
                 (
@@ -572,17 +516,15 @@ mod tests {
                 };
                 let config = MachineConfig::builder()
                     .processors(procs)
-                    .distribution(dist.clone())
+                    .distribution(dist)
                     .cache(kind)
                     .triangle_buffer(64)
                     .build()
                     .expect("valid config");
-                let plan = RoutingPlan::build(&s, &dist, procs);
-                let capture = capture_direct(kind, &FragBatch::from_stream(&s), &s, &plan);
-                let planned = capture.replay(&config, &s, &plan);
-                let direct = Machine::new(config).run(&s);
-                prop_assert_eq!(&planned, &direct);
-                prop_assert_eq!(format!("{planned:?}"), format!("{direct:?}"));
+                let planned = Machine::new(config.clone()).run(&s);
+                let reference = run_reference(&config, &s, &mut NullSink);
+                prop_assert_eq!(&planned, &reference);
+                prop_assert_eq!(format!("{planned:?}"), format!("{reference:?}"));
                 Ok(())
             },
         );

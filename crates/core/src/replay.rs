@@ -5,20 +5,21 @@
 //! on the fragments it owns (never on bus, buffer or DRAM parameters), and
 //! the FIFO and engine timing depends only on those misses. A report is
 //! made in three stages over a [`RoutingPlan`]: route the triangles
-//! ([`crate::plan`]); run each node's cache over its buckets — [`capture`]
-//! records every fragment's miss lines, or one [`capture_line_trace`] feeds
-//! the [stack-distance evaluator](sortmid_cache::stackdist) that prices
-//! many set-associative geometries at once; then walk the broadcast, FIFO
-//! and engine timing over the misses ([`Timing`]).
+//! ([`crate::plan`]); run each node's cache over its buckets — `capture`
+//! records every fragment's miss lines, or one [`capture_line_trace`]
+//! feeds the [stack-distance evaluator](sortmid_cache::stackdist) that
+//! prices many set-associative geometries at once; then walk the
+//! broadcast, FIFO and engine timing over the misses (`Timing`).
 //!
-//! [`Machine::run`](crate::machine::Machine::run) streams a frame through
-//! the stages window by window with persistent caches and a resumable
-//! [`Timing`]; the sweep runs them over whole plans and replays one
-//! capture or evaluation per config ([`replay_timing`]). Property tests
-//! pin every path to the per-texel [`crate::reference`] oracle.
+//! The frame loop in [`crate::machine`] streams a frame through the stages
+//! window by window with persistent caches and a resumable `Timing`, for
+//! [`Machine::run`](crate::machine::Machine::run) and for each sweep frame
+//! group alike. A Mattson-walk plan instead routes its whole frame once
+//! and replays one evaluation per config (`replay_timing`). Property tests
+//! pin both to the per-texel [`crate::reference`] oracle.
 
 use crate::config::{CacheKind, MachineConfig};
-use crate::plan::{LaneSource, RoutingPlan};
+use crate::plan::RoutingPlan;
 use crate::report::{CacheCounters, NodeReport, RunReport};
 use sortmid_cache::{
     AnyCache, CacheGeometry, FragmentMisses, LineAccessTrace, LineCache, TraceEvaluation,
@@ -26,24 +27,14 @@ use sortmid_cache::{
 use sortmid_geom::Rect;
 use sortmid_memsys::{Cycle, EngineTiming, TriangleFifo};
 use sortmid_observe::{MissClassCounts, NullSink, TraceEvent, TraceSink};
-use sortmid_raster::{FragBatch, FragmentStream};
-use sortmid_texture::TEXELS_PER_FRAGMENT;
+use sortmid_raster::FragmentStream;
+use sortmid_texture::{footprint_lines, TEXELS_PER_FRAGMENT};
 use std::iter::Peekable;
 
 /// Captures the per-node texture-line access sequence one routing plan
 /// produces: every node's fragments in processing order, 8 texel lines per
 /// fragment — the geometry-independent half of a machine run.
 pub fn capture_line_trace(stream: &FragmentStream, plan: &RoutingPlan) -> LineAccessTrace {
-    line_trace(stream, stream, plan)
-}
-
-/// [`capture_line_trace`] reading footprints from `lanes` (the sweep
-/// passes the stream's pivoted [`FragBatch`], shared by every plan).
-pub(crate) fn line_trace<L: LaneSource>(
-    lanes: &L,
-    stream: &FragmentStream,
-    plan: &RoutingPlan,
-) -> LineAccessTrace {
     // Exact per-node sizing first: traces are the sweep's biggest
     // allocation, growing them piecemeal would fragment.
     let mut counts = vec![0usize; plan.procs() as usize];
@@ -57,7 +48,7 @@ pub(crate) fn line_trace<L: LaneSource>(
     for (node, bucket) in plan.buckets(stream) {
         let dst = &mut lines[node];
         for &fi in bucket {
-            dst.extend_from_slice(&lanes.lane(fi as usize));
+            dst.extend_from_slice(&footprint_lines(&stream.fragments()[fi as usize].texels));
         }
     }
     LineAccessTrace::from_nodes(lines, TEXELS_PER_FRAGMENT as u32)
@@ -135,13 +126,11 @@ impl NodeCapture {
 }
 
 /// Runs every node's cache over its buckets of `plan`, replacing each
-/// node's recording with the outcome. Footprints come from `lanes` (the
-/// stream itself or its pivoted batch); with an enabled `S` the recording
+/// node's recording with the outcome. With an enabled `S` the recording
 /// also keeps each missing fragment's three-C counts for the traced timing
 /// walk, so untraced recordings do not grow.
-pub(crate) fn capture<S: TraceSink, L: LaneSource>(
+pub(crate) fn capture<S: TraceSink>(
     caches: &mut [AnyCache],
-    lanes: &L,
     stream: &FragmentStream,
     plan: &RoutingPlan,
     nodes: &mut [NodeCapture],
@@ -157,11 +146,11 @@ pub(crate) fn capture<S: TraceSink, L: LaneSource>(
         // Dispatch on the cache variant once per *bucket*, not once per
         // fragment, so the concrete batched probe inlines.
         match &mut caches[node] {
-            AnyCache::Perfect(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
-            AnyCache::SetAssoc(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
-            AnyCache::Classifying(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
-            AnyCache::TwoLevel(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
-            AnyCache::Victim(c) => capture_bucket::<S, _, _>(c, lanes, bucket, rec),
+            AnyCache::Perfect(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
+            AnyCache::SetAssoc(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
+            AnyCache::Classifying(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
+            AnyCache::TwoLevel(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
+            AnyCache::Victim(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
         }
     }
 }
@@ -170,9 +159,9 @@ pub(crate) fn capture<S: TraceSink, L: LaneSource>(
 /// [`LineCache::access_lane`] probe per fragment footprint, recording the
 /// sparse misses.
 #[inline]
-fn capture_bucket<S: TraceSink, C: LineCache, L: LaneSource>(
+fn capture_bucket<S: TraceSink, C: LineCache>(
     cache: &mut C,
-    lanes: &L,
+    stream: &FragmentStream,
     bucket: &[u32],
     rec: &mut NodeCapture,
 ) {
@@ -182,7 +171,8 @@ fn capture_bucket<S: TraceSink, C: LineCache, L: LaneSource>(
         if S::ENABLED {
             classes = MissClassCounts::default();
         }
-        let misses = cache.access_lane(&lanes.lane(fi as usize), &mut miss_buf, &mut classes);
+        let lane = footprint_lines(&stream.fragments()[fi as usize].texels);
+        let misses = cache.access_lane(&lane, &mut miss_buf, &mut classes);
         if misses > 0 {
             rec.miss_frags.push((rec.frags, misses as u32));
             rec.miss_lines.extend_from_slice(&miss_buf[..misses]);
@@ -192,46 +182,6 @@ fn capture_bucket<S: TraceSink, C: LineCache, L: LaneSource>(
         }
         rec.frags += 1;
     }
-}
-
-/// One cache model's whole-plan recording, shared by every sweep config
-/// that mounts that model on that plan: each config replays it through
-/// its own timing walk.
-#[derive(Debug, Clone)]
-pub(crate) struct DirectCapture {
-    nodes: Vec<NodeCapture>,
-    counters: Vec<CacheCounters>,
-}
-
-impl DirectCapture {
-    /// `config`'s report, replayed from the recording.
-    pub(crate) fn replay(
-        &self,
-        config: &MachineConfig,
-        stream: &FragmentStream,
-        plan: &RoutingPlan,
-    ) -> RunReport {
-        let cursors = self.nodes.iter().map(NodeCapture::cursor).collect();
-        replay_timing(config, stream, plan, cursors, self.counters.clone())
-    }
-}
-
-/// Runs `kind`'s cache model over `plan`'s per-node access sequences once,
-/// reading footprints out of the shared [`FragBatch`] — the per-node
-/// sequence is exactly the [`capture_line_trace`] order, without
-/// materialising the trace.
-pub(crate) fn capture_direct(
-    kind: CacheKind,
-    batch: &FragBatch,
-    stream: &FragmentStream,
-    plan: &RoutingPlan,
-) -> DirectCapture {
-    let procs = plan.procs() as usize;
-    let mut caches: Vec<AnyCache> = (0..procs).map(|_| kind.build_model()).collect();
-    let mut nodes = vec![NodeCapture::default(); procs];
-    capture::<NullSink, _>(&mut caches, batch, stream, plan, &mut nodes);
-    let counters = caches.iter().map(CacheCounters::of).collect();
-    DirectCapture { nodes, counters }
 }
 
 /// One node's cache outcome as the timing walk consumes it: a cursor over
@@ -320,7 +270,7 @@ impl<'a> MissCursor<'a> {
 
 /// Synthesizes the [`RunReport`] of `config` from each node's recorded
 /// misses and cache counters over the whole of `plan`: the sweep's timing
-/// walk for a shared capture or stack-distance evaluation.
+/// walk for a stack-distance evaluation.
 pub(crate) fn replay_timing(
     config: &MachineConfig,
     stream: &FragmentStream,

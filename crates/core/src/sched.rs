@@ -1,14 +1,14 @@
 //! Deterministic work-stealing task scheduler for the sweep pipeline.
 //!
-//! Per-config cost varies by an order of magnitude across the sweep's
-//! direct / captured / stack-distance-replay paths, so a static chunked
+//! Task cost varies by an order of magnitude across the sweep's frame
+//! groups, Mattson walks and per-config reports, so a static chunked
 //! schedule leaves the wall clock hostage to its slowest chunk. This
 //! module schedules the pipeline dynamically while keeping the *results*
 //! bit-for-bit deterministic:
 //!
 //! * **Preassigned output slots.** A task never returns a value through
 //!   the scheduler — it writes its own slot (the sweep uses one
-//!   [`std::sync::OnceLock`] per plan/capture/evaluation/report). Which
+//!   [`std::sync::OnceLock`] per plan/evaluation/frame group/report). Which
 //!   worker runs a task, and in which order, changes only wall time.
 //! * **Dependency-ordered batches.** [`TaskGraph`] edges must point at
 //!   earlier-added tasks ([`TaskGraph::depend`] asserts it), so the graph
@@ -77,8 +77,8 @@ pub fn lpt_order(costs: &[u64]) -> Vec<u32> {
 /// Tasks are identified by their insertion index. Edges point backward
 /// (a task may only depend on earlier-added tasks), which makes the graph
 /// a DAG by construction — the price is that callers add tasks in
-/// topological order, which the sweep's pipeline shape (plans → captures
-/// → evaluations → configs) gives for free.
+/// topological order, which the sweep's pipeline shape (plans →
+/// evaluations → frame groups → configs) gives for free.
 #[derive(Debug, Default)]
 pub struct TaskGraph {
     costs: Vec<u64>,
@@ -310,11 +310,10 @@ pub struct CostModel {
 /// current values come from the bench-host phase totals and
 /// `host.run_ns.*` means over the 27k-fragment reference scene.
 mod rates {
-    /// Direct `Machine::run` of one config (from the `grid/per-config`
-    /// lane median).
-    pub const DIRECT: f64 = 33.0;
-    /// Engine/FIFO replay of a shared (plan, cache-model) capture
-    /// (`host.run_ns.captured` mean).
+    /// One config's engine/FIFO timing walk over a captured cache model's
+    /// misses (the former `host.run_ns.captured` mean). A frame group
+    /// costs `PLAN + models·CAPTURE + configs·CAPTURED`, which for a lone
+    /// config (31.8) matches a `grid/per-config` lane `Machine::run` (33).
     pub const CAPTURED: f64 = 6.2;
     /// Report synthesis from a stack-distance evaluation
     /// (`host.run_ns.replay` mean) — every cycle category is priced from
@@ -370,12 +369,8 @@ impl CostModel {
             .saturating_mul(sortmid_cache::evaluation_cost_weight(requests))
     }
 
-    /// Estimated cost of one direct config simulation.
-    pub fn run_direct(&self) -> u64 {
-        self.scaled(rates::DIRECT)
-    }
-
-    /// Estimated cost of one captured-path config replay.
+    /// Estimated cost of one config's timing walk over a captured cache
+    /// model's misses.
     pub fn run_captured(&self) -> u64 {
         self.scaled(rates::CAPTURED)
     }
@@ -529,10 +524,12 @@ mod tests {
     #[test]
     fn cost_model_orders_paths_sanely() {
         let model = CostModel::for_stream(100_000);
-        // Direct simulation dominates; replay synthesis prices every
-        // cycle category from the distance histograms, which measures
-        // costlier than re-walking a capture's classification.
-        assert!(model.run_direct() > model.run_replay());
+        // A lone config's frame group (route, capture, timing walk)
+        // dominates; replay synthesis prices every cycle category from the
+        // distance histograms, which measures costlier than re-walking a
+        // capture's classification.
+        let lone_group = model.plan_build() + model.capture() + model.run_captured();
+        assert!(lone_group > model.run_replay());
         assert!(model.run_replay() > model.run_captured());
         assert!(model.trace_eval(102) > model.trace_eval(12));
         // A dense evaluation is the most expensive single task in the

@@ -92,7 +92,7 @@ pub fn run_sort_last(
     });
     let mut caches: Vec<AnyCache> = (0..procs).map(|_| config.cache.build_model()).collect();
     let mut recordings = vec![NodeCapture::default(); procs as usize];
-    capture::<NullSink, _>(&mut caches, stream, stream, &plan, &mut recordings);
+    capture::<NullSink>(&mut caches, stream, &plan, &mut recordings);
     let mut misses: Vec<_> = recordings.iter().map(NodeCapture::cursor).collect();
     let mut timing = Timing::new(config);
     timing.routed = plan.routed();

@@ -10,42 +10,38 @@
 //! Routing — which nodes a triangle overlaps, which node owns each
 //! fragment — depends only on the `(distribution, processors)` axes, never
 //! on cache, bus or buffer parameters. The sweep therefore groups its
-//! config grid by those two axes and shares one [`RoutingPlan`] per group
-//! between the configs that can reuse work:
+//! config grid by those two axes, and each plan group's configs share work
+//! one of two ways:
 //!
 //! * a plan's set-associative configs take the **Mattson walk** iff they
 //!   request at least [`STACKDIST_MIN_REQUESTS`] distinct geometries: one
+//!   whole-frame [`RoutingPlan`] and
 //!   [`LineAccessTrace`](sortmid_cache::LineAccessTrace) per plan, one
 //!   [stack-distance evaluation](sortmid_cache::stackdist) pricing every
 //!   geometry, and per-config reports synthesized from the replayed miss
 //!   counts ([`crate::replay`]);
-//! * every other config joins its `(plan, cache model)` group: groups of
-//!   two or more replay one shared cache **capture** and re-run only their
-//!   engine/FIFO timing, and a lone config runs [`Machine::run`]
-//!   directly.
+//! * every other config of the plan group joins its **frame group**, which
+//!   runs [`Machine::run`]'s own windowed frame loop for all its configs at
+//!   once: each window is routed once, each distinct cache model's node
+//!   caches probe it once, and each config advances its own timing walk.
 //!
-//! All three paths emit reports byte-identical to [`Machine::run`], and
-//! all three share its stages ([`crate::replay`]): one plan builder, one
-//! cache capture routine and one timing walk. The shared paths run those
-//! stages once per whole plan; the direct path is [`Machine::run`] itself,
-//! which streams the frame in windows and needs no plan or footprint batch
-//! of its own — a lone config stays direct because a one-member capture
-//! group would pivot a whole-stream batch and plan for nothing.
+//! Both paths emit reports byte-identical to [`Machine::run`], which is
+//! the frame loop's one-config case.
+//!
+//! [`Machine::run`]: crate::Machine::run
 
 use crate::config::{CacheKind, MachineConfig};
 use crate::distribution::Distribution;
-use crate::machine::Machine;
+use crate::machine::FrameGroup;
 use crate::plan::RoutingPlan;
-use crate::replay::{
-    capture_direct, line_trace, replay_request, replay_timing, walk_misses, DirectCapture,
-};
-use crate::report::RunReport;
+use crate::replay::{capture_line_trace, replay_request, replay_timing, walk_misses, Timing};
+use crate::report::{CacheCounters, RunReport};
 use crate::sched::{run_graph, CostModel, TaskGraph};
 use sortmid_cache::{evaluate_trace, GeometryRequest, TraceEvaluation, STACKDIST_MIN_REQUESTS};
-use sortmid_observe::{HostSink, NullHostSink};
-use sortmid_raster::{FragBatch, FragmentStream};
+use sortmid_observe::{HostSink, NullHostSink, NullSink};
+use sortmid_raster::FragmentStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Builds the cartesian product of machine-parameter axes — the shape of
@@ -163,16 +159,17 @@ impl Default for SweepGrid {
 /// Runs every configuration against `stream`, in parallel across host
 /// threads, preserving input order in the output.
 ///
-/// Configs sharing a `(distribution, processors)` pair and a cache capture
-/// or stack-distance evaluation share one precomputed [`RoutingPlan`]
-/// (built once, read-only afterwards).
+/// Configs sharing a `(distribution, processors)` pair share their
+/// routing: one frame group routes each window once for all of them, and
+/// a Mattson-walk plan is built once and read by every config it prices.
 ///
 /// # Determinism
 ///
-/// The reports are **byte-identical** to running [`Machine::run`] on each
-/// config sequentially, whatever the host-thread count: plans precompute
-/// *where* fragments go, not *how long* they take, and host parallelism
-/// only reorders independent runs. Tests pin this with
+/// The reports are **byte-identical** to running
+/// [`Machine::run`](crate::Machine::run) on each config sequentially,
+/// whatever the host-thread count: plans precompute *where* fragments go,
+/// not *how long* they take, and host parallelism only reorders
+/// independent runs. Tests pin this with
 /// [`run_sweep_with_threads`].
 ///
 /// # Examples
@@ -196,7 +193,7 @@ impl Default for SweepGrid {
 /// assert_eq!(reports.len(), 2);
 /// ```
 pub fn run_sweep(stream: &FragmentStream, configs: &[MachineConfig]) -> Vec<RunReport> {
-    run_sweep_with_options(stream, configs, SweepOptions::default())
+    run_sweep_profiled(stream, configs, SweepOptions::default(), &NullHostSink)
 }
 
 /// A stable fingerprint of a config grid: FNV-1a 64 over every config's
@@ -229,10 +226,10 @@ pub fn run_sweep_with_threads(
     configs: &[MachineConfig],
     threads: usize,
 ) -> Vec<RunReport> {
-    run_sweep_with_options(stream, configs, SweepOptions { threads })
+    run_sweep_profiled(stream, configs, SweepOptions { threads }, &NullHostSink)
 }
 
-/// Knobs of [`run_sweep_with_options`].
+/// Knobs of [`run_sweep_profiled`] and [`run_sweeps`].
 #[derive(Debug, Clone, Copy)]
 pub struct SweepOptions {
     /// Host threads to spread the pipeline's tasks over.
@@ -249,32 +246,17 @@ impl Default for SweepOptions {
     }
 }
 
-/// How one sweep config gets its report: a direct [`Machine::run`], engine
-/// replay of a shared `(plan, cache model)` capture, or synthesis from the
-/// plan's stack-distance evaluation (geometry index + whether the report
-/// carries the three-C breakdown).
+/// How one sweep config gets its report: from its frame group's run, or
+/// synthesized from its plan's stack-distance evaluation (geometry index +
+/// whether the report carries the three-C breakdown).
 #[derive(Debug, Clone, Copy)]
 enum ConfigPath {
-    Direct,
-    Captured { slot: usize },
+    Frame { group: usize },
     Replay { geom: usize, classify: bool },
 }
 
-/// [`run_sweep`] with every knob explicit.
-///
-/// # Panics
-///
-/// Panics if `options.threads` is zero.
-pub fn run_sweep_with_options(
-    stream: &FragmentStream,
-    configs: &[MachineConfig],
-    options: SweepOptions,
-) -> Vec<RunReport> {
-    run_sweep_profiled(stream, configs, options, &NullHostSink)
-}
-
-/// [`run_sweep_with_options`] with host profiling: the one-job case of
-/// [`run_sweeps`], whose docs describe the pipeline and its spans.
+/// [`run_sweep`] with host profiling: the one-job case of [`run_sweeps`],
+/// whose docs describe the pipeline and its spans.
 ///
 /// # Panics
 ///
@@ -291,20 +273,23 @@ pub fn run_sweep_profiled<S: HostSink>(
 }
 
 /// One unit of pipeline work on the shared scheduler pool, within one
-/// job: build a plan group's routing plan, capture a `(plan, cache
-/// model)` pass, evaluate a plan's trace, or run one config.
+/// job: build a Mattson-walk plan, evaluate its trace, run a frame group,
+/// or make one config's report.
 #[derive(Debug, Clone, Copy)]
 enum SweepTask {
     Plan(usize),
-    Capture(usize),
     Eval(usize),
+    Frame(usize),
     Run(usize),
 }
 
+/// A frame-group config's timing and per-node cache counters.
+type FrameOutcome = (Timing, Vec<CacheCounters>);
+
 /// One `(stream, configs)` job of [`run_sweeps`]: its plan groups, each
-/// config's path and its shared-artefact slots — all decided from the
-/// configs alone, before any plan is built — plus the write-once slots
-/// its tasks fill.
+/// config's path and its frame groups — all decided from the configs
+/// alone, before any plan is built — plus the write-once slots its tasks
+/// fill.
 struct Job<'a> {
     stream: &'a FragmentStream,
     configs: &'a [MachineConfig],
@@ -315,28 +300,24 @@ struct Job<'a> {
     path_of: Vec<ConfigPath>,
     /// Each plan's stack-distance geometry requests (empty: no evaluation).
     requests: Vec<Vec<GeometryRequest>>,
-    /// The `(plan, cache model)` each capture slot records.
-    captured: Vec<(usize, CacheKind)>,
-    /// Whether a plan group has a config on a shared path.
-    needs_plan: Vec<bool>,
-    /// The stream's footprint batch, pivoted when some plan is needed.
-    batch: Option<FragBatch>,
+    /// Each frame group's configs, in config order.
+    groups: Vec<Vec<usize>>,
     plans: Vec<OnceLock<RoutingPlan>>,
-    captures: Vec<OnceLock<DirectCapture>>,
     evals: Vec<OnceLock<TraceEvaluation>>,
+    /// Each frame-group config's outcome, from its group's run until its
+    /// report takes it: a deep FIFO's timing holds thousands of start
+    /// times per node, so none outlives its report.
+    outcomes: Vec<Mutex<Option<FrameOutcome>>>,
     out: Vec<OnceLock<RunReport>>,
-    /// Each config's estimated run cost (for the cost-model feedback).
-    run_cost: Vec<u64>,
 }
 
 impl<'a> Job<'a> {
-    /// Groups `configs` into plans, picks every config's path and
-    /// reserves every shared artefact's slot.
+    /// Groups `configs` into plans, picks every config's path and gathers
+    /// the frame groups.
     fn analyse(stream: &'a FragmentStream, configs: &'a [MachineConfig]) -> Self {
-        // Group the grid by (distribution, processors): one routing plan
-        // per group serves every cache/bus/buffer variation. Grids are
-        // small, so a linear key scan beats hashing Distribution (which
-        // holds an Arc axis).
+        // Group the grid by (distribution, processors): one routing serves
+        // every cache/bus/buffer variation. Grids are small, so a linear
+        // key scan beats hashing Distribution (which holds an Arc axis).
         let mut plan_rep: Vec<usize> = Vec::new();
         let mut plan_of: Vec<usize> = Vec::with_capacity(configs.len());
         for (ci, config) in configs.iter().enumerate() {
@@ -354,15 +335,17 @@ impl<'a> Job<'a> {
         }
         let n_plans = plan_rep.len();
 
-        // Decide each config's path. Set-associative configs of one plan
-        // share a geometry request grid (deduplicated by geometry,
-        // classification merged by OR so a Classifying and a plain
-        // SetAssoc config of the same geometry share one evaluation slot).
+        // Set-associative configs of one plan share a geometry request grid
+        // (deduplicated by geometry, classification merged by OR so a
+        // Classifying and a plain SetAssoc config of the same geometry
+        // share one evaluation slot).
         let mut requests: Vec<Vec<GeometryRequest>> = vec![Vec::new(); n_plans];
-        let mut path_of: Vec<ConfigPath> = vec![ConfigPath::Direct; configs.len()];
-        for (ci, config) in configs.iter().enumerate() {
-            if let Some((geometry, classify)) = replay_request(config) {
-                let reqs = &mut requests[plan_of[ci]];
+        let replay: Vec<Option<ConfigPath>> = configs
+            .iter()
+            .zip(&plan_of)
+            .map(|(config, &plan)| {
+                let (geometry, classify) = replay_request(config)?;
+                let reqs = &mut requests[plan];
                 let geom = match reqs.iter().position(|r| r.geometry == geometry) {
                     Some(gi) => {
                         reqs[gi].classify |= classify;
@@ -373,75 +356,43 @@ impl<'a> Job<'a> {
                         reqs.len() - 1
                     }
                 };
-                path_of[ci] = ConfigPath::Replay { geom, classify };
-            }
-        }
-        // The walk pays off only on dense geometry grids; every other
-        // plan's configs share captures below.
+                Some(ConfigPath::Replay { geom, classify })
+            })
+            .collect();
+        // The walk pays off only on dense geometry grids.
         for reqs in &mut requests {
             if reqs.len() < STACKDIST_MIN_REQUESTS {
                 reqs.clear();
             }
         }
-        for (ci, path) in path_of.iter_mut().enumerate() {
-            if requests[plan_of[ci]].is_empty() {
-                *path = ConfigPath::Direct;
-            }
-        }
 
-        // Group the remaining direct configs by (plan, cache model): which
+        // Every other config joins its plan group's frame group: which
         // texel probes hit or miss depends only on the node access
-        // sequences, so one pass of the model over the plan's fragment
-        // buckets serves every bus/buffer/DRAM variant in the grid — each
-        // such config then replays only its engine/FIFO timing against the
-        // recorded misses. This covers the cache models the Mattson
-        // machinery cannot express (perfect, two-level, victim,
-        // DRAM-backed) and every plan below the walk's threshold.
-        let mut keys: Vec<(usize, CacheKind)> = Vec::new();
-        let mut uses: Vec<usize> = Vec::new();
-        let mut key_of = vec![usize::MAX; configs.len()];
-        for (ci, config) in configs.iter().enumerate() {
-            if matches!(path_of[ci], ConfigPath::Direct) {
-                let key = (plan_of[ci], config.cache);
-                key_of[ci] = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
-                    keys.push(key);
-                    uses.push(0);
-                    keys.len() - 1
-                });
-                uses[key_of[ci]] += 1;
-            }
-        }
-        // A capture costs about one direct cache pass, so it only pays off
-        // when at least two configs replay it.
-        let mut slot_of_key = vec![usize::MAX; keys.len()];
-        let mut captured: Vec<(usize, CacheKind)> = Vec::new();
-        for (k, &n) in uses.iter().enumerate() {
-            if n >= 2 {
-                slot_of_key[k] = captured.len();
-                captured.push(keys[k]);
-            }
-        }
-        for (ci, path) in path_of.iter_mut().enumerate() {
-            if key_of[ci] != usize::MAX && slot_of_key[key_of[ci]] != usize::MAX {
-                *path = ConfigPath::Captured { slot: slot_of_key[key_of[ci]] };
-            }
-        }
-
-        // Only groups with a config on a shared path need their plan:
-        // direct configs route on the fly inside `Machine::run`.
-        let mut needs_plan = vec![false; n_plans];
-        for (ci, path) in path_of.iter().enumerate() {
-            if !matches!(path, ConfigPath::Direct) {
-                needs_plan[plan_of[ci]] = true;
-            }
-        }
+        // sequences, so one cache pass per distinct model serves every
+        // bus/buffer/DRAM variant in the group.
+        let mut group_of_plan: Vec<Option<usize>> = vec![None; n_plans];
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let path_of = replay
+            .into_iter()
+            .enumerate()
+            .map(|(ci, replay)| match replay {
+                Some(path) if !requests[plan_of[ci]].is_empty() => path,
+                _ => {
+                    let group = *group_of_plan[plan_of[ci]].get_or_insert_with(|| {
+                        groups.push(Vec::new());
+                        groups.len() - 1
+                    });
+                    groups[group].push(ci);
+                    ConfigPath::Frame { group }
+                }
+            })
+            .collect();
 
         // Every shared artefact gets a preassigned write-once slot. Tasks
         // fill them exactly once; the scheduler's dependency edges
         // sequence every fill before its reads, whatever worker runs what
         // — which is what keeps the reports byte-identical across
         // schedules.
-        let slots = captured.len();
         Job {
             stream,
             configs,
@@ -449,93 +400,111 @@ impl<'a> Job<'a> {
             plan_of,
             path_of,
             requests,
-            captured,
-            needs_plan,
-            batch: None,
+            groups,
             plans: (0..n_plans).map(|_| OnceLock::new()).collect(),
-            captures: (0..slots).map(|_| OnceLock::new()).collect(),
             evals: (0..n_plans).map(|_| OnceLock::new()).collect(),
+            outcomes: (0..configs.len()).map(|_| Mutex::new(None)).collect(),
             out: (0..configs.len()).map(|_| OnceLock::new()).collect(),
-            run_cost: vec![0; configs.len()],
         }
     }
 
-    /// Adds this job's tasks to `graph` in pipeline order (plans,
-    /// captures, evals, runs), so every dependency edge points backward —
-    /// the DAG the scheduler requires holds by construction. Tasks are
-    /// costed by a model scaled to this job's stream.
+    /// Adds this job's tasks to `graph` in pipeline order (plans, evals,
+    /// frame groups, reports), so every dependency edge points backward —
+    /// the DAG the scheduler requires holds by construction. Each task is
+    /// listed with its cost, from a model scaled to this job's stream.
     fn add_tasks(
-        &mut self,
+        &self,
         job: usize,
         graph: &mut TaskGraph,
-        tasks: &mut Vec<(usize, SweepTask)>,
+        tasks: &mut Vec<(usize, SweepTask, u64)>,
     ) {
         let model = CostModel::for_stream(self.stream.fragments().len() as u64);
-        let mut plan_task = vec![usize::MAX; self.plans.len()];
-        for (pi, &needed) in self.needs_plan.iter().enumerate() {
-            if needed {
-                tasks.push((job, SweepTask::Plan(pi)));
-                plan_task[pi] = graph.add(model.plan_build());
-            }
-        }
-        let mut capture_task = vec![usize::MAX; self.captured.len()];
-        for (slot, &(pi, _)) in self.captured.iter().enumerate() {
-            tasks.push((job, SweepTask::Capture(slot)));
-            capture_task[slot] = graph.add(model.capture());
-            graph.depend(capture_task[slot], plan_task[pi]);
-        }
-        let mut eval_task = vec![usize::MAX; self.plans.len()];
-        for (pi, reqs) in self.requests.iter().enumerate() {
-            if reqs.is_empty() {
-                continue;
-            }
-            tasks.push((job, SweepTask::Eval(pi)));
-            // The evaluation first pivots its plan's line trace out of the
-            // batch.
-            let cost = model.lane_pivot().saturating_add(model.trace_eval(reqs.len()));
-            eval_task[pi] = graph.add(cost);
-            graph.depend(eval_task[pi], plan_task[pi]);
-        }
-        for (ci, &path) in self.path_of.iter().enumerate() {
-            let (cost, dep) = match path {
-                ConfigPath::Direct => (model.run_direct(), None),
-                ConfigPath::Captured { slot } => (model.run_captured(), Some(capture_task[slot])),
-                ConfigPath::Replay { .. } => {
-                    (model.run_replay(), Some(eval_task[self.plan_of[ci]]))
-                }
-            };
-            self.run_cost[ci] = cost;
-            tasks.push((job, SweepTask::Run(ci)));
+        let mut add = |task, cost, dep: Option<usize>| {
+            tasks.push((job, task, cost));
             let t = graph.add(cost);
             if let Some(dep) = dep {
                 graph.depend(t, dep);
             }
+            t
+        };
+        let mut eval_task = vec![usize::MAX; self.plans.len()];
+        for (pi, reqs) in self.requests.iter().enumerate() {
+            if !reqs.is_empty() {
+                let plan = add(SweepTask::Plan(pi), model.plan_build(), None);
+                // The evaluation first pivots its plan's line trace.
+                let cost = model.lane_pivot().saturating_add(model.trace_eval(reqs.len()));
+                eval_task[pi] = add(SweepTask::Eval(pi), cost, Some(plan));
+            }
         }
-    }
-
-    fn batch(&self) -> &FragBatch {
-        self.batch.as_ref().expect("shared-path tasks run on a pivoted batch")
+        let mut frame_task = Vec::with_capacity(self.groups.len());
+        for (g, members) in self.groups.iter().enumerate() {
+            let cost = model.plan_build()
+                + self.models(g).len() as u64 * model.capture()
+                + members.len() as u64 * model.run_captured();
+            frame_task.push(add(SweepTask::Frame(g), cost, None));
+        }
+        for (ci, &path) in self.path_of.iter().enumerate() {
+            match path {
+                // Reading a report out of its group's timing costs next to
+                // nothing.
+                ConfigPath::Frame { group } => {
+                    add(SweepTask::Run(ci), 1, Some(frame_task[group]))
+                }
+                ConfigPath::Replay { .. } => {
+                    add(SweepTask::Run(ci), model.run_replay(), Some(eval_task[self.plan_of[ci]]))
+                }
+            };
+        }
     }
 
     fn plan(&self, pi: usize) -> &RoutingPlan {
         self.plans[pi].get().expect("a plan is built before its readers run")
     }
 
+    /// Runs frame group `g` over the stream, leaving each member's timing
+    /// and cache counters for its report; `host` times each window's
+    /// route and cache pass.
+    fn run_frame<H: HostSink>(&self, g: usize, host: &H) {
+        let members = &self.groups[g];
+        let mut group = FrameGroup::new(members.iter().map(|&ci| &self.configs[ci]).collect());
+        let timings = group.run_frame(self.stream, &mut NullSink, host);
+        for (k, (&ci, timing)) in members.iter().zip(timings).enumerate() {
+            let slot = &mut *self.outcomes[ci].lock().expect("outcome slot poisoned");
+            let outcome = (timing, group.counters(k).collect());
+            assert!(slot.replace(outcome).is_none(), "each frame group runs once");
+        }
+    }
+
     /// Config `ci`'s report, down its path.
     fn run(&self, ci: usize) -> RunReport {
-        let (config, plan) = (&self.configs[ci], self.plan_of[ci]);
+        let config = &self.configs[ci];
         match self.path_of[ci] {
-            ConfigPath::Direct => Machine::new(config.clone()).run(self.stream),
-            ConfigPath::Captured { slot } => {
-                let capture = self.captures[slot].get().expect("captured path has a capture");
-                capture.replay(config, self.stream, self.plan(plan))
+            ConfigPath::Frame { .. } => {
+                let taken = self.outcomes[ci].lock().expect("outcome slot poisoned").take();
+                let (timing, counters) = taken.expect("a frame group runs before its reports");
+                timing.report(config.summary(), self.stream, counters)
             }
             ConfigPath::Replay { geom, classify } => {
+                let plan = self.plan_of[ci];
                 let eval = self.evals[plan].get().expect("replay path has an evaluation");
                 let (nodes, counters) = walk_misses(eval, geom, classify);
                 replay_timing(config, self.stream, self.plan(plan), nodes, counters)
             }
         }
+    }
+
+    /// Frame group `g`'s distinct cache models, each with the number of
+    /// its configs that mount it.
+    fn models(&self, g: usize) -> Vec<(CacheKind, u64)> {
+        let mut models: Vec<(CacheKind, u64)> = Vec::new();
+        for &ci in &self.groups[g] {
+            let cache = self.configs[ci].cache;
+            match models.iter_mut().find(|(model, _)| *model == cache) {
+                Some((_, uses)) => *uses += 1,
+                None => models.push((cache, 1)),
+            }
+        }
+        models
     }
 }
 
@@ -545,25 +514,29 @@ impl<'a> Job<'a> {
 ///
 /// Each job is analysed on its own, exactly as a single sweep: its grid
 /// is grouped into routing plans by `(distribution, processors)`, each
-/// config's path (direct, captured or stack-distance replay) is picked,
-/// and its captures and trace evaluations get their slots. Each job's
-/// tasks are costed by a [`CostModel`] scaled to *its* stream, so
+/// config's path (frame group or stack-distance replay) is picked, and its
+/// frame groups and trace evaluations get their slots. Each job's tasks
+/// are costed by a [`CostModel`] scaled to *its* stream, so
 /// longest-first dispatch ranks work across scenes of different sizes and
 /// a small scene's configs fill the tail a big scene leaves idle.
 ///
-/// Every pipeline stage (batch pivot, plan build, path selection,
-/// captures, lane pivots, stack-distance evaluation, per-config runs)
-/// runs under a named [`HostSink`] span, per-config run times land in
-/// `host.run_ns.{direct,captured,replay}` histograms, and every worker
-/// thread reports `busy`/`wall` utilization for the `run-configs` stage.
+/// Every pipeline stage (path selection, plan build, lane pivots,
+/// stack-distance evaluation, frame groups and per-config reports) runs
+/// under a named [`HostSink`] span. A frame group runs under a
+/// `run-configs` span, with each window's route and cache pass under
+/// `plan-build` and `capture` child spans; its time lands in the
+/// `host.run_ns.frame` histogram, a replayed config's in
+/// `host.run_ns.replay`, and every worker thread reports `busy`/`wall`
+/// utilization for the `run-configs` stage.
 ///
-/// The pipeline runs on the work-stealing pool in [`crate::sched`]: plan
-/// builds, captures, trace evaluations and per-config runs of every job
-/// become one dependency-ordered task batch, dispatched longest-first, so
-/// the capture of plan A overlaps the evaluation of plan B and no phase
-/// barrier serializes the tail. Every task writes one preassigned
-/// [`OnceLock`] slot, so the reports are byte-identical to one
-/// [`run_sweep`] per job, across thread counts and steal interleavings.
+/// The pipeline runs on the work-stealing pool in [`crate::sched`]:
+/// Mattson-walk plan builds, trace evaluations, frame groups and
+/// per-config reports of every job become one dependency-ordered task
+/// batch, dispatched longest-first, so the frame group of plan A overlaps
+/// the evaluation of plan B and no phase barrier serializes the tail.
+/// Every task writes one preassigned [`OnceLock`] slot, so the reports are
+/// byte-identical to one [`run_sweep`] per job, across thread counts and
+/// steal interleavings.
 ///
 /// With [`NullHostSink`] (how [`run_sweep`] and friends call it) the
 /// instrumentation monomorphizes to nothing — the sweep bench's
@@ -607,7 +580,7 @@ pub fn run_sweeps<S: HostSink>(
     // before any plan is built, so the whole pipeline can be scheduled as
     // one task batch.
     let path_span = sink.span("path-select");
-    let mut jobs: Vec<Job> = jobs
+    let jobs: Vec<Job> = jobs
         .iter()
         .map(|&(stream, configs)| Job::analyse(stream, configs))
         .collect();
@@ -616,39 +589,43 @@ pub fn run_sweeps<S: HostSink>(
         sink.count("sweep.configs", n_configs as u64);
         for job in &jobs {
             sink.count("sweep.plans", job.plans.len() as u64);
-            sink.count("sweep.captures", job.captured.len() as u64);
-            for path in &job.path_of {
-                sink.count(
-                    match path {
-                        ConfigPath::Direct => "sweep.path.direct",
-                        ConfigPath::Captured { .. } => "sweep.path.captured",
-                        ConfigPath::Replay { .. } => "sweep.path.replay",
-                    },
-                    1,
-                );
+            // A frame-group config whose cache model another config of
+            // its group shares counts as captured, any other as direct.
+            let (mut captures, mut captured, mut direct) = (0, 0, 0);
+            for g in 0..job.groups.len() {
+                for (_, uses) in job.models(g) {
+                    if uses >= 2 {
+                        captures += 1;
+                        captured += uses;
+                    } else {
+                        direct += 1;
+                    }
+                }
+            }
+            let replay = job.configs.len() as u64 - captured - direct;
+            sink.count("sweep.captures", captures);
+            for (path, n) in [
+                ("sweep.path.direct", direct),
+                ("sweep.path.captured", captured),
+                ("sweep.path.replay", replay),
+            ] {
+                if n > 0 {
+                    sink.count(path, n);
+                }
             }
         }
     }
 
-    // A job's footprint batch (the 8 line-id expansion plus dense
-    // coordinate lanes, one pivot per stream) feeds its plan builds,
-    // capture passes and replay lane pivots.
-    for job in &mut jobs {
-        if job.needs_plan.contains(&true) {
-            let _s = sink.span("batch-pivot");
-            job.batch = Some(FragBatch::from_stream(job.stream));
-        }
-    }
-
     let mut graph = TaskGraph::new();
-    let mut tasks: Vec<(usize, SweepTask)> = Vec::new();
-    for (j, job) in jobs.iter_mut().enumerate() {
+    let mut tasks: Vec<(usize, SweepTask, u64)> = Vec::new();
+    for (j, job) in jobs.iter().enumerate() {
         job.add_tasks(j, &mut graph, &mut tasks);
     }
 
     // Per-worker accounting for the run-configs stage, over a *shared*
-    // window (first config started → last config finished), so a worker
-    // that runs out of configs early reads as idle, not as a shorter wall.
+    // window (first frame group or report started → last finished), so a
+    // worker that runs out of work early reads as idle, not as a shorter
+    // wall.
     let workers = options.threads.min(n_configs);
     let t_origin = Instant::now();
     let rc_busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
@@ -657,32 +634,46 @@ pub fn run_sweeps<S: HostSink>(
     let window_end = AtomicU64::new(0);
 
     let elapsed_ns = |origin: &Instant| origin.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    // Runs one run-configs task and accounts it to worker `widx`: its
+    // time into histogram `ns`, if any, and its cost-model error when it
+    // carries a `predicted` cost; `configs` counts the configs it reports.
+    let run_configs =
+        |widx: usize, ns: Option<&'static str>, predicted: u64, configs: u64, f: &dyn Fn()| {
+            let _s = sink.span("run-configs");
+            let start = S::ENABLED.then(|| elapsed_ns(&t_origin));
+            f();
+            if let Some(start) = start {
+                let end = elapsed_ns(&t_origin);
+                let took = end.saturating_sub(start);
+                window_start.fetch_min(start, Ordering::Relaxed);
+                window_end.fetch_max(end, Ordering::Relaxed);
+                rc_busy[widx].fetch_add(took, Ordering::Relaxed);
+                rc_items[widx].fetch_add(configs, Ordering::Relaxed);
+                if let Some(ns) = ns {
+                    sink.observe(ns, took);
+                    // Cost-model feedback: per-task |predicted − actual| as a
+                    // percentage of predicted, kept as a log2 histogram so the
+                    // LPT estimates stay honest as the simulator evolves.
+                    let err_pct = took.abs_diff(predicted) * 100 / predicted;
+                    sink.observe("sweep.cost_err_pct", err_pct);
+                }
+            }
+        };
     let exec = |t: usize, widx: usize| {
-        let (j, task) = tasks[t];
+        let (j, task, cost) = tasks[t];
         let job = &jobs[j];
         match task {
             SweepTask::Plan(pi) => {
                 let _s = sink.span("plan-build");
                 let rep = &job.configs[job.plan_rep[pi]];
-                let built = RoutingPlan::build_with(
-                    job.stream,
-                    job.batch(),
-                    &rep.distribution,
-                    rep.processors,
-                );
+                let built = RoutingPlan::build(job.stream, &rep.distribution, rep.processors);
                 assert!(job.plans[pi].set(built).is_ok(), "one build per plan group");
-            }
-            SweepTask::Capture(slot) => {
-                let _s = sink.span("capture");
-                let (pi, kind) = job.captured[slot];
-                let capture = capture_direct(kind, job.batch(), job.stream, job.plan(pi));
-                assert!(job.captures[slot].set(capture).is_ok(), "one capture per slot");
             }
             SweepTask::Eval(pi) => {
                 let _s = sink.span("trace-eval");
                 let trace = {
                     let _p = sink.span("lane-pivot");
-                    line_trace(job.batch(), job.stream, job.plan(pi))
+                    capture_line_trace(job.stream, job.plan(pi))
                 };
                 let requests = &job.requests[pi];
                 sink.observe("cache.eval_requests", requests.len() as u64);
@@ -692,35 +683,17 @@ pub fn run_sweeps<S: HostSink>(
                 };
                 assert!(job.evals[pi].set(eval).is_ok(), "one evaluation per plan");
             }
+            SweepTask::Frame(g) => {
+                run_configs(widx, Some("host.run_ns.frame"), cost, 0, &|| job.run_frame(g, sink));
+            }
             SweepTask::Run(ci) => {
-                let _s = sink.span("run-configs");
-                let start = S::ENABLED.then(|| elapsed_ns(&t_origin));
-                assert!(job.out[ci].set(job.run(ci)).is_ok(), "each config runs once");
-                if let Some(start) = start {
-                    let end = elapsed_ns(&t_origin);
-                    let took = end.saturating_sub(start);
-                    // One report per config, timed into a per-path
-                    // histogram: the replay-speedup evidence in
-                    // METRICS_sweep.json.
-                    sink.observe(
-                        match job.path_of[ci] {
-                            ConfigPath::Direct => "host.run_ns.direct",
-                            ConfigPath::Captured { .. } => "host.run_ns.captured",
-                            ConfigPath::Replay { .. } => "host.run_ns.replay",
-                        },
-                        took,
-                    );
-                    window_start.fetch_min(start, Ordering::Relaxed);
-                    window_end.fetch_max(end, Ordering::Relaxed);
-                    rc_busy[widx].fetch_add(took, Ordering::Relaxed);
-                    rc_items[widx].fetch_add(1, Ordering::Relaxed);
-                    // Cost-model feedback: per-config |predicted − actual|
-                    // as a percentage of predicted, kept as a log2
-                    // histogram so the LPT estimates stay honest as the
-                    // simulator evolves.
-                    let predicted = job.run_cost[ci].max(1);
-                    sink.observe("sweep.cost_err_pct", took.abs_diff(predicted) * 100 / predicted);
-                }
+                let ns = match job.path_of[ci] {
+                    ConfigPath::Frame { .. } => None,
+                    ConfigPath::Replay { .. } => Some("host.run_ns.replay"),
+                };
+                run_configs(widx, ns, cost, 1, &|| {
+                    assert!(job.out[ci].set(job.run(ci)).is_ok(), "each config runs once");
+                });
             }
         }
     };
@@ -753,8 +726,8 @@ pub fn run_sweeps<S: HostSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CacheKind;
     use crate::distribution::Distribution;
+    use crate::machine::Machine;
     use sortmid_scene::{Benchmark, SceneBuilder};
 
     #[test]
@@ -807,9 +780,9 @@ mod tests {
     #[test]
     fn replay_path_matches_direct_runs() {
         // A grid dense in cache geometries (every size 512 B–64 KB × ways
-        // 1–8, enough for the Mattson walk) next to captured and lone
-        // configs: every report, whichever path made it, must equal the
-        // config's own `Machine::run`.
+        // 1–8, enough for the Mattson walk) next to frame-group configs:
+        // every report, whichever path made it, must equal the config's
+        // own `Machine::run`.
         let stream = SceneBuilder::benchmark(Benchmark::Quake)
             .scale(0.1)
             .build()
@@ -838,11 +811,11 @@ mod tests {
 
     #[test]
     fn captured_path_matches_direct_runs_for_unreplayable_kinds() {
-        // The (plan, cache-model) capture path serves exactly the kinds the
-        // stack-distance machinery cannot express: perfect, two-level,
-        // victim, and DRAM-backed machines. Pairs of configs differing only
-        // in buffer depth share one capture; every synthesized report must
-        // equal the direct engine's.
+        // Frame groups serve the kinds the stack-distance machinery
+        // cannot express: perfect, two-level, victim, and DRAM-backed
+        // machines. Pairs of configs differing only in buffer depth share
+        // one cache pass per window; every report must equal the config's
+        // own `Machine::run`.
         let stream = SceneBuilder::benchmark(Benchmark::Quake)
             .scale(0.1)
             .build()

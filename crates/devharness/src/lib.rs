@@ -12,7 +12,7 @@
 //! * [`prop`] — a property-test runner over a recorded *choice tape*, with
 //!   configurable case counts, seed reporting on failure, and
 //!   shrink-towards-zero minimisation of counterexamples;
-//! * [`bench`] — a criterion-style bench suite (warmup, N timed iterations,
+//! * [`bench`](mod@bench) — a criterion-style bench suite (warmup, N timed iterations,
 //!   median/p10/p90, optional throughput) that writes machine-readable
 //!   `BENCH_<name>.json` files so the perf trajectory is tracked across PRs;
 //! * [`json`] — the minimal JSON document model the bench writer emits.

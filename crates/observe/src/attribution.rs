@@ -1,7 +1,7 @@
 //! Per-tile and per-node attribution of fragments, setup cycles and
 //! classified cache misses.
 //!
-//! [`SpatialCollector`] is a [`TraceSink`](crate::TraceSink) that listens
+//! [`SpatialCollector`] is a [`TraceSink`] that listens
 //! to the machine's *spatial* hooks (per-fragment samples and per-triangle
 //! setup padding) instead of the temporal event stream. During a traced
 //! run it bins every sample into a [`ScreenGrid`] of [`TileStats`] and

@@ -41,13 +41,11 @@
 //! # Ok::<(), sortmid_texture::TextureError>(())
 //! ```
 
-pub mod batch;
 pub mod fragment;
 pub mod io;
 pub mod setup;
 pub mod stream;
 
-pub use batch::FragBatch;
 pub use fragment::{Fragment, TriangleRecord};
 pub use io::{read_stream, write_stream, StreamIoError};
 pub use setup::TriangleSetup;

@@ -82,12 +82,11 @@ impl<'a> TrilinearSampler<'a> {
 /// Converts a fragment's 8-texel trilinear footprint into its 8 cache-line
 /// ids, in probe order.
 ///
-/// This is the struct-of-arrays pivot the batched fragment core builds on:
-/// the machine only ever probes the cache at *line* granularity, so
-/// flattening footprints into contiguous line-id lanes up front removes the
-/// per-probe `TexelAddr` walk from the hot loop. Each 2×2 bilinear quad
-/// usually sits inside one or two 4×4 blocks, so lanes carry runs of equal
-/// line ids — exactly what the batched probes collapse.
+/// The machine only ever probes the cache at *line* granularity, so its
+/// batched fragment core reads each footprint as one 8-wide line-id lane.
+/// Each 2×2 bilinear quad usually sits inside one or two 4×4 blocks, so
+/// lanes carry runs of equal line ids — exactly what the batched probes
+/// collapse.
 #[inline]
 pub fn footprint_lines(texels: &[TexelAddr; TEXELS_PER_FRAGMENT]) -> [u32; TEXELS_PER_FRAGMENT] {
     let mut out = [0u32; TEXELS_PER_FRAGMENT];

@@ -27,6 +27,11 @@ else
     echo "==> cargo clippy not installed; skipping lint step"
 fi
 
+# Rustdoc lane: broken or private intra-doc links fail the gate, so docs
+# cannot keep pointing at deleted items.
+echo "==> cargo doc --workspace --no-deps --offline (RUSTDOCFLAGS: -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Smoke-run the sweep bench (1 sample, tiny scene — includes the
 # grid/trace-replay lanes pricing 102 and 32 cache configs, each from one
 # Mattson walk), the trace bin (tiny preset) and the heatmap bin (tiny

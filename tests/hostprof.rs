@@ -5,7 +5,7 @@
 //! `busy + idle == wall`) while covering the named pipeline phases.
 
 use sortmid::{
-    run_sweep_profiled, run_sweep_with_options, CacheKind, Distribution, HostProfile,
+    run_sweep_profiled, run_sweep_with_threads, CacheKind, Distribution, HostProfile,
     HostProfiler, Machine, SweepGrid, SweepOptions,
 };
 use sortmid_cache::{CacheGeometry, STACKDIST_MIN_REQUESTS};
@@ -51,7 +51,7 @@ fn profiled_run() -> HostProfile {
     let options = SweepOptions { threads: 3 };
     let prof = HostProfiler::new();
     let profiled = run_sweep_profiled(&s, &configs, options, &prof);
-    let plain = run_sweep_with_options(&s, &configs, options);
+    let plain = run_sweep_with_threads(&s, &configs, options.threads);
     assert_eq!(
         profiled, plain,
         "host profiling must not perturb the simulation"
@@ -71,7 +71,6 @@ fn profiled_sweep_is_identical_and_profile_verifies() {
     );
     for phase in [
         "run-sweep",
-        "batch-pivot",
         "plan-build",
         "path-select",
         "lane-pivot",
@@ -223,7 +222,7 @@ fn sequential_sweep_still_reports_a_worker() {
     let options = SweepOptions { threads: 1 };
     let prof = HostProfiler::new();
     let profiled = run_sweep_profiled(&s, &configs, options, &prof);
-    assert_eq!(profiled, run_sweep_with_options(&s, &configs, options));
+    assert_eq!(profiled, run_sweep_with_threads(&s, &configs, options.threads));
     let profile = prof.finish();
     profile.verify().unwrap();
     let rc: Vec<_> = profile.workers.iter().filter(|w| w.lane == "run-configs").collect();

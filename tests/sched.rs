@@ -6,8 +6,8 @@
 //! per scene.
 
 use sortmid::{
-    run_sweep_with_options, run_sweep_with_threads, run_sweeps, CacheKind, Distribution,
-    HostProfiler, Machine, MachineConfig, NullHostSink, SweepGrid, SweepOptions,
+    run_sweep_with_threads, run_sweeps, CacheKind, Distribution, HostProfiler, Machine,
+    MachineConfig, NullHostSink, SweepGrid, SweepOptions,
 };
 use sortmid_cache::{CacheGeometry, STACKDIST_MIN_REQUESTS};
 use sortmid_devharness::json::Json;
@@ -55,9 +55,9 @@ fn options(threads: usize) -> SweepOptions {
 fn work_stealing_reports_are_identical_across_thread_counts() {
     let s = stream();
     let configs = mixed_grid();
-    let reference = run_sweep_with_options(&s, &configs, options(1));
+    let reference = run_sweep_with_threads(&s, &configs, 1);
     for threads in [2usize, 3, 8] {
-        let swept = run_sweep_with_options(&s, &configs, options(threads));
+        let swept = run_sweep_with_threads(&s, &configs, threads);
         assert_eq!(swept, reference, "work-stealing schedule at {threads} threads");
     }
 }
@@ -67,9 +67,9 @@ fn work_stealing_reports_are_identical_across_repeated_runs() {
     // Steal interleavings differ run to run; the reports must not.
     let s = stream();
     let configs = mixed_grid();
-    let reference = run_sweep_with_options(&s, &configs, options(3));
+    let reference = run_sweep_with_threads(&s, &configs, 3);
     for round in 0..3 {
-        let swept = run_sweep_with_options(&s, &configs, options(3));
+        let swept = run_sweep_with_threads(&s, &configs, 3);
         assert_eq!(swept, reference, "repeated work-stealing run {round}");
     }
 }
@@ -83,7 +83,7 @@ fn scheduler_reports_match_direct_runs_at_every_thread_count() {
     let configs = mixed_grid();
     let direct: Vec<_> = configs.iter().map(|c| Machine::new(c.clone()).run(&s)).collect();
     for threads in [1usize, 2, 3, 8] {
-        let swept = run_sweep_with_options(&s, &configs, options(threads));
+        let swept = run_sweep_with_threads(&s, &configs, threads);
         for ((config, report), direct) in configs.iter().zip(&swept).zip(&direct) {
             assert_eq!(report, direct, "{} at {threads} threads", config.summary());
         }

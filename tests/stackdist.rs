@@ -12,8 +12,8 @@
 //! grid so the equivalence is exercised far beyond the reference sweep.
 
 use sortmid::{
-    capture_line_trace, run_sweep_with_options, CacheKind, Distribution, Machine, MachineConfig,
-    RoutingPlan, RunReport, SweepOptions,
+    capture_line_trace, run_sweep_with_threads, CacheKind, Distribution, Machine, MachineConfig,
+    RoutingPlan, RunReport,
 };
 use sortmid_cache::{
     evaluate_trace, CacheGeometry, CacheStats, ClassifyingCache, FragmentMisses, GeometryRequest,
@@ -205,11 +205,7 @@ fn prop_stackdist_replay_equals_direct() {
                     configs.push(config_for(dist, *procs, CacheKind::SetAssoc(g), 100));
                 }
             }
-            let replayed = run_sweep_with_options(
-                s,
-                &configs,
-                SweepOptions { threads: 1 },
-            );
+            let replayed = run_sweep_with_threads(s, &configs, 1);
             let direct: Vec<RunReport> =
                 configs.iter().map(|c| Machine::new(c.clone()).run(s)).collect();
             prop_assert_eq!(replayed.len(), direct.len());
@@ -327,7 +323,7 @@ fn prop_mixed_grid_sweep_is_path_independent() {
             for g in walk_geometries() {
                 configs.push(config_for(dist, *procs, CacheKind::SetAssoc(g), *buffer));
             }
-            let replayed = run_sweep_with_options(s, &configs, SweepOptions { threads: 2 });
+            let replayed = run_sweep_with_threads(s, &configs, 2);
             let direct: Vec<RunReport> =
                 configs.iter().map(|c| Machine::new(c.clone()).run(s)).collect();
             for (r, d) in replayed.iter().zip(&direct) {
