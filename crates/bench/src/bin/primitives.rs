@@ -3,7 +3,7 @@
 
 use sortmid::Distribution;
 use sortmid_bench::stream;
-use sortmid_cache::{CacheGeometry, LineCache, SetAssocCache};
+use sortmid_cache::{CacheGeometry, ClassifyingCache, LineCache, SetAssocCache};
 use sortmid_devharness::Suite;
 use sortmid_memsys::{BusConfig, EngineTiming};
 use sortmid_scene::{Benchmark, SceneBuilder};
@@ -27,6 +27,15 @@ fn bench_cache(suite: &mut Suite) {
     };
     suite.bench_with_elements("cache/set_assoc_16k_4way", accesses.len() as u64, || {
         let mut cache = SetAssocCache::new(CacheGeometry::paper_l1());
+        for &l in &accesses {
+            black_box(cache.access_line(l));
+        }
+        cache.stats().misses()
+    });
+    // The same sequence through the three-C classifier: the difference
+    // between the two rows is the per-access cost of classification.
+    suite.bench_with_elements("cache/classifying_16k_4way", accesses.len() as u64, || {
+        let mut cache = ClassifyingCache::new(CacheGeometry::paper_l1());
         for &l in &accesses {
             black_box(cache.access_line(l));
         }

@@ -145,13 +145,14 @@ impl SetAssocCache {
         hit
     }
 
-    /// Bulk-records hits whose probes were provably skippable (consecutive
-    /// duplicate lines are always MRU hits with no state change). Exposed
-    /// to [`ClassifyingCache`](crate::ClassifyingCache), whose batched path
-    /// skips the same runs but owns this cache privately.
+    /// Bulk-records a lane's hits and misses, for callers that resolved
+    /// it through [`probe_insert`](Self::probe_insert). Exposed to
+    /// [`ClassifyingCache`](crate::ClassifyingCache), whose batched path
+    /// owns this cache privately.
     #[inline]
-    pub(crate) fn record_lane_hits(&mut self, n: u64) {
-        self.stats.record_hits(n);
+    pub(crate) fn record_lane(&mut self, hits: u64, misses: u64) {
+        self.stats.record_hits(hits);
+        self.stats.record_misses(misses);
     }
 }
 
@@ -211,8 +212,7 @@ impl LineCache for SetAssocCache {
                 misses += 1;
             }
         }
-        self.stats.record_hits(hits);
-        self.stats.record_misses(misses as u64);
+        self.record_lane(hits, misses as u64);
         misses
     }
 

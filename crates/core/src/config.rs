@@ -41,6 +41,18 @@ impl CacheKind {
             CacheKind::Victim(g, slots) => AnyCache::from(VictimCache::new(*g, *slots as usize)),
         }
     }
+
+    /// The built model's [`AnyCache::label`], without building it (a
+    /// two-level model allocates its whole L2).
+    pub fn label(&self) -> &'static str {
+        match self {
+            CacheKind::Perfect => "perfect",
+            CacheKind::PaperL1 | CacheKind::SetAssoc(_) => "set-assoc",
+            CacheKind::Classifying(_) => "classifying",
+            CacheKind::TwoLevel(..) => "two-level",
+            CacheKind::Victim(..) => "victim",
+        }
+    }
 }
 
 impl fmt::Display for CacheKind {
@@ -318,19 +330,30 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn cache_kinds_build() {
-        for kind in [
+    fn every_kind() -> [CacheKind; 6] {
+        [
             CacheKind::Perfect,
             CacheKind::PaperL1,
             CacheKind::SetAssoc(CacheGeometry::paper_l1()),
             CacheKind::Classifying(CacheGeometry::paper_l1()),
             CacheKind::TwoLevel(CacheGeometry::paper_l1(), CacheGeometry::paper_l2()),
             CacheKind::Victim(CacheGeometry::paper_l1(), 8),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn cache_kinds_build() {
+        for kind in every_kind() {
             let mut cache = kind.build_model();
             cache.access_line(1);
             assert_eq!(cache.stats().accesses(), 1, "{kind}");
+        }
+    }
+
+    #[test]
+    fn label_matches_built_model() {
+        for kind in every_kind() {
+            assert_eq!(kind.label(), kind.build_model().label(), "{kind}");
         }
     }
 

@@ -208,7 +208,7 @@ impl Machine {
 
     /// Per-node track labels for trace exports: `node <i> (<cache model>)`.
     pub fn node_labels(&self) -> Vec<String> {
-        let label = self.config.cache.build_model().label();
+        let label = self.config.cache.label();
         (0..self.config.processors)
             .map(|i| format!("node {i} ({label})"))
             .collect()

@@ -103,6 +103,11 @@ cargo test -q --release --offline --test batched
 echo "==> stack-distance-vs-direct property lane (release)"
 cargo test -q --release --offline --test stackdist
 
+# The cache crate in release: the classifier's oracle-vs-naive-LRU and
+# the lane-vs-scalar properties, at the codegen the engine ships.
+echo "==> cache crate property lanes (release)"
+cargo test -q --release --offline -p sortmid-cache
+
 # Benchmark smoke runs of every workload: a run whose identity,
 # pixel-conservation or digest-stability checks fail exits nonzero. The
 # two sweep workloads also check a 1-in-64 sample of their reports
