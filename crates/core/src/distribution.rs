@@ -583,7 +583,7 @@ mod tests {
                 (
                     g.i32_in(0..2048),
                     g.i32_in(0..2048),
-                    g.u32_in(1..128),
+                    g.u32_in(1..129),
                     g.u32_in(1..64),
                 )
             },
@@ -609,7 +609,7 @@ mod tests {
                 (
                     (g.i32_in(0..200), g.i32_in(0..200)),
                     (g.i32_in(1..60), g.i32_in(1..60)),
-                    g.u32_in(1..65),
+                    g.u32_in(1..129),
                     g.u32_in(1..40),
                 )
             },

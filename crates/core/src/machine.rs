@@ -456,6 +456,46 @@ mod tests {
         }
     }
 
+    #[test]
+    fn tiny_buffer_reports_and_events_are_pinned() {
+        // FNV-1a digests of the Debug text of the report and of the traced
+        // event stream, where the broadcast FIFO gates hardest: buffers of
+        // 1–5 triangles at 64 and 128 processors (the mask's top bit set).
+        // Recorded on the per-node FIFO timing walk, before the machine's
+        // broadcast gate became one ring.
+        use sortmid_observe::provenance::fnv1a_64;
+        use sortmid_observe::TraceRecorder;
+        let s = stream();
+        let (b16, sli1) = (Distribution::block(16), Distribution::sli(1));
+        let (perfect, l1) = (CacheKind::Perfect, CacheKind::PaperL1);
+        let machines = [
+            (64, &b16, perfect, 1, 0xcc258ba1443a0713, 0x974030e44ee69162),
+            (64, &b16, l1, 1, 0x6dae83fe105c4a6d, 0xc90d00a504ebe6e9),
+            (64, &b16, perfect, 5, 0x05a2d4fdf3012792, 0x4d4f67c116b9ec96),
+            (64, &b16, l1, 5, 0x00adb003da69fea0, 0xff890bb2e2904274),
+            (128, &sli1, perfect, 2, 0xf91899cbdbf58bfd, 0x2935c1ead14fdb0c),
+            (128, &sli1, l1, 2, 0x59a89a1328b4febd, 0x26cd59dc85252b64),
+        ];
+        for (procs, dist, cache, buffer, want_report, want_events) in machines {
+            let mut cfg = config(procs, dist.clone(), cache);
+            cfg.triangle_buffer = buffer;
+            let mut events = TraceRecorder::new();
+            let machine = Machine::new(cfg.clone());
+            let report = machine.run_traced(&s, &mut events);
+            assert_eq!(machine.run(&s), report, "untraced walk: {}", cfg.summary());
+            let report_digest = fnv1a_64(format!("{report:?}").into_bytes());
+            let event_digest = fnv1a_64(
+                events.events().iter().flat_map(|e| format!("{e:?}").into_bytes()),
+            );
+            assert_eq!(
+                (report_digest, event_digest),
+                (want_report, want_events),
+                "{}: ({report_digest:#018x}, {event_digest:#018x})",
+                cfg.summary()
+            );
+        }
+    }
+
     /// A stream spanning several windows: two runs of small triangles with
     /// one screen-filling triangle, larger than a window, between them.
     /// Every fifth small triangle is a sliver that covers no pixel centre:

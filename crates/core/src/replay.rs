@@ -303,12 +303,31 @@ pub(crate) fn setup_anchor(bbox: &Rect) -> (u16, u16) {
 }
 
 /// The machine's timing over one frame, resumable window by window: the
-/// in-order geometry stage broadcasting every triangle, each node's FIFO
-/// backpressure, and each engine's scan, bus-stall and setup-floor timing.
+/// in-order geometry stage broadcasting every triangle, the FIFO
+/// backpressure that gates it, and each engine's scan, bus-stall and
+/// setup-floor timing.
+///
+/// Every triangle enters every node's FIFO, so all the FIFOs hold the
+/// same triangles in the same order, and one ring stands for them all.
+/// Node *n* dequeues triangle *j* at `max(send_j, engine_free_n)` whether
+/// it draws or discards it, and a discard leaves the engine untouched. So
+/// the latest dequeue of triangle *j* over all nodes is
+/// `max(send_j, F_j)`, where `F_j` is the latest engine-free time of any
+/// node before *j*; triangle *k* may be sent once triangle *k − B* has
+/// left that ring. Engine-free times only move in a draw, so `F` is a
+/// running max of the draws' finish times, and an untraced walk visits
+/// only the nodes a triangle overlaps.
 pub(crate) struct Timing {
     geometry_cycles: Cycle,
     pub(crate) nodes: Vec<NodeTiming>,
+    /// The broadcast gate: the latest dequeue over all nodes of each of
+    /// the last `B` triangles sent.
+    fifo: TriangleFifo,
     send_time: Cycle,
+    /// The latest engine-free time of any node so far.
+    engine_free: Cycle,
+    /// Triangles broadcast so far: each node drew or discarded every one.
+    broadcast: u64,
     pub(crate) routed: u64,
 }
 
@@ -318,15 +337,19 @@ impl Timing {
         Timing {
             geometry_cycles: config.geometry_cycles_per_triangle,
             nodes: (0..config.processors).map(|_| NodeTiming::new(config)).collect(),
+            fifo: TriangleFifo::new(config.triangle_buffer),
             send_time: 0,
+            engine_free: 0,
+            broadcast: 0,
             routed: 0,
         }
     }
 
     /// Walks the triangles routed into `plan` as
     /// [`Machine`](crate::Machine) describes — broadcast, FIFO
-    /// backpressure, setup floor — driving each node's engine through its
-    /// recorded `misses`. `sink` receives the events in simulation order.
+    /// backpressure, setup floor — driving each overlapped node's engine
+    /// through its recorded `misses`. An enabled `sink` receives the
+    /// events of every node, discards included, in simulation order.
     pub(crate) fn advance<S: TraceSink>(
         &mut self,
         stream: &FragmentStream,
@@ -336,18 +359,22 @@ impl Timing {
     ) {
         assert_eq!(misses.len(), self.nodes.len(), "one miss source per node");
         self.routed += plan.routed();
+        // Every node, without shifting a u128 by 128 at 128 processors.
+        let all_nodes = u128::MAX >> (128 - self.nodes.len());
         for pt in &plan.triangles {
             // In-order producer: sending is gated by the geometry bus rate
-            // and by the fullest FIFO anywhere, and never goes back in time.
-            let mut send = self.send_time + self.geometry_cycles;
-            for node in &self.nodes {
-                send = send.max(node.fifo.earliest_send());
-            }
+            // and by the full FIFOs, and never goes back in time.
+            let send = (self.send_time + self.geometry_cycles).max(self.fifo.earliest_send());
             self.send_time = send;
+            self.fifo.record_start(send.max(self.engine_free));
+            self.broadcast += 1;
 
             let mut buckets = plan.triangle_buckets(pt, stream).peekable();
-            for (i, (node, misses)) in self.nodes.iter_mut().zip(misses.iter_mut()).enumerate() {
-                let id = i as u32;
+            let mut visit = if S::ENABLED { all_nodes } else { pt.mask };
+            while visit != 0 {
+                let i = visit.trailing_zeros() as usize;
+                visit &= visit - 1;
+                let (node, id) = (&mut self.nodes[i], i as u32);
                 if S::ENABLED {
                     sink.record(TraceEvent::FifoPush { node: id, at: send });
                 }
@@ -356,7 +383,8 @@ impl Timing {
                     // setup floor.
                     let owned = buckets.next_if(|&(owner, _)| owner == i);
                     let bucket = owned.map_or(&[][..], |(_, b)| b);
-                    node.draw(send, id, pt.tri, bucket, misses, stream, sink);
+                    let free = node.draw(send, id, pt.tri, bucket, &mut misses[i], stream, sink);
+                    self.engine_free = self.engine_free.max(free);
                 } else {
                     node.discard(send, id, pt.tri, sink);
                 }
@@ -371,19 +399,29 @@ impl Timing {
         stream: &FragmentStream,
         counters: impl IntoIterator<Item = CacheCounters>,
     ) -> RunReport {
-        let nodes = self.nodes.iter().zip(counters).map(|(node, c)| node.report(c)).collect();
+        let nodes = self
+            .nodes
+            .iter()
+            .zip(counters)
+            .map(|(node, c)| {
+                // A node discards every broadcast triangle it does not
+                // draw; sort-last draws without broadcasting, so saturate.
+                let discarded = self.broadcast.saturating_sub(node.triangles);
+                node.report(discarded, c)
+            })
+            .collect();
         RunReport::from_nodes(summary, nodes, stream, self.routed)
     }
 }
 
-/// One node's engine, triangle FIFO and work counters.
+/// One node's engine and work counters. The broadcast FIFO and the
+/// discard count belong to [`Timing`]: a discard has no engine side
+/// effect, so an untraced walk never visits a node for one.
 pub(crate) struct NodeTiming {
     engine: EngineTiming,
-    fifo: TriangleFifo,
     setup_cycles: Cycle,
     pixels: u64,
     triangles: u64,
-    discarded: u64,
 }
 
 impl NodeTiming {
@@ -394,17 +432,16 @@ impl NodeTiming {
                 Some(dram) => EngineTiming::with_dram(config.bus, config.prefetch_window, dram),
                 None => EngineTiming::new(config.bus, config.prefetch_window),
             },
-            fifo: TriangleFifo::new(config.triangle_buffer),
             setup_cycles: config.setup_cycles,
             pixels: 0,
             triangles: 0,
-            discarded: 0,
         }
     }
 
     /// Processes triangle `tri`, sent at `arrival`, whose fragments owned
     /// by this node (`node`) are `bucket` — possibly none, as the setup
-    /// floor applies regardless.
+    /// floor applies regardless. Returns the cycle the engine is free
+    /// again.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn draw<S: TraceSink>(
         &mut self,
@@ -415,9 +452,8 @@ impl NodeTiming {
         misses: &mut MissCursor<'_>,
         stream: &FragmentStream,
         sink: &mut S,
-    ) {
+    ) -> Cycle {
         let start = self.engine.start_triangle(arrival);
-        self.fifo.record_start(start);
         self.triangles += 1;
         self.pixels += bucket.len() as u64;
         if S::ENABLED {
@@ -431,25 +467,25 @@ impl NodeTiming {
             sink.record_setup(node, x, y, self.engine.last_setup_padding());
             sink.record(TraceEvent::TriRetire { node, tri, at: free });
         }
+        free
     }
 
-    /// Accepts a broadcast triangle whose bounding box misses this node's
-    /// region: the clipping hardware discards it for free, but it occupied
-    /// a FIFO slot until the engine reached it — that occupancy is the
-    /// whole point of Section 8's buffering study.
-    fn discard<S: TraceSink>(&mut self, arrival: Cycle, node: u32, tri: u32, sink: &mut S) {
+    /// Traces a broadcast triangle whose bounding box misses this node's
+    /// region: the clipping hardware discards it for free when the engine
+    /// reaches it, but it held a FIFO slot until then — that occupancy is
+    /// the whole point of Section 8's buffering study, and [`Timing`]'s
+    /// one ring accounts for it. Only traced walks visit a node to
+    /// discard.
+    fn discard<S: TraceSink>(&self, arrival: Cycle, node: u32, tri: u32, sink: &mut S) {
         let start = self.engine.engine_free().max(arrival);
-        self.fifo.record_start(start);
-        self.discarded += 1;
-        if S::ENABLED {
-            sink.record(TraceEvent::FifoPop { node, at: start });
-            sink.record(TraceEvent::TriDiscard { node, tri, at: start });
-        }
+        sink.record(TraceEvent::FifoPop { node, at: start });
+        sink.record(TraceEvent::TriDiscard { node, tri, at: start });
     }
 
-    /// This node's report row, with the cache columns from `cache`.
-    fn report(&self, cache: CacheCounters) -> NodeReport {
-        NodeReport::new(&self.engine, self.pixels, self.triangles, self.discarded, cache)
+    /// This node's report row, with `discarded` broadcast triangles and
+    /// the cache columns from `cache`.
+    fn report(&self, discarded: u64, cache: CacheCounters) -> NodeReport {
+        NodeReport::new(&self.engine, self.pixels, self.triangles, discarded, cache)
     }
 }
 

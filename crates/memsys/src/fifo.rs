@@ -1,21 +1,29 @@
-//! The bounded triangle FIFO between the geometry stage and a node.
+//! The bounded triangle FIFO between the geometry stage and the nodes.
 //!
 //! Section 8 of the paper: the geometry stage emits triangles in strict
-//! stream order; each triangle is pushed into the FIFO of every node whose
-//! region it overlaps. When any target FIFO is full the (otherwise ideal)
-//! geometry stage blocks — and with it every other node starves once its own
-//! FIFO drains. This head-of-line blocking is the *local load imbalance*
-//! that makes small buffers expensive, especially with real caches whose
-//! miss bursts make node speeds irregular.
+//! stream order and broadcasts each one to every node, whose clipping
+//! hardware discards the triangles that miss its region — so every
+//! triangle takes a slot in every node's FIFO, overlapped or not. When any
+//! FIFO is full the (otherwise ideal) geometry stage blocks — and with it
+//! every other node starves once its own FIFO drains. This head-of-line
+//! blocking is the *local load imbalance* that makes small buffers
+//! expensive, especially with real caches whose miss bursts make node
+//! speeds irregular.
 //!
 //! Because the machine simulation computes each triangle's processing start
 //! as soon as it is sent, the FIFO only needs to remember the *start times*
-//! of the last `capacity` triangles sent to the node: triangle *n* can only
-//! be sent once triangle *n − capacity* has been dequeued (started).
+//! of the last `capacity` triangles sent: triangle *n* can only be sent
+//! once triangle *n − capacity* has been dequeued (started).
+//!
+//! Every node's FIFO holds the same triangles in the same order, so the
+//! machine keeps one `TriangleFifo` as its broadcast gate, recording each
+//! triangle's latest dequeue over all nodes. The reference oracle keeps
+//! one per node, as the hardware does.
 
 use crate::Cycle;
 
-/// Timing gate of one node's bounded triangle FIFO.
+/// Timing gate of a bounded triangle FIFO: one node's, or the machine's
+/// broadcast gate over all of them.
 ///
 /// # Examples
 ///
@@ -64,7 +72,7 @@ impl TriangleFifo {
     }
 
     /// Earliest cycle at which the geometry stage may send the *next*
-    /// triangle to this node: immediately if fewer than `capacity`
+    /// triangle: immediately if fewer than `capacity`
     /// triangles are pending, otherwise when the oldest pending triangle is
     /// dequeued.
     pub fn earliest_send(&self) -> Cycle {

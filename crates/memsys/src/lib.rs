@@ -10,7 +10,7 @@
 //!   scan engine, a bandwidth-occupancy texture bus and an Igehy-style
 //!   prefetch window that hides latency until the bus saturates.
 //! * [`fifo::TriangleFifo`] — the bounded triangle FIFO between the
-//!   geometry stage and each node, whose head-of-line blocking produces the
+//!   geometry stage and the nodes, whose head-of-line blocking produces the
 //!   paper's *local load imbalance* (Section 8).
 //! * [`bus::BusConfig`] — the paper's bus characterisation: a maximum
 //!   *texel-to-fragment ratio* the memory may deliver, rather than absolute

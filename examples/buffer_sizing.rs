@@ -11,7 +11,7 @@
 //! cargo run --release --example buffer_sizing [benchmark] [procs]
 //! ```
 
-use sortmid::{CacheKind, Distribution, Machine, MachineConfig};
+use sortmid::{run_sweep, CacheKind, Distribution, SweepGrid};
 use sortmid_scene::{Benchmark, SceneBuilder};
 use sortmid_util::table::{fmt_f, Table};
 
@@ -29,26 +29,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "workload: {benchmark}, {procs} processors, block-16, 2 texel/pixel bus\n"
     );
 
-    let run = |cache: CacheKind, buffer: usize| {
-        let config = MachineConfig::builder()
-            .processors(procs)
-            .distribution(Distribution::block(16))
-            .cache(cache)
-            .bus_ratio(2.0)
-            .triangle_buffer(buffer)
-            .build()
-            .expect("valid");
-        Machine::new(config).run(&stream)
-    };
-
-    let ideal_perfect = run(CacheKind::Perfect, 10_000).total_cycles() as f64;
-    let ideal_cached = run(CacheKind::PaperL1, 10_000).total_cycles() as f64;
+    // One sweep over both caches and every depth: the configs share one
+    // routing, so they run as one frame group that routes each window
+    // once and probes it once per cache model.
+    const BUFFERS: [usize; 10] = [1, 5, 10, 20, 50, 100, 200, 500, 1000, 10_000];
+    let configs = SweepGrid::new()
+        .processors([procs])
+        .distributions([Distribution::block(16)])
+        .caches([CacheKind::Perfect, CacheKind::PaperL1])
+        .bus_ratios([Some(2.0)])
+        .buffers(BUFFERS)
+        .build();
+    let cycles: Vec<f64> = run_sweep(&stream, &configs)
+        .iter()
+        .map(|r| r.total_cycles() as f64)
+        .collect();
+    // Row-major grid order: the perfect cache's depths, then the 16 KB one's.
+    let (perfect, cached) = cycles.split_at(BUFFERS.len());
+    let (ideal_perfect, ideal_cached) = (perfect[BUFFERS.len() - 1], cached[BUFFERS.len() - 1]);
 
     let mut table = Table::new(&["buffer", "perfect cache %", "16KB cache %"]);
     let mut recommended = None;
-    for buffer in [1usize, 5, 10, 20, 50, 100, 200, 500, 1000, 10_000] {
-        let p = ideal_perfect / run(CacheKind::Perfect, buffer).total_cycles() as f64 * 100.0;
-        let c = ideal_cached / run(CacheKind::PaperL1, buffer).total_cycles() as f64 * 100.0;
+    for (i, buffer) in BUFFERS.into_iter().enumerate() {
+        let p = ideal_perfect / perfect[i] * 100.0;
+        let c = ideal_cached / cached[i] * 100.0;
         if recommended.is_none() && c >= 99.0 {
             recommended = Some(buffer);
         }

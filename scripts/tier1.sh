@@ -98,6 +98,12 @@ cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
 echo "==> engine-vs-reference property lane (release)"
 cargo test -q --release --offline --test batched
 
+# The core crate's unit tests in release: the pinned report and event
+# digests, the frame-group and window-boundary oracle checks, at the
+# codegen the engine ships.
+echo "==> core crate unit tests (release)"
+cargo test -q --release --offline -p sortmid --lib
+
 # The stack-distance equivalence lane, in release: the optimised walk
 # kernel must still price every geometry exactly as direct simulation.
 echo "==> stack-distance-vs-direct property lane (release)"

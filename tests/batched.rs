@@ -16,15 +16,17 @@
 
 use sortmid::reference::run_reference;
 use sortmid::{
-    capture_line_trace, CacheKind, Distribution, Machine, MachineConfig, NullSink, RoutingPlan,
-    SpatialCollector, TraceRecorder,
+    capture_line_trace, run_sweep_with_threads, CacheKind, Distribution, Machine, MachineConfig,
+    NullSink, RoutingPlan, SpatialCollector, SweepGrid, TraceRecorder,
 };
 use sortmid_cache::CacheGeometry;
 use sortmid_devharness::prop::{check, Config, Gen};
 use sortmid_devharness::prop_assert_eq;
+use sortmid_geom::{Rect, Triangle, Vertex};
 use sortmid_memsys::{BusConfig, DramConfig};
 use sortmid_raster::FragmentStream;
 use sortmid_scene::{Benchmark, SceneBuilder};
+use sortmid_texture::{TextureDesc, TextureRegistry};
 use std::sync::OnceLock;
 
 /// One small shared stream (building scenes per property case is too slow).
@@ -223,6 +225,143 @@ fn prop_lane_trace_capture_matches_manual_walk() {
                     &lines[..],
                     "node {node} line sequence diverges"
                 );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// One random triangle: `(x, y, w, h, u, v)` — screen origin, extent
+/// (possibly past the screen edge) and texture origin.
+type TriSpec = (u32, u32, u32, u32, u32, u32);
+
+/// A few hundred random triangles over a 256×256 screen, mostly small
+/// (one or two nodes' regions) with some large ones that overlap many.
+fn arb_triangles(g: &mut Gen) -> Vec<TriSpec> {
+    g.vec(1..300, |g| {
+        let (w, h) = match g.choice(4) {
+            0 => (g.u32_in(1..160), g.u32_in(1..160)),
+            _ => (g.u32_in(1..24), g.u32_in(1..24)),
+        };
+        (g.u32_in(0..256), g.u32_in(0..256), w, h, g.u32_in(0..448), g.u32_in(0..448))
+    })
+}
+
+/// Rasterizes `tris` with one 512×512 texture.
+fn random_stream(tris: &[TriSpec]) -> FragmentStream {
+    let mut reg = TextureRegistry::new();
+    let tex = reg.register(TextureDesc::new(512, 512).expect("valid texture")).expect("room");
+    let tris: Vec<Triangle> = tris
+        .iter()
+        .map(|&(x, y, w, h, u, v)| {
+            let (x, y, w, h, u, v) = (x as f32, y as f32, w as f32, h as f32, u as f32, v as f32);
+            let corners = [
+                Vertex::new(x, y, u, v),
+                Vertex::new(x + w, y + h / 4.0, u + w / 2.0, v + 8.0),
+                Vertex::new(x + w / 8.0, y + h, u + 4.0, v + h / 2.0),
+            ];
+            Triangle::new(tex.0, corners)
+        })
+        .collect();
+    sortmid_raster::rasterize(&tris, &reg, Rect::of_size(256, 256))
+}
+
+/// The machine sizes the one-ring walk is most likely to get wrong: one
+/// node, odd counts, and 128 (the overlap mask's top bit).
+fn arb_processors(g: &mut Gen) -> u32 {
+    g.pick(&[1u32, 3, 16, 64, 127, 128])
+}
+
+/// Block, SLI or rectangular tiles.
+fn arb_screen_distribution(g: &mut Gen) -> Distribution {
+    match g.choice(3) {
+        0 => Distribution::block(g.u32_in(1..64)),
+        1 => Distribution::sli(g.u32_in(1..32)),
+        _ => Distribution::tile(g.u32_in(1..64), g.u32_in(1..64)),
+    }
+}
+
+/// A triangle buffer that gates hard (1–7 entries) or never (at least
+/// as many entries as the stream has triangles).
+fn arb_buffer(g: &mut Gen, triangles: usize) -> usize {
+    match g.choice(5) {
+        4 => triangles + g.usize_in(0..3),
+        k => [1, 2, 3, 7][k],
+    }
+}
+
+/// The broadcast FIFO walk: the engine times every broadcast triangle
+/// through one machine-wide ring and visits only the nodes a triangle
+/// overlaps, while the oracle keeps one FIFO per node and visits every
+/// node. Reports and traced event streams (every node's FIFO push, pop
+/// and discard) must agree, from a buffer of one triangle to one that
+/// never fills.
+#[test]
+fn prop_one_ring_broadcast_walk_matches_per_node_fifos() {
+    check(
+        "prop_one_ring_broadcast_walk_matches_per_node_fifos",
+        &Config::with_cases(32),
+        |g| {
+            let tris = arb_triangles(g);
+            let buffer = arb_buffer(g, tris.len());
+            let cache = g.pick(&[CacheKind::Perfect, CacheKind::PaperL1]);
+            let config = MachineConfig::builder()
+                .processors(arb_processors(g))
+                .distribution(arb_screen_distribution(g))
+                .cache(cache)
+                .bus_ratio(g.pick(&[0.5, 1.0, 2.0]))
+                .triangle_buffer(buffer)
+                .build()
+                .expect("valid config");
+            (tris, config)
+        },
+        |(tris, config)| {
+            let s = random_stream(tris);
+            let machine = Machine::new(config.clone());
+            let mut oracle_events = TraceRecorder::new();
+            let oracle = run_reference(config, &s, &mut oracle_events);
+            prop_assert_eq!(&machine.run(&s), &oracle, "untraced walk: {}", config.summary());
+            let mut events = TraceRecorder::new();
+            let traced = machine.run_traced(&s, &mut events);
+            prop_assert_eq!(&traced, &oracle, "traced walk: {}", config.summary());
+            prop_assert_eq!(
+                events.events(),
+                oracle_events.events(),
+                "event streams diverge for {}",
+                config.summary()
+            );
+            Ok(())
+        },
+    );
+}
+
+/// One frame group holding every buffer depth of one cache model: the
+/// sweep routes and probes each window once and advances one ring per
+/// config, and each report equals the oracle's.
+#[test]
+fn prop_frame_group_buffers_match_per_node_fifos() {
+    check(
+        "prop_frame_group_buffers_match_per_node_fifos",
+        &Config::with_cases(8),
+        |g| {
+            let tris = arb_triangles(g);
+            let procs = arb_processors(g);
+            let dist = arb_screen_distribution(g);
+            let cache = g.pick(&[CacheKind::Perfect, CacheKind::PaperL1]);
+            (tris, procs, dist, cache)
+        },
+        |(tris, procs, dist, cache)| {
+            let s = random_stream(tris);
+            let configs = SweepGrid::new()
+                .processors([*procs])
+                .distributions([dist.clone()])
+                .caches([*cache])
+                .buffers([1, 2, 3, 7, tris.len()])
+                .build();
+            let swept = run_sweep_with_threads(&s, &configs, 2);
+            for (config, report) in configs.iter().zip(&swept) {
+                let oracle = run_reference(config, &s, &mut NullSink);
+                prop_assert_eq!(report, &oracle, "swept {}", config.summary());
             }
             Ok(())
         },
