@@ -6,8 +6,9 @@ use sortmid_bench::stream;
 use sortmid_cache::{CacheGeometry, ClassifyingCache, LineCache, SetAssocCache};
 use sortmid_devharness::Suite;
 use sortmid_memsys::{BusConfig, EngineTiming};
+use sortmid_observe::MissClassCounts;
 use sortmid_scene::{Benchmark, SceneBuilder};
-use sortmid_texture::{TextureDesc, TextureRegistry, TrilinearSampler};
+use sortmid_texture::{footprint_lines, TextureDesc, TextureRegistry, TrilinearSampler};
 use std::hint::black_box;
 
 fn bench_cache(suite: &mut Suite) {
@@ -38,6 +39,21 @@ fn bench_cache(suite: &mut Suite) {
         let mut cache = ClassifyingCache::new(CacheGeometry::paper_l1());
         for &l in &accesses {
             black_box(cache.access_line(l));
+        }
+        cache.stats().misses()
+    });
+    // Real fragment footprints through the batched lane probe of the
+    // engine's cache pass, where most probes hit the MRU way.
+    let lanes: Vec<[u32; 8]> = stream(Benchmark::Massive32_11255)
+        .fragments()
+        .iter()
+        .map(|f| footprint_lines(&f.texels))
+        .collect();
+    suite.bench_with_elements("cache/set_assoc_16k_4way_lane", lanes.len() as u64, || {
+        let mut cache = SetAssocCache::new(CacheGeometry::paper_l1());
+        let (mut miss, mut classes) = ([0u32; 8], MissClassCounts::default());
+        for lane in &lanes {
+            black_box(cache.access_lane(lane, &mut miss, &mut classes));
         }
         cache.stats().misses()
     });

@@ -291,7 +291,7 @@ impl LineCache for ClassifyingCache {
     /// the repeat is a guaranteed MRU hit in the set-associative inner
     /// cache *and* in the fully-associative oracle, and a hit carries no
     /// class, so skipping changes no state. The rest go through the inner
-    /// cache's branch-free `probe_insert` core, and the inner statistics
+    /// cache's MRU-first `probe_insert` core, and the inner statistics
     /// are recorded in bulk, keeping reports byte-identical to the scalar
     /// loop.
     #[inline]

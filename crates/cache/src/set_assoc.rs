@@ -8,43 +8,6 @@ use sortmid_observe::MissClassCounts;
 /// Sentinel tag meaning "way is empty".
 pub(crate) const EMPTY: u32 = u32::MAX;
 
-/// SWAR zero-lane detector over two 32-bit lanes packed in a `u64`.
-///
-/// For `v = word ^ pattern`, returns a mask whose bit 31 is set when the
-/// low lane of `v` is zero. Bit 63 is set when the high lane is zero *or*
-/// when the low lane is zero and the high lane equals 1 (the subtraction's
-/// borrow crosses the lane boundary only in that case) — a false positive
-/// [`find_way4`] is proven to tolerate.
-#[inline(always)]
-fn lane_match_mask(v: u64) -> u64 {
-    v.wrapping_sub(0x0000_0001_0000_0001) & !v & 0x8000_0000_8000_0000
-}
-
-/// Branch-free 4-way tag compare: index of the lowest way holding `line`.
-///
-/// Packs the four tags into two `u64`s and finds zero lanes of `tags ^
-/// line` with [`lane_match_mask`]. The detector's only false positive is a
-/// *high* lane reporting a match when its *low* lane truly matches and the
-/// high tag is `line ^ 1`; because a set never holds duplicate tags, any
-/// such phantom sits at a strictly higher way index than a real match, so
-/// taking the lowest set bit always lands on the true way. `EMPTY`
-/// (`u32::MAX`) never matches a valid line address.
-#[inline(always)]
-fn find_way4(set: &[u32; 4], line: u32) -> Option<usize> {
-    let a = (set[0] as u64) | ((set[1] as u64) << 32);
-    let b = (set[2] as u64) | ((set[3] as u64) << 32);
-    let pat = (line as u64) | ((line as u64) << 32);
-    let ma = lane_match_mask(a ^ pat);
-    let mb = lane_match_mask(b ^ pat);
-    // way i match -> bit i: lane indicators live at bits 31/63 of ma/mb.
-    let bits = ((ma >> 31) & 1) | ((ma >> 62) & 2) | ((mb >> 29) & 4) | ((mb >> 60) & 8);
-    if bits == 0 {
-        None
-    } else {
-        Some(bits.trailing_zeros() as usize)
-    }
-}
-
 /// A set-associative cache with true-LRU replacement, simulated at line
 /// granularity.
 ///
@@ -107,36 +70,38 @@ impl SetAssocCache {
     }
 
     /// Probe-and-update core shared by the batched path: looks `line` up
-    /// (branch-free compare for the ubiquitous 4-way geometry), applies the
-    /// LRU update, and returns `true` on a hit — **without** touching
-    /// statistics, which the caller records in bulk.
+    /// MRU way first, applies the LRU update, and returns `true` on a hit
+    /// — **without** touching statistics, which the caller records in
+    /// bulk.
     ///
-    /// The unified update `k = if hit { pos } else { ways - 1 };
-    /// copy_within(0..k, 1); set[0] = line` is exactly the scalar path's
+    /// The update shifts the ways in front of the hit (every way, on a
+    /// miss) back one and puts `line` in front: exactly the scalar path's
     /// hit-rotate / miss-evict pair, so eviction order stays identical.
     #[inline(always)]
     pub(crate) fn probe_insert(&mut self, line: u32) -> bool {
         debug_assert_ne!(line, EMPTY, "line address clashes with the empty sentinel");
         let ways = self.ways;
         let base = (line & self.set_mask) as usize * ways;
-        if ways == 4 {
-            // Fixed-width set: the compare, rotate and write-back all see a
-            // compile-time length, so every bounds check folds away.
-            let set: &mut [u32; 4] = (&mut self.tags[base..base + 4])
-                .try_into()
-                .expect("slice is 4 wide");
-            let (hit, k) = match find_way4(set, line) {
-                Some(0) => return true, // MRU hit: no reordering needed.
-                Some(pos) => (true, pos),
-                None => (false, 3),
+        let set = &mut self.tags[base..base + ways];
+        if set[0] == line {
+            return true; // MRU hit: no reordering needed.
+        }
+        if let Ok(set) = <&mut [u32; 4]>::try_from(&mut *set) {
+            // The ubiquitous 4-way set: a compare chain and fixed stores.
+            let hit = if set[1] == line {
+                true
+            } else if set[2] == line {
+                set[2] = set[1];
+                true
+            } else {
+                let hit = set[3] == line;
+                (set[3], set[2]) = (set[2], set[1]);
+                hit
             };
-            set.copy_within(0..k, 1);
-            set[0] = line;
+            (set[1], set[0]) = (set[0], line);
             return hit;
         }
-        let set = &mut self.tags[base..base + ways];
         let (hit, k) = match set.iter().position(|&t| t == line) {
-            Some(0) => return true, // MRU hit: no reordering needed.
             Some(pos) => (true, pos),
             None => (false, ways - 1),
         };
@@ -186,7 +151,7 @@ impl LineCache for SetAssocCache {
 
     /// Batched footprint probe: collapses consecutive duplicate lines
     /// (guaranteed MRU hits — common inside a 4×4-block trilinear
-    /// footprint) and resolves the rest through the branch-free
+    /// footprint) and resolves the rest through the MRU-first
     /// `probe_insert` core. Statistics are recorded
     /// in bulk; the result is byte-identical to the scalar loop.
     #[inline]
@@ -331,63 +296,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn find_way4_matches_linear_scan_on_adversarial_tags() {
-        // The SWAR detector's only false positive needs tag == line ^ 1 in
-        // the lane above a true match; duplicate-free sets make the lowest
-        // set bit exact. Exercise exactly those shapes.
-        let cases: [( [u32; 4], u32 ); 8] = [
-            ([7, 7 ^ 1, EMPTY, EMPTY], 7),        // phantom right above the match
-            ([7 ^ 1, 7, EMPTY, EMPTY], 7),        // xor-1 neighbour *below*: no borrow
-            ([1, 2, 3, 4], 9),                    // pure miss
-            ([9, 8, 3, 4], 9),                    // MRU hit, 8 == 9 ^ 1
-            ([3, 4, 9, 8], 9),                    // hit in the second word
-            ([3, 4, 8, 9], 9),                    // hit in the top lane
-            ([EMPTY, EMPTY, EMPTY, EMPTY], 0),    // cold set
-            ([0, 1, 2, 3], 0),                    // line 0 vs EMPTY sentinel
-        ];
-        for (set, line) in cases {
-            assert_eq!(
-                find_way4(&set, line),
-                set.iter().position(|&t| t == line),
-                "set {set:?} line {line}"
-            );
-        }
-    }
-
-    /// `find_way4` agrees with the linear scan on random duplicate-free
-    /// sets, including planted `line ^ 1` phantoms.
-    #[test]
-    fn prop_find_way4_equals_position() {
-        check(
-            "find_way4_equals_position",
-            &Config::default(),
-            |g| {
-                let line = g.u32_in(0..1 << 20);
-                let tags = [
-                    g.u32_in(0..1 << 20),
-                    g.u32_in(0..1 << 20),
-                    line ^ 1, // adversarial neighbour somewhere in the set
-                    g.u32_in(0..1 << 20),
-                ];
-                (line, tags)
-            },
-            |&(line, mut tags)| {
-                // Deduplicate: real sets never hold the same tag twice.
-                for i in 1..4 {
-                    while tags[..i].contains(&tags[i]) {
-                        tags[i] = tags[i].wrapping_add(1) & 0x000F_FFFF;
-                    }
-                }
-                prop_assert!(
-                    find_way4(&tags, line) == tags.iter().position(|&t| t == line),
-                    "set {tags:?} line {line}"
-                );
-                Ok(())
-            },
-        );
-    }
-
     /// The batched lane probe leaves the cache in exactly the state the
     /// scalar loop would: same stats, same miss lines, same residency and
     /// eviction order.
@@ -414,7 +322,7 @@ mod tests {
             |lanes| {
                 for geometry in [
                     CacheGeometry::new(512, 2, 64).unwrap(),
-                    CacheGeometry::paper_l1(), // 4-way: SWAR path
+                    CacheGeometry::paper_l1(), // 4-way: fixed-width path
                 ] {
                     let mut batched = SetAssocCache::new(geometry);
                     let mut scalar = SetAssocCache::new(geometry);

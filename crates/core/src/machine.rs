@@ -496,6 +496,92 @@ mod tests {
         }
     }
 
+    #[test]
+    fn prefetch_window_reports_are_pinned() {
+        // FNV-1a digests of the Debug text of the report and of the traced
+        // event stream across the prefetch-window axis (1, 3, 32 fragments
+        // and unbounded) at a starved and a matched bus, plus a DRAM
+        // machine; then one Mattson-walk sweep at window 4, whose
+        // counts-only cursor drives the engine with miss counts. Recorded
+        // on the per-fragment completion ring, before the window kept
+        // only the fills that can stall.
+        use sortmid_cache::{CacheGeometry, STACKDIST_MIN_REQUESTS};
+        use sortmid_memsys::{BusConfig, DramConfig};
+        use sortmid_observe::provenance::fnv1a_64;
+        use sortmid_observe::TraceRecorder;
+        let s = stream();
+        let l1 = CacheGeometry::paper_l1();
+        let nodes = [
+            (16, Distribution::block(16), CacheKind::PaperL1),
+            (64, Distribution::sli(2), CacheKind::Classifying(l1)),
+        ];
+        let mut machines = Vec::new();
+        for (procs, dist, cache) in nodes {
+            for window in [Some(1), Some(3), Some(32), None] {
+                for ratio in [0.25, 1.0] {
+                    let mut cfg = config(procs, dist.clone(), cache);
+                    cfg.prefetch_window = window;
+                    cfg.bus = BusConfig::ratio(ratio);
+                    machines.push(cfg);
+                }
+            }
+        }
+        let mut dram = config(16, Distribution::block(16), CacheKind::PaperL1);
+        dram.dram = Some(DramConfig::sdram_like(BusConfig::ratio(0.5)));
+        dram.bus = BusConfig::ratio(0.5);
+        dram.prefetch_window = Some(3);
+        machines.push(dram);
+        let want: [(u64, u64); 17] = [
+            (0x0853f4d5298a60ef, 0x7df48a48d7a9a458), // 16p block-16 PaperL1, window 1, bus 0.25
+            (0x20a0c8875284319d, 0x5b1bff0debe0ed25), // 16p block-16 PaperL1, window 1, bus 1.0
+            (0x2d683821df784e14, 0x98783ec101ac227a), // 16p block-16 PaperL1, window 3, bus 0.25
+            (0xc689b6c223b2c03f, 0x5b275b39dc2b4920), // 16p block-16 PaperL1, window 3, bus 1.0
+            (0x4f55fe983c10d68c, 0x9b00c2b41c9510f3), // 16p block-16 PaperL1, window 32, bus 0.25
+            (0x40a7b4638984bb20, 0x1a1bcb0445c17b3e), // 16p block-16 PaperL1, window 32, bus 1.0
+            (0x2ea8976c2f3354ee, 0xfb321d6673751934), // 16p block-16 PaperL1, unbounded, bus 0.25
+            (0xd0fdde4fda275e60, 0x598c04c03ebd2765), // 16p block-16 PaperL1, unbounded, bus 1.0
+            (0x1aa21e863493f604, 0xc043a4cba4c75db0), // 64p SLI-2 Classifying, window 1, bus 0.25
+            (0xd36a020b3cbe9bb5, 0x3a077a9512a9fa50), // 64p SLI-2 Classifying, window 1, bus 1.0
+            (0xbabd6ddaa27dcee1, 0x4bd99be3588c7136), // 64p SLI-2 Classifying, window 3, bus 0.25
+            (0xc2de3803d5ac76bb, 0x1e5d78819472afe6), // 64p SLI-2 Classifying, window 3, bus 1.0
+            (0xfd9d8efd1c121b4a, 0x9daea3aeea11f754), // 64p SLI-2 Classifying, window 32, bus 0.25
+            (0x3091d1bacd5ef938, 0x92ab70ea9df82fa4), // 64p SLI-2 Classifying, window 32, bus 1.0
+            (0xa26c45600d8e5e1e, 0x65bcb978955d1a2e), // 64p SLI-2 Classifying, unbounded, bus 0.25
+            (0x04b28075bedbc67e, 0xe815250fc4fd4e54), // 64p SLI-2 Classifying, unbounded, bus 1.0
+            (0x0aa3b4547f124b9d, 0xa3de8dfc9718100a), // DRAM, window 3
+        ];
+        let mut got = Vec::new();
+        for cfg in &machines {
+            let mut events = TraceRecorder::new();
+            let machine = Machine::new(cfg.clone());
+            let report = machine.run_traced(&s, &mut events);
+            assert_eq!(machine.run(&s), report, "untraced walk: {}", cfg.summary());
+            let report_digest = fnv1a_64(format!("{report:?}").into_bytes());
+            let event_digest = fnv1a_64(
+                events.events().iter().flat_map(|e| format!("{e:?}").into_bytes()),
+            );
+            got.push((report_digest, event_digest));
+        }
+        assert_eq!(got, want, "{got:#018x?}");
+
+        let geometries: Vec<CacheGeometry> = (9..=16)
+            .flat_map(|log| [1, 2, 4, 8].map(|ways| CacheGeometry::new(1 << log, ways, 64).unwrap()))
+            .collect();
+        assert!(geometries.len() >= STACKDIST_MIN_REQUESTS);
+        let mut configs = crate::sweep::SweepGrid::new()
+            .processors([16])
+            .distributions([Distribution::block(16)])
+            .caches(geometries.iter().map(|&g| CacheKind::SetAssoc(g)))
+            .build();
+        for cfg in &mut configs {
+            cfg.prefetch_window = Some(4);
+            cfg.bus = BusConfig::ratio(0.25);
+        }
+        let reports = crate::sweep::run_sweep(&s, &configs);
+        let digest = fnv1a_64(format!("{reports:?}").into_bytes());
+        assert_eq!(digest, 0x061e224b6fc525f5, "walk sweep: {digest:#018x}");
+    }
+
     /// A stream spanning several windows: two runs of small triangles with
     /// one screen-filling triangle, larger than a window, between them.
     /// Every fifth small triangle is a sliver that covers no pixel centre:

@@ -13,65 +13,20 @@
 //!   *prefetch window* of fragments ahead — i.e. only when the bus is
 //!   genuinely saturated. This is why bursts of misses hurt even when the
 //!   *average* bandwidth fits the bus (Section 6, last paragraph).
+//!
+//! With a window of `w` fragments, fragment *i* cannot issue before
+//! fragment *i − w* completes. A fragment without fills completes in its
+//! own issue cycle, and issue cycles strictly increase, so it never holds
+//! a later fragment back. The window therefore keeps only the fragments
+//! whose fills outlast their issue cycle, each tagged with the issue index
+//! it gates: timing a run of all-hit fragments costs one step per kept
+//! fill it passes, not one per fragment.
 
 use crate::bus::BusConfig;
 use crate::dram::{DramConfig, DramState};
 use crate::Cycle;
 use sortmid_observe::{NullSink, TraceEvent, TraceSink};
-
-/// Ring buffer of in-flight fragment completion times.
-#[derive(Debug, Clone)]
-struct CompletionRing {
-    slots: Vec<Cycle>,
-    head: usize,
-    len: usize,
-}
-
-impl CompletionRing {
-    fn new(capacity: usize) -> Self {
-        CompletionRing {
-            slots: vec![0; capacity],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    fn is_full(&self) -> bool {
-        self.len == self.slots.len()
-    }
-
-    /// The completion time of the oldest in-flight fragment.
-    fn oldest(&self) -> Cycle {
-        debug_assert!(self.len > 0);
-        self.slots[self.head]
-    }
-
-    #[inline]
-    fn pop(&mut self) {
-        debug_assert!(self.len > 0);
-        self.head += 1;
-        if self.head == self.slots.len() {
-            self.head = 0;
-        }
-        self.len -= 1;
-    }
-
-    #[inline]
-    fn push(&mut self, completion: Cycle) {
-        debug_assert!(!self.is_full());
-        let mut tail = self.head + self.len;
-        if tail >= self.slots.len() {
-            tail -= self.slots.len();
-        }
-        self.slots[tail] = completion;
-        self.len += 1;
-    }
-
-    fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-    }
-}
+use std::collections::VecDeque;
 
 /// The cycle-level timing state of one texture-mapping node.
 ///
@@ -106,7 +61,13 @@ pub struct EngineTiming {
     dram: Option<(DramConfig, DramState)>,
     engine_t: Cycle,
     bus_free: Cycle,
-    window: Option<CompletionRing>,
+    /// The prefetch window in fragments (`None` = unbounded).
+    window: Option<u64>,
+    /// The in-flight fills that can still stall the engine, oldest first:
+    /// `(gate, completion)`, where fragment number `gate` may not issue
+    /// before `completion`. Holds at most `window` entries and allocates
+    /// on the first one.
+    fills: VecDeque<(u64, Cycle)>,
     tri_start: Cycle,
     last_completion: Cycle,
     busy_cycles: u64,
@@ -139,7 +100,8 @@ impl EngineTiming {
             dram: None,
             engine_t: 0,
             bus_free: 0,
-            window: prefetch_window.map(CompletionRing::new),
+            window: prefetch_window.map(|w| w as u64),
+            fills: VecDeque::new(),
             tri_start: 0,
             last_completion: 0,
             busy_cycles: 0,
@@ -182,26 +144,46 @@ impl EngineTiming {
         self.engine_t
     }
 
-    /// Scans one fragment whose texel reads produced `misses` line fills.
+    /// Issues the next fragment and returns its issue cycle: the engine
+    /// wants the next cycle, but if the fill a window of fragments back is
+    /// still in flight it must wait for it.
     #[inline]
-    pub fn fragment(&mut self, misses: u32) {
-        // Engine wants the next cycle; if the fragment FIFO is full it must
-        // wait for the oldest in-flight fragment's fills to complete.
+    fn issue(&mut self) -> Cycle {
         let mut t = self.engine_t + 1;
-        if let Some(ring) = &mut self.window {
-            if ring.is_full() {
-                let oldest = ring.oldest();
-                if oldest > t {
-                    self.stall_cycles += oldest - t;
-                    t = oldest;
+        if let Some(&(gate, completion)) = self.fills.front() {
+            if gate == self.fragments {
+                self.fills.pop_front();
+                if completion > t {
+                    self.stall_cycles += completion - t;
+                    t = completion;
                 }
-                ring.pop();
             }
         }
         self.engine_t = t;
         self.busy_cycles += 1;
         self.fragments += 1;
+        t
+    }
 
+    /// Records that the fragment just issued at `t` completes at `done`;
+    /// only a completion later than `t` can stall a later fragment.
+    #[inline]
+    fn complete(&mut self, t: Cycle, done: Cycle) {
+        if done > t {
+            if let Some(window) = self.window {
+                debug_assert!((self.fills.len() as u64) < window);
+                self.fills.push_back((self.fragments - 1 + window, done));
+            }
+        }
+        if done > self.last_completion {
+            self.last_completion = done;
+        }
+    }
+
+    /// Scans one fragment whose texel reads produced `misses` line fills.
+    #[inline]
+    pub fn fragment(&mut self, misses: u32) {
+        let t = self.issue();
         let mut done = t;
         if misses > 0 && self.line_cost > 0 {
             for _ in 0..misses {
@@ -211,12 +193,7 @@ impl EngineTiming {
             done = self.bus_free;
         }
         self.lines_fetched += misses as u64;
-        if let Some(ring) = &mut self.window {
-            ring.push(done);
-        }
-        if done > self.last_completion {
-            self.last_completion = done;
-        }
+        self.complete(t, done);
     }
 
     /// Scans one fragment whose texel reads missed on the given cache-line
@@ -239,21 +216,7 @@ impl EngineTiming {
         node: u32,
         sink: &mut S,
     ) {
-        let mut t = self.engine_t + 1;
-        if let Some(ring) = &mut self.window {
-            if ring.is_full() {
-                let oldest = ring.oldest();
-                if oldest > t {
-                    self.stall_cycles += oldest - t;
-                    t = oldest;
-                }
-                ring.pop();
-            }
-        }
-        self.engine_t = t;
-        self.busy_cycles += 1;
-        self.fragments += 1;
-
+        let t = self.issue();
         let mut done = t;
         match &mut self.dram {
             None => {
@@ -290,65 +253,39 @@ impl EngineTiming {
             }
         }
         self.lines_fetched += miss_lines.len() as u64;
-        if let Some(ring) = &mut self.window {
-            ring.push(done);
-        }
-        if done > self.last_completion {
-            self.last_completion = done;
-        }
+        self.complete(t, done);
     }
 
     /// Scans `n` consecutive fragments that all hit the cache — exactly
     /// equivalent to `n` calls of [`fragment`](Self::fragment)`(0)`, in
     /// bulk.
     ///
-    /// A clean fragment issues at `engine_t + 1` and completes the same
-    /// cycle, so the only way it can stall is an *older* in-flight fill
-    /// still pending when the prefetch window is full. Every completion in
-    /// the window is bounded by `max(engine_t, bus_free)`: once the bus has
-    /// caught up with the scan (`bus_free <= engine_t + 1`), no queued
-    /// completion can exceed any future clean fragment's issue cycle, and
-    /// the whole run collapses to counter arithmetic plus rebuilding the
-    /// window's trailing completion times.
+    /// An all-hit fragment issues the cycle after its predecessor unless it
+    /// is the gate of a kept fill, and it keeps no fill of its own. So the
+    /// run steps through the kept fills whose gates fall inside it, then
+    /// adds the rest of its fragments in one step: O(1 + fills retired).
     pub fn fragments_clean(&mut self, n: u64) {
-        let mut remaining = n;
-        if self.window.is_some() {
-            // Drain per-fragment while an in-flight fill could still stall
-            // the engine; each step advances `engine_t` by at least one
-            // cycle, so this catches up to `bus_free` and terminates.
-            while remaining > 0 && self.bus_free > self.engine_t + 1 {
-                self.fragment(0);
-                remaining -= 1;
+        let end = self.fragments + n;
+        while let Some(&(gate, _)) = self.fills.front() {
+            if gate >= end {
+                break;
             }
+            self.issue_unstalled(gate - self.fragments);
+            self.issue();
         }
-        if remaining == 0 {
-            return;
-        }
-        let first = self.engine_t + 1;
-        self.engine_t += remaining;
-        self.busy_cycles += remaining;
-        self.fragments += remaining;
+        self.issue_unstalled(end - self.fragments);
         if self.engine_t > self.last_completion {
             self.last_completion = self.engine_t;
         }
-        let last = self.engine_t;
-        if let Some(ring) = &mut self.window {
-            let cap = ring.slots.len() as u64;
-            if remaining >= cap {
-                // Only the trailing `cap` completions survive the run.
-                ring.clear();
-                for completion in (last + 1 - cap)..=last {
-                    ring.push(completion);
-                }
-            } else {
-                for completion in first..=last {
-                    if ring.is_full() {
-                        ring.pop();
-                    }
-                    ring.push(completion);
-                }
-            }
-        }
+    }
+
+    /// Issues `k` all-hit fragments that no kept fill gates: one cycle
+    /// each.
+    #[inline]
+    fn issue_unstalled(&mut self, k: u64) {
+        self.engine_t += k;
+        self.busy_cycles += k;
+        self.fragments += k;
     }
 
     /// Ends the current triangle, enforcing the minimum engine occupancy
@@ -439,16 +376,11 @@ impl EngineTiming {
         self.dram.as_ref().map(|(_, s)| (s.row_hits(), s.row_misses()))
     }
 
+    /// Kept fills: the in-flight fills that can still stall the engine.
     #[cfg(test)]
     fn window_len(&self) -> usize {
-        self.window.as_ref().map_or(0, |r| r.len)
+        self.fills.len()
     }
-}
-
-/// Clears a completion ring (test helper surface kept crate-private).
-#[allow(dead_code)]
-fn clear_ring(ring: &mut CompletionRing) {
-    ring.clear();
 }
 
 #[cfg(test)]
@@ -773,5 +705,161 @@ mod tests {
         // Fill spans tile the bus exactly: total span length == bus_busy.
         let span_total: u64 = rec.bus_spans(3).iter().map(|(s, e)| e - s).sum();
         assert_eq!(span_total, traced.bus_busy_cycles());
+    }
+
+    /// The prefetch window as a ring of every in-flight fragment's
+    /// completion: once it holds `window` fragments, the next one waits
+    /// for the oldest. It reuses an unwindowed `EngineTiming` for the
+    /// counters and the triangle calls, which never touch the window.
+    struct NaiveEngine {
+        engine: EngineTiming,
+        window: Option<usize>,
+        ring: std::collections::VecDeque<Cycle>,
+    }
+
+    impl NaiveEngine {
+        /// Scans one fragment that fetches `lines` lines whose bus fills
+        /// cost `costs` (none on an infinite bus).
+        fn fragment(&mut self, lines: usize, costs: &[Cycle]) {
+            let e = &mut self.engine;
+            let mut t = e.engine_t + 1;
+            if Some(self.ring.len()) == self.window {
+                let oldest = self.ring.pop_front().unwrap();
+                if oldest > t {
+                    e.stall_cycles += oldest - t;
+                    t = oldest;
+                }
+            }
+            (e.engine_t, e.busy_cycles, e.fragments) = (t, e.busy_cycles + 1, e.fragments + 1);
+            let mut done = t;
+            for &cost in costs {
+                e.bus_free = e.bus_free.max(t) + cost;
+                (e.bus_busy, done) = (e.bus_busy + cost, e.bus_free);
+            }
+            e.lines_fetched += lines as u64;
+            e.last_completion = e.last_completion.max(done);
+            if self.window.is_some() {
+                self.ring.push_back(done);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Start(Cycle),
+        Fragment(u32),
+        Lines(Vec<u32>),
+        Clean(u64),
+        Finish(Cycle),
+    }
+
+    #[derive(Debug)]
+    struct Case {
+        window: Option<usize>,
+        ratio: f64,
+        dram: bool,
+        ops: Vec<Op>,
+    }
+
+    fn arb_case(g: &mut sortmid_devharness::prop::Gen) -> Case {
+        let window = g.pick(&[Some(1), Some(2), Some(3), Some(7), Some(32), Some(100), None]);
+        let ratio = g.pick(&[0.25, 1.0, 2.0, f64::INFINITY]);
+        let dram = ratio.is_finite() && g.bool();
+        let cap = window.unwrap_or(32) as u64;
+        let ops = g.vec(0..120, |g| match g.choice(5) {
+            0 => Op::Start(g.u64_below(60)),
+            1 => Op::Fragment(g.u32_in(0..4)),
+            2 => Op::Lines(g.vec(0..4, |g| g.u32_in(0..64))),
+            3 => Op::Clean(g.pick(&[0, 1, cap - 1, cap, cap + 1, 1000])),
+            _ => Op::Finish(g.u64_below(40)),
+        });
+        Case { window, ratio, dram, ops }
+    }
+
+    fn counters(e: &EngineTiming) -> [u64; 12] {
+        [
+            e.engine_free(),
+            e.finish_time(),
+            e.busy_cycles(),
+            e.stall_cycles(),
+            e.setup_floor_cycles(),
+            e.last_setup_padding(),
+            e.starved_cycles(),
+            e.fill_tail_cycles(),
+            e.fragments(),
+            e.triangles(),
+            e.lines_fetched(),
+            e.bus_busy_cycles(),
+        ]
+    }
+
+    #[test]
+    fn prop_window_matches_naive_ring() {
+        // Random operation sequences over every window, bus ratio and the
+        // DRAM model: after each operation the engine's public counters
+        // equal the naive ring's, and it keeps at most a window of fills.
+        use sortmid_devharness::prop::{check, Config};
+        use sortmid_devharness::{prop_assert, prop_assert_eq};
+        let mut stalled = 0;
+        check("window_matches_naive_ring", &Config::with_cases(512), arb_case, |case| {
+            let bus = match case.ratio.is_finite() {
+                true => BusConfig::ratio(case.ratio),
+                false => BusConfig::infinite(),
+            };
+            let mut engine = match case.dram {
+                true => EngineTiming::with_dram(bus, case.window, DramConfig::sdram_like(bus)),
+                false => EngineTiming::new(bus, case.window),
+            };
+            let mut naive = NaiveEngine {
+                engine: EngineTiming::new(bus, None),
+                window: case.window,
+                ring: Default::default(),
+            };
+            let mut rows = engine.dram.clone();
+            let line_cost = bus.line_cost();
+            let flat = |k: usize| vec![line_cost; if line_cost > 0 { k } else { 0 }];
+            for (i, op) in case.ops.iter().enumerate() {
+                match op {
+                    Op::Start(back) => {
+                        let arrival = (naive.engine.engine_t + 30).saturating_sub(*back);
+                        let want = naive.engine.start_triangle(arrival);
+                        prop_assert_eq!(engine.start_triangle(arrival), want);
+                    }
+                    Op::Fragment(k) => {
+                        engine.fragment(*k);
+                        naive.fragment(*k as usize, &flat(*k as usize));
+                    }
+                    Op::Lines(lines) => {
+                        engine.fragment_lines(lines);
+                        let costs = match &mut rows {
+                            Some((config, state)) => {
+                                lines.iter().map(|&l| state.fill_cost(l, config)).collect()
+                            }
+                            None => flat(lines.len()),
+                        };
+                        naive.fragment(lines.len(), &costs);
+                    }
+                    Op::Clean(n) => {
+                        engine.fragments_clean(*n);
+                        for _ in 0..*n {
+                            naive.fragment(0, &[]);
+                        }
+                    }
+                    Op::Finish(min) => {
+                        let want = naive.engine.finish_triangle(*min);
+                        prop_assert_eq!(engine.finish_triangle(*min), want);
+                    }
+                }
+                let (got, want) = (counters(&engine), counters(&naive.engine));
+                prop_assert!(got == want, "after op {i} {op:?}: {got:?}, naive ring {want:?}");
+                let want_rows = rows.as_ref().map(|(_, s)| (s.row_hits(), s.row_misses()));
+                prop_assert_eq!(engine.dram_rows(), want_rows);
+                let kept = engine.window_len();
+                prop_assert!(case.window.is_none_or(|w| kept <= w), "{kept} kept fills");
+            }
+            stalled += (engine.stall_cycles() > 0) as u32;
+            Ok(())
+        });
+        assert!(stalled > 100, "only {stalled} of 512 cases stall the engine");
     }
 }

@@ -93,8 +93,8 @@ cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
     --expect-zero --json "$threads_dir/DIFF_threads.json"
 
 # The engine == reference-oracle property lane, in release (the debug run
-# above already covered it functionally; release exercises the SWAR probe
-# the engine actually ships).
+# above already covered it functionally; release exercises the probe and
+# timing code at the codegen the engine actually ships).
 echo "==> engine-vs-reference property lane (release)"
 cargo test -q --release --offline --test batched
 
@@ -113,6 +113,11 @@ cargo test -q --release --offline --test stackdist
 # the lane-vs-scalar properties, at the codegen the engine ships.
 echo "==> cache crate property lanes (release)"
 cargo test -q --release --offline -p sortmid-cache
+
+# The memsys crate in release: the prefetch window against its naive
+# completion-ring model, at the codegen the engine ships.
+echo "==> memsys crate property lanes (release)"
+cargo test -q --release --offline -p sortmid-memsys
 
 # Benchmark smoke runs of every workload: a run whose identity,
 # pixel-conservation or digest-stability checks fail exits nonzero. The

@@ -87,6 +87,9 @@ fn arb_config(g: &mut Gen) -> MachineConfig {
         // the batched path must hand over exact miss lines, not counts.
         b.dram(Some(DramConfig::sdram_like(BusConfig::ratio(1.0))));
     }
+    // The oracle times fragment by fragment while the engine takes all-hit
+    // runs in bulk, so every window depth checks bulk against single.
+    b.prefetch_window(g.pick(&[Some(1), Some(2), Some(7), Some(32), None]));
     b.build().expect("valid config")
 }
 
