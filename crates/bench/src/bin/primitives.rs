@@ -57,6 +57,16 @@ fn bench_cache(suite: &mut Suite) {
         }
         cache.stats().misses()
     });
+    // The same footprints through the three-C classifier's lane: the
+    // slowest cache pass a frame group runs.
+    suite.bench_with_elements("cache/classifying_16k_4way_lane", lanes.len() as u64, || {
+        let mut cache = ClassifyingCache::new(CacheGeometry::paper_l1());
+        let (mut miss, mut classes) = ([0u32; 8], MissClassCounts::default());
+        for lane in &lanes {
+            black_box(cache.access_lane(lane, &mut miss, &mut classes));
+        }
+        cache.stats().misses()
+    });
 }
 
 fn bench_engine(suite: &mut Suite) {

@@ -149,11 +149,12 @@ impl LineCache for SetAssocCache {
         hit
     }
 
-    /// Batched footprint probe: collapses consecutive duplicate lines
-    /// (guaranteed MRU hits — common inside a 4×4-block trilinear
-    /// footprint) and resolves the rest through the MRU-first
-    /// `probe_insert` core. Statistics are recorded
-    /// in bulk; the result is byte-identical to the scalar loop.
+    /// Batched footprint probe: every line goes through the MRU-first
+    /// `probe_insert` core, and statistics are recorded in bulk; the
+    /// result is byte-identical to the scalar loop. A line equal to the
+    /// one before it is already its set's MRU way, so the core's first
+    /// compare hits it with no state change — cheaper than a branch that
+    /// skips repeats, which mispredicts on real footprints.
     #[inline]
     fn access_lane(
         &mut self,
@@ -162,22 +163,13 @@ impl LineCache for SetAssocCache {
         _classes: &mut MissClassCounts,
     ) -> usize {
         let mut misses = 0;
-        let mut hits = 0u64;
-        let mut prev = EMPTY;
         for &line in lane {
-            if line == prev {
-                hits += 1;
-                continue;
-            }
-            prev = line;
-            if self.probe_insert(line) {
-                hits += 1;
-            } else {
+            if !self.probe_insert(line) {
                 miss_out[misses] = line;
                 misses += 1;
             }
         }
-        self.record_lane(hits, misses as u64);
+        self.record_lane((lane.len() - misses) as u64, misses as u64);
         misses
     }
 

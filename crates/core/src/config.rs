@@ -165,6 +165,34 @@ impl MachineConfig {
             self.triangle_buffer
         )
     }
+
+    /// True when `self` and `other` time every frame identically, so one
+    /// timing walk serves both: they are equal, or both mount perfect
+    /// caches and differ at most in bus, DRAM and prefetch window. A
+    /// perfect cache never issues a fill, so the walk never reads those
+    /// three, and no report column holds them.
+    pub(crate) fn shares_timing(&self, other: &MachineConfig) -> bool {
+        // Exhaustive on purpose: a new field must be placed on one side.
+        let MachineConfig {
+            processors,
+            distribution,
+            cache,
+            bus: _,
+            triangle_buffer,
+            prefetch_window: _,
+            setup_cycles,
+            geometry_cycles_per_triangle,
+            dram: _,
+        } = self;
+        self == other
+            || (*cache == CacheKind::Perfect
+                && other.cache == CacheKind::Perfect
+                && *processors == other.processors
+                && *distribution == other.distribution
+                && *triangle_buffer == other.triangle_buffer
+                && *setup_cycles == other.setup_cycles
+                && *geometry_cycles_per_triangle == other.geometry_cycles_per_triangle)
+    }
 }
 
 impl fmt::Display for MachineConfig {

@@ -3,10 +3,11 @@
 //! A frame group — configs sharing one distribution and processor count —
 //! streams a frame through the shared pipeline of [`crate::replay`] one
 //! window of whole triangles at a time: route the window once, run each
-//! distinct cache model's node caches over it once, then advance every
-//! config's timing walk. [`Machine::run`], [`Machine::run_traced`] and
-//! [`Machine::run_sequence`] are the one-config group; the sweep runs
-//! each plan group's non-walk configs as one (`crate::sweep`).
+//! distinct cache model's node caches over it once, then advance one
+//! timing walk per distinct timing. [`Machine::run`],
+//! [`Machine::run_traced`] and [`Machine::run_sequence`] are the
+//! one-config group; the sweep runs each plan group's non-walk configs
+//! as one (`crate::sweep`).
 
 use crate::config::{CacheKind, MachineConfig};
 use crate::plan::RoutingPlan;
@@ -29,20 +30,34 @@ use std::ops::Range;
 const WINDOW_FRAGMENTS: usize = 16 * 1024;
 
 /// Configs sharing one distribution and processor count, run over a frame
-/// together: each window is routed once, each distinct cache model's node
-/// caches probe it once, and every config advances its own timing walk
-/// over its model's misses. Caches persist across
-/// [`run_frame`](Self::run_frame) calls, so a sequence of frames runs warm.
+/// together, doing only the work whose result can differ between them:
+///
+/// * each window is routed once;
+/// * each distinct cache model's node caches probe it once — a perfect
+///   cache's bucket only counts its hits, as every probe hits;
+/// * each distinct timing advances one walk over its model's misses.
+///   Configs whose walks must be equal
+///   ([`MachineConfig::shares_timing`]) share the first one's walk, and
+///   each sharer takes a clone of it when the frame ends. A traced frame
+///   walks every config, as its sink must see every config's events.
+///
+/// Caches persist across [`run_frame`](Self::run_frame) calls, so a
+/// sequence of frames runs warm.
 pub(crate) struct FrameGroup<'a> {
     configs: Vec<&'a MachineConfig>,
     /// Each config's cache model, as an index into `caches`.
     model_of: Vec<usize>,
+    /// The first config whose timing walk each config's equals (itself,
+    /// for a config that walks its own).
+    walk_of: Vec<usize>,
     /// One cache per node for each distinct cache model.
     caches: Vec<Vec<AnyCache>>,
+    /// Timing walks the last [`run_frame`](Self::run_frame) ran.
+    walks: usize,
 }
 
 impl<'a> FrameGroup<'a> {
-    /// Groups `configs` by cache model.
+    /// Groups `configs` by cache model and by timing.
     ///
     /// # Panics
     ///
@@ -65,11 +80,12 @@ impl<'a> FrameGroup<'a> {
                 })
             })
             .collect();
+        let walk_of = walk_owners(&configs);
         let caches = models
             .iter()
             .map(|kind| (0..first.processors).map(|_| kind.build_model()).collect())
             .collect();
-        FrameGroup { configs, model_of, caches }
+        FrameGroup { configs, model_of, walk_of, caches, walks: 0 }
     }
 
     /// Config `k`'s per-node cache counters so far.
@@ -77,10 +93,16 @@ impl<'a> FrameGroup<'a> {
         self.caches[self.model_of[k]].iter().map(CacheCounters::of)
     }
 
+    /// Timing walks the last [`run_frame`](Self::run_frame) ran: one per
+    /// distinct timing untraced, one per config traced.
+    pub(crate) fn walks(&self) -> usize {
+        self.walks
+    }
+
     /// Runs one frame and returns each config's timing, window by window:
     /// route the window under a `plan-build` span of `host`, run every
     /// cache model over its buckets under a `capture` span, then advance
-    /// each config's timing over its model's misses. `sink` receives the
+    /// each distinct timing over its model's misses. `sink` receives the
     /// timing events of every config (a traced run holds one).
     pub(crate) fn run_frame<S: TraceSink, H: HostSink>(
         &mut self,
@@ -92,7 +114,15 @@ impl<'a> FrameGroup<'a> {
         let procs = first.processors as usize;
         let mut plan = RoutingPlan::new(stream, &first.distribution, first.processors);
         let mut recordings = vec![vec![NodeCapture::default(); procs]; self.caches.len()];
-        let mut timings: Vec<Timing> = self.configs.iter().map(|c| Timing::new(c)).collect();
+        // Each config's walk, or `None` where it shares an earlier one's.
+        let walks_own = |k: usize| S::ENABLED || self.walk_of[k] == k;
+        let mut timings: Vec<Option<Timing>> = self
+            .configs
+            .iter()
+            .enumerate()
+            .map(|(k, c)| walks_own(k).then(|| Timing::new(c)))
+            .collect();
+        self.walks = timings.iter().flatten().count();
         for window in windows(stream) {
             {
                 let _s = host.span("plan-build");
@@ -105,13 +135,56 @@ impl<'a> FrameGroup<'a> {
                 }
             }
             for (timing, &model) in timings.iter_mut().zip(&self.model_of) {
+                let Some(timing) = timing else { continue };
                 let mut misses: Vec<_> =
                     recordings[model].iter().map(NodeCapture::cursor).collect();
                 timing.advance(stream, &plan, &mut misses, sink);
             }
         }
-        timings
+        for k in 0..timings.len() {
+            if timings[k].is_none() {
+                timings[k] = timings[self.walk_of[k]].clone();
+            }
+        }
+        timings.into_iter().map(|t| t.expect("every config has a walk")).collect()
     }
+}
+
+/// For each of `configs`, the first config whose timing walk equals its
+/// own ([`MachineConfig::shares_timing`]); itself when none does.
+pub(crate) fn walk_owners(configs: &[&MachineConfig]) -> Vec<usize> {
+    configs
+        .iter()
+        .enumerate()
+        .map(|(k, config)| {
+            configs[..k].iter().position(|other| other.shares_timing(config)).unwrap_or(k)
+        })
+        .collect()
+}
+
+/// Runs `configs` as one untraced frame group over `stream`: each
+/// config's report, and the number of timing walks the group ran. Test
+/// support for walk sharing; production code runs frame groups through
+/// [`Machine`] and the sweep.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or its members differ in distribution
+/// or processor count.
+#[doc(hidden)]
+pub fn run_frame_group(
+    stream: &FragmentStream,
+    configs: &[MachineConfig],
+) -> (Vec<RunReport>, usize) {
+    let mut group = FrameGroup::new(configs.iter().collect());
+    let timings = group.run_frame(stream, &mut NullSink, &NullHostSink);
+    let reports = timings
+        .into_iter()
+        .zip(configs)
+        .enumerate()
+        .map(|(k, (timing, config))| timing.report(config.summary(), stream, group.counters(k)))
+        .collect();
+    (reports, group.walks())
 }
 
 /// Splits `stream`'s triangles into consecutive windows of at most
@@ -722,6 +795,37 @@ mod tests {
         let count = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
         assert_eq!(count("sweep.path.replay"), 0);
         assert_eq!(count("sweep.path.captured"), configs.len() as u64);
+    }
+
+    #[test]
+    fn frame_group_sharing_reports_are_pinned() {
+        // FNV-1a digest of the Debug text of one design-sweep-shaped plan
+        // over the multi-window stream: {perfect, 16 KB} × bus {1, 2, ∞}
+        // × buffers {100, 500, 10 000}, plus a perfect machine with a DRAM
+        // model and one with a one-fragment prefetch window. Recorded with
+        // one timing walk per config, before perfect configs that differ
+        // only in bus, DRAM or window shared one walk.
+        use crate::sweep::{run_sweep, SweepGrid};
+        use sortmid_memsys::{BusConfig, DramConfig};
+        use sortmid_observe::provenance::fnv1a_64;
+        let s = windowed_stream();
+        let dist = Distribution::block(16);
+        let mut configs = SweepGrid::new()
+            .processors([16])
+            .distributions([dist.clone()])
+            .caches([CacheKind::Perfect, CacheKind::PaperL1])
+            .bus_ratios([Some(1.0), Some(2.0), None])
+            .buffers([100, 500, 10_000])
+            .build();
+        let mut dram = config(16, dist.clone(), CacheKind::Perfect);
+        dram.dram = Some(DramConfig::sdram_like(BusConfig::ratio(1.0)));
+        let mut narrow = config(16, dist, CacheKind::Perfect);
+        narrow.prefetch_window = Some(1);
+        configs.extend([dram, narrow]);
+        assert_eq!(configs.len(), 20);
+        let reports = run_sweep(&s, &configs);
+        let digest = fnv1a_64(format!("{reports:?}").into_bytes());
+        assert_eq!(digest, 0xecc78b6223afe46f, "sharing plan: {digest:#018x}");
     }
 
     #[test]

@@ -126,9 +126,10 @@ impl NodeCapture {
 }
 
 /// Runs every node's cache over its buckets of `plan`, replacing each
-/// node's recording with the outcome. With an enabled `S` the recording
-/// also keeps each missing fragment's three-C counts for the traced timing
-/// walk, so untraced recordings do not grow.
+/// node's recording with the outcome. A perfect cache reads no fragment:
+/// every probe hits, so its bucket only adds its hits and fragments. With
+/// an enabled `S` the recording also keeps each missing fragment's three-C
+/// counts for the traced timing walk, so untraced recordings do not grow.
 pub(crate) fn capture<S: TraceSink>(
     caches: &mut [AnyCache],
     stream: &FragmentStream,
@@ -146,7 +147,10 @@ pub(crate) fn capture<S: TraceSink>(
         // Dispatch on the cache variant once per *bucket*, not once per
         // fragment, so the concrete batched probe inlines.
         match &mut caches[node] {
-            AnyCache::Perfect(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
+            AnyCache::Perfect(c) => {
+                c.record_hits((bucket.len() * TEXELS_PER_FRAGMENT) as u64);
+                rec.frags += bucket.len() as u32;
+            }
             AnyCache::SetAssoc(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
             AnyCache::Classifying(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
             AnyCache::TwoLevel(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
@@ -317,6 +321,7 @@ pub(crate) fn setup_anchor(bbox: &Rect) -> (u16, u16) {
 /// left that ring. Engine-free times only move in a draw, so `F` is a
 /// running max of the draws' finish times, and an untraced walk visits
 /// only the nodes a triangle overlaps.
+#[derive(Clone)]
 pub(crate) struct Timing {
     geometry_cycles: Cycle,
     pub(crate) nodes: Vec<NodeTiming>,
@@ -417,6 +422,7 @@ impl Timing {
 /// One node's engine and work counters. The broadcast FIFO and the
 /// discard count belong to [`Timing`]: a discard has no engine side
 /// effect, so an untraced walk never visits a node for one.
+#[derive(Clone)]
 pub(crate) struct NodeTiming {
     engine: EngineTiming,
     setup_cycles: Cycle,

@@ -310,10 +310,11 @@ pub struct CostModel {
 /// current values come from the bench-host phase totals and
 /// `host.run_ns.*` means over the 27k-fragment reference scene.
 mod rates {
-    /// One config's engine/FIFO timing walk over a captured cache model's
-    /// misses (the former `host.run_ns.captured` mean). A frame group
-    /// costs `PLAN + models·CAPTURE + configs·CAPTURED`, which for a lone
-    /// config (31.8) matches a `grid/per-config` lane `Machine::run` (33).
+    /// One engine/FIFO timing walk over a captured cache model's misses
+    /// (the former `host.run_ns.captured` mean). A frame group costs
+    /// `PLAN + probing models·CAPTURE + distinct walks·CAPTURED`, which
+    /// for a lone config (29.3) is near a `grid/per-config` lane
+    /// `Machine::run` (33).
     pub const CAPTURED: f64 = 6.2;
     /// Report synthesis from a stack-distance evaluation
     /// (`host.run_ns.replay` mean) — every cycle category is priced from
@@ -326,9 +327,13 @@ mod rates {
     /// Line-trace pivot of one plan ahead of its Mattson walk
     /// (`lane-pivot` span).
     pub const LANES: f64 = 7.8;
-    /// One cache-model capture pass over a plan's buckets (`capture`
-    /// phase total / count).
-    pub const CAPTURE: f64 = 17.7;
+    /// One probing cache model's capture pass over a plan's buckets (a
+    /// perfect model's pass only counts hits and is not priced): the
+    /// benchmark's traced `design-sweep` rounds (seed 0, 2-vCPU Xeon)
+    /// spent 884–1,041 ms, median 1,024, in `capture` spans over one
+    /// probing pass per plan, 36 plans per scene, on 7 scenes of
+    /// 1,869,687 fragments in all.
+    pub const CAPTURE: f64 = 15.2;
     /// One cache pass over a plan's line trace, multiplied by
     /// [`sortmid_cache::evaluation_cost_weight`]'s pass count for the
     /// Mattson walk (`mattson-walk` span / weight(requests)): on a
@@ -357,7 +362,7 @@ impl CostModel {
         self.scaled(rates::LANES)
     }
 
-    /// Estimated cost of one (plan, cache-model) capture pass.
+    /// Estimated cost of one (plan, probing cache model) capture pass.
     pub fn capture(&self) -> u64 {
         self.scaled(rates::CAPTURE)
     }
@@ -369,8 +374,8 @@ impl CostModel {
             .saturating_mul(sortmid_cache::evaluation_cost_weight(requests))
     }
 
-    /// Estimated cost of one config's timing walk over a captured cache
-    /// model's misses.
+    /// Estimated cost of one timing walk over a captured cache model's
+    /// misses.
     pub fn run_captured(&self) -> u64 {
         self.scaled(rates::CAPTURED)
     }

@@ -23,7 +23,7 @@
 //! * every other config of the plan group joins its **frame group**, which
 //!   runs [`Machine::run`]'s own windowed frame loop for all its configs at
 //!   once: each window is routed once, each distinct cache model's node
-//!   caches probe it once, and each config advances its own timing walk.
+//!   caches probe it once, and each distinct timing advances one walk.
 //!
 //! Both paths emit reports byte-identical to [`Machine::run`], which is
 //! the frame loop's one-config case.
@@ -32,7 +32,7 @@
 
 use crate::config::{CacheKind, MachineConfig};
 use crate::distribution::Distribution;
-use crate::machine::FrameGroup;
+use crate::machine::{walk_owners, FrameGroup};
 use crate::plan::RoutingPlan;
 use crate::replay::{capture_line_trace, replay_request, replay_timing, walk_misses, Timing};
 use crate::report::{CacheCounters, RunReport};
@@ -196,20 +196,28 @@ pub fn run_sweep(stream: &FragmentStream, configs: &[MachineConfig]) -> Vec<RunR
     run_sweep_profiled(stream, configs, SweepOptions::default(), &NullHostSink)
 }
 
-/// A stable fingerprint of a config grid: FNV-1a 64 over every config's
-/// [`summary`](MachineConfig::summary) string, newline-separated. The
+/// A stable fingerprint of a config grid: FNV-1a 64 over one line per
+/// config, newline-separated. A line is the config's
+/// [`summary`](MachineConfig::summary) (processors, distribution, cache
+/// geometry, buffer depth) followed by every field the summary omits
+/// (bus, prefetch window, DRAM model, setup floor, geometry-bus rate), so
+/// two grids hash equal exactly when they measure the same thing. The
 /// bench bins stamp it into each artefact's provenance block so the
-/// differ can refuse to compare runs of different grids; the summary
-/// string already encodes everything that changes simulated cycles
-/// (processors, distribution, cache geometry, buffer depth, bus ratio),
-/// so two grids hash equal exactly when they measure the same thing.
-/// Order matters: the grid is part of the artefact's config ordering.
+/// differ can refuse to compare runs of different grids. Order matters:
+/// the grid is part of the artefact's config ordering.
 pub fn grid_hash(configs: &[MachineConfig]) -> u64 {
-    sortmid_observe::provenance::fnv1a_64(
-        configs
-            .iter()
-            .flat_map(|c| c.summary().into_bytes().into_iter().chain([b'\n'])),
-    )
+    sortmid_observe::provenance::fnv1a_64(configs.iter().flat_map(|c| {
+        format!(
+            "{} bus={:?} window={:?} dram={:?} setup={} geometry={}\n",
+            c.summary(),
+            c.bus,
+            c.prefetch_window,
+            c.dram,
+            c.setup_cycles,
+            c.geometry_cycles_per_triangle
+        )
+        .into_bytes()
+    }))
 }
 
 /// [`run_sweep`] with an explicit host-thread count.
@@ -437,10 +445,13 @@ impl<'a> Job<'a> {
             }
         }
         let mut frame_task = Vec::with_capacity(self.groups.len());
-        for (g, members) in self.groups.iter().enumerate() {
+        for g in 0..self.groups.len() {
+            // A perfect model's cache pass only counts hits, and a shared
+            // timing walk runs once.
+            let probing = self.models(g).iter().filter(|(m, _)| *m != CacheKind::Perfect).count();
             let cost = model.plan_build()
-                + self.models(g).len() as u64 * model.capture()
-                + members.len() as u64 * model.run_captured();
+                + probing as u64 * model.capture()
+                + self.walks(g) as u64 * model.run_captured();
             frame_task.push(add(SweepTask::Frame(g), cost, None));
         }
         for (ci, &path) in self.path_of.iter().enumerate() {
@@ -491,6 +502,12 @@ impl<'a> Job<'a> {
                 replay_timing(config, self.stream, self.plan(plan), nodes, counters)
             }
         }
+    }
+
+    /// The number of distinct timing walks frame group `g` runs untraced.
+    fn walks(&self, g: usize) -> usize {
+        let members: Vec<_> = self.groups[g].iter().map(|&ci| &self.configs[ci]).collect();
+        walk_owners(&members).into_iter().enumerate().filter(|&(k, owner)| owner == k).count()
     }
 
     /// Frame group `g`'s distinct cache models, each with the number of
@@ -904,6 +921,14 @@ mod tests {
         let mut reversed = grid.clone();
         reversed.reverse();
         assert_ne!(grid_hash(&grid), grid_hash(&reversed), "order-sensitive");
+        let other_bus = SweepGrid::new().processors([4, 16]).bus_ratios([Some(2.0)]).build();
+        let summaries =
+            |g: &[MachineConfig]| g.iter().map(MachineConfig::summary).collect::<Vec<_>>();
+        assert_eq!(summaries(&grid), summaries(&other_bus), "the summary omits the bus");
+        assert_ne!(grid_hash(&grid), grid_hash(&other_bus), "bus-sensitive");
+        let mut other_window = grid.clone();
+        other_window[1].prefetch_window = None;
+        assert_ne!(grid_hash(&grid), grid_hash(&other_window), "window-sensitive");
         assert_ne!(grid_hash(&[]), 0, "empty grid hashes to the FNV offset");
     }
 }

@@ -85,8 +85,9 @@ impl<'a> TrilinearSampler<'a> {
 /// The machine only ever probes the cache at *line* granularity, so its
 /// batched fragment core reads each footprint as one 8-wide line-id lane.
 /// Each 2×2 bilinear quad usually sits inside one or two 4×4 blocks, so
-/// lanes carry runs of equal line ids — exactly what the batched probes
-/// collapse.
+/// lanes carry runs of equal line ids: a repeat is its set's MRU way,
+/// which the set-associative probe hits on its first compare, and the
+/// three-C classifier's lane skips.
 #[inline]
 pub fn footprint_lines(texels: &[TexelAddr; TEXELS_PER_FRAGMENT]) -> [u32; TEXELS_PER_FRAGMENT] {
     let mut out = [0u32; TEXELS_PER_FRAGMENT];

@@ -14,6 +14,7 @@
 //!
 //! [`RunReport`]: sortmid::RunReport
 
+use sortmid::machine::run_frame_group;
 use sortmid::reference::run_reference;
 use sortmid::{
     capture_line_trace, run_sweep_with_threads, CacheKind, Distribution, Machine, MachineConfig,
@@ -366,6 +367,96 @@ fn prop_frame_group_buffers_match_per_node_fifos() {
                 let oracle = run_reference(config, &s, &mut NullSink);
                 prop_assert_eq!(report, &oracle, "swept {}", config.summary());
             }
+            Ok(())
+        },
+    );
+}
+
+/// One perfect config's timing-side knobs: bus ratio (`None` = ∞), DRAM
+/// model, prefetch window, triangle buffer and setup floor.
+type PerfectKnobs = (Option<f64>, bool, Option<usize>, usize, u64);
+
+/// A frame group mixing perfect configs across bus {0.25, 1, 2, ∞} ×
+/// DRAM {none, SDRAM} × prefetch window {1, 7, ∞}, over one or two
+/// buffers and setup floors, with a 16 KB config and its exact duplicate
+/// among them. Perfect configs equal apart from bus, DRAM and window must
+/// share one timing walk, as must the duplicates; every other pair must
+/// not. Every report equals the oracle's, from the group and from the
+/// sweep alike, and the group runs exactly one walk per distinct timing.
+#[test]
+fn prop_shared_walks_match_reference() {
+    check(
+        "prop_shared_walks_match_reference",
+        &Config::with_cases(16),
+        |g| {
+            let tris = arb_triangles(g);
+            let procs = g.pick(&[1u32, 3, 16, 64]);
+            let dist = arb_screen_distribution(g);
+            let buffers = g.vec(1..3, |g| arb_buffer(g, tris.len()));
+            let setups = g.vec(1..3, |g| g.pick(&[25u64, 60]));
+            let perfect: Vec<PerfectKnobs> = g.vec(1..12, |g| {
+                (
+                    g.pick(&[Some(0.25), Some(1.0), Some(2.0), None]),
+                    g.bool(),
+                    g.pick(&[Some(1), Some(7), None]),
+                    g.pick(&buffers),
+                    g.pick(&setups),
+                )
+            });
+            let l1_at = (g.usize_in(0..perfect.len() + 1), g.usize_in(0..perfect.len() + 2));
+            (tris, procs, dist, perfect, l1_at)
+        },
+        |(tris, procs, dist, perfect, (l1_at, dup_at))| {
+            let s = random_stream(tris);
+            let build = |cache, bus: Option<f64>, dram: bool, window, buffer, setup| {
+                let mut b = MachineConfig::builder();
+                b.processors(*procs)
+                    .distribution(dist.clone())
+                    .cache(cache)
+                    .prefetch_window(window)
+                    .triangle_buffer(buffer)
+                    .setup_cycles(setup)
+                    .dram(dram.then(|| DramConfig::sdram_like(BusConfig::ratio(1.0))));
+                match bus {
+                    Some(r) => b.bus_ratio(r),
+                    None => b.infinite_bus(),
+                };
+                b.build().expect("valid config")
+            };
+            let mut configs: Vec<MachineConfig> = perfect
+                .iter()
+                .map(|&(bus, dram, window, buffer, setup)| {
+                    build(CacheKind::Perfect, bus, dram, window, buffer, setup)
+                })
+                .collect();
+            let (_, _, _, buffer, setup) = perfect[0];
+            let l1 = build(CacheKind::PaperL1, Some(0.25), false, Some(7), buffer, setup);
+            configs.insert(*l1_at, l1.clone());
+            configs.insert(*dup_at, l1);
+
+            // Distinct timings, counted without the engine's rule: a
+            // perfect walk reads only the buffer and the setup floor.
+            let mut timings: Vec<(Option<(usize, u64)>, &MachineConfig)> = Vec::new();
+            for config in &configs {
+                let key = (config.cache == CacheKind::Perfect)
+                    .then_some((config.triangle_buffer, config.setup_cycles));
+                let same = |(k, c): &(Option<(usize, u64)>, &MachineConfig)| match key {
+                    Some(_) => *k == key,
+                    None => k.is_none() && *c == config,
+                };
+                if !timings.iter().any(same) {
+                    timings.push((key, config));
+                }
+            }
+
+            let (grouped, walks) = run_frame_group(&s, &configs);
+            let swept = run_sweep_with_threads(&s, &configs, 2);
+            for ((config, group), sweep) in configs.iter().zip(&grouped).zip(&swept) {
+                let oracle = run_reference(config, &s, &mut NullSink);
+                prop_assert_eq!(group, &oracle, "grouped {}", config.summary());
+                prop_assert_eq!(sweep, &oracle, "swept {}", config.summary());
+            }
+            prop_assert_eq!(walks, timings.len(), "one walk per distinct timing");
             Ok(())
         },
     );
