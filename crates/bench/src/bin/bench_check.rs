@@ -61,13 +61,12 @@ const USAGE: &str = "usage: bench_check [dir] [--against <baseline BENCH json>] 
 /// Pipeline phases a sweep host profile must cover: if any is absent the
 /// instrumentation regressed (the sweep bench profiles both the reference
 /// grid and the dense replay lane, so every stage below runs).
-const REQUIRED_SWEEP_PHASES: [&str; 8] = [
+const REQUIRED_SWEEP_PHASES: [&str; 7] = [
     "run-sweep",
     "plan-build",
     "path-select",
-    "lane-pivot",
     "capture",
-    "trace-eval",
+    "mattson-walk",
     "run-configs",
     "worker-run",
 ];

@@ -9,18 +9,18 @@
 //!
 //! * `grid/shared-plan` — [`run_sweep_with_threads`]: configs grouped by
 //!   `(distribution, processors)`, each group sharing one routing per
-//!   frame window, cache-heavy groups priced by stack-distance replay;
+//!   frame window, cache-heavy groups priced by one Mattson walk;
 //! * `grid/per-config` — the no-sharing baseline: every config runs
 //!   [`Machine::run`] on its own, routing and probing the stream from
 //!   scratch (what `run_sweep` did before routing plans existed);
 //! * `grid/trace-replay` — a 10x-denser cache grid (every power-of-two
 //!   size from 512 B to 4 MB crossed with associativities 1–128, 100+
-//!   configs) on one routing plan, all priced from a single
-//!   `LineAccessTrace` replay;
+//!   configs) on one plan group, all priced by the single Mattson walk its
+//!   frame group mounts;
 //! * `grid/trace-replay-base` — [`STACKDIST_MIN_REQUESTS`] geometries of
 //!   the dense grid on the same plan, the fewest the sweep still prices
-//!   with one Mattson walk (a smaller grid would run its geometries in
-//!   the plan's frame group), so the difference of the two medians isolates
+//!   with one Mattson walk (a smaller grid would give each geometry its
+//!   own per-node caches), so the difference of the two medians isolates
 //!   the *marginal* cost of each extra cache config.
 //!
 //! The shared-plan/per-config ratio is the plan-reuse speedup; the
@@ -40,7 +40,7 @@
 //!   monomorphized away;
 //! * `trace_replay` — the dense lane's config count and the marginal
 //!   nanoseconds each additional cache config costs on top of the shared
-//!   trace capture.
+//!   route and walk.
 //!
 //! The untimed breakdown sweep additionally runs **host-profiled**: the
 //! reference grid and the dense replay lane execute as one combined sweep under a
@@ -96,7 +96,7 @@ fn reference_grid() -> Vec<MachineConfig> {
 /// Cache geometries of the dense trace-replay lane: every power-of-two
 /// size from 512 B to 4 MB crossed with associativities 1–128 (ways capped
 /// so each size holds at least one full set of 64-byte lines) — 102
-/// geometries, all priced from one trace replay.
+/// geometries, all priced by one Mattson walk.
 fn dense_geometries() -> Vec<CacheGeometry> {
     let mut out = Vec::new();
     for log_size in 9..=22 {
@@ -112,7 +112,7 @@ fn dense_geometries() -> Vec<CacheGeometry> {
 }
 
 /// Every third geometry of [`dense_geometries`], [`STACKDIST_MIN_REQUESTS`]
-/// in all — same plan, same pipeline (one pivot, one walk), a third of
+/// in all — same plan, same pipeline (one route, one walk), a third of
 /// the configs — so `dense − base` isolates the marginal cost per extra
 /// cache config.
 fn base_geometries() -> Vec<CacheGeometry> {
@@ -124,9 +124,8 @@ fn base_geometries() -> Vec<CacheGeometry> {
 }
 
 /// One-plan sweep grid (16 processors, 16-pixel blocks) over the given
-/// cache geometries: every config shares the routing plan and the captured
-/// line trace, so wall-clock scales with the *evaluation*, not the
-/// routing.
+/// cache geometries: every config shares the routing and the Mattson
+/// walk, so wall-clock scales with the *walk*, not the routing.
 fn trace_replay_grid(geometries: &[CacheGeometry]) -> Vec<MachineConfig> {
     SweepGrid::new()
         .processors([16])
@@ -230,9 +229,9 @@ fn main() {
             direct.median_ns as f64 / 1e6,
         );
         // Marginal cost of one extra cache config: the dense and base
-        // lanes share the plan build and trace capture, so the median
-        // difference divided by the config-count difference prices exactly
-        // the added evaluation + report synthesis.
+        // lanes share the route and the walk's recency stack, so the
+        // median difference divided by the config-count difference prices
+        // exactly the added geometries' misses and timing walks.
         let extra = (dense.len() - base.len()) as f64;
         let marginal = (dense_r.median_ns as f64 - base_r.median_ns as f64) / extra;
         println!(
@@ -255,7 +254,7 @@ fn main() {
     // One more (untimed) sweep to attach per-config cycle breakdowns —
     // the reference grid and the dense cache lane run as ONE combined
     // profiled sweep, so the scheduler faces a heterogeneous mix of
-    // frame groups and replay-path configs. Only the first `configs.len()`
+    // frame groups with and without a Mattson walk. Only the first `configs.len()`
     // reports feed the regression gate's cycle breakdowns: the gate's
     // groups must not absorb the dense lane, and per-config reports are
     // schedule- and path-independent, so the prefix equals a

@@ -7,9 +7,10 @@
 //! [`PerfectCache`] probes inline straight into the texel loop.
 
 use crate::classify::ClassifyingCache;
+use crate::geometry::CacheGeometry;
 use crate::hierarchy::TwoLevelCache;
 use crate::perfect::PerfectCache;
-use crate::set_assoc::SetAssocCache;
+use crate::set_assoc::{GrowingSetAssocCache, SetAssocCache, EAGER_TAGS};
 use crate::stats::{CacheStats, MissBreakdown};
 use crate::victim::VictimCache;
 use crate::LineCache;
@@ -41,6 +42,9 @@ pub enum AnyCache {
     TwoLevel(TwoLevelCache),
     /// Set-associative L1 plus victim buffer.
     Victim(VictimCache),
+    /// The set-associative simulator for a large geometry, storing only
+    /// what it touches.
+    Growing(GrowingSetAssocCache),
 }
 
 macro_rules! dispatch {
@@ -51,6 +55,7 @@ macro_rules! dispatch {
             AnyCache::Classifying($c) => $body,
             AnyCache::TwoLevel($c) => $body,
             AnyCache::Victim($c) => $body,
+            AnyCache::Growing($c) => $body,
         }
     };
 }
@@ -62,12 +67,22 @@ impl std::fmt::Debug for AnyCache {
 }
 
 impl AnyCache {
+    /// The set-associative model of `geometry`: a [`SetAssocCache`] for up
+    /// to 1,024 tags (one 4 KiB page), else a [`GrowingSetAssocCache`].
+    pub fn set_assoc(geometry: CacheGeometry) -> Self {
+        if geometry.sets() as usize * geometry.ways() as usize <= EAGER_TAGS {
+            AnyCache::SetAssoc(SetAssocCache::new(geometry))
+        } else {
+            AnyCache::Growing(GrowingSetAssocCache::new(geometry))
+        }
+    }
+
     /// A short human-readable model name, used to label per-node tracks in
     /// trace exports (e.g. Perfetto process names).
     pub fn label(&self) -> &'static str {
         match self {
             AnyCache::Perfect(_) => "perfect",
-            AnyCache::SetAssoc(_) => "set-assoc",
+            AnyCache::SetAssoc(_) | AnyCache::Growing(_) => "set-assoc",
             AnyCache::Classifying(_) => "classifying",
             AnyCache::TwoLevel(_) => "two-level",
             AnyCache::Victim(_) => "victim",

@@ -20,12 +20,11 @@
 //!   texture memory (the paper's future-work question).
 //! * [`stats::CacheStats`] — hit/miss accounting and the texel-to-fragment
 //!   arithmetic.
-//! * [`trace::LineAccessTrace`] — the geometry-independent access
-//!   sequence of one routing plan.
-//! * [`stackdist::evaluate_trace`] — Mattson stack-distance replay that
-//!   prices every (size × associativity) geometry of a sweep grid from one
-//!   captured trace; the sweep walks a plan's trace once it requests
-//!   [`STACKDIST_MIN_REQUESTS`] or more geometries.
+//! * [`stackdist::MattsonWalk`] — a resumable Mattson stack-distance walk
+//!   that prices every (size × associativity) geometry of a sweep grid
+//!   from one pass over each node's accesses; a sweep frame group mounts
+//!   one once its configs request [`STACKDIST_MIN_REQUESTS`] or more
+//!   geometries.
 //!
 //! All models operate on **line addresses** (global texel index / 16); the
 //! rasterizer hands the machine 8 texel addresses per fragment and the node
@@ -51,7 +50,6 @@ pub mod perfect;
 pub mod set_assoc;
 pub mod stackdist;
 pub mod stats;
-pub mod trace;
 pub mod victim;
 
 pub use classify::ClassifyingCache;
@@ -59,13 +57,12 @@ pub use dispatch::AnyCache;
 pub use geometry::{CacheGeometry, CacheGeometryError};
 pub use hierarchy::TwoLevelCache;
 pub use perfect::PerfectCache;
-pub use set_assoc::SetAssocCache;
+pub use set_assoc::{GrowingSetAssocCache, SetAssocCache};
 pub use stackdist::{
-    evaluate_trace, evaluation_cost_weight, FragmentMisses, GeometryRequest, MattsonProfile,
-    TraceEvaluation, STACKDIST_MIN_REQUESTS,
+    evaluation_cost_weight, FragmentMisses, GeometryRequest, MattsonProfile, MattsonWalk,
+    STACKDIST_MIN_REQUESTS,
 };
 pub use stats::{CacheStats, MissBreakdown, MissIdentityError};
-pub use trace::LineAccessTrace;
 pub use victim::VictimCache;
 
 use sortmid_observe::{MissClass, MissClassCounts};

@@ -1,4 +1,4 @@
-//! The set-associative LRU cache simulator.
+//! The set-associative LRU cache simulators, with whole and growing tags.
 
 use crate::geometry::CacheGeometry;
 use crate::stats::CacheStats;
@@ -183,6 +183,84 @@ impl LineCache for SetAssocCache {
     }
 }
 
+/// The most tags (one 4 KiB page) [`AnyCache::set_assoc`](crate::AnyCache::set_assoc)
+/// keeps in a whole-array [`SetAssocCache`].
+pub(crate) const EAGER_TAGS: usize = 1024;
+
+/// A [`SetAssocCache`] whose tag store grows with its footprint: it holds
+/// the sets up to the highest one touched (rounded up to a power of two),
+/// each with as many ways as the fullest set has needed. A 4 MB cache over
+/// a few hundred lines costs kilobytes instead of 256 KiB, with the same
+/// hits, misses and evictions. Growing costs a check on every access, so
+/// small caches keep their whole array.
+#[derive(Debug, Clone)]
+pub struct GrowingSetAssocCache {
+    set_mask: u32,
+    ways: usize,
+    /// Ways stored per set: 1 at first, doubled (up to `ways`) when a miss
+    /// finds every stored way of its set taken.
+    held: usize,
+    /// The lowest `tags.len() / held` sets, `held` tags each in recency
+    /// order, vacant ways [`EMPTY`] last.
+    tags: Vec<u32>,
+    stats: CacheStats,
+}
+
+impl GrowingSetAssocCache {
+    /// Creates an empty cache with the given geometry.
+    pub fn new(geometry: CacheGeometry) -> Self {
+        GrowingSetAssocCache {
+            set_mask: geometry.sets() - 1,
+            ways: geometry.ways() as usize,
+            held: 1,
+            tags: Vec::new(),
+            stats: CacheStats::new(),
+        }
+    }
+}
+
+impl LineCache for GrowingSetAssocCache {
+    fn access_line(&mut self, line: u32) -> bool {
+        debug_assert_ne!(line, EMPTY, "line address clashes with the empty sentinel");
+        let held = self.held;
+        let base = (line & self.set_mask) as usize * held;
+        if base >= self.tags.len() {
+            let sets = (base / held + 1).next_power_of_two();
+            self.tags.resize(sets * held, EMPTY);
+        }
+        let set = &self.tags[base..base + held];
+        let (hit, k) = match set.iter().position(|&t| t == line) {
+            Some(pos) => (true, pos),
+            // Every stored way taken and room for more: every set doubles.
+            None if held < self.ways && set[held - 1] != EMPTY => (false, held),
+            None => (false, held - 1),
+        };
+        if k == held {
+            self.held = (held * 2).min(self.ways);
+            let mut tags = vec![EMPTY; self.tags.len() / held * self.held];
+            for (new, old) in tags.chunks_exact_mut(self.held).zip(self.tags.chunks_exact(held)) {
+                new[..held].copy_from_slice(old);
+            }
+            self.tags = tags;
+        }
+        let base = (line & self.set_mask) as usize * self.held;
+        let set = &mut self.tags[base..base + self.held];
+        set.copy_within(0..k, 1);
+        set[0] = line;
+        self.stats.record(hit);
+        hit
+    }
+
+    fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    fn reset(&mut self) {
+        self.tags.fill(EMPTY);
+        self.stats.reset();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,6 +419,87 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// Every access hits or misses as one LRU list of `ways` lines per set
+    /// says, through the scalar and the batched probe of both models,
+    /// whichever sets and ways a growing store holds so far.
+    #[test]
+    fn prop_models_match_per_set_lru_lists() {
+        check(
+            "models_match_per_set_lru_lists",
+            &Config::default(),
+            |g| {
+                // The lines crowd a few sets past every associativity
+                // drawn, and a drawn top set only after the others have
+                // filled.
+                let sets = 1u32 << g.usize_in(0..9);
+                let ways = 1u32 << g.usize_in(0..6);
+                let top = g.u32_in(0..sets);
+                let mut lines = g.vec(1..300, |g| {
+                    g.u32_in(0..48) * sets + [0, 1.min(top), top / 2][g.usize_in(0..3)]
+                });
+                lines.extend(g.vec(0..100, |g| g.u32_in(0..48) * sets + [0, top][g.usize_in(0..2)]));
+                (sets, ways, lines)
+            },
+            |(sets, ways, lines)| {
+                let geometry = CacheGeometry::new(sets * ways * 64, *ways, 64).unwrap();
+                let mut models: [Box<dyn LineCache>; 4] = [
+                    Box::new(SetAssocCache::new(geometry)),
+                    Box::new(SetAssocCache::new(geometry)),
+                    Box::new(GrowingSetAssocCache::new(geometry)),
+                    Box::new(GrowingSetAssocCache::new(geometry)),
+                ];
+                let mut lists = vec![Vec::new(); *sets as usize];
+                for &line in lines {
+                    let list: &mut Vec<u32> = &mut lists[(line % sets) as usize];
+                    let hit = match list.iter().position(|&l| l == line) {
+                        Some(pos) => {
+                            list.remove(pos);
+                            true
+                        }
+                        None => {
+                            list.truncate(*ways as usize - 1);
+                            false
+                        }
+                    };
+                    list.insert(0, line);
+                    for (m, model) in models.iter_mut().enumerate() {
+                        let got = if m % 2 == 0 {
+                            model.access_line(line)
+                        } else {
+                            let mut miss_out = [0u32; 1];
+                            let mut classes = MissClassCounts::default();
+                            model.access_lane(&[line], &mut miss_out, &mut classes) == 0
+                        };
+                        prop_assert!(got == hit, "model {m}, line {line}: hit should be {hit}");
+                    }
+                }
+                for model in &models {
+                    prop_assert!(model.stats() == models[0].stats());
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// A growing cache far larger than its footprint stores only the sets
+    /// and ways the footprint reaches.
+    #[test]
+    fn growing_store_follows_the_footprint() {
+        // 4 MB, 16-way: 4096 sets.
+        let mut c = GrowingSetAssocCache::new(CacheGeometry::new(4 << 20, 16, 64).unwrap());
+        for line in 0..100 {
+            c.access_line(line);
+        }
+        assert_eq!(c.tags.len(), 128, "100 sets of one way each");
+        c.access_line(99 + 4096); // shares set 99 with line 99
+        assert_eq!(c.tags.len(), 256, "every set now stores two ways");
+        for line in 0..100 {
+            assert!(c.access_line(line), "line {line} must have survived");
+        }
+        assert!(c.tags.contains(&(99 + 4096)));
+        assert_eq!(c.tags.iter().filter(|&&t| t != EMPTY).count(), 101);
     }
 
     /// The W most recent distinct lines of one set are all resident

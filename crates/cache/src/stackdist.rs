@@ -1,5 +1,5 @@
-//! Mattson stack-distance evaluation: one trace replay prices every
-//! set-associative geometry of a sweep grid at once.
+//! Mattson stack-distance evaluation: one walk of a node's accesses prices
+//! every set-associative geometry of a sweep grid at once.
 //!
 //! For a true-LRU cache, whether an access hits depends only on its
 //! *set-relative stack distance* — the number of distinct lines mapping to
@@ -27,26 +27,32 @@
 //! its group (`ways <= d`). Distances never grow with `k`, so an access's
 //! work ends at the first set count where its distance is 0; head hits
 //! (about half of all accesses on texture traces) and those zero tails
-//! are counted once and added to the histograms at the end of the node.
-//! A first touch misses everywhere and is recorded once per node.
+//! are counted once per node and added to the histograms when the
+//! profile is read. A first touch misses everywhere and is recorded once
+//! per node.
 //!
-//! Per-fragment misses are sparse: each node keeps the
-//! `(fragment, first touches)` of its fragments with a first touch once,
-//! and each geometry the `(fragment, warm misses)` of its fragments with a
-//! warm miss, written at the end of the fragment from a list of the
-//! geometries that missed in it. [`TraceEvaluation::fragment_misses`]
-//! merges the two ([`FragmentMisses`]), so the timing replay advances
-//! all-hit stretches in bulk.
+//! # Windows
+//!
+//! A [`MattsonWalk`] is resumable: each node's recency stack, histograms,
+//! cold lines and per-geometry counters persist from one
+//! [`walk`](MattsonWalk::walk) to the next, so a frame walked one window
+//! at a time prices exactly what one walk of the whole frame would.
+//! Per-fragment misses are sparse and kept for the current window only:
+//! each node keeps the `(fragment, first touches)` of its fragments with a
+//! first touch once, and each geometry the `(fragment, warm misses)` of
+//! its fragments with a warm miss, written at the end of the fragment
+//! from a list of the geometries that missed in it.
+//! [`MattsonWalk::fragment_misses`] merges the two ([`FragmentMisses`]),
+//! so the timing walk advances all-hit stretches in bulk.
 
 use crate::geometry::CacheGeometry;
 use crate::stats::{CacheStats, MissBreakdown};
-use crate::trace::LineAccessTrace;
 use std::collections::HashMap;
 
 /// Sentinel for "no slot" in the intrusive recency list.
 const NIL: u32 = u32::MAX;
 
-/// One geometry a trace evaluation should price.
+/// One geometry a [`MattsonWalk`] should price.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeometryRequest {
     /// The set-associative geometry.
@@ -63,8 +69,8 @@ pub struct GeometryRequest {
 /// miss in every geometry.
 ///
 /// `hits(sets, ways)` reads the hit count of any `(sets, ways)` cache
-/// whose axes the profile tracked, without touching the trace again.
-#[derive(Debug, Clone)]
+/// whose axes the profile tracked, without touching the sequence again.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MattsonProfile {
     accesses: u64,
     cold: u64,
@@ -122,8 +128,8 @@ impl MattsonProfile {
     }
 }
 
-/// One geometry's replay-derived counters for one node.
-#[derive(Debug, Clone)]
+/// One geometry's counters for one node.
+#[derive(Debug, Clone, Default)]
 struct GeomCounts {
     /// Warm (non-first-touch) misses; the cold ones are the node's
     /// [`MattsonProfile::compulsory`], shared by every geometry.
@@ -131,29 +137,15 @@ struct GeomCounts {
     /// Warm misses a fully-associative LRU of the same total size also
     /// takes; counted only for classifying requests.
     capacity: u64,
-    classify: bool,
-    /// `(fragment index, warm misses)` of every fragment with at least one
-    /// warm miss, ascending by index.
+    /// `(fragment index, warm misses)` of every fragment of the current
+    /// window with at least one warm miss, ascending by index.
     warm_frags: Vec<(u32, u32)>,
 }
 
-/// One node's evaluation: profile, distinct-line census and per-geometry
-/// counters.
-#[derive(Debug, Clone)]
-struct NodeEvaluation {
-    profile: MattsonProfile,
-    /// Distinct lines in first-touch order (the cold-miss census).
-    cold_lines: Vec<u32>,
-    /// `(fragment index, first touches)` of every fragment with a first
-    /// touch, ascending by index: misses in every geometry, kept once.
-    cold_frags: Vec<(u32, u32)>,
-    per_geom: Vec<GeomCounts>,
-}
-
-/// One node's per-fragment misses in one geometry, sparse: the
+/// One node's sparse per-fragment misses in one geometry: the
 /// `(fragment index, misses)` of every fragment that misses, ascending by
-/// index, merged from two such lists whose counts add. A stack-distance
-/// evaluation keeps a node's first-touch fragments once for every
+/// index, merged from two such lists whose counts add. A
+/// [`MattsonWalk`] keeps a node's first-touch fragments once for every
 /// geometry and each geometry's warm misses apart; a single recorded list
 /// pairs with an empty one.
 #[derive(Debug, Clone, Copy)]
@@ -192,64 +184,125 @@ impl Iterator for FragmentMisses<'_> {
     }
 }
 
-/// The result of replaying a [`LineAccessTrace`] against a grid of
-/// geometries: per node and per requested geometry, the exact hit/miss
-/// counters, per-fragment miss counts (for timing replay), eviction
-/// estimates and optional three-C decomposition a direct simulation of
-/// that geometry would produce.
+/// A resumable stack-distance walk of several nodes' access sequences
+/// against one grid of geometries: per node and per requested geometry,
+/// the exact hit/miss counters, per-fragment miss counts (for the timing
+/// walk), eviction estimates and optional three-C decomposition a direct
+/// simulation of that geometry would produce.
+///
+/// Each node's sequence arrives fragment by fragment through
+/// [`walk`](Self::walk), in as many calls and windows as the caller
+/// likes; the counters cover everything walked so far, the per-fragment
+/// misses the current window.
 #[derive(Debug, Clone)]
-pub struct TraceEvaluation {
+pub struct MattsonWalk {
     requests: Vec<GeometryRequest>,
-    nodes: Vec<NodeEvaluation>,
+    grid: RequestGrid,
+    nodes: Vec<NodeWalk>,
+    scratch: Scratch,
 }
 
-impl TraceEvaluation {
-    /// The geometry grid this evaluation priced.
-    pub fn requests(&self) -> &[GeometryRequest] {
-        &self.requests
+impl MattsonWalk {
+    /// A walk of `nodes` empty sequences, pricing every geometry in
+    /// `requests`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two requests carry the same geometry (the grid must be
+    /// deduplicated so each geometry has one slot).
+    pub fn new(requests: &[GeometryRequest], nodes: usize) -> Self {
+        for (i, r) in requests.iter().enumerate() {
+            assert!(
+                !requests[..i].iter().any(|p| p.geometry == r.geometry),
+                "duplicate geometry {} in request grid",
+                r.geometry
+            );
+        }
+        let grid = RequestGrid::new(requests);
+        MattsonWalk {
+            requests: requests.to_vec(),
+            nodes: (0..nodes).map(|_| NodeWalk::new(&grid, requests.len())).collect(),
+            scratch: Scratch {
+                counts: vec![0; grid.groups.len()],
+                frag_misses: vec![0; requests.len()],
+                dirty: Vec::with_capacity(requests.len()),
+            },
+            grid,
+        }
     }
 
-    /// Number of nodes evaluated.
+    /// Number of nodes walked.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// One node's Mattson profile.
-    pub fn profile(&self, node: usize) -> &MattsonProfile {
-        &self.nodes[node].profile
+    /// Starts a new window: every node's per-fragment miss lists empty and
+    /// its fragment indices restart at 0. The counters carry on.
+    pub fn start_window(&mut self) {
+        for node in &mut self.nodes {
+            node.frags = 0;
+            node.cold_frags.clear();
+            for g in &mut node.per_geom {
+                g.warm_frags.clear();
+            }
+        }
+    }
+
+    /// Walks `fragments` — each one fragment's accesses, in order — as
+    /// `node`'s next accesses.
+    #[inline]
+    pub fn walk<F: AsRef<[u32]>>(&mut self, node: usize, fragments: impl IntoIterator<Item = F>) {
+        let MattsonWalk { grid, nodes, scratch, .. } = self;
+        let node = &mut nodes[node];
+        for accesses in fragments {
+            node.fragment(accesses.as_ref(), grid, scratch);
+        }
+    }
+
+    /// One node's Mattson profile over everything walked so far.
+    pub fn profile(&self, node: usize) -> MattsonProfile {
+        let n = &self.nodes[node];
+        let mut hist = n.hist.clone();
+        // Distance-0 accesses: head hits are 0 at every set count, and
+        // `zero_from[i]` counts warm accesses whose distance first reaches
+        // 0 at group `i` (it never grows with `k`, so it stays 0 for every
+        // later group).
+        let mut zeros = n.head_hits;
+        for (g, zero) in self.grid.groups.iter().zip(&n.zero_from) {
+            zeros += zero;
+            hist[g.k][0] += zeros;
+        }
+        MattsonProfile { accesses: n.accesses, cold: self.compulsory(node), hist }
     }
 
     /// Cache statistics of geometry `geom` on `node`, identical to a
     /// direct [`SetAssocCache`](crate::SetAssocCache) simulation of the
-    /// node's sequence.
+    /// node's sequence so far.
     pub fn stats(&self, node: usize, geom: usize) -> CacheStats {
-        let n = &self.nodes[node];
-        CacheStats::from_counts(n.profile.accesses, self.misses(node, geom))
+        CacheStats::from_counts(self.nodes[node].accesses, self.misses(node, geom))
     }
 
     fn misses(&self, node: usize, geom: usize) -> u64 {
-        let n = &self.nodes[node];
-        n.profile.cold + n.per_geom[geom].warm_misses
+        self.compulsory(node) + self.nodes[node].per_geom[geom].warm_misses
     }
 
     /// The three-C decomposition (only when the request asked to
     /// classify), identical to a direct
     /// [`ClassifyingCache`](crate::ClassifyingCache) simulation.
     pub fn breakdown(&self, node: usize, geom: usize) -> Option<MissBreakdown> {
-        let n = &self.nodes[node];
-        let g = &n.per_geom[geom];
-        g.classify.then(|| MissBreakdown {
-            compulsory: n.profile.cold,
+        let g = &self.nodes[node].per_geom[geom];
+        self.requests[geom].classify.then(|| MissBreakdown {
+            compulsory: self.compulsory(node),
             capacity: g.capacity,
             conflict: g.warm_misses - g.capacity,
         })
     }
 
-    /// The fragments of `node` that miss in geometry `geom`, as
-    /// `(fragment index, misses)` pairs ascending by index; every other
-    /// fragment hits on all its accesses. Fragment indices count the
-    /// node's fragments in processing order — what the timing replay
-    /// feeds the engine model.
+    /// The fragments of `node`'s current window that miss in geometry
+    /// `geom`, as `(fragment index, misses)` pairs ascending by index;
+    /// every other fragment hits on all its accesses. Fragment indices
+    /// count the node's fragments of the window in walk order — what the
+    /// timing walk feeds the engine model.
     pub fn fragment_misses(&self, node: usize, geom: usize) -> FragmentMisses<'_> {
         let n = &self.nodes[node];
         FragmentMisses::new(&n.cold_frags, &n.per_geom[geom].warm_frags)
@@ -258,12 +311,12 @@ impl TraceEvaluation {
     /// First-touch (compulsory) miss count of `node` — the same for every
     /// geometry.
     pub fn compulsory(&self, node: usize) -> u64 {
-        self.nodes[node].profile.cold
+        self.nodes[node].cold_lines.len() as u64
     }
 
-    /// Lines of geometry `geom` resident on `node` after the whole
-    /// sequence: per set, the smaller of the distinct lines mapping there
-    /// and the associativity (LRU never un-fills a way).
+    /// Lines of geometry `geom` resident on `node` now: per set, the
+    /// smaller of the distinct lines mapping there and the associativity
+    /// (LRU never un-fills a way).
     pub fn resident_lines(&self, node: usize, geom: usize) -> u64 {
         let g = &self.requests[geom].geometry;
         let mut per_set: HashMap<u32, u32> = HashMap::new();
@@ -280,42 +333,17 @@ impl TraceEvaluation {
     }
 }
 
-/// Replays `trace` through the stack-distance oracle, pricing every
-/// geometry in `requests` for every node in one pass per node.
-///
-/// # Panics
-///
-/// Panics if two requests carry the same geometry (the grid must be
-/// deduplicated so each geometry has one slot).
-pub fn evaluate_trace(trace: &LineAccessTrace, requests: &[GeometryRequest]) -> TraceEvaluation {
-    for (i, r) in requests.iter().enumerate() {
-        assert!(
-            !requests[..i].iter().any(|p| p.geometry == r.geometry),
-            "duplicate geometry {} in request grid",
-            r.geometry
-        );
-    }
-    let grid = RequestGrid::new(requests);
-    let nodes = (0..trace.node_count())
-        .map(|n| evaluate_node(trace.node_lines(n), trace.accesses_per_fragment(), &grid))
-        .collect();
-    TraceEvaluation {
-        requests: requests.to_vec(),
-        nodes,
-    }
-}
-
-/// Request-count threshold for the stack-distance walk: the sweep prices
-/// a plan's set-associative configs with [`evaluate_trace`] iff they
-/// request at least this many distinct geometries, and shares one cache
-/// capture per `(plan, cache model)` otherwise.
+/// Request-count threshold for the stack-distance walk: a sweep frame
+/// group prices its set-associative configs with one [`MattsonWalk`] iff
+/// they request at least this many distinct geometries, and runs one
+/// cache pass per distinct model otherwise.
 ///
 /// The walk's cost is set by the recency walk, which depends on the set
 /// counts the grid spans rather than on how many geometries it prices
 /// (see [`evaluation_cost_weight`]). Measured single-threaded on a 2-vCPU
 /// Xeon over block-16, 16-node plans of `quake` (scale 0.12 and 0.2),
 /// `32massive11255` and `truc640` (scale 0.2), against one
-/// [`SetAssocCache`](crate::SetAssocCache) pass over the same trace: a
+/// [`SetAssocCache`](crate::SetAssocCache) pass over the same sequence: a
 /// walk pricing 4 geometries costs 4.4–7.0 passes, 8 geometries 4.4–8.2,
 /// 16 geometries 6.2–14 and 32 geometries 7.8–16. The walk therefore
 /// breaks even with one capture per geometry at about 8–12 geometries.
@@ -323,10 +351,10 @@ pub fn evaluate_trace(trace: &LineAccessTrace, requests: &[GeometryRequest]) -> 
 /// from captures to the walk, which is a change of its own.
 pub const STACKDIST_MIN_REQUESTS: usize = 32;
 
-/// Relative host cost of one [`evaluate_trace`] pricing `requests`
-/// geometries, in units of one cache pass over the trace, exported so the
-/// sweep scheduler's cost model can dispatch evaluations
-/// longest-estimated-first.
+/// Relative host cost of one [`MattsonWalk`] over a frame pricing
+/// `requests` geometries, in units of one cache pass over the same
+/// accesses, exported so the sweep scheduler's cost model can dispatch
+/// frame groups longest-estimated-first.
 ///
 /// Fitted to the same measurements as [`STACKDIST_MIN_REQUESTS`]: the
 /// walk over the sweep bench's plan costs 14.3 passes at 32 geometries
@@ -337,6 +365,7 @@ pub fn evaluation_cost_weight(requests: usize) -> u64 {
 }
 
 /// The request grid preprocessed for the per-access loop.
+#[derive(Debug, Clone)]
 struct RequestGrid {
     /// Per set-count exponent `k`: distances are exact up to `cap[k]` and
     /// clamped there; 0 = untracked.
@@ -344,11 +373,11 @@ struct RequestGrid {
     /// The tracked set counts, ascending by `k` — the walk fills these, so
     /// small-`k` caps saturate first.
     groups: Vec<SetGroup>,
-    requests: usize,
 }
 
 /// The requests sharing one set count `2^k`, ascending by associativity:
 /// an access at distance `d` misses exactly the prefix with `ways <= d`.
+#[derive(Debug, Clone)]
 struct SetGroup {
     k: usize,
     cap: u32,
@@ -388,7 +417,7 @@ impl RequestGrid {
                 SetGroup { k, cap: cap[k], points }
             })
             .collect();
-        RequestGrid { cap, groups, requests: requests.len() }
+        RequestGrid { cap, groups }
     }
 }
 
@@ -399,13 +428,14 @@ impl RequestGrid {
 /// load; the line → slot map is a plain vector indexed by line value
 /// (texture line indices are dense), so the per-access lookup is one load
 /// instead of a hash.
+#[derive(Debug, Clone)]
 struct RecencyStack {
     head: u32,
     slots: Vec<Slot>,
     slot_of: Vec<u32>,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     line: u32,
     next: u32,
@@ -456,51 +486,77 @@ impl RecencyStack {
     }
 }
 
-fn evaluate_node(lines: &[u32], accesses_per_fragment: u32, grid: &RequestGrid) -> NodeEvaluation {
-    let groups = &grid.groups;
-    let mut stack = RecencyStack::new();
-    let mut cold_lines = Vec::new();
-    let mut hist: Vec<Vec<u64>> = grid
-        .cap
-        .iter()
-        .map(|&c| vec![0u64; if c > 0 { c as usize + 1 } else { 0 }])
-        .collect();
-    let mut cold_frags = Vec::new();
-    let mut per_geom: Vec<GeomCounts> = vec![
-        GeomCounts { warm_misses: 0, capacity: 0, classify: false, warm_frags: Vec::new() };
-        grid.requests
-    ];
-    for &(_, gi, threshold) in groups.iter().flat_map(|g| &g.points) {
-        per_geom[gi as usize].classify = threshold > 0;
+/// Per-fragment scratch shared by every node of a walk: per group, the
+/// distinct same-set lines seen above the target so far, clamped at its
+/// cap; and the current fragment's per-request warm misses, with the
+/// requests that took any. A fragment leaves it clean.
+#[derive(Debug, Clone)]
+struct Scratch {
+    counts: Vec<u32>,
+    frag_misses: Vec<u32>,
+    dirty: Vec<u32>,
+}
+
+/// One node's walk state: everything that persists across windows, plus
+/// the current window's sparse per-fragment misses.
+#[derive(Debug, Clone)]
+struct NodeWalk {
+    stack: RecencyStack,
+    /// Distinct lines in first-touch order (the cold-miss census).
+    cold_lines: Vec<u32>,
+    accesses: u64,
+    /// Warm accesses per set count and distance, without the distance-0
+    /// ones, which `head_hits` and `zero_from` count (see
+    /// [`MattsonWalk::profile`]).
+    hist: Vec<Vec<u64>>,
+    head_hits: u64,
+    zero_from: Vec<u64>,
+    per_geom: Vec<GeomCounts>,
+    /// Fragments walked in the current window (the next one's index).
+    frags: u32,
+    /// `(fragment index, first touches)` of every fragment of the current
+    /// window with a first touch, ascending by index: misses in every
+    /// geometry, kept once.
+    cold_frags: Vec<(u32, u32)>,
+}
+
+impl NodeWalk {
+    fn new(grid: &RequestGrid, requests: usize) -> Self {
+        NodeWalk {
+            stack: RecencyStack::new(),
+            cold_lines: Vec::new(),
+            accesses: 0,
+            hist: grid
+                .cap
+                .iter()
+                .map(|&c| vec![0u64; if c > 0 { c as usize + 1 } else { 0 }])
+                .collect(),
+            head_hits: 0,
+            zero_from: vec![0; grid.groups.len()],
+            per_geom: vec![GeomCounts::default(); requests],
+            frags: 0,
+            cold_frags: Vec::new(),
+        }
     }
-    // Distance-0 accesses, added to every `hist[k][0]` once at the end:
-    // head hits are 0 at every set count, and `zero_from[i]` counts warm
-    // accesses whose distance first reaches 0 at group `i` (it never
-    // grows with `k`, so it stays 0 for every later group).
-    let mut head_hits = 0u64;
-    let mut zero_from = vec![0u64; groups.len()];
 
-    // Scratch reused across accesses: per group, the distinct same-set
-    // lines seen above the target so far, clamped at its cap; and the
-    // current fragment's cold accesses and per-request warm misses, with
-    // the requests that took any.
-    let mut counts = vec![0u32; groups.len()];
-    let mut frag_cold = 0u32;
-    let mut frag_misses = vec![0u32; grid.requests];
-    let mut dirty: Vec<u32> = Vec::with_capacity(grid.requests);
-
-    for (frag, accesses) in lines.chunks_exact(accesses_per_fragment as usize).enumerate() {
+    /// Walks one fragment's `accesses` and closes it.
+    fn fragment(&mut self, accesses: &[u32], grid: &RequestGrid, scratch: &mut Scratch) {
+        let groups = &grid.groups;
+        let Scratch { counts, frag_misses, dirty } = scratch;
+        let mut frag_cold = 0u32;
+        self.accesses += accesses.len() as u64;
         for &line in accesses {
+            let stack = &mut self.stack;
             match stack.slot_of(line) {
                 NIL => {
                     // First touch: misses in every geometry, no walk needed.
                     frag_cold += 1;
-                    cold_lines.push(line);
+                    self.cold_lines.push(line);
                     stack.insert_cold(line);
                 }
                 // Most-recent line again (the dominant texture-locality
                 // case): distance 0 at every set count — hits everywhere.
-                slot if stack.head == slot => head_hits += 1,
+                slot if stack.head == slot => self.head_hits += 1,
                 slot => {
                     // Walk the recency stack towards the target, counting
                     // per group the distinct same-set lines passed (an
@@ -534,17 +590,17 @@ fn evaluate_node(lines: &[u32], accesses_per_fragment: u32, grid: &RequestGrid) 
                         cur = entry.next;
                     }
                     let full = counts.first().copied().unwrap_or(0);
-                    for ((&d, g), zero) in counts.iter().zip(groups).zip(&mut zero_from) {
+                    for ((&d, g), zero) in counts.iter().zip(groups).zip(&mut self.zero_from) {
                         if d == 0 {
                             *zero += 1;
                             break;
                         }
-                        hist[g.k][d as usize] += 1;
+                        self.hist[g.k][d as usize] += 1;
                         for &(ways, gi, threshold) in &g.points {
                             if ways > d {
                                 break;
                             }
-                            let gc = &mut per_geom[gi as usize];
+                            let gc = &mut self.per_geom[gi as usize];
                             gc.warm_misses += 1;
                             // Same oracle as ClassifyingCache: a warm miss
                             // is a capacity miss iff a fully-associative
@@ -569,33 +625,17 @@ fn evaluate_node(lines: &[u32], accesses_per_fragment: u32, grid: &RequestGrid) 
 
         // Close the fragment: its first touches once for every geometry,
         // its warm misses for the dirty requests only.
-        let frag = frag as u32;
+        let frag = self.frags;
+        self.frags += 1;
         if frag_cold > 0 {
-            cold_frags.push((frag, frag_cold));
-            frag_cold = 0;
+            self.cold_frags.push((frag, frag_cold));
         }
-        for &gi in &dirty {
+        for &gi in dirty.iter() {
             let m = &mut frag_misses[gi as usize];
-            per_geom[gi as usize].warm_frags.push((frag, *m));
+            self.per_geom[gi as usize].warm_frags.push((frag, *m));
             *m = 0;
         }
         dirty.clear();
-    }
-
-    let mut zeros = head_hits;
-    for (g, zero) in groups.iter().zip(&zero_from) {
-        zeros += zero;
-        hist[g.k][0] += zeros;
-    }
-    NodeEvaluation {
-        profile: MattsonProfile {
-            accesses: lines.len() as u64,
-            cold: cold_lines.len() as u64,
-            hist,
-        },
-        cold_lines,
-        cold_frags,
-        per_geom,
     }
 }
 
@@ -605,9 +645,16 @@ mod tests {
     use crate::classify::ClassifyingCache;
     use crate::set_assoc::SetAssocCache;
     use crate::LineCache;
+    use sortmid_devharness::prop::{check, Config, Gen};
+    use sortmid_devharness::prop_assert_eq;
 
-    fn trace_of(lines: Vec<u32>) -> LineAccessTrace {
-        LineAccessTrace::from_nodes(vec![lines], 1)
+    /// One node's sequence walked in one window, `per_fragment` accesses
+    /// per fragment.
+    fn walk_once(lines: &[u32], per_fragment: usize, grid: &[GeometryRequest]) -> MattsonWalk {
+        let mut walk = MattsonWalk::new(grid, 1);
+        walk.start_window();
+        walk.walk(0, lines.chunks_exact(per_fragment));
+        walk
     }
 
     fn geom(size: u32, ways: u32) -> CacheGeometry {
@@ -639,7 +686,7 @@ mod tests {
             .iter()
             .map(|&(s, w)| request(s, w))
             .collect();
-        let eval = evaluate_trace(&trace_of(lines.clone()), &grid);
+        let eval = walk_once(&lines, 1, &grid);
         for (gi, r) in grid.iter().enumerate() {
             let mut direct = SetAssocCache::new(r.geometry);
             for &l in &lines {
@@ -664,7 +711,7 @@ mod tests {
     fn profile_answers_the_registered_grid() {
         let lines = lcg_lines(1000, 64, 3);
         let grid = [request(512, 2), request(1024, 2)];
-        let eval = evaluate_trace(&trace_of(lines), &grid);
+        let eval = walk_once(&lines, 1, &grid);
         let p = eval.profile(0);
         assert!(p.supports(8, 2) && p.supports(8, 1));
         assert!(!p.supports(8, 4), "4 ways beyond the tracked cap");
@@ -680,9 +727,8 @@ mod tests {
     #[test]
     fn per_fragment_misses_sum_to_totals() {
         let lines = lcg_lines(4096, 100, 11);
-        let trace = LineAccessTrace::from_nodes(vec![lines], 8);
         let grid = [request(512, 2), request(2048, 4)];
-        let eval = evaluate_trace(&trace, &grid);
+        let eval = walk_once(&lines, 8, &grid);
         for gi in 0..grid.len() {
             let per_frag: u64 = eval.fragment_misses(0, gi).map(|(_, m)| m as u64).sum();
             assert_eq!(per_frag, eval.stats(0, gi).misses());
@@ -697,7 +743,7 @@ mod tests {
         let mut lines = (0..2000u32).collect::<Vec<_>>();
         lines.extend(0..2000u32);
         let grid = [request(512, 1), request(512, 8)];
-        let eval = evaluate_trace(&trace_of(lines.clone()), &grid);
+        let eval = walk_once(&lines, 1, &grid);
         for (gi, r) in grid.iter().enumerate() {
             let mut direct = SetAssocCache::new(r.geometry);
             for &l in &lines {
@@ -721,7 +767,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate geometry")]
     fn duplicate_requests_panic() {
-        evaluate_trace(&trace_of(vec![1]), &[request(512, 2), request(512, 2)]);
+        MattsonWalk::new(&[request(512, 2), request(512, 2)], 1);
     }
 
     /// Expands a sparse `(fragment, misses)` list to one count per
@@ -769,13 +815,12 @@ mod tests {
     #[test]
     fn walk_matches_a_per_fragment_oracle() {
         let lines = lcg_lines(4096, 180, 29);
-        let trace = LineAccessTrace::from_nodes(vec![lines.clone()], 8);
         let mut grid: Vec<GeometryRequest> = [(512, 1), (1024, 4), (4096, 2), (16384, 8)]
             .iter()
             .map(|&(s, w)| request(s, w))
             .collect();
         grid[1].classify = true;
-        let walk = evaluate_trace(&trace, &grid);
+        let walk = walk_once(&lines, 8, &grid);
         for (gi, req) in grid.iter().enumerate() {
             let (frag_misses, stats, breakdown, evictions) = oracle(req, &lines, 8);
             let walked = dense(walk.fragment_misses(0, gi), frag_misses.len());
@@ -784,6 +829,116 @@ mod tests {
             assert_eq!(walk.breakdown(0, gi), breakdown, "{}", req.geometry);
             assert_eq!(walk.evictions(0, gi), evictions, "{}", req.geometry);
         }
+    }
+
+    /// A random grid of 1..=6 distinct geometries from 64 B to 16 KB with
+    /// random classify flags (a drawn duplicate is dropped, so a shrunk
+    /// tape of zeros still ends).
+    fn arb_grid(g: &mut Gen) -> Vec<GeometryRequest> {
+        let mut grid: Vec<GeometryRequest> = Vec::new();
+        for _ in 0..g.usize_in(1..7) {
+            let size = 64u32 << g.u32_in(0..9);
+            let ways = 1u32 << g.u32_in(0..(size / 64).trailing_zeros().min(3) + 1);
+            let geometry = geom(size, ways);
+            if grid.iter().all(|r| r.geometry != geometry) {
+                grid.push(GeometryRequest { geometry, classify: g.bool() });
+            }
+        }
+        grid
+    }
+
+    /// One node's fragments of 8 accesses over a span of lines, with
+    /// repeats of the access before so that head hits, near and far
+    /// reuses and first touches all occur.
+    fn arb_fragments(g: &mut Gen) -> Vec<[u32; 8]> {
+        let span = g.u32_in(8..600);
+        let mut last = 0;
+        g.vec(0..160, |g| {
+            std::array::from_fn(|_| {
+                if g.choice(3) != 0 {
+                    last = g.u32_in(0..span);
+                }
+                last
+            })
+        })
+    }
+
+    /// 1–4 nodes' fragment sequences, a grid, and per node the fragment
+    /// counts after which the windowed walk starts a new window (plus a
+    /// split inside each window, where its nodes interleave).
+    type Case = (Vec<Vec<[u32; 8]>>, Vec<GeometryRequest>, usize, Vec<Vec<usize>>);
+
+    fn arb_case(g: &mut Gen) -> Case {
+        let nodes = g.vec(1..5, arb_fragments);
+        let grid = arb_grid(g);
+        let windows = g.usize_in(1..6);
+        // Per node, 2·windows − 1 sorted cut points: window w spans cuts
+        // 2w − 1 .. 2w + 1, split at cut 2w.
+        let cuts = nodes
+            .iter()
+            .map(|frags| {
+                let mut cuts: Vec<usize> =
+                    (0..2 * windows - 1).map(|_| g.usize_in(0..frags.len() + 1)).collect();
+                cuts.sort_unstable();
+                cuts
+            })
+            .collect();
+        (nodes, grid, windows, cuts)
+    }
+
+    /// Walking each node's sequence in one call and walking it split at
+    /// random window boundaries — nodes interleaved, several calls per
+    /// window — price everything alike: each fragment's misses (window
+    /// indices offset back to the whole sequence), stats, three-C
+    /// breakdown, evictions and profile.
+    #[test]
+    fn prop_windowed_walk_equals_one_walk() {
+        check("windowed_walk_equals_one_walk", &Config::with_cases(64), arb_case, |case| {
+            let (nodes, grid, windows, cuts) = case;
+            let mut whole = MattsonWalk::new(grid, nodes.len());
+            whole.start_window();
+            for (i, frags) in nodes.iter().enumerate() {
+                whole.walk(i, frags);
+            }
+
+            let mut windowed = MattsonWalk::new(grid, nodes.len());
+            // Per node and geometry, the windowed walk's misses in
+            // whole-sequence fragment indices.
+            let mut misses = vec![vec![Vec::new(); grid.len()]; nodes.len()];
+            for w in 0..*windows {
+                windowed.start_window();
+                let bound = |i: usize, c: usize| match c {
+                    0 => 0,
+                    c if c > cuts[i].len() => nodes[i].len(),
+                    c => cuts[i][c - 1],
+                };
+                for half in 0..2 {
+                    for (i, frags) in nodes.iter().enumerate() {
+                        let piece = bound(i, 2 * w + half)..bound(i, 2 * w + half + 1);
+                        windowed.walk(i, &frags[piece]);
+                    }
+                }
+                for (i, per_geom) in misses.iter_mut().enumerate() {
+                    let offset = bound(i, 2 * w) as u32;
+                    for (gi, list) in per_geom.iter_mut().enumerate() {
+                        list.extend(windowed.fragment_misses(i, gi).map(|(f, m)| (f + offset, m)));
+                    }
+                }
+            }
+
+            for (i, per_geom) in misses.iter().enumerate() {
+                prop_assert_eq!(windowed.profile(i), whole.profile(i), "node {i}: profile");
+                for (gi, list) in per_geom.iter().enumerate() {
+                    let g = grid[gi].geometry;
+                    let want: Vec<_> = whole.fragment_misses(i, gi).collect();
+                    prop_assert_eq!(list, &want, "node {i} {g}: per-fragment misses");
+                    prop_assert_eq!(windowed.stats(i, gi), whole.stats(i, gi), "node {i} {g}");
+                    prop_assert_eq!(windowed.breakdown(i, gi), whole.breakdown(i, gi));
+                    prop_assert_eq!(windowed.evictions(i, gi), whole.evictions(i, gi));
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use crate::distribution::Distribution;
 use crate::MAX_PROCESSORS;
 use sortmid_cache::{
-    AnyCache, CacheGeometry, ClassifyingCache, PerfectCache, SetAssocCache, TwoLevelCache,
-    VictimCache,
+    AnyCache, CacheGeometry, ClassifyingCache, PerfectCache, TwoLevelCache, VictimCache,
 };
 use sortmid_memsys::{BusConfig, DramConfig, SETUP_CYCLES};
 use std::fmt;
@@ -34,8 +33,8 @@ impl CacheKind {
     pub fn build_model(&self) -> AnyCache {
         match self {
             CacheKind::Perfect => AnyCache::from(PerfectCache::new()),
-            CacheKind::PaperL1 => AnyCache::from(SetAssocCache::new(CacheGeometry::paper_l1())),
-            CacheKind::SetAssoc(g) => AnyCache::from(SetAssocCache::new(*g)),
+            CacheKind::PaperL1 => AnyCache::set_assoc(CacheGeometry::paper_l1()),
+            CacheKind::SetAssoc(g) => AnyCache::set_assoc(*g),
             CacheKind::Classifying(g) => AnyCache::from(ClassifyingCache::new(*g)),
             CacheKind::TwoLevel(l1, l2) => AnyCache::from(TwoLevelCache::new(*l1, *l2)),
             CacheKind::Victim(g, slots) => AnyCache::from(VictimCache::new(*g, *slots as usize)),
@@ -78,6 +77,10 @@ pub enum ConfigError {
     },
     /// Triangle buffer of zero entries.
     EmptyTriangleBuffer,
+    /// A prefetch window of zero fragments (`None` is unbounded).
+    EmptyPrefetchWindow,
+    /// A victim buffer of zero lines.
+    EmptyVictimBuffer,
 }
 
 impl fmt::Display for ConfigError {
@@ -88,6 +91,10 @@ impl fmt::Display for ConfigError {
                 "processor count {requested} outside 1..={MAX_PROCESSORS}"
             ),
             ConfigError::EmptyTriangleBuffer => write!(f, "triangle buffer must hold at least one entry"),
+            ConfigError::EmptyPrefetchWindow => {
+                write!(f, "prefetch window must hold at least one fragment")
+            }
+            ConfigError::EmptyVictimBuffer => write!(f, "victim buffer must hold at least one line"),
         }
     }
 }
@@ -302,7 +309,8 @@ impl MachineConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the processor count is outside
-    /// `1..=MAX_PROCESSORS` or the triangle buffer is empty.
+    /// `1..=MAX_PROCESSORS`, or the triangle buffer, the prefetch window or
+    /// a victim buffer is empty.
     pub fn build(&self) -> Result<MachineConfig, ConfigError> {
         if self.processors == 0 || self.processors > MAX_PROCESSORS {
             return Err(ConfigError::BadProcessorCount {
@@ -311,6 +319,12 @@ impl MachineConfigBuilder {
         }
         if self.triangle_buffer == 0 {
             return Err(ConfigError::EmptyTriangleBuffer);
+        }
+        if self.prefetch_window == Some(0) {
+            return Err(ConfigError::EmptyPrefetchWindow);
+        }
+        if matches!(self.cache, CacheKind::Victim(_, 0)) {
+            return Err(ConfigError::EmptyVictimBuffer);
         }
         Ok(MachineConfig {
             processors: self.processors,
@@ -356,6 +370,26 @@ mod tests {
             MachineConfig::builder().triangle_buffer(0).build(),
             Err(ConfigError::EmptyTriangleBuffer)
         ));
+    }
+
+    #[test]
+    fn builder_rejects_an_empty_prefetch_window() {
+        assert_eq!(
+            MachineConfig::builder().prefetch_window(Some(0)).build(),
+            Err(ConfigError::EmptyPrefetchWindow)
+        );
+        assert!(MachineConfig::builder().prefetch_window(Some(1)).build().is_ok());
+        assert!(MachineConfig::builder().prefetch_window(None).build().is_ok());
+    }
+
+    #[test]
+    fn builder_rejects_an_empty_victim_buffer() {
+        let g = CacheGeometry::paper_l1();
+        assert_eq!(
+            MachineConfig::builder().cache(CacheKind::Victim(g, 0)).build(),
+            Err(ConfigError::EmptyVictimBuffer)
+        );
+        assert!(MachineConfig::builder().cache(CacheKind::Victim(g, 1)).build().is_ok());
     }
 
     fn every_kind() -> [CacheKind; 6] {
@@ -404,5 +438,7 @@ mod tests {
         let e = ConfigError::BadProcessorCount { requested: 0 };
         assert!(e.to_string().contains("processor count 0"));
         assert!(ConfigError::EmptyTriangleBuffer.to_string().contains("at least one"));
+        assert!(ConfigError::EmptyPrefetchWindow.to_string().contains("prefetch window"));
+        assert!(ConfigError::EmptyVictimBuffer.to_string().contains("victim buffer"));
     }
 }

@@ -59,7 +59,7 @@ pub mod work;
 pub use config::{CacheKind, ConfigError, MachineConfig, MachineConfigBuilder};
 pub use distribution::Distribution;
 pub use machine::Machine;
-pub use plan::{OwnerLut, RoutingPlan};
+pub use plan::OwnerLut;
 pub use report::{NodeReport, RunReport};
 pub use sortmid_cache::{MissBreakdown, MissIdentityError};
 pub use sortmid_observe::{
@@ -67,7 +67,6 @@ pub use sortmid_observe::{
     MissClassCounts, NullHostSink, NullSink, ScreenGrid, SpatialCollector, TileStats, TraceEvent,
     TraceRecorder, TraceSink,
 };
-pub use replay::capture_line_trace;
 pub use sched::{lpt_order, run_graph, CostModel, TaskGraph};
 pub use sweep::{
     grid_hash, run_sweep, run_sweep_profiled, run_sweep_with_threads, run_sweeps, SweepGrid,

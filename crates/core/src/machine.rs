@@ -3,17 +3,17 @@
 //! A frame group — configs sharing one distribution and processor count —
 //! streams a frame through the shared pipeline of [`crate::replay`] one
 //! window of whole triangles at a time: route the window once, run each
-//! distinct cache model's node caches over it once, then advance one
-//! timing walk per distinct timing. [`Machine::run`],
-//! [`Machine::run_traced`] and [`Machine::run_sequence`] are the
-//! one-config group; the sweep runs each plan group's non-walk configs
-//! as one (`crate::sweep`).
+//! distinct cache model over it once (one cache per node, or one Mattson
+//! walk pricing many set-associative geometries), then advance one timing
+//! walk per distinct timing. [`Machine::run`], [`Machine::run_traced`]
+//! and [`Machine::run_sequence`] are the one-config group; the sweep runs
+//! each plan group as one (`crate::sweep`).
 
 use crate::config::{CacheKind, MachineConfig};
 use crate::plan::RoutingPlan;
-use crate::replay::{capture, NodeCapture, Timing};
+use crate::replay::{capture, replay_request, walk_window, MissCursor, NodeCapture, Timing};
 use crate::report::{CacheCounters, RunReport};
-use sortmid_cache::AnyCache;
+use sortmid_cache::{AnyCache, GeometryRequest, MattsonWalk, STACKDIST_MIN_REQUESTS};
 use sortmid_observe::{HostSink, NullHostSink, NullSink, TraceSink};
 use sortmid_raster::FragmentStream;
 use std::ops::Range;
@@ -29,44 +29,48 @@ use std::ops::Range;
 /// noise of each other.
 const WINDOW_FRAGMENTS: usize = 16 * 1024;
 
-/// Configs sharing one distribution and processor count, run over a frame
-/// together, doing only the work whose result can differ between them:
-///
-/// * each window is routed once;
-/// * each distinct cache model's node caches probe it once — a perfect
-///   cache's bucket only counts its hits, as every probe hits;
-/// * each distinct timing advances one walk over its model's misses.
-///   Configs whose walks must be equal
-///   ([`MachineConfig::shares_timing`]) share the first one's walk, and
-///   each sharer takes a clone of it when the frame ends. A traced frame
-///   walks every config, as its sink must see every config's events.
-///
-/// Caches persist across [`run_frame`](Self::run_frame) calls, so a
-/// sequence of frames runs warm.
-pub(crate) struct FrameGroup<'a> {
-    configs: Vec<&'a MachineConfig>,
-    /// Each config's cache model, as an index into `caches`.
-    model_of: Vec<usize>,
-    /// The first config whose timing walk each config's equals (itself,
-    /// for a config that walks its own).
+/// How a frame group's configs share work, decided from the configs
+/// alone: the cache model each config mounts, and the timing walk each
+/// reuses. The sweep prices a group's task from it before any cache is
+/// built.
+pub(crate) struct Layout {
+    /// Each config's model, and its geometry slot when the model is the
+    /// walk.
+    mounts: Vec<Mount>,
+    /// Each distinct model: a cache kind built once per node, or `None`
+    /// for the walk.
+    pub(crate) models: Vec<Option<CacheKind>>,
+    /// The walk's geometry grid; empty when the group has no walk.
+    pub(crate) requests: Vec<GeometryRequest>,
+    /// The first config whose timing walk each config's equals
+    /// ([`MachineConfig::shares_timing`]); itself when none does.
     walk_of: Vec<usize>,
-    /// One cache per node for each distinct cache model.
-    caches: Vec<Vec<AnyCache>>,
-    /// Timing walks the last [`run_frame`](Self::run_frame) ran.
-    walks: usize,
 }
 
-impl<'a> FrameGroup<'a> {
-    /// Groups `configs` by cache model and by timing.
+/// Where a config's cache outcome comes from: model `model`, and for the
+/// walk, geometry slot `geom` with the three-C breakdown iff `classify` (a
+/// [`CacheKind::Classifying`] config and a plain one may share a slot).
+#[derive(Clone, Copy)]
+struct Mount {
+    model: usize,
+    geom: usize,
+    classify: bool,
+}
+
+impl Layout {
+    /// Mounts `configs`' caches. The set-associative configs share one
+    /// Mattson walk iff they request at least [`STACKDIST_MIN_REQUESTS`]
+    /// distinct geometries; every other config shares the per-node caches
+    /// of its cache kind.
     ///
     /// # Panics
     ///
     /// Panics if `configs` is empty or its members differ in distribution
     /// or processor count.
-    pub(crate) fn new(configs: Vec<&'a MachineConfig>) -> Self {
+    pub(crate) fn of(configs: &[&MachineConfig]) -> Self {
         let first = configs[0];
-        let mut models: Vec<CacheKind> = Vec::new();
-        let model_of = configs
+        let mut requests: Vec<GeometryRequest> = Vec::new();
+        let slots: Vec<Option<(usize, bool)>> = configs
             .iter()
             .map(|config| {
                 assert!(
@@ -74,23 +78,131 @@ impl<'a> FrameGroup<'a> {
                         && config.distribution == first.distribution,
                     "a frame group shares one routing"
                 );
-                models.iter().position(|&m| m == config.cache).unwrap_or_else(|| {
-                    models.push(config.cache);
-                    models.len() - 1
-                })
+                let (geometry, classify) = replay_request(config)?;
+                let geom = match requests.iter().position(|r| r.geometry == geometry) {
+                    Some(gi) => {
+                        requests[gi].classify |= classify;
+                        gi
+                    }
+                    None => {
+                        requests.push(GeometryRequest { geometry, classify });
+                        requests.len() - 1
+                    }
+                };
+                Some((geom, classify))
             })
             .collect();
-        let walk_of = walk_owners(&configs);
-        let caches = models
+        // The walk pays off only on dense geometry grids.
+        if requests.len() < STACKDIST_MIN_REQUESTS {
+            requests.clear();
+        }
+        let mut models: Vec<Option<CacheKind>> = Vec::new();
+        let mounts = configs
             .iter()
-            .map(|kind| (0..first.processors).map(|_| kind.build_model()).collect())
+            .zip(slots)
+            .map(|(config, slot)| {
+                let (kind, (geom, classify)) = match slot {
+                    Some(slot) if !requests.is_empty() => (None, slot),
+                    _ => (Some(config.cache), (0, false)),
+                };
+                let model = models.iter().position(|&m| m == kind).unwrap_or_else(|| {
+                    models.push(kind);
+                    models.len() - 1
+                });
+                Mount { model, geom, classify }
+            })
             .collect();
-        FrameGroup { configs, model_of, walk_of, caches, walks: 0 }
+        let walk_of = configs
+            .iter()
+            .enumerate()
+            .map(|(k, config)| {
+                configs[..k].iter().position(|other| other.shares_timing(config)).unwrap_or(k)
+            })
+            .collect();
+        Layout { mounts, models, requests, walk_of }
+    }
+
+    /// The number of distinct timing walks the group runs untraced.
+    pub(crate) fn walks(&self) -> usize {
+        self.walk_of.iter().enumerate().filter(|&(k, &owner)| owner == k).count()
+    }
+
+    /// Each model's number of configs.
+    pub(crate) fn uses(&self) -> Vec<u64> {
+        let mut uses = vec![0; self.models.len()];
+        for mount in &self.mounts {
+            uses[mount.model] += 1;
+        }
+        uses
+    }
+}
+
+/// One cache model of a frame group, shared by every config that mounts
+/// it.
+enum Model {
+    /// One cache per node.
+    Caches(Vec<AnyCache>),
+    /// One walk pricing every walk config's geometry on every node.
+    Walk(MattsonWalk),
+}
+
+/// Configs sharing one distribution and processor count, run over a frame
+/// together, doing only the work whose result can differ between them:
+///
+/// * each window is routed once;
+/// * each distinct cache model runs over it once: a model's node caches
+///   probe it — a perfect cache's bucket only counts its hits, as every
+///   probe hits — or the walk prices every walk config's geometry;
+/// * each distinct timing advances one walk over its model's misses.
+///   Configs whose walks must be equal
+///   ([`MachineConfig::shares_timing`]) share the first one's walk, and
+///   each sharer takes a clone of it when the frame ends. A traced frame
+///   walks every config, as its sink must see every config's events.
+///
+/// Cache models persist across [`run_frame`](Self::run_frame) calls, so a
+/// sequence of frames runs warm.
+pub(crate) struct FrameGroup<'a> {
+    configs: Vec<&'a MachineConfig>,
+    layout: Layout,
+    models: Vec<Model>,
+    /// Timing walks the last [`run_frame`](Self::run_frame) ran.
+    walks: usize,
+}
+
+impl<'a> FrameGroup<'a> {
+    /// Mounts `configs`' cache models ([`Layout::of`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty or its members differ in distribution
+    /// or processor count.
+    pub(crate) fn new(configs: Vec<&'a MachineConfig>) -> Self {
+        let layout = Layout::of(&configs);
+        let procs = configs[0].processors as usize;
+        let models = layout
+            .models
+            .iter()
+            .map(|kind| match kind {
+                Some(kind) => Model::Caches((0..procs).map(|_| kind.build_model()).collect()),
+                None => Model::Walk(MattsonWalk::new(&layout.requests, procs)),
+            })
+            .collect();
+        FrameGroup { configs, layout, models, walks: 0 }
     }
 
     /// Config `k`'s per-node cache counters so far.
-    pub(crate) fn counters(&self, k: usize) -> impl Iterator<Item = CacheCounters> + '_ {
-        self.caches[self.model_of[k]].iter().map(CacheCounters::of)
+    pub(crate) fn counters(&self, k: usize) -> Vec<CacheCounters> {
+        let Mount { model, geom, classify } = self.layout.mounts[k];
+        match &self.models[model] {
+            Model::Caches(caches) => caches.iter().map(CacheCounters::of).collect(),
+            Model::Walk(walk) => (0..walk.node_count())
+                .map(|i| {
+                    let stats = walk.stats(i, geom);
+                    let breakdown = walk.breakdown(i, geom).filter(|_| classify);
+                    CacheCounters { stats, breakdown, external_fetches: stats.misses() }
+                })
+                .collect(),
+        }
     }
 
     /// Timing walks the last [`run_frame`](Self::run_frame) ran: one per
@@ -101,9 +213,10 @@ impl<'a> FrameGroup<'a> {
 
     /// Runs one frame and returns each config's timing, window by window:
     /// route the window under a `plan-build` span of `host`, run every
-    /// cache model over its buckets under a `capture` span, then advance
-    /// each distinct timing over its model's misses. `sink` receives the
-    /// timing events of every config (a traced run holds one).
+    /// cache model over its buckets under a `capture` span (the walk under
+    /// a `mattson-walk` child span), then advance each distinct timing
+    /// over its model's misses. `sink` receives the timing events of every
+    /// config (a traced run holds one).
     pub(crate) fn run_frame<S: TraceSink, H: HostSink>(
         &mut self,
         stream: &FragmentStream,
@@ -113,14 +226,15 @@ impl<'a> FrameGroup<'a> {
         let first = self.configs[0];
         let procs = first.processors as usize;
         let mut plan = RoutingPlan::new(stream, &first.distribution, first.processors);
-        let mut recordings = vec![vec![NodeCapture::default(); procs]; self.caches.len()];
+        // Each per-node cache model's recording of the last window.
+        let mut recordings = vec![vec![NodeCapture::default(); procs]; self.models.len()];
         // Each config's walk, or `None` where it shares an earlier one's.
-        let walks_own = |k: usize| S::ENABLED || self.walk_of[k] == k;
+        let walk_of = &self.layout.walk_of;
         let mut timings: Vec<Option<Timing>> = self
             .configs
             .iter()
             .enumerate()
-            .map(|(k, c)| walks_own(k).then(|| Timing::new(c)))
+            .map(|(k, c)| (S::ENABLED || walk_of[k] == k).then(|| Timing::new(c)))
             .collect();
         self.walks = timings.iter().flatten().count();
         for window in windows(stream) {
@@ -130,36 +244,36 @@ impl<'a> FrameGroup<'a> {
             }
             {
                 let _s = host.span("capture");
-                for (caches, nodes) in self.caches.iter_mut().zip(&mut recordings) {
-                    capture::<S>(caches, stream, &plan, nodes);
+                for (model, nodes) in self.models.iter_mut().zip(&mut recordings) {
+                    match model {
+                        Model::Caches(caches) => capture::<S>(caches, stream, &plan, nodes),
+                        Model::Walk(walk) => {
+                            let _w = host.span("mattson-walk");
+                            walk_window(walk, stream, &plan);
+                        }
+                    }
                 }
             }
-            for (timing, &model) in timings.iter_mut().zip(&self.model_of) {
+            for (timing, mount) in timings.iter_mut().zip(&self.layout.mounts) {
                 let Some(timing) = timing else { continue };
-                let mut misses: Vec<_> =
-                    recordings[model].iter().map(NodeCapture::cursor).collect();
+                let mut misses: Vec<_> = match &self.models[mount.model] {
+                    Model::Caches(_) => {
+                        recordings[mount.model].iter().map(NodeCapture::cursor).collect()
+                    }
+                    Model::Walk(walk) => (0..walk.node_count())
+                        .map(|i| MissCursor::walked(walk, i, mount.geom))
+                        .collect(),
+                };
                 timing.advance(stream, &plan, &mut misses, sink);
             }
         }
         for k in 0..timings.len() {
             if timings[k].is_none() {
-                timings[k] = timings[self.walk_of[k]].clone();
+                timings[k] = timings[walk_of[k]].clone();
             }
         }
         timings.into_iter().map(|t| t.expect("every config has a walk")).collect()
     }
-}
-
-/// For each of `configs`, the first config whose timing walk equals its
-/// own ([`MachineConfig::shares_timing`]); itself when none does.
-pub(crate) fn walk_owners(configs: &[&MachineConfig]) -> Vec<usize> {
-    configs
-        .iter()
-        .enumerate()
-        .map(|(k, config)| {
-            configs[..k].iter().position(|other| other.shares_timing(config)).unwrap_or(k)
-        })
-        .collect()
 }
 
 /// Runs `configs` as one untraced frame group over `stream`: each
@@ -234,7 +348,7 @@ pub(crate) fn windows(stream: &FragmentStream) -> impl Iterator<Item = Range<usi
 /// Because every cache is private, a node's misses depend only on the
 /// fragments it owns, so the run streams the frame in windows of whole
 /// triangles through three stages ([`crate::replay`]): route the window
-/// into a [`RoutingPlan`], run each node's persistent cache over its
+/// into a `RoutingPlan`, run each node's persistent cache over its
 /// buckets, then advance the engine and FIFO timing over the recorded
 /// misses. This is the frame loop the sweep runs its frame groups on,
 /// with one config.
@@ -299,10 +413,11 @@ impl Machine {
         let mut group = FrameGroup::new(vec![&self.config]);
         let mut reports = Vec::with_capacity(frames.len());
         for (i, stream) in frames.iter().enumerate() {
-            let before: Vec<CacheCounters> = group.counters(0).collect();
+            let before = group.counters(0);
             let timing = group.run_frame(stream, &mut NullSink, &NullHostSink).remove(0);
             let counters = group
                 .counters(0)
+                .into_iter()
                 .zip(&before)
                 .map(|(counters, before)| counters.since(before));
             reports.push(timing.report(
@@ -826,6 +941,56 @@ mod tests {
         let reports = run_sweep(&s, &configs);
         let digest = fnv1a_64(format!("{reports:?}").into_bytes());
         assert_eq!(digest, 0xecc78b6223afe46f, "sharing plan: {digest:#018x}");
+    }
+
+    #[test]
+    fn walk_group_reports_are_pinned() {
+        // FNV-1a digest of the Debug text of one sweep over the
+        // multi-window stream: two plan groups (6p block-8, 5p SLI-3), each
+        // pricing 32 set-associative geometries with the Mattson walk next
+        // to the paper L1, two classifying configs sharing walk geometries,
+        // a perfect, a victim and a DRAM-backed machine, at buffers 1 and
+        // 100 and prefetch windows 3 and unbounded. Recorded while walk
+        // plans still built a whole-frame line trace.
+        use crate::sweep::{run_sweep, SweepGrid};
+        use sortmid_cache::CacheGeometry;
+        use sortmid_memsys::{BusConfig, DramConfig};
+        use sortmid_observe::provenance::fnv1a_64;
+        let s = windowed_stream();
+        assert!(windows(&s).count() >= 3);
+        let ladder: Vec<CacheGeometry> = (9..=16)
+            .flat_map(|log| [1, 2, 4, 8].map(|ways| CacheGeometry::new(1 << log, ways, 64).unwrap()))
+            .collect();
+        let g = CacheGeometry::new(4096, 2, 64).unwrap();
+        let mut caches = vec![CacheKind::Perfect, CacheKind::PaperL1];
+        caches.extend(ladder.iter().map(|&g| CacheKind::SetAssoc(g)));
+        caches.extend([
+            CacheKind::Classifying(g),
+            CacheKind::Classifying(CacheGeometry::paper_l1()),
+            CacheKind::Victim(g, 4),
+        ]);
+        let mut configs = Vec::new();
+        for (procs, dist) in [(6, Distribution::block(8)), (5, Distribution::sli(3))] {
+            let mut plan = SweepGrid::new()
+                .processors([procs])
+                .distributions([dist.clone()])
+                .caches(caches.clone())
+                .buffers([1, 100])
+                .build();
+            let mut dram = config(procs, dist, CacheKind::PaperL1);
+            dram.dram = Some(DramConfig::sdram_like(BusConfig::ratio(1.0)));
+            plan.push(dram);
+            for window in [Some(3), None] {
+                configs.extend(plan.iter().cloned().map(|mut c| {
+                    c.prefetch_window = window;
+                    c
+                }));
+            }
+        }
+        assert_eq!(configs.len(), 2 * 2 * (37 * 2 + 1));
+        let reports = run_sweep(&s, &configs);
+        let digest = fnv1a_64(format!("{reports:?}").into_bytes());
+        assert_eq!(digest, 0xfca9e68be2ff63ea, "walk groups: {digest:#018x}");
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! Where a triangle goes — which nodes its bounding box overlaps, which
 //! node owns each of its fragments — depends only on the stream, the
 //! [`Distribution`] and the processor count; cache geometry, bus ratio and
-//! FIFO depth do not move a single fragment. A [`RoutingPlan`] records
+//! FIFO depth do not move a single fragment. A `RoutingPlan` records
 //! that routing once: one pass counting-sorts every triangle's fragments
 //! by owning node into a flat index array, guided by an [`OwnerLut`] that
 //! replaces the div/rem chain with two table lookups and an add.
 //!
 //! [`Machine::run`](crate::Machine::run) and every sweep frame group route
-//! their frame into one reused plan a window at a time. A whole-frame
-//! [`RoutingPlan::build`] serves only the stack-distance evaluation's line
-//! trace ([`crate::replay::capture_line_trace`]) and sort-last routing.
+//! their frame into one reused plan a window at a time; sort-last routing
+//! deals a whole frame's triangles into one plan.
 
 use crate::distribution::Distribution;
 use sortmid_geom::Rect;
@@ -122,8 +121,7 @@ pub(crate) struct Segment {
 
 /// The precomputed routing of a range of triangles under one
 /// `(distribution, procs)` pair — one window at a time for
-/// [`Machine::run`](crate::Machine::run) and the sweep's frame groups, the
-/// whole frame for a stack-distance evaluation's line trace.
+/// [`Machine::run`](crate::Machine::run) and the sweep's frame groups.
 ///
 /// Holds, for every non-culled triangle in stream order, its overlap mask
 /// and its fragments bucketed by owning node as contiguous ranges of a
@@ -131,27 +129,8 @@ pub(crate) struct Segment {
 /// allocation, no pointer chasing). Routing is one pass over the range;
 /// the capture and timing passes then walk it with no per-fragment
 /// ownership math.
-///
-/// # Examples
-///
-/// ```
-/// use sortmid::plan::RoutingPlan;
-/// use sortmid::{Distribution, Machine, MachineConfig};
-/// use sortmid_scene::{Benchmark, SceneBuilder};
-///
-/// let stream = SceneBuilder::benchmark(Benchmark::Quake).scale(0.1).build().rasterize();
-/// let dist = Distribution::block(16);
-/// let plan = RoutingPlan::build(&stream, &dist, 8);
-/// let config = MachineConfig::builder()
-///     .processors(8)
-///     .distribution(dist)
-///     .build()
-///     .unwrap();
-/// let direct = Machine::new(config).run(&stream);
-/// assert_eq!(plan.routed(), direct.triangles_routed());
-/// ```
 #[derive(Debug, Clone)]
-pub struct RoutingPlan {
+pub(crate) struct RoutingPlan {
     distribution: Distribution,
     procs: u32,
     lut: OwnerLut,
@@ -176,24 +155,12 @@ pub struct RoutingPlan {
 }
 
 impl RoutingPlan {
-    /// Precomputes the routing of every triangle of `stream` under `dist`
-    /// with `procs` nodes, in one pass over the fragments.
+    /// An empty plan for `stream`'s screen, ready to [`route`](Self::route)
+    /// triangle ranges into.
     ///
     /// # Panics
     ///
     /// Panics if `procs` is outside `1..=`[`crate::MAX_PROCESSORS`].
-    pub fn build(stream: &FragmentStream, dist: &Distribution, procs: u32) -> RoutingPlan {
-        let mut plan = Self::new(stream, dist, procs);
-        plan.route(stream, 0..stream.triangle_count());
-        // A whole-frame plan outlives its build (the sweep keeps it until
-        // its evaluation has run): release the sort scratch, which grew to
-        // the largest triangle.
-        plan.owners = Vec::new();
-        plan
-    }
-
-    /// An empty plan for `stream`'s screen, ready to [`route`](Self::route)
-    /// triangle ranges into.
     pub(crate) fn new(stream: &FragmentStream, dist: &Distribution, procs: u32) -> RoutingPlan {
         assert!(
             (1..=crate::MAX_PROCESSORS).contains(&procs),
@@ -325,19 +292,9 @@ impl RoutingPlan {
         self.routed = 0;
     }
 
-    /// The distribution the plan was built for.
-    pub fn distribution(&self) -> &Distribution {
-        &self.distribution
-    }
-
-    /// The processor count the plan was built for.
-    pub fn procs(&self) -> u32 {
-        self.procs
-    }
-
     /// Total triangle deliveries (each triangle counted once per
-    /// overlapped node) — the sweep's routed count.
-    pub fn routed(&self) -> u64 {
+    /// overlapped node) — the report's routed count.
+    pub(crate) fn routed(&self) -> u64 {
         self.routed
     }
 
@@ -366,12 +323,6 @@ impl RoutingPlan {
         stream: &'a FragmentStream,
     ) -> impl Iterator<Item = (usize, &'a [u32])> + 'a {
         self.triangles.iter().flat_map(move |pt| self.triangle_buckets(pt, stream))
-    }
-
-    /// True when the plan can replay runs of `config`-shaped machines:
-    /// same distribution and processor count.
-    pub fn matches(&self, distribution: &Distribution, procs: u32) -> bool {
-        self.procs == procs && self.distribution == *distribution
     }
 }
 
@@ -424,10 +375,17 @@ mod tests {
         }
     }
 
+    /// `stream`'s whole frame routed into one plan.
+    fn whole_frame(s: &FragmentStream, dist: &Distribution, procs: u32) -> RoutingPlan {
+        let mut plan = RoutingPlan::new(s, dist, procs);
+        plan.route(s, 0..s.triangle_count());
+        plan
+    }
+
     #[test]
     fn plan_buckets_partition_every_triangle_range() {
         let s = stream();
-        let plan = RoutingPlan::build(&s, &Distribution::block(16), 7);
+        let plan = whole_frame(&s, &Distribution::block(16), 7);
         let mut live = 0;
         for pt in &plan.triangles {
             let tri = &s.triangles()[pt.tri as usize];
@@ -463,7 +421,7 @@ mod tests {
     fn plan_routed_matches_direct_run() {
         let s = stream();
         for dist in [Distribution::block(16), Distribution::sli(2)] {
-            let plan = RoutingPlan::build(&s, &dist, 16);
+            let plan = whole_frame(&s, &dist, 16);
             let config = MachineConfig::builder()
                 .processors(16)
                 .distribution(dist)
@@ -473,15 +431,6 @@ mod tests {
             let direct = Machine::new(config).run(&s);
             assert_eq!(plan.routed(), direct.triangles_routed());
         }
-    }
-
-    #[test]
-    fn matches_checks_both_axes() {
-        let s = stream();
-        let plan = RoutingPlan::build(&s, &Distribution::block(16), 8);
-        assert!(plan.matches(&Distribution::block(16), 8));
-        assert!(!plan.matches(&Distribution::block(16), 4));
-        assert!(!plan.matches(&Distribution::block(8), 8));
     }
 
     /// The windowed, plan-routed `Machine::run` and the per-texel reference

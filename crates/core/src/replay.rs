@@ -1,65 +1,39 @@
-//! The frame pipeline's cache and timing stages, shared by every way a
-//! report is made.
+//! The frame pipeline's cache and timing stages.
 //!
 //! Each node owns a private cache, so which lines it misses depends only
 //! on the fragments it owns (never on bus, buffer or DRAM parameters), and
-//! the FIFO and engine timing depends only on those misses. A report is
-//! made in three stages over a [`RoutingPlan`]: route the triangles
-//! ([`crate::plan`]); run each node's cache over its buckets — `capture`
-//! records every fragment's miss lines, or one [`capture_line_trace`]
-//! feeds the [stack-distance evaluator](sortmid_cache::stackdist) that
-//! prices many set-associative geometries at once; then walk the
-//! broadcast, FIFO and engine timing over the misses (`Timing`).
+//! the FIFO and engine timing depends only on those misses. A frame
+//! window is made in three stages over a `RoutingPlan`: route its
+//! triangles ([`crate::plan`]); run each cache model over the buckets —
+//! `capture` runs one model's per-node caches and records every
+//! fragment's miss lines, `walk_window` feeds one
+//! [`MattsonWalk`] that prices many set-associative geometries at once;
+//! then walk the broadcast, FIFO and engine timing over the misses
+//! (`Timing`).
 //!
 //! The frame loop in [`crate::machine`] streams a frame through the stages
-//! window by window with persistent caches and a resumable `Timing`, for
-//! [`Machine::run`](crate::machine::Machine::run) and for each sweep frame
-//! group alike. A Mattson-walk plan instead routes its whole frame once
-//! and replays one evaluation per config (`replay_timing`). Property tests
-//! pin both to the per-texel [`crate::reference`] oracle.
+//! window by window with persistent cache models and a resumable
+//! `Timing`, for [`Machine::run`](crate::machine::Machine::run) and for
+//! each sweep frame group alike. Property tests pin it to the per-texel
+//! [`crate::reference`] oracle.
 
 use crate::config::{CacheKind, MachineConfig};
 use crate::plan::RoutingPlan;
 use crate::report::{CacheCounters, NodeReport, RunReport};
-use sortmid_cache::{
-    AnyCache, CacheGeometry, FragmentMisses, LineAccessTrace, LineCache, TraceEvaluation,
-};
+use sortmid_cache::{AnyCache, CacheGeometry, FragmentMisses, LineCache, MattsonWalk};
 use sortmid_geom::Rect;
 use sortmid_memsys::{Cycle, EngineTiming, TriangleFifo};
-use sortmid_observe::{MissClassCounts, NullSink, TraceEvent, TraceSink};
+use sortmid_observe::{MissClassCounts, TraceEvent, TraceSink};
 use sortmid_raster::FragmentStream;
 use sortmid_texture::{footprint_lines, TEXELS_PER_FRAGMENT};
 use std::iter::Peekable;
 
-/// Captures the per-node texture-line access sequence one routing plan
-/// produces: every node's fragments in processing order, 8 texel lines per
-/// fragment — the geometry-independent half of a machine run.
-pub fn capture_line_trace(stream: &FragmentStream, plan: &RoutingPlan) -> LineAccessTrace {
-    // Exact per-node sizing first: traces are the sweep's biggest
-    // allocation, growing them piecemeal would fragment.
-    let mut counts = vec![0usize; plan.procs() as usize];
-    for (node, bucket) in plan.buckets(stream) {
-        counts[node] += bucket.len();
-    }
-    let mut lines: Vec<Vec<u32>> = counts
-        .iter()
-        .map(|&n| Vec::with_capacity(n * TEXELS_PER_FRAGMENT))
-        .collect();
-    for (node, bucket) in plan.buckets(stream) {
-        let dst = &mut lines[node];
-        for &fi in bucket {
-            dst.extend_from_slice(&footprint_lines(&stream.fragments()[fi as usize].texels));
-        }
-    }
-    LineAccessTrace::from_nodes(lines, TEXELS_PER_FRAGMENT as u32)
-}
-
-/// The stack-distance request a config's cache maps to, when the replay
-/// path can serve it: the set-associative geometry plus whether the config
-/// wants the three-C decomposition. `None` for cache models the Mattson
-/// machinery cannot express (perfect, two-level, victim) and for machines
-/// with a DRAM row model (fill cost then depends on miss *addresses*, not
-/// just counts).
+/// The stack-distance request a config's cache maps to, when a
+/// [`MattsonWalk`] can serve it: the set-associative geometry plus whether
+/// the config wants the three-C decomposition. `None` for cache models the
+/// Mattson machinery cannot express (perfect, two-level, victim) and for
+/// machines with a DRAM row model (fill cost then depends on miss
+/// *addresses*, not just counts).
 pub(crate) fn replay_request(config: &MachineConfig) -> Option<(CacheGeometry, bool)> {
     if config.dram.is_some() {
         return None;
@@ -72,28 +46,6 @@ pub(crate) fn replay_request(config: &MachineConfig) -> Option<(CacheGeometry, b
         | CacheKind::TwoLevel(_, _)
         | CacheKind::Victim(_, _) => None,
     }
-}
-
-/// Each node's miss cursor over geometry `geom` in `eval`, with its cache
-/// counters; `classify` selects whether the reports carry the three-C
-/// breakdown (a [`CacheKind::Classifying`] config does, a plain
-/// set-associative one does not, even when both share a geometry slot).
-pub(crate) fn walk_misses(
-    eval: &TraceEvaluation,
-    geom: usize,
-    classify: bool,
-) -> (Vec<MissCursor<'_>>, Vec<CacheCounters>) {
-    (0..eval.node_count())
-        .map(|i| {
-            let stats = eval.stats(i, geom);
-            let counters = CacheCounters {
-                stats,
-                breakdown: if classify { eval.breakdown(i, geom) } else { None },
-                external_fetches: stats.misses(),
-            };
-            (MissCursor::new(eval.fragment_misses(i, geom), None, &[]), counters)
-        })
-        .unzip()
 }
 
 /// One node's cache outcome over the fragments of a plan: which fragments
@@ -155,6 +107,7 @@ pub(crate) fn capture<S: TraceSink>(
             AnyCache::Classifying(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
             AnyCache::TwoLevel(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
             AnyCache::Victim(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
+            AnyCache::Growing(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
         }
     }
 }
@@ -188,18 +141,34 @@ fn capture_bucket<S: TraceSink, C: LineCache>(
     }
 }
 
+/// Walks every node's fragments of `plan` through `walk` as one window:
+/// the footprint lines a node's cache would probe, in the same order.
+/// Node by node, not bucket by bucket: one node's recency stack stays in
+/// the host's caches while it is walked, which kept the traced
+/// `cache-geometry` walk at 746–748 ms a round, against 852–890 ms
+/// walking the buckets in plan order (2-vCPU Xeon, seed 0).
+pub(crate) fn walk_window(walk: &mut MattsonWalk, stream: &FragmentStream, plan: &RoutingPlan) {
+    walk.start_window();
+    for node in 0..walk.node_count() {
+        for (_, bucket) in plan.buckets(stream).filter(|&(owner, _)| owner == node) {
+            let lanes =
+                bucket.iter().map(|&fi| footprint_lines(&stream.fragments()[fi as usize].texels));
+            walk.walk(node, lanes);
+        }
+    }
+}
+
 /// One node's cache outcome as the timing walk consumes it: a cursor over
 /// the fragments that missed, in processing order, from a capture
-/// ([`NodeCapture::cursor`]) or a stack-distance evaluation
-/// ([`walk_misses`]). All-hit stretches between them advance the engine
-/// in bulk.
+/// ([`NodeCapture::cursor`]) or a Mattson walk ([`MissCursor::walked`]).
+/// All-hit stretches between them advance the engine in bulk.
 pub(crate) struct MissCursor<'a> {
     /// `(fragment index in lane order, miss count)` of every fragment with
     /// at least one miss, ascending by index.
     misses: Peekable<FragmentMisses<'a>>,
-    /// The miss line addresses in access order, when recorded; an
-    /// evaluation keeps counts only, which prices the same on a machine
-    /// without a DRAM row model.
+    /// The miss line addresses in access order, when recorded; a Mattson
+    /// walk keeps counts only, which prices the same on a machine without
+    /// a DRAM row model.
     miss_lines: Option<&'a [u32]>,
     /// Each missing fragment's three-C counts, parallel to `misses`
     /// (traced captures only).
@@ -218,6 +187,12 @@ impl<'a> MissCursor<'a> {
         classes: &'a [MissClassCounts],
     ) -> Self {
         MissCursor { misses: misses.peekable(), miss_lines, classes, next: 0, frag: 0, line: 0 }
+    }
+
+    /// A counts-only cursor over `node`'s misses in geometry `geom` of
+    /// `walk`'s current window.
+    pub(crate) fn walked(walk: &'a MattsonWalk, node: usize, geom: usize) -> Self {
+        MissCursor::new(walk.fragment_misses(node, geom), None, &[])
     }
 
     /// Drives `engine` through the fragments of one triangle that `node`
@@ -270,29 +245,6 @@ impl<'a> MissCursor<'a> {
         }
         self.next = end;
     }
-}
-
-/// Synthesizes the [`RunReport`] of `config` from each node's recorded
-/// misses and cache counters over the whole of `plan`: the sweep's timing
-/// walk for a stack-distance evaluation.
-pub(crate) fn replay_timing(
-    config: &MachineConfig,
-    stream: &FragmentStream,
-    plan: &RoutingPlan,
-    mut nodes: Vec<MissCursor<'_>>,
-    counters: Vec<CacheCounters>,
-) -> RunReport {
-    assert!(
-        plan.matches(&config.distribution, config.processors),
-        "plan built for {}x{} does not fit machine {}x{}",
-        plan.distribution(),
-        plan.procs(),
-        config.distribution,
-        config.processors,
-    );
-    let mut timing = Timing::new(config);
-    timing.advance(stream, plan, &mut nodes, &mut NullSink);
-    timing.report(config.summary(), stream, counters)
 }
 
 /// The screen-space anchor a triangle's setup padding is attributed to in
@@ -499,16 +451,6 @@ impl NodeTiming {
 mod tests {
     use super::*;
     use crate::distribution::Distribution;
-    use crate::machine::Machine;
-    use sortmid_cache::{evaluate_trace, GeometryRequest};
-    use sortmid_scene::{Benchmark, SceneBuilder};
-
-    fn stream() -> FragmentStream {
-        SceneBuilder::benchmark(Benchmark::Quake)
-            .scale(0.1)
-            .build()
-            .rasterize()
-    }
 
     fn config(procs: u32, cache: CacheKind) -> MachineConfig {
         MachineConfig::builder()
@@ -517,35 +459,6 @@ mod tests {
             .cache(cache)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn trace_covers_every_fragment_once() {
-        let s = stream();
-        let plan = RoutingPlan::build(&s, &Distribution::block(16), 4);
-        let trace = capture_line_trace(&s, &plan);
-        assert_eq!(trace.node_count(), 4);
-        let fragments: usize = (0..4).map(|n| trace.fragment_count(n)).sum();
-        assert_eq!(fragments as u64, s.fragment_count());
-    }
-
-    #[test]
-    fn replayed_report_is_byte_identical_to_direct() {
-        let s = stream();
-        let geometry = CacheGeometry::paper_l1();
-        for (cache, classify) in [
-            (CacheKind::PaperL1, false),
-            (CacheKind::Classifying(geometry), true),
-        ] {
-            let cfg = config(4, cache);
-            let plan = RoutingPlan::build(&s, &cfg.distribution, cfg.processors);
-            let trace = capture_line_trace(&s, &plan);
-            let eval = evaluate_trace(&trace, &[GeometryRequest { geometry, classify }]);
-            let (nodes, counters) = walk_misses(&eval, 0, classify);
-            let replayed = replay_timing(&cfg, &s, &plan, nodes, counters);
-            let direct = Machine::new(cfg).run(&s);
-            assert_eq!(replayed, direct);
-        }
     }
 
     #[test]

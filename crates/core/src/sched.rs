@@ -1,30 +1,26 @@
 //! Deterministic work-stealing task scheduler for the sweep pipeline.
 //!
 //! Task cost varies by an order of magnitude across the sweep's frame
-//! groups, Mattson walks and per-config reports, so a static chunked
-//! schedule leaves the wall clock hostage to its slowest chunk. This
-//! module schedules the pipeline dynamically while keeping the *results*
-//! bit-for-bit deterministic:
+//! groups — a lone config's against a Mattson walk pricing a hundred
+//! geometries — so a static chunked schedule leaves the wall clock
+//! hostage to its slowest chunk. This module schedules the tasks
+//! dynamically while keeping the *results* bit-for-bit deterministic:
 //!
 //! * **Preassigned output slots.** A task never returns a value through
-//!   the scheduler — it writes its own slot (the sweep uses one
-//!   [`std::sync::OnceLock`] per plan/evaluation/frame group/report). Which
-//!   worker runs a task, and in which order, changes only wall time.
-//! * **Dependency-ordered batches.** [`TaskGraph`] edges must point at
-//!   earlier-added tasks ([`TaskGraph::depend`] asserts it), so the graph
-//!   is acyclic by construction and [`run_graph`] can never deadlock: a
-//!   task enters a worker queue only after its last dependency completed.
-//! * **LPT dispatch.** Tasks carry cost estimates (see [`CostModel`]).
-//!   Dependency-free tasks are seeded greedily, longest first, onto the
-//!   least-loaded worker ([`lpt_order`]); released dependents are queued
-//!   so the owner pops the longest next. Longest-Processing-Time-first
-//!   shrinks the idle tail that static chunking suffers.
+//!   the scheduler — it writes its own slots (the sweep uses one
+//!   [`std::sync::OnceLock`] per report). Which worker runs a task, and in
+//!   which order, changes only wall time.
+//! * **Independent tasks.** A [`TaskGraph`] is a batch of costed tasks
+//!   with no edges between them, so [`run_graph`] can never deadlock.
+//! * **LPT dispatch.** Tasks carry cost estimates (see [`CostModel`]) and
+//!   are seeded greedily, longest first, onto the least-loaded worker
+//!   ([`lpt_order`]). Longest-Processing-Time-first shrinks the idle tail
+//!   that static chunking suffers.
 //! * **Work stealing.** Each worker owns a deque: it pops its own back
-//!   (freshest, longest), and when empty steals from the front of the
-//!   deepest victim queue. Tasks are coarse (a plan build, a trace
-//!   evaluation, a config simulation — microseconds to milliseconds), so
-//!   a mutex per deque is nowhere near any hot path and keeps the pool
-//!   dependency-free safe `std`.
+//!   (its longest seed), and when empty steals from the front of the
+//!   deepest victim queue. Tasks are coarse (a frame group — milliseconds
+//!   and up), so a mutex per deque is nowhere near any hot path and keeps
+//!   the pool dependency-free safe `std`.
 //!
 //! Instrumentation (all folded away under
 //! [`NullHostSink`](sortmid_observe::NullHostSink)): a `scheduler` span
@@ -34,7 +30,7 @@
 
 use sortmid_observe::HostSink;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -72,18 +68,11 @@ pub fn lpt_order(costs: &[u64]) -> Vec<u32> {
     order
 }
 
-/// A dependency-ordered batch of costed tasks for [`run_graph`].
-///
-/// Tasks are identified by their insertion index. Edges point backward
-/// (a task may only depend on earlier-added tasks), which makes the graph
-/// a DAG by construction — the price is that callers add tasks in
-/// topological order, which the sweep's pipeline shape (plans →
-/// evaluations → frame groups → configs) gives for free.
+/// A batch of independent costed tasks for [`run_graph`], identified by
+/// their insertion index.
 #[derive(Debug, Default)]
 pub struct TaskGraph {
     costs: Vec<u64>,
-    dep_count: Vec<u32>,
-    dependents: Vec<Vec<u32>>,
 }
 
 impl TaskGraph {
@@ -94,35 +83,14 @@ impl TaskGraph {
 
     /// An empty graph with room for `n` tasks.
     pub fn with_capacity(n: usize) -> Self {
-        TaskGraph {
-            costs: Vec::with_capacity(n),
-            dep_count: Vec::with_capacity(n),
-            dependents: Vec::with_capacity(n),
-        }
+        TaskGraph { costs: Vec::with_capacity(n) }
     }
 
     /// Adds a task with estimated cost `cost` (any unit, used only for
     /// LPT ordering) and returns its index.
     pub fn add(&mut self, cost: u64) -> usize {
         self.costs.push(cost);
-        self.dep_count.push(0);
-        self.dependents.push(Vec::new());
         self.costs.len() - 1
-    }
-
-    /// Declares that `task` must run after `on`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `on < task` (edges point backward — see the type
-    /// docs) or either index is out of range.
-    pub fn depend(&mut self, task: usize, on: usize) {
-        assert!(
-            on < task && task < self.costs.len(),
-            "dependency edges must point at earlier-added tasks (task {task}, on {on})"
-        );
-        self.dep_count[task] += 1;
-        self.dependents[on].push(task as u32);
     }
 
     /// Number of tasks added so far.
@@ -154,10 +122,10 @@ impl Drop for AbortOnPanic<'_> {
 }
 
 /// Executes every task in `graph` exactly once across `workers` host
-/// threads (the calling thread is worker 0), respecting dependency order.
-/// `exec(task, worker)` runs the task body; results must go into the
-/// task's preassigned output slot, never through the scheduler — that is
-/// what keeps the output independent of the steal interleaving.
+/// threads (the calling thread is worker 0). `exec(task, worker)` runs
+/// the task body; results must go into the task's preassigned output
+/// slot, never through the scheduler — that is what keeps the output
+/// independent of the steal interleaving.
 ///
 /// Runs under a `scheduler` span; each worker runs under a `worker-run`
 /// span and reports a `sched-pool` utilization record plus its share of
@@ -182,34 +150,26 @@ pub fn run_graph<S: HostSink>(
         sink.count("sweep.tasks", n as u64);
     }
 
-    let mut graph = graph;
-    // Released dependents are pushed in ascending-cost order, so the last
-    // push — the one the owner pops next — is the longest (LPT at every
-    // release point, not just the seed).
-    for deps in &mut graph.dependents {
-        deps.sort_by_key(|&d| (graph.costs[d as usize], d));
-    }
-
-    // Seed the dependency-free tasks greedily, longest first, onto the
-    // least-loaded worker. push_front keeps each deque's *back* — the
-    // owner's pop end — holding its longest seed.
+    // Seed the tasks greedily, longest first, onto the least-loaded
+    // worker. push_front keeps each deque's *back* — the owner's pop end —
+    // holding its longest seed.
     let mut seeds: Vec<VecDeque<u32>> = (0..workers).map(|_| VecDeque::new()).collect();
     let mut load = vec![0u64; workers];
     for t in lpt_order(&graph.costs) {
-        if graph.dep_count[t as usize] > 0 {
-            continue;
-        }
         let w = (0..workers)
             .min_by_key(|&w| (load[w], w))
             .expect("at least one worker");
         load[w] += graph.costs[t as usize].max(1);
         seeds[w].push_front(t);
     }
+    if S::ENABLED {
+        for (w, seed) in seeds.iter().enumerate() {
+            sink.gauge_max(queue_gauge(w), seed.len() as u64);
+        }
+    }
     let queues: Vec<Mutex<VecDeque<u32>>> = seeds.into_iter().map(Mutex::new).collect();
-    let dep_count: Vec<AtomicU32> = graph.dep_count.iter().map(|&d| AtomicU32::new(d)).collect();
     let remaining = AtomicUsize::new(n);
     let abort = AtomicBool::new(false);
-    let graph = &graph;
 
     let worker_loop = |widx: usize| {
         let _bail = AbortOnPanic(&abort);
@@ -236,9 +196,13 @@ pub fn run_graph<S: HostSink>(
                 }
             }
             let Some(t) = task else {
-                // Every queue looked empty but tasks remain in flight on
-                // other workers; their dependents are not released yet.
-                std::thread::yield_now();
+                // No task is queued after the seeding, so once every queue
+                // is empty the tasks left are in flight on other workers;
+                // otherwise another thief won the race, and this one
+                // looks again.
+                if queues.iter().all(|q| q.lock().expect("queue poisoned").is_empty()) {
+                    break;
+                }
                 continue;
             };
             if stolen {
@@ -252,17 +216,6 @@ pub fn run_graph<S: HostSink>(
                 busy += t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             }
             items += 1;
-            for &d in &graph.dependents[t as usize] {
-                if dep_count[d as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let mut q = queues[widx].lock().expect("queue poisoned");
-                    q.push_back(d);
-                    if S::ENABLED {
-                        sink.gauge_max(queue_gauge(widx), q.len() as u64);
-                    }
-                }
-            }
-            // Decremented after the dependents are queued, so "remaining
-            // == 0" really means "nothing left anywhere".
             remaining.fetch_sub(1, Ordering::AcqRel);
         }
         if let Some(t_start) = t_start {
@@ -310,23 +263,16 @@ pub struct CostModel {
 /// current values come from the bench-host phase totals and
 /// `host.run_ns.*` means over the 27k-fragment reference scene.
 mod rates {
-    /// One engine/FIFO timing walk over a captured cache model's misses
-    /// (the former `host.run_ns.captured` mean). A frame group costs
-    /// `PLAN + probing models·CAPTURE + distinct walks·CAPTURED`, which
-    /// for a lone config (29.3) is near a `grid/per-config` lane
-    /// `Machine::run` (33).
+    /// One engine/FIFO timing walk over a cache model's misses (the
+    /// former `host.run_ns.captured` mean). A frame group costs
+    /// `PLAN + probing models·CAPTURE + distinct walks·CAPTURED`, plus its
+    /// Mattson walk's `TRACE_PASS · weight` when it has one; for a lone
+    /// config (29.3) that is near a `grid/per-config` lane `Machine::run`
+    /// (33).
     pub const CAPTURED: f64 = 6.2;
-    /// Report synthesis from a stack-distance evaluation
-    /// (`host.run_ns.replay` mean) — every cycle category is priced from
-    /// the distance histograms, which costs more than re-walking a
-    /// capture's classification.
-    pub const REPLAY: f64 = 10.6;
     /// Routing-plan build (owner LUT + counting sort; `plan-build`
     /// phase total / count).
     pub const PLAN: f64 = 7.9;
-    /// Line-trace pivot of one plan ahead of its Mattson walk
-    /// (`lane-pivot` span).
-    pub const LANES: f64 = 7.8;
     /// One probing cache model's capture pass over a plan's buckets (a
     /// perfect model's pass only counts hits and is not priced): the
     /// benchmark's traced `design-sweep` rounds (seed 0, 2-vCPU Xeon)
@@ -334,7 +280,7 @@ mod rates {
     /// probing pass per plan, 36 plans per scene, on 7 scenes of
     /// 1,869,687 fragments in all.
     pub const CAPTURE: f64 = 15.2;
-    /// One cache pass over a plan's line trace, multiplied by
+    /// One cache pass over a frame's accesses, multiplied by
     /// [`sortmid_cache::evaluation_cost_weight`]'s pass count for the
     /// Mattson walk (`mattson-walk` span / weight(requests)): on a
     /// 2-vCPU Xeon the dense replay lane's walk took 10.5–13.4 ms for 102
@@ -357,32 +303,21 @@ impl CostModel {
         self.scaled(rates::PLAN)
     }
 
-    /// Estimated cost of pivoting one plan's line trace out of the batch.
-    pub fn lane_pivot(&self) -> u64 {
-        self.scaled(rates::LANES)
-    }
-
     /// Estimated cost of one (plan, probing cache model) capture pass.
     pub fn capture(&self) -> u64 {
         self.scaled(rates::CAPTURE)
     }
 
     /// Estimated cost of one Mattson walk pricing `requests` geometries
-    /// from a plan's line trace.
+    /// over a frame.
     pub fn trace_eval(&self, requests: usize) -> u64 {
         self.scaled(rates::TRACE_PASS)
             .saturating_mul(sortmid_cache::evaluation_cost_weight(requests))
     }
 
-    /// Estimated cost of one timing walk over a captured cache model's
-    /// misses.
+    /// Estimated cost of one timing walk over a cache model's misses.
     pub fn run_captured(&self) -> u64 {
         self.scaled(rates::CAPTURED)
-    }
-
-    /// Estimated cost of one replay-path report synthesis.
-    pub fn run_replay(&self) -> u64 {
-        self.scaled(rates::REPLAY)
     }
 }
 
@@ -451,52 +386,11 @@ mod tests {
     }
 
     #[test]
-    fn run_graph_respects_dependency_order() {
-        // A fan-in/fan-out diamond repeated 32 times: children must always
-        // observe their parents' completion stamps.
-        let mut graph = TaskGraph::new();
-        let mut edges = Vec::new();
-        for _ in 0..32 {
-            let a = graph.add(3);
-            let b = graph.add(2);
-            let c = graph.add(2);
-            let d = graph.add(1);
-            graph.depend(b, a);
-            graph.depend(c, a);
-            graph.depend(d, b);
-            graph.depend(d, c);
-            edges.extend([(a, b), (a, c), (b, d), (c, d)]);
-        }
-        let ticket = AtomicU64::new(0);
-        let stamp: Vec<AtomicU64> = (0..graph.len()).map(|_| AtomicU64::new(0)).collect();
-        run_graph(graph, 4, &NullHostSink, &|t, _w| {
-            stamp[t].store(1 + ticket.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-        });
-        for (parent, child) in edges {
-            let (p, c) = (
-                stamp[parent].load(Ordering::Relaxed),
-                stamp[child].load(Ordering::Relaxed),
-            );
-            assert!(p != 0 && c != 0 && p < c, "task {parent} must finish before {child}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "earlier-added tasks")]
-    fn forward_dependency_edges_are_rejected() {
-        let mut graph = TaskGraph::new();
-        let a = graph.add(1);
-        let b = graph.add(1);
-        graph.depend(a, b);
-    }
-
-    #[test]
     fn pool_accounting_covers_every_task() {
         let prof = HostProfiler::new();
         let mut graph = TaskGraph::new();
-        let tasks: Vec<usize> = (0..40).map(|i| graph.add(i as u64 + 1)).collect();
-        for &t in tasks.iter().skip(20) {
-            graph.depend(t, tasks[t % 20]);
+        for i in 0..40 {
+            graph.add(i + 1);
         }
         run_graph(graph, 3, &prof, &|_, _| {});
         let profile = prof.finish();
@@ -524,21 +418,21 @@ mod tests {
             3,
             "one worker-run span per worker"
         );
+        let gauges = profile.metrics.get("gauges").expect("gauges object");
+        assert!(gauges.get("sweep.queue_depth.w00").is_some(), "seeded queue depths");
     }
 
     #[test]
     fn cost_model_orders_paths_sanely() {
         let model = CostModel::for_stream(100_000);
-        // A lone config's frame group (route, capture, timing walk)
-        // dominates; replay synthesis prices every cycle category from the
-        // distance histograms, which measures costlier than re-walking a
-        // capture's classification.
-        let lone_group = model.plan_build() + model.capture() + model.run_captured();
-        assert!(lone_group > model.run_replay());
-        assert!(model.run_replay() > model.run_captured());
+        // A cache pass costs more than routing or one timing walk, and a
+        // walk pricing a dense grid more than a lone config's whole frame
+        // group (route, capture, timing walk) — the LPT seed must
+        // front-load the walk's group.
+        assert!(model.capture() > model.plan_build());
+        assert!(model.capture() > model.run_captured());
         assert!(model.trace_eval(102) > model.trace_eval(12));
-        // A dense evaluation is the most expensive single task in the
-        // dense lane — the LPT seed must front-load it.
-        assert!(model.trace_eval(102) > model.run_replay());
+        let lone_group = model.plan_build() + model.capture() + model.run_captured();
+        assert!(model.trace_eval(sortmid_cache::STACKDIST_MIN_REQUESTS) > lone_group);
     }
 }

@@ -4,44 +4,36 @@
 //! scene. Each run only *reads* its stream, so sweeps parallelise trivially
 //! across host threads (the simulated machines stay deterministic — host
 //! parallelism only reorders independent runs). [`run_sweeps`] schedules
-//! the sweeps of several scenes as one task graph; [`run_sweep`] and its
+//! the sweeps of several scenes on one pool; [`run_sweep`] and its
 //! variants are its one-scene case.
 //!
 //! Routing — which nodes a triangle overlaps, which node owns each
 //! fragment — depends only on the `(distribution, processors)` axes, never
 //! on cache, bus or buffer parameters. The sweep therefore groups its
-//! config grid by those two axes, and each plan group's configs share work
-//! one of two ways:
+//! config grid by those two axes, and runs each plan group as one **frame
+//! group**: [`Machine::run`]'s own windowed frame loop for all its configs
+//! at once. Each window is routed once; each distinct cache model runs
+//! over it once — the set-associative configs share one
+//! [Mattson walk](sortmid_cache::MattsonWalk) when they request at least
+//! [`STACKDIST_MIN_REQUESTS`](sortmid_cache::STACKDIST_MIN_REQUESTS)
+//! distinct geometries, every other config the
+//! per-node caches of its cache kind — and each distinct timing advances
+//! one walk.
 //!
-//! * a plan's set-associative configs take the **Mattson walk** iff they
-//!   request at least [`STACKDIST_MIN_REQUESTS`] distinct geometries: one
-//!   whole-frame [`RoutingPlan`] and
-//!   [`LineAccessTrace`](sortmid_cache::LineAccessTrace) per plan, one
-//!   [stack-distance evaluation](sortmid_cache::stackdist) pricing every
-//!   geometry, and per-config reports synthesized from the replayed miss
-//!   counts ([`crate::replay`]);
-//! * every other config of the plan group joins its **frame group**, which
-//!   runs [`Machine::run`]'s own windowed frame loop for all its configs at
-//!   once: each window is routed once, each distinct cache model's node
-//!   caches probe it once, and each distinct timing advances one walk.
-//!
-//! Both paths emit reports byte-identical to [`Machine::run`], which is
-//! the frame loop's one-config case.
+//! Every report is byte-identical to [`Machine::run`], which is the frame
+//! loop's one-config case.
 //!
 //! [`Machine::run`]: crate::Machine::run
 
 use crate::config::{CacheKind, MachineConfig};
 use crate::distribution::Distribution;
-use crate::machine::{walk_owners, FrameGroup};
-use crate::plan::RoutingPlan;
-use crate::replay::{capture_line_trace, replay_request, replay_timing, walk_misses, Timing};
-use crate::report::{CacheCounters, RunReport};
+use crate::machine::{FrameGroup, Layout};
+use crate::report::RunReport;
 use crate::sched::{run_graph, CostModel, TaskGraph};
-use sortmid_cache::{evaluate_trace, GeometryRequest, TraceEvaluation, STACKDIST_MIN_REQUESTS};
 use sortmid_observe::{HostSink, NullHostSink, NullSink};
 use sortmid_raster::FragmentStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Builds the cartesian product of machine-parameter axes — the shape of
@@ -254,15 +246,6 @@ impl Default for SweepOptions {
     }
 }
 
-/// How one sweep config gets its report: from its frame group's run, or
-/// synthesized from its plan's stack-distance evaluation (geometry index +
-/// whether the report carries the three-C breakdown).
-#[derive(Debug, Clone, Copy)]
-enum ConfigPath {
-    Frame { group: usize },
-    Replay { geom: usize, classify: bool },
-}
-
 /// [`run_sweep`] with host profiling: the one-job case of [`run_sweeps`],
 /// whose docs describe the pipeline and its spans.
 ///
@@ -280,278 +263,99 @@ pub fn run_sweep_profiled<S: HostSink>(
         .expect("one job in, one report list out")
 }
 
-/// One unit of pipeline work on the shared scheduler pool, within one
-/// job: build a Mattson-walk plan, evaluate its trace, run a frame group,
-/// or make one config's report.
-#[derive(Debug, Clone, Copy)]
-enum SweepTask {
-    Plan(usize),
-    Eval(usize),
-    Frame(usize),
-    Run(usize),
-}
-
-/// A frame-group config's timing and per-node cache counters.
-type FrameOutcome = (Timing, Vec<CacheCounters>);
-
 /// One `(stream, configs)` job of [`run_sweeps`]: its plan groups, each
-/// config's path and its frame groups — all decided from the configs
-/// alone, before any plan is built — plus the write-once slots its tasks
-/// fill.
+/// run as one frame group — decided from the configs alone, before any
+/// cache is built — plus one write-once report slot per config.
 struct Job<'a> {
     stream: &'a FragmentStream,
     configs: &'a [MachineConfig],
-    /// A representative config of each plan group.
-    plan_rep: Vec<usize>,
-    /// Each config's plan group.
-    plan_of: Vec<usize>,
-    path_of: Vec<ConfigPath>,
-    /// Each plan's stack-distance geometry requests (empty: no evaluation).
-    requests: Vec<Vec<GeometryRequest>>,
-    /// Each frame group's configs, in config order.
+    /// Each plan group's configs, in config order.
     groups: Vec<Vec<usize>>,
-    plans: Vec<OnceLock<RoutingPlan>>,
-    evals: Vec<OnceLock<TraceEvaluation>>,
-    /// Each frame-group config's outcome, from its group's run until its
-    /// report takes it: a deep FIFO's timing holds thousands of start
-    /// times per node, so none outlives its report.
-    outcomes: Vec<Mutex<Option<FrameOutcome>>>,
+    /// Each plan group's frame-group layout.
+    layouts: Vec<Layout>,
     out: Vec<OnceLock<RunReport>>,
 }
 
 impl<'a> Job<'a> {
-    /// Groups `configs` into plans, picks every config's path and gathers
-    /// the frame groups.
+    /// Groups `configs` into plan groups and lays out each frame group.
     fn analyse(stream: &'a FragmentStream, configs: &'a [MachineConfig]) -> Self {
         // Group the grid by (distribution, processors): one routing serves
         // every cache/bus/buffer variation. Grids are small, so a linear
         // key scan beats hashing Distribution (which holds an Arc axis).
-        let mut plan_rep: Vec<usize> = Vec::new();
-        let mut plan_of: Vec<usize> = Vec::with_capacity(configs.len());
-        for (ci, config) in configs.iter().enumerate() {
-            let idx = plan_rep
-                .iter()
-                .position(|&rep| {
-                    configs[rep].processors == config.processors
-                        && configs[rep].distribution == config.distribution
-                })
-                .unwrap_or_else(|| {
-                    plan_rep.push(ci);
-                    plan_rep.len() - 1
-                });
-            plan_of.push(idx);
-        }
-        let n_plans = plan_rep.len();
-
-        // Set-associative configs of one plan share a geometry request grid
-        // (deduplicated by geometry, classification merged by OR so a
-        // Classifying and a plain SetAssoc config of the same geometry
-        // share one evaluation slot).
-        let mut requests: Vec<Vec<GeometryRequest>> = vec![Vec::new(); n_plans];
-        let replay: Vec<Option<ConfigPath>> = configs
-            .iter()
-            .zip(&plan_of)
-            .map(|(config, &plan)| {
-                let (geometry, classify) = replay_request(config)?;
-                let reqs = &mut requests[plan];
-                let geom = match reqs.iter().position(|r| r.geometry == geometry) {
-                    Some(gi) => {
-                        reqs[gi].classify |= classify;
-                        gi
-                    }
-                    None => {
-                        reqs.push(GeometryRequest { geometry, classify });
-                        reqs.len() - 1
-                    }
-                };
-                Some(ConfigPath::Replay { geom, classify })
-            })
-            .collect();
-        // The walk pays off only on dense geometry grids.
-        for reqs in &mut requests {
-            if reqs.len() < STACKDIST_MIN_REQUESTS {
-                reqs.clear();
-            }
-        }
-
-        // Every other config joins its plan group's frame group: which
-        // texel probes hit or miss depends only on the node access
-        // sequences, so one cache pass per distinct model serves every
-        // bus/buffer/DRAM variant in the group.
-        let mut group_of_plan: Vec<Option<usize>> = vec![None; n_plans];
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let path_of = replay
-            .into_iter()
-            .enumerate()
-            .map(|(ci, replay)| match replay {
-                Some(path) if !requests[plan_of[ci]].is_empty() => path,
-                _ => {
-                    let group = *group_of_plan[plan_of[ci]].get_or_insert_with(|| {
-                        groups.push(Vec::new());
-                        groups.len() - 1
-                    });
-                    groups[group].push(ci);
-                    ConfigPath::Frame { group }
-                }
-            })
-            .collect();
-
-        // Every shared artefact gets a preassigned write-once slot. Tasks
-        // fill them exactly once; the scheduler's dependency edges
-        // sequence every fill before its reads, whatever worker runs what
-        // — which is what keeps the reports byte-identical across
-        // schedules.
-        Job {
-            stream,
-            configs,
-            plan_rep,
-            plan_of,
-            path_of,
-            requests,
-            groups,
-            plans: (0..n_plans).map(|_| OnceLock::new()).collect(),
-            evals: (0..n_plans).map(|_| OnceLock::new()).collect(),
-            outcomes: (0..configs.len()).map(|_| Mutex::new(None)).collect(),
-            out: (0..configs.len()).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// Adds this job's tasks to `graph` in pipeline order (plans, evals,
-    /// frame groups, reports), so every dependency edge points backward —
-    /// the DAG the scheduler requires holds by construction. Each task is
-    /// listed with its cost, from a model scaled to this job's stream.
-    fn add_tasks(
-        &self,
-        job: usize,
-        graph: &mut TaskGraph,
-        tasks: &mut Vec<(usize, SweepTask, u64)>,
-    ) {
-        let model = CostModel::for_stream(self.stream.fragments().len() as u64);
-        let mut add = |task, cost, dep: Option<usize>| {
-            tasks.push((job, task, cost));
-            let t = graph.add(cost);
-            if let Some(dep) = dep {
-                graph.depend(t, dep);
-            }
-            t
-        };
-        let mut eval_task = vec![usize::MAX; self.plans.len()];
-        for (pi, reqs) in self.requests.iter().enumerate() {
-            if !reqs.is_empty() {
-                let plan = add(SweepTask::Plan(pi), model.plan_build(), None);
-                // The evaluation first pivots its plan's line trace.
-                let cost = model.lane_pivot().saturating_add(model.trace_eval(reqs.len()));
-                eval_task[pi] = add(SweepTask::Eval(pi), cost, Some(plan));
-            }
-        }
-        let mut frame_task = Vec::with_capacity(self.groups.len());
-        for g in 0..self.groups.len() {
-            // A perfect model's cache pass only counts hits, and a shared
-            // timing walk runs once.
-            let probing = self.models(g).iter().filter(|(m, _)| *m != CacheKind::Perfect).count();
-            let cost = model.plan_build()
-                + probing as u64 * model.capture()
-                + self.walks(g) as u64 * model.run_captured();
-            frame_task.push(add(SweepTask::Frame(g), cost, None));
-        }
-        for (ci, &path) in self.path_of.iter().enumerate() {
-            match path {
-                // Reading a report out of its group's timing costs next to
-                // nothing.
-                ConfigPath::Frame { group } => {
-                    add(SweepTask::Run(ci), 1, Some(frame_task[group]))
-                }
-                ConfigPath::Replay { .. } => {
-                    add(SweepTask::Run(ci), model.run_replay(), Some(eval_task[self.plan_of[ci]]))
-                }
+        for (ci, config) in configs.iter().enumerate() {
+            let same_plan = |group: &&mut Vec<usize>| {
+                let rep = &configs[group[0]];
+                rep.processors == config.processors && rep.distribution == config.distribution
             };
+            match groups.iter_mut().find(same_plan) {
+                Some(group) => group.push(ci),
+                None => groups.push(vec![ci]),
+            }
         }
+        let layouts = groups.iter().map(|group| Layout::of(&members(configs, group))).collect();
+        // Each report slot is written once, by its frame group's task —
+        // which is what keeps the reports byte-identical across schedules.
+        let out = (0..configs.len()).map(|_| OnceLock::new()).collect();
+        Job { stream, configs, groups, layouts, out }
     }
 
-    fn plan(&self, pi: usize) -> &RoutingPlan {
-        self.plans[pi].get().expect("a plan is built before its readers run")
+    /// Frame group `g`'s estimated cost, from a model scaled to this job's
+    /// stream: one route, one pass per probing cache model (a perfect
+    /// model's pass only counts hits), the walk if the group has one, and
+    /// one timing walk per distinct timing.
+    fn cost(&self, g: usize) -> u64 {
+        let model = CostModel::for_stream(self.stream.fragments().len() as u64);
+        let layout = &self.layouts[g];
+        let probing = layout.models.iter().flatten().filter(|&&m| m != CacheKind::Perfect).count();
+        let mut cost = model.plan_build()
+            + probing as u64 * model.capture()
+            + layout.walks() as u64 * model.run_captured();
+        if !layout.requests.is_empty() {
+            cost = cost.saturating_add(model.trace_eval(layout.requests.len()));
+        }
+        cost
     }
 
-    /// Runs frame group `g` over the stream, leaving each member's timing
-    /// and cache counters for its report; `host` times each window's
-    /// route and cache pass.
+    /// Runs frame group `g` over the stream and writes each member's
+    /// report; `host` times each window's route and cache passes.
     fn run_frame<H: HostSink>(&self, g: usize, host: &H) {
-        let members = &self.groups[g];
-        let mut group = FrameGroup::new(members.iter().map(|&ci| &self.configs[ci]).collect());
+        let mut group = FrameGroup::new(members(self.configs, &self.groups[g]));
         let timings = group.run_frame(self.stream, &mut NullSink, host);
-        for (k, (&ci, timing)) in members.iter().zip(timings).enumerate() {
-            let slot = &mut *self.outcomes[ci].lock().expect("outcome slot poisoned");
-            let outcome = (timing, group.counters(k).collect());
-            assert!(slot.replace(outcome).is_none(), "each frame group runs once");
+        for (k, (&ci, timing)) in self.groups[g].iter().zip(timings).enumerate() {
+            let report = timing.report(self.configs[ci].summary(), self.stream, group.counters(k));
+            assert!(self.out[ci].set(report).is_ok(), "each config runs once");
         }
-    }
-
-    /// Config `ci`'s report, down its path.
-    fn run(&self, ci: usize) -> RunReport {
-        let config = &self.configs[ci];
-        match self.path_of[ci] {
-            ConfigPath::Frame { .. } => {
-                let taken = self.outcomes[ci].lock().expect("outcome slot poisoned").take();
-                let (timing, counters) = taken.expect("a frame group runs before its reports");
-                timing.report(config.summary(), self.stream, counters)
-            }
-            ConfigPath::Replay { geom, classify } => {
-                let plan = self.plan_of[ci];
-                let eval = self.evals[plan].get().expect("replay path has an evaluation");
-                let (nodes, counters) = walk_misses(eval, geom, classify);
-                replay_timing(config, self.stream, self.plan(plan), nodes, counters)
-            }
-        }
-    }
-
-    /// The number of distinct timing walks frame group `g` runs untraced.
-    fn walks(&self, g: usize) -> usize {
-        let members: Vec<_> = self.groups[g].iter().map(|&ci| &self.configs[ci]).collect();
-        walk_owners(&members).into_iter().enumerate().filter(|&(k, owner)| owner == k).count()
-    }
-
-    /// Frame group `g`'s distinct cache models, each with the number of
-    /// its configs that mount it.
-    fn models(&self, g: usize) -> Vec<(CacheKind, u64)> {
-        let mut models: Vec<(CacheKind, u64)> = Vec::new();
-        for &ci in &self.groups[g] {
-            let cache = self.configs[ci].cache;
-            match models.iter_mut().find(|(model, _)| *model == cache) {
-                Some((_, uses)) => *uses += 1,
-                None => models.push((cache, 1)),
-            }
-        }
-        models
     }
 }
 
+/// The configs of a plan group, given as indices into `configs`.
+fn members<'a>(configs: &'a [MachineConfig], group: &[usize]) -> Vec<&'a MachineConfig> {
+    group.iter().map(|&ci| &configs[ci]).collect()
+}
+
 /// Runs several sweeps — one `(stream, configs)` job each, typically one
-/// per scene — as **one** task graph on the work-stealing pool, and
+/// per scene — as **one** batch of tasks on the work-stealing pool, and
 /// returns each job's reports in its config order.
 ///
 /// Each job is analysed on its own, exactly as a single sweep: its grid
-/// is grouped into routing plans by `(distribution, processors)`, each
-/// config's path (frame group or stack-distance replay) is picked, and its
-/// frame groups and trace evaluations get their slots. Each job's tasks
-/// are costed by a [`CostModel`] scaled to *its* stream, so
-/// longest-first dispatch ranks work across scenes of different sizes and
-/// a small scene's configs fill the tail a big scene leaves idle.
+/// is grouped into plan groups by `(distribution, processors)`, and each
+/// plan group becomes one frame-group task that runs the frame and writes
+/// its configs' reports. Each task is costed by a [`CostModel`] scaled to
+/// *its* stream, so longest-first dispatch ranks work across scenes of
+/// different sizes and a small scene's groups fill the tail a big scene
+/// leaves idle.
 ///
-/// Every pipeline stage (path selection, plan build, lane pivots,
-/// stack-distance evaluation, frame groups and per-config reports) runs
-/// under a named [`HostSink`] span. A frame group runs under a
-/// `run-configs` span, with each window's route and cache pass under
-/// `plan-build` and `capture` child spans; its time lands in the
-/// `host.run_ns.frame` histogram, a replayed config's in
-/// `host.run_ns.replay`, and every worker thread reports `busy`/`wall`
-/// utilization for the `run-configs` stage.
+/// Plan grouping runs under a `path-select` span and each frame group
+/// under a `run-configs` span, with each window's route under
+/// `plan-build` and its cache passes under `capture` (the Mattson walk
+/// under `mattson-walk`) child spans. A group's time lands in the
+/// `host.run_ns.frame` histogram, and every worker thread reports
+/// `busy`/`wall` utilization for the `run-configs` stage.
 ///
-/// The pipeline runs on the work-stealing pool in [`crate::sched`]:
-/// Mattson-walk plan builds, trace evaluations, frame groups and
-/// per-config reports of every job become one dependency-ordered task
-/// batch, dispatched longest-first, so the frame group of plan A overlaps
-/// the evaluation of plan B and no phase barrier serializes the tail.
-/// Every task writes one preassigned [`OnceLock`] slot, so the reports are
+/// The tasks run on the work-stealing pool in [`crate::sched`],
+/// dispatched longest-first, with no dependencies between them. Every
+/// report goes to a preassigned [`OnceLock`] slot, so the reports are
 /// byte-identical to one [`run_sweep`] per job, across thread counts and
 /// steal interleavings.
 ///
@@ -592,10 +396,8 @@ pub fn run_sweeps<S: HostSink>(
     }
     let _root = sink.span("run-sweep");
 
-    // Front-end analysis: group every grid, pick each config's path and
-    // reserve every shared artefact's slot — all from the configs alone,
-    // before any plan is built, so the whole pipeline can be scheduled as
-    // one task batch.
+    // Front-end analysis: group every grid and lay out each frame group,
+    // from the configs alone, so every task is costed before any runs.
     let path_span = sink.span("path-select");
     let jobs: Vec<Job> = jobs
         .iter()
@@ -605,21 +407,24 @@ pub fn run_sweeps<S: HostSink>(
     if S::ENABLED {
         sink.count("sweep.configs", n_configs as u64);
         for job in &jobs {
-            sink.count("sweep.plans", job.plans.len() as u64);
-            // A frame-group config whose cache model another config of
-            // its group shares counts as captured, any other as direct.
-            let (mut captures, mut captured, mut direct) = (0, 0, 0);
-            for g in 0..job.groups.len() {
-                for (_, uses) in job.models(g) {
-                    if uses >= 2 {
-                        captures += 1;
-                        captured += uses;
-                    } else {
-                        direct += 1;
+            sink.count("sweep.plans", job.groups.len() as u64);
+            // A config the walk serves counts as replayed; any other whose
+            // model another config of its group mounts as captured (a
+            // shared perfect model included), the rest as direct. Only a
+            // shared model whose pass probes fragments counts as a capture.
+            let (mut captures, mut captured, mut direct, mut replay) = (0, 0, 0, 0);
+            for layout in &job.layouts {
+                for (kind, uses) in layout.models.iter().zip(layout.uses()) {
+                    match kind {
+                        None => replay += uses,
+                        Some(_) if uses < 2 => direct += uses,
+                        Some(kind) => {
+                            captured += uses;
+                            captures += u64::from(*kind != CacheKind::Perfect);
+                        }
                     }
                 }
             }
-            let replay = job.configs.len() as u64 - captured - direct;
             sink.count("sweep.captures", captures);
             for (path, n) in [
                 ("sweep.path.direct", direct),
@@ -633,16 +438,20 @@ pub fn run_sweeps<S: HostSink>(
         }
     }
 
-    let mut graph = TaskGraph::new();
-    let mut tasks: Vec<(usize, SweepTask, u64)> = Vec::new();
-    for (j, job) in jobs.iter().enumerate() {
-        job.add_tasks(j, &mut graph, &mut tasks);
+    // One task per frame group, each with its cost.
+    let tasks: Vec<(usize, usize, u64)> = jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(j, job)| (0..job.groups.len()).map(move |g| (j, g, job.cost(g))))
+        .collect();
+    let mut graph = TaskGraph::with_capacity(tasks.len());
+    for &(_, _, cost) in &tasks {
+        graph.add(cost);
     }
 
     // Per-worker accounting for the run-configs stage, over a *shared*
-    // window (first frame group or report started → last finished), so a
-    // worker that runs out of work early reads as idle, not as a shorter
-    // wall.
+    // window (first frame group started → last finished), so a worker
+    // that runs out of work early reads as idle, not as a shorter wall.
     let workers = options.threads.min(n_configs);
     let t_origin = Instant::now();
     let rc_busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
@@ -651,67 +460,32 @@ pub fn run_sweeps<S: HostSink>(
     let window_end = AtomicU64::new(0);
 
     let elapsed_ns = |origin: &Instant| origin.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    // Runs one run-configs task and accounts it to worker `widx`: its
-    // time into histogram `ns`, if any, and its cost-model error when it
-    // carries a `predicted` cost; `configs` counts the configs it reports.
-    let run_configs =
-        |widx: usize, ns: Option<&'static str>, predicted: u64, configs: u64, f: &dyn Fn()| {
-            let _s = sink.span("run-configs");
-            let start = S::ENABLED.then(|| elapsed_ns(&t_origin));
-            f();
-            if let Some(start) = start {
-                let end = elapsed_ns(&t_origin);
-                let took = end.saturating_sub(start);
-                window_start.fetch_min(start, Ordering::Relaxed);
-                window_end.fetch_max(end, Ordering::Relaxed);
-                rc_busy[widx].fetch_add(took, Ordering::Relaxed);
-                rc_items[widx].fetch_add(configs, Ordering::Relaxed);
-                if let Some(ns) = ns {
-                    sink.observe(ns, took);
-                    // Cost-model feedback: per-task |predicted − actual| as a
-                    // percentage of predicted, kept as a log2 histogram so the
-                    // LPT estimates stay honest as the simulator evolves.
-                    let err_pct = took.abs_diff(predicted) * 100 / predicted;
-                    sink.observe("sweep.cost_err_pct", err_pct);
-                }
-            }
-        };
+    // Runs one frame group and accounts it to worker `widx`: its time
+    // into `host.run_ns.frame`, its cost-model error and its configs.
     let exec = |t: usize, widx: usize| {
-        let (j, task, cost) = tasks[t];
+        let (j, g, predicted) = tasks[t];
         let job = &jobs[j];
-        match task {
-            SweepTask::Plan(pi) => {
-                let _s = sink.span("plan-build");
-                let rep = &job.configs[job.plan_rep[pi]];
-                let built = RoutingPlan::build(job.stream, &rep.distribution, rep.processors);
-                assert!(job.plans[pi].set(built).is_ok(), "one build per plan group");
+        let _s = sink.span("run-configs");
+        if S::ENABLED {
+            let requests = job.layouts[g].requests.len();
+            if requests > 0 {
+                sink.observe("cache.eval_requests", requests as u64);
             }
-            SweepTask::Eval(pi) => {
-                let _s = sink.span("trace-eval");
-                let trace = {
-                    let _p = sink.span("lane-pivot");
-                    capture_line_trace(job.stream, job.plan(pi))
-                };
-                let requests = &job.requests[pi];
-                sink.observe("cache.eval_requests", requests.len() as u64);
-                let eval = {
-                    let _m = sink.span("mattson-walk");
-                    evaluate_trace(&trace, requests)
-                };
-                assert!(job.evals[pi].set(eval).is_ok(), "one evaluation per plan");
-            }
-            SweepTask::Frame(g) => {
-                run_configs(widx, Some("host.run_ns.frame"), cost, 0, &|| job.run_frame(g, sink));
-            }
-            SweepTask::Run(ci) => {
-                let ns = match job.path_of[ci] {
-                    ConfigPath::Frame { .. } => None,
-                    ConfigPath::Replay { .. } => Some("host.run_ns.replay"),
-                };
-                run_configs(widx, ns, cost, 1, &|| {
-                    assert!(job.out[ci].set(job.run(ci)).is_ok(), "each config runs once");
-                });
-            }
+            let start = elapsed_ns(&t_origin);
+            job.run_frame(g, sink);
+            let end = elapsed_ns(&t_origin);
+            let took = end.saturating_sub(start);
+            window_start.fetch_min(start, Ordering::Relaxed);
+            window_end.fetch_max(end, Ordering::Relaxed);
+            rc_busy[widx].fetch_add(took, Ordering::Relaxed);
+            rc_items[widx].fetch_add(job.groups[g].len() as u64, Ordering::Relaxed);
+            sink.observe("host.run_ns.frame", took);
+            // Cost-model feedback: per-task |predicted − actual| as a
+            // percentage of predicted, kept as a log2 histogram so the LPT
+            // estimates stay honest as the simulator evolves.
+            sink.observe("sweep.cost_err_pct", took.abs_diff(predicted) * 100 / predicted);
+        } else {
+            job.run_frame(g, sink);
         }
     };
     run_graph(graph, workers, sink, &exec);
@@ -745,6 +519,7 @@ mod tests {
     use super::*;
     use crate::distribution::Distribution;
     use crate::machine::Machine;
+    use sortmid_cache::STACKDIST_MIN_REQUESTS;
     use sortmid_scene::{Benchmark, SceneBuilder};
 
     #[test]

@@ -33,8 +33,8 @@ echo "==> cargo doc --workspace --no-deps --offline (RUSTDOCFLAGS: -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Smoke-run the sweep bench (1 sample, tiny scene — includes the
-# grid/trace-replay lanes pricing 102 and 32 cache configs, each from one
-# Mattson walk), the trace bin (tiny preset) and the heatmap bin (tiny
+# grid/trace-replay lanes pricing 102 and 32 cache configs, each by the one
+# Mattson walk its frame group mounts), the trace bin (tiny preset) and the heatmap bin (tiny
 # preset, small scene) into a scratch dir, then validate that the emitted
 # BENCH_*.json, TRACE_*.json, HEATMAP_*.json and METRICS_*.json artefacts
 # parse with the expected schemas — and gate the sweep's simulated cycle

@@ -9,16 +9,16 @@
 //! batched probe per fragment footprint) must emit a [`RunReport`]
 //! byte-identical to [`run_reference`] (the distribution's div/rem owner
 //! chain and one cache probe per texel). The same holds under observation
-//! (spatial three-C attribution, full event traces) and for the
-//! trace-capture path the stack-distance replay feeds on.
+//! (spatial three-C attribution, full event traces) and for frame groups
+//! that share routing, cache passes and timing walks.
 //!
 //! [`RunReport`]: sortmid::RunReport
 
 use sortmid::machine::run_frame_group;
 use sortmid::reference::run_reference;
 use sortmid::{
-    capture_line_trace, run_sweep_with_threads, CacheKind, Distribution, Machine, MachineConfig,
-    NullSink, RoutingPlan, SpatialCollector, SweepGrid, TraceRecorder,
+    run_sweep_with_threads, CacheKind, Distribution, Machine, MachineConfig, NullSink,
+    SpatialCollector, SweepGrid, TraceRecorder,
 };
 use sortmid_cache::CacheGeometry;
 use sortmid_devharness::prop::{check, Config, Gen};
@@ -191,45 +191,6 @@ fn prop_batched_event_stream_matches_scalar() {
                 "event streams diverge for {}",
                 batched.summary()
             );
-            Ok(())
-        },
-    );
-}
-
-/// Trace capture through a routing plan equals a hand-walked reference:
-/// the exact per-node line sequence the reference oracle would probe, in
-/// processing order.
-#[test]
-fn prop_lane_trace_capture_matches_manual_walk() {
-    check(
-        "prop_lane_trace_capture_matches_manual_walk",
-        &Config::with_cases(16),
-        |g| (arb_distribution(g), g.u32_in(1..32)),
-        |(dist, procs)| {
-            let s = stream();
-            let plan = RoutingPlan::build(s, dist, *procs);
-            let trace = capture_line_trace(s, &plan);
-            prop_assert_eq!(trace.node_count(), *procs as usize);
-
-            // Reference: route every fragment by asking the distribution
-            // directly, in stream order — the semantics the plan encodes.
-            let mut expect: Vec<Vec<u32>> = vec![Vec::new(); *procs as usize];
-            for tri in s.triangles() {
-                if tri.is_culled() {
-                    continue;
-                }
-                for frag in s.fragments_of(tri) {
-                    let owner = dist.owner(frag.x as i32, frag.y as i32, *procs) as usize;
-                    expect[owner].extend(frag.texels.iter().map(|t| t.line()));
-                }
-            }
-            for (node, lines) in expect.iter().enumerate() {
-                prop_assert_eq!(
-                    trace.node_lines(node),
-                    &lines[..],
-                    "node {node} line sequence diverges"
-                );
-            }
             Ok(())
         },
     );

@@ -31,9 +31,9 @@ fn walk_geometries() -> Vec<CacheGeometry> {
     geometries
 }
 
-/// A grid that walks every config path: the walk's geometries on each of
-/// two plans (stack-distance replay, paper-L1 included), plus
-/// perfect-cache pairs sharing captures.
+/// A grid that takes every cache model: the walk's geometries on each of
+/// two plans (one Mattson walk per plan, paper-L1 included), plus
+/// perfect-cache pairs sharing one cache model.
 fn mixed_grid() -> Vec<sortmid::MachineConfig> {
     let mut caches = vec![CacheKind::Perfect, CacheKind::PaperL1];
     caches.extend(walk_geometries().into_iter().map(CacheKind::SetAssoc));
@@ -73,8 +73,8 @@ fn profiled_sweep_is_identical_and_profile_verifies() {
         "run-sweep",
         "plan-build",
         "path-select",
-        "lane-pivot",
-        "trace-eval",
+        "capture",
+        "mattson-walk",
         "run-configs",
         "worker-run",
     ] {
@@ -96,9 +96,9 @@ fn profiled_sweep_is_identical_and_profile_verifies() {
     }
     assert_eq!(items as usize, mixed_grid().len(), "every config ran on some worker");
 
-    // The metrics registry saw the path split: every set-associative
-    // config replays (33 geometries x 2 buffers per plan), the perfect
-    // pairs share captures.
+    // The metrics registry saw the path split: the walk serves every
+    // set-associative config (33 geometries x 2 buffers per plan), the
+    // perfect pairs share a model whose pass probes no fragment.
     let counters = profile.metrics.get("counters").expect("counters object");
     let count = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
     assert_eq!(count("sweep.configs"), mixed_grid().len() as u64);
@@ -108,14 +108,16 @@ fn profiled_sweep_is_identical_and_profile_verifies() {
         mixed_grid().len() as u64,
         "every config took exactly one path"
     );
-    assert!(count("sweep.path.replay") >= 12, "dense geometries replay");
+    assert_eq!(count("sweep.path.replay"), 2 * 33 * 2, "the walk serves every geometry");
+    assert_eq!(count("sweep.path.captured"), 2 * 2, "the perfect pairs share a model");
+    assert_eq!(count("sweep.captures"), 0, "a perfect model's pass probes nothing");
 }
 
 /// The one shared-cache rule: below `STACKDIST_MIN_REQUESTS` geometries
 /// a plan takes no Mattson walk, however many configs it holds. A
 /// design-sweep-shaped group (paper L1 × 2 buses × 3 buffers) and a
 /// six-geometry set-associative group (× 2 buffers) share captures, no
-/// line trace is pivoted or walked, and every report equals a direct run.
+/// Mattson walk runs, and every report equals a direct run.
 #[test]
 fn groups_below_the_walk_threshold_share_captures() {
     let s = stream();
@@ -144,10 +146,9 @@ fn groups_below_the_walk_threshold_share_captures() {
     let count = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
     assert_eq!(count("sweep.path.captured"), configs.len() as u64);
     assert_eq!(count("sweep.path.replay") + count("sweep.path.direct"), 0);
+    assert_eq!(count("sweep.captures"), 1 + 6, "one probing pass per shared model");
     let phases = profile.phase_names();
-    for phase in ["trace-eval", "lane-pivot", "mattson-walk"] {
-        assert!(!phases.contains(&phase), "unexpected phase {phase}: {phases:?}");
-    }
+    assert!(!phases.contains(&"mattson-walk"), "unexpected walk: {phases:?}");
     for (config, report) in configs.iter().zip(&reports) {
         let direct = Machine::new(config.clone()).run(&s);
         assert_eq!(report, &direct, "{}", config.summary());
@@ -231,9 +232,10 @@ fn sequential_sweep_still_reports_a_worker() {
     assert_eq!(w.worker, 0);
     assert_eq!(w.items as usize, configs.len());
     assert_eq!(w.busy_ns + w.idle_ns(), w.wall_ns);
-    // The scheduler pool reports its own lane too, even single-threaded.
+    // The scheduler pool reports its own lane too, even single-threaded:
+    // one task, the plan's frame group, which reports both configs.
     let pool: Vec<_> = profile.workers.iter().filter(|w| w.lane == "sched-pool").collect();
     assert_eq!(pool.len(), 1);
-    assert!(pool[0].items >= w.items, "pool tasks include every config run");
+    assert_eq!(pool[0].items, 1, "one task per frame group");
     assert!(profile.phase_names().contains(&"worker-run"));
 }

@@ -2,23 +2,26 @@
 //! direct simulation, on the in-repo `sortmid-devharness` runner.
 //!
 //! The tentpole claim of the one-pass cache evaluation is *exact*
-//! equivalence, not approximation: replaying one captured
-//! [`LineAccessTrace`](sortmid_cache::LineAccessTrace) through the Mattson
-//! stack must reproduce — for every `(size, associativity)` point of a
-//! random grid — the hit/miss/eviction counters a direct
+//! equivalence, not approximation: walking each node's access sequence
+//! through one [`MattsonWalk`] must reproduce — for every
+//! `(size, associativity)` point of a random grid — the
+//! hit/miss/eviction counters a direct
 //! [`SetAssocCache`](sortmid_cache::SetAssocCache) simulation produces,
-//! and the sweep's replay path must emit byte-identical [`RunReport`]s.
+//! and a sweep whose frame groups mount the walk must emit byte-identical
+//! [`RunReport`]s. The node sequences come from
+//! [`Distribution::owner`] in stream order, the order a node processes
+//! its fragments.
 //! These properties randomize the distribution, machine size and cache
 //! grid so the equivalence is exercised far beyond the reference sweep.
 
 use sortmid::{
-    capture_line_trace, run_sweep_with_threads, CacheKind, Distribution, Machine, MachineConfig,
-    RoutingPlan, RunReport,
+    run_sweep_with_threads, CacheKind, Distribution, Machine, MachineConfig, RunReport,
 };
 use sortmid_cache::{
-    evaluate_trace, CacheGeometry, CacheStats, ClassifyingCache, FragmentMisses, GeometryRequest,
-    LineAccessTrace, LineCache, MissBreakdown, SetAssocCache, TraceEvaluation, STACKDIST_MIN_REQUESTS,
+    CacheGeometry, CacheStats, ClassifyingCache, FragmentMisses, GeometryRequest, LineCache,
+    MattsonWalk, MissBreakdown, SetAssocCache, STACKDIST_MIN_REQUESTS,
 };
+use sortmid_texture::TEXELS_PER_FRAGMENT;
 use sortmid_devharness::prop::{check, Config, Gen};
 use sortmid_devharness::{prop_assert, prop_assert_eq};
 use sortmid_raster::FragmentStream;
@@ -36,6 +39,30 @@ fn stream() -> &'static FragmentStream {
     })
 }
 
+/// Each node's footprint lines in processing order: the fragments of every
+/// non-culled triangle, in stream order, to the node
+/// [`Distribution::owner`] names.
+fn node_lines(s: &FragmentStream, dist: &Distribution, procs: u32) -> Vec<Vec<u32>> {
+    let mut nodes = vec![Vec::new(); procs as usize];
+    for tri in s.triangles().iter().filter(|t| !t.is_culled()) {
+        for frag in s.fragments_of(tri) {
+            let owner = dist.owner(frag.x as i32, frag.y as i32, procs) as usize;
+            nodes[owner].extend(frag.texels.iter().map(|t| t.line()));
+        }
+    }
+    nodes
+}
+
+/// One walk over every node's whole sequence, in one window.
+fn walk_nodes(nodes: &[Vec<u32>], grid: &[GeometryRequest]) -> MattsonWalk {
+    let mut walk = MattsonWalk::new(grid, nodes.len());
+    walk.start_window();
+    for (i, lines) in nodes.iter().enumerate() {
+        walk.walk(i, lines.chunks_exact(TEXELS_PER_FRAGMENT));
+    }
+    walk
+}
+
 /// Block with width 1..200 or SLI with 1..64 lines.
 fn arb_distribution(g: &mut Gen) -> Distribution {
     match g.choice(2) {
@@ -44,12 +71,13 @@ fn arb_distribution(g: &mut Gen) -> Distribution {
     }
 }
 
-/// A random grid of 4..=7 distinct cache geometries (random power-of-two
-/// sizes and associativities, 64-byte lines) with random classify flags.
+/// A random grid of up to 7 distinct cache geometries (random
+/// power-of-two sizes and associativities, 64-byte lines) with random
+/// classify flags. A drawn duplicate is dropped rather than redrawn, so a
+/// shrunk tape, which reads zeros past its end, still ends.
 fn arb_cache_grid(g: &mut Gen) -> Vec<GeometryRequest> {
-    let count = g.usize_in(4..8);
     let mut grid: Vec<GeometryRequest> = Vec::new();
-    while grid.len() < count {
+    for _ in 0..g.usize_in(4..8) {
         let size = 512u32 << g.u32_in(0..10);
         let max_log_ways = (size / 64).trailing_zeros().min(4);
         let ways = 1u32 << g.u32_in(0..max_log_ways + 1);
@@ -101,7 +129,7 @@ fn oracle(req: &GeometryRequest, lines: &[u32], per_fragment: usize) -> Oracle {
     }
 }
 
-/// Expands an evaluation's sparse `(fragment, misses)` list to one count
+/// Expands a walk's sparse `(fragment, misses)` list to one count
 /// per fragment, checking that it is strictly ascending and lists only
 /// fragments that missed.
 fn dense(sparse: FragmentMisses<'_>, fragments: usize) -> Vec<u8> {
@@ -137,10 +165,10 @@ fn config_for(dist: &Distribution, procs: u32, cache: CacheKind, buffer: usize) 
 }
 
 /// The tentpole equivalence: for random scenes-distribution-grid triples,
-/// one trace replay reproduces the direct simulator's per-node hit, miss
-/// and eviction counts at every `(size, associativity)` of the grid — and
-/// the full sweep over those configs emits byte-identical reports down
-/// both pipelines.
+/// one walk reproduces the direct simulator's per-node hit, miss and
+/// eviction counts at every `(size, associativity)` of the grid — and the
+/// full sweep over those configs emits byte-identical reports whether a
+/// config runs in a walk or its own machine.
 #[test]
 fn prop_stackdist_replay_equals_direct() {
     check(
@@ -150,20 +178,17 @@ fn prop_stackdist_replay_equals_direct() {
         |(dist, procs, grid)| {
             let s = stream();
 
-            // Counter equivalence: evaluate the captured trace once and
+            // Counter equivalence: walk every node's sequence once and
             // check every geometry against the per-fragment oracle fed the
-            // same per-node sequence.
-            let plan = RoutingPlan::build(s, dist, *procs);
-            let trace = capture_line_trace(s, &plan);
-            let eval = evaluate_trace(&trace, grid);
-            let per_fragment = trace.accesses_per_fragment() as usize;
-            for node in 0..trace.node_count() {
-                let lines = trace.node_lines(node);
+            // same sequence.
+            let nodes = node_lines(s, dist, *procs);
+            let eval = walk_nodes(&nodes, grid);
+            for (node, lines) in nodes.iter().enumerate() {
                 for (gi, req) in grid.iter().enumerate() {
-                    let direct = oracle(req, lines, per_fragment);
+                    let direct = oracle(req, lines, TEXELS_PER_FRAGMENT);
                     let g = req.geometry;
                     prop_assert_eq!(
-                        dense(eval.fragment_misses(node, gi), trace.fragment_count(node)),
+                        dense(eval.fragment_misses(node, gi), lines.len() / TEXELS_PER_FRAGMENT),
                         direct.fragment_misses,
                         "node {node} {g}: per-fragment misses diverge"
                     );
@@ -186,9 +211,9 @@ fn prop_stackdist_replay_equals_direct() {
             }
 
             // Report equivalence: the same grid as sweep configs, topped up
-            // with the walk's geometry ladder so the plan takes the
-            // Mattson walk, replay path against each config's own
-            // `Machine::run`, byte-identical reports.
+            // with the walk's geometry ladder so the frame group mounts the
+            // Mattson walk, against each config's own `Machine::run`,
+            // byte-identical reports.
             let mut configs: Vec<MachineConfig> = grid
                 .iter()
                 .map(|r| {
@@ -241,10 +266,9 @@ fn prop_mattson_profile_monotone_and_compulsory_exact() {
                     })
                 })
                 .collect();
-            let plan = RoutingPlan::build(s, dist, *procs);
-            let trace = capture_line_trace(s, &plan);
-            let eval = evaluate_trace(&trace, &grid);
-            for node in 0..trace.node_count() {
+            let nodes = node_lines(s, dist, *procs);
+            let eval = walk_nodes(&nodes, &grid);
+            for (node, lines) in nodes.iter().enumerate() {
                 let profile = eval.profile(node);
                 for &ways in &WAYS {
                     let mut prev = 0u64;
@@ -276,8 +300,7 @@ fn prop_mattson_profile_monotone_and_compulsory_exact() {
                     geometry: CacheGeometry::paper_l1(),
                     classify: true,
                 };
-                let per_fragment = trace.accesses_per_fragment() as usize;
-                let direct = oracle(&paper, trace.node_lines(node), per_fragment);
+                let direct = oracle(&paper, lines, TEXELS_PER_FRAGMENT);
                 prop_assert_eq!(
                     eval.compulsory(node),
                     direct.breakdown.expect("classifying oracle").compulsory,
@@ -357,16 +380,10 @@ fn dense_grid() -> Vec<GeometryRequest> {
 /// Checks every node and geometry of `eval` — and the node's Mattson
 /// profile at that geometry's point — against the per-fragment oracle fed
 /// the same per-node sequence.
-fn assert_matches_oracle(
-    trace: &LineAccessTrace,
-    grid: &[GeometryRequest],
-    eval: &TraceEvaluation,
-) {
-    let per_fragment = trace.accesses_per_fragment() as usize;
-    for node in 0..trace.node_count() {
-        let lines = trace.node_lines(node);
+fn assert_matches_oracle(nodes: &[Vec<u32>], grid: &[GeometryRequest], eval: &MattsonWalk) {
+    for (node, lines) in nodes.iter().enumerate() {
         for (gi, req) in grid.iter().enumerate() {
-            let direct = oracle(req, lines, per_fragment);
+            let direct = oracle(req, lines, TEXELS_PER_FRAGMENT);
             let g = req.geometry;
             assert_eq!(
                 eval.profile(node).misses(g.sets(), g.ways()),
@@ -374,7 +391,7 @@ fn assert_matches_oracle(
                 "node {node} {g}: profile"
             );
             assert_eq!(
-                dense(eval.fragment_misses(node, gi), trace.fragment_count(node)),
+                dense(eval.fragment_misses(node, gi), lines.len() / TEXELS_PER_FRAGMENT),
                 direct.fragment_misses,
                 "node {node} {g}: per-fragment misses diverge"
             );
@@ -385,7 +402,7 @@ fn assert_matches_oracle(
     }
 }
 
-/// The full 102-geometry grid on one real plan's line trace: the walk
+/// The full 102-geometry grid on one real plan's node sequences: the walk
 /// must price every geometry exactly as its own per-fragment simulation.
 /// `teapot.full` at this scale touches thousands of lines per node and
 /// takes capacity and conflict misses up to 16 KB (the shared `quake`
@@ -396,22 +413,21 @@ fn dense_grid_on_a_real_plan_matches_the_oracle() {
         .scale(0.2)
         .build()
         .rasterize();
-    let plan = RoutingPlan::build(&s, &Distribution::sli(4), 3);
-    let trace = capture_line_trace(&s, &plan);
+    let nodes = node_lines(&s, &Distribution::sli(4), 3);
     let grid = dense_grid();
-    let eval = evaluate_trace(&trace, &grid);
+    let eval = walk_nodes(&nodes, &grid);
     let paper = grid.iter().position(|r| r.geometry == CacheGeometry::paper_l1()).unwrap();
-    for node in 0..trace.node_count() {
+    for node in 0..nodes.len() {
         assert!(eval.compulsory(node) > 1000, "node {node}: too few lines to exercise the walk");
         assert!(
             eval.stats(node, paper).misses() > eval.compulsory(node),
             "node {node}: no warm miss at 16 KB"
         );
     }
-    assert_matches_oracle(&trace, &grid, &eval);
+    assert_matches_oracle(&nodes, &grid, &eval);
 }
 
-/// A synthetic trace on the full grid whose fragments each mix first
+/// A synthetic sequence on the full grid whose fragments each mix first
 /// touches with warm reuses (head repeats, near and far ones), and whose
 /// far reuses pass more same-set lines than any geometry holds, so every
 /// set count's distance cap saturates — including k = 0, deepened to the
@@ -433,9 +449,9 @@ fn mixed_fragments_saturating_every_cap_match_the_oracle() {
         let cold = LINES + 2 * f;
         lines.extend([cold, 3 * f, 3 * f, cold + 1, 3 * f + 1, cold, 40_000 + f, 3 * f]);
     }
-    let trace = LineAccessTrace::from_nodes(vec![lines], 8);
+    let nodes = [lines];
     let grid = dense_grid();
-    let eval = evaluate_trace(&trace, &grid);
+    let eval = walk_nodes(&nodes, &grid);
 
     let profile = eval.profile(0);
     for k in 0..=16u32 {
@@ -454,5 +470,5 @@ fn mixed_fragments_saturating_every_cap_match_the_oracle() {
         let beyond = profile.accesses() - profile.compulsory() - profile.hits(sets, cap);
         assert!(beyond > 0, "2^{k} sets: no access saturates the cap of {cap}");
     }
-    assert_matches_oracle(&trace, &grid, &eval);
+    assert_matches_oracle(&nodes, &grid, &eval);
 }
