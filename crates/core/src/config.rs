@@ -81,6 +81,10 @@ pub enum ConfigError {
     EmptyPrefetchWindow,
     /// A victim buffer of zero lines.
     EmptyVictimBuffer,
+    /// A bus ratio that is not positive and finite (zero, negative, NaN
+    /// or infinite; [`MachineConfigBuilder::infinite_bus`] sets an
+    /// infinite bus).
+    BadBusRatio,
 }
 
 impl fmt::Display for ConfigError {
@@ -95,6 +99,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "prefetch window must hold at least one fragment")
             }
             ConfigError::EmptyVictimBuffer => write!(f, "victim buffer must hold at least one line"),
+            ConfigError::BadBusRatio => write!(f, "bus ratio must be positive and finite"),
         }
     }
 }
@@ -214,7 +219,9 @@ pub struct MachineConfigBuilder {
     processors: u32,
     distribution: Distribution,
     cache: CacheKind,
-    bus: BusConfig,
+    /// The texel-per-cycle bus ratio as set, validated by `build`; `None`
+    /// is an infinite bus.
+    bus_ratio: Option<f64>,
     triangle_buffer: usize,
     prefetch_window: Option<usize>,
     setup_cycles: u64,
@@ -228,7 +235,7 @@ impl Default for MachineConfigBuilder {
             processors: 1,
             distribution: Distribution::block(16),
             cache: CacheKind::PaperL1,
-            bus: BusConfig::ratio(1.0),
+            bus_ratio: Some(1.0),
             triangle_buffer: 10_000,
             prefetch_window: Some(32),
             setup_cycles: SETUP_CYCLES,
@@ -257,19 +264,16 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Sets the bus to a finite texel-per-cycle ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ratio is not positive and finite.
+    /// Sets the bus to a finite texel-per-cycle ratio; [`build`](Self::build)
+    /// refuses one that is not positive and finite.
     pub fn bus_ratio(&mut self, texels_per_cycle: f64) -> &mut Self {
-        self.bus = BusConfig::ratio(texels_per_cycle);
+        self.bus_ratio = Some(texels_per_cycle);
         self
     }
 
     /// Sets an infinite-bandwidth bus (locality studies).
     pub fn infinite_bus(&mut self) -> &mut Self {
-        self.bus = BusConfig::infinite();
+        self.bus_ratio = None;
         self
     }
 
@@ -309,14 +313,20 @@ impl MachineConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the processor count is outside
-    /// `1..=MAX_PROCESSORS`, or the triangle buffer, the prefetch window or
-    /// a victim buffer is empty.
+    /// `1..=MAX_PROCESSORS`, the bus ratio is not positive and finite, or
+    /// the triangle buffer, the prefetch window or a victim buffer is
+    /// empty.
     pub fn build(&self) -> Result<MachineConfig, ConfigError> {
         if self.processors == 0 || self.processors > MAX_PROCESSORS {
             return Err(ConfigError::BadProcessorCount {
                 requested: self.processors,
             });
         }
+        let bus = match self.bus_ratio {
+            None => BusConfig::infinite(),
+            Some(ratio) if ratio > 0.0 && ratio.is_finite() => BusConfig::ratio(ratio),
+            Some(_) => return Err(ConfigError::BadBusRatio),
+        };
         if self.triangle_buffer == 0 {
             return Err(ConfigError::EmptyTriangleBuffer);
         }
@@ -330,7 +340,7 @@ impl MachineConfigBuilder {
             processors: self.processors,
             distribution: self.distribution.clone(),
             cache: self.cache,
-            bus: self.bus,
+            bus,
             triangle_buffer: self.triangle_buffer,
             prefetch_window: self.prefetch_window,
             setup_cycles: self.setup_cycles,
@@ -370,6 +380,21 @@ mod tests {
             MachineConfig::builder().triangle_buffer(0).build(),
             Err(ConfigError::EmptyTriangleBuffer)
         ));
+    }
+
+    #[test]
+    fn builder_refuses_a_bad_bus_ratio() {
+        for ratio in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                MachineConfig::builder().bus_ratio(ratio).build(),
+                Err(ConfigError::BadBusRatio),
+                "ratio {ratio}"
+            );
+        }
+        let mut builder = MachineConfig::builder();
+        builder.bus_ratio(0.0).infinite_bus();
+        assert!(builder.build().unwrap().bus.is_infinite());
+        assert_eq!(builder.bus_ratio(2.0).build().unwrap().bus, BusConfig::ratio(2.0));
     }
 
     #[test]
@@ -440,5 +465,6 @@ mod tests {
         assert!(ConfigError::EmptyTriangleBuffer.to_string().contains("at least one"));
         assert!(ConfigError::EmptyPrefetchWindow.to_string().contains("prefetch window"));
         assert!(ConfigError::EmptyVictimBuffer.to_string().contains("victim buffer"));
+        assert!(ConfigError::BadBusRatio.to_string().contains("bus ratio"));
     }
 }

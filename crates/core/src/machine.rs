@@ -151,7 +151,7 @@ enum Model {
 ///
 /// * each window is routed once;
 /// * each distinct cache model runs over it once: a model's node caches
-///   probe it — a perfect cache's bucket only counts its hits, as every
+///   probe it — a perfect cache only counts each owner's hits, as every
 ///   probe hits — or the walk prices every walk config's geometry;
 /// * each distinct timing advances one walk over its model's misses.
 ///   Configs whose walks must be equal
@@ -213,7 +213,7 @@ impl<'a> FrameGroup<'a> {
 
     /// Runs one frame and returns each config's timing, window by window:
     /// route the window under a `plan-build` span of `host`, run every
-    /// cache model over its buckets under a `capture` span (the walk under
+    /// cache model over its runs under a `capture` span (the walk under
     /// a `mattson-walk` child span), then advance each distinct timing
     /// over its model's misses. `sink` receives the timing events of every
     /// config (a traced run holds one).
@@ -349,7 +349,7 @@ pub(crate) fn windows(stream: &FragmentStream) -> impl Iterator<Item = Range<usi
 /// fragments it owns, so the run streams the frame in windows of whole
 /// triangles through three stages ([`crate::replay`]): route the window
 /// into a `RoutingPlan`, run each node's persistent cache over its
-/// buckets, then advance the engine and FIFO timing over the recorded
+/// owner runs, then advance the engine and FIFO timing over the recorded
 /// misses. This is the frame loop the sweep runs its frame groups on,
 /// with one config.
 ///
@@ -431,7 +431,7 @@ impl Machine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::CacheKind;
     use crate::distribution::Distribution;
@@ -774,7 +774,7 @@ mod tests {
     /// one screen-filling triangle, larger than a window, between them.
     /// Every fifth small triangle is a sliver that covers no pixel centre:
     /// routed (its bounding box is not empty) but owning no fragment.
-    fn windowed_stream() -> FragmentStream {
+    pub(crate) fn windowed_stream() -> FragmentStream {
         use sortmid_geom::{Triangle, Vertex};
         use sortmid_texture::{TextureDesc, TextureRegistry};
         let mut reg = TextureRegistry::new();
@@ -991,6 +991,101 @@ mod tests {
         let reports = run_sweep(&s, &configs);
         let digest = fnv1a_64(format!("{reports:?}").into_bytes());
         assert_eq!(digest, 0xfca9e68be2ff63ea, "walk groups: {digest:#018x}");
+    }
+
+    /// A sink folding every call it receives — timing events, fragment
+    /// samples and setup samples, in call order — into one FNV-1a digest.
+    struct DigestSink(u64);
+
+    impl DigestSink {
+        fn fold(&mut self, text: String) {
+            for b in text.into_bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    impl TraceSink for DigestSink {
+        fn record(&mut self, event: sortmid_observe::TraceEvent) {
+            self.fold(format!("{event:?}"));
+        }
+
+        fn record_fragment(
+            &mut self,
+            node: u32,
+            x: u16,
+            y: u16,
+            lines: u32,
+            classes: sortmid_observe::MissClassCounts,
+        ) {
+            self.fold(format!("F{node},{x},{y},{lines},{classes:?}"));
+        }
+
+        fn record_setup(&mut self, node: u32, x: u16, y: u16, padding: sortmid_memsys::Cycle) {
+            self.fold(format!("S{node},{x},{y},{padding}"));
+        }
+    }
+
+    #[test]
+    fn run_routing_reports_are_pinned() {
+        // FNV-1a digests of the Debug text of the report and of every
+        // traced call (events, fragment and setup samples) under the
+        // distributions whose owner changes most often along a row, at 7
+        // and 128 processors; then one sweep over the multi-window stream.
+        // Recorded while routing plans still counting-sorted every
+        // fragment into a per-owner index.
+        use crate::sweep::{run_sweep, SweepGrid};
+        use sortmid_cache::CacheGeometry;
+        use sortmid_observe::provenance::fnv1a_64;
+        let s = stream();
+        let l1 = CacheGeometry::paper_l1();
+        let dists = [
+            Distribution::block(1),
+            Distribution::block(2),
+            Distribution::tile(32, 8),
+            Distribution::block_raster(16, 1024),
+            Distribution::dynamic_sli(vec![10, 30, 100, 4000]),
+        ];
+        let mut got = Vec::new();
+        for dist in &dists {
+            for (procs, cache) in [(7, CacheKind::PaperL1), (128, CacheKind::Classifying(l1))] {
+                let cfg = config(procs, dist.clone(), cache);
+                let machine = Machine::new(cfg.clone());
+                let mut sink = DigestSink(0xcbf2_9ce4_8422_2325);
+                let report = machine.run_traced(&s, &mut sink);
+                assert_eq!(machine.run(&s), report, "untraced walk: {}", cfg.summary());
+                got.push((fnv1a_64(format!("{report:?}").into_bytes()), sink.0));
+            }
+        }
+        let want: [(u64, u64); 10] = [
+            (0x75c9d9fc08ca1593, 0xb669a9f68ead3cea), // 7p block-1 PaperL1
+            (0x0b4539c20b89a755, 0x8333b56a754c41e7), // 128p block-1 Classifying
+            (0xbdd773288799690e, 0xc35566948d9e5f5d), // 7p block-2 PaperL1
+            (0xd610bd4aa58e76c9, 0xf95e8b6079c8c930), // 128p block-2 Classifying
+            (0x6f868dfbebe12dc8, 0x0f6c1f15e71eea17), // 7p tile 32x8 PaperL1
+            (0x4f87ac32e29674dc, 0xa647e529adbed97f), // 128p tile 32x8 Classifying
+            (0x146df1403876526e, 0xe0309b0b6b9c0b05), // 7p block-raster 16 PaperL1
+            (0x5a0c0ac8e46cd125, 0xc377bd1a07439f68), // 128p block-raster 16 Classifying
+            (0xe3b9eb80d23abacb, 0x0b8a9f7bbc12e627), // 7p dynamic SLI PaperL1
+            (0x99e44542d7e69de9, 0xb58f4b1d2505b43b), // 128p dynamic SLI Classifying
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
+
+        let w = windowed_stream();
+        let mut configs = Vec::new();
+        for (procs, dist) in [(64, Distribution::block(1)), (5, Distribution::sli(3))] {
+            configs.extend(
+                SweepGrid::new()
+                    .processors([procs])
+                    .distributions([dist])
+                    .caches([CacheKind::Perfect, CacheKind::PaperL1, CacheKind::Classifying(l1)])
+                    .buffers([4, 10_000])
+                    .build(),
+            );
+        }
+        let reports = run_sweep(&w, &configs);
+        let digest = fnv1a_64(format!("{reports:?}").into_bytes());
+        assert_eq!(digest, 0x48ad07a1874512ab, "routing sweep: {digest:#018x}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Routing: owner lookup tables and per-triangle fragment buckets.
+//! Routing: owner lookup tables and per-triangle owner runs.
 //!
 //! Where a triangle goes — which nodes its bounding box overlaps, which
 //! node owns each of its fragments — depends only on the stream, the
 //! [`Distribution`] and the processor count; cache geometry, bus ratio and
 //! FIFO depth do not move a single fragment. A `RoutingPlan` records
-//! that routing once: one pass counting-sorts every triangle's fragments
-//! by owning node into a flat index array, guided by an [`OwnerLut`] that
-//! replaces the div/rem chain with two table lookups and an add.
+//! that routing once: one pass splits every triangle's fragments into
+//! runs of consecutive fragments with one owner, and counts each owner's
+//! fragments, guided by an [`OwnerLut`] that replaces the div/rem chain
+//! with two table lookups and an add.
 //!
 //! [`Machine::run`](crate::Machine::run) and every sweep frame group route
 //! their frame into one reused plan a window at a time; sort-last routing
@@ -14,7 +15,7 @@
 
 use crate::distribution::Distribution;
 use sortmid_geom::Rect;
-use sortmid_raster::{FragmentStream, TriangleRecord};
+use sortmid_raster::FragmentStream;
 use std::ops::Range;
 
 /// Per-pixel owner lookup replacing [`Distribution::owner`]'s div/rem
@@ -96,39 +97,60 @@ impl OwnerLut {
 }
 
 /// One non-culled triangle's routing decisions.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) struct PlanTriangle {
     /// Index into [`FragmentStream::triangles`].
     pub(crate) tri: u32,
     /// Nodes the bounding box overlaps (who pays the setup floor).
     pub(crate) mask: u128,
-    /// Range in [`RoutingPlan::segments`] holding this triangle's
-    /// per-owner fragment buckets.
-    pub(crate) seg_start: u32,
-    pub(crate) seg_end: u32,
+    /// This triangle's owner runs in [`RoutingPlan::runs`] and its
+    /// per-owner counts in [`RoutingPlan::segments`].
+    runs: Range<u32>,
+    segments: Range<u32>,
 }
 
-/// One owner's contiguous bucket within a triangle's fragment range.
-#[derive(Debug, Clone, Copy)]
+/// A maximal stretch of consecutive fragments, in stream order, that one
+/// node owns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    /// The owning node.
+    pub(crate) owner: u32,
+    /// The run's first fragment, as an index into
+    /// [`FragmentStream::fragments`].
+    pub(crate) start: u32,
+    /// Fragments in the run (at least one).
+    pub(crate) len: u32,
+}
+
+impl Run {
+    /// The run's fragment indices.
+    #[inline]
+    pub(crate) fn range(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// How many of one triangle's fragments one node owns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Segment {
     /// The owning node.
     pub(crate) owner: u32,
-    /// Exclusive end of the bucket in [`RoutingPlan::frag_order`]; the
-    /// bucket starts where the previous segment of the same triangle ends
-    /// (or at the triangle's first fragment).
-    pub(crate) end: u32,
+    /// Fragments it owns (at least one).
+    pub(crate) count: u32,
 }
 
 /// The precomputed routing of a range of triangles under one
 /// `(distribution, procs)` pair — one window at a time for
 /// [`Machine::run`](crate::Machine::run) and the sweep's frame groups.
 ///
-/// Holds, for every non-culled triangle in stream order, its overlap mask
-/// and its fragments bucketed by owning node as contiguous ranges of a
-/// single flat index array (a stable counting sort — no per-triangle
-/// allocation, no pointer chasing). Routing is one pass over the range;
-/// the capture and timing passes then walk it with no per-fragment
-/// ownership math.
+/// Holds, for every non-culled triangle in stream order, its overlap mask,
+/// its fragments as owner [`Run`]s in stream order, and its per-owner
+/// fragment counts as [`Segment`]s in ascending owner order. Under block
+/// and SLI distributions the owner changes only at a tile or scanline
+/// group edge, so a run spans many fragments and no per-fragment index is
+/// kept: the cache passes read the runs' fragments where the stream holds
+/// them. Routing is one pass over the range; the capture and timing passes
+/// then walk it with no per-fragment ownership math.
 #[derive(Debug, Clone)]
 pub(crate) struct RoutingPlan {
     distribution: Distribution,
@@ -136,22 +158,15 @@ pub(crate) struct RoutingPlan {
     lut: OwnerLut,
     /// Non-culled triangles of the routed range, in stream order.
     pub(crate) triangles: Vec<PlanTriangle>,
-    /// The stream index of the routed range's first fragment:
-    /// `frag_order` position `p` belongs to fragment range slot
-    /// `base + p`.
-    pub(crate) base: u32,
-    /// Fragment indices into [`FragmentStream::fragments`]: each
-    /// triangle's `frag_start..frag_end` range, reordered so that one
-    /// owner's fragments are contiguous (stream order within an owner).
-    pub(crate) frag_order: Vec<u32>,
-    /// Per-owner bucket boundaries, CSR-indexed by [`PlanTriangle`].
-    pub(crate) segments: Vec<Segment>,
+    /// Owner runs of every routed triangle, in stream order.
+    runs: Vec<Run>,
+    /// Per-owner fragment counts, CSR-indexed by [`PlanTriangle`].
+    segments: Vec<Segment>,
     /// Triangle deliveries of the routed range (sum of mask popcounts).
     routed: u64,
-    /// Counting-sort scratch, reused triangle to triangle: the owner of
-    /// each fragment, and per-owner counts that turn into write cursors.
-    owners: Vec<u32>,
-    counts: Vec<u32>,
+    /// Per-owner fragment tally of the triangle being pushed, all zero
+    /// between triangles.
+    tally: Vec<u32>,
 }
 
 impl RoutingPlan {
@@ -172,20 +187,22 @@ impl RoutingPlan {
             procs,
             lut: OwnerLut::build(dist, stream.screen(), procs),
             triangles: Vec::new(),
-            base: 0,
-            frag_order: Vec::new(),
+            runs: Vec::new(),
             segments: Vec::new(),
             routed: 0,
-            owners: Vec::new(),
-            counts: vec![0; procs as usize],
+            tally: vec![0; procs as usize],
         }
     }
 
     /// Replaces the plan's contents with the routing of triangles `tris`
     /// of `stream`. The buffers are reused, so routing a frame window by
     /// window costs O(window) memory.
+    ///
+    /// A run grows while the next fragment has the run's owner, which
+    /// makes the runs exact whatever order the rasterizer emits fragments
+    /// in.
     pub(crate) fn route(&mut self, stream: &FragmentStream, tris: Range<usize>) {
-        self.reset(stream, tris.clone());
+        self.clear();
         for tri in tris {
             let record = &stream.triangles()[tri];
             if record.is_culled() {
@@ -193,20 +210,31 @@ impl RoutingPlan {
             }
             let mask = self.distribution.overlap_mask(&record.bbox, self.procs);
             debug_assert_ne!(mask, 0, "non-culled triangle must route somewhere");
-            if mask.is_power_of_two() {
-                // One overlapped node owns every fragment.
-                self.counts[mask.trailing_zeros() as usize] = record.fragment_count();
-            } else {
-                let (lut, counts) = (&self.lut, &mut self.counts);
-                self.owners.clear();
-                self.owners.extend(stream.fragments_of(record).iter().map(|frag| {
-                    let owner = lut.owner(frag.x, frag.y);
-                    debug_assert!(mask & (1u128 << owner) != 0, "owner outside overlap mask");
-                    counts[owner as usize] += 1;
-                    owner
-                }));
+            let run_start = self.runs.len();
+            let frags = stream.fragments_of(record);
+            if let Some((first, rest)) = frags.split_first() {
+                if mask.is_power_of_two() {
+                    // One overlapped node owns every fragment.
+                    let owner = mask.trailing_zeros();
+                    self.runs.push(Run { owner, start: record.frag_start, len: frags.len() as u32 });
+                } else {
+                    let lut = &self.lut;
+                    let mut run =
+                        Run { owner: lut.owner(first.x, first.y), start: record.frag_start, len: 1 };
+                    for frag in rest {
+                        let owner = lut.owner(frag.x, frag.y);
+                        if owner == run.owner {
+                            run.len += 1;
+                        } else {
+                            self.runs.push(run);
+                            run = Run { owner, start: run.start + run.len, len: 1 };
+                        }
+                    }
+                    self.runs.push(run);
+                }
             }
-            self.push_triangle(tri, record, mask);
+            debug_assert!(self.runs[run_start..].iter().all(|run| mask & (1u128 << run.owner) != 0));
+            self.push_triangle(tri, mask, run_start);
         }
     }
 
@@ -219,75 +247,59 @@ impl RoutingPlan {
         mut owner: impl FnMut(u64) -> u32,
     ) -> RoutingPlan {
         let mut plan = Self::new(stream, dist, procs);
-        let tris = 0..stream.triangle_count();
-        plan.reset(stream, tris.clone());
         let mut live = 0u64;
-        for tri in tris {
-            let record = &stream.triangles()[tri];
+        for (tri, record) in stream.triangles().iter().enumerate() {
             if record.is_culled() {
                 continue;
             }
             let node = owner(live);
             live += 1;
-            plan.counts[node as usize] = record.fragment_count();
-            plan.push_triangle(tri, record, 1u128 << node);
+            let run_start = plan.runs.len();
+            let len = record.fragment_count();
+            if len > 0 {
+                plan.runs.push(Run { owner: node, start: record.frag_start, len });
+            }
+            plan.push_triangle(tri, 1u128 << node, run_start);
         }
         plan
     }
 
-    /// Appends triangle `tri` with overlap `mask`, given its per-owner
-    /// fragment counts in `self.counts` and, when several nodes own
-    /// fragments, each fragment's owner in `self.owners`: a stable counting
-    /// sort into per-owner segments, so each bucket keeps stream order.
-    fn push_triangle(&mut self, tri: usize, record: &TriangleRecord, mask: u128) {
+    /// Appends triangle `tri` with overlap `mask`, whose runs start at
+    /// `run_start`, and its per-owner counts.
+    fn push_triangle(&mut self, tri: usize, mask: u128, run_start: usize) {
         self.routed += mask.count_ones() as u64;
-        // Bucket boundaries (ascending owner; every owner lies in the
-        // mask), leaving each owner's write cursor in `counts`.
         let seg_start = self.segments.len() as u32;
-        let first = record.frag_start - self.base;
-        let mut cursor = first;
-        let mut m = mask;
-        while m != 0 {
-            let owner = m.trailing_zeros();
-            m &= m - 1;
-            let count = std::mem::replace(&mut self.counts[owner as usize], cursor);
-            if count > 0 {
-                cursor += count;
-                self.segments.push(Segment { owner, end: cursor });
+        match self.runs[run_start..] {
+            [] => {}
+            [run] => self.segments.push(Segment { owner: run.owner, count: run.len }),
+            _ => {
+                for run in &self.runs[run_start..] {
+                    self.tally[run.owner as usize] += run.len;
+                }
+                // Ascending owner order; every owner lies in the mask.
+                let mut m = mask;
+                while m != 0 {
+                    let owner = m.trailing_zeros();
+                    m &= m - 1;
+                    let count = std::mem::take(&mut self.tally[owner as usize]);
+                    if count > 0 {
+                        self.segments.push(Segment { owner, count });
+                    }
+                }
             }
         }
-        if self.segments.len() as u32 - seg_start <= 1 {
-            // At most one owner: the bucket is the triangle's range as it
-            // stands.
-            let order = &mut self.frag_order[first as usize..cursor as usize];
-            for (slot, fi) in order.iter_mut().zip(record.frag_start..) {
-                *slot = fi;
-            }
-        } else {
-            for (fi, &owner) in (record.frag_start..).zip(&self.owners) {
-                let slot = &mut self.counts[owner as usize];
-                self.frag_order[*slot as usize] = fi;
-                *slot += 1;
-            }
-        }
-        self.counts.fill(0);
         self.triangles.push(PlanTriangle {
             tri: tri as u32,
             mask,
-            seg_start,
-            seg_end: self.segments.len() as u32,
+            runs: run_start as u32..self.runs.len() as u32,
+            segments: seg_start..self.segments.len() as u32,
         });
     }
 
-    /// Empties the plan for routing triangles `tris` of `stream`.
-    fn reset(&mut self, stream: &FragmentStream, tris: Range<usize>) {
-        let records = &stream.triangles()[tris];
-        let start = records.first().map_or(0, |t| t.frag_start);
-        let end = records.last().map_or(start, |t| t.frag_end);
-        self.base = start;
-        self.frag_order.clear();
-        self.frag_order.resize((end - start) as usize, 0);
+    /// Empties the plan.
+    fn clear(&mut self) {
         self.triangles.clear();
+        self.runs.clear();
         self.segments.clear();
         self.routed = 0;
     }
@@ -298,31 +310,28 @@ impl RoutingPlan {
         self.routed
     }
 
-    /// One triangle's owner buckets as `(owner, fragment indices)`, in
-    /// ascending owner order, each bucket in stream order.
-    pub(crate) fn triangle_buckets<'a>(
-        &'a self,
-        pt: &PlanTriangle,
-        stream: &FragmentStream,
-    ) -> impl Iterator<Item = (usize, &'a [u32])> + 'a {
-        let mut start = (stream.triangles()[pt.tri as usize].frag_start - self.base) as usize;
-        self.segments[pt.seg_start as usize..pt.seg_end as usize]
-            .iter()
-            .map(move |seg| {
-                let bucket = &self.frag_order[start..seg.end as usize];
-                start = seg.end as usize;
-                (seg.owner as usize, bucket)
-            })
+    /// Every owner run, in stream order: triangles in stream order, each
+    /// triangle's runs in stream order. Each node's runs, taken in this
+    /// order, are its fragments in machine processing order.
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
-    /// Every owner bucket as `(owner, fragment indices)`, in machine
-    /// processing order: triangles in stream order, each triangle's
-    /// buckets in ascending owner order, each bucket in stream order.
-    pub(crate) fn buckets<'a>(
-        &'a self,
-        stream: &'a FragmentStream,
-    ) -> impl Iterator<Item = (usize, &'a [u32])> + 'a {
-        self.triangles.iter().flat_map(move |pt| self.triangle_buckets(pt, stream))
+    /// Every triangle's per-owner counts, triangle by triangle in stream
+    /// order.
+    pub(crate) fn segments(&self) -> &[Segment] {
+        &self.segments
+    }
+
+    /// One triangle's owner runs, in stream order.
+    pub(crate) fn triangle_runs(&self, pt: &PlanTriangle) -> &[Run] {
+        &self.runs[pt.runs.start as usize..pt.runs.end as usize]
+    }
+
+    /// One triangle's per-owner fragment counts, in ascending owner
+    /// order; an owner without fragments has none.
+    pub(crate) fn triangle_segments(&self, pt: &PlanTriangle) -> &[Segment] {
+        &self.segments[pt.segments.start as usize..pt.segments.end as usize]
     }
 }
 
@@ -334,7 +343,7 @@ mod tests {
     use crate::reference::run_reference;
     use crate::MachineConfig;
     use sortmid_devharness::prop::{check, Config};
-    use sortmid_devharness::prop_assert_eq;
+    use sortmid_devharness::{prop_assert, prop_assert_eq};
     use sortmid_observe::NullSink;
     use sortmid_scene::{Benchmark, SceneBuilder};
 
@@ -382,38 +391,108 @@ mod tests {
         plan
     }
 
-    #[test]
-    fn plan_buckets_partition_every_triangle_range() {
-        let s = stream();
-        let plan = whole_frame(&s, &Distribution::block(16), 7);
-        let mut live = 0;
+    /// Checks `plan`, routed from triangles `tris` of `s`, against
+    /// [`Distribution::owner`] fragment by fragment.
+    fn check_runs(
+        plan: &RoutingPlan,
+        s: &FragmentStream,
+        dist: &Distribution,
+        procs: u32,
+        tris: Range<usize>,
+    ) -> Result<(), String> {
+        let live: Vec<usize> = tris.filter(|&t| !s.triangles()[t].is_culled()).collect();
+        prop_assert_eq!(plan.triangles.iter().map(|pt| pt.tri as usize).collect::<Vec<_>>(), live);
+        let routed: u64 = plan.triangles.iter().map(|pt| pt.mask.count_ones() as u64).sum();
+        prop_assert_eq!(plan.routed(), routed);
+        let mut all_runs = Vec::new();
         for pt in &plan.triangles {
             let tri = &s.triangles()[pt.tri as usize];
-            assert!(!tri.is_culled());
-            live += 1;
-            // Segments tile the triangle's fragment range in ascending
-            // owner order, and every indexed fragment belongs to its owner.
-            let mut start = tri.frag_start;
-            let mut prev_owner = None;
-            for seg in &plan.segments[pt.seg_start as usize..pt.seg_end as usize] {
-                assert!(prev_owner < Some(seg.owner), "owners ascend");
-                assert!(seg.end > start && seg.end <= tri.frag_end);
-                for &fi in &plan.frag_order[start as usize..seg.end as usize] {
-                    assert!((tri.frag_start..tri.frag_end).contains(&fi));
-                    let f = &s.fragments()[fi as usize];
-                    assert_eq!(
-                        Distribution::block(16).owner(f.x as i32, f.y as i32, 7),
-                        seg.owner
-                    );
+            prop_assert_eq!(pt.mask, dist.overlap_mask(&tri.bbox, procs));
+            let runs = plan.triangle_runs(pt);
+            all_runs.extend_from_slice(runs);
+            // The runs tile the triangle's range in stream order, and the
+            // owner changes from each run to the next.
+            let mut next = tri.frag_start;
+            let mut counts = vec![0u32; procs as usize];
+            for (k, run) in runs.iter().enumerate() {
+                prop_assert!(run.len > 0 && run.start == next, "tri {} run {k}", pt.tri);
+                prop_assert!(pt.mask & (1u128 << run.owner) != 0, "owner outside the mask");
+                if k > 0 {
+                    prop_assert!(runs[k - 1].owner != run.owner, "tri {} run {k}", pt.tri);
                 }
-                prev_owner = Some(seg.owner);
-                start = seg.end;
+                for f in &s.fragments()[run.range()] {
+                    prop_assert_eq!(dist.owner(f.x as i32, f.y as i32, procs), run.owner);
+                }
+                next += run.len;
             }
-            assert_eq!(start, tri.frag_end, "buckets cover the whole range");
+            prop_assert_eq!(next, tri.frag_end, "runs cover tri {}", pt.tri);
+            // The per-owner counts are the per-fragment counts, ascending.
+            for f in s.fragments_of(tri) {
+                counts[dist.owner(f.x as i32, f.y as i32, procs) as usize] += 1;
+            }
+            let want: Vec<Segment> = (0..procs)
+                .filter(|&owner| counts[owner as usize] > 0)
+                .map(|owner| Segment { owner, count: counts[owner as usize] })
+                .collect();
+            prop_assert_eq!(plan.triangle_segments(pt), &want[..], "tri {}", pt.tri);
         }
-        assert_eq!(
-            live,
-            s.triangles().iter().filter(|t| !t.is_culled()).count()
+        prop_assert_eq!(plan.runs(), &all_runs[..]);
+        let segments = plan.triangles.iter().flat_map(|pt| plan.triangle_segments(pt));
+        prop_assert!(plan.segments().iter().eq(segments));
+        Ok(())
+    }
+
+    /// Random triangle windows of two streams, routed one after another
+    /// into one reused plan, under every distribution variant and
+    /// processor counts of 1 to 128.
+    #[test]
+    fn prop_runs_route_every_fragment_to_its_owner() {
+        let streams = [stream(), crate::machine::tests::windowed_stream()];
+        check(
+            "runs_route_every_fragment_to_its_owner",
+            &Config::with_cases(64),
+            |g| {
+                let shape = g.u32_in(0..5);
+                let (a, b) = (g.u32_in(1..40), g.u32_in(1..30));
+                let steps = g.vec(1..5, |g| g.u32_in(1..64));
+                let procs = g.u32_in(1..129);
+                let which = g.usize_in(0..2);
+                let n = streams[which].triangle_count();
+                let windows: Vec<(usize, usize)> = (0..2)
+                    .map(|_| {
+                        let start = g.usize_in(0..n + 1);
+                        (start, start + g.usize_in(0..n - start + 1))
+                    })
+                    .collect();
+                (shape, a, b, steps, procs, which, windows)
+            },
+            |(shape, a, b, steps, procs, which, windows)| {
+                let s = &streams[*which];
+                let dist = match shape {
+                    0 => Distribution::block(*a),
+                    1 => Distribution::sli(*a),
+                    2 => Distribution::tile(*a, *b),
+                    3 => Distribution::block_raster(*a, (*a).max(s.screen().x1 as u32)),
+                    _ => {
+                        let mut boundaries: Vec<u32> = steps
+                            .iter()
+                            .scan(0, |row, step| {
+                                *row += step;
+                                Some(*row)
+                            })
+                            .collect();
+                        boundaries.push(4096);
+                        Distribution::dynamic_sli(boundaries)
+                    }
+                };
+                let mut plan = RoutingPlan::new(s, &dist, *procs);
+                for &(start, end) in windows {
+                    plan.route(s, start..end);
+                    check_runs(&plan, s, &dist, *procs, start..end)
+                        .map_err(|e| format!("{dist} {procs}p {start}..{end}: {e}"))?;
+                }
+                Ok(())
+            },
         );
     }
 

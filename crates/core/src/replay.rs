@@ -4,8 +4,8 @@
 //! on the fragments it owns (never on bus, buffer or DRAM parameters), and
 //! the FIFO and engine timing depends only on those misses. A frame
 //! window is made in three stages over a `RoutingPlan`: route its
-//! triangles ([`crate::plan`]); run each cache model over the buckets —
-//! `capture` runs one model's per-node caches and records every
+//! triangles into owner runs ([`crate::plan`]); run each cache model over
+//! the runs — `capture` runs one model's per-node caches and records every
 //! fragment's miss lines, `walk_window` feeds one
 //! [`MattsonWalk`] that prices many set-associative geometries at once;
 //! then walk the broadcast, FIFO and engine timing over the misses
@@ -18,13 +18,13 @@
 //! [`crate::reference`] oracle.
 
 use crate::config::{CacheKind, MachineConfig};
-use crate::plan::RoutingPlan;
+use crate::plan::{RoutingPlan, Run};
 use crate::report::{CacheCounters, NodeReport, RunReport};
 use sortmid_cache::{AnyCache, CacheGeometry, FragmentMisses, LineCache, MattsonWalk};
 use sortmid_geom::Rect;
 use sortmid_memsys::{Cycle, EngineTiming, TriangleFifo};
 use sortmid_observe::{MissClassCounts, TraceEvent, TraceSink};
-use sortmid_raster::FragmentStream;
+use sortmid_raster::{Fragment, FragmentStream};
 use sortmid_texture::{footprint_lines, TEXELS_PER_FRAGMENT};
 use std::iter::Peekable;
 
@@ -77,11 +77,14 @@ impl NodeCapture {
     }
 }
 
-/// Runs every node's cache over its buckets of `plan`, replacing each
-/// node's recording with the outcome. A perfect cache reads no fragment:
-/// every probe hits, so its bucket only adds its hits and fragments. With
-/// an enabled `S` the recording also keeps each missing fragment's three-C
-/// counts for the traced timing walk, so untraced recordings do not grow.
+/// Runs every node's cache over its runs of `plan`, replacing each node's
+/// recording with the outcome. The runs are taken in stream order and
+/// their fragments read where the stream holds them; each node thereby
+/// sees its fragments in processing order. A perfect cache reads no
+/// fragment: every probe hits, so each of a triangle's per-owner counts
+/// only adds its hits and fragments. With an enabled `S` the recording
+/// also keeps each missing fragment's three-C counts for the traced timing
+/// walk, so untraced recordings do not grow.
 pub(crate) fn capture<S: TraceSink>(
     caches: &mut [AnyCache],
     stream: &FragmentStream,
@@ -94,41 +97,47 @@ pub(crate) fn capture<S: TraceSink>(
         node.miss_lines.clear();
         node.classes.clear();
     }
-    for (node, bucket) in plan.buckets(stream) {
-        let rec = &mut nodes[node];
-        // Dispatch on the cache variant once per *bucket*, not once per
+    if matches!(caches.first(), Some(AnyCache::Perfect(_))) {
+        for seg in plan.segments() {
+            let node = seg.owner as usize;
+            let AnyCache::Perfect(c) = &mut caches[node] else {
+                unreachable!("a model's caches share one kind")
+            };
+            c.record_hits(seg.count as u64 * TEXELS_PER_FRAGMENT as u64);
+            nodes[node].frags += seg.count;
+        }
+        return;
+    }
+    for run in plan.runs() {
+        let (rec, frags) = (&mut nodes[run.owner as usize], &stream.fragments()[run.range()]);
+        // Dispatch on the cache variant once per *run*, not once per
         // fragment, so the concrete batched probe inlines.
-        match &mut caches[node] {
-            AnyCache::Perfect(c) => {
-                c.record_hits((bucket.len() * TEXELS_PER_FRAGMENT) as u64);
-                rec.frags += bucket.len() as u32;
-            }
-            AnyCache::SetAssoc(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
-            AnyCache::Classifying(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
-            AnyCache::TwoLevel(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
-            AnyCache::Victim(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
-            AnyCache::Growing(c) => capture_bucket::<S, _>(c, stream, bucket, rec),
+        match &mut caches[run.owner as usize] {
+            AnyCache::Perfect(_) => unreachable!("a model's caches share one kind"),
+            AnyCache::SetAssoc(c) => capture_run::<S, _>(c, frags, rec),
+            AnyCache::Classifying(c) => capture_run::<S, _>(c, frags, rec),
+            AnyCache::TwoLevel(c) => capture_run::<S, _>(c, frags, rec),
+            AnyCache::Victim(c) => capture_run::<S, _>(c, frags, rec),
+            AnyCache::Growing(c) => capture_run::<S, _>(c, frags, rec),
         }
     }
 }
 
-/// One owner bucket of [`capture`]: one batched
-/// [`LineCache::access_lane`] probe per fragment footprint, recording the
-/// sparse misses.
+/// One owner run of [`capture`]: one batched [`LineCache::access_lane`]
+/// probe per fragment footprint, recording the sparse misses.
 #[inline]
-fn capture_bucket<S: TraceSink, C: LineCache>(
+fn capture_run<S: TraceSink, C: LineCache>(
     cache: &mut C,
-    stream: &FragmentStream,
-    bucket: &[u32],
+    frags: &[Fragment],
     rec: &mut NodeCapture,
 ) {
     let mut miss_buf = [0u32; TEXELS_PER_FRAGMENT];
     let mut classes = MissClassCounts::default();
-    for &fi in bucket {
+    for frag in frags {
         if S::ENABLED {
             classes = MissClassCounts::default();
         }
-        let lane = footprint_lines(&stream.fragments()[fi as usize].texels);
+        let lane = footprint_lines(&frag.texels);
         let misses = cache.access_lane(&lane, &mut miss_buf, &mut classes);
         if misses > 0 {
             rec.miss_frags.push((rec.frags, misses as u32));
@@ -143,18 +152,16 @@ fn capture_bucket<S: TraceSink, C: LineCache>(
 
 /// Walks every node's fragments of `plan` through `walk` as one window:
 /// the footprint lines a node's cache would probe, in the same order.
-/// Node by node, not bucket by bucket: one node's recency stack stays in
-/// the host's caches while it is walked, which kept the traced
-/// `cache-geometry` walk at 746–748 ms a round, against 852–890 ms
-/// walking the buckets in plan order (2-vCPU Xeon, seed 0).
+/// Node by node, each node's runs in stream order, not run by run in plan
+/// order: one node's recency stack stays in the host's caches while it is
+/// walked, which kept the traced `cache-geometry` walk at 746–748 ms a
+/// round, against 852–890 ms walking in plan order (2-vCPU Xeon, seed 0).
 pub(crate) fn walk_window(walk: &mut MattsonWalk, stream: &FragmentStream, plan: &RoutingPlan) {
     walk.start_window();
     for node in 0..walk.node_count() {
-        for (_, bucket) in plan.buckets(stream).filter(|&(owner, _)| owner == node) {
-            let lanes =
-                bucket.iter().map(|&fi| footprint_lines(&stream.fragments()[fi as usize].texels));
-            walk.walk(node, lanes);
-        }
+        let runs = plan.runs().iter().filter(|run| run.owner as usize == node);
+        let frags = runs.flat_map(|run| &stream.fragments()[run.range()]);
+        walk.walk(node, frags.map(|frag| footprint_lines(&frag.texels)));
     }
 }
 
@@ -195,13 +202,14 @@ impl<'a> MissCursor<'a> {
         MissCursor::new(walk.fragment_misses(node, geom), None, &[])
     }
 
-    /// Drives `engine` through the fragments of one triangle that `node`
-    /// owns; `bucket` holds their stream indices in processing order. An
-    /// enabled `sink` also receives every fragment's spatial sample.
+    /// Drives `engine` through the `count` fragments of one triangle that
+    /// `node` owns. An enabled `sink` also receives every fragment's
+    /// spatial sample, at the pixel it finds in the triangle's `runs`.
     fn advance<S: TraceSink>(
         &mut self,
         engine: &mut EngineTiming,
-        bucket: &[u32],
+        count: u32,
+        runs: &[Run],
         node: u32,
         stream: &FragmentStream,
         sink: &mut S,
@@ -210,9 +218,14 @@ impl<'a> MissCursor<'a> {
             self.miss_lines.is_some() || !S::ENABLED,
             "a stack-distance walk keeps miss counts, not lines to trace"
         );
-        let (start, end) = (self.next, self.next + bucket.len());
-        let sample = |sink: &mut S, index: usize, misses: usize, class| {
-            let frag = &stream.fragments()[bucket[index - start] as usize];
+        let end = self.next + count as usize;
+        // Samples are taken in processing order, one per owned fragment.
+        let mut owned = runs
+            .iter()
+            .filter(|run| run.owner == node)
+            .flat_map(|run| &stream.fragments()[run.range()]);
+        let mut sample = |sink: &mut S, misses: usize, class| {
+            let frag = owned.next().expect("one sample per owned fragment");
             sink.record_fragment(node, frag.x, frag.y, misses as u32, class);
         };
         loop {
@@ -221,9 +234,9 @@ impl<'a> MissCursor<'a> {
             // Every fragment owes a traced sink a spatial sample; untraced
             // runs advance all-hit stretches in bulk.
             if S::ENABLED {
-                for index in self.next..clean_end {
+                for _ in self.next..clean_end {
                     engine.fragment_lines_sink(&[], node, sink);
-                    sample(sink, index, 0, MissClassCounts::default());
+                    sample(sink, 0, MissClassCounts::default());
                 }
             } else if clean_end > self.next {
                 engine.fragments_clean((clean_end - self.next) as u64);
@@ -234,7 +247,7 @@ impl<'a> MissCursor<'a> {
                     let lines = &miss_lines[self.line..self.line + misses as usize];
                     engine.fragment_lines_sink(lines, node, sink);
                     if S::ENABLED {
-                        sample(sink, fi as usize, lines.len(), self.classes[self.frag]);
+                        sample(sink, lines.len(), self.classes[self.frag]);
                     }
                     self.line += lines.len();
                 }
@@ -326,7 +339,8 @@ impl Timing {
             self.fifo.record_start(send.max(self.engine_free));
             self.broadcast += 1;
 
-            let mut buckets = plan.triangle_buckets(pt, stream).peekable();
+            let runs = plan.triangle_runs(pt);
+            let mut segments = plan.triangle_segments(pt).iter().peekable();
             let mut visit = if S::ENABLED { all_nodes } else { pt.mask };
             while visit != 0 {
                 let i = visit.trailing_zeros() as usize;
@@ -338,9 +352,9 @@ impl Timing {
                 if (pt.mask >> i) & 1 != 0 {
                     // An overlap without owned fragments still pays the
                     // setup floor.
-                    let owned = buckets.next_if(|&(owner, _)| owner == i);
-                    let bucket = owned.map_or(&[][..], |(_, b)| b);
-                    let free = node.draw(send, id, pt.tri, bucket, &mut misses[i], stream, sink);
+                    let owned = segments.next_if(|seg| seg.owner == id).map_or(0, |seg| seg.count);
+                    let cursor = &mut misses[i];
+                    let free = node.draw(send, id, pt.tri, owned, runs, cursor, stream, sink);
                     self.engine_free = self.engine_free.max(free);
                 } else {
                     node.discard(send, id, pt.tri, sink);
@@ -396,29 +410,30 @@ impl NodeTiming {
         }
     }
 
-    /// Processes triangle `tri`, sent at `arrival`, whose fragments owned
-    /// by this node (`node`) are `bucket` — possibly none, as the setup
-    /// floor applies regardless. Returns the cycle the engine is free
-    /// again.
+    /// Processes triangle `tri`, sent at `arrival`, of which this node
+    /// (`node`) owns `owned` fragments — possibly none, as the setup floor
+    /// applies regardless — found in the triangle's `runs`. Returns the
+    /// cycle the engine is free again.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn draw<S: TraceSink>(
         &mut self,
         arrival: Cycle,
         node: u32,
         tri: u32,
-        bucket: &[u32],
+        owned: u32,
+        runs: &[Run],
         misses: &mut MissCursor<'_>,
         stream: &FragmentStream,
         sink: &mut S,
     ) -> Cycle {
         let start = self.engine.start_triangle(arrival);
         self.triangles += 1;
-        self.pixels += bucket.len() as u64;
+        self.pixels += owned as u64;
         if S::ENABLED {
             sink.record(TraceEvent::FifoPop { node, at: start });
-            sink.record(TraceEvent::TriStart { node, tri, at: start, frags: bucket.len() as u32 });
+            sink.record(TraceEvent::TriStart { node, tri, at: start, frags: owned });
         }
-        misses.advance(&mut self.engine, bucket, node, stream, sink);
+        misses.advance(&mut self.engine, owned, runs, node, stream, sink);
         let free = self.engine.finish_triangle(self.setup_cycles);
         if S::ENABLED {
             let (x, y) = setup_anchor(&stream.triangles()[tri as usize].bbox);

@@ -266,20 +266,19 @@ mod rates {
     /// One engine/FIFO timing walk over a cache model's misses (the
     /// former `host.run_ns.captured` mean). A frame group costs
     /// `PLAN + probing models·CAPTURE + distinct walks·CAPTURED`, plus its
-    /// Mattson walk's `TRACE_PASS · weight` when it has one; for a lone
-    /// config (29.3) that is near a `grid/per-config` lane `Machine::run`
-    /// (33).
+    /// Mattson walk's `TRACE_PASS · weight` when it has one (20.5 for a
+    /// lone probing config).
     pub const CAPTURED: f64 = 6.2;
-    /// Routing-plan build (owner LUT + counting sort; `plan-build`
-    /// phase total / count).
-    pub const PLAN: f64 = 7.9;
-    /// One probing cache model's capture pass over a plan's buckets (a
+    /// Routing-plan build (owner LUT + owner runs): the benchmark's
+    /// traced `design-sweep` rounds (seed 0, 2-vCPU Xeon) spent 223–229
+    /// ms, median 229, in `plan-build` spans over 36 plans per scene, on
+    /// 7 scenes of 1,869,687 fragments in all.
+    pub const PLAN: f64 = 3.4;
+    /// One probing cache model's capture pass over a plan's runs (a
     /// perfect model's pass only counts hits and is not priced): the
-    /// benchmark's traced `design-sweep` rounds (seed 0, 2-vCPU Xeon)
-    /// spent 884–1,041 ms, median 1,024, in `capture` spans over one
-    /// probing pass per plan, 36 plans per scene, on 7 scenes of
-    /// 1,869,687 fragments in all.
-    pub const CAPTURE: f64 = 15.2;
+    /// same rounds spent 727–736 ms, median 735, in `capture` spans over
+    /// one probing pass per plan.
+    pub const CAPTURE: f64 = 10.9;
     /// One cache pass over a frame's accesses, multiplied by
     /// [`sortmid_cache::evaluation_cost_weight`]'s pass count for the
     /// Mattson walk (`mattson-walk` span / weight(requests)): on a

@@ -98,9 +98,10 @@ pub fn run_sort_last(
     timing.routed = plan.routed();
     for pt in &plan.triangles {
         let owner = pt.mask.trailing_zeros() as usize;
-        let bucket = plan.triangle_buckets(pt, stream).next().map_or(&[][..], |(_, b)| b);
+        let owned = plan.triangle_segments(pt).first().map_or(0, |seg| seg.count);
+        let runs = plan.triangle_runs(pt);
         let (node, misses) = (&mut timing.nodes[owner], &mut misses[owner]);
-        node.draw(0, owner as u32, pt.tri, bucket, misses, stream, &mut NullSink);
+        node.draw(0, owner as u32, pt.tri, owned, runs, misses, stream, &mut NullSink);
     }
     let summary = format!("sort-last/{}p/{assignment}/{}", procs, config.cache);
     timing.report(summary, stream, caches.iter().map(CacheCounters::of))
