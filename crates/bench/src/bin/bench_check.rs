@@ -16,8 +16,8 @@
 //! * `HEATMAP_*.json` — decoded and verified by [`HeatmapDoc`];
 //! * `METRICS_*.json` — decoded and verified by [`MetricsDoc`]; a sweep
 //!   profile must also name the whole pipeline
-//!   ([`REQUIRED_SWEEP_PHASES`]) and carry the scheduler's counters and
-//!   queue-depth gauges;
+//!   ([`REQUIRED_SWEEP_PHASES`]), count its scheduler tasks and record
+//!   the pool's `sched-pool` worker lane;
 //! * `DIFF_*.json` — the diff or gate-verdict schema of their `kind`.
 //!
 //! Every artefact but a DIFF must carry a `provenance` block at the
@@ -268,23 +268,13 @@ fn check_metrics(name: &str, doc: &Json, problems: &mut Vec<String>) {
             ));
         }
     }
-    // Scheduler instrumentation: claim/steal counters, per-worker
-    // queue-depth gauges, and the run-configs imbalance summary.
-    for key in ["sweep.claims", "sweep.steals", "sweep.tasks"] {
-        if !profile.metrics.counters.contains_key(key) {
-            problems.push(format!(
-                "{name}: sweep profile is missing scheduler counter '{key}'"
-            ));
-        }
+    // Scheduler instrumentation: the task count and the pool's lane.
+    if !profile.metrics.counters.contains_key("sweep.tasks") {
+        problems.push(format!("{name}: sweep profile is missing scheduler counter 'sweep.tasks'"));
     }
-    if !profile.metrics.gauges.keys().any(|k| k.starts_with("sweep.queue_depth.")) {
+    if !profile.utilization_imbalance.contains_key("sched-pool") {
         problems.push(format!(
-            "{name}: sweep profile has no 'sweep.queue_depth.*' gauges"
-        ));
-    }
-    if !profile.utilization_imbalance.contains_key("run-configs") {
-        problems.push(format!(
-            "{name}: sweep profile's imbalance table is missing the 'run-configs' lane"
+            "{name}: sweep profile's imbalance table is missing the 'sched-pool' lane"
         ));
     }
 }
@@ -840,15 +830,15 @@ mod tests {
                     {{"name": "plan-build", "thread": 0, "depth": 1,
                       "parent": 0, "start_ns": 10, "dur_ns": {}}}
                 ],
-                "workers": [{{"lane": "run-configs", "worker": 0,
+                "workers": [{{"lane": "sched-pool", "worker": 0,
                              "wall_ns": 100, "busy_ns": 60,
                              "idle_ns": {worker_idle}, "items": 4}}],
                 "phases": [
                     {{"name": "run-sweep", "count": 1, "total_ns": 100, "self_ns": 80}},
                     {{"name": "plan-build", "count": 1, "total_ns": 20, "self_ns": 20}}
                 ],
-                "utilization_imbalance": {{"run-configs": 0.25}},
-                "metrics": {{"counters": {{}}, "gauges": {{}}, "histograms": {{}}}}}}"#,
+                "utilization_imbalance": {{"sched-pool": 0.25}},
+                "metrics": {{"counters": {{}}, "histograms": {{}}}}}}"#,
             child_end - 10,
         ))
         .map(with_prov)
@@ -903,13 +893,13 @@ mod tests {
                     {"name": "b", "thread": 0, "depth": 0,
                      "parent": null, "start_ns": 50, "dur_ns": 100}
                 ],
-                "workers": [{"lane": "run-configs", "worker": 0,
+                "workers": [{"lane": "sched-pool", "worker": 0,
                              "wall_ns": 1, "busy_ns": 1, "idle_ns": 0,
                              "items": 1}],
                 "phases": [{"name": "a", "count": 1, "total_ns": 100, "self_ns": 100},
                            {"name": "b", "count": 1, "total_ns": 100, "self_ns": 100}],
-                "utilization_imbalance": {"run-configs": 0.0},
-                "metrics": {"counters": {}, "gauges": {}, "histograms": {}}}"#,
+                "utilization_imbalance": {"sched-pool": 0.0},
+                "metrics": {"counters": {}, "histograms": {}}}"#,
         )
         .map(with_prov)
         .unwrap();
@@ -942,23 +932,23 @@ mod tests {
 
     #[test]
     fn metrics_check_requires_scheduler_instrumentation_on_sweep() {
-        // A sweep doc with empty counters/gauges must flag every piece of
-        // missing scheduler instrumentation.
+        // A sweep doc with no counters and no pool lane must flag both
+        // pieces of missing scheduler instrumentation.
         let Json::Obj(mut fields) = metrics_doc(40, 30) else {
             unreachable!()
         };
         for (k, v) in &mut fields {
-            if k == "profile" {
-                *v = Json::str("sweep");
+            match k.as_str() {
+                "profile" => *v = Json::str("sweep"),
+                "utilization_imbalance" => *v = Json::obj::<&str>([]),
+                _ => {}
             }
         }
         let mut problems = Vec::new();
         check_metrics("METRICS_sweep.json", &Json::Obj(fields), &mut problems);
         for needle in [
-            "missing scheduler counter 'sweep.claims'",
-            "missing scheduler counter 'sweep.steals'",
             "missing scheduler counter 'sweep.tasks'",
-            "no 'sweep.queue_depth.*' gauges",
+            "missing the 'sched-pool' lane",
         ] {
             assert!(
                 problems.iter().any(|p| p.contains(needle)),
@@ -973,7 +963,7 @@ mod tests {
         let Json::Obj(mut fields) = doc else { unreachable!() };
         for (k, v) in &mut fields {
             if k == "utilization_imbalance" {
-                *v = Json::parse(r#"{"run-configs": 1.5}"#).unwrap();
+                *v = Json::parse(r#"{"sched-pool": 1.5}"#).unwrap();
             }
         }
         let mut problems = Vec::new();
@@ -992,11 +982,7 @@ mod tests {
                 "profile" => *v = Json::str("sweep"),
                 "metrics" => {
                     *v = Json::parse(
-                        r#"{"counters": {"sweep.claims": 10, "sweep.steals": 2,
-                                         "sweep.tasks": 12},
-                            "gauges": {"sweep.queue_depth.w00": 4,
-                                       "sweep.queue_depth.w01": 3},
-                            "histograms": {}}"#,
+                        r#"{"counters": {"sweep.tasks": 12}, "histograms": {}}"#,
                     )
                     .unwrap();
                 }

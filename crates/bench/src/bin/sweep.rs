@@ -45,9 +45,9 @@
 //! The untimed breakdown sweep additionally runs **host-profiled**: the
 //! reference grid and the dense replay lane execute as one combined sweep under a
 //! [`HostProfiler`], and the merged [`sortmid::HostProfile`] —
-//! hierarchical phase spans, per-worker `busy + idle == wall`
-//! utilization, scheduler claim/steal counters and queue-depth gauges,
-//! per-path run-time histograms, the cost model's predicted-vs-actual
+//! hierarchical phase spans, the pool's per-worker `busy + idle == wall`
+//! utilization (`sched-pool`), the scheduler's task count, per-path
+//! run-time histograms, the cost model's predicted-vs-actual
 //! error histogram, peak RSS — lands in `METRICS_sweep.json` next to the
 //! bench artefact (`bench_check` validates its span-nesting,
 //! worker-identity and scheduler-instrumentation invariants). The timed

@@ -67,7 +67,7 @@ pub use sortmid_observe::{
     MissClassCounts, NullHostSink, NullSink, ScreenGrid, SpatialCollector, TileStats, TraceEvent,
     TraceRecorder, TraceSink,
 };
-pub use sched::{lpt_order, run_graph, CostModel, TaskGraph};
+pub use sched::{lpt_order, run_tasks, CostModel};
 pub use sweep::{
     grid_hash, run_sweep, run_sweep_profiled, run_sweep_with_threads, run_sweeps, SweepGrid,
     SweepOptions,

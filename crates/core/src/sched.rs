@@ -1,63 +1,35 @@
-//! Deterministic work-stealing task scheduler for the sweep pipeline.
+//! Deterministic longest-first task pool for the sweep pipeline.
 //!
 //! Task cost varies by an order of magnitude across the sweep's frame
 //! groups — a lone config's against a Mattson walk pricing a hundred
 //! geometries — so a static chunked schedule leaves the wall clock
-//! hostage to its slowest chunk. This module schedules the tasks
+//! hostage to its slowest chunk. This module hands the tasks out
 //! dynamically while keeping the *results* bit-for-bit deterministic:
 //!
 //! * **Preassigned output slots.** A task never returns a value through
-//!   the scheduler — it writes its own slots (the sweep uses one
+//!   the pool — it writes its own slots (the sweep uses one
 //!   [`std::sync::OnceLock`] per report). Which worker runs a task, and in
 //!   which order, changes only wall time.
-//! * **Independent tasks.** A [`TaskGraph`] is a batch of costed tasks
-//!   with no edges between them, so [`run_graph`] can never deadlock.
-//! * **LPT dispatch.** Tasks carry cost estimates (see [`CostModel`]) and
-//!   are seeded greedily, longest first, onto the least-loaded worker
-//!   ([`lpt_order`]). Longest-Processing-Time-first shrinks the idle tail
-//!   that static chunking suffers.
-//! * **Work stealing.** Each worker owns a deque: it pops its own back
-//!   (its longest seed), and when empty steals from the front of the
-//!   deepest victim queue. Tasks are coarse (a frame group — milliseconds
-//!   and up), so a mutex per deque is nowhere near any hot path and keeps
-//!   the pool dependency-free safe `std`.
+//! * **Independent tasks.** Every task is known and costed before any
+//!   runs, and no task waits on another, so [`run_tasks`] can never
+//!   deadlock.
+//! * **One longest-first queue.** Tasks carry cost estimates (see
+//!   [`CostModel`]) and are ordered longest first once ([`lpt_order`]);
+//!   each worker then claims the next task of that order through one
+//!   shared atomic cursor until the order is used up. A worker that
+//!   finishes early takes the longest task left, which is greedy
+//!   Longest-Processing-Time-first list scheduling. Tasks are coarse (a
+//!   frame group — milliseconds and up), so one atomic add per task is
+//!   nowhere near any hot path.
 //!
 //! Instrumentation (all folded away under
 //! [`NullHostSink`](sortmid_observe::NullHostSink)): a `scheduler` span
-//! around each batch, a `worker-run` span plus a `sched-pool` utilization
-//! record per worker, `sweep.claims`/`sweep.steals` counters, and
-//! per-worker `sweep.queue_depth.*` high-water gauges.
+//! around each batch, a `sweep.tasks` counter, and a `worker-run` span
+//! plus a `sched-pool` utilization record per worker.
 
 use sortmid_observe::HostSink;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Per-worker queue-depth gauge names ([`HostSink::gauge_max`] needs
-/// `&'static str`); workers past the table share the last name.
-const QUEUE_DEPTH_GAUGES: [&str; 16] = [
-    "sweep.queue_depth.w00",
-    "sweep.queue_depth.w01",
-    "sweep.queue_depth.w02",
-    "sweep.queue_depth.w03",
-    "sweep.queue_depth.w04",
-    "sweep.queue_depth.w05",
-    "sweep.queue_depth.w06",
-    "sweep.queue_depth.w07",
-    "sweep.queue_depth.w08",
-    "sweep.queue_depth.w09",
-    "sweep.queue_depth.w10",
-    "sweep.queue_depth.w11",
-    "sweep.queue_depth.w12",
-    "sweep.queue_depth.w13",
-    "sweep.queue_depth.w14",
-    "sweep.queue_depth.w15",
-];
-
-fn queue_gauge(worker: usize) -> &'static str {
-    QUEUE_DEPTH_GAUGES[worker.min(QUEUE_DEPTH_GAUGES.len() - 1)]
-}
 
 /// Task indices ordered longest-estimated-first: descending cost, ties
 /// broken by ascending index so the order is a deterministic permutation
@@ -68,79 +40,28 @@ pub fn lpt_order(costs: &[u64]) -> Vec<u32> {
     order
 }
 
-/// A batch of independent costed tasks for [`run_graph`], identified by
-/// their insertion index.
-#[derive(Debug, Default)]
-pub struct TaskGraph {
-    costs: Vec<u64>,
-}
-
-impl TaskGraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        TaskGraph::default()
-    }
-
-    /// An empty graph with room for `n` tasks.
-    pub fn with_capacity(n: usize) -> Self {
-        TaskGraph { costs: Vec::with_capacity(n) }
-    }
-
-    /// Adds a task with estimated cost `cost` (any unit, used only for
-    /// LPT ordering) and returns its index.
-    pub fn add(&mut self, cost: u64) -> usize {
-        self.costs.push(cost);
-        self.costs.len() - 1
-    }
-
-    /// Number of tasks added so far.
-    pub fn len(&self) -> usize {
-        self.costs.len()
-    }
-
-    /// Whether the graph holds no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.costs.is_empty()
-    }
-
-    /// The estimated cost `task` was added with.
-    pub fn cost(&self, task: usize) -> u64 {
-        self.costs[task]
-    }
-}
-
-/// Sets the abort flag when its worker unwinds, so sibling workers stop
-/// spinning instead of waiting for tasks that will never complete.
-struct AbortOnPanic<'a>(&'a AtomicBool);
-
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// Executes every task in `graph` exactly once across `workers` host
-/// threads (the calling thread is worker 0). `exec(task, worker)` runs
-/// the task body; results must go into the task's preassigned output
-/// slot, never through the scheduler — that is what keeps the output
-/// independent of the steal interleaving.
+/// Executes every task `0..costs.len()` exactly once across `workers`
+/// host threads (the calling thread is worker 0), claimed in
+/// [`lpt_order`] of `costs` (any unit, used only for ordering).
+/// `exec(task)` runs the task body; results must go into the task's
+/// preassigned output slot, never through the pool — that is what keeps
+/// the output independent of which worker claimed which task.
 ///
 /// Runs under a `scheduler` span; each worker runs under a `worker-run`
-/// span and reports a `sched-pool` utilization record plus its share of
-/// the `sweep.claims`/`sweep.steals` counters.
+/// span and reports one `sched-pool` utilization record: its own wall
+/// time, the time inside `exec`, and the tasks it ran.
 ///
 /// # Panics
 ///
-/// Propagates task panics (sibling workers drain and stop early).
-pub fn run_graph<S: HostSink>(
-    graph: TaskGraph,
+/// Propagates a task's panic once every worker has stopped; the other
+/// workers finish the tasks left, since none of them waits on another.
+pub fn run_tasks<S: HostSink>(
+    costs: &[u64],
     workers: usize,
     sink: &S,
-    exec: &(impl Fn(usize, usize) + Sync),
+    exec: &(impl Fn(usize) + Sync),
 ) {
-    let n = graph.len();
+    let n = costs.len();
     if n == 0 {
         return;
     }
@@ -149,80 +70,26 @@ pub fn run_graph<S: HostSink>(
     if S::ENABLED {
         sink.count("sweep.tasks", n as u64);
     }
-
-    // Seed the tasks greedily, longest first, onto the least-loaded
-    // worker. push_front keeps each deque's *back* — the owner's pop end —
-    // holding its longest seed.
-    let mut seeds: Vec<VecDeque<u32>> = (0..workers).map(|_| VecDeque::new()).collect();
-    let mut load = vec![0u64; workers];
-    for t in lpt_order(&graph.costs) {
-        let w = (0..workers)
-            .min_by_key(|&w| (load[w], w))
-            .expect("at least one worker");
-        load[w] += graph.costs[t as usize].max(1);
-        seeds[w].push_front(t);
-    }
-    if S::ENABLED {
-        for (w, seed) in seeds.iter().enumerate() {
-            sink.gauge_max(queue_gauge(w), seed.len() as u64);
-        }
-    }
-    let queues: Vec<Mutex<VecDeque<u32>>> = seeds.into_iter().map(Mutex::new).collect();
-    let remaining = AtomicUsize::new(n);
-    let abort = AtomicBool::new(false);
+    let order = lpt_order(costs);
+    // The cursor publishes no data: each task writes its own slot, and
+    // the scope's join orders those writes before the caller reads them.
+    let next = AtomicUsize::new(0);
+    let nanos = |since: Instant| since.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
     let worker_loop = |widx: usize| {
-        let _bail = AbortOnPanic(&abort);
         let _span = sink.span("worker-run");
         let t_start = S::ENABLED.then(Instant::now);
-        let (mut busy, mut items, mut claims, mut steals) = (0u64, 0u64, 0u64, 0u64);
-        loop {
-            if abort.load(Ordering::Acquire) || remaining.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            // Own queue first; otherwise steal from the deepest victim's
-            // front (its oldest seed), leaving the owner its pop end.
-            let mut task = queues[widx].lock().expect("queue poisoned").pop_back();
-            let mut stolen = false;
-            if task.is_none() {
-                let victim = (0..queues.len())
-                    .filter(|&v| v != widx)
-                    .map(|v| (queues[v].lock().expect("queue poisoned").len(), v))
-                    .filter(|&(len, _)| len > 0)
-                    .max_by_key(|&(len, v)| (len, usize::MAX - v));
-                if let Some((_, v)) = victim {
-                    task = queues[v].lock().expect("queue poisoned").pop_front();
-                    stolen = task.is_some();
-                }
-            }
-            let Some(t) = task else {
-                // No task is queued after the seeding, so once every queue
-                // is empty the tasks left are in flight on other workers;
-                // otherwise another thief won the race, and this one
-                // looks again.
-                if queues.iter().all(|q| q.lock().expect("queue poisoned").is_empty()) {
-                    break;
-                }
-                continue;
-            };
-            if stolen {
-                steals += 1;
-            } else {
-                claims += 1;
-            }
+        let (mut busy, mut items) = (0u64, 0u64);
+        while let Some(&t) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
             let t0 = S::ENABLED.then(Instant::now);
-            exec(t as usize, widx);
+            exec(t as usize);
             if let Some(t0) = t0 {
-                busy += t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                busy += nanos(t0);
             }
             items += 1;
-            remaining.fetch_sub(1, Ordering::AcqRel);
         }
         if let Some(t_start) = t_start {
-            let wall = t_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            sink.worker("sched-pool", widx as u32, wall, busy, items);
-            sink.count("sweep.claims", claims);
-            sink.count("sweep.steals", steals);
+            sink.worker("sched-pool", widx as u32, nanos(t_start), busy, items);
         }
     };
 
@@ -237,11 +104,6 @@ pub fn run_graph<S: HostSink>(
             worker_loop(0);
         });
     }
-    assert_eq!(
-        remaining.load(Ordering::Acquire),
-        0,
-        "the scheduler must drain the whole task graph"
-    );
 }
 
 /// Host-cost estimates for the sweep's task kinds, in nanoseconds,
@@ -324,7 +186,9 @@ impl CostModel {
 mod tests {
     use super::*;
     use sortmid_observe::{HostProfiler, NullHostSink};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU32, AtomicU64};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Deterministic pseudo-random costs (no external RNG in the
     /// workspace by design).
@@ -366,59 +230,61 @@ mod tests {
     }
 
     #[test]
-    fn run_graph_executes_every_task_exactly_once() {
+    fn one_worker_runs_tasks_in_lpt_order() {
+        let costs = lcg_costs(100, 3);
+        let claimed = AtomicUsize::new(0);
+        let ran: Vec<AtomicU32> = (0..costs.len()).map(|_| AtomicU32::new(0)).collect();
+        run_tasks(&costs, 1, &NullHostSink, &|t| {
+            ran[claimed.fetch_add(1, Ordering::Relaxed)].store(t as u32, Ordering::Relaxed);
+        });
+        let ran: Vec<u32> = ran.into_iter().map(AtomicU32::into_inner).collect();
+        assert_eq!(ran, lpt_order(&costs));
+    }
+
+    #[test]
+    fn every_task_runs_exactly_once_and_the_pool_accounts_for_it() {
         for workers in [1usize, 2, 3, 8] {
             let costs = lcg_costs(100, 9);
-            let mut graph = TaskGraph::with_capacity(costs.len());
-            for &c in &costs {
-                graph.add(c);
-            }
             let runs: Vec<AtomicU64> = (0..costs.len()).map(|_| AtomicU64::new(0)).collect();
-            run_graph(graph, workers, &NullHostSink, &|t, _w| {
+            let prof = HostProfiler::new();
+            run_tasks(&costs, workers, &prof, &|t| {
                 runs[t].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
                 runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
                 "every task ran exactly once on {workers} workers"
             );
+
+            let profile = prof.finish();
+            profile.verify().expect("pool spans and records are well-formed");
+            let pool: Vec<_> = profile.workers.iter().filter(|w| w.lane == "sched-pool").collect();
+            assert_eq!(pool.len(), workers, "one sched-pool record per worker");
+            assert_eq!(pool.iter().map(|w| w.items).sum::<u64>(), costs.len() as u64);
+            let counters = profile.metrics.get("counters").expect("counters object");
+            let tasks = counters.get("sweep.tasks").and_then(sortmid_devharness::Json::as_u64);
+            assert_eq!(tasks, Some(costs.len() as u64));
+            let spans = |name: &str| profile.spans.iter().filter(|s| s.name == name).count();
+            assert_eq!(spans("scheduler"), 1, "the batch runs under a scheduler span");
+            assert_eq!(spans("worker-run"), workers, "one worker-run span per worker");
         }
     }
 
     #[test]
-    fn pool_accounting_covers_every_task() {
-        let prof = HostProfiler::new();
-        let mut graph = TaskGraph::new();
-        for i in 0..40 {
-            graph.add(i + 1);
+    fn a_task_panic_propagates_without_hanging() {
+        for workers in [1usize, 3] {
+            let (tx, rx) = mpsc::channel();
+            // Detached, so that a hung pool fails the timeout below
+            // instead of hanging the test.
+            std::thread::spawn(move || {
+                let costs = lcg_costs(40, 5);
+                let outcome = std::panic::catch_unwind(|| {
+                    run_tasks(&costs, workers, &NullHostSink, &|t| assert_ne!(t, 17, "task 17"));
+                });
+                tx.send(outcome.is_err()).unwrap();
+            });
+            let panicked = rx.recv_timeout(Duration::from_secs(60)).expect("run_tasks hung");
+            assert!(panicked, "a task's panic must reach the caller at {workers} workers");
         }
-        run_graph(graph, 3, &prof, &|_, _| {});
-        let profile = prof.finish();
-        profile.verify().expect("scheduler spans and records are well-formed");
-
-        let pool: Vec<_> = profile.workers.iter().filter(|w| w.lane == "sched-pool").collect();
-        assert_eq!(pool.len(), 3, "one sched-pool record per worker");
-        assert_eq!(pool.iter().map(|w| w.items).sum::<u64>(), 40);
-
-        let counters = profile.metrics.get("counters").expect("counters object");
-        let counter =
-            |name: &str| counters.get(name).and_then(sortmid_devharness::Json::as_u64).unwrap_or(0);
-        assert_eq!(counter("sweep.tasks"), 40);
-        assert_eq!(
-            counter("sweep.claims") + counter("sweep.steals"),
-            40,
-            "every task is either claimed or stolen"
-        );
-        assert!(
-            profile.spans.iter().any(|s| s.name == "scheduler"),
-            "the batch runs under a scheduler span"
-        );
-        assert_eq!(
-            profile.spans.iter().filter(|s| s.name == "worker-run").count(),
-            3,
-            "one worker-run span per worker"
-        );
-        let gauges = profile.metrics.get("gauges").expect("gauges object");
-        assert!(gauges.get("sweep.queue_depth.w00").is_some(), "seeded queue depths");
     }
 
     #[test]
@@ -426,8 +292,8 @@ mod tests {
         let model = CostModel::for_stream(100_000);
         // A cache pass costs more than routing or one timing walk, and a
         // walk pricing a dense grid more than a lone config's whole frame
-        // group (route, capture, timing walk) — the LPT seed must
-        // front-load the walk's group.
+        // group (route, capture, timing walk) — the longest-first order
+        // must put the walk's group first.
         assert!(model.capture() > model.plan_build());
         assert!(model.capture() > model.run_captured());
         assert!(model.trace_eval(102) > model.trace_eval(12));

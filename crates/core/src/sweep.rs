@@ -29,10 +29,9 @@ use crate::config::{CacheKind, MachineConfig};
 use crate::distribution::Distribution;
 use crate::machine::{FrameGroup, Layout};
 use crate::report::RunReport;
-use crate::sched::{run_graph, CostModel, TaskGraph};
+use crate::sched::{run_tasks, CostModel};
 use sortmid_observe::{HostSink, NullHostSink, NullSink};
 use sortmid_raster::FragmentStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -335,7 +334,7 @@ fn members<'a>(configs: &'a [MachineConfig], group: &[usize]) -> Vec<&'a Machine
 }
 
 /// Runs several sweeps — one `(stream, configs)` job each, typically one
-/// per scene — as **one** batch of tasks on the work-stealing pool, and
+/// per scene — as **one** batch of tasks on the longest-first pool, and
 /// returns each job's reports in its config order.
 ///
 /// Each job is analysed on its own, exactly as a single sweep: its grid
@@ -350,14 +349,14 @@ fn members<'a>(configs: &'a [MachineConfig], group: &[usize]) -> Vec<&'a Machine
 /// under a `run-configs` span, with each window's route under
 /// `plan-build` and its cache passes under `capture` (the Mattson walk
 /// under `mattson-walk`) child spans. A group's time lands in the
-/// `host.run_ns.frame` histogram, and every worker thread reports
-/// `busy`/`wall` utilization for the `run-configs` stage.
+/// `host.run_ns.frame` histogram, whose max is the batch's critical
+/// path: its tasks have no edges. The pool's `sched-pool` records give
+/// each worker's `busy`/`wall` utilization.
 ///
-/// The tasks run on the work-stealing pool in [`crate::sched`],
-/// dispatched longest-first, with no dependencies between them. Every
-/// report goes to a preassigned [`OnceLock`] slot, so the reports are
-/// byte-identical to one [`run_sweep`] per job, across thread counts and
-/// steal interleavings.
+/// The tasks run on [`run_tasks`], claimed longest-first from one shared
+/// queue. Every report goes to a preassigned [`OnceLock`] slot, so the
+/// reports are byte-identical to one [`run_sweep`] per job, across thread
+/// counts and claim interleavings.
 ///
 /// With [`NullHostSink`] (how [`run_sweep`] and friends call it) the
 /// instrumentation monomorphizes to nothing — the sweep bench's
@@ -439,31 +438,17 @@ pub fn run_sweeps<S: HostSink>(
     }
 
     // One task per frame group, each with its cost.
-    let tasks: Vec<(usize, usize, u64)> = jobs
+    let tasks: Vec<(usize, usize)> = jobs
         .iter()
         .enumerate()
-        .flat_map(|(j, job)| (0..job.groups.len()).map(move |g| (j, g, job.cost(g))))
+        .flat_map(|(j, job)| (0..job.groups.len()).map(move |g| (j, g)))
         .collect();
-    let mut graph = TaskGraph::with_capacity(tasks.len());
-    for &(_, _, cost) in &tasks {
-        graph.add(cost);
-    }
+    let costs: Vec<u64> = tasks.iter().map(|&(j, g)| jobs[j].cost(g)).collect();
 
-    // Per-worker accounting for the run-configs stage, over a *shared*
-    // window (first frame group started → last finished), so a worker
-    // that runs out of work early reads as idle, not as a shorter wall.
-    let workers = options.threads.min(n_configs);
-    let t_origin = Instant::now();
-    let rc_busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let rc_items: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let window_start = AtomicU64::new(u64::MAX);
-    let window_end = AtomicU64::new(0);
-
-    let elapsed_ns = |origin: &Instant| origin.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    // Runs one frame group and accounts it to worker `widx`: its time
-    // into `host.run_ns.frame`, its cost-model error and its configs.
-    let exec = |t: usize, widx: usize| {
-        let (j, g, predicted) = tasks[t];
+    // Runs one frame group: its time into `host.run_ns.frame`, its
+    // cost-model error into `sweep.cost_err_pct`.
+    let exec = |t: usize| {
+        let (j, g) = tasks[t];
         let job = &jobs[j];
         let _s = sink.span("run-configs");
         if S::ENABLED {
@@ -471,39 +456,21 @@ pub fn run_sweeps<S: HostSink>(
             if requests > 0 {
                 sink.observe("cache.eval_requests", requests as u64);
             }
-            let start = elapsed_ns(&t_origin);
+            let start = Instant::now();
             job.run_frame(g, sink);
-            let end = elapsed_ns(&t_origin);
-            let took = end.saturating_sub(start);
-            window_start.fetch_min(start, Ordering::Relaxed);
-            window_end.fetch_max(end, Ordering::Relaxed);
-            rc_busy[widx].fetch_add(took, Ordering::Relaxed);
-            rc_items[widx].fetch_add(job.groups[g].len() as u64, Ordering::Relaxed);
+            let took = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             sink.observe("host.run_ns.frame", took);
             // Cost-model feedback: per-task |predicted − actual| as a
             // percentage of predicted, kept as a log2 histogram so the LPT
             // estimates stay honest as the simulator evolves.
+            let predicted = costs[t];
             sink.observe("sweep.cost_err_pct", took.abs_diff(predicted) * 100 / predicted);
         } else {
             job.run_frame(g, sink);
         }
     };
-    run_graph(graph, workers, sink, &exec);
+    run_tasks(&costs, options.threads, sink, &exec);
 
-    if S::ENABLED {
-        let start = window_start.load(Ordering::Relaxed);
-        let end = window_end.load(Ordering::Relaxed);
-        let wall = if start == u64::MAX { 0 } else { end.saturating_sub(start) };
-        for w in 0..workers {
-            sink.worker(
-                "run-configs",
-                w as u32,
-                wall,
-                rc_busy[w].load(Ordering::Relaxed),
-                rc_items[w].load(Ordering::Relaxed),
-            );
-        }
-    }
     jobs.into_iter()
         .map(|job| {
             job.out

@@ -1067,7 +1067,6 @@ mod tests {
                         "counters",
                         Json::obj([("sweep.configs", Json::U64(runs))]),
                     ),
-                    ("gauges", Json::obj::<&str>([])),
                     (
                         "histograms",
                         Json::obj([(

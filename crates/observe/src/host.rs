@@ -35,7 +35,7 @@
 //!     let _outer = prof.span("plan-build");
 //!     let _inner = prof.span("owner-lut");
 //! } // guards close in reverse order
-//! prof.worker("run-configs", 0, 1_000, 600, 4);
+//! prof.worker("sched-pool", 0, 1_000, 600, 4);
 //! let profile = prof.finish();
 //! profile.verify().unwrap();
 //! assert_eq!(profile.spans.len(), 2);
@@ -74,11 +74,6 @@ pub trait HostSink: Sync {
 
     /// Records `value` into the histogram metric `name`.
     fn observe(&self, name: &'static str, value: u64);
-
-    /// Raises the gauge metric `name` to at least `value` (a high-water
-    /// mark — the sweep scheduler reports per-worker queue depths this
-    /// way).
-    fn gauge_max(&self, name: &'static str, value: u64);
 
     /// Reports one worker thread's utilization for pipeline stage `lane`:
     /// `busy_ns` of item work inside a `wall_ns` window over `items`
@@ -125,9 +120,6 @@ impl HostSink for NullHostSink {
 
     #[inline(always)]
     fn observe(&self, _name: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    fn gauge_max(&self, _name: &'static str, _value: u64) {}
 
     #[inline(always)]
     fn worker(&self, _lane: &'static str, _worker: u32, _wall_ns: u64, _busy_ns: u64, _items: u64) {
@@ -185,7 +177,7 @@ impl SpanRecord {
 /// exact identity `busy + idle == wall` (idle is derived, never measured).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// The pipeline stage the worker served (e.g. `"run-configs"`).
+    /// The pipeline stage the worker served (e.g. `"sched-pool"`).
     pub lane: &'static str,
     /// Worker index within the stage.
     pub worker: u32,
@@ -264,7 +256,7 @@ impl HostProfiler {
         }
     }
 
-    /// The profiler's metrics registry (counters, gauges, histograms).
+    /// The profiler's metrics registry (counters and histograms).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -345,10 +337,6 @@ impl HostSink for HostProfiler {
         self.metrics.observe(name, value);
     }
 
-    fn gauge_max(&self, name: &'static str, value: u64) {
-        self.metrics.gauge_set_max(name, value);
-    }
-
     fn worker(&self, lane: &'static str, worker: u32, wall_ns: u64, busy_ns: u64, items: u64) {
         let mut state = self.state.lock().expect("host profiler poisoned");
         state.workers.push(WorkerStats {
@@ -414,8 +402,8 @@ impl HostProfile {
     /// `0` means every worker carried the same load; a static chunked
     /// schedule over heterogeneous work shows up as a large value (the
     /// fast chunks idle while the slow chunk sets the wall), which is
-    /// exactly what the sweep's work-stealing scheduler is measured
-    /// against in `METRICS_sweep.json`.
+    /// what the sweep's `sched-pool` lane in `METRICS_sweep.json` is
+    /// measured by.
     pub fn utilization_imbalance(&self) -> BTreeMap<String, f64> {
         let mut lanes: BTreeMap<&'static str, BTreeMap<u32, (u64, u64)>> = BTreeMap::new();
         for w in &self.workers {
@@ -784,8 +772,8 @@ mod tests {
     #[test]
     fn worker_identity_holds_by_construction() {
         let prof = HostProfiler::new();
-        prof.worker("run-configs", 0, 100, 60, 3);
-        prof.worker("run-configs", 1, 50, 70, 2); // busy > wall: clamped
+        prof.worker("sched-pool", 0, 100, 60, 3);
+        prof.worker("sched-pool", 1, 50, 70, 2); // busy > wall: clamped
         let profile = prof.finish();
         profile.verify().unwrap();
         let w0 = &profile.workers[0];
@@ -820,21 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_max_keeps_the_high_water_mark() {
-        let prof = HostProfiler::new();
-        prof.gauge_max("sweep.queue_depth.w00", 3);
-        prof.gauge_max("sweep.queue_depth.w00", 7);
-        prof.gauge_max("sweep.queue_depth.w00", 5);
-        let profile = prof.finish();
-        let depth = profile
-            .metrics
-            .get("gauges")
-            .and_then(|g| g.get("sweep.queue_depth.w00"))
-            .and_then(Json::as_u64);
-        assert_eq!(depth, Some(7));
-    }
-
-    #[test]
     #[should_panic(expected = "open span")]
     fn finishing_with_an_open_span_panics() {
         let prof = HostProfiler::new();
@@ -851,7 +824,7 @@ mod tests {
         }
         prof.count("sweep.configs", 60);
         prof.observe("host.run_ns.direct", 1234);
-        prof.worker("run-configs", 0, 10, 5, 1);
+        prof.worker("sched-pool", 0, 10, 5, 1);
         let profile = prof.finish();
         let doc = profile.document("unit", Provenance::collect(0, 0)).to_json();
         let text = doc.render();
@@ -874,7 +847,7 @@ mod tests {
         assert!(back.get("metrics").and_then(|m| m.get("counters")).is_some());
         let imbalance = back
             .get("utilization_imbalance")
-            .and_then(|i| i.get("run-configs"))
+            .and_then(|i| i.get("sched-pool"))
             .expect("per-lane imbalance is serialized");
         assert!(matches!(imbalance, Json::F64(v) if (0.0..=1.0).contains(v)));
     }

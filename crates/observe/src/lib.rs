@@ -35,7 +35,7 @@
 //! * [`host::HostSink`] + [`metrics::MetricsRegistry`] — the *host*
 //!   profiling layer: hierarchical RAII phase spans over the sweep
 //!   pipeline (plan build, batch pivot, capture, stack-distance replay,
-//!   timing synthesis), atomic counters/gauges/log2 histograms, and
+//!   timing synthesis), atomic counters and log2 histograms, and
 //!   per-worker utilization with the exact identity
 //!   `busy + idle == wall`. [`host::NullHostSink`] monomorphizes it all
 //!   away, exactly like [`sink::NullSink`] does for cycle tracing; a
@@ -106,7 +106,7 @@ pub use host::{
     peak_rss_bytes, HostProfile, HostProfiler, HostSink, HostSpan, MetricsDoc, NullHostSink,
     SpanRecord, WorkerStats,
 };
-pub use metrics::{log2_bucket, Counter, Gauge, Log2Histogram, MetricsRegistry, LOG2_BUCKETS};
+pub use metrics::{log2_bucket, Counter, Log2Histogram, MetricsRegistry, LOG2_BUCKETS};
 pub use perfetto::{chrome_trace, chrome_trace_with_host, HOST_PID};
 pub use series::TimeSeries;
 pub use sink::{NullSink, TraceRecorder, TraceSink};

@@ -1,5 +1,5 @@
-//! Host-side metrics primitives: atomic counters, gauges and log2
-//! histograms behind a name-keyed registry.
+//! Host-side metrics primitives: atomic counters and log2 histograms
+//! behind a name-keyed registry.
 //!
 //! The *simulated* machine already has exact cycle accounting
 //! ([`crate::breakdown`]); this module is the equivalent substrate for the
@@ -8,14 +8,13 @@
 //! are derived at export time, never on the hot path.
 //!
 //! * [`Counter`] — monotonically increasing event count.
-//! * [`Gauge`] — last-value / high-water mark (e.g. peak queue depth).
 //! * [`Log2Histogram`] — fixed 65-bucket power-of-two histogram; bucket
 //!   `k` holds values in `[2^(k-1), 2^k)` (bucket 0 holds zero). Exact
 //!   count/sum/min/max ride along, so means are exact and percentiles are
 //!   bucket-resolution approximations clamped into `[min, max]`.
 //! * [`MetricsRegistry`] — `name -> metric` map. Registration takes a
 //!   lock; updates through a held [`std::sync::Arc`] handle are lock-free,
-//!   and the convenience `add`/`observe`/`gauge_set_max` entry points keep
+//!   and the convenience `add`/`observe` entry points keep
 //!   coarse-grained instrumentation sites to one line.
 //!
 //! # Examples
@@ -66,36 +65,6 @@ impl Counter {
     }
 
     /// The current count.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value / high-water gauge.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&self, value: u64) {
-        self.value.store(value, Ordering::Relaxed);
-    }
-
-    /// Raises the value to `value` if it is higher (high-water semantics).
-    #[inline]
-    pub fn set_max(&self, value: u64) {
-        self.value.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// The current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -268,13 +237,12 @@ record! {
 }
 
 record! {
-    /// A [`MetricsRegistry`] snapshot — counter values, gauge values and
-    /// histogram snapshots, each name-sorted: the `metrics` object of a
+    /// A [`MetricsRegistry`] snapshot — counter values and histogram
+    /// snapshots, each name-sorted: the `metrics` object of a
     /// METRICS document.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct MetricsSnapshot {
         pub counters: BTreeMap<String, u64>,
-        pub gauges: BTreeMap<String, u64>,
         pub histograms: BTreeMap<String, HistogramSnapshot>,
     }
 }
@@ -283,12 +251,10 @@ record! {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Log2Histogram>),
 }
 
-/// A name-keyed registry of [`Counter`]s, [`Gauge`]s and
-/// [`Log2Histogram`]s.
+/// A name-keyed registry of [`Counter`]s and [`Log2Histogram`]s.
 ///
 /// Names are registered on first use; asking for an existing name with a
 /// different metric kind panics — a silent kind clash would split one
@@ -320,22 +286,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The gauge named `name`, registered on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.inner.lock().expect("metrics registry poisoned");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric '{name}' is registered as a non-gauge"),
-        }
-    }
-
     /// The histogram named `name`, registered on first use.
     ///
     /// # Panics
@@ -362,11 +312,6 @@ impl MetricsRegistry {
         self.histogram(name).observe(value);
     }
 
-    /// Raises gauge `name` to `value` if higher.
-    pub fn gauge_set_max(&self, name: &str, value: u64) {
-        self.gauge(name).set_max(value);
-    }
-
     /// Snapshot of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let map = self.inner.lock().expect("metrics registry poisoned");
@@ -375,7 +320,6 @@ impl MetricsRegistry {
             let name = name.clone();
             match metric {
                 Metric::Counter(c) => _ = snap.counters.insert(name, c.get()),
-                Metric::Gauge(g) => _ = snap.gauges.insert(name, g.get()),
                 Metric::Histogram(h) => _ = snap.histograms.insert(name, h.snapshot()),
             }
         }
@@ -444,19 +388,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.add("a.count", 2);
         reg.add("a.count", 3);
-        reg.gauge_set_max("b.peak", 10);
-        reg.gauge_set_max("b.peak", 7);
         reg.observe("c.ns", 128);
         assert_eq!(reg.counter("a.count").get(), 5);
-        assert_eq!(reg.gauge("b.peak").get(), 10);
         let doc = reg.to_json();
         assert_eq!(
             doc.get("counters").and_then(|c| c.get("a.count")).and_then(Json::as_u64),
             Some(5)
-        );
-        assert_eq!(
-            doc.get("gauges").and_then(|g| g.get("b.peak")).and_then(Json::as_u64),
-            Some(10)
         );
         assert_eq!(
             doc.get("histograms")

@@ -8,7 +8,7 @@
 //! because the whole pipeline is deterministic.
 
 use crate::fragment::{Fragment, TriangleRecord};
-use crate::stream::FragmentStream;
+use crate::stream::{FragmentStream, StreamPartsError};
 use sortmid_geom::Rect;
 use sortmid_texture::{TexelAddr, TextureId, TEXELS_PER_FRAGMENT};
 use std::fmt;
@@ -30,6 +30,8 @@ pub enum StreamIoError {
     BadVersion(u32),
     /// Structurally invalid payload (counts/ranges inconsistent).
     Corrupt(&'static str),
+    /// The decoded parts do not form a stream the rasterizer could emit.
+    Parts(StreamPartsError),
 }
 
 impl fmt::Display for StreamIoError {
@@ -39,6 +41,7 @@ impl fmt::Display for StreamIoError {
             StreamIoError::BadMagic(m) => write!(f, "bad magic {m:?}, not a fragment stream"),
             StreamIoError::BadVersion(v) => write!(f, "unsupported stream version {v}"),
             StreamIoError::Corrupt(what) => write!(f, "corrupt stream: {what}"),
+            StreamIoError::Parts(e) => write!(f, "corrupt stream: {e}"),
         }
     }
 }
@@ -47,6 +50,7 @@ impl std::error::Error for StreamIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StreamIoError::Io(e) => Some(e),
+            StreamIoError::Parts(e) => Some(e),
             _ => None,
         }
     }
@@ -188,8 +192,7 @@ pub fn read_stream<R: Read>(mut r: R) -> Result<FragmentStream, StreamIoError> {
         }
         fragments.push(Fragment { x, y, texels });
     }
-    FragmentStream::from_parts(screen, triangles, fragments)
-        .map_err(|_| StreamIoError::Corrupt("records do not tile the fragment array"))
+    FragmentStream::from_parts(screen, triangles, fragments).map_err(StreamIoError::Parts)
 }
 
 #[cfg(test)]
@@ -283,6 +286,25 @@ mod tests {
         buf[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = read_stream(buf.as_slice()).unwrap_err();
         assert!(matches!(err, StreamIoError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn fragments_off_screen_or_outside_their_box_are_rejected() {
+        let mut buf = Vec::new();
+        write_stream(&mut buf, &sample_stream()).unwrap();
+        // The first fragment's x (offset: 32 header bytes + 3 triangle
+        // records of 28 bytes); it belongs to the first triangle, whose box
+        // is (0, 0)–(20, 20) on a 64×64 screen.
+        let off = 32 + 3 * 28;
+        for (x, want) in [
+            (200u16, StreamPartsError::OffScreen { fragment: 0 }),
+            (60, StreamPartsError::OutsideBox { triangle: 0, fragment: 0 }),
+        ] {
+            let mut bad = buf.clone();
+            bad[off..off + 2].copy_from_slice(&x.to_le_bytes());
+            let err = read_stream(bad.as_slice()).unwrap_err();
+            assert!(matches!(err, StreamIoError::Parts(e) if e == want), "{err}");
+        }
     }
 
     #[test]

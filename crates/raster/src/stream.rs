@@ -5,14 +5,43 @@ use crate::setup::TriangleSetup;
 use sortmid_geom::{Rect, Triangle};
 use sortmid_texture::{TextureId, TextureRegistry, TrilinearSampler};
 
-/// Error from [`FragmentStream::from_parts`]: the triangle records do not
-/// tile the fragment array.
+/// Error from [`FragmentStream::from_parts`]: parts the rasterizer could
+/// never have emitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamPartsError;
+pub enum StreamPartsError {
+    /// The triangle records do not tile the fragment array contiguously
+    /// and in order.
+    Untiled,
+    /// Fragment `fragment` lies outside the screen.
+    OffScreen {
+        /// Index of the fragment.
+        fragment: usize,
+    },
+    /// Fragment `fragment` lies outside the bounding box of `triangle`,
+    /// the triangle that owns it. A culled triangle's box is empty, so it
+    /// owns no fragment.
+    OutsideBox {
+        /// Index of the owning triangle.
+        triangle: usize,
+        /// Index of the fragment.
+        fragment: usize,
+    },
+}
 
 impl std::fmt::Display for StreamPartsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "triangle records do not tile the fragment array")
+        match self {
+            StreamPartsError::Untiled => {
+                write!(f, "triangle records do not tile the fragment array")
+            }
+            StreamPartsError::OffScreen { fragment } => {
+                write!(f, "fragment {fragment} lies outside the screen")
+            }
+            StreamPartsError::OutsideBox { triangle, fragment } => write!(
+                f,
+                "fragment {fragment} lies outside the bounding box of its triangle {triangle}"
+            ),
+        }
     }
 }
 
@@ -34,12 +63,14 @@ pub struct FragmentStream {
 impl FragmentStream {
     /// Reassembles a stream from its parts (deserialization); validates
     /// that the triangle records tile the fragment array contiguously and
-    /// in order.
+    /// in order, and that every fragment lies on the screen and inside its
+    /// triangle's bounding box, as the rasterizer emits them.
     ///
     /// # Errors
     ///
-    /// Returns `Err(())`-like [`StreamPartsError`] when the records do not
-    /// partition `fragments` exactly.
+    /// Returns the first [`StreamPartsError`] found: records that do not
+    /// partition `fragments` exactly, then the first fragment off the
+    /// screen or outside its triangle's box.
     pub fn from_parts(
         screen: Rect,
         triangles: Vec<TriangleRecord>,
@@ -48,12 +79,24 @@ impl FragmentStream {
         let mut cursor = 0u32;
         for t in &triangles {
             if t.frag_start != cursor || t.frag_end < t.frag_start {
-                return Err(StreamPartsError);
+                return Err(StreamPartsError::Untiled);
             }
             cursor = t.frag_end;
         }
         if cursor as usize != fragments.len() {
-            return Err(StreamPartsError);
+            return Err(StreamPartsError::Untiled);
+        }
+        for (triangle, t) in triangles.iter().enumerate() {
+            let range = t.frag_start as usize..t.frag_end as usize;
+            for (fragment, f) in range.clone().zip(&fragments[range]) {
+                let (x, y) = (f.x as i32, f.y as i32);
+                if !screen.contains(x, y) {
+                    return Err(StreamPartsError::OffScreen { fragment });
+                }
+                if !t.bbox.contains(x, y) {
+                    return Err(StreamPartsError::OutsideBox { triangle, fragment });
+                }
+            }
         }
         Ok(FragmentStream {
             screen,
@@ -246,6 +289,60 @@ mod tests {
         assert!(s.triangles()[0].is_culled());
         assert_eq!(s.triangles()[0].fragment_count(), 0);
         assert!(!s.triangles()[1].is_culled());
+    }
+
+    /// The parts of a 64×64 stream: a culled triangle, then one covering
+    /// (0, 0)–(4, 4).
+    fn parts() -> (Rect, Vec<TriangleRecord>, Vec<Fragment>) {
+        let tris = vec![
+            tri(0, [(100.0, 100.0), (120.0, 100.0), (100.0, 120.0)]), // off screen
+            tri(0, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]),
+        ];
+        let s = rasterize(&tris, &registry(), Rect::of_size(64, 64));
+        assert!(s.fragment_count() > 1);
+        (s.screen(), s.triangles().to_vec(), s.fragments().to_vec())
+    }
+
+    #[test]
+    fn from_parts_accepts_what_the_rasterizer_emits() {
+        let (screen, triangles, fragments) = parts();
+        let s = FragmentStream::from_parts(screen, triangles.clone(), fragments.clone()).unwrap();
+        assert_eq!((s.triangles(), s.fragments()), (&triangles[..], &fragments[..]));
+    }
+
+    #[test]
+    fn from_parts_rejects_records_that_do_not_tile() {
+        let (screen, mut triangles, fragments) = parts();
+        triangles[1].frag_end -= 1;
+        let err = FragmentStream::from_parts(screen, triangles, fragments).unwrap_err();
+        assert_eq!(err, StreamPartsError::Untiled);
+    }
+
+    #[test]
+    fn from_parts_rejects_a_fragment_off_screen() {
+        let (screen, triangles, mut fragments) = parts();
+        fragments[1].x = 200;
+        let err = FragmentStream::from_parts(screen, triangles, fragments).unwrap_err();
+        assert_eq!(err, StreamPartsError::OffScreen { fragment: 1 });
+    }
+
+    #[test]
+    fn from_parts_rejects_a_fragment_outside_its_box() {
+        let (screen, triangles, mut fragments) = parts();
+        (fragments[0].x, fragments[0].y) = (20, 40);
+        let err = FragmentStream::from_parts(screen, triangles, fragments).unwrap_err();
+        assert_eq!(err, StreamPartsError::OutsideBox { triangle: 1, fragment: 0 });
+        assert!(err.to_string().contains("bounding box"), "{err}");
+    }
+
+    #[test]
+    fn from_parts_rejects_a_culled_triangle_that_owns_fragments() {
+        let (screen, mut triangles, fragments) = parts();
+        assert!(triangles[0].is_culled());
+        triangles[0].frag_end = 1;
+        triangles[1].frag_start = 1;
+        let err = FragmentStream::from_parts(screen, triangles, fragments).unwrap_err();
+        assert_eq!(err, StreamPartsError::OutsideBox { triangle: 0, fragment: 0 });
     }
 
     #[test]

@@ -81,11 +81,11 @@ for artefact in BENCH_baseline.json METRICS_sweep.json; do
         "$repo/$artefact" "$repo/$artefact" --expect-zero
 done
 
-# Scheduler determinism: the work-stealing pool must simulate identical
-# cycles at any thread count. Re-run the sweep pinned to 3 workers and
-# demand an exactly-zero diff against the default-thread artefact
-# (provenance comparison ignores host/build, so the cross-process diff
-# keys purely on simulated results).
+# Scheduler determinism: the longest-first pool must simulate identical
+# cycles at any thread count, whichever worker claims which frame group.
+# Re-run the sweep on 3 pool threads and demand an exactly-zero diff
+# against the default-thread artefact (provenance comparison ignores
+# host/build, so the cross-process diff keys purely on simulated results).
 SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$threads_dir" \
     cargo run -q --release --offline -p sortmid-bench --bin sweep -- --threads 3
 cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \

@@ -148,7 +148,6 @@ enum Step {
     Worker(usize, u32, u64, u64, u64),
     Count(usize, u64),
     Observe(u64),
-    Gauge(u64),
 }
 
 #[test]
@@ -157,7 +156,7 @@ fn prop_host_profile_metrics_round_trips() {
         "host profile metrics round-trip",
         &Config::with_cases(64),
         |g: &mut Gen| {
-            let steps: Vec<Step> = g.vec(0..40, |g| match g.choice(6) {
+            let steps: Vec<Step> = g.vec(0..40, |g| match g.choice(5) {
                 0 => Step::Open(g.choice(PHASES.len())),
                 1 => Step::Close,
                 2 => {
@@ -165,8 +164,7 @@ fn prop_host_profile_metrics_round_trips() {
                     Step::Worker(g.choice(2), g.u32_in(0..4), wall, busy, g.u64_below(100))
                 }
                 3 => Step::Count(g.choice(2), g.u64_below(1 << 50)),
-                4 => Step::Observe(g.bits()),
-                _ => Step::Gauge(g.bits()),
+                _ => Step::Observe(g.bits()),
             });
             (steps, provenance(g))
         },
@@ -181,21 +179,20 @@ fn prop_host_profile_metrics_round_trips() {
                         Step::Open(i) => open.push(prof.span(PHASES[i])),
                         Step::Close => drop(open.pop()),
                         Step::Worker(lane, worker, wall, busy, items) => {
-                            let lane = ["run-configs", "sched-pool"][lane];
+                            let lane = ["sched-pool", "render"][lane];
                             prof.worker(lane, worker, wall, busy, items);
                         }
                         Step::Count(i, delta) => {
-                            prof.count(["sweep.claims", "sweep.tasks"][i], delta);
+                            prof.count(["sweep.configs", "sweep.tasks"][i], delta);
                         }
                         Step::Observe(value) => prof.observe("host.run_ns.replay", value),
-                        Step::Gauge(value) => prof.gauge_max("sweep.queue_depth.w00", value),
                     }
                 }
                 while let Some(span) = open.pop() {
                     drop(span);
                 }
             }
-            prof.worker("run-configs", 0, 10, 5, 1);
+            prof.worker("sched-pool", 0, 10, 5, 1);
             let profile = prof.finish();
             let text = profile.document("prop", prov.clone()).to_json().render();
             round_trip::<MetricsDoc>(&text).map(drop)

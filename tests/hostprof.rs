@@ -81,20 +81,26 @@ fn profiled_sweep_is_identical_and_profile_verifies() {
         assert!(phases.contains(&phase), "missing phase {phase}: {phases:?}");
     }
 
-    // Worker utilization: three workers, each holding the exact identity.
+    // Worker utilization: the pool's one lane, one record per worker,
+    // each holding the exact identity. Its tasks are the two plan groups,
+    // so the three threads asked for clamp to two workers.
     let workers: Vec<_> = profile
         .workers
         .iter()
-        .filter(|w| w.lane == "run-configs")
+        .filter(|w| w.lane == "sched-pool")
         .collect();
-    assert_eq!(workers.len(), 3);
+    assert_eq!(workers.len(), 2);
     let mut items = 0;
     for w in &workers {
         assert_eq!(w.busy_ns + w.idle_ns(), w.wall_ns);
         assert!(w.utilization() <= 1.0);
         items += w.items;
     }
-    assert_eq!(items as usize, mixed_grid().len(), "every config ran on some worker");
+    assert_eq!(items, 2, "every frame group ran on some worker");
+    assert!(
+        profile.workers.iter().all(|w| w.lane == "sched-pool"),
+        "the sweep reports one worker lane"
+    );
 
     // The metrics registry saw the path split: the walk serves every
     // set-associative config (33 geometries x 2 buffers per plan), the
@@ -226,16 +232,11 @@ fn sequential_sweep_still_reports_a_worker() {
     assert_eq!(profiled, run_sweep_with_threads(&s, &configs, options.threads));
     let profile = prof.finish();
     profile.verify().unwrap();
-    let rc: Vec<_> = profile.workers.iter().filter(|w| w.lane == "run-configs").collect();
-    assert_eq!(rc.len(), 1);
-    let w = rc[0];
-    assert_eq!(w.worker, 0);
-    assert_eq!(w.items as usize, configs.len());
+    // One task, the plan's frame group, which reports both configs.
+    assert_eq!(profile.workers.len(), 1);
+    let w = &profile.workers[0];
+    assert_eq!((w.lane, w.worker), ("sched-pool", 0));
+    assert_eq!(w.items, 1, "one task per frame group");
     assert_eq!(w.busy_ns + w.idle_ns(), w.wall_ns);
-    // The scheduler pool reports its own lane too, even single-threaded:
-    // one task, the plan's frame group, which reports both configs.
-    let pool: Vec<_> = profile.workers.iter().filter(|w| w.lane == "sched-pool").collect();
-    assert_eq!(pool.len(), 1);
-    assert_eq!(pool[0].items, 1, "one task per frame group");
     assert!(profile.phase_names().contains(&"worker-run"));
 }

@@ -1,8 +1,8 @@
-//! Scheduler determinism: the work-stealing sweep pipeline must emit
-//! reports byte-identical to the sequential reference for every thread
-//! count and across repeated runs (steal interleavings must not leak into
-//! results), equal to each config's own `Machine::run` on every path — and
-//! one cross-scene task graph must emit exactly the reports of one sweep
+//! Scheduler determinism: the longest-first sweep pool must emit reports
+//! byte-identical to the sequential reference for every thread count and
+//! across repeated runs (claim interleavings must not leak into results),
+//! equal to each config's own `Machine::run` on every path — and one
+//! cross-scene batch of tasks must emit exactly the reports of one sweep
 //! per scene.
 
 use sortmid::{
@@ -52,25 +52,25 @@ fn options(threads: usize) -> SweepOptions {
 }
 
 #[test]
-fn work_stealing_reports_are_identical_across_thread_counts() {
+fn pool_reports_are_identical_across_thread_counts() {
     let s = stream();
     let configs = mixed_grid();
     let reference = run_sweep_with_threads(&s, &configs, 1);
     for threads in [2usize, 3, 8] {
         let swept = run_sweep_with_threads(&s, &configs, threads);
-        assert_eq!(swept, reference, "work-stealing schedule at {threads} threads");
+        assert_eq!(swept, reference, "pool schedule at {threads} threads");
     }
 }
 
 #[test]
-fn work_stealing_reports_are_identical_across_repeated_runs() {
-    // Steal interleavings differ run to run; the reports must not.
+fn pool_reports_are_identical_across_repeated_runs() {
+    // Claim interleavings differ run to run; the reports must not.
     let s = stream();
     let configs = mixed_grid();
     let reference = run_sweep_with_threads(&s, &configs, 3);
     for round in 0..3 {
         let swept = run_sweep_with_threads(&s, &configs, 3);
-        assert_eq!(swept, reference, "repeated work-stealing run {round}");
+        assert_eq!(swept, reference, "repeated pool run {round}");
     }
 }
 
@@ -128,7 +128,7 @@ fn cross_scene_sweeps_match_per_scene_sweeps() {
             .iter()
             .map(|reports| format!("{reports:?}"))
             .collect();
-        assert_eq!(swept, expected, "cross-scene task graph at {threads} threads");
+        assert_eq!(swept, expected, "cross-scene batch at {threads} threads");
     }
 
     // The jobs really do take every path.
