@@ -5,23 +5,24 @@
 //! Scans a directory (argument, or the workspace root when run without
 //! one — resolved from the manifest so the check works from any cwd),
 //! names each artefact's kind from its file name
-//! ([`ArtifactKind::of`]) and checks it:
+//! ([`ArtifactKind::of`]), decodes it with the type that owns its shape
+//! and lists every identity that owner's `verify` finds broken:
 //!
-//! * `BENCH_*.json` — the suite fields [`sortmid_devharness::bench::Suite`]
-//!   emits; the sweep suite also its `reference` and `trace_replay`
-//!   extras and its per-config cycle breakdowns, decoded and verified by
-//!   their owner [`SweepBreakdowns`];
-//! * `TRACE_*.json` — Chrome-trace-event structure (what ui.perfetto.dev
-//!   loads);
-//! * `HEATMAP_*.json` — decoded and verified by [`HeatmapDoc`];
-//! * `METRICS_*.json` — decoded and verified by [`MetricsDoc`]; a sweep
-//!   profile must also name the whole pipeline
-//!   ([`REQUIRED_SWEEP_PHASES`]), count its scheduler tasks and record
-//!   the pool's `sched-pool` worker lane;
-//! * `DIFF_*.json` — the diff or gate-verdict schema of their `kind`.
+//! * `BENCH_*.json` — a [`BenchSuite`]; the sweep suite whole as a
+//!   [`SweepSuite`] (suite, cycle breakdowns, `reference` and
+//!   `trace_replay` extras);
+//! * `TRACE_*.json` — a [`ChromeTrace`] (what ui.perfetto.dev loads);
+//! * `HEATMAP_*.json` — a [`HeatmapDoc`];
+//! * `METRICS_*.json` — a [`MetricsDoc`];
+//! * `DIFF_*.json` — by its `kind`: a [`SweepDiff`], [`HeatmapDiff`],
+//!   [`MetricsDiff`] or [`GateVerdict`].
 //!
 //! Every artefact but a DIFF must carry a `provenance` block at the
-//! current schema version.
+//! current schema version. What is left here is policy: a sweep profile
+//! must name the whole pipeline ([`REQUIRED_SWEEP_PHASES`]), count its
+//! scheduler tasks and record the pool's `sched-pool` worker lane, and
+//! the sweep's dense trace-replay lane must price 100+ configs at a
+//! finite marginal cost.
 //!
 //! With `--against <baseline>` the sweep's *simulated* cycle totals are
 //! gated against a committed baseline (e.g. `BENCH_baseline.json`):
@@ -43,12 +44,13 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use sortmid_bench::{BenchSuite, SweepSuite, TraceReplay};
 use sortmid_devharness::json::Json;
 use sortmid_observe::artifact::member;
 use sortmid_observe::diff::config_group;
 use sortmid_observe::{
-    record, Artifact, ArtifactKind, HeatmapDoc, MetricsDiff, MetricsDoc, Provenance, Schema,
-    SweepBreakdowns, SweepDiff, SCHEMA_VERSION,
+    record, Artifact, ArtifactKind, ChromeTrace, HeatmapDiff, HeatmapDoc, Merged, MetricsDiff,
+    MetricsDoc, Provenance, Schema, SweepBreakdowns, SweepDiff, SCHEMA_VERSION,
 };
 
 /// Fractional simulated-cycle growth a config group may show over the
@@ -81,68 +83,11 @@ fn workspace_root() -> &'static Path {
         .expect("bench manifest sits two levels under the workspace root")
 }
 
-record! {
-    /// One lane of a `BENCH_*.json` suite (what
-    /// [`sortmid_devharness::bench::Suite`] emits).
-    pub struct Lane {
-        pub id: String,
-        pub median_ns: u64,
-        pub p10_ns: u64,
-        pub p50_ns: u64,
-        pub p90_ns: u64,
-        pub p99_ns: u64,
-        pub samples_ns: Vec<u64>,
-    }
-}
-
-record! {
-    /// The fields every `BENCH_*.json` suite carries.
-    pub struct BenchSuite {
-        pub suite: String,
-        pub warmup_iters: u64,
-        pub samples: u64,
-        pub benchmarks: Vec<Lane>,
-    }
-}
-
-/// Checks one `BENCH_*.json` suite, appending human-readable problems.
-fn check_doc(name: &str, doc: &Json, problems: &mut Vec<String>) {
-    let suite = match BenchSuite::from_json(doc) {
-        Ok(suite) => suite,
-        Err(e) => return problems.push(format!("{name}: {e}")),
-    };
-    if suite.benchmarks.is_empty() {
-        problems.push(format!("{name}: 'benchmarks' is empty"));
-    }
-    for lane in suite.benchmarks.iter().filter(|l| l.samples_ns.is_empty()) {
-        problems.push(format!("{name}/{}: 'samples_ns' is empty", lane.id));
-    }
-    // The sweep artefact carries the tracing extras; enforce them there.
-    if suite.suite == "sweep" {
-        check_sweep_extras(name, doc, problems);
-    }
-}
-
-/// Requires a valid `provenance` block at the current schema version.
-fn check_provenance(name: &str, doc: &Json, problems: &mut Vec<String>) {
-    match Provenance::from_doc(doc) {
-        Ok(p) if p.schema != SCHEMA_VERSION => problems.push(format!(
-            "{name}: provenance schema {} (this checker expects {SCHEMA_VERSION}); \
-             regenerate the artefact",
-            p.schema
-        )),
-        Ok(_) => {}
-        Err(e) => problems.push(format!("{name}: {e}")),
-    }
-}
-
-/// Decodes `doc` with its owner type, then checks its provenance's schema
-/// version and every identity the owner verifies; returns the decoded
-/// document.
-fn check_artifact<A: Artifact>(name: &str, doc: &Json, problems: &mut Vec<String>) -> Option<A> {
+/// Decodes `doc` with its owner type and lists every identity the owner
+/// verifies as broken; returns the decoded document.
+fn decode<A: Artifact>(name: &str, doc: &Json, problems: &mut Vec<String>) -> Option<A> {
     match A::from_json(doc) {
         Ok(artifact) => {
-            check_provenance(name, doc, problems);
             problems.extend(artifact.verify().into_iter().map(|p| format!("{name}: {p}")));
             Some(artifact)
         }
@@ -153,101 +98,55 @@ fn check_artifact<A: Artifact>(name: &str, doc: &Json, problems: &mut Vec<String
     }
 }
 
-record! {
-    /// The sweep's `grid/shared-plan` median against the pre-tracing one.
-    pub struct Reference {
-        pub pre_pr_median_ns: u64,
-        pub median_ns: u64,
-        pub ratio: f64,
-    }
-}
-
-record! {
-    /// The sweep's dense trace-replay lane summary.
-    pub struct TraceReplay {
-        pub configs: u64,
-        pub base_configs: u64,
-        pub median_ns: u64,
-        pub base_median_ns: u64,
-        pub marginal_ns_per_config: f64,
-    }
-}
-
-/// Validates the sweep artefact's `reference` and `trace_replay` extras
-/// and its decoded [`SweepBreakdowns`].
-fn check_sweep_extras(name: &str, doc: &Json, problems: &mut Vec<String>) {
-    if let Err(e) = member::<Reference>(doc, "reference") {
-        problems.push(format!("{name}: {e}"));
-    }
-    match member::<TraceReplay>(doc, "trace_replay") {
+/// Requires a valid `provenance` block at the current schema version.
+fn check_provenance(name: &str, doc: &Json, problems: &mut Vec<String>) {
+    match member::<Provenance>(doc, "provenance") {
+        Ok(p) if p.schema != SCHEMA_VERSION => problems.push(format!(
+            "{name}: provenance schema {} (this checker expects {SCHEMA_VERSION}); \
+             regenerate the artefact",
+            p.schema
+        )),
+        Ok(_) => {}
         Err(e) => problems.push(format!("{name}: {e}")),
-        Ok(t) => {
-            // The dense lane's whole point is pricing 100+ cache configs
-            // from one replay; a shrunken grid silently weakens the bench.
-            if t.configs < 100 {
-                problems.push(format!(
-                    "{name}/trace_replay: dense lane covers only {} cache configs (< 100)",
-                    t.configs
-                ));
-            }
-            if !t.marginal_ns_per_config.is_finite() {
-                problems.push(format!(
-                    "{name}/trace_replay: non-finite marginal cost {}",
-                    t.marginal_ns_per_config
-                ));
-            }
-        }
     }
-    check_artifact::<SweepBreakdowns>(name, doc, problems);
 }
 
-/// Validates one `TRACE_*.json` Chrome-trace-event document.
-fn check_trace(name: &str, doc: &Json, problems: &mut Vec<String>) {
+/// [`decode`], plus the provenance block's schema version.
+fn check_artifact<A: Artifact>(name: &str, doc: &Json, problems: &mut Vec<String>) -> Option<A> {
+    let artifact = decode(name, doc, problems)?;
     check_provenance(name, doc, problems);
-    let Some(events) = doc.get("traceEvents").and_then(Json::as_arr) else {
-        problems.push(format!("{name}: missing or mistyped 'traceEvents'"));
-        return;
-    };
-    if events.is_empty() {
-        problems.push(format!("{name}: 'traceEvents' is empty"));
-        return;
-    }
-    let mut metadata = 0usize;
-    for (i, e) in events.iter().enumerate() {
-        let Some(ph) = e.get("ph").and_then(Json::as_str) else {
-            problems.push(format!("{name}#{i}: event without 'ph' phase"));
-            continue;
-        };
-        if e.get("pid").and_then(Json::as_u64).is_none() {
-            problems.push(format!("{name}#{i}: event without integer 'pid'"));
+    Some(artifact)
+}
+
+/// Validates one `BENCH_*.json` suite; the sweep suite decodes whole as
+/// a [`SweepSuite`], and its dense lane must meet [`check_trace_replay`].
+fn check_bench(name: &str, doc: &Json, problems: &mut Vec<String>) {
+    match BenchSuite::from_json(doc) {
+        Ok(suite) if suite.suite == "sweep" => {
+            let sweep = check_artifact::<SweepSuite>(name, doc, problems);
+            if let Some(Merged(_, Merged(_, extras))) = sweep {
+                check_trace_replay(name, &extras.trace_replay, problems);
+            }
         }
-        match ph {
-            "M" => metadata += 1,
-            "X" => {
-                for key in ["ts", "dur"] {
-                    if e.get(key).and_then(Json::as_u64).is_none() {
-                        problems.push(format!("{name}#{i}: X event without integer '{key}'"));
-                    }
-                }
-                if e.get("name").and_then(Json::as_str).is_none() {
-                    problems.push(format!("{name}#{i}: X event without 'name'"));
-                }
-            }
-            "C" => {
-                if !matches!(e.get("args"), Some(Json::Obj(_))) {
-                    problems.push(format!("{name}#{i}: C event without 'args' object"));
-                }
-            }
-            "i" => {
-                if e.get("ts").and_then(Json::as_u64).is_none() {
-                    problems.push(format!("{name}#{i}: i event without integer 'ts'"));
-                }
-            }
-            other => problems.push(format!("{name}#{i}: unexpected phase '{other}'")),
-        }
+        Ok(suite) => problems.extend(suite.verify().into_iter().map(|p| format!("{name}: {p}"))),
+        Err(e) => problems.push(format!("{name}: {e}")),
     }
-    if metadata == 0 {
-        problems.push(format!("{name}: no metadata (M) events naming tracks"));
+}
+
+/// The dense lane's whole point is pricing 100+ cache configs from one
+/// replay; a shrunken grid silently weakens the bench.
+fn check_trace_replay(name: &str, t: &TraceReplay, problems: &mut Vec<String>) {
+    if t.configs < 100 {
+        problems.push(format!(
+            "{name}/trace_replay: dense lane covers only {} cache configs (< 100)",
+            t.configs
+        ));
+    }
+    if !t.marginal_ns_per_config.is_finite() {
+        problems.push(format!(
+            "{name}/trace_replay: non-finite marginal cost {}",
+            t.marginal_ns_per_config
+        ));
     }
 }
 
@@ -280,34 +179,17 @@ fn check_metrics(name: &str, doc: &Json, problems: &mut Vec<String>) {
 }
 
 /// Validates one `DIFF_*.json` document (from `sortmid-diff` or the
-/// `--json` gate verdict) against its `kind`'s schema.
+/// `--json` gate verdict): its `kind` names the owner that decodes it.
 fn check_diff(name: &str, doc: &Json, problems: &mut Vec<String>) {
-    let mut fail = |e: String| problems.push(format!("{name}: {e}"));
-    match doc.get("kind").and_then(Json::as_str) {
-        None => fail(
-            "missing or mistyped 'kind' (expected gate/sweep-diff/heatmap-diff/metrics-diff)"
-                .to_string(),
-        ),
-        Some("gate") => match GateVerdict::from_json(doc) {
-            Ok(gate) if gate.groups.is_empty() => fail("'groups' is empty".to_string()),
-            Ok(_) => {}
-            Err(e) => fail(e),
-        },
-        Some(kind @ ("sweep-diff" | "heatmap-diff" | "metrics-diff")) => {
-            let zero = member::<bool>(doc, "zero").err();
-            let provenance = ["base_provenance", "current_provenance"]
-                .map(|key| member::<Provenance>(doc, key).err());
-            zero.into_iter().chain(provenance.into_iter().flatten()).for_each(&mut fail);
-            let body = match kind {
-                "sweep-diff" => "configs",
-                "heatmap-diff" => "planes",
-                _ => "phases",
-            };
-            if !matches!(doc.get(body), Some(Json::Arr(_))) {
-                fail(format!("missing or mistyped '{body}'"));
-            }
-        }
-        Some(other) => fail(format!("unexpected diff kind '{other}'")),
+    match member::<String>(doc, "kind").as_deref() {
+        Ok("gate") => _ = decode::<GateVerdict>(name, doc, problems),
+        Ok("sweep-diff") => _ = decode::<SweepDiff>(name, doc, problems),
+        Ok("heatmap-diff") => _ = decode::<HeatmapDiff>(name, doc, problems),
+        Ok("metrics-diff") => _ = decode::<MetricsDiff>(name, doc, problems),
+        Ok(other) => problems.push(format!("{name}: unexpected diff kind '{other}'")),
+        Err(e) => problems.push(format!(
+            "{name}: {e} (expected gate/sweep-diff/heatmap-diff/metrics-diff)"
+        )),
     }
 }
 
@@ -349,9 +231,9 @@ fn compare_groups(
     current: &BTreeMap<String, f64>,
     baseline: &BTreeMap<String, f64>,
     problems: &mut Vec<String>,
-) -> (Vec<String>, Vec<GroupVerdict>) {
+) -> (Vec<String>, Vec<GroupRow>) {
     let mut lines = Vec::new();
-    let mut verdicts = Vec::new();
+    let mut rows = Vec::new();
     let sides = baseline
         .iter()
         .map(|(group, &base)| (group, Some(base), current.get(group).copied()))
@@ -403,37 +285,20 @@ fn compare_groups(
                 pass
             }
         };
-        verdicts.push(GroupVerdict {
-            group: group.clone(),
-            baseline_median: base,
-            current_median: now,
-            pass,
-        });
-    }
-    (lines, verdicts)
-}
-
-/// One group's gate verdict (`None` medians mark the side missing the
-/// group — coverage drift, always a failure).
-struct GroupVerdict {
-    group: String,
-    baseline_median: Option<f64>,
-    current_median: Option<f64>,
-    pass: bool,
-}
-
-impl GroupVerdict {
-    /// `current / baseline`, when both sides have a positive median.
-    fn ratio(&self) -> Option<f64> {
-        match (self.baseline_median, self.current_median) {
+        let ratio = match (base, now) {
             (Some(b), Some(c)) if b > 0.0 => Some(c / b),
             _ => None,
-        }
+        };
+        let group = group.clone();
+        rows.push(GroupRow { group, baseline_median: base, current_median: now, ratio, pass });
     }
+    (lines, rows)
 }
 
 record! {
-    /// One group's row of a gate verdict document.
+    /// One group's row of a gate verdict document: its medians (`null`
+    /// on the side missing the group — coverage drift, always a failure)
+    /// and `current / baseline` when the baseline median is positive.
     pub struct GroupRow {
         pub group: String,
         pub baseline_median: Option<f64>,
@@ -456,29 +321,15 @@ record! {
     }
 }
 
-/// The gate verdict document of a run.
-fn gate_verdict_json(
-    baseline_name: &str,
-    verdicts: &[GroupVerdict],
-    pass: bool,
-    explanation: &[String],
-) -> Json {
-    let groups = verdicts.iter().map(|v| GroupRow {
-        group: v.group.clone(),
-        baseline_median: v.baseline_median,
-        current_median: v.current_median,
-        ratio: v.ratio(),
-        pass: v.pass,
-    });
-    GateVerdict {
-        kind: "gate".to_string(),
-        pass,
-        baseline: baseline_name.to_string(),
-        tolerance: REGRESSION_TOLERANCE,
-        groups: groups.collect(),
-        explanation: explanation.to_vec(),
+impl Artifact for GateVerdict {
+    /// A verdict covers at least one group.
+    fn verify(&self) -> Vec<String> {
+        if self.groups.is_empty() {
+            vec!["'groups' is empty".to_string()]
+        } else {
+            Vec::new()
+        }
     }
-    .to_json()
 }
 
 /// Reads and parses one JSON document.
@@ -518,7 +369,7 @@ fn run_gate(
         Err(e) => return problems.push(format!("regression gate: {e}")),
     };
     // Identity drift in the baseline itself is as fatal as in the run.
-    check_doc(&format!("baseline({})", baseline_path.display()), &baseline_doc, problems);
+    check_bench(&format!("baseline({})", baseline_path.display()), &baseline_doc, problems);
     let current = match load_sweep("current sweep", &dir.join("BENCH_sweep.json")) {
         Ok((_, current)) => current,
         Err(e) => return problems.push(format!("regression gate: {e}")),
@@ -539,7 +390,7 @@ fn run_gate(
             baseline_path.display()
         ));
     }
-    let (lines, verdicts) = compare_groups(&medians(&current), &base_groups, problems);
+    let (lines, rows) = compare_groups(&medians(&current), &base_groups, problems);
     println!(
         "regression gate vs {} ({} groups, tolerance {:.1}%):",
         baseline_path.display(),
@@ -562,11 +413,11 @@ fn run_gate(
         let cur_metrics = dir.join("METRICS_sweep.json");
         if base_metrics != cur_metrics && base_metrics.exists() && cur_metrics.exists() {
             let decode = |p: &Path| load(p).and_then(|doc| MetricsDoc::from_json(&doc));
-            let diff = decode(&base_metrics)
-                .and_then(|b| decode(&cur_metrics).map(|c| (b, c)))
-                .and_then(|(b, c)| MetricsDiff::between(&b, &c));
-            match diff {
-                Ok(diff) => explanation.extend(diff.explanation(5)),
+            let lines = decode(&base_metrics).and_then(|base| {
+                Ok(MetricsDiff::between(&base, &decode(&cur_metrics)?)?.explanation(&base, 5))
+            });
+            match lines {
+                Ok(lines) => explanation.extend(lines),
                 Err(e) => explanation.push(format!("(host phases not compared: {e})")),
             }
         }
@@ -578,10 +429,15 @@ fn run_gate(
         }
     }
     if let Some(out) = json_out {
-        let pass = problems.len() == problems_before;
-        let name = baseline_path.display().to_string();
-        let doc = gate_verdict_json(&name, &verdicts, pass, &explanation);
-        match std::fs::write(out, doc.render()) {
+        let verdict = GateVerdict {
+            kind: "gate".to_string(),
+            pass: problems.len() == problems_before,
+            baseline: baseline_path.display().to_string(),
+            tolerance: REGRESSION_TOLERANCE,
+            groups: rows,
+            explanation,
+        };
+        match std::fs::write(out, verdict.to_json().render()) {
             Ok(()) => println!("wrote gate verdict {}", out.display()),
             Err(e) => problems.push(format!(
                 "regression gate: cannot write verdict {}: {e}",
@@ -612,8 +468,8 @@ fn run(dir: &Path) -> Result<usize, String> {
             }
         };
         match kind {
-            ArtifactKind::Bench => check_doc(&name, &doc, &mut problems),
-            ArtifactKind::Trace => check_trace(&name, &doc, &mut problems),
+            ArtifactKind::Bench => check_bench(&name, &doc, &mut problems),
+            ArtifactKind::Trace => _ = check_artifact::<ChromeTrace>(&name, &doc, &mut problems),
             ArtifactKind::Heatmap => _ = check_artifact::<HeatmapDoc>(&name, &doc, &mut problems),
             ArtifactKind::Metrics => check_metrics(&name, &doc, &mut problems),
             ArtifactKind::Diff => check_diff(&name, &doc, &mut problems),
@@ -693,15 +549,25 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sortmid_bench::{Reference, SweepExtras};
+    use sortmid_devharness::{BenchConfig, Suite};
+    use sortmid_observe::breakdown::ConfigBreakdown;
 
     fn groups(entries: &[(&str, f64)]) -> BTreeMap<String, f64> {
         entries.iter().map(|&(k, v)| (k.to_string(), v)).collect()
     }
 
     /// Stamps a fixture document with a valid provenance block.
-    fn with_prov(mut doc: Json) -> Json {
-        doc.set("provenance", Provenance::collect(7, 0xab).to_json());
-        doc
+    fn with_prov(doc: Json) -> Json {
+        let Json::Obj(mut members) = doc else { unreachable!() };
+        members.push(("provenance".to_string(), Provenance::collect(7, 0xab).to_json()));
+        Json::Obj(members)
+    }
+
+    /// Replaces member `key` of an object document.
+    fn set(doc: &mut Json, key: &str, value: Json) {
+        let Json::Obj(members) = doc else { unreachable!() };
+        members.iter_mut().find(|(k, _)| k == key).expect("member present").1 = value;
     }
 
     #[test]
@@ -727,45 +593,63 @@ mod tests {
         let base = groups(&[("16p/block-16", 1000.0), ("64p/sli-4", 2000.0)]);
         let cur = groups(&[("16p/block-16", 1100.0), ("64p/sli-4", 1500.0)]);
         let mut problems = Vec::new();
-        let (lines, verdicts) = compare_groups(&cur, &base, &mut problems);
+        let (lines, rows) = compare_groups(&cur, &base, &mut problems);
         assert!(problems.is_empty(), "{problems:?}");
         assert_eq!(lines.len(), 2);
-        assert!(verdicts.iter().all(|v| v.pass), "all groups pass");
+        assert!(rows.iter().all(|v| v.pass), "all groups pass");
+    }
+
+    /// A one-config sweep suite document, with its dense lane covering
+    /// `configs` cache configs.
+    fn sweep_suite(configs: u64) -> Json {
+        let breakdowns = SweepBreakdowns {
+            provenance: Provenance::collect(7, 0xab),
+            cycle_breakdowns: vec![ConfigBreakdown {
+                config: "4p/block-16/16KB/buf100".to_string(),
+                total_cycles: 100,
+                nodes: vec![[25, 60, 10, 5, 0, 100]],
+            }],
+        };
+        let reference =
+            Reference { id: "r".to_string(), pre_pr_median_ns: 2, median_ns: 1, ratio: 0.5 };
+        let trace_replay = TraceReplay {
+            id: "t".to_string(),
+            configs,
+            base_configs: 4,
+            median_ns: 100,
+            base_median_ns: 50,
+            marginal_ns_per_config: 1.5,
+        };
+        let mut suite = Suite::with_config("sweep", BenchConfig { warmup_iters: 0, samples: 1 });
+        suite.bench("lane", || ());
+        let extras = SweepExtras { reference, trace_replay };
+        Merged(BenchSuite::of(&suite), Merged(breakdowns, extras)).to_json()
     }
 
     #[test]
     fn trace_replay_extra_is_enforced_on_sweep_docs() {
         let mut problems = Vec::new();
-        check_sweep_extras("sweep", &Json::obj::<&str>([]), &mut problems);
-        assert!(
-            problems.iter().any(|p| p.contains("trace_replay")),
-            "{problems:?}"
-        );
+        check_bench("BENCH_sweep.json", &sweep_suite(102), &mut problems);
+        assert!(problems.is_empty(), "{problems:?}");
+
+        let mut doc = sweep_suite(102);
+        set(&mut doc, "trace_replay", Json::Null);
+        let mut problems = Vec::new();
+        check_bench("BENCH_sweep.json", &doc, &mut problems);
+        assert_eq!(problems, ["BENCH_sweep.json: trace_replay: missing 'id'"]);
 
         // A shrunken dense lane or non-finite marginal must fail too.
-        let doc = Json::obj([
-            (
-                "trace_replay",
-                Json::obj([
-                    ("configs", Json::U64(12)),
-                    ("base_configs", Json::U64(4)),
-                    ("median_ns", Json::U64(100)),
-                    ("base_median_ns", Json::U64(50)),
-                    ("marginal_ns_per_config", Json::F64(f64::INFINITY)),
-                ]),
-            ),
-            ("cycle_breakdowns", Json::arr([])),
-        ]);
         let mut problems = Vec::new();
-        check_sweep_extras("sweep", &doc, &mut problems);
-        assert!(
-            problems.iter().any(|p| p.contains("< 100")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("non-finite")),
-            "{problems:?}"
-        );
+        check_bench("BENCH_sweep.json", &sweep_suite(12), &mut problems);
+        assert!(problems.iter().any(|p| p.contains("< 100")), "{problems:?}");
+        let mut lane = TraceReplay::from_json(&Json::parse(
+            r#"{"id":"t","configs":102,"base_configs":4,"median_ns":1,"base_median_ns":1,
+                "marginal_ns_per_config":0}"#,
+        ).unwrap()).unwrap();
+        lane.marginal_ns_per_config = f64::INFINITY;
+        let mut problems = Vec::new();
+        check_trace_replay("BENCH_sweep.json", &lane, &mut problems);
+        assert!(problems.iter().any(|p| p.contains("non-finite")), "{problems:?}");
     }
 
     #[test]
@@ -1027,20 +911,11 @@ mod tests {
 
     #[test]
     fn sweep_medians_group_by_procs_and_distribution() {
-        let doc = Json::parse(
-            r#"{"cycle_breakdowns": [
-                {"config": "16p/block-16/16KB/buf100", "total_cycles": 100},
-                {"config": "16p/block-16/perfect/buf100", "total_cycles": 300},
-                {"config": "64p/sli-4/16KB/buf100", "total_cycles": 50}
-            ]}"#,
-        )
-        .unwrap();
-        let medians = sweep_group_medians(
-            doc.get("cycle_breakdowns").and_then(Json::as_arr).unwrap().iter().map(|e| {
-                let config = e.get("config").and_then(Json::as_str).unwrap();
-                (config, e.get("total_cycles").and_then(Json::as_u64).unwrap())
-            }),
-        );
+        let medians = sweep_group_medians([
+            ("16p/block-16/16KB/buf100", 100),
+            ("16p/block-16/perfect/buf100", 300),
+            ("64p/sli-4/16KB/buf100", 50),
+        ]);
         assert_eq!(medians.len(), 2);
         assert_eq!(medians["16p/block-16"], 200.0);
         assert_eq!(medians["64p/sli-4"], 50.0);
@@ -1111,8 +986,10 @@ mod tests {
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("regenerate"), "{problems:?}");
 
+        let Json::Obj(mut fields) = sweep_suite(102) else { unreachable!() };
+        fields.retain(|(k, _)| k != "provenance");
         let mut problems = Vec::new();
-        check_sweep_extras("sweep", &Json::obj::<&str>([]), &mut problems);
+        check_bench("BENCH_sweep.json", &Json::Obj(fields), &mut problems);
         assert!(
             problems.iter().any(|p| p.contains("missing provenance")),
             "{problems:?}"
@@ -1120,37 +997,29 @@ mod tests {
     }
 
     #[test]
-    fn gate_verdict_json_round_trips_through_check_diff() {
-        let verdicts = vec![
-            GroupVerdict {
-                group: "16p/block-16".to_string(),
-                baseline_median: Some(1000.0),
-                current_median: Some(1200.0),
-                pass: false,
-            },
-            GroupVerdict {
-                group: "64p/sli-4".to_string(),
-                baseline_median: Some(500.0),
-                current_median: None,
-                pass: false,
-            },
-        ];
-        let doc = gate_verdict_json(
-            "BENCH_baseline.json",
-            &verdicts,
-            false,
-            &["16p/block-16: regressed +20.0%".to_string()],
-        );
-        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("gate"));
-        assert_eq!(doc.get("pass"), Some(&Json::Bool(false)));
-        let g = &doc.get("groups").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(g.get("ratio").and_then(Json::as_f64), Some(1.2));
+    fn gate_verdict_round_trips_through_check_diff() {
+        let base = groups(&[("16p/block-16", 1000.0), ("64p/sli-4", 500.0)]);
+        let cur = groups(&[("16p/block-16", 1200.0)]);
+        let (_, rows) = compare_groups(&cur, &base, &mut Vec::new());
+        let doc = GateVerdict {
+            kind: "gate".to_string(),
+            pass: false,
+            baseline: "BENCH_baseline.json".to_string(),
+            tolerance: REGRESSION_TOLERANCE,
+            groups: rows,
+            explanation: vec!["16p/block-16: regressed +20.0%".to_string()],
+        }
+        .to_json();
+        let text = doc.render();
+        assert!(text.starts_with(r#"{"kind":"gate","pass":false,"#), "{text}");
         // Coverage drift renders null medians, not fake zeros.
-        let g1 = &doc.get("groups").and_then(Json::as_arr).unwrap()[1];
-        assert_eq!(g1.get("current_median"), Some(&Json::Null));
+        assert!(text.contains(r#""current_median":null,"ratio":null"#), "{text}");
+        let verdict = GateVerdict::from_json(&doc).unwrap();
+        assert_eq!(verdict.groups[0].ratio, Some(1.2));
         // The emitted verdict satisfies the DIFF_ schema check, and the
         // parse/render round trip preserves it.
-        let reparsed = Json::parse(&doc.render()).unwrap();
+        let reparsed = Json::parse(&text).unwrap();
+        assert_eq!(reparsed.render(), text);
         let mut problems = Vec::new();
         check_diff("DIFF_gate.json", &reparsed, &mut problems);
         assert!(problems.is_empty(), "{problems:?}");
@@ -1170,17 +1039,53 @@ mod tests {
         );
         assert!(problems[0].contains("unexpected diff kind"), "{problems:?}");
 
-        // A pairwise diff needs both provenance blocks and its body array.
+        // A pairwise diff needs both provenance blocks.
         let mut problems = Vec::new();
         check_diff(
             "DIFF_x.json",
             &Json::obj([("kind", Json::str("sweep-diff")), ("zero", Json::Bool(true))]),
             &mut problems,
         );
-        assert!(
-            problems.iter().any(|p| p.contains("base_provenance"))
-                && problems.iter().any(|p| p.contains("configs")),
-            "{problems:?}"
-        );
+        assert!(problems.iter().any(|p| p.contains("base_provenance")), "{problems:?}");
+    }
+
+    /// A sweep diff with one config whose machine time moved by 40 cycles.
+    fn sweep_diff() -> Json {
+        let Merged(_, Merged(base, _)) = SweepSuite::from_json(&sweep_suite(102)).unwrap();
+        let mut cur = base.clone();
+        cur.cycle_breakdowns[0].total_cycles += 40;
+        cur.cycle_breakdowns[0].nodes[0][2] += 40;
+        cur.cycle_breakdowns[0].nodes[0][5] += 40;
+        SweepDiff::between(&base, &cur).unwrap().to_json()
+    }
+
+    #[test]
+    fn diff_documents_decode_and_verify_through_their_owners() {
+        let check = |doc: &Json| {
+            let mut problems = Vec::new();
+            check_diff("DIFF_x.json", doc, &mut problems);
+            problems
+        };
+        assert_eq!(check(&sweep_diff()), Vec::<String>::new());
+
+        // A config row that is not a config delta.
+        let mut doc = sweep_diff();
+        set(&mut doc, "configs", Json::arr([Json::obj([("garbage", Json::U64(1))])]));
+        assert_eq!(check(&doc), ["DIFF_x.json: configs[0]: missing 'config'"]);
+
+        // A `zero` claim its rows contradict.
+        let mut doc = sweep_diff();
+        set(&mut doc, "zero", Json::Bool(true));
+        assert_eq!(check(&doc), ["DIFF_x.json: 'zero' is true but the rows say false"]);
+
+        // The same holds for every differ's document.
+        let profile = metrics_doc(40, 30);
+        let profile = MetricsDoc::from_json(&profile).unwrap();
+        let mut doc = MetricsDiff::between(&profile, &profile).unwrap().to_json();
+        assert_eq!(check(&doc), Vec::<String>::new());
+        set(&mut doc, "zero", Json::Bool(false));
+        assert_eq!(check(&doc), ["DIFF_x.json: 'zero' is false but the rows say true"]);
+        set(&mut doc, "kind", Json::str("heatmap-diff"));
+        assert!(check(&doc)[0].contains("missing 'preset'"), "{:?}", check(&doc));
     }
 }

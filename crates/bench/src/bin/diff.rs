@@ -17,7 +17,8 @@
 //!
 //! Both documents must carry comparable `provenance` blocks (same
 //! schema, scene seed and config grid). `--json <out>` writes the diff as
-//! a `DIFF_*.json` document (`bench_check` validates the schema);
+//! a `DIFF_*.json` document — the differ's own record, which
+//! `bench_check` decodes and verifies;
 //! `--expect-zero` exits non-zero unless the diff is exactly zero at
 //! every level, which is how tier-1 pins the self-diff identity on real
 //! artefacts.
@@ -76,7 +77,7 @@ fn run_diff(
             for line in d.explanation(top) {
                 println!("  {line}");
             }
-            Ok((d.to_json(), d.is_zero()))
+            Ok((d.to_json(), d.zero))
         }
         ArtifactKind::Heatmap => {
             let d = HeatmapDiff::between(&load::<HeatmapDoc>(base)?, &load(cur)?)?;
@@ -96,19 +97,20 @@ fn run_diff(
                     println!("wrote {}", path.display());
                 }
             }
-            Ok((d.to_json(), d.is_zero()))
+            Ok((d.to_json(), d.zero))
         }
         ArtifactKind::Metrics => {
-            let d = MetricsDiff::between(&load::<MetricsDoc>(base)?, &load(cur)?)?;
+            let base = load::<MetricsDoc>(base)?;
+            let d = MetricsDiff::between(&base, &load(cur)?)?;
             println!(
                 "metrics diff: {} shared phases, {} histograms",
                 d.phases.len(),
                 d.histograms.len()
             );
-            for line in d.explanation(top) {
+            for line in d.explanation(&base, top) {
                 println!("  {line}");
             }
-            Ok((d.to_json(), d.is_zero()))
+            Ok((d.to_json(), d.zero))
         }
         other => Err(format!("no differ for {other:?} artefacts")),
     }

@@ -26,12 +26,12 @@
 use sortmid::{
     CacheKind, Distribution, Machine, MachineConfig, RunReport, SpatialCollector, TileStats,
 };
-use sortmid_bench::run_provenance;
+use sortmid_bench::{run_provenance, write_artifact};
 use sortmid_cache::CacheGeometry;
 use sortmid_observe::{owner_color, sqrt_channel, Schema, ScreenGrid};
 use sortmid_scene::{Benchmark, SceneBuilder};
 use sortmid_util::ppm::Image;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// The named heatmap presets: `(name, what it shows)`.
@@ -76,7 +76,6 @@ fn summarize_metric(label: &str, grid: &ScreenGrid<TileStats>, value: impl Fn(&T
 }
 
 fn write_maps(
-    dir: &Path,
     name: &str,
     col: &SpatialCollector,
     report: &RunReport,
@@ -124,17 +123,11 @@ fn write_maps(
     ];
     let mut written = Vec::new();
     for (metric, img) in maps {
-        let path = dir.join(format!("HEAT_{name}_{metric}.ppm"));
-        img.write_ppm(&path)
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        written.push(path);
+        written.push(write_artifact(&format!("HEAT_{name}_{metric}.ppm"), img.to_ppm_bytes())?);
     }
-    let json = dir.join(format!("HEATMAP_{name}.json"));
     let provenance = run_provenance(Benchmark::Quake, std::slice::from_ref(config));
     let doc = col.document(name, report.summary(), provenance);
-    std::fs::write(&json, doc.to_json().render().as_bytes())
-        .map_err(|e| format!("write {}: {e}", json.display()))?;
-    written.push(json);
+    written.push(write_artifact(&format!("HEATMAP_{name}.json"), doc.to_json().render())?);
     Ok(written)
 }
 
@@ -171,11 +164,7 @@ fn run_preset(name: &str, scale: f64, tile: u32) -> Result<(), String> {
             .map_err(|e| format!("node {i}: {e}"))?;
     }
 
-    let dir = std::env::var_os("SORTMID_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let written = write_maps(&dir, name, &col, &report, &config)?;
+    let written = write_maps(name, &col, &report, &config)?;
 
     let grid = col.grid();
     let area = (tile * tile) as f64;

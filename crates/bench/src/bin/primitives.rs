@@ -2,11 +2,11 @@
 //! timing, rasterization, footprint resolution and owner computation.
 
 use sortmid::Distribution;
-use sortmid_bench::stream;
+use sortmid_bench::{stream, write_artifact, BenchSuite};
 use sortmid_cache::{CacheGeometry, ClassifyingCache, LineCache, SetAssocCache};
 use sortmid_devharness::Suite;
 use sortmid_memsys::{BusConfig, EngineTiming};
-use sortmid_observe::MissClassCounts;
+use sortmid_observe::{MissClassCounts, Schema};
 use sortmid_scene::{Benchmark, SceneBuilder};
 use sortmid_texture::{footprint_lines, TextureDesc, TextureRegistry, TrilinearSampler};
 use std::hint::black_box;
@@ -154,5 +154,7 @@ fn main() {
     bench_footprint(&mut suite);
     bench_owner(&mut suite);
     bench_trace_io(&mut suite);
-    suite.finish();
+    let doc = BenchSuite::of(&suite).to_json().render();
+    let path = write_artifact("BENCH_primitives.json", doc).unwrap_or_else(|e| panic!("{e}"));
+    eprintln!("wrote {}", path.display());
 }

@@ -55,17 +55,24 @@
 //! regression gate keeps pinning the *unprofiled* pipeline.
 //!
 //! Pass `--threads N` to pin the pool size; the reports are
-//! byte-identical at any thread count, only the wall-clock changes.
+//! byte-identical at any thread count, only the wall-clock changes. The
+//! host profile is not: a frame group is timed by wall clock, so with
+//! more pool threads than host cores preemption counts as task time
+//! (`sweep.cost_err_pct` p90 read 255–420% at `--threads 3` on 2 vCPUs,
+//! against 36% at `--threads 2`). The committed `METRICS_sweep.json` is
+//! taken at `--threads` ≤ host cores; tier-1's `--threads 3` run checks
+//! determinism only.
 
 use sortmid::{
     run_sweep_profiled, run_sweep_with_threads, CacheKind, Distribution, HostProfiler, Machine,
-    MachineConfig, SweepGrid, SweepOptions,
+    MachineConfig, RunReport, SweepGrid, SweepOptions,
 };
-use sortmid_bench::{run_provenance, stream};
+use sortmid_bench::{
+    run_provenance, stream, write_artifact, BenchSuite, Reference, SweepExtras, TraceReplay,
+};
 use sortmid_cache::{CacheGeometry, STACKDIST_MIN_REQUESTS};
-use sortmid_devharness::{Json, Suite};
-use sortmid_observe::breakdown::ConfigBreakdown;
-use sortmid_observe::{Artifact, Schema, SweepBreakdowns};
+use sortmid_devharness::Suite;
+use sortmid_observe::{Artifact, Merged, Schema, SweepBreakdowns};
 use sortmid_raster::FragmentStream;
 use sortmid_scene::Benchmark;
 use std::hint::black_box;
@@ -140,8 +147,8 @@ fn run_grid_per_config(
     stream: &FragmentStream,
     configs: &[MachineConfig],
     threads: usize,
-) -> Vec<Option<sortmid::RunReport>> {
-    let mut out: Vec<Option<sortmid::RunReport>> = vec![None; configs.len()];
+) -> Vec<Option<RunReport>> {
+    let mut out: Vec<Option<RunReport>> = vec![None; configs.len()];
     let chunk = configs.len().div_ceil(threads.max(1));
     std::thread::scope(|scope| {
         for (slots, cfgs) in out.chunks_mut(chunk).zip(configs.chunks(chunk)) {
@@ -216,40 +223,45 @@ fn main() {
         || black_box(run_sweep_with_threads(&s, &base, threads)),
     );
 
-    let results = suite.results();
-    let mut plan_median_ns = 0;
-    let mut trace_replay = Json::Null;
-    if let [plan, direct, dense_r, base_r] = results {
-        let speedup = direct.median_ns as f64 / plan.median_ns.max(1) as f64;
-        plan_median_ns = plan.median_ns;
-        println!(
-            "\nsweep grid ({} configs): shared-plan {:.1} ms vs per-config {:.1} ms -> {speedup:.2}x",
-            configs.len(),
-            plan.median_ns as f64 / 1e6,
-            direct.median_ns as f64 / 1e6,
-        );
-        // Marginal cost of one extra cache config: the dense and base
-        // lanes share the route and the walk's recency stack, so the
-        // median difference divided by the config-count difference prices
-        // exactly the added geometries' misses and timing walks.
-        let extra = (dense.len() - base.len()) as f64;
-        let marginal = (dense_r.median_ns as f64 - base_r.median_ns as f64) / extra;
-        println!(
-            "trace-replay ({} configs, one plan): {:.1} ms dense vs {:.1} ms base \
-             -> {marginal:.0} ns marginal per extra cache config",
-            dense.len(),
-            dense_r.median_ns as f64 / 1e6,
-            base_r.median_ns as f64 / 1e6,
-        );
-        trace_replay = Json::obj([
-            ("id", Json::str("grid/trace-replay")),
-            ("configs", Json::U64(dense.len() as u64)),
-            ("base_configs", Json::U64(base.len() as u64)),
-            ("median_ns", Json::U64(dense_r.median_ns)),
-            ("base_median_ns", Json::U64(base_r.median_ns)),
-            ("marginal_ns_per_config", Json::F64(marginal)),
-        ]);
-    }
+    let [plan, direct, dense_r, base_r] = suite.results() else {
+        unreachable!("the suite measures four lanes")
+    };
+    let speedup = direct.median_ns as f64 / plan.median_ns.max(1) as f64;
+    println!(
+        "\nsweep grid ({} configs): shared-plan {:.1} ms vs per-config {:.1} ms -> {speedup:.2}x",
+        configs.len(),
+        plan.median_ns as f64 / 1e6,
+        direct.median_ns as f64 / 1e6,
+    );
+    // Marginal cost of one extra cache config: the dense and base
+    // lanes share the route and the walk's recency stack, so the
+    // median difference divided by the config-count difference prices
+    // exactly the added geometries' misses and timing walks.
+    let extra = (dense.len() - base.len()) as f64;
+    let marginal = (dense_r.median_ns as f64 - base_r.median_ns as f64) / extra;
+    println!(
+        "trace-replay ({} configs, one plan): {:.1} ms dense vs {:.1} ms base \
+         -> {marginal:.0} ns marginal per extra cache config",
+        dense.len(),
+        dense_r.median_ns as f64 / 1e6,
+        base_r.median_ns as f64 / 1e6,
+    );
+    let extras = SweepExtras {
+        reference: Reference {
+            id: "grid/shared-plan".to_string(),
+            pre_pr_median_ns: PRE_TRACING_MEDIAN_NS,
+            median_ns: plan.median_ns,
+            ratio: plan.median_ns as f64 / PRE_TRACING_MEDIAN_NS as f64,
+        },
+        trace_replay: TraceReplay {
+            id: "grid/trace-replay".to_string(),
+            configs: dense.len() as u64,
+            base_configs: base.len() as u64,
+            median_ns: dense_r.median_ns,
+            base_median_ns: base_r.median_ns,
+            marginal_ns_per_config: marginal,
+        },
+    };
 
     // One more (untimed) sweep to attach per-config cycle breakdowns —
     // the reference grid and the dense cache lane run as ONE combined
@@ -269,54 +281,20 @@ fn main() {
         .verify()
         .expect("host profile structural invariants must hold");
 
-    let dir = std::env::var_os("SORTMID_BENCH_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    std::fs::create_dir_all(&dir)
-        .unwrap_or_else(|e| panic!("create bench dir {}: {e}", dir.display()));
-    let path = dir.join("METRICS_sweep.json");
     let doc = profile.document("sweep", run_provenance(Benchmark::Quake, &configs));
-    std::fs::write(&path, doc.to_json().render())
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    let path = write_artifact("METRICS_sweep.json", doc.to_json().render())
+        .unwrap_or_else(|e| panic!("{e}"));
     eprintln!("wrote {}", path.display());
     eprint!("{}", profile.summary());
 
     let breakdowns = SweepBreakdowns {
         provenance: run_provenance(Benchmark::Quake, &configs),
-        cycle_breakdowns: reports
-            .iter()
-            .map(|r| ConfigBreakdown {
-                config: r.summary().to_string(),
-                total_cycles: r.total_cycles(),
-                nodes: r
-                    .nodes()
-                    .iter()
-                    .map(|n| {
-                        let [setup, busy, stall, starved, idle] = n.cycle_breakdown().as_array();
-                        [setup, busy, stall, starved, idle, n.finish]
-                    })
-                    .collect(),
-            })
-            .collect(),
+        cycle_breakdowns: reports.iter().map(RunReport::breakdown_row).collect(),
     };
     let problems = breakdowns.verify();
     assert!(problems.is_empty(), "cycle identities must hold: {problems:?}");
-    let Json::Obj(fields) = breakdowns.to_json() else {
-        unreachable!("a record emits an object")
-    };
-    suite.finish_with(fields.into_iter().chain([
-        (
-            "reference".to_string(),
-            Json::obj([
-                ("id", Json::str("grid/shared-plan")),
-                ("pre_pr_median_ns", Json::U64(PRE_TRACING_MEDIAN_NS)),
-                ("median_ns", Json::U64(plan_median_ns)),
-                (
-                    "ratio",
-                    Json::F64(plan_median_ns as f64 / PRE_TRACING_MEDIAN_NS as f64),
-                ),
-            ]),
-        ),
-        ("trace_replay".to_string(), trace_replay),
-    ]));
+    let doc = Merged(BenchSuite::of(&suite), Merged(breakdowns, extras));
+    let path = write_artifact("BENCH_sweep.json", doc.to_json().render())
+        .unwrap_or_else(|e| panic!("{e}"));
+    eprintln!("wrote {}", path.display());
 }

@@ -21,10 +21,11 @@
 //! suites.
 
 use sortmid::{CacheKind, Distribution, Machine, MachineConfig, TraceRecorder};
-use sortmid_bench::run_provenance;
-use sortmid_observe::{breakdown_table, chrome_trace_with_host, HostProfiler, HostSink, TimeSeries};
+use sortmid_bench::{run_provenance, write_artifact};
+use sortmid_observe::{
+    breakdown_table, chrome_trace, HostProfiler, HostSink, Schema, TimeSeries,
+};
 use sortmid_scene::{Benchmark, SceneBuilder};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// The named trace presets: `(name, what it shows)`.
@@ -95,18 +96,9 @@ fn run_preset(name: &str, scale: f64) -> Result<(), String> {
 
     // The Perfetto document: simulated tracks plus the host phase tracks,
     // stamped with the run's provenance (grid = this one preset config).
-    let mut doc = chrome_trace_with_host(&rec, &machine.node_labels(), &profile);
-    doc.set(
-        "provenance",
-        run_provenance(Benchmark::Quake, std::slice::from_ref(&config)).to_json(),
-    );
-    let dir = std::env::var_os("SORTMID_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let path = dir.join(format!("TRACE_{name}.json"));
-    std::fs::write(&path, doc.render().as_bytes())
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    let provenance = run_provenance(Benchmark::Quake, std::slice::from_ref(&config));
+    let doc = chrome_trace(&rec, &machine.node_labels(), Some(&profile), provenance);
+    let path = write_artifact(&format!("TRACE_{name}.json"), doc.to_json().render())?;
 
     // Terminal summary: the cycle breakdown per node...
     let (starts, retires, discards, pushes, pops, fills) = rec.counts();

@@ -197,13 +197,6 @@ impl FullyAssocLru {
         self.push_front(slot);
         false
     }
-
-    fn reset(&mut self) {
-        self.len = 0;
-        self.head = NIL;
-        self.tail = NIL;
-        self.index.fill(FREE);
-    }
 }
 
 /// A set-associative cache that additionally classifies every miss.
@@ -231,7 +224,7 @@ impl FullyAssocLru {
 pub struct ClassifyingCache {
     inner: SetAssocCache,
     oracle: FullyAssocLru,
-    /// Every line that has missed since the last reset.
+    /// Every line that has missed.
     seen: HashSet<u32>,
     breakdown: MissBreakdown,
 }
@@ -335,13 +328,6 @@ impl LineCache for ClassifyingCache {
     fn breakdown(&self) -> Option<MissBreakdown> {
         Some(self.breakdown)
     }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.oracle.reset();
-        self.seen.clear();
-        self.breakdown = MissBreakdown::default();
-    }
 }
 
 #[cfg(test)]
@@ -429,18 +415,6 @@ mod tests {
         }
         assert_eq!(counted, c.breakdown());
         assert!(c.breakdown().verify(c.stats().misses()).is_ok());
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = tiny();
-        c.access_line(1);
-        c.reset();
-        assert_eq!(c.stats().accesses(), 0);
-        assert_eq!(c.breakdown().total(), 0);
-        // After reset the same line is compulsory again.
-        c.access_line(1);
-        assert_eq!(c.breakdown().compulsory, 1);
     }
 
     /// The textbook LRU: a `Vec` in recency order, most recent first.
@@ -538,16 +512,10 @@ mod tests {
         (0..).map(key).filter(|&k| k != EMPTY).take(count).collect()
     }
 
-    /// Two access phases with a reset between them. Each phase walks a
-    /// pool of keys that either fits the capacity or exceeds it, cyclically
-    /// (the LRU thrash) or at random.
-    #[derive(Debug)]
-    struct Walk {
-        seq: Vec<u32>,
-        reset_at: usize,
-    }
-
-    fn walk(g: &mut Gen, capacity: usize) -> Walk {
+    /// Two access phases back to back. Each phase walks a pool of keys
+    /// that either fits the capacity or exceeds it, cyclically (the LRU
+    /// thrash) or at random.
+    fn walk(g: &mut Gen, capacity: usize) -> Vec<u32> {
         let kind = g.choice(3);
         let phase = |g: &mut Gen| -> Vec<u32> {
             let pool_len = if g.bool() {
@@ -564,14 +532,13 @@ mod tests {
             }
         };
         let mut seq = phase(g);
-        let reset_at = seq.len();
         seq.extend(phase(g));
-        Walk { seq, reset_at }
+        seq
     }
 
     /// The oracle agrees with the textbook LRU on every access's hit or
     /// miss, across capacities that are and are not powers of two, on
-    /// fitting and thrashing walks over colliding keys, through a reset.
+    /// fitting and thrashing walks over colliding keys.
     #[test]
     fn prop_oracle_matches_naive_lru() {
         for capacity in [1, 2, 3, 5, 256, 4096] {
@@ -579,14 +546,10 @@ mod tests {
                 &format!("oracle_matches_naive_lru/{capacity}"),
                 &Config::with_cases(16),
                 |g| walk(g, capacity),
-                |w| {
+                |seq| {
                     let mut oracle = FullyAssocLru::new(capacity);
                     let mut naive = NaiveLru::new(capacity);
-                    for (i, &line) in w.seq.iter().enumerate() {
-                        if i == w.reset_at {
-                            oracle.reset();
-                            naive.lines.clear();
-                        }
+                    for (i, &line) in seq.iter().enumerate() {
                         let (got, want) = (oracle.access(line), naive.access(line));
                         prop_assert!(
                             got == want,
@@ -600,7 +563,7 @@ mod tests {
     }
 
     /// `ClassifyingCache` classifies every miss as the naive classifier
-    /// does, through both the scalar and the lane probe, through a reset.
+    /// does, through both the scalar and the lane probe.
     #[test]
     fn prop_breakdown_matches_naive_classifier() {
         for geometry in [
@@ -617,48 +580,41 @@ mod tests {
                 ),
                 &Config::with_cases(16),
                 |g| (walk(g, geometry.total_lines() as usize), g.bool()),
-                |(w, lanes)| {
+                |(seq, lanes)| {
                     let mut cache = ClassifyingCache::new(geometry);
                     let mut naive = NaiveClassifier::new(geometry);
-                    let phases = [&w.seq[..w.reset_at], &w.seq[w.reset_at..]];
-                    for (phase, seq) in phases.into_iter().enumerate() {
-                        if phase == 1 {
-                            cache.reset();
-                            naive = NaiveClassifier::new(geometry);
+                    if !*lanes {
+                        for &line in seq {
+                            let (hit, got) = cache.access_line_classified(line);
+                            let want = naive.access(line);
+                            prop_assert!(hit == want.is_none() && got == want, "line {line}");
                         }
-                        if !*lanes {
-                            for &line in seq {
-                                let (hit, got) = cache.access_line_classified(line);
-                                let want = naive.access(line);
-                                prop_assert!(hit == want.is_none() && got == want, "line {line}");
-                            }
-                        } else {
-                            // Footprint-sized lanes in which every other
-                            // probe repeats, as trilinear footprints do.
-                            let doubled: Vec<u32> = seq
-                                .iter()
-                                .enumerate()
-                                .flat_map(|(i, &line)| [line].repeat(1 + i % 2))
-                                .collect();
-                            for lane in doubled.chunks(8) {
-                                let mut miss_out = [0u32; 8];
-                                let mut classes = MissClassCounts::default();
-                                let n = cache.access_lane(lane, &mut miss_out, &mut classes);
-                                let mut want = Vec::new();
-                                let mut want_classes = MissClassCounts::default();
-                                for &line in lane {
-                                    if let Some(class) = naive.access(line) {
-                                        want.push(line);
-                                        want_classes.add(class);
-                                    }
+                    } else {
+                        // Footprint-sized lanes in which every other
+                        // probe repeats, as trilinear footprints do.
+                        let doubled: Vec<u32> = seq
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(i, &line)| [line].repeat(1 + i % 2))
+                            .collect();
+                        for lane in doubled.chunks(8) {
+                            let mut miss_out = [0u32; 8];
+                            let mut classes = MissClassCounts::default();
+                            let n = cache.access_lane(lane, &mut miss_out, &mut classes);
+                            let mut want = Vec::new();
+                            let mut want_classes = MissClassCounts::default();
+                            for &line in lane {
+                                if let Some(class) = naive.access(line) {
+                                    want.push(line);
+                                    want_classes.add(class);
                                 }
-                                prop_assert!(miss_out[..n] == want[..], "lane {lane:?}");
-                                prop_assert!(classes == want_classes, "lane {lane:?}");
                             }
+                            prop_assert!(miss_out[..n] == want[..], "lane {lane:?}");
+                            prop_assert!(classes == want_classes, "lane {lane:?}");
                         }
-                        prop_assert!(cache.stats() == naive.inner.stats());
-                        prop_assert!(cache.breakdown() == naive.breakdown);
                     }
+                    prop_assert!(cache.stats() == naive.inner.stats());
+                    prop_assert!(cache.breakdown() == naive.breakdown);
                     Ok(())
                 },
             );

@@ -156,10 +156,6 @@ impl LineCache for AnyCache {
         // returning the bare struct, which would shadow the trait method.
         dispatch!(self, c => LineCache::breakdown(c))
     }
-
-    fn reset(&mut self) {
-        dispatch!(self, c => c.reset())
-    }
 }
 
 #[cfg(test)]
@@ -188,8 +184,6 @@ mod tests {
             assert_eq!(any.stats().accesses(), 2, "{any:?}");
             // Second access to the same line hits in every model.
             assert!(any.stats().hits() >= 1, "{any:?}");
-            any.reset();
-            assert_eq!(any.stats().accesses(), 0, "{any:?}");
         }
     }
 

@@ -75,11 +75,6 @@ impl LineCache for TwoLevelCache {
     fn external_fetches(&self) -> u64 {
         self.l2.stats().misses()
     }
-
-    fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-    }
 }
 
 #[cfg(test)]
@@ -114,16 +109,6 @@ mod tests {
         let l2_after_fill = c.l2_stats().accesses();
         c.access_line(1); // L1 hit
         assert_eq!(c.l2_stats().accesses(), l2_after_fill);
-    }
-
-    #[test]
-    fn reset_clears_both_levels() {
-        let mut c = tiny();
-        c.access_line(5);
-        c.reset();
-        assert_eq!(c.stats().accesses(), 0);
-        assert_eq!(c.l2_stats().accesses(), 0);
-        assert_eq!(c.external_fetches(), 0);
     }
 
     #[test]

@@ -141,7 +141,4 @@ pub trait LineCache {
     fn breakdown(&self) -> Option<stats::MissBreakdown> {
         None
     }
-
-    /// Clears contents and statistics.
-    fn reset(&mut self);
 }

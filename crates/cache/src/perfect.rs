@@ -62,10 +62,6 @@ impl LineCache for PerfectCache {
     fn stats(&self) -> &CacheStats {
         &self.stats
     }
-
-    fn reset(&mut self) {
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
@@ -81,13 +77,5 @@ mod tests {
         assert_eq!(c.stats().accesses(), 5);
         assert_eq!(c.stats().misses(), 0);
         assert_eq!(c.external_fetches(), 0);
-    }
-
-    #[test]
-    fn reset_zeroes_stats() {
-        let mut c = PerfectCache::new();
-        c.access_line(1);
-        c.reset();
-        assert_eq!(c.stats().accesses(), 0);
     }
 }

@@ -176,11 +176,6 @@ impl LineCache for SetAssocCache {
     fn stats(&self) -> &CacheStats {
         &self.stats
     }
-
-    fn reset(&mut self) {
-        self.tags.fill(EMPTY);
-        self.stats.reset();
-    }
 }
 
 /// The most tags (one 4 KiB page) [`AnyCache::set_assoc`](crate::AnyCache::set_assoc)
@@ -254,11 +249,6 @@ impl LineCache for GrowingSetAssocCache {
     fn stats(&self) -> &CacheStats {
         &self.stats
     }
-
-    fn reset(&mut self) {
-        self.tags.fill(EMPTY);
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
@@ -305,16 +295,6 @@ mod tests {
         c.access_line(1);
         assert!(c.probe(1));
         assert!(c.access_line(1));
-    }
-
-    #[test]
-    fn reset_clears_contents_and_stats() {
-        let mut c = tiny();
-        c.access_line(3);
-        c.reset();
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(!c.probe(3));
-        assert_eq!(c.resident_lines(), 0);
     }
 
     #[test]

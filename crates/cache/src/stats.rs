@@ -128,11 +128,6 @@ impl CacheStats {
         self.accesses += other.accesses;
         self.misses += other.misses;
     }
-
-    /// Zeroes the accumulator.
-    pub fn reset(&mut self) {
-        *self = CacheStats::default();
-    }
 }
 
 impl fmt::Display for CacheStats {
@@ -259,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_reset() {
+    fn merge_sums_counts() {
         let mut a = CacheStats::new();
         a.record(false);
         let mut b = CacheStats::new();
@@ -268,8 +263,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.accesses(), 3);
         assert_eq!(a.misses(), 2);
-        a.reset();
-        assert_eq!(a.accesses(), 0);
     }
 
     #[test]

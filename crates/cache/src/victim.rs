@@ -131,14 +131,6 @@ impl LineCache for VictimCache {
     fn external_fetches(&self) -> u64 {
         self.external
     }
-
-    fn reset(&mut self) {
-        self.tags.fill(EMPTY);
-        self.victims.fill(EMPTY);
-        self.stats.reset();
-        self.victim_hits = 0;
-        self.external = 0;
-    }
 }
 
 #[cfg(test)]
@@ -188,20 +180,6 @@ mod tests {
         }
         assert_eq!(c.victim_hits(), v);
         assert_eq!(c.external_fetches(), 1);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = tiny();
-        c.access_line(0);
-        c.access_line(8);
-        c.access_line(0);
-        c.reset();
-        assert_eq!(c.stats().accesses(), 0);
-        assert_eq!(c.victim_hits(), 0);
-        assert_eq!(c.external_fetches(), 0);
-        c.access_line(0);
-        assert_eq!(c.external_fetches(), 1, "cold again after reset");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use sortmid_cache::stats::MissBreakdown;
 use sortmid_cache::{AnyCache, CacheStats, LineCache};
 use sortmid_memsys::{Cycle, EngineTiming};
+use sortmid_observe::breakdown::ConfigBreakdown;
 use sortmid_observe::CycleBreakdown;
 use sortmid_raster::FragmentStream;
 use sortmid_util::stats::imbalance_percent;
@@ -211,6 +212,17 @@ impl RunReport {
     /// Per-node counters.
     pub fn nodes(&self) -> &[NodeReport] {
         &self.nodes
+    }
+
+    /// This run's row of a sweep artefact's `cycle_breakdowns`: each
+    /// node's five-way cycle breakdown followed by its finish.
+    pub fn breakdown_row(&self) -> ConfigBreakdown {
+        let nodes = self.nodes.iter().map(|n| {
+            let [setup, busy, stall, starved, idle] = n.cycle_breakdown().as_array();
+            [setup, busy, stall, starved, idle, n.finish]
+        });
+        let (config, total_cycles) = (self.summary.clone(), self.total_cycles);
+        ConfigBreakdown { config, total_cycles, nodes: nodes.collect() }
     }
 
     /// Total fragments drawn.

@@ -2,19 +2,16 @@
 //!
 //! A [`Suite`] groups named benchmarks; each benchmark runs a warmup, then N
 //! timed iterations, and reports median/min/MAD plus the p10/p50/p90/p99
-//! percentile ladder of wall time, with optional throughput. [`Suite::finish`] writes everything to `BENCH_<name>.json`
-//! (in `SORTMID_BENCH_DIR`, default the current directory) so the perf
-//! trajectory can be compared across PRs, and prints a human-readable table.
+//! percentile ladder of wall time, with optional throughput, printing one
+//! line per benchmark. The `BENCH_<name>.json` document a suite becomes is
+//! declared and written by `sortmid-bench`.
 //!
 //! Environment knobs:
 //!
 //! * `SORTMID_BENCH_SAMPLES` — timed iterations per benchmark (default 10);
-//! * `SORTMID_BENCH_WARMUP` — warmup iterations (default 2);
-//! * `SORTMID_BENCH_DIR` — output directory for `BENCH_*.json`.
+//! * `SORTMID_BENCH_WARMUP` — warmup iterations (default 2).
 
-use crate::json::Json;
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Per-suite run parameters.
@@ -54,9 +51,6 @@ pub struct BenchResult {
     pub median_ns: u64,
     /// 10th percentile (nearest-rank).
     pub p10_ns: u64,
-    /// 50th percentile (nearest-rank) — equals `median_ns`, kept as an
-    /// explicit field so tooling can read the p50/p90/p99 triple uniformly.
-    pub p50_ns: u64,
     /// 90th percentile (nearest-rank).
     pub p90_ns: u64,
     /// 99th percentile (nearest-rank) — the tail-latency figure; with
@@ -84,30 +78,6 @@ impl BenchResult {
         }
         Some(elements as f64 * 1e9 / self.median_ns as f64)
     }
-
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("id".to_string(), Json::str(self.id.clone())),
-            ("median_ns".to_string(), Json::U64(self.median_ns)),
-            ("p10_ns".to_string(), Json::U64(self.p10_ns)),
-            ("p50_ns".to_string(), Json::U64(self.p50_ns)),
-            ("p90_ns".to_string(), Json::U64(self.p90_ns)),
-            ("p99_ns".to_string(), Json::U64(self.p99_ns)),
-            ("min_ns".to_string(), Json::U64(self.min_ns)),
-            ("mad_ns".to_string(), Json::U64(self.mad_ns)),
-            (
-                "samples_ns".to_string(),
-                Json::arr(self.samples_ns.iter().map(|&ns| Json::U64(ns))),
-            ),
-        ];
-        if let Some(elements) = self.elements {
-            fields.push(("elements".to_string(), Json::U64(elements)));
-        }
-        if let Some(tput) = self.throughput_per_sec() {
-            fields.push(("throughput_per_sec".to_string(), Json::F64(tput)));
-        }
-        Json::Obj(fields)
-    }
 }
 
 /// Nearest-rank percentile of an unsorted sample set.
@@ -117,7 +87,7 @@ fn percentile(sorted: &[u64], pct: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// A named collection of benchmarks producing one `BENCH_<name>.json`.
+/// A named collection of benchmarks, one `BENCH_<name>.json` suite.
 ///
 /// # Examples
 ///
@@ -153,6 +123,16 @@ impl Suite {
             config,
             results: Vec::new(),
         }
+    }
+
+    /// The suite's name (`BENCH_<name>.json`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The suite's run parameters.
+    pub fn config(&self) -> &BenchConfig {
+        &self.config
     }
 
     /// Results measured so far, in registration order.
@@ -216,7 +196,6 @@ impl Suite {
             id: id.to_string(),
             median_ns,
             p10_ns: percentile(&sorted, 10.0),
-            p50_ns: median_ns,
             p90_ns: percentile(&sorted, 90.0),
             p99_ns: percentile(&sorted, 99.0),
             min_ns: sorted[0],
@@ -240,67 +219,6 @@ impl Suite {
         );
         self.results.push(result);
         self.results.last().expect("just pushed")
-    }
-
-    /// Serialises the suite to a [`Json`] document (what `finish` writes).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("suite", Json::str(self.name.clone())),
-            ("warmup_iters", Json::U64(self.config.warmup_iters as u64)),
-            ("samples", Json::U64(self.config.samples as u64)),
-            (
-                "benchmarks",
-                Json::arr(self.results.iter().map(BenchResult::to_json)),
-            ),
-        ])
-    }
-
-    /// Writes `BENCH_<name>.json` and returns its path.
-    ///
-    /// The output directory is `SORTMID_BENCH_DIR` when set, else the
-    /// current directory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written — a bench run whose artefact is
-    /// silently missing would poison the perf trajectory.
-    pub fn finish(self) -> PathBuf {
-        self.finish_with([])
-    }
-
-    /// Like [`finish`](Self::finish) with extra top-level fields appended
-    /// to the document — how callers attach run-specific context (e.g. the
-    /// sweep's per-config cycle breakdowns, or a comparison against a
-    /// recorded reference median) to the same artefact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written, or if an extra field reuses a
-    /// key the suite already writes (`suite`, `warmup_iters`, `samples`,
-    /// `benchmarks`).
-    pub fn finish_with(self, extra: impl IntoIterator<Item = (String, Json)>) -> PathBuf {
-        let dir = std::env::var_os("SORTMID_BENCH_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("."));
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("create bench dir {}: {e}", dir.display()));
-        let path = dir.join(format!("BENCH_{}.json", self.name));
-        let mut doc = self.to_json();
-        let Json::Obj(fields) = &mut doc else {
-            unreachable!("to_json always returns an object");
-        };
-        for (key, value) in extra {
-            assert!(
-                !fields.iter().any(|(k, _)| *k == key),
-                "extra bench field {key:?} collides with a suite field"
-            );
-            fields.push((key, value));
-        }
-        let body = doc.render();
-        std::fs::write(&path, body.as_bytes())
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
-        path
     }
 }
 
@@ -340,7 +258,6 @@ mod tests {
         assert_eq!(r.samples_ns.len(), 5);
         assert!(r.min_ns <= r.p10_ns);
         assert!(r.p10_ns <= r.median_ns);
-        assert_eq!(r.p50_ns, r.median_ns);
         assert!(r.median_ns <= r.p90_ns);
         assert!(r.p90_ns <= r.p99_ns);
         assert_eq!(r.p99_ns, *r.samples_ns.iter().max().unwrap(), "p99 of 5 samples is the max");
@@ -378,7 +295,6 @@ mod tests {
             samples_ns: vec![2_000_000; 3],
             median_ns: 2_000_000,
             p10_ns: 2_000_000,
-            p50_ns: 2_000_000,
             p90_ns: 2_000_000,
             p99_ns: 2_000_000,
             min_ns: 2_000_000,
@@ -397,50 +313,5 @@ mod tests {
         assert_eq!(percentile(&s, 90.0), 50);
         assert_eq!(percentile(&s, 99.0), 50);
         assert_eq!(percentile(&[7], 50.0), 7);
-    }
-
-    #[test]
-    fn json_document_has_the_contract_fields() {
-        let mut suite = Suite::with_config("contract", quiet_config());
-        suite.bench_with_elements("t", 100, || 1 + 1);
-        let doc = suite.to_json().render();
-        for key in [
-            "\"suite\":\"contract\"",
-            "\"samples\":5",
-            "\"benchmarks\":[",
-            "\"median_ns\":",
-            "\"p10_ns\":",
-            "\"p50_ns\":",
-            "\"p90_ns\":",
-            "\"p99_ns\":",
-            "\"min_ns\":",
-            "\"mad_ns\":",
-            "\"elements\":100",
-        ] {
-            assert!(doc.contains(key), "missing {key} in {doc}");
-        }
-    }
-
-    #[test]
-    fn finish_writes_the_artifact() {
-        let dir = std::env::temp_dir().join(format!("sortmid-bench-test-{}", std::process::id()));
-        // The env var is process-global; this is the only test that sets it.
-        std::env::set_var("SORTMID_BENCH_DIR", &dir);
-        let mut suite = Suite::with_config("write-test", quiet_config());
-        suite.bench("noop", || ());
-        let path = suite.finish_with([("reference".to_string(), Json::str("pre-pr"))]);
-        std::env::remove_var("SORTMID_BENCH_DIR");
-        let body = std::fs::read_to_string(&path).expect("artifact readable");
-        assert!(path.ends_with("BENCH_write-test.json"), "{}", path.display());
-        assert!(body.starts_with('{') && body.ends_with('}'));
-        assert!(body.contains("\"reference\":\"pre-pr\""), "{body}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "collides")]
-    fn finish_with_rejects_duplicate_keys() {
-        let suite = Suite::with_config("dup", quiet_config());
-        suite.finish_with([("suite".to_string(), Json::str("dup"))]);
     }
 }

@@ -1,7 +1,7 @@
-//! Minimal JSON document model for the bench writer.
+//! Minimal JSON document model for the artefact writers.
 //!
-//! Only what `BENCH_<name>.json` needs: objects, arrays, strings, integers
-//! and floats, rendered with deterministic key order (insertion order) so
+//! Only what the `BENCH_`/`TRACE_`/`HEATMAP_`/`METRICS_`/`DIFF_`
+//! documents need: objects, arrays, strings, integers and floats, rendered with deterministic key order (insertion order) so
 //! diffs between PRs stay readable. [`Json::parse`] reads the same dialect
 //! back, so CI can validate emitted artefacts without external crates.
 
@@ -152,24 +152,6 @@ impl Json {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
-        }
-    }
-
-    /// Inserts or replaces a key in an object, preserving an existing
-    /// key's position (artefact emitters use this to attach the
-    /// `provenance` block to an already-built document).
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-object.
-    pub fn set(&mut self, key: impl Into<String>, value: Json) {
-        let Json::Obj(pairs) = self else {
-            panic!("Json::set needs an object");
-        };
-        let key = key.into();
-        match pairs.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, slot)) => *slot = value,
-            None => pairs.push((key, value)),
         }
     }
 
@@ -602,20 +584,6 @@ mod tests {
     fn as_bool_reads_booleans_only() {
         assert_eq!(Json::Bool(true).as_bool(), Some(true));
         assert_eq!(Json::U64(1).as_bool(), None);
-    }
-
-    #[test]
-    fn set_inserts_and_replaces_in_place() {
-        let mut doc = Json::obj([("a", Json::U64(1)), ("b", Json::U64(2))]);
-        doc.set("c", Json::U64(3));
-        doc.set("a", Json::U64(9));
-        assert_eq!(doc.render(), r#"{"a":9,"b":2,"c":3}"#);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs an object")]
-    fn set_on_non_object_panics() {
-        Json::Null.set("k", Json::U64(1));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   configurable case counts, seed reporting on failure, and
 //!   shrink-towards-zero minimisation of counterexamples;
 //! * [`bench`](mod@bench) — a criterion-style bench suite (warmup, N timed iterations,
-//!   median/p10/p90, optional throughput) that writes machine-readable
-//!   `BENCH_<name>.json` files so the perf trajectory is tracked across PRs;
-//! * [`json`] — the minimal JSON document model the bench writer emits.
+//!   median/p10/p90, optional throughput) whose results `sortmid-bench`
+//!   writes as machine-readable `BENCH_<name>.json` files, so the perf
+//!   trajectory is tracked across PRs;
+//! * [`json`] — the minimal JSON document model the artefacts are written in.
 //!
 //! # Reproducing a property failure
 //!

@@ -104,11 +104,6 @@ impl DramState {
     pub fn row_misses(&self) -> u64 {
         self.row_misses
     }
-
-    /// Closes the row and zeroes counters.
-    pub fn reset(&mut self) {
-        *self = DramState::default();
-    }
 }
 
 #[cfg(test)]
@@ -141,16 +136,6 @@ mod tests {
             assert_eq!(s.fill_cost(100, &cfg), 28);
         }
         assert_eq!(s.row_hits(), 0);
-    }
-
-    #[test]
-    fn reset_closes_rows() {
-        let cfg = config();
-        let mut s = DramState::new();
-        s.fill_cost(3, &cfg);
-        s.reset();
-        assert_eq!(s.fill_cost(3, &cfg), cfg.row_miss_cost);
-        assert_eq!(s.row_misses(), 1);
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! simulations" built on ASF, the authors' C++ event-driven framework. This
 //! crate is our equivalent substrate:
 //!
-//! * [`event::EventQueue`] — a deterministic discrete-event queue (time
-//!   order, FIFO among simultaneous events).
 //! * [`engine::EngineTiming`] — the per-node timing model: a 1-pixel/cycle
 //!   scan engine, a bandwidth-occupancy texture bus and an Igehy-style
 //!   prefetch window that hides latency until the bus saturates.
@@ -37,13 +35,11 @@
 pub mod bus;
 pub mod dram;
 pub mod engine;
-pub mod event;
 pub mod fifo;
 
 pub use bus::BusConfig;
 pub use dram::{DramConfig, DramState};
 pub use engine::EngineTiming;
-pub use event::EventQueue;
 pub use fifo::TriangleFifo;
 
 /// Simulation time in engine cycles (1 cycle = 1 pixel scanned).

@@ -6,14 +6,19 @@
 //!
 //! | artefact | owner |
 //! |---|---|
-//! | `BENCH_sweep.json` breakdowns | [`SweepBreakdowns`](crate::breakdown::SweepBreakdowns) |
+//! | `BENCH_<name>.json` suite | `sortmid_bench::BenchSuite` |
+//! | `BENCH_sweep.json` | `sortmid_bench::SweepSuite`: the suite, [`SweepBreakdowns`](crate::breakdown::SweepBreakdowns), `sortmid_bench::SweepExtras` |
+//! | `TRACE_<preset>.json` | [`ChromeTrace`](crate::perfetto::ChromeTrace) |
 //! | `HEATMAP_<preset>.json` | [`HeatmapDoc`](crate::attribution::HeatmapDoc) |
 //! | `METRICS_<name>.json` | [`MetricsDoc`](crate::host::MetricsDoc) |
+//! | `DIFF_*.json`, `kind: sweep-diff` / `heatmap-diff` / `metrics-diff` | [`SweepDiff`](crate::diff::SweepDiff) / [`HeatmapDiff`](crate::diff::HeatmapDiff) / [`MetricsDiff`](crate::diff::MetricsDiff) |
+//! | `DIFF_*.json`, `kind: gate` | `bench_check`'s `GateVerdict` |
 //!
 //! `bench_check`, `sortmid-diff` and the regression gate all decode
-//! through these types, and the differs in [`crate::diff`] compare the
-//! decoded values. [`ArtifactKind::of`] is the one place an artefact's
-//! kind is read, from its file name.
+//! through these types ([`Merged`] joins two owners' keys in one
+//! document), and the differs in [`crate::diff`] compare the decoded
+//! values. [`ArtifactKind::of`] is the one place an artefact's kind is
+//! read, from its file name.
 
 use sortmid_devharness::json::Json;
 use std::collections::BTreeMap;
@@ -33,16 +38,25 @@ pub trait Schema: Sized {
     /// field (e.g. `spans[3]: missing 'dur_ns'`).
     fn from_json(value: &Json) -> Result<Self, String>;
 
-    /// The error for a record field of this type that is absent.
-    fn missing(key: &str) -> String {
-        format!("missing '{key}'")
+    /// The value of a record field of this type that is absent: an
+    /// error naming `key`, unless the type stands for absence.
+    fn absent(key: &str) -> Result<Self, String> {
+        Err(format!("missing '{key}'"))
+    }
+
+    /// Whether a record leaves this field out (see [`Omit`]).
+    fn omitted(&self) -> bool {
+        false
     }
 }
 
 /// A decoded artefact document.
 pub trait Artifact: Schema {
-    /// Every violated identity of the document; empty when consistent.
-    fn verify(&self) -> Vec<String>;
+    /// Every violated identity of the document; empty when consistent
+    /// (always, for a document that promises none).
+    fn verify(&self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 /// Declares a record: a struct whose fields emit and decode as a JSON
@@ -61,9 +75,12 @@ macro_rules! record {
 
         impl $crate::artifact::Schema for $name {
             fn to_json(&self) -> ::sortmid_devharness::json::Json {
-                ::sortmid_devharness::json::Json::obj([
-                    $((stringify!($field), $crate::artifact::Schema::to_json(&self.$field)),)*
-                ])
+                let mut members = Vec::new();
+                $(if !$crate::artifact::Schema::omitted(&self.$field) {
+                    let value = $crate::artifact::Schema::to_json(&self.$field);
+                    members.push((stringify!($field), value));
+                })*
+                ::sortmid_devharness::json::Json::obj(members)
             }
 
             fn from_json(doc: &::sortmid_devharness::json::Json) -> Result<Self, String> {
@@ -83,8 +100,10 @@ macro_rules! record {
 ///
 /// Returns the missing or mistyped path under `key`.
 pub fn member<T: Schema>(doc: &Json, key: &str) -> Result<T, String> {
-    let value = doc.get(key).ok_or_else(|| T::missing(key))?;
-    T::from_json(value).map_err(|e| within(key, e))
+    match doc.get(key) {
+        Some(value) => T::from_json(value).map_err(|e| within(key, e)),
+        None => T::absent(key),
+    }
 }
 
 /// Prefixes a decode error with one path segment (`spans`, `[3]`, ...).
@@ -120,6 +139,17 @@ scalar!(bool, "a boolean", |v: &bool| Json::Bool(*v), Json::as_bool);
 scalar!(f64, "a number", |v: &f64| Json::F64(*v), Json::as_f64);
 scalar!(String, "a string", Json::str, |v: &Json| v.as_str().map(str::to_string));
 
+/// Any JSON value, verbatim.
+impl Schema for Json {
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+
+    fn from_json(value: &Json) -> Result<Json, String> {
+        Ok(value.clone())
+    }
+}
+
 /// `null` when absent.
 impl<T: Schema> Schema for Option<T> {
     fn to_json(&self) -> Json {
@@ -131,6 +161,35 @@ impl<T: Schema> Schema for Option<T> {
             Json::Null => Ok(None),
             v => T::from_json(v).map(Some),
         }
+    }
+}
+
+/// A record field that is left out of the document when `None`, and
+/// `None` when the document leaves it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Omit<T>(pub Option<T>);
+
+impl<T> Default for Omit<T> {
+    fn default() -> Omit<T> {
+        Omit(None)
+    }
+}
+
+impl<T: Schema> Schema for Omit<T> {
+    fn to_json(&self) -> Json {
+        self.0.to_json()
+    }
+
+    fn from_json(value: &Json) -> Result<Omit<T>, String> {
+        T::from_json(value).map(|v| Omit(Some(v)))
+    }
+
+    fn absent(_key: &str) -> Result<Omit<T>, String> {
+        Ok(Omit(None))
+    }
+
+    fn omitted(&self) -> bool {
+        self.0.is_none()
     }
 }
 
@@ -197,6 +256,39 @@ impl<T: Schema> Schema for BTreeMap<String, T> {
     }
 }
 
+/// Two records sharing one JSON object: `A`'s keys, then `B`'s. A
+/// document that extends another owner's keys (the sweep suite after the
+/// bench suite's) is the merge of both owners.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Merged<A, B>(pub A, pub B);
+
+impl<A: Schema, B: Schema> Schema for Merged<A, B> {
+    /// # Panics
+    ///
+    /// Panics if either side does not emit an object (only records merge).
+    fn to_json(&self) -> Json {
+        match (self.0.to_json(), self.1.to_json()) {
+            (Json::Obj(mut head), Json::Obj(tail)) => {
+                head.extend(tail);
+                Json::Obj(head)
+            }
+            _ => panic!("only records merge into one object"),
+        }
+    }
+
+    fn from_json(doc: &Json) -> Result<Merged<A, B>, String> {
+        Ok(Merged(A::from_json(doc)?, B::from_json(doc)?))
+    }
+}
+
+impl<A: Artifact, B: Artifact> Artifact for Merged<A, B> {
+    fn verify(&self) -> Vec<String> {
+        let mut problems = self.0.verify();
+        problems.extend(self.1.verify());
+        problems
+    }
+}
+
 /// The artefact families, named by their file-name prefix: `BENCH_`
 /// suites (the `sweep` suite carries
 /// [`SweepBreakdowns`](crate::breakdown::SweepBreakdowns)), `TRACE_`
@@ -256,6 +348,31 @@ mod tests {
             pub cells: Vec<[u64; 2]>,
         }
         check |r: &Row| if r.name.is_empty() { Err("empty name".to_string()) } else { Ok(()) };
+    }
+
+    record! {
+        /// A test record with a member left out when `None`.
+        #[derive(Debug, PartialEq)]
+        pub struct Tail {
+            pub note: Omit<String>,
+            pub count: u64,
+        }
+    }
+
+    impl Artifact for Row {}
+    impl Artifact for Tail {}
+
+    #[test]
+    fn omitted_members_and_merged_records_round_trip() {
+        let text = r#"{"name":"a","parent":null,"cells":[],"count":2}"#;
+        let doc = Merged::<Row, Tail>::from_json(&Json::parse(text).unwrap()).unwrap();
+        assert_eq!(doc.1, Tail { note: Omit(None), count: 2 });
+        assert_eq!(doc.to_json().render(), text);
+        assert!(doc.verify().is_empty());
+        let tail = Tail { note: Omit(Some("n".to_string())), count: 0 };
+        assert_eq!(tail.to_json().render(), r#"{"note":"n","count":0}"#);
+        let err = Tail::from_json(&Json::parse(r#"{"note":null,"count":0}"#).unwrap());
+        assert_eq!(err.unwrap_err(), "note: not a string");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! against itself is **exactly zero at every level** (a devharness
 //! property pins this), so any nonzero delta is a real difference.
 
-use crate::artifact::{delta, Schema};
+use crate::artifact::{delta, Artifact};
 use crate::attribution::{HeatmapDoc, MissClass, TilePlane};
 use crate::breakdown::{BreakdownDelta, SweepBreakdowns};
 use crate::heatmap::ScreenGrid;
@@ -33,7 +33,6 @@ use crate::metrics::HistogramSnapshot;
 use crate::palette::diverging_color;
 use crate::provenance::Provenance;
 use crate::record;
-use sortmid_devharness::json::Json;
 use sortmid_util::ppm::Image;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -95,10 +94,24 @@ fn pair_by_name<'a, T>(
     (pairs, only_base, only_cur)
 }
 
-/// Names only one side has, tagged with that side.
-fn one_sided(only_base: Vec<String>, only_cur: Vec<String>) -> Vec<(String, &'static str)> {
+/// `<what> '<name>' only in <side>` for each name only one side has.
+fn only_in(what: &str, only_base: Vec<String>, only_cur: Vec<String>) -> Vec<String> {
     let base = only_base.into_iter().map(|n| (n, "baseline"));
-    base.chain(only_cur.into_iter().map(|n| (n, "current"))).collect()
+    let sides = base.chain(only_cur.into_iter().map(|n| (n, "current")));
+    sides.map(|(n, side)| format!("{what} '{n}' only in {side}")).collect()
+}
+
+/// The problems with a diff document's header: its `kind` must read
+/// `expected`, and its `zero` claim match `rows_zero`, what its rows say.
+fn check_header(kind: &str, expected: &str, zero: bool, rows_zero: bool) -> Vec<String> {
+    let mut problems = Vec::new();
+    if kind != expected {
+        problems.push(format!("kind '{kind}' is not '{expected}'"));
+    }
+    if zero != rows_zero {
+        problems.push(format!("'zero' is {zero} but the rows say {rows_zero}"));
+    }
+    problems
 }
 
 // ---------------------------------------------------------------------------
@@ -126,15 +139,10 @@ record! {
 }
 
 impl ConfigDelta {
-    /// Signed machine-time change in cycles.
-    pub fn delta(&self) -> i64 {
-        self.delta
-    }
-
     /// True when neither the machine time nor any per-node category
     /// moved.
     pub fn is_zero(&self) -> bool {
-        self.delta() == 0 && self.breakdown.is_zero()
+        self.delta == 0 && self.breakdown.is_zero()
     }
 
     /// The `<procs>p/<distribution>` group this config belongs to (what
@@ -151,19 +159,26 @@ pub fn config_group(config: &str) -> Option<String> {
     (segments.len() >= 2).then(|| format!("{}/{}", segments[0], segments[1]))
 }
 
-/// Attributed difference between two `BENCH_sweep.json` documents.
-#[derive(Debug, Clone)]
-pub struct SweepDiff {
-    /// Provenance of the baseline document.
-    pub base: Provenance,
-    /// Provenance of the current document.
-    pub current: Provenance,
-    /// Per-config deltas, in the current document's order.
-    pub configs: Vec<ConfigDelta>,
-    /// Configs only the baseline has (coverage drift).
-    pub only_base: Vec<String>,
-    /// Configs only the current document has.
-    pub only_current: Vec<String>,
+record! {
+    /// Attributed difference between two `BENCH_sweep.json` documents,
+    /// and its `DIFF_*.json` document (`kind: "sweep-diff"`).
+    #[derive(Debug, Clone)]
+    pub struct SweepDiff {
+        /// Always `sweep-diff`.
+        pub kind: String,
+        /// Whether every row is zero ([`Artifact::verify`] checks it).
+        pub zero: bool,
+        /// Provenance of the baseline document.
+        pub base_provenance: Provenance,
+        /// Provenance of the current document.
+        pub current_provenance: Provenance,
+        /// Per-config deltas, in the current document's order.
+        pub configs: Vec<ConfigDelta>,
+        /// Configs only the baseline has (coverage drift).
+        pub only_base: Vec<String>,
+        /// Configs only the current document has.
+        pub only_current: Vec<String>,
+    }
 }
 
 impl SweepDiff {
@@ -199,13 +214,17 @@ impl SweepDiff {
                 breakdown,
             });
         }
-        Ok(SweepDiff {
-            base: base.provenance.clone(),
-            current: cur.provenance.clone(),
+        let mut diff = SweepDiff {
+            kind: "sweep-diff".to_string(),
+            zero: false,
+            base_provenance: base.provenance.clone(),
+            current_provenance: cur.provenance.clone(),
             configs,
             only_base,
             only_current,
-        })
+        };
+        diff.zero = diff.is_zero();
+        Ok(diff)
     }
 
     /// True when every config is unchanged at every level and neither
@@ -222,9 +241,9 @@ impl SweepDiff {
         let mut changed: Vec<&ConfigDelta> =
             self.configs.iter().filter(|c| !c.is_zero()).collect();
         changed.sort_by(|a, b| {
-            b.delta()
+            b.delta
                 .unsigned_abs()
-                .cmp(&a.delta().unsigned_abs())
+                .cmp(&a.delta.unsigned_abs())
                 .then_with(|| a.config.cmp(&b.config))
         });
         changed
@@ -235,7 +254,7 @@ impl SweepDiff {
     /// categories driving it.
     pub fn explanation(&self, top: usize) -> Vec<String> {
         let mut lines = Vec::new();
-        if let Some(drift) = self.base.environment_drift(&self.current) {
+        if let Some(drift) = self.base_provenance.environment_drift(&self.current_provenance) {
             lines.push(format!("note: environment drift ({drift})"));
         }
         for c in self.ranked().into_iter().take(top) {
@@ -252,38 +271,32 @@ impl SweepDiff {
         }
         lines
     }
+}
 
-    /// The diff as a `DIFF_*.json`-shaped document (`kind: "sweep-diff"`).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("kind", Json::str("sweep-diff")),
-            ("zero", Json::Bool(self.is_zero())),
-            ("base_provenance", self.base.to_json()),
-            ("current_provenance", self.current.to_json()),
-            ("configs", self.configs.to_json()),
-            (
-                "only_base",
-                Json::arr(self.only_base.iter().map(Json::str)),
-            ),
-            (
-                "only_current",
-                Json::arr(self.only_current.iter().map(Json::str)),
-            ),
-        ])
+impl Artifact for SweepDiff {
+    /// The header names this kind and its `zero` matches the rows, and
+    /// each config's `delta` is `cur_cycles - base_cycles`.
+    fn verify(&self) -> Vec<String> {
+        let mut problems = check_header(&self.kind, "sweep-diff", self.zero, self.is_zero());
+        let moved = |c: &&ConfigDelta| c.cur_cycles as i128 - c.base_cycles as i128;
+        let wrong = self.configs.iter().filter(|c| c.delta as i128 != moved(c));
+        let delta = |c: &ConfigDelta| format!("{}: delta {} is not cur - base", c.config, c.delta);
+        problems.extend(wrong.map(delta));
+        problems
     }
 }
 
 /// One config's explanation line: cycle movement plus its top breakdown
 /// categories.
 fn explain_config(c: &ConfigDelta) -> String {
-    let verb = if c.delta() > 0 { "regressed" } else { "improved" };
+    let verb = if c.delta > 0 { "regressed" } else { "improved" };
     let mut line = format!(
         "{}: {verb} {} ({} -> {} cycles, {:+} machine cycles)",
         c.config,
         fmt_pct(c.cur_cycles, c.base_cycles),
         c.base_cycles,
         c.cur_cycles,
-        c.delta(),
+        c.delta,
     );
     let mut cats: Vec<(&'static str, i64)> = crate::breakdown::CATEGORY_NAMES
         .iter()
@@ -334,79 +347,88 @@ impl NodeMissDelta {
     }
 }
 
-/// A tile-level delta grid for one metric plane.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TileDeltaPlane {
-    /// The metric plane (`fragments`, `setup_cycles`, ...).
-    pub metric: String,
-    /// Tile columns.
-    pub cols: usize,
-    /// Tile rows.
-    pub rows: usize,
-    /// Row-major signed per-tile deltas.
-    pub deltas: Vec<i64>,
+record! {
+    /// A tile-level delta grid for one metric plane.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TileDeltaPlane {
+        /// The metric plane (`fragments`, `setup_cycles`, ...).
+        pub metric: String,
+        /// How many tiles changed at all.
+        pub changed_tiles: usize,
+        /// Largest absolute tile delta (the diverging palette's
+        /// normalisation anchor).
+        pub max_abs: i64,
+        /// Signed per-tile deltas, one row of tiles per entry.
+        pub deltas: Vec<Vec<i64>>,
+    }
 }
 
 impl TileDeltaPlane {
-    /// Largest absolute tile delta (the diverging palette's
-    /// normalisation anchor).
-    pub fn max_abs(&self) -> i64 {
-        self.deltas.iter().map(|d| d.abs()).max().unwrap_or(0)
-    }
-
-    /// How many tiles changed at all.
-    pub fn changed_tiles(&self) -> usize {
-        self.deltas.iter().filter(|&&d| d != 0).count()
+    /// The plane `metric` with per-tile `deltas`, its counts derived.
+    pub fn new(metric: &str, deltas: Vec<Vec<i64>>) -> TileDeltaPlane {
+        let cells = || deltas.iter().flatten();
+        TileDeltaPlane {
+            metric: metric.to_string(),
+            changed_tiles: cells().filter(|&&d| d != 0).count(),
+            max_abs: cells().map(|d| d.abs()).max().unwrap_or(0),
+            deltas,
+        }
     }
 
     /// `(col, row, delta)` of the largest-magnitude change (`None` when
     /// the plane is all-zero).
     pub fn hottest(&self) -> Option<(usize, usize, i64)> {
-        let (i, &d) = self
-            .deltas
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, d)| d.unsigned_abs())?;
-        (d != 0).then_some((i % self.cols, i / self.cols, d))
+        let cells = self.deltas.iter().enumerate();
+        let cells = cells.flat_map(|(y, row)| row.iter().enumerate().map(move |(x, &d)| (x, y, d)));
+        let (x, y, d) = cells.max_by_key(|&(.., d)| d.unsigned_abs())?;
+        (d != 0).then_some((x, y, d))
     }
 
     /// Renders the plane through the diverging palette (blue improved,
-    /// white unchanged, red regressed), normalised by [`max_abs`]
-    /// (an all-zero plane renders solid white).
-    ///
-    /// [`max_abs`]: Self::max_abs
+    /// white unchanged, red regressed), normalised by `max_abs` (an
+    /// all-zero plane renders solid white).
     ///
     /// # Panics
     ///
     /// Panics if the plane is empty or `px_per_tile` is zero.
     pub fn render(&self, px_per_tile: u32) -> Image {
-        let scale = self.max_abs().max(1) as f64;
-        let mut grid: ScreenGrid<i64> = ScreenGrid::new(self.cols as u32, self.rows as u32, 1);
-        for (i, &d) in self.deltas.iter().enumerate() {
-            *grid.at((i % self.cols) as u32, (i / self.cols) as u32) = d;
+        let scale = self.max_abs.max(1) as f64;
+        let (cols, rows) = (self.deltas[0].len() as u32, self.deltas.len() as u32);
+        let mut grid: ScreenGrid<i64> = ScreenGrid::new(cols, rows, 1);
+        for (y, row) in self.deltas.iter().enumerate() {
+            for (x, &d) in row.iter().enumerate() {
+                *grid.at(x as u32, y as u32) = d;
+            }
         }
         grid.render_rgb(px_per_tile, |&d| diverging_color(d as f64 / scale))
     }
 }
 
-/// Attributed difference between two `HEATMAP_<preset>.json` documents.
-#[derive(Debug, Clone)]
-pub struct HeatmapDiff {
-    /// The preset both documents render.
-    pub preset: String,
-    /// The machine config both documents ran.
-    pub config: String,
-    /// Provenance of the baseline document.
-    pub base: Provenance,
-    /// Provenance of the current document.
-    pub current: Provenance,
-    /// Tile delta grids, one per numeric metric plane.
-    pub planes: Vec<TileDeltaPlane>,
-    /// Tiles whose owning node flipped (the owner plane is categorical,
-    /// so a signed delta would be meaningless).
-    pub owner_flips: usize,
-    /// Per-node three-C miss-class deltas.
-    pub nodes: Vec<NodeMissDelta>,
+record! {
+    /// Attributed difference between two `HEATMAP_<preset>.json`
+    /// documents, and its `DIFF_*.json` document (`kind: "heatmap-diff"`).
+    #[derive(Debug, Clone)]
+    pub struct HeatmapDiff {
+        /// Always `heatmap-diff`.
+        pub kind: String,
+        /// Whether every row is zero ([`Artifact::verify`] checks it).
+        pub zero: bool,
+        /// The preset both documents render.
+        pub preset: String,
+        /// The machine config both documents ran.
+        pub config: String,
+        /// Provenance of the baseline document.
+        pub base_provenance: Provenance,
+        /// Provenance of the current document.
+        pub current_provenance: Provenance,
+        /// Tiles whose owning node flipped (the owner plane is categorical,
+        /// so a signed delta would be meaningless).
+        pub owner_flips: usize,
+        /// Tile delta grids, one per numeric metric plane.
+        pub planes: Vec<TileDeltaPlane>,
+        /// Per-node three-C miss-class deltas.
+        pub nodes: Vec<NodeMissDelta>,
+    }
 }
 
 impl HeatmapDiff {
@@ -440,33 +462,26 @@ impl HeatmapDiff {
             return Err(format!("empty tile grid {cols}x{rows}"));
         }
 
-        let flat = |d: &HeatmapDoc| {
-            let cells = |p: &TilePlane| p.iter().flatten().copied().collect::<Vec<_>>();
-            d.tiles.planes().map(|(metric, p)| (metric, cells(p)))
-        };
-        let (base_planes, cur_planes) = (flat(base), flat(cur));
+        let shaped = |p: &TilePlane| p.len() == rows && p.iter().all(|r| r.len() == cols);
+        let (base_planes, cur_planes) = (base.tiles.planes(), cur.tiles.planes());
         let mut planes = Vec::new();
         let mut owner_flips = 0;
         for (i, ((metric, b), (_, c))) in base_planes.iter().zip(&cur_planes).enumerate() {
-            if b.len() != cols * rows || c.len() != cols * rows {
+            if !shaped(b) || !shaped(c) {
                 return Err(format!("plane '{metric}' is not {cols}x{rows} on both sides"));
             }
+            let cells = || c.iter().flatten().zip(b.iter().flatten());
             // The owner map (last) is categorical: it counts flips
             // instead of a signed delta grid.
             if i + 1 == base_planes.len() {
-                owner_flips = c.iter().zip(b).filter(|(c, b)| c != b).count();
+                owner_flips = cells().filter(|(c, b)| c != b).count();
                 continue;
             }
             let what = format!("plane '{metric}'");
-            planes.push(TileDeltaPlane {
-                metric: metric.to_string(),
-                cols,
-                rows,
-                deltas: c
-                    .iter().zip(b)
-                    .map(|(&c, &b)| delta(c, b, &what))
-                    .collect::<Result<_, _>>()?,
-            });
+            let deltas: Vec<i64> =
+                cells().map(|(&c, &b)| delta(c, b, &what)).collect::<Result<_, _>>()?;
+            let rows = deltas.chunks(cols).map(<[i64]>::to_vec).collect();
+            planes.push(TileDeltaPlane::new(metric, rows));
         }
         let nodes = cur
             .nodes
@@ -486,22 +501,26 @@ impl HeatmapDiff {
             })
             .collect::<Result<_, String>>()?;
 
-        Ok(HeatmapDiff {
+        let mut diff = HeatmapDiff {
+            kind: "heatmap-diff".to_string(),
+            zero: false,
             preset: base.preset.clone(),
             config: base.config.clone(),
-            base: base.provenance.clone(),
-            current: cur.provenance.clone(),
-            planes,
+            base_provenance: base.provenance.clone(),
+            current_provenance: cur.provenance.clone(),
             owner_flips,
+            planes,
             nodes,
-        })
+        };
+        diff.zero = diff.is_zero();
+        Ok(diff)
     }
 
     /// True when every tile plane, the owner map and every node's miss
     /// classes are unchanged.
     pub fn is_zero(&self) -> bool {
         self.owner_flips == 0
-            && self.planes.iter().all(|p| p.max_abs() == 0)
+            && self.planes.iter().all(|p| p.deltas.iter().flatten().all(|&d| d == 0))
             && self.nodes.iter().all(NodeMissDelta::is_zero)
     }
 
@@ -530,8 +549,7 @@ impl HeatmapDiff {
             if let Some((col, row, d)) = plane.hottest() {
                 lines.push(format!(
                     "{}: {} tiles changed, hottest {d:+} at ({col},{row})",
-                    plane.metric,
-                    plane.changed_tiles(),
+                    plane.metric, plane.changed_tiles,
                 ));
             }
         }
@@ -543,33 +561,23 @@ impl HeatmapDiff {
         }
         lines
     }
+}
 
-    /// The diff as a `DIFF_*.json`-shaped document (`kind: "heatmap-diff"`).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("kind", Json::str("heatmap-diff")),
-            ("zero", Json::Bool(self.is_zero())),
-            ("preset", Json::str(&self.preset)),
-            ("config", Json::str(&self.config)),
-            ("base_provenance", self.base.to_json()),
-            ("current_provenance", self.current.to_json()),
-            ("owner_flips", Json::U64(self.owner_flips as u64)),
-            (
-                "planes",
-                Json::arr(self.planes.iter().map(|p| {
-                    Json::obj([
-                        ("metric", Json::str(&p.metric)),
-                        ("changed_tiles", Json::U64(p.changed_tiles() as u64)),
-                        ("max_abs", Json::I64(p.max_abs())),
-                        (
-                            "deltas",
-                            Json::arr(p.deltas.chunks(p.cols.max(1)).map(|r| r.to_vec().to_json())),
-                        ),
-                    ])
-                })),
-            ),
-            ("nodes", self.nodes.to_json()),
-        ])
+impl Artifact for HeatmapDiff {
+    /// The header names this kind and its `zero` matches the rows, and
+    /// every plane is a non-empty rectangle whose `changed_tiles` and
+    /// `max_abs` match its deltas.
+    fn verify(&self) -> Vec<String> {
+        let mut problems = check_header(&self.kind, "heatmap-diff", self.zero, self.is_zero());
+        for p in &self.planes {
+            let cols = p.deltas.first().map_or(0, Vec::len);
+            let grid = cols > 0 && p.deltas.iter().all(|r| r.len() == cols);
+            if !grid || *p != TileDeltaPlane::new(&p.metric, p.deltas.clone()) {
+                let what = "a non-empty grid whose changed_tiles and max_abs match it";
+                problems.push(format!("plane '{}': deltas are not {what}", p.metric));
+            }
+        }
+        problems
     }
 }
 
@@ -620,29 +628,33 @@ impl HistogramShift {
     }
 }
 
-/// Attributed difference between two `METRICS_<name>.json` host
-/// profiles. Host wall times are *not* deterministic across runs — this
-/// differ explains where time moved, it does not gate.
-#[derive(Debug, Clone)]
-pub struct MetricsDiff {
-    /// Provenance of the baseline document.
-    pub base: Provenance,
-    /// Provenance of the current document.
-    pub current: Provenance,
-    /// Per-phase deltas for phases present on both sides, current order.
-    pub phases: Vec<PhaseDelta>,
-    /// Baseline self time of each shared phase, anchoring percentages.
-    pub base_self_ns: BTreeMap<String, u64>,
-    /// Phases only one side has (name, which side).
-    pub one_sided_phases: Vec<(String, &'static str)>,
-    /// Counter deltas (all counters on either side, by name).
-    pub counters: Vec<(String, i64)>,
-    /// Histogram distribution shifts for histograms on both sides.
-    pub histograms: Vec<HistogramShift>,
-    /// Histograms only one side has (name, which side).
-    pub one_sided_histograms: Vec<(String, &'static str)>,
-    /// Peak-RSS change in bytes.
-    pub peak_rss_delta: i64,
+record! {
+    /// Attributed difference between two `METRICS_<name>.json` host
+    /// profiles, and its `DIFF_*.json` document (`kind: "metrics-diff"`).
+    /// Host wall times are *not* deterministic across runs — this differ
+    /// explains where time moved, it does not gate.
+    #[derive(Debug, Clone)]
+    pub struct MetricsDiff {
+        /// Always `metrics-diff`.
+        pub kind: String,
+        /// Whether every row is zero ([`Artifact::verify`] checks it).
+        pub zero: bool,
+        /// Provenance of the baseline document.
+        pub base_provenance: Provenance,
+        /// Provenance of the current document.
+        pub current_provenance: Provenance,
+        /// Peak-RSS change in bytes.
+        pub peak_rss_delta: i64,
+        /// Per-phase deltas for phases present on both sides, current order.
+        pub phases: Vec<PhaseDelta>,
+        /// Counter deltas (all counters on either side, by name).
+        pub counters: BTreeMap<String, i64>,
+        /// Histogram distribution shifts for histograms on both sides.
+        pub histograms: Vec<HistogramShift>,
+        /// Phases, then histograms, that only one side has (`phase 'x'
+        /// only in baseline`).
+        pub one_sided: Vec<String>,
+    }
 }
 
 impl MetricsDiff {
@@ -656,7 +668,7 @@ impl MetricsDiff {
     pub fn between<'a>(base: &'a MetricsDoc, cur: &'a MetricsDoc) -> Result<MetricsDiff, String> {
         base.provenance.comparable(&cur.provenance)?;
         let (pairs, only_base, only_cur) = pair_by_name(&base.phases, &cur.phases, |p| &p.name);
-        let one_sided_phases = one_sided(only_base, only_cur);
+        let mut one_sided = only_in("phase", only_base, only_cur);
         let mut phases = Vec::new();
         for (b, c) in &pairs {
             let d = |cur: u64, base: u64| delta(cur, base, format_args!("phase '{}'", b.name));
@@ -667,12 +679,11 @@ impl MetricsDiff {
                 self_ns: d(c.self_ns, b.self_ns)?,
             });
         }
-        let base_self_ns = pairs.iter().map(|(b, _)| (b.name.clone(), b.self_ns)).collect();
 
         let (base_counters, cur_counters) = (&base.metrics.counters, &cur.metrics.counters);
         let counters = base_counters
             .keys()
-            .chain(cur_counters.keys().filter(|k| !base_counters.contains_key(*k)))
+            .chain(cur_counters.keys())
             .map(|name| {
                 let value = |m: &BTreeMap<String, u64>| m.get(name).copied().unwrap_or(0);
                 let what = format!("counter '{name}'");
@@ -683,7 +694,7 @@ impl MetricsDiff {
         let named = |doc: &'a MetricsDoc| doc.metrics.histograms.iter().collect::<Vec<_>>();
         let (base_hists, cur_hists) = (named(base), named(cur));
         let (pairs, only_base, only_cur) = pair_by_name(&base_hists, &cur_hists, |h| h.0);
-        let one_sided_histograms = one_sided(only_base, only_cur);
+        one_sided.extend(only_in("histogram", only_base, only_cur));
         let mut histograms = Vec::new();
         for ((name, b), (_, c)) in pairs {
             let d = |cur: u64, base: u64| delta(cur, base, format_args!("histogram '{name}'"));
@@ -709,28 +720,29 @@ impl MetricsDiff {
             });
         }
 
-        Ok(MetricsDiff {
-            base: base.provenance.clone(),
-            current: cur.provenance.clone(),
+        let mut diff = MetricsDiff {
+            kind: "metrics-diff".to_string(),
+            zero: false,
+            base_provenance: base.provenance.clone(),
+            current_provenance: cur.provenance.clone(),
+            peak_rss_delta: delta(cur.peak_rss_bytes, base.peak_rss_bytes, "peak RSS")?,
             phases,
-            base_self_ns,
-            one_sided_phases,
             counters,
             histograms,
-            one_sided_histograms,
-            peak_rss_delta: delta(cur.peak_rss_bytes, base.peak_rss_bytes, "peak RSS")?,
-        })
+            one_sided,
+        };
+        diff.zero = diff.is_zero();
+        Ok(diff)
     }
 
     /// True when phases, counters, histograms and peak RSS are all
     /// unchanged (only diffing a profile against itself achieves this —
     /// wall times jitter between real runs).
     pub fn is_zero(&self) -> bool {
-        self.one_sided_phases.is_empty()
-            && self.one_sided_histograms.is_empty()
+        self.one_sided.is_empty()
             && self.peak_rss_delta == 0
             && self.phases.iter().all(|p| [p.count, p.total_ns, p.self_ns] == [0; 3])
-            && self.counters.iter().all(|(_, d)| *d == 0)
+            && self.counters.values().all(|&d| d == 0)
             && self.histograms.iter().all(HistogramShift::is_zero)
     }
 
@@ -751,16 +763,17 @@ impl MetricsDiff {
     }
 
     /// Ranked, human-readable explanation lines: where host wall time
-    /// moved, counter drift, and histogram shifts.
-    pub fn explanation(&self, top: usize) -> Vec<String> {
+    /// moved (as a share of `base`'s self time, `base` being the profile
+    /// the diff was taken against), counter drift, and histogram shifts.
+    pub fn explanation(&self, base: &MetricsDoc, top: usize) -> Vec<String> {
         let mut lines = Vec::new();
-        if let Some(drift) = self.base.environment_drift(&self.current) {
+        if let Some(drift) = self.base_provenance.environment_drift(&self.current_provenance) {
             lines.push(format!(
                 "note: environment drift ({drift}) — wall times are not portable"
             ));
         }
         for p in self.ranked_phases().into_iter().take(top) {
-            let base = self.base_self_ns.get(&p.name).copied().unwrap_or(0);
+            let base = base.phases.iter().find(|b| b.name == p.name).map_or(0, |b| b.self_ns);
             let pct = fmt_pct((base as i128 + p.self_ns as i128).max(0) as u64, base);
             lines.push(format!(
                 "phase '{}': self {:+.3} ms ({pct}), inclusive {:+.3} ms",
@@ -769,7 +782,7 @@ impl MetricsDiff {
                 p.total_ns as f64 / 1e6,
             ));
         }
-        for (name, d) in self.counters.iter().filter(|(_, d)| *d != 0).take(top) {
+        for (name, d) in self.counters.iter().filter(|(_, d)| **d != 0).take(top) {
             lines.push(format!("counter '{name}': {d:+}"));
         }
         for h in self.histograms.iter().filter(|h| !h.is_zero()).take(top) {
@@ -787,33 +800,12 @@ impl MetricsDiff {
         }
         lines
     }
+}
 
-    /// The diff as a `DIFF_*.json`-shaped document (`kind: "metrics-diff"`).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("kind", Json::str("metrics-diff")),
-            ("zero", Json::Bool(self.is_zero())),
-            ("base_provenance", self.base.to_json()),
-            ("current_provenance", self.current.to_json()),
-            ("peak_rss_delta", Json::I64(self.peak_rss_delta)),
-            ("phases", self.phases.to_json()),
-            (
-                "counters",
-                Json::obj(self.counters.iter().map(|(k, d)| (k.clone(), Json::I64(*d)))),
-            ),
-            ("histograms", self.histograms.to_json()),
-            (
-                "one_sided",
-                Json::arr(
-                    self.one_sided_phases
-                        .iter()
-                        .map(|(n, side)| Json::str(format!("phase '{n}' only in {side}")))
-                        .chain(self.one_sided_histograms.iter().map(|(n, side)| {
-                            Json::str(format!("histogram '{n}' only in {side}"))
-                        })),
-                ),
-            ),
-        ])
+impl Artifact for MetricsDiff {
+    /// The header names this kind and its `zero` matches the rows.
+    fn verify(&self) -> Vec<String> {
+        check_header(&self.kind, "metrics-diff", self.zero, self.is_zero())
     }
 }
 
@@ -821,6 +813,7 @@ impl MetricsDiff {
 mod tests {
     use super::*;
     use crate::artifact::Schema;
+    use sortmid_devharness::json::Json;
 
     fn decode<A: Schema>(doc: &Json) -> A {
         A::from_json(doc).unwrap()
@@ -868,6 +861,10 @@ mod tests {
         assert_eq!(d.ranked().len(), 0);
         assert!(d.explanation(5)[0].contains("no differences"));
         assert_eq!(d.to_json().get("zero"), Some(&Json::Bool(true)));
+        let mut wrong = d.clone();
+        (wrong.kind, wrong.zero) = ("gate".to_string(), false);
+        let header = ["kind 'gate' is not 'sweep-diff'", "'zero' is false but the rows say true"];
+        assert_eq!(wrong.verify(), header);
     }
 
     #[test]
@@ -879,30 +876,26 @@ mod tests {
         let ranked = d.ranked();
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].config, "16p/block-16/16KB/buf100");
-        assert_eq!(ranked[0].delta(), 40);
+        assert_eq!(ranked[0].delta, 40);
         assert_eq!(ranked[0].breakdown.dominant(), Some(("bus_stall", 40)));
         assert_eq!(ranked[0].group(), "16p/block-16");
         let line = &d.explanation(5)[0];
         assert!(line.contains("regressed") && line.contains("bus_stall +40"), "{line}");
         // The reverse diff reads as an improvement of the same size.
         let r = SweepDiff::between(&decode::<SweepBreakdowns>(&cur), &decode(&base)).unwrap();
-        assert_eq!(r.ranked()[0].delta(), -40);
+        assert_eq!(r.ranked()[0].delta, -40);
         assert!(r.explanation(5)[0].contains("improved"));
     }
 
     #[test]
     fn sweep_diff_rejects_incomparable_provenance() {
-        let base = sweep_doc(0);
-        let mut cur = sweep_doc(0);
-        cur.set(
-            "provenance",
-            Provenance::collect(7, 0xdef).to_json(),
-        );
-        let e = SweepDiff::between(&decode::<SweepBreakdowns>(&base), &decode(&cur)).unwrap_err();
+        let base = decode::<SweepBreakdowns>(&sweep_doc(0));
+        let mut cur = base.clone();
+        cur.provenance = Provenance::collect(7, 0xdef);
+        let e = SweepDiff::between(&base, &cur).unwrap_err();
         assert!(e.contains("grid_hash"), "{e}");
-        let mut cur = sweep_doc(0);
-        cur.set("provenance", Provenance::collect(8, 0xabc).to_json());
-        let e = SweepDiff::between(&decode::<SweepBreakdowns>(&base), &decode(&cur)).unwrap_err();
+        cur.provenance = Provenance::collect(8, 0xabc);
+        let e = SweepDiff::between(&base, &cur).unwrap_err();
         assert!(e.contains("seed"), "{e}");
         let Json::Obj(pairs) = sweep_doc(0) else { unreachable!() };
         let stripped = Json::Obj(pairs.into_iter().filter(|(k, _)| k != "provenance").collect());
@@ -1008,7 +1001,7 @@ mod tests {
             .iter()
             .find(|p| p.metric == "miss_conflict")
             .unwrap();
-        assert_eq!(conflict_plane.changed_tiles(), 1);
+        assert_eq!(conflict_plane.changed_tiles, 1);
         assert_eq!(conflict_plane.hottest(), Some((0, 0, 4)));
         // The regressed tile renders red-ish, the untouched one white.
         let img = conflict_plane.render(2);
@@ -1024,14 +1017,14 @@ mod tests {
 
     #[test]
     fn heatmap_diff_rejects_mismatched_geometry_and_preset() {
-        let base = heatmap_doc(0, 1);
-        let mut cur = heatmap_doc(0, 1);
-        cur.set("cols", Json::U64(3));
-        let e = HeatmapDiff::between(&decode::<HeatmapDoc>(&base), &decode(&cur)).unwrap_err();
+        let base = decode::<HeatmapDoc>(&heatmap_doc(0, 1));
+        let mut cur = base.clone();
+        cur.cols = 3;
+        let e = HeatmapDiff::between(&base, &cur).unwrap_err();
         assert!(e.contains("grid"), "{e}");
-        let mut cur = heatmap_doc(0, 1);
-        cur.set("preset", Json::str("other"));
-        let e = HeatmapDiff::between(&decode::<HeatmapDoc>(&base), &decode(&cur)).unwrap_err();
+        let mut cur = base.clone();
+        cur.preset = "other".to_string();
+        let e = HeatmapDiff::between(&base, &cur).unwrap_err();
         assert!(e.contains("preset"), "{e}");
     }
 
@@ -1093,28 +1086,25 @@ mod tests {
 
     #[test]
     fn metrics_self_diff_is_exactly_zero() {
-        let doc = metrics_doc(200_000, 60);
-        let d = MetricsDiff::between(&decode::<MetricsDoc>(&doc), &decode(&doc)).unwrap();
+        let doc = decode::<MetricsDoc>(&metrics_doc(200_000, 60));
+        let d = MetricsDiff::between(&doc, &doc).unwrap();
         assert!(d.is_zero());
-        assert!(d.explanation(5)[0].contains("no differences"));
+        assert!(d.explanation(&doc, 5)[0].contains("no differences"));
     }
 
     #[test]
     fn metrics_diff_ranks_the_moved_phase_and_histogram() {
-        let base = metrics_doc(200_000, 60);
+        let base = decode::<MetricsDoc>(&metrics_doc(200_000, 60));
         let cur = metrics_doc(500_000, 75);
-        let d = MetricsDiff::between(&decode::<MetricsDoc>(&base), &decode(&cur)).unwrap();
+        let d = MetricsDiff::between(&base, &decode(&cur)).unwrap();
         assert!(!d.is_zero());
         let ranked = d.ranked_phases();
         assert_eq!(ranked[0].name, "capture");
         assert_eq!(ranked[0].self_ns, 300_000);
-        assert_eq!(
-            d.counters,
-            vec![("sweep.configs".to_string(), 15)]
-        );
+        assert_eq!(d.counters, BTreeMap::from([("sweep.configs".to_string(), 15)]));
         assert_eq!(d.histograms[0].count, 15);
         assert_eq!(d.histograms[0].buckets, vec![(10, 15)]);
-        let lines = d.explanation(5);
+        let lines = d.explanation(&base, 5);
         assert!(lines[0].contains("capture"), "{lines:?}");
     }
 

@@ -17,7 +17,7 @@
 //!   PR 3's five-way cycle identity;
 //! * the **artefact contract** — [`HostProfile::document`] emits the
 //!   [`MetricsDoc`] behind `METRICS_sweep.json`, and
-//!   [`chrome_trace_with_host`](crate::perfetto::chrome_trace_with_host)
+//!   [`chrome_trace`](crate::perfetto::chrome_trace)
 //!   renders the same spans as wall-time tracks next to the simulated
 //!   cycle tracks in one Perfetto document.
 //!
@@ -537,20 +537,32 @@ impl HostProfile {
 }
 
 /// The span-tree and worker invariants shared by [`HostProfile::verify`]
-/// and [`MetricsDoc`]'s `verify`: spans nest inside their parent on its
-/// thread, siblings never overlap, and every worker satisfies
-/// `busy + idle == wall` exactly.
+/// and [`MetricsDoc`]'s `verify`: spans are listed in open order (a
+/// parent before its children) at their tree depth, nest inside their
+/// parent on its thread, siblings never overlap, and every worker
+/// satisfies `busy + idle == wall` exactly.
 fn check_rows(spans: &[SpanRow], workers: &[WorkerRow]) -> Vec<String> {
     let mut problems = Vec::new();
     // The decoder rejects spans whose end overflows.
     let end = |s: &SpanRow| s.start_ns.saturating_add(s.dur_ns);
     for (i, span) in spans.iter().enumerate() {
-        let Some(p) = span.parent else { continue };
         let name = &span.name;
-        let Some(parent) = spans.get(p as usize) else {
-            problems.push(format!("spans[{i}] '{name}': parent index {p} out of range"));
+        let Some(p) = span.parent else {
+            if span.depth != 0 {
+                problems.push(format!("spans[{i}] '{name}': root span at depth {}", span.depth));
+            }
             continue;
         };
+        let Some(parent) = spans[..i].get(p as usize) else {
+            problems.push(format!("spans[{i}] '{name}': parent index {p} is not before it"));
+            continue;
+        };
+        if parent.depth.checked_add(1) != Some(span.depth) {
+            let (depth, parent_depth) = (span.depth, parent.depth);
+            problems.push(format!(
+                "spans[{i}] '{name}': depth {depth} under a parent at depth {parent_depth}"
+            ));
+        }
         if parent.thread != span.thread {
             let parent = &parent.name;
             problems.push(format!("spans[{i}] '{name}': crosses threads (parent '{parent}')"));
@@ -916,5 +928,35 @@ mod tests {
         };
         let err = profile.verify().unwrap_err();
         assert!(err.contains("escapes parent"), "{err}");
+    }
+
+    /// A span row on thread 0 over `[0, 10)` (nesting and overlap never
+    /// fire, so only the tree-shape rules can).
+    fn row(name: &str, depth: u64, parent: Option<u64>) -> SpanRow {
+        let name = name.to_string();
+        SpanRow { name, thread: 0, depth, parent, start_ns: 0, dur_ns: 10 }
+    }
+
+    #[test]
+    fn a_parent_must_be_listed_before_its_child() {
+        // A span that is its own parent, and a parent listed after it.
+        let own = check_rows(&[row("a", 1, Some(0))], &[]);
+        assert_eq!(own, ["spans[0] 'a': parent index 0 is not before it"]);
+        let later = check_rows(&[row("child", 1, Some(1)), row("parent", 0, None)], &[]);
+        assert_eq!(later, ["spans[0] 'child': parent index 1 is not before it"]);
+    }
+
+    #[test]
+    fn a_root_span_sits_at_depth_zero() {
+        let problems = check_rows(&[row("root", 2, None)], &[]);
+        assert_eq!(problems, ["spans[0] 'root': root span at depth 2"]);
+    }
+
+    #[test]
+    fn a_child_sits_one_below_its_parent() {
+        let spans = [row("root", 0, None), row("a", 1, Some(0)), row("b", 3, Some(1))];
+        let problems = check_rows(&spans, &[]);
+        assert_eq!(problems, ["spans[2] 'b': depth 3 under a parent at depth 1"]);
+        assert!(check_rows(&spans[..2], &[]).is_empty());
     }
 }

@@ -25,7 +25,8 @@
 //!   and bus utilization, rendered as terminal charts/tables through
 //!   `sortmid-util`.
 //! * [`perfetto`] — a Chrome-trace-event exporter: a recorded run becomes
-//!   a `TRACE_<config>.json` that opens directly in `ui.perfetto.dev`.
+//!   a `TRACE_<config>.json` (owned by [`perfetto::ChromeTrace`]) that
+//!   opens directly in `ui.perfetto.dev`.
 //! * [`heatmap::ScreenGrid`] + [`attribution::SpatialCollector`] — the
 //!   *spatial* metrics layer: per-tile depth complexity, owner-node
 //!   fragment load, setup cycles and three-C-classified cache misses,
@@ -41,23 +42,25 @@
 //!   away, exactly like [`sink::NullSink`] does for cycle tracing; a
 //!   sealed [`host::HostProfile`] exports as `METRICS_<name>.json` (owned
 //!   by [`host::MetricsDoc`]) and as wall-time tracks in the Perfetto document
-//!   ([`perfetto::chrome_trace_with_host`]).
+//!   ([`perfetto::chrome_trace`]).
 //! * [`provenance::Provenance`] — the run-identity block every artefact
 //!   emitter stamps (schema version, scene seed, FNV hash of the config
 //!   grid, build profile, host fingerprint). Schema/seed/grid must match
 //!   for two artefacts to be comparable; build/host differences are
 //!   reported as informational drift.
-//! * [`artifact`] — the artefact contract: each validated-and-diffed
-//!   document kind has one owner type (one field table behind its
-//!   emitter and decoder, plus a `verify` returning every broken
-//!   identity); [`artifact::ArtifactKind::of`] names a file's kind.
+//! * [`artifact`] — the artefact contract: each document kind — BENCH,
+//!   TRACE, HEATMAP, METRICS and DIFF — has one owner type (one field
+//!   table behind its emitter and decoder, plus a `verify` returning
+//!   every broken identity); [`artifact::ArtifactKind::of`] names a
+//!   file's kind.
 //! * [`diff`] — the *differential* layer: [`diff::SweepDiff`],
 //!   [`diff::HeatmapDiff`] and [`diff::MetricsDiff`] compute exact signed
 //!   deltas between two comparable decoded artefacts at every level the
 //!   instrumentation records (per-config cycles split by the five-way
 //!   breakdown, tile-plane delta grids with owner flips and three-C
 //!   miss-class movement, host phase/counter/histogram shifts) and rank
-//!   them into a printable explanation; the `sortmid-diff` bin and
+//!   them into a printable explanation; each differ is also the owner of
+//!   its `DIFF_*.json` document. The `sortmid-diff` bin and
 //!   `bench_check --explain` drive it.
 //! * [`palette`] — the shared color maps: the heat ramp, the
 //!   golden-angle owner palette, and the diverging blue-white-red delta
@@ -92,7 +95,7 @@ pub mod provenance;
 pub mod series;
 pub mod sink;
 
-pub use artifact::{Artifact, ArtifactKind, Schema};
+pub use artifact::{Artifact, ArtifactKind, Merged, Schema};
 pub use attribution::{HeatmapDoc, MissClass, MissClassCounts, SpatialCollector, TileStats};
 pub use breakdown::{
     breakdown_table, BreakdownDelta, CycleBreakdown, CycleIdentityError, SweepBreakdowns,
@@ -107,7 +110,7 @@ pub use host::{
     SpanRecord, WorkerStats,
 };
 pub use metrics::{log2_bucket, Counter, Log2Histogram, MetricsRegistry, LOG2_BUCKETS};
-pub use perfetto::{chrome_trace, chrome_trace_with_host, HOST_PID};
+pub use perfetto::{chrome_trace, ChromeEvent, ChromeTrace, HOST_PID};
 pub use series::TimeSeries;
 pub use sink::{NullSink, TraceRecorder, TraceSink};
 

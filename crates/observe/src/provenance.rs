@@ -78,28 +78,6 @@ impl Provenance {
         }
     }
 
-    /// The block as the JSON object artefacts embed under `"provenance"`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::U64(self.schema)),
-            ("seed", Json::U64(self.seed)),
-            ("grid_hash", Json::str(format!("{:016x}", self.grid_hash))),
-            ("build", Json::str(&self.build)),
-            ("host", Json::str(&self.host)),
-        ])
-    }
-
-    /// Reads the `"provenance"` block out of an artefact document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or mistyped field; a document
-    /// without any block reports `missing provenance block` (the pre-PR-9
-    /// artefact generation — regenerate it).
-    pub fn from_doc(doc: &Json) -> Result<Provenance, String> {
-        member(doc, "provenance")
-    }
-
     /// Whether a diff between artefacts carrying `self` and `other` is
     /// meaningful: schema, seed and grid hash must match exactly.
     ///
@@ -144,10 +122,17 @@ impl Provenance {
     }
 }
 
-/// The block artefacts embed under `"provenance"`.
+/// The block artefacts embed under `"provenance"`; a document without
+/// one names the fix (the artefact predates provenance stamping).
 impl Schema for Provenance {
     fn to_json(&self) -> Json {
-        Provenance::to_json(self)
+        Json::obj([
+            ("schema", Json::U64(self.schema)),
+            ("seed", Json::U64(self.seed)),
+            ("grid_hash", Json::str(format!("{:016x}", self.grid_hash))),
+            ("build", Json::str(&self.build)),
+            ("host", Json::str(&self.host)),
+        ])
     }
 
     fn from_json(block: &Json) -> Result<Provenance, String> {
@@ -163,8 +148,8 @@ impl Schema for Provenance {
         })
     }
 
-    fn missing(key: &str) -> String {
-        format!("missing {key} block (artefact predates provenance stamping; regenerate it)")
+    fn absent(key: &str) -> Result<Provenance, String> {
+        Err(format!("missing {key} block (artefact predates provenance stamping; regenerate it)"))
     }
 }
 
@@ -201,20 +186,20 @@ mod tests {
     fn provenance_round_trips_through_json() {
         let p = Provenance::collect(1234, 0xdead_beef_cafe_f00d);
         let doc = Json::obj([("provenance", p.to_json())]);
-        let back = Provenance::from_doc(&doc).unwrap();
+        let back = member::<Provenance>(&doc, "provenance").unwrap();
         assert_eq!(back, p);
         assert_eq!(back.schema, SCHEMA_VERSION);
     }
 
     #[test]
     fn missing_block_and_bad_fields_report_clearly() {
-        let e = Provenance::from_doc(&Json::obj::<&str>([])).unwrap_err();
+        let e = member::<Provenance>(&Json::obj::<&str>([]), "provenance").unwrap_err();
         assert!(e.contains("missing provenance"), "{e}");
         let doc = Json::obj([(
             "provenance",
             Json::obj([("schema", Json::str("one"))]),
         )]);
-        let e = Provenance::from_doc(&doc).unwrap_err();
+        let e = member::<Provenance>(&doc, "provenance").unwrap_err();
         assert!(e.contains("grid_hash") || e.contains("schema"), "{e}");
     }
 

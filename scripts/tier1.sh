@@ -59,15 +59,37 @@ SORTMID_BENCH_DIR="$bench_dir" \
 SORTMID_BENCH_DIR="$bench_dir" \
     cargo run -q --release --offline -p sortmid-bench --bin heatmap -- --scale 0.05 --tile 16 tiny
 
-# Differential observability smoke: the self-diff of the fresh sweep
-# artefact must be exactly zero at every level (--expect-zero exits
-# nonzero otherwise) and leaves a DIFF_selfdiff.json behind; the gate run
-# below then explains its verdict against the committed baseline and
-# writes DIFF_gate.json — bench_check rescans the directory afterwards,
-# so both DIFF documents are themselves schema-validated.
+# Differential observability smoke: the self-diffs of the fresh sweep,
+# heatmap and host-profile artefacts must be exactly zero at every level
+# (--expect-zero exits nonzero otherwise) and leave one DIFF document of
+# each kind behind.
 cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
     "$bench_dir/BENCH_sweep.json" "$bench_dir/BENCH_sweep.json" \
     --expect-zero --json "$bench_dir/DIFF_selfdiff.json"
+cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
+    "$bench_dir/HEATMAP_tiny.json" "$bench_dir/HEATMAP_tiny.json" \
+    --expect-zero --json "$bench_dir/DIFF_heatmap.json"
+cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
+    "$bench_dir/METRICS_sweep.json" "$bench_dir/METRICS_sweep.json" \
+    --expect-zero --json "$bench_dir/DIFF_metrics.json"
+
+# Scheduler determinism: the longest-first pool must simulate identical
+# cycles at any thread count, whichever worker claims which frame group.
+# Re-run the sweep on 3 pool threads and demand an exactly-zero diff
+# against the default-thread artefact (provenance comparison ignores
+# host/build, so the cross-process diff keys purely on simulated results).
+# On a host with fewer than 3 cores this run's host profile counts
+# preemption as task time, so it checks determinism only.
+SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$threads_dir" \
+    cargo run -q --release --offline -p sortmid-bench --bin sweep -- --threads 3
+cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
+    "$bench_dir/BENCH_sweep.json" "$threads_dir/BENCH_sweep.json" \
+    --expect-zero --json "$bench_dir/DIFF_threads.json"
+
+# The gate run explains its verdict against the committed baseline and
+# writes DIFF_gate.json; bench_check then scans the directory, so every
+# artefact above — the DIFF documents of all four kinds (sweep, heatmap,
+# metrics, gate) included — is decoded and verified by its owner.
 cargo run -q --release --offline -p sortmid-bench --bin bench_check -- \
     "$bench_dir" --against "$repo/BENCH_baseline.json" \
     --explain --json "$bench_dir/DIFF_gate.json"
@@ -80,17 +102,6 @@ for artefact in BENCH_baseline.json METRICS_sweep.json; do
     cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
         "$repo/$artefact" "$repo/$artefact" --expect-zero
 done
-
-# Scheduler determinism: the longest-first pool must simulate identical
-# cycles at any thread count, whichever worker claims which frame group.
-# Re-run the sweep on 3 pool threads and demand an exactly-zero diff
-# against the default-thread artefact (provenance comparison ignores
-# host/build, so the cross-process diff keys purely on simulated results).
-SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$threads_dir" \
-    cargo run -q --release --offline -p sortmid-bench --bin sweep -- --threads 3
-cargo run -q --release --offline -p sortmid-bench --bin sortmid-diff -- \
-    "$bench_dir/BENCH_sweep.json" "$threads_dir/BENCH_sweep.json" \
-    --expect-zero --json "$threads_dir/DIFF_threads.json"
 
 # The engine == reference-oracle property lane, in release (the debug run
 # above already covered it functionally; release exercises the probe and

@@ -3,19 +3,21 @@
 //! re-emit byte-identical JSON and `verify()` must find nothing to report
 //! — on a real sweep's cycle breakdowns, on spatial collectors fed random
 //! fragments and setup padding, on host profiles of random nested spans,
-//! worker records and metrics, and on the committed root artefacts.
+//! worker records and metrics, on every diff document between real
+//! artefacts with an injected delta, on real traces, and on the committed
+//! root artefacts.
 
 use sortmid::{
-    grid_hash, run_sweep, CacheKind, Distribution, HostProfiler, HostSink, Machine, MachineConfig,
-    RunReport, SweepGrid,
+    grid_hash, run_sweep, run_sweep_profiled, CacheKind, Distribution, HostProfiler, HostSink,
+    Machine, MachineConfig, RunReport, SweepGrid, SweepOptions, TraceRecorder,
 };
 use sortmid_cache::CacheGeometry;
 use sortmid_devharness::json::Json;
 use sortmid_devharness::prop::{check, Config, Gen};
-use sortmid_observe::breakdown::ConfigBreakdown;
 use sortmid_observe::{
-    Artifact, HeatmapDoc, MetricsDoc, MissClassCounts, Provenance, Schema, SpatialCollector,
-    SweepBreakdowns, TraceSink,
+    chrome_trace, Artifact, ChromeTrace, HeatmapDiff, HeatmapDoc, MetricsDiff,
+    MetricsDoc, MissClassCounts, Provenance, Schema, SpatialCollector, SweepBreakdowns, SweepDiff,
+    TraceSink,
 };
 use sortmid_scene::{Benchmark, SceneBuilder};
 
@@ -39,24 +41,8 @@ fn provenance(g: &mut Gen) -> Provenance {
 }
 
 fn breakdowns(reports: &[&RunReport], provenance: Provenance) -> SweepBreakdowns {
-    SweepBreakdowns {
-        provenance,
-        cycle_breakdowns: reports
-            .iter()
-            .map(|r| ConfigBreakdown {
-                config: r.summary().to_string(),
-                total_cycles: r.total_cycles(),
-                nodes: r
-                    .nodes()
-                    .iter()
-                    .map(|n| {
-                        let [setup, busy, stall, starved, idle] = n.cycle_breakdown().as_array();
-                        [setup, busy, stall, starved, idle, n.finish]
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
+    let cycle_breakdowns = reports.iter().map(|r| r.breakdown_row()).collect();
+    SweepBreakdowns { provenance, cycle_breakdowns }
 }
 
 #[test]
@@ -119,22 +105,117 @@ fn prop_spatial_collector_heatmap_round_trips() {
     );
 }
 
-#[test]
-fn a_traced_run_heatmap_round_trips() {
-    let config = MachineConfig::builder()
-        .processors(4)
+/// A classifying-cache config with `processors` nodes and a
+/// `buffer`-entry triangle FIFO.
+fn traced_config(processors: u32, buffer: usize) -> MachineConfig {
+    MachineConfig::builder()
+        .processors(processors)
         .distribution(Distribution::block(16))
         .cache(CacheKind::Classifying(CacheGeometry::paper_l1()))
+        .triangle_buffer(buffer)
         .build()
-        .expect("valid config");
+        .expect("valid config")
+}
+
+/// The heatmap document of one traced run of the 0.1-scale Quake scene.
+fn traced_heatmap() -> (HeatmapDoc, RunReport) {
+    let config = traced_config(4, 100);
     let stream = SceneBuilder::benchmark(Benchmark::Quake).scale(0.1).build().rasterize();
     let screen = stream.screen();
     let mut col = SpatialCollector::new(screen.width(), screen.height(), 16, config.processors);
     let report = Machine::new(config.clone()).run_traced(&stream, &mut col);
     let prov = Provenance::collect(7, grid_hash(std::slice::from_ref(&config)));
-    let text = col.document("tiny", report.summary(), prov).to_json().render();
-    let doc = round_trip::<HeatmapDoc>(&text).unwrap();
+    (col.document("tiny", report.summary(), prov), report)
+}
+
+#[test]
+fn a_traced_run_heatmap_round_trips() {
+    let (doc, report) = traced_heatmap();
+    let doc = round_trip::<HeatmapDoc>(&doc.to_json().render()).unwrap();
     assert_eq!(doc.fragments, report.fragments());
+}
+
+/// One drawn delta per diff kind: `(config, category, cycles)` for the
+/// sweep, `(tile row, tile col, conflict misses)` for the heatmap and
+/// `(phase, nanoseconds)` for the host profile. Zero amounts keep
+/// exactly-zero diffs in the mix.
+type Deltas = ((usize, usize, u64), (usize, usize, u64), (usize, u64));
+
+#[test]
+fn prop_diff_documents_round_trip() {
+    let stream = SceneBuilder::benchmark(Benchmark::Quake).scale(0.1).build().rasterize();
+    let configs = SweepGrid::new()
+        .processors([2, 4])
+        .distributions([Distribution::block(16), Distribution::sli(2)])
+        .caches([CacheKind::PaperL1])
+        .buffers([8])
+        .build();
+    let prov = Provenance::collect(7, grid_hash(&configs));
+    let prof = HostProfiler::new();
+    let reports = run_sweep_profiled(&stream, &configs, SweepOptions { threads: 2 }, &prof);
+    let sweep = breakdowns(&reports.iter().collect::<Vec<_>>(), prov.clone());
+    let profile = prof.finish().document("sweep", prov);
+    let (heatmap, _) = traced_heatmap();
+    let (rows, cols) = (heatmap.rows as usize, heatmap.cols as usize);
+    check(
+        "diff documents round-trip",
+        &Config::with_cases(32),
+        |g: &mut Gen| -> Deltas {
+            let amount = |g: &mut Gen| if g.bool() { 0 } else { g.u64_below(1 << 20) + 1 };
+            let sweep = (g.choice(reports.len()), g.choice(5), amount(g));
+            let heat = (g.choice(rows), g.choice(cols), amount(g));
+            (sweep, heat, (g.choice(profile.phases.len()), amount(g)))
+        },
+        |&((config, category, cycles), (row, col, misses), (phase, ns))| {
+            let mut cur = sweep.clone();
+            let entry = &mut cur.cycle_breakdowns[config];
+            entry.total_cycles += cycles;
+            for node in &mut entry.nodes {
+                node[category] += cycles;
+                node[5] += cycles;
+            }
+            let diff = SweepDiff::between(&sweep, &cur)?;
+            round_trip::<SweepDiff>(&diff.to_json().render())?;
+
+            let mut cur = heatmap.clone();
+            cur.tiles.miss_conflict[row][col] += misses;
+            cur.nodes[0].conflict += misses;
+            cur.nodes[0].misses += misses;
+            let diff = HeatmapDiff::between(&heatmap, &cur)?;
+            round_trip::<HeatmapDiff>(&diff.to_json().render())?;
+
+            let mut cur = profile.clone();
+            cur.phases[phase].self_ns += ns;
+            cur.phases[phase].total_ns += ns;
+            let diff = MetricsDiff::between(&profile, &cur)?;
+            if diff.zero != (ns == 0) {
+                return Err(format!("{ns} ns injected, but the diff says zero = {}", diff.zero));
+            }
+            round_trip::<MetricsDiff>(&diff.to_json().render()).map(drop)
+        },
+    );
+}
+
+#[test]
+fn prop_traced_runs_trace_round_trips() {
+    let stream = SceneBuilder::benchmark(Benchmark::Quake).scale(0.05).build().rasterize();
+    check(
+        "trace round-trip",
+        &Config::with_cases(12),
+        |g: &mut Gen| ([1, 2, 4, 8][g.choice(4)], [1, 8, 100][g.choice(3)], provenance(g)),
+        |(processors, buffer, prov)| {
+            let prof = HostProfiler::new();
+            let machine = Machine::new(traced_config(*processors, *buffer));
+            let mut rec = TraceRecorder::new();
+            {
+                let _s = prof.span("run-traced");
+                machine.run_traced(&stream, &mut rec);
+            }
+            let labels = machine.node_labels();
+            let doc = chrome_trace(&rec, &labels, Some(&prof.finish()), prov.clone());
+            round_trip::<ChromeTrace>(&doc.to_json().render()).map(drop)
+        },
+    );
 }
 
 /// Span names the drawn profiles open (spans name static phases).

@@ -49,32 +49,14 @@ fn provenance(configs: &[MachineConfig]) -> Provenance {
     )
 }
 
-/// Builds the `BENCH_sweep.json` shape the sweep bin emits: per config
-/// the summary string, the machine time, and per node the
+/// The `BENCH_sweep.json` members the sweep bin emits for these reports:
+/// per config the summary string, the machine time, and per node the
 /// `[setup, busy, bus_stall, starved, idle, finish]` row.
 fn sweep_doc(reports: &[RunReport], prov: &Provenance) -> Json {
-    let mut doc = Json::obj([(
-        "cycle_breakdowns",
-        Json::arr(reports.iter().map(|r| {
-            Json::obj([
-                ("config", Json::str(r.summary())),
-                ("total_cycles", Json::U64(r.total_cycles())),
-                (
-                    "nodes",
-                    Json::arr(r.nodes().iter().map(|n| {
-                        let b = n.cycle_breakdown();
-                        b.verify(n.finish).expect("cycle identity must hold");
-                        let mut row: Vec<Json> =
-                            b.as_array().iter().map(|&c| Json::U64(c)).collect();
-                        row.push(Json::U64(n.finish));
-                        Json::Arr(row)
-                    })),
-                ),
-            ])
-        })),
-    )]);
-    doc.set("provenance", prov.to_json());
-    doc
+    let cycle_breakdowns = reports.iter().map(RunReport::breakdown_row).collect();
+    let doc = SweepBreakdowns { provenance: prov.clone(), cycle_breakdowns };
+    assert_eq!(doc.verify(), Vec::<String>::new(), "cycle identities must hold");
+    doc.to_json()
 }
 
 /// Decodes an artefact document with its owner type.
@@ -131,7 +113,7 @@ fn self_diff_of_a_real_sweep_is_exactly_zero() {
     assert_eq!(d.configs.len(), configs.len());
     assert!(d.only_base.is_empty() && d.only_current.is_empty());
     for c in &d.configs {
-        assert_eq!(c.delta(), 0, "{}: machine-cycle delta must be zero", c.config);
+        assert_eq!(c.delta, 0, "{}: machine-cycle delta must be zero", c.config);
         assert!(c.breakdown.is_zero(), "{}: every category delta must be zero", c.config);
     }
     assert!(d.ranked().is_empty(), "no config may rank as changed");
@@ -172,8 +154,8 @@ fn injected_regression_is_attributed_to_config_and_category() {
             if top.config != name {
                 return Err(format!("top-ranked '{}', injected '{name}'", top.config));
             }
-            if top.delta() != extra as i64 {
-                return Err(format!("machine delta {} != injected {extra}", top.delta()));
+            if top.delta != extra as i64 {
+                return Err(format!("machine delta {} != injected {extra}", top.delta));
             }
             match top.breakdown.dominant() {
                 Some((dom, total)) if dom == CATEGORY_NAMES[cat] && total == extra as i64 * nodes => {
@@ -236,9 +218,9 @@ fn heatmap_self_diff_is_zero_on_every_plane_tile_and_node() {
     assert!(d.is_zero());
     assert_eq!(d.owner_flips, 0, "owner plane must not flip against itself");
     for plane in &d.planes {
-        assert_eq!(plane.max_abs(), 0, "plane {} must be all zero", plane.metric);
-        assert_eq!(plane.changed_tiles(), 0);
-        assert!(plane.deltas.iter().all(|&v| v == 0));
+        assert_eq!(plane.max_abs, 0, "plane {} must be all zero", plane.metric);
+        assert_eq!(plane.changed_tiles, 0);
+        assert!(plane.deltas.iter().flatten().all(|&v| v == 0));
         // An all-zero plane renders as an all-white (unchanged) map.
         let img = plane.render(1);
         for y in 0..img.height() {
@@ -273,12 +255,12 @@ fn injected_conflict_misses_are_attributed_to_tile_and_node() {
         .iter()
         .find(|p| p.metric == "miss_conflict")
         .expect("conflict plane present");
-    assert_eq!(plane.max_abs(), 7);
-    assert_eq!(plane.changed_tiles(), 1);
+    assert_eq!(plane.max_abs, 7);
+    assert_eq!(plane.changed_tiles, 1);
     assert_eq!(plane.hottest().map(|(_, _, v)| v), Some(7));
     // Only the planted tile moved; every other plane is untouched.
     for other in d.planes.iter().filter(|p| p.metric != "miss_conflict") {
-        assert_eq!(other.max_abs(), 0, "plane {} must be untouched", other.metric);
+        assert_eq!(other.max_abs, 0, "plane {} must be untouched", other.metric);
     }
     let node0 = d.nodes.iter().find(|n| n.node == 0).expect("node 0");
     assert_eq!((node0.conflict, node0.misses), (7, 7));
@@ -309,8 +291,8 @@ fn metrics_self_diff_is_zero_across_phases_counters_and_histograms() {
     for p in &d.phases {
         assert_eq!((p.count, p.total_ns, p.self_ns), (0, 0, 0), "phase {}", p.name);
     }
-    assert!(d.one_sided_phases.is_empty());
-    assert!(d.counters.iter().all(|(_, delta)| *delta == 0));
+    assert!(d.one_sided.is_empty());
+    assert!(d.counters.values().all(|&delta| delta == 0));
     for h in &d.histograms {
         assert!(h.is_zero(), "histogram {} must not shift", h.name);
     }
@@ -332,13 +314,13 @@ fn injected_phase_slowdown_is_ranked_first() {
         name.clone()
     };
 
-    let d =
-        MetricsDiff::between(&decode::<MetricsDoc>(&base), &decode(&cur)).expect("comparable");
+    let base = decode::<MetricsDoc>(&base);
+    let d = MetricsDiff::between(&base, &decode(&cur)).expect("comparable");
     assert!(!d.is_zero());
     let ranked = d.ranked_phases();
     let top = ranked.first().expect("a ranked phase");
     assert_eq!(top.name, name);
     assert_eq!(top.self_ns, slow as i64);
-    let text = d.explanation(3).join("\n");
+    let text = d.explanation(&base, 3).join("\n");
     assert!(text.contains(&name), "explanation must name the phase: {text}");
 }

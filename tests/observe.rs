@@ -7,7 +7,7 @@ use sortmid::{
     CacheKind, Distribution, Machine, MachineConfig, NullSink, SpatialCollector, TraceRecorder,
     TraceSink,
 };
-use sortmid_observe::{chrome_trace, TimeSeries};
+use sortmid_observe::{chrome_trace, Artifact, ChromeTrace, Provenance, Schema, TimeSeries};
 use sortmid_raster::FragmentStream;
 use sortmid_scene::{Benchmark, SceneBuilder};
 
@@ -86,8 +86,10 @@ fn perfetto_export_is_structurally_sound() {
     assert_eq!(labels.len(), 4);
     assert!(labels[0].contains("set-assoc"), "{labels:?}");
 
-    let doc = chrome_trace(&rec, &labels);
-    let parsed = Json::parse(&doc.render()).expect("export must be valid JSON");
+    let doc = chrome_trace(&rec, &labels, None, Provenance::collect(0, 0));
+    let parsed = Json::parse(&doc.to_json().render()).expect("export must be valid JSON");
+    let owned = ChromeTrace::from_json(&parsed).expect("export decodes through its owner");
+    assert!(owned == doc && owned.verify().is_empty(), "{:?}", owned.verify());
     let events = parsed.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
 
     let count = |ph: &str| {

@@ -4,7 +4,9 @@
 
 use sortmid::{CacheKind, Distribution, Machine, MachineConfig};
 use sortmid_devharness::Json;
-use sortmid_observe::{chrome_trace_with_host, HostProfiler, HostSink, TraceRecorder, HOST_PID};
+use sortmid_observe::{
+    chrome_trace, HostProfiler, HostSink, Provenance, Schema, TraceRecorder, HOST_PID,
+};
 use sortmid_raster::{read_stream, write_stream};
 use sortmid_scene::{read_scene, write_scene, Benchmark, SceneBuilder};
 
@@ -103,7 +105,9 @@ fn chrome_trace_host_tracks_round_trip_and_stay_well_formed() {
     let profile = prof.finish();
     profile.verify().unwrap();
 
-    let text = chrome_trace_with_host(&rec, &labels, &profile).render();
+    let text = chrome_trace(&rec, &labels, Some(&profile), Provenance::collect(0, 0))
+        .to_json()
+        .render();
     let doc = Json::parse(&text).expect("export is valid JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
 
